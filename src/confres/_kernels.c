@@ -1,8 +1,8 @@
 /* C port of the local-move kernels in kernels.py.
  *
- * Each function follows its Python reference (_energy_components, _sweep,
- * _move_delta) operation for operation, in the same order, so that every
- * float result is bit-identical.  That holds only when the compiler keeps
+ * Each function follows its Python reference (_energy_components, _sweep)
+ * operation for operation, in the same order, so that every float result
+ * is bit-identical.  That holds only when the compiler keeps
  * IEEE double semantics: build with -ffp-contract=off (no fused
  * multiply-add) and never with -ffast-math.
  *
@@ -176,59 +176,4 @@ done:
     free(touched);
     free(seen);
     return moves;
-}
-
-/* Energy change of moving `item` to `target`; target == k (the length of
- * cluster_rho) opens a new cluster. */
-double move_delta(const int64_t *indptr, const int64_t *indices,
-                  const double *weights, int64_t rep_mode,
-                  const double *rep_strength, double rep_denom,
-                  const int64_t *rep_indptr, const int64_t *rep_indices,
-                  const double *rep_weights, double gamma,
-                  const int64_t *labels, const double *cluster_rho, int64_t k,
-                  int64_t item, int64_t target)
-{
-    int64_t ci = labels[item];
-    double w_cur = 0.0, w_tgt = 0.0;
-    for (int64_t e = indptr[item]; e < indptr[item + 1]; e++) {
-        int64_t j = indices[e];
-        if (j == item)
-            continue;
-        int64_t cj = labels[j];
-        if (cj == ci)
-            w_cur += weights[e];
-        if (cj == target)
-            w_tgt += weights[e];
-    }
-    double rho = rep_strength[item];
-    double r_cur, r_tgt;
-    if (rep_mode == REP_PRODUCT) {
-        double rs_cur = cluster_rho[ci] - rho;
-        double rs_tgt = 0.0;
-        if (target < k) {
-            rs_tgt = cluster_rho[target];
-            if (target == ci)
-                rs_tgt -= rho;
-        }
-        r_cur = rho * rs_cur / rep_denom;
-        r_tgt = rho * rs_tgt / rep_denom;
-    } else {
-        r_cur = 0.0;
-        r_tgt = 0.0;
-        for (int64_t e = rep_indptr[item]; e < rep_indptr[item + 1]; e++) {
-            int64_t j = rep_indices[e];
-            if (j == item)
-                continue;
-            int64_t cj = labels[j];
-            if (cj == ci)
-                r_cur += rep_weights[e];
-            if (cj == target)
-                r_tgt += rep_weights[e];
-        }
-    }
-    double g_cur = -w_cur + gamma * r_cur;
-    double g_tgt = -w_tgt + gamma * r_tgt;
-    if (target == ci)
-        return 0.0;
-    return g_tgt - g_cur;
 }

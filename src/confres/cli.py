@@ -16,7 +16,6 @@ import numpy as np
 from . import __version__
 from .cognition import (HierarchySpec, run_evolution_experiment,
                         run_hierarchy_experiment, run_novelty_experiment)
-from .energy import hamiltonian
 from .errors import ConfresError, InputError
 from .evaluation import (accuracy, ari, contingency, nmi, rms_align, v_measure)
 from .graph import (build_knn_graph, derive_affinity, load_labels_csv,
@@ -36,15 +35,6 @@ def _sha256(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def _resolve_threads(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("CONFRES_THREADS")
-    if env is not None:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _metadata(params: dict, inputs: dict) -> dict:
@@ -105,8 +95,7 @@ def cmd_cluster(args) -> int:
     graph = _points_to_affinity(points, args.k)
     labels, energy = optimize(graph, args.gamma, OptimizeOptions(seed=args.seed))
     params = {"command": "cluster", "input": args.input, "k": args.k,
-              "gamma": args.gamma, "seed": args.seed,
-              "threads": _resolve_threads(args.threads)}
+              "gamma": args.gamma, "seed": args.seed}
     _write_json(args.out, {
         "labels": [int(x) for x in labels],
         "energy": {"gamma": energy.gamma, "h_a": energy.h_a,
@@ -122,8 +111,7 @@ def cmd_sweep(args) -> int:
     configs = find_configurations(graph, args.gamma_max,
                                   OptimizeOptions(seed=args.seed))
     params = {"command": "sweep", "input": args.input, "k": args.k,
-              "gamma_max": args.gamma_max, "seed": args.seed,
-              "threads": _resolve_threads(args.threads)}
+              "gamma_max": args.gamma_max, "seed": args.seed}
     payload = configs.to_dict()
     payload["metadata"] = _metadata(params, {"input": args.input})
     _write_json(args.out, payload)
@@ -178,8 +166,7 @@ def cmd_eval(args) -> int:
 
 def cmd_experiment(args) -> int:
     spec = HierarchySpec(seed=args.seed) if args.kind == "hierarchy" else None
-    params = {"command": "experiment", "kind": args.kind, "seed": args.seed,
-              "threads": _resolve_threads(args.threads)}
+    params = {"command": "experiment", "kind": args.kind, "seed": args.seed}
     if args.kind == "hierarchy":
         report = run_hierarchy_experiment(spec)
     elif args.kind == "novelty":
@@ -223,9 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None,
                        help="flat key = value file supplying flag defaults")
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallelism bound (default: CONFRES_THREADS or "
-                            "available cores); outputs are deterministic")
 
     p = sub.add_parser("cluster", help="cluster points at a fixed resolution")
     p.add_argument("--input", required=True, help="points CSV")

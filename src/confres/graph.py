@@ -61,9 +61,6 @@ class AffinityGraph:
     def rep_mode(self) -> int:
         return REP_EXPLICIT if self.repulsion_scheme == "explicit" else REP_PRODUCT
 
-    def degree(self, i: int) -> int:
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     def attraction_dense(self) -> np.ndarray:
         """Dense w+ matrix; intended for small-n tests and oracles."""
         a = np.zeros((self.n, self.n))
@@ -122,15 +119,23 @@ def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
     np.fill_diagonal(dist, np.inf)
     # stable argsort on distance gives the smaller-index tie rule
     nn = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    pair_d = {}
-    for i in range(n):
-        for j in nn[i]:
-            a, b = (i, int(j)) if i < j else (int(j), i)
-            pair_d[(a, b)] = dist[a, b]
-    items = sorted(pair_d.items())
-    edges = np.array([p for p, _ in items], dtype=np.int64).reshape(-1, 2)
-    distances = np.array([d for _, d in items])
-    return NeighborGraph(n=n, edges=edges, distances=distances, k=k)
+    rows, cols, _ = _reduce_pairs(n, np.repeat(np.arange(n), k), nn.ravel())
+    return NeighborGraph(n=n, edges=np.stack([rows, cols], axis=1),
+                         distances=dist[rows, cols], k=k)
+
+
+def _reduce_pairs(n, i, j, w=None, mean=False):
+    """Sorted unique unordered pairs (row < col) of items in [0, n).
+
+    The weights of each pair's repeats are summed in input order (or
+    averaged, with `mean`); without `w` the third result counts them.
+    """
+    key = np.minimum(i, j) * n + np.maximum(i, j)
+    pairs, inv = np.unique(key, return_inverse=True)
+    vals = np.bincount(inv, weights=w, minlength=len(pairs))
+    if mean:
+        vals = vals / np.bincount(inv, minlength=len(pairs))
+    return pairs // n, pairs % n, vals
 
 
 def _csr_from_pairs(n, rows, cols, vals):
@@ -180,25 +185,26 @@ def _assemble(n, rows, cols, vals, scheme, rep_pairs=None, require_positive=True
 
 def _merge_pairs(n, edges, label="edge"):
     """Average duplicate directions / repeats of unordered pairs."""
-    acc = {}
-    cnt = {}
-    for i, j, w in edges:
-        i, j = int(i), int(j)
-        w = float(w)
-        if not (0 <= i < n and 0 <= j < n):
+    arr = np.asarray(edges, dtype=np.float64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise InputError(f"{label} rows must be (i, j, w) triples")
+    ends = np.trunc(arr[:, :2])  # int() of each index, NaN kept
+    w = arr[:, 2]
+    in_range = np.all((ends >= 0) & (ends < n), axis=1)
+    bad = ~in_range | (ends[:, 0] == ends[:, 1]) | ~(np.isfinite(w) & (w >= 0.0))
+    if bad.any():
+        e = int(np.argmax(bad))
+        i, j = (int(x) if np.isfinite(x) else x for x in arr[e, :2])
+        if not in_range[e]:
             raise InputError(f"{label} index ({i}, {j}) out of range for n={n}")
         if i == j:
             raise InputError(f"self-loop ({i}, {i}) not allowed")
-        if w < 0.0:
-            raise InputError(f"negative {label} weight {w} on ({i}, {j})")
-        key = (i, j) if i < j else (j, i)
-        acc[key] = acc.get(key, 0.0) + w
-        cnt[key] = cnt.get(key, 0) + 1
-    keys = sorted(acc)
-    rows = np.array([a for a, _ in keys], dtype=np.int64)
-    cols = np.array([b for _, b in keys], dtype=np.int64)
-    vals = np.array([acc[k] / cnt[k] for k in keys])
-    return rows, cols, vals
+        raise InputError(f"{label} weight {w[e]} on ({i}, {j}) must be "
+                         f"finite and non-negative")
+    ends = ends.astype(np.int64)
+    return _reduce_pairs(n, ends[:, 0], ends[:, 1], w, mean=True)
 
 
 def from_edge_list(n: int, edges, repulsion_scheme: str = "configuration_null",
@@ -228,13 +234,18 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
     rows = graph.edges[:, 0]
     cols = graph.edges[:, 1]
     dist = graph.distances
+    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    if np.any(degree == 0):
+        raise InputError(f"item {int(np.argmin(degree))} has no neighbour edge")
     if kernel == "self_tuning_gaussian":
-        # sigma_i = distance to the ceil(k/2)-th neighbour of i
+        # sigma_i = distance to the ceil(k/2)-th neighbour of i: sort the
+        # edge ends by item, then distance, and pick that rank in each run
         rank = max((graph.k + 1) // 2, 1)
-        sigma = np.zeros(n)
-        for i in range(n):
-            d_i = np.sort(np.concatenate([dist[rows == i], dist[cols == i]]))
-            sigma[i] = d_i[min(rank, len(d_i)) - 1]
+        ends = np.concatenate([rows, cols])
+        d_ends = np.concatenate([dist, dist])
+        sorted_d = d_ends[np.lexsort((d_ends, ends))]
+        start = np.cumsum(degree) - degree
+        sigma = sorted_d[start + np.minimum(rank, degree) - 1]
         if np.any(sigma <= 0.0):
             sigma = np.maximum(sigma, np.max(sigma) * 1e-12)
         if np.all(sigma <= 0.0):
@@ -278,6 +289,9 @@ def load_points_csv(path) -> np.ndarray:
             rows.append([float(x) for x in ln.split(",")])
         except ValueError as exc:
             raise InputError(f"non-numeric row in {path}: {ln!r}") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise InputError(f"row {ln!r} in {path} has {len(rows[-1])} "
+                             f"columns, expected {len(rows[0])}")
     points = np.array(rows)
     return _check_points(points)
 

@@ -1,16 +1,17 @@
 """Hot inner loops for energy evaluation and local moving.
 
 All kernels operate on flat CSR arrays.  The functions defined here in
-Python are the reference implementation.  `_kernels.c` ports them
-operation for operation.  On first import it is compiled with the system C
-compiler (`cc`, else `gcc`) into a per-user cache directory, keyed by the
-source, the compiler flags and the machine type, and loaded with ctypes;
-`energy_components`, `sweep` and `move_delta` then call it.  Without a
-compiler, when the build fails, or with CONFRES_DISABLE_COMPILED=1 they are
-the Python reference itself (identical results, much slower).  `BACKEND`
-names the one in use, "c" or "python".  tests/test_kernels.py checks that
-the two agree bit for bit; benchmarks/bench_kernels.py times them side by
-side.
+Python are the reference implementation.  `_kernels.c` ports the two hot
+ones, `_energy_components` and `_sweep`, operation for operation.  On first
+import it is compiled with the system C compiler (`cc`, else `gcc`) into a
+per-user cache directory, keyed by the source, the compiler flags and the
+machine type, and loaded with ctypes; `energy_components` and `sweep` then
+call it.  Without a compiler, when the build fails, or with
+CONFRES_DISABLE_COMPILED=1 they are the Python reference itself (identical
+results, much slower).  `BACKEND` names the one in use, "c" or "python".
+`move_delta`, a single-item query that only `energy.move_delta` calls, has
+no C port.  tests/test_kernels.py checks that the two backends agree bit
+for bit; benchmarks/bench_kernels.py times them side by side.
 """
 
 import ctypes
@@ -173,10 +174,10 @@ def _sweep(indptr, indices, weights,
     return moves
 
 
-def _move_delta(indptr, indices, weights,
-                rep_mode, rep_strength, rep_denom,
-                rep_indptr, rep_indices, rep_weights,
-                gamma, labels, cluster_rho, item, target):
+def move_delta(indptr, indices, weights,
+               rep_mode, rep_strength, rep_denom,
+               rep_indptr, rep_indices, rep_weights,
+               gamma, labels, cluster_rho, item, target):
     """Energy change of moving one item to `target` (degree-local).
 
     `cluster_rho[c]` holds the per-cluster sum of rep_strength (the one
@@ -229,7 +230,6 @@ def _move_delta(indptr, indices, weights,
 # tested against.
 energy_components_py = _energy_components
 sweep_py = _sweep
-move_delta_py = _move_delta
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # -ffp-contract=off keeps a*b+c from fusing into one rounding; -ffast-math
@@ -299,9 +299,6 @@ def _load_library():
     lib.sweep.argtypes = [i64, ptr, ptr, ptr, i64, ptr, f64, ptr, ptr, ptr,
                           f64, ptr, ptr, ptr, f64]
     lib.sweep.restype = i64
-    lib.move_delta.argtypes = [ptr, ptr, ptr, i64, ptr, f64, ptr, ptr, ptr,
-                               f64, ptr, ptr, i64, i64, i64]
-    lib.move_delta.restype = f64
     return lib
 
 
@@ -387,40 +384,15 @@ def _sweep_c(indptr, indices, weights,
     return moves
 
 
-def _move_delta_c(indptr, indices, weights,
-                  rep_mode, rep_strength, rep_denom,
-                  rep_indptr, rep_indices, rep_weights,
-                  gamma, labels, cluster_rho, item, target):
-    n = labels.shape[0]
-    p_lab = _ptr("labels", labels, np.int64)
-    p_crho = _ptr("cluster_rho", cluster_rho, np.float64)
-    k = cluster_rho.shape[0]
-    item, target = int(item), int(target)
-    if not 0 <= item < n:
-        raise IndexError(f"item {item} out of range [0, {n})")
-    if not 0 <= target <= k:
-        raise IndexError(f"target {target} out of range [0, {k}]")
-    if rep_mode == REP_PRODUCT and not 0 <= labels[item] < k:
-        raise IndexError(f"label {labels[item]} of item {item} out of range "
-                         f"[0, {k})")
-    attraction, p_rho, repulsion = _graph_ptrs(
-        n, indptr, indices, weights, rep_mode, rep_strength,
-        rep_indptr, rep_indices, rep_weights)
-    return _LIB.move_delta(*attraction, rep_mode, p_rho, rep_denom,
-                           *repulsion, gamma, p_lab, p_crho, k, item, target)
-
-
 _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
     energy_components = _energy_components
     sweep = _sweep
-    move_delta = _move_delta
 else:
     BACKEND = "c"
     energy_components = _energy_components_c
     sweep = _sweep_c
-    move_delta = _move_delta_c
 
 # Always False: numba is no longer a backend.  perfbench/worker.py still
 # reads this name to label its results, so it stays until the benchmark

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergySummary, canonicalize, cluster_count, hamiltonian
-from .graph import AffinityGraph
+from .energy import canonicalize, cluster_count, hamiltonian
+from .graph import AffinityGraph, _csr_from_pairs, _reduce_pairs
 from . import kernels
 
 
@@ -44,16 +44,6 @@ class AggregateGraph:
     const_h_a: float
     const_h_r: float
 
-    def members(self, super_node: int) -> np.ndarray:
-        return np.nonzero(self.mapping == super_node)[0]
-
-    def hamiltonian(self, labels, gamma: float) -> EnergySummary:
-        part = hamiltonian(self.graph, labels, gamma)
-        h_a = part.h_a + self.const_h_a
-        h_r = part.h_r + self.const_h_r
-        return EnergySummary(gamma=float(gamma), h_a=h_a, h_r=h_r,
-                             total=h_a + gamma * h_r)
-
 
 def _run_sweeps(graph, labels, gamma, constraint, rng, max_sweeps, epsilon):
     """Local moving until a full pass accepts no move. Returns total moves."""
@@ -84,37 +74,34 @@ def local_move_sweep(graph: AffinityGraph, labels, gamma: float, rng):
     return canonicalize(labels), moves > 0
 
 
+def _collapse(labels, k, indptr, indices, weights):
+    """Split CSR pairs into cluster-internal and cross-cluster ones.
+
+    Returns the internal weight total and the cross-cluster weights summed
+    per super-node pair, as (total, rows, cols, vals).
+    """
+    src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    once = indices > src
+    ci, cj, w = labels[src[once]], labels[indices[once]], weights[once]
+    internal = ci == cj
+    cross = ~internal
+    rows, cols, vals = _reduce_pairs(k, ci[cross], cj[cross], w[cross])
+    return float(np.sum(w[internal])), rows, cols, vals
+
+
 def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
     """Collapse clusters to super-nodes; energies are preserved exactly."""
     labels = canonicalize(labels)
     k = cluster_count(labels)
-    # split attraction edges into cross-cluster (kept) and internal (constant)
-    mask = graph.indices > np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-    ii = np.repeat(np.arange(graph.n), np.diff(graph.indptr))[mask]
-    jj = graph.indices[mask]
-    ww = graph.weights[mask]
-    ci, cj = labels[ii], labels[jj]
-    internal = ci == cj
-    const_h_a = -float(np.sum(ww[internal]))
-    lo = np.minimum(ci[~internal], cj[~internal])
-    hi = np.maximum(ci[~internal], cj[~internal])
-    key = lo * k + hi
-    uniq, inv = np.unique(key, return_inverse=True)
-    w_agg = np.zeros(len(uniq))
-    np.add.at(w_agg, inv, ww[~internal])
-    rows = (uniq // k).astype(np.int64)
-    cols = (uniq % k).astype(np.int64)
-
+    internal, rows, cols, w_agg = _collapse(
+        labels, k, graph.indptr, graph.indices, graph.weights)
+    const_h_a = -internal
     strengths = np.zeros(k)
     np.add.at(strengths, labels, graph.strengths)
     sizes = np.zeros(k)
     np.add.at(sizes, labels, graph.node_sizes)
-
-    from .graph import _csr_from_pairs  # local import to avoid cycle at module load
-
     indptr, indices, weights = _csr_from_pairs(k, rows, cols, w_agg)
     kwargs = {}
-    const_h_r = 0.0
     if graph.rep_mode == kernels.REP_PRODUCT:
         rho = np.zeros(k)
         np.add.at(rho, labels, graph.rep_strength)
@@ -123,22 +110,9 @@ def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
         const_h_r = float(np.sum(rho ** 2 - rho_sq)) / (2.0 * graph.rep_denom)
         rep_strength = rho
     else:
-        rmask = graph.rep_indices > np.repeat(np.arange(graph.n),
-                                              np.diff(graph.rep_indptr))
-        ri = np.repeat(np.arange(graph.n), np.diff(graph.rep_indptr))[rmask]
-        rj = graph.rep_indices[rmask]
-        rw = graph.rep_weights[rmask]
-        rci, rcj = labels[ri], labels[rj]
-        rint = rci == rcj
-        const_h_r = float(np.sum(rw[rint]))
-        rlo = np.minimum(rci[~rint], rcj[~rint])
-        rhi = np.maximum(rci[~rint], rcj[~rint])
-        rkey = rlo * k + rhi
-        runiq, rinv = np.unique(rkey, return_inverse=True)
-        r_agg = np.zeros(len(runiq))
-        np.add.at(r_agg, rinv, rw[~rint])
-        rp, rix, rwt = _csr_from_pairs(
-            k, (runiq // k).astype(np.int64), (runiq % k).astype(np.int64), r_agg)
+        const_h_r, rr, rc, rv = _collapse(
+            labels, k, graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+        rp, rix, rwt = _csr_from_pairs(k, rr, rc, rv)
         kwargs = {"rep_indptr": rp, "rep_indices": rix, "rep_weights": rwt}
         rep_strength = np.zeros(k)
 
@@ -188,8 +162,6 @@ def optimize(graph: AffinityGraph, gamma: float,
         _run_sweeps(cur, refined, gamma, labels, rng,
                     opts.max_sweeps_per_level, opts.epsilon)
         refined = canonicalize(refined)
-        if cluster_count(refined) == cur.n and k == cur.n:
-            break
         if cluster_count(refined) == cur.n:
             refined = labels  # refinement kept everything apart; aggregate coarse
         agg = aggregate(cur, refined)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import canonicalize, cluster_count, landscape_point
+from .energy import cluster_count, landscape_point
 from .errors import InputError, ParameterError
 from .evaluation import ari, contingency
 from .graph import AffinityGraph
@@ -238,7 +238,7 @@ def lower_envelope(points):
     return result
 
 
-def evaluate_sweep(configs: ConfigurationSet, truth, level: str = "truth"):
+def evaluate_sweep(configs: ConfigurationSet, truth):
     """ARI of each plateau's partition against reference labels.
 
     Returns a list of (gamma_lo, gamma_hi, ari) rows for plotting.

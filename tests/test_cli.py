@@ -51,6 +51,14 @@ def test_cluster_missing_input(tmp_path):
     assert code == 2
 
 
+def test_cluster_ragged_csv(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("x,y\n1,2\n3\n")
+    code = main(["cluster", "--input", str(path),
+                 "--out", str(tmp_path / "o.json")])
+    assert code == 2
+
+
 def test_sweep_plateaus_tile(data_dir, tmp_path):
     out = tmp_path / "cfg.json"
     land = tmp_path / "landscape.csv"

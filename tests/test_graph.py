@@ -1,11 +1,14 @@
 """kNN construction, affinity derivation, and ingestion."""
 
+import math
+
 import numpy as np
 import pytest
 
 from confres.errors import InputError, ParameterError
-from confres.graph import (build_knn_graph, derive_affinity, from_edge_list,
-                           load_edges_csv, load_labels_csv, load_points_csv)
+from confres.graph import (NeighborGraph, build_knn_graph, derive_affinity,
+                           from_edge_list, load_edges_csv, load_labels_csv,
+                           load_points_csv)
 
 
 def _edge_set(graph):
@@ -57,6 +60,59 @@ class TestBuildKnn:
             build_knn_graph(pts, k=1)
 
 
+# integer coordinates, so every squared distance is exact: two duplicate
+# pairs, and four points equidistant from the origin and from each other
+TIE_POINTS = np.array([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0, 0],
+                       [3, 4], [5, 5], [3, 4], [2, 2]], dtype=float)
+
+
+def _dense_knn(points, k):
+    """Union of each item's k nearest by (distance, index): the tie rule."""
+    n = len(points)
+    d2 = [[int(sum((a - b) ** 2 for a, b in zip(p, q))) for q in points]
+          for p in points]
+    pairs = set()
+    for i in range(n):
+        for j in sorted((j for j in range(n) if j != i),
+                        key=lambda j: (d2[i][j], j))[:k]:
+            pairs.add((min(i, j), max(i, j)))
+    edges = sorted(pairs)
+    return edges, [math.sqrt(d2[i][j]) for i, j in edges]
+
+
+def _dense_affinity(n, edges, dist, k):
+    """Self-tuning Gaussian w+ from dense matrices, one item at a time."""
+    rank = max((k + 1) // 2, 1)
+    incident = [sorted(d for (a, b), d in zip(edges, dist) if i in (a, b))
+                for i in range(n)]
+    sigma = np.array([ds[min(rank, len(ds)) - 1] for ds in incident])
+    if np.any(sigma <= 0.0):
+        sigma = np.maximum(sigma, np.max(sigma) * 1e-12)
+    sim = np.zeros((n, n))
+    for (a, b), d in zip(edges, dist):
+        sim[a, b] = sim[b, a] = math.exp(-d ** 2 / (sigma[a] * sigma[b]))
+    p = sim / sim.sum(axis=1, keepdims=True)
+    return 0.5 * (p + p.T)
+
+
+class TestTieRuleAgainstDenseOracle:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+    def test_edges_and_distances(self, k):
+        g = build_knn_graph(TIE_POINTS, k=k)
+        edges, dist = _dense_knn(TIE_POINTS.astype(int).tolist(), k)
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.distances.tolist() == dist
+
+    # at k <= 2 a duplicate's sigma is zero and its other similarities
+    # vanish, so derive_affinity refuses those graphs
+    @pytest.mark.parametrize("k", [3, 5, 9])
+    def test_weights(self, k):
+        edges, dist = _dense_knn(TIE_POINTS.astype(int).tolist(), k)
+        a = derive_affinity(build_knn_graph(TIE_POINTS, k=k)).attraction_dense()
+        assert np.allclose(a, _dense_affinity(len(TIE_POINTS), edges, dist, k),
+                           rtol=1e-12, atol=0.0)
+
+
 class TestDeriveAffinity:
     def test_single_edge_normalizes_to_one(self):
         pts = np.array([[0.0], [1.0]])
@@ -96,6 +152,13 @@ class TestDeriveAffinity:
         g = from_edge_list(4, [(0, 1, 1.0)], repulsion_scheme="uniform")
         assert g.repulsion_dense()[2, 3] == pytest.approx(0.25)
 
+    def test_item_without_edges(self):
+        graph = NeighborGraph(n=3, edges=np.array([[0, 1]], dtype=np.int64),
+                              distances=np.array([1.0]), k=1)
+        for kernel in ("self_tuning_gaussian", "inverse_distance"):
+            with pytest.raises(InputError, match="item 2"):
+                derive_affinity(graph, kernel=kernel)
+
     def test_explicit_scheme(self):
         g = from_edge_list(3, [(0, 1, 1.0)], repulsion_scheme="explicit",
                            repulsion_edges=[(1, 2, 0.7)])
@@ -121,6 +184,30 @@ class TestFromEdgeList:
     def test_negative_weight(self):
         with pytest.raises(InputError):
             from_edge_list(2, [(0, 1, -1.0)])
+
+    def test_repeats_averaged_in_input_order(self):
+        big = 2.0 ** 53  # big + 1 rounds back to big
+        g = from_edge_list(2, [(0, 1, 1.0), (1, 0, 1.0), (0, 1, big)])
+        expected = ((1.0 + 1.0) + big) / 3
+        assert expected != ((big + 1.0) + 1.0) / 3
+        assert g.attraction_dense()[0, 1] == expected
+        assert g.total_weight == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, bad):
+        with pytest.raises(InputError):
+            from_edge_list(3, [(0, 1, bad), (1, 2, 1.0)])
+        with pytest.raises(InputError):
+            from_edge_list(3, [(0, 1, 1.0)], repulsion_scheme="explicit",
+                           repulsion_edges=[(1, 2, 1.0), (0, 2, bad)])
+
+    def test_non_finite_index(self):
+        with pytest.raises(InputError, match="out of range"):
+            from_edge_list(3, [(0, np.nan, 1.0)])
+
+    def test_first_offending_edge_reported(self):
+        with pytest.raises(InputError, match="self-loop"):
+            from_edge_list(3, [(0, 1, 1.0), (2, 2, 1.0), (0, 5, -1.0)])
 
 
 class TestLoaders:

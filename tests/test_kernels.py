@@ -65,25 +65,6 @@ def test_sweep_backends_agree(rng):
 
 
 @needs_cc
-def test_move_delta_backends_agree(rng):
-    assert kernels.BACKEND == "c"
-    for trial in range(40):
-        graph = random_affinity(rng, scheme=SCHEMES[trial % 2])
-        labels = rng.integers(0, 3, graph.n).astype(np.int64)
-        k = int(labels.max()) + 1
-        cluster_rho = np.zeros(k + 1)
-        np.add.at(cluster_rho, labels, graph.rep_strength)
-        args = _kernel_args(graph)
-        item = int(rng.integers(graph.n))
-        target = int(rng.integers(k + 1))
-        got = kernels.move_delta(*args[:3], *args[3:], 1.0, labels,
-                                 cluster_rho, item, target)
-        ref = kernels.move_delta_py(*args[:3], *args[3:], 1.0, labels,
-                                    cluster_rho, item, target)
-        assert got == ref
-
-
-@needs_cc
 def test_compiled_sweep_rejects_out_of_range_label(rng):
     assert kernels.BACKEND == "c"
     graph = random_affinity(rng)

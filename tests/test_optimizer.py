@@ -70,8 +70,9 @@ class TestAggregate:
         assert agg.graph.n == 1
 
     def test_energy_preserved_exactly(self, rng):
-        for _ in range(20):
-            g = random_affinity(rng)
+        # product-form repulsion (a scheme drawn at random) and explicit
+        for trial in range(40):
+            g = random_affinity(rng, scheme=(None, "explicit")[trial % 2])
             labels = canonicalize(rng.integers(0, 3, g.n))
             agg = aggregate(g, labels)
             k = cluster_count(labels)
