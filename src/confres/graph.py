@@ -3,6 +3,7 @@
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import InputError, NumericalError, ParameterError
 from .kernels import REP_EXPLICIT, REP_PRODUCT
@@ -91,37 +92,75 @@ def _check_points(points: np.ndarray) -> np.ndarray:
     return points
 
 
-def _pairwise_distances(points: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "euclidean":
-        sq = np.sum(points ** 2, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-        return np.sqrt(np.maximum(d2, 0.0))
-    if metric == "cosine":
-        norms = np.linalg.norm(points, axis=1)
-        if np.any(norms == 0.0):
-            raise NumericalError("cosine metric undefined for zero vectors")
-        sim = (points @ points.T) / np.outer(norms, norms)
-        return 1.0 - np.clip(sim, -1.0, 1.0)
-    raise ParameterError(f"unknown metric {metric!r}")
+# A candidate list is complete once its last kd-tree distance exceeds the
+# k-th by more than this relative margin: the tree's rounding can then hide
+# no tie or near-tie with the k-th neighbour outside the list.
+_TIE_MARGIN = 1.0 + 1e-9
+
+
+def _nearest(points, k, metric):
+    """Each item's k nearest others by (distance, index): (n, k) indices
+    and their distances.
+
+    A kd-tree proposes m candidates per item, m widened (doubling, at most
+    n) for items whose ties with the k-th neighbour may run past the list;
+    the candidates are then ranked by exact distance and index.
+    """
+    n, dim = points.shape
+    tree = cKDTree(points)
+    nn = np.empty((n, k), dtype=np.int64)
+    nn_dist = np.empty((n, k))
+    todo = np.arange(n)
+    m = min(k + 2, n)
+    while todo.size:
+        # self sits at distance 0, so column k is the k-th other item
+        d, cand = tree.query(points[todo], k=m)
+        done = (d[:, -1] > d[:, k] * _TIE_MARGIN) | (m == n)
+        rows, cand = todo[done], cand[done]
+        # squared differences summed in coordinate order, so the distance
+        # of i to j is bit for bit that of j to i in any array shape
+        ends, others = points[rows, None, :], points[cand]
+        sq = np.zeros(cand.shape)
+        for c in range(dim):
+            sq += (ends[..., c] - others[..., c]) ** 2
+        # cosine runs on unit vectors: 1 - cos = |u - v|^2 / 2, without
+        # the cancellation of 1 - cos for near-parallel vectors
+        dist = 0.5 * sq if metric == "cosine" else np.sqrt(sq)
+        dist[cand == rows[:, None]] = np.inf
+        pick = (np.arange(len(rows))[:, None],
+                np.lexsort((cand, dist), axis=-1)[:, :k])
+        nn[rows], nn_dist[rows] = cand[pick], dist[pick]
+        todo = todo[~done]
+        m = min(2 * m, n)
+    return nn, nn_dist
 
 
 def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
     """Link each item to its k nearest others; edge set is the union.
 
     Ties in distance are broken by smaller item index, so the graph is
-    deterministic for a given point matrix.
+    deterministic for a given point matrix.  A kd-tree search takes
+    O(n k log n) time and O(n k) memory, more only where many points tie
+    at an item's k-th distance; cosine distance is searched as Euclidean
+    distance between unit vectors.
     """
     points = _check_points(points)
     n = points.shape[0]
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
-    dist = _pairwise_distances(points, metric)
-    np.fill_diagonal(dist, np.inf)
-    # stable argsort on distance gives the smaller-index tie rule
-    nn = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    rows, cols, _ = _reduce_pairs(n, np.repeat(np.arange(n), k), nn.ravel())
+    if metric == "cosine":
+        norms = np.linalg.norm(points, axis=1)
+        if np.any(norms == 0.0):
+            raise NumericalError("cosine metric undefined for zero vectors")
+        points = points / norms[:, None]
+    elif metric != "euclidean":
+        raise ParameterError(f"unknown metric {metric!r}")
+    nn, nn_dist = _nearest(points, k, metric)
+    # both directions of a pair carry the same distance, so their mean is it
+    rows, cols, dist = _reduce_pairs(n, np.repeat(np.arange(n), k), nn.ravel(),
+                                     nn_dist.ravel(), mean=True)
     return NeighborGraph(n=n, edges=np.stack([rows, cols], axis=1),
-                         distances=dist[rows, cols], k=k)
+                         distances=dist, k=k)
 
 
 def _reduce_pairs(n, i, j, w=None, mean=False):
@@ -239,13 +278,17 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
         raise InputError(f"item {int(np.argmin(degree))} has no neighbour edge")
     if kernel == "self_tuning_gaussian":
         # sigma_i = distance to the ceil(k/2)-th neighbour of i: sort the
-        # edge ends by item, then distance, and pick that rank in each run
+        # edge ends by item, then distance, and pick that rank in each run.
+        # Where duplicates make it 0, take i's nearest non-zero distance;
+        # only items whose edges are all at distance 0 keep sigma = 0.
         rank = max((graph.k + 1) // 2, 1)
         ends = np.concatenate([rows, cols])
         d_ends = np.concatenate([dist, dist])
         sorted_d = d_ends[np.lexsort((d_ends, ends))]
         start = np.cumsum(degree) - degree
-        sigma = sorted_d[start + np.minimum(rank, degree) - 1]
+        zeros = np.bincount(ends[d_ends == 0.0], minlength=n)
+        pick = np.minimum(np.maximum(rank - 1, zeros), degree - 1)
+        sigma = sorted_d[start + pick]
         if np.any(sigma <= 0.0):
             sigma = np.maximum(sigma, np.max(sigma) * 1e-12)
         if np.all(sigma <= 0.0):

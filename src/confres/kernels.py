@@ -8,7 +8,9 @@ per-user cache directory, keyed by the source, the compiler flags and the
 machine type, and loaded with ctypes; `energy_components` and `sweep` then
 call it.  Without a compiler, when the build fails, or with
 CONFRES_DISABLE_COMPILED=1 they are the Python reference itself (identical
-results, much slower).  `BACKEND` names the one in use, "c" or "python".
+results, much slower).  A failed build is remembered by a marker file
+beside the cache entry, so later imports do not run the compiler again.
+`BACKEND` names the one in use, "c" or "python".
 `move_delta`, a single-item query that only `energy.move_delta` calls, has
 no C port.  tests/test_kernels.py checks that the two backends agree bit
 for bit; benchmarks/bench_kernels.py times them side by side.
@@ -243,12 +245,20 @@ def _compiled_enabled() -> bool:
     return flag not in ("1", "true", "yes")
 
 
+class _BuildFailed(Exception):
+    """The C kernels did not compile; the argument is the marker file that
+    holds the compiler's output."""
+
+
 def _build_library():
     """Path of the compiled kernels, built first if the cache lacks them.
 
     Returns None when there is no C compiler.  A cache hit runs no
     compiler.  The library is written under a temporary name and renamed
     into place, so a concurrent process never loads a half-written file.
+    A failed build leaves a `.failed` marker with the compiler's error
+    beside it and raises `_BuildFailed`; while the marker exists no build
+    is tried again, so deleting it retries.
     """
     with open(_SOURCE, "rb") as fh:
         source = fh.read()
@@ -257,9 +267,12 @@ def _build_library():
     cache = os.path.join(os.environ.get("XDG_CACHE_HOME")
                          or os.path.join(os.path.expanduser("~"), ".cache"),
                          "confres")
-    path = os.path.join(cache, f"kernels-{key.hexdigest()[:16]}.so")
+    stem = os.path.join(cache, f"kernels-{key.hexdigest()[:16]}")
+    path, marker = stem + ".so", stem + ".failed"
     if os.path.exists(path):
         return path
+    if os.path.exists(marker):
+        raise _BuildFailed(marker)
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         return None
@@ -271,6 +284,10 @@ def _build_library():
         subprocess.run([compiler, *CFLAGS, "-o", tmp, _SOURCE], check=True,
                        capture_output=True, text=True, timeout=300)
         os.replace(tmp, path)
+    except subprocess.CalledProcessError as exc:
+        with open(marker, "w", encoding="utf-8") as fh:
+            fh.write(exc.stderr)
+        raise _BuildFailed(marker) from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -284,9 +301,10 @@ def _load_library():
         if path is None:
             return None
         lib = ctypes.CDLL(path)
-    except subprocess.CalledProcessError as exc:
-        warnings.warn(f"confres: building the C kernels failed, using the "
-                      f"Python reference: {exc.stderr.strip()}", RuntimeWarning)
+    except _BuildFailed as exc:
+        warnings.warn(f"confres: the C kernels do not build, using the Python "
+                      f"reference; compiler output in {exc} (delete "
+                      f"it to retry)", RuntimeWarning)
         return None
     except (OSError, subprocess.SubprocessError) as exc:
         warnings.warn(f"confres: C kernels unavailable, using the Python "

@@ -74,6 +74,7 @@ class ConfigurationSet:
     def to_dict(self) -> dict:
         return {
             "gamma_max": self.gamma_max,
+            "budget_exhausted": self.budget_exhausted,
             "plateaus": [
                 {"lo": e.gamma_lo, "hi": e.gamma_hi,
                  "labels": [int(x) for x in e.labels],
@@ -104,7 +105,8 @@ def configuration_set_from_dict(data: dict) -> ConfigurationSet:
     return ConfigurationSet(
         gamma_max=float(data["gamma_max"]), entries=tuple(entries),
         includes_coarsest=any(e.cluster_count == 1 for e in entries),
-        includes_finest=any(e.cluster_count == n for e in entries))
+        includes_finest=any(e.cluster_count == n for e in entries),
+        budget_exhausted=bool(data.get("budget_exhausted", False)))
 
 
 class _Sweep:

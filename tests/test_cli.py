@@ -59,6 +59,16 @@ def test_cluster_ragged_csv(tmp_path):
     assert code == 2
 
 
+def test_cluster_duplicate_points_small_k(tmp_path):
+    # two duplicate pairs: at k = 1 a duplicate's own sigma would be 0
+    path = tmp_path / "dups.csv"
+    path.write_text("0,0\n1,0\n0,1\n-1,0\n0,-1\n0,0\n3,4\n5,5\n3,4\n2,2\n")
+    out = tmp_path / "o.json"
+    code = main(["cluster", "--input", str(path), "--k", "1", "--out", str(out)])
+    assert code == 0
+    assert len(json.loads(out.read_text())["labels"]) == 10
+
+
 def test_sweep_plateaus_tile(data_dir, tmp_path):
     out = tmp_path / "cfg.json"
     land = tmp_path / "landscape.csv"
@@ -74,6 +84,7 @@ def test_sweep_plateaus_tile(data_dir, tmp_path):
     for prev, cur in zip(plateaus, plateaus[1:]):
         assert prev["hi"] == cur["lo"]
     assert any(p["k"] == 2 for p in plateaus)
+    assert data["budget_exhausted"] is False
     assert land.read_text().startswith("id,h_a,h_r,lo,hi")
 
 

@@ -1,11 +1,13 @@
 """kNN construction, affinity derivation, and ingestion."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from confres.errors import InputError, ParameterError
+from confres import graph as graph_mod
+from confres.errors import InputError, NumericalError, ParameterError
 from confres.graph import (NeighborGraph, build_knn_graph, derive_affinity,
                            from_edge_list, load_edges_csv, load_labels_csv,
                            load_points_csv)
@@ -60,6 +62,101 @@ class TestBuildKnn:
             build_knn_graph(pts, k=1)
 
 
+def _dense_oracle(points, k, metric):
+    """kNN union from full n x n distances in extended precision.
+
+    Cosine distance is |u - v|^2 / 2 of unit vectors, equal to 1 - cos but
+    free of its cancellation for near-parallel vectors.
+    """
+    p = np.asarray(points, dtype=np.longdouble)
+    if metric == "cosine":
+        p = p / np.sqrt((p * p).sum(axis=1))[:, None]
+    dist = ((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2)
+    dist = dist / 2 if metric == "cosine" else np.sqrt(dist)
+    n = len(p)
+    np.fill_diagonal(dist, np.inf)
+    pairs = set()
+    for i in range(n):
+        for j in np.lexsort((np.arange(n), dist[i]))[:k]:
+            pairs.add((min(i, j), max(i, j)))
+    edges = np.array(sorted(pairs))
+    return edges, dist[edges[:, 0], edges[:, 1]].astype(np.float64)
+
+
+class TestKdTreeAgainstDenseOracle:
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_random_points(self, rng, metric, dim):
+        pts = rng.standard_normal((300, dim))
+        g = build_knn_graph(pts, k=10, metric=metric)
+        edges, dist = _dense_oracle(pts, 10, metric)
+        assert np.array_equal(g.edges, edges)
+        assert np.allclose(g.distances, dist, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("k", [1, 5, 10, 30])
+    def test_integer_grid_ties(self, k):
+        # 200 points on a 5 x 5 grid: every item has many exact ties
+        pts = np.random.default_rng(k).integers(0, 5, (200, 2))
+        g = build_knn_graph(pts.astype(float), k=k)
+        edges, dist = _dense_knn(pts.tolist(), k)
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.distances.tolist() == dist
+
+    def test_identical_points_widen_to_all(self, monkeypatch):
+        asked = []
+
+        class Tree(graph_mod.cKDTree):
+            def query(self, x, k=1, **kwargs):
+                asked.append(k)
+                return super().query(x, k=k, **kwargs)
+
+        monkeypatch.setattr(graph_mod, "cKDTree", Tree)
+        g = build_knn_graph(np.ones((12, 3)), k=5)
+        edges, dist = _dense_knn([[1, 1, 1]] * 12, 5)
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert g.distances.tolist() == dist
+        assert asked[-1] == 12
+
+    def test_large_offset(self, rng):
+        # |x|^2 + |y|^2 - 2 x.y loses every digit of these distances
+        pts = 1e6 + rng.standard_normal((200, 3))
+        g = build_knn_graph(pts, k=8)
+        edges, dist = _dense_oracle(pts, 8, "euclidean")
+        assert np.array_equal(g.edges, edges)
+        assert np.allclose(g.distances, dist, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+    def test_k_is_n_minus_one(self, rng, metric):
+        pts = rng.standard_normal((15, 3))
+        g = build_knn_graph(pts, k=14, metric=metric)
+        edges, dist = _dense_oracle(pts, 14, metric)
+        assert len(edges) == 15 * 14 // 2
+        assert np.array_equal(g.edges, edges)
+        assert np.allclose(g.distances, dist, rtol=1e-12, atol=0.0)
+        if metric == "cosine":
+            a, b = pts[edges[:, 0]], pts[edges[:, 1]]
+            cos = (a * b).sum(axis=1) / (np.linalg.norm(a, axis=1)
+                                         * np.linalg.norm(b, axis=1))
+            assert np.allclose(g.distances, 1.0 - cos, rtol=1e-9, atol=0.0)
+
+    def test_cosine_zero_vector(self):
+        pts = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(NumericalError):
+            build_knn_graph(pts, k=1, metric="cosine")
+
+    def test_memory_is_linear_in_n(self):
+        # a dense 20000 x 20000 distance matrix alone would need 3.2 GB
+        pts = np.random.default_rng(0).standard_normal((20000, 2))
+        tracemalloc.start()
+        try:
+            g = build_knn_graph(pts, k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edges.shape[0] >= 20000 * 10 // 2
+        assert peak < 64 * 2**20
+
+
 # integer coordinates, so every squared distance is exact: two duplicate
 # pairs, and four points equidistant from the origin and from each other
 TIE_POINTS = np.array([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0, 0],
@@ -85,7 +182,9 @@ def _dense_affinity(n, edges, dist, k):
     rank = max((k + 1) // 2, 1)
     incident = [sorted(d for (a, b), d in zip(edges, dist) if i in (a, b))
                 for i in range(n)]
-    sigma = np.array([ds[min(rank, len(ds)) - 1] for ds in incident])
+    # a zero sigma falls back to the item's nearest non-zero distance
+    sigma = np.array([ds[min(rank, len(ds)) - 1] or
+                      next((d for d in ds if d > 0.0), 0.0) for ds in incident])
     if np.any(sigma <= 0.0):
         sigma = np.maximum(sigma, np.max(sigma) * 1e-12)
     sim = np.zeros((n, n))
@@ -103,9 +202,9 @@ class TestTieRuleAgainstDenseOracle:
         assert g.edges.tolist() == [list(e) for e in edges]
         assert g.distances.tolist() == dist
 
-    # at k <= 2 a duplicate's sigma is zero and its other similarities
-    # vanish, so derive_affinity refuses those graphs
-    @pytest.mark.parametrize("k", [3, 5, 9])
+    # at k <= 2 a duplicate's ceil(k/2)-th neighbour sits at distance 0,
+    # so its sigma comes from its nearest non-zero distance
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
     def test_weights(self, k):
         edges, dist = _dense_knn(TIE_POINTS.astype(int).tolist(), k)
         a = derive_affinity(build_knn_graph(TIE_POINTS, k=k)).attraction_dense()

@@ -86,3 +86,27 @@ def test_backend_flag_disables_compilation():
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["python", "True"]
+
+
+@needs_cc
+def test_failed_build_is_remembered(tmp_path, monkeypatch):
+    broken = tmp_path / "_kernels.c"
+    broken.write_text("this is not C;\n")
+    monkeypatch.setattr(kernels, "_SOURCE", str(broken))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with pytest.warns(RuntimeWarning, match=r"\.failed") as first:
+        assert kernels._load_library() is None
+    assert len(first) == 1
+    (marker,) = (tmp_path / "confres").glob("kernels-*.failed")
+    assert "error" in marker.read_text()
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran again")
+
+    monkeypatch.setattr(kernels.subprocess, "run", no_compiler)
+    with pytest.warns(RuntimeWarning, match=marker.name) as again:
+        assert kernels._load_library() is None
+    assert len(again) == 1
+    marker.unlink()  # deleting the marker retries the build
+    with pytest.raises(AssertionError, match="compiler ran again"):
+        kernels._load_library()

@@ -93,6 +93,18 @@ class TestFindConfigurations:
             assert np.array_equal(a.labels, b.labels)
             assert (a.gamma_lo, a.gamma_hi) == (b.gamma_lo, b.gamma_hi)
 
+    def test_json_roundtrip_budget_exhausted(self, blob_sweep):
+        graph, _, _ = blob_sweep
+        # depth 1 cannot resolve the two-blob plateau's edges
+        configs = find_configurations(graph, 4.0, OptimizeOptions(seed=0),
+                                      max_depth=1)
+        assert configs.budget_exhausted
+        data = json.loads(configs.to_json())
+        assert data["budget_exhausted"] is True
+        assert configuration_set_from_dict(data).budget_exhausted
+        del data["budget_exhausted"]  # written before the key existed
+        assert not configuration_set_from_dict(data).budget_exhausted
+
     def test_landscape_csv(self, blob_sweep, tmp_path):
         _, _, configs = blob_sweep
         path = tmp_path / "landscape.csv"
