@@ -1,8 +1,9 @@
 """Command-line surface: cluster, sweep, eval, experiment.
 
 Exit codes: 0 success, 2 usage/input error, 1 internal failure.  Every
-output JSON embeds the tool version, the fully resolved parameters, the
-seed, and a SHA-256 hash of each input file so runs are reproducible.
+output JSON embeds the tool version, the kernel backend that ran, the
+fully resolved parameters, the seed, and a SHA-256 hash of each input file
+so runs are reproducible.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .cognition import (HierarchySpec, run_evolution_experiment,
                         run_hierarchy_experiment, run_novelty_experiment)
 from .errors import ConfresError, InputError
@@ -40,6 +41,7 @@ def _sha256(path) -> str:
 def _metadata(params: dict, inputs: dict) -> dict:
     return {
         "version": __version__,
+        "backend": kernels.BACKEND,
         "params": params,
         "seed": params.get("seed"),
         "input_hashes": {name: _sha256(path) for name, path in inputs.items()},

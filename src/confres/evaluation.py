@@ -10,8 +10,6 @@ metric computed from the table is unchanged by it.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.stats import rankdata
 
 from .errors import InputError, ParameterError
 from .graph import AffinityGraph
@@ -148,6 +146,9 @@ def rms_align(table: ContingencyTable) -> AlignmentResult:
     out so each row's columns are contiguous and rows are ordered by their
     first assigned column.
     """
+    # imported here so that only `confres eval` pays for scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+
     counts = table.counts
     if counts.size == 0 or table.n == 0:
         raise InputError("empty contingency table")
@@ -222,6 +223,15 @@ class NoveltyScores:
     labels: np.ndarray
 
 
+def _within_cluster_sums(indptr, indices, weights, labels) -> np.ndarray:
+    """Per item, the sum of its CSR edge weights to other members of its
+    own cluster.  bincount adds in CSR order, as a per-edge loop would."""
+    n = labels.shape[0]
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    keep = (indices != src) & (labels[indices] == labels[src])
+    return np.bincount(src[keep], weights=weights[keep], minlength=n)
+
+
 def item_energy_scores(graph: AffinityGraph, labels, gamma: float) -> NoveltyScores:
     """Per-item mean energy contribution within its cluster (higher = more novel).
 
@@ -232,29 +242,17 @@ def item_energy_scores(graph: AffinityGraph, labels, gamma: float) -> NoveltySco
         raise InputError("partition length mismatch")
     if gamma < 0.0:
         raise ParameterError("gamma must be >= 0")
-    n = graph.n
     k = int(labels.max()) + 1
     sizes = np.bincount(labels, minlength=k)
-    attr = np.zeros(n)  # attraction from item into its own cluster
-    for i in range(n):
-        ci = labels[i]
-        for e in range(graph.indptr[i], graph.indptr[i + 1]):
-            j = graph.indices[e]
-            if j != i and labels[j] == ci:
-                attr[i] += graph.weights[e]
+    attr = _within_cluster_sums(graph.indptr, graph.indices, graph.weights, labels)
     if graph.rep_mode == 0:
         cluster_rho = np.zeros(k)
         np.add.at(cluster_rho, labels, graph.rep_strength)
         rep = graph.rep_strength * (cluster_rho[labels] - graph.rep_strength)
         rep = rep / graph.rep_denom
     else:
-        rep = np.zeros(n)
-        for i in range(n):
-            ci = labels[i]
-            for e in range(graph.rep_indptr[i], graph.rep_indptr[i + 1]):
-                j = graph.rep_indices[e]
-                if j != i and labels[j] == ci:
-                    rep[i] += graph.rep_weights[e]
+        rep = _within_cluster_sums(graph.rep_indptr, graph.rep_indices,
+                                   graph.rep_weights, labels)
     denom = np.maximum(sizes[labels] - 1, 1)
     scores = (-attr + gamma * rep) / denom
     singleton = sizes[labels] == 1
@@ -266,16 +264,31 @@ def item_energy_scores(graph: AffinityGraph, labels, gamma: float) -> NoveltySco
     return NoveltyScores(scores=scores, gamma=float(gamma), labels=labels.copy())
 
 
+def _midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their positions.  Every rank
+    is an integer or a half-integer, so the values are exact."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    n = ordered.shape[0]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], n]                 # one past each tie group
+    ranks = np.empty(n)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(scores, novel_flags) -> float:
     """Rank-based (Mann-Whitney) AUC with midrank tie handling."""
     scores = np.asarray(scores, dtype=np.float64)
     flags = np.asarray(novel_flags, dtype=bool)
-    if scores.shape != flags.shape:
-        raise InputError("scores and flags must have equal length")
+    if scores.ndim != 1 or scores.shape != flags.shape:
+        raise InputError("scores and flags must be equal-length vectors")
     n_pos = int(flags.sum())
     n_neg = int((~flags).sum())
     if n_pos == 0 or n_neg == 0:
         raise InputError("roc_auc needs at least one positive and one negative")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        raise InputError("roc_auc scores contain NaN")
+    ranks = _midranks(scores)
     auc = (ranks[flags].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     return float(auc)

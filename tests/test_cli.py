@@ -1,11 +1,15 @@
 """End-to-end command-line behavior: outputs, metadata, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from confres import __version__
+import confres
+from confres import __version__, kernels
 from confres.cli import main
 
 
@@ -30,6 +34,7 @@ def test_cluster_writes_partition(data_dir, tmp_path):
     assert len(data["labels"]) == 80
     meta = data["metadata"]
     assert meta["version"] == __version__
+    assert meta["backend"] == kernels.BACKEND
     assert meta["seed"] == 0
     assert len(meta["input_hashes"]["input"]) == 64
     assert data["energy"]["total"] == pytest.approx(
@@ -160,3 +165,33 @@ def test_experiment_evolve_beats_kmeans(tmp_path):
     assert main(["experiment", "evolve", "--out", str(out)]) == 0
     series = json.loads(out.read_text())["report"]["inverse_ari"]
     assert (np.mean(series["configurations"]) < np.mean(series["kmeans"]))
+
+
+def _modules_loaded_after(code, modules):
+    """Run `code` in a fresh interpreter; return which of `modules` it loaded."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(confres.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = code + (
+        "\nimport sys\n"
+        f"print(' '.join(m for m in {list(modules)!r} if m in sys.modules))\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.split()
+
+
+def test_cluster_does_not_import_scipy_stats_or_optimize(data_dir, tmp_path):
+    # scipy.stats and scipy.optimize were over half of the start-up time
+    code = (
+        "from confres.cli import main\n"
+        f"assert main(['cluster', '--input', {str(data_dir / 'points.csv')!r},"
+        f" '--k', '8', '--out', {str(tmp_path / 'part.json')!r}]) == 0")
+    assert _modules_loaded_after(code, ["scipy.stats", "scipy.optimize"]) == []
+
+
+def test_rms_align_imports_scipy_optimize():
+    code = ("import numpy as np\n"
+            "from confres.evaluation import ContingencyTable, rms_align\n"
+            "rms_align(ContingencyTable(np.array([[3, 1], [0, 4]])))")
+    assert _modules_loaded_after(code, ["scipy.optimize"]) == ["scipy.optimize"]

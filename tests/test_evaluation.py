@@ -14,6 +14,8 @@ from confres.evaluation import (AlignmentResult, ContingencyTable, accuracy,
                                 v_measure)
 from confres.graph import from_edge_list
 
+from conftest import random_affinity
+
 
 # --- independent oracles -------------------------------------------------
 
@@ -195,6 +197,36 @@ class TestRmsAlign:
         assert accuracy(result) == pytest.approx(17 / 20)
 
 
+def _per_edge_scores(graph, labels, gamma):
+    """Novelty scores summed edge by edge in CSR order (explicit loops)."""
+    n = graph.n
+    sizes = np.bincount(labels)
+
+    def within(indptr, indices, weights):
+        out = np.zeros(n)
+        for i in range(n):
+            for e in range(indptr[i], indptr[i + 1]):
+                j = indices[e]
+                if j != i and labels[j] == labels[i]:
+                    out[i] += weights[e]
+        return out
+
+    attr = within(graph.indptr, graph.indices, graph.weights)
+    if graph.rep_mode == 0:
+        rho = np.zeros(sizes.shape[0])
+        np.add.at(rho, labels, graph.rep_strength)
+        rep = graph.rep_strength * (rho[labels] - graph.rep_strength) / graph.rep_denom
+    else:
+        rep = within(graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+    scores = (-attr + gamma * rep) / np.maximum(sizes[labels] - 1, 1)
+    singleton = sizes[labels] == 1
+    if singleton.all():
+        scores[:] = 0.0
+    elif singleton.any():
+        scores[singleton] = scores[~singleton].max() + 1.0
+    return scores
+
+
 class TestNoveltyScores:
     def _line_graph(self):
         return from_edge_list(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
@@ -227,6 +259,16 @@ class TestNoveltyScores:
         # item 0: one within-cluster pair (0,1): w+ = 1
         expected0 = (-1.0 + gamma * r[0, 1]) / 1
         assert scores.scores[0] == pytest.approx(expected0, abs=1e-12)
+
+    @pytest.mark.parametrize("scheme", [None, "explicit"])
+    def test_matches_per_edge_loop(self, rng, scheme):
+        for _ in range(30):
+            g = random_affinity(rng, n=int(rng.integers(4, 12)), scheme=scheme)
+            labels = rng.integers(0, int(rng.integers(1, 4)), g.n)
+            gamma = float(rng.uniform(0.0, 3.0))
+            expected = _per_edge_scores(g, labels, gamma)
+            got = item_energy_scores(g, labels, gamma).scores
+            assert np.array_equal(got, expected)
 
     def test_errors(self):
         g = self._line_graph()
@@ -265,3 +307,27 @@ class TestRocAuc:
     def test_errors(self):
         with pytest.raises(InputError):
             roc_auc(np.ones(3), np.array([True, True, True]))
+        with pytest.raises(InputError):
+            roc_auc(np.eye(2), np.eye(2, dtype=bool))
+        with pytest.raises(InputError, match="NaN"):
+            roc_auc(np.array([0.1, np.nan, 0.3]), np.array([True, False, False]))
+
+    def test_matches_rankdata(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(2024)
+        for _ in range(400):
+            n = int(rng.integers(2, 120))
+            if rng.random() < 0.7:  # heavy ties
+                scale = rng.choice([1.0, 0.1, -3.5, 1e-300, 1e300])
+                scores = rng.integers(0, int(rng.integers(1, 6)), n) * scale
+            else:
+                scores = rng.standard_normal(n)
+            if rng.random() < 0.2:  # +-inf rank like any other value
+                scores[rng.random(n) < 0.2] = rng.choice([-np.inf, np.inf])
+            flags = rng.random(n) < rng.uniform(0.05, 0.95)
+            flags[0], flags[-1] = True, False
+            n_pos, n_neg = int(flags.sum()), int((~flags).sum())
+            ranks = rankdata(scores)
+            expected = (ranks[flags].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+            assert roc_auc(scores, flags) == expected
