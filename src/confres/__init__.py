@@ -5,11 +5,11 @@ __version__ = "0.1.0"
 from .graph import (AffinityGraph, NeighborGraph, build_knn_graph,
                     derive_affinity, from_edge_list)
 from .energy import EnergySummary, canonicalize, hamiltonian, landscape_point, move_delta
-from .optimizer import AggregateGraph, OptimizeOptions, aggregate, local_move_sweep, optimize
+from .optimizer import AggregateGraph, OptimizeOptions, aggregate, optimize
 
 __all__ = [
     "AffinityGraph", "NeighborGraph", "build_knn_graph", "derive_affinity",
     "from_edge_list", "EnergySummary", "canonicalize", "hamiltonian",
     "landscape_point", "move_delta", "AggregateGraph", "OptimizeOptions",
-    "aggregate", "local_move_sweep", "optimize", "__version__",
+    "aggregate", "optimize", "__version__",
 ]

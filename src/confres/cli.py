@@ -19,8 +19,8 @@ from .cognition import (HierarchySpec, run_evolution_experiment,
                         run_hierarchy_experiment, run_novelty_experiment)
 from .errors import ConfresError, InputError
 from .evaluation import (accuracy, ari, contingency, nmi, rms_align, v_measure)
-from .graph import (build_knn_graph, derive_affinity, load_labels_csv,
-                    load_points_csv)
+from .graph import (build_knn_graph, derive_affinity, is_integer_label,
+                    load_labels_csv, load_points_csv)
 from .mosaic import layout, render_svg
 from .optimizer import OptimizeOptions, optimize
 from .resolution import find_configurations
@@ -83,8 +83,12 @@ def _apply_config_defaults(args, parser_defaults: dict) -> None:
             caster = type(default) if default is not None else str
             if caster is bool:
                 setattr(args, key, raw.lower() in ("1", "true", "yes"))
-            else:
+                continue
+            try:
                 setattr(args, key, caster(raw))
+            except ValueError as exc:
+                raise InputError(f"{args.config}: {key} = {raw!r} is not "
+                                 f"a valid {caster.__name__}") from exc
 
 
 def _points_to_affinity(points, k: int):
@@ -124,10 +128,20 @@ def cmd_sweep(args) -> int:
 
 def _load_partition_json(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "labels" not in data:
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSON and UTF-8 decoding errors
+            raise InputError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict) or "labels" not in data:
         raise InputError(f"{path}: no 'labels' key")
-    return np.asarray(data["labels"], dtype=np.int64)
+    labels = data["labels"]
+    if not isinstance(labels, list):
+        raise InputError(f"{path}: 'labels' must be a list")
+    for value in labels:
+        # bool is a subclass of int but not a label
+        if type(value) not in (int, float) or not is_integer_label(value):
+            raise InputError(f"{path}: label {value!r} is not an integer")
+    return np.array([int(x) for x in labels], dtype=np.int64)
 
 
 def cmd_eval(args) -> int:

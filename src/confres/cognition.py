@@ -107,10 +107,10 @@ def inject_outliers(points, fraction: float, spread: float = 2.0, seed: int = 0)
     return np.concatenate([points, outliers], axis=0), flags
 
 
-def points_to_graph(points, k: int = 10, metric: str = "euclidean",
-                    repulsion_scheme: str = "configuration_null"):
-    knn = build_knn_graph(points, k=k, metric=metric)
-    return derive_affinity(knn, "self_tuning_gaussian", repulsion_scheme)
+def points_to_graph(points, k: int = 10):
+    """Euclidean kNN graph, self-tuning Gaussian affinities, null-model
+    repulsion."""
+    return derive_affinity(build_knn_graph(points, k=k))
 
 
 def _working_partition(configs):
@@ -124,16 +124,13 @@ def default_neighbors(spec: HierarchySpec) -> int:
     return min(spec.n - 1, spec.points_per_basic + 10)
 
 
-def run_hierarchy_experiment(spec: HierarchySpec, gamma_max: float = 4.0,
-                             k: int = None, opts: OptimizeOptions = None) -> dict:
-    """Sweep the hierarchy dataset; report best plateau per label level."""
+def run_hierarchy_experiment(spec: HierarchySpec) -> dict:
+    """Sweep the hierarchy dataset up to gamma = 4; report best plateau per
+    label level."""
     points, super_labels, basic_labels = generate_hierarchy(spec)
-    if k is None:
-        k = default_neighbors(spec)
-    graph = points_to_graph(points, k=k)
-    if opts is None:
-        opts = OptimizeOptions(seed=spec.seed)
-    configs = find_configurations(graph, gamma_max, opts)
+    graph = points_to_graph(points, k=default_neighbors(spec))
+    gamma_max = 4.0
+    configs = find_configurations(graph, gamma_max, OptimizeOptions(seed=spec.seed))
     report = {"spec": asdict(spec), "gamma_max": gamma_max,
               "plateau_count": configs.m, "levels": {}}
     for name, truth in (("superordinate", super_labels), ("basic", basic_labels)):
@@ -159,20 +156,20 @@ def novelty_spec(seed: int = 0) -> HierarchySpec:
                          basic_separation=3.0, dimension=8, seed=seed)
 
 
-def run_novelty_experiment(spec: HierarchySpec = None, fraction: float = 0.05,
-                           spread: float = 1.0, gamma_max: float = 2.0,
-                           k: int = 30, opts: OptimizeOptions = None) -> dict:
-    """Cluster at the widest plateau and score novelty by item energy."""
+def run_novelty_experiment(spec: HierarchySpec = None,
+                           fraction: float = 0.05) -> dict:
+    """Cluster at the widest plateau of a sweep up to gamma = 2 (k = 30)
+    and score novelty by item energy; outliers fill the data's bounding
+    box."""
     if fraction <= 0.0:
         raise InputError("novelty experiment needs a positive outlier fraction")
     if spec is None:
         spec = novelty_spec()
     points, _, _ = generate_hierarchy(spec)
-    points, flags = inject_outliers(points, fraction, spread, seed=spec.seed + 1)
-    graph = points_to_graph(points, k=k)
-    if opts is None:
-        opts = OptimizeOptions(seed=spec.seed)
-    configs = find_configurations(graph, gamma_max, opts)
+    points, flags = inject_outliers(points, fraction, spread=1.0,
+                                    seed=spec.seed + 1)
+    graph = points_to_graph(points, k=30)
+    configs = find_configurations(graph, 2.0, OptimizeOptions(seed=spec.seed))
     labels, gamma, entry = _working_partition(configs)
     scores = item_energy_scores(graph, labels, gamma)
     auc = roc_auc(scores.scores, flags)
@@ -184,8 +181,9 @@ def run_novelty_experiment(spec: HierarchySpec = None, fraction: float = 0.05,
             "novel_flags": flags.tolist()}
 
 
-def kmeans_baseline(points, k: int, seed: int = 0, max_iter: int = 100):
-    """Lloyd iterations from k distinct seeded items; deterministic per seed."""
+def kmeans_baseline(points, k: int, seed: int = 0):
+    """At most 100 Lloyd iterations from k distinct seeded items;
+    deterministic per seed."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= k <= n:
@@ -193,7 +191,7 @@ def kmeans_baseline(points, k: int, seed: int = 0, max_iter: int = 100):
     rng = np.random.default_rng(seed)
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     assign = None
-    for _it in range(max_iter):
+    for _it in range(100):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = np.argmin(d2, axis=1)
         for c in range(k):
@@ -212,26 +210,25 @@ def kmeans_baseline(points, k: int, seed: int = 0, max_iter: int = 100):
     return canonicalize(assign)
 
 
-def detect_events(p_t, p_next, mass_threshold: float = 0.2,
-                  min_counterparts: int = 2):
+def detect_events(p_t, p_next):
     """Splits/merges between consecutive partitions from their contingency.
 
-    A cluster of p_t spreading >= mass_threshold of its mass onto
-    min_counterparts or more clusters of p_next is a split; a cluster of
-    p_next drawing likewise from several clusters of p_t is a merge.
+    A cluster of p_t spreading at least a fifth of its mass onto each of
+    two or more clusters of p_next is a split; a cluster of p_next drawing
+    likewise from several clusters of p_t is a merge.
     """
     table = contingency(p_t, p_next)
     counts = table.counts.astype(np.float64)
     events = []
     r = table.row_sums
     for i in range(counts.shape[0]):
-        heavy = np.nonzero(counts[i] / r[i] >= mass_threshold)[0]
-        if len(heavy) >= min_counterparts:
+        heavy = np.nonzero(counts[i] / r[i] >= 0.2)[0]
+        if len(heavy) >= 2:
             events.append(("split", int(i), tuple(int(j) for j in heavy)))
     c = table.col_sums
     for j in range(counts.shape[1]):
-        heavy = np.nonzero(counts[:, j] / c[j] >= mass_threshold)[0]
-        if len(heavy) >= min_counterparts:
+        heavy = np.nonzero(counts[:, j] / c[j] >= 0.2)[0]
+        if len(heavy) >= 2:
             events.append(("merge", int(j), tuple(int(i) for i in heavy)))
     return events
 
@@ -284,13 +281,12 @@ def _evolution_centers(spec: HierarchySpec, t: int, split_at, merge_at):
 
 def run_evolution_experiment(timesteps: int = 12, split_at: int = 4,
                              merge_at: int = 8, spec: HierarchySpec = None,
-                             methods=("configurations", "kmeans"),
-                             gamma_max: float = 2.0, k: int = None,
                              seed: int = None) -> EvolutionTrace:
     """Cluster each step independently; compare consecutive-step stability.
 
     The configurations method re-selects its resolution per step (widest
-    plateau); k-means keeps k frozen at the step-0 truth cluster count.
+    plateau of a sweep up to gamma = 2); k-means keeps k frozen at the
+    step-0 truth cluster count.
     """
     if spec is None:
         spec = HierarchySpec(superordinate_count=2, basic_per_super=2,
@@ -298,8 +294,6 @@ def run_evolution_experiment(timesteps: int = 12, split_at: int = 4,
                              basic_separation=5.0, noise_sigma=1.0)
     if seed is None:
         seed = spec.seed
-    if k is None:
-        k = default_neighbors(spec)
     for event_t, name in ((split_at, "split_at"), (merge_at, "merge_at")):
         if event_t is not None and not 0 <= event_t < timesteps:
             raise ParameterError(f"{name}={event_t} outside [0, {timesteps})")
@@ -317,25 +311,16 @@ def run_evolution_experiment(timesteps: int = 12, split_at: int = 4,
         step_points.append(np.concatenate(pts, axis=0))
         true_labels.append(canonicalize(np.array(labs, dtype=np.int64)))
     k0 = int(true_labels[0].max()) + 1
-    partitions = {m: [] for m in methods}
+    partitions = {"configurations": [], "kmeans": []}
     for t in range(timesteps):
         pts = step_points[t]
-        for method in methods:
-            if method == "configurations":
-                graph = points_to_graph(pts, k=k)
-                configs = find_configurations(
-                    graph, gamma_max, OptimizeOptions(seed=seed))
-                labels, _, _ = _working_partition(configs)
-                partitions[method].append(labels)
-            elif method == "kmeans":
-                partitions[method].append(
-                    kmeans_baseline(pts, k0, seed=seed * 1000 + t))
-            else:
-                raise ParameterError(f"unknown method {method!r}")
+        graph = points_to_graph(pts, k=default_neighbors(spec))
+        configs = find_configurations(graph, 2.0, OptimizeOptions(seed=seed))
+        partitions["configurations"].append(_working_partition(configs)[0])
+        partitions["kmeans"].append(kmeans_baseline(pts, k0, seed=seed * 1000 + t))
     series = {
-        m: [inverse_ari(partitions[m][t], partitions[m][t + 1])
-            for t in range(timesteps - 1)]
-        for m in methods}
+        m: [inverse_ari(steps[t], steps[t + 1]) for t in range(timesteps - 1)]
+        for m, steps in partitions.items()}
     events = []
     for t in range(timesteps - 1):
         for kind, cid, parts in detect_events(true_labels[t], true_labels[t + 1]):

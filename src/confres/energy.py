@@ -22,10 +22,6 @@ class EnergySummary:
     h_r: float
     total: float
 
-    def at(self, gamma: float) -> float:
-        """H of the same partition at another resolution."""
-        return self.h_a + gamma * self.h_r
-
 
 def canonicalize(labels) -> np.ndarray:
     """Relabel clusters in first-occurrence order starting at 0."""
@@ -40,12 +36,18 @@ def cluster_count(labels) -> int:
     return int(np.max(labels)) + 1 if len(labels) else 0
 
 
+def check_gamma(gamma: float) -> None:
+    """Raise ParameterError unless gamma is finite and >= 0."""
+    # NaN fails every comparison, so it is rejected along with inf
+    if not 0.0 <= gamma < np.inf:
+        raise ParameterError(f"gamma must be finite and >= 0, got {gamma}")
+
+
 def _check(graph: AffinityGraph, labels, gamma: float) -> np.ndarray:
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     if labels.shape[0] != graph.n:
         raise InputError(f"partition length {labels.shape[0]} != graph.n {graph.n}")
-    if gamma < 0.0:
-        raise ParameterError(f"gamma must be >= 0, got {gamma}")
+    check_gamma(gamma)
     return labels
 
 

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .energy import check_gamma
+from .errors import InputError
 from .graph import AffinityGraph
 
 INVERSE_ARI_FLOOR = 1e-3  # 1/ARI is clamped at ARI = floor (cap 1000)
@@ -33,10 +34,6 @@ class ContingencyTable:
     def n(self) -> int:
         return int(self.counts.sum())
 
-    @property
-    def shape(self):
-        return self.counts.shape
-
 
 @dataclass(frozen=True)
 class AlignmentResult:
@@ -44,8 +41,6 @@ class AlignmentResult:
     aligned: ContingencyTable        # rows/cols permuted for display
     row_order: np.ndarray            # display position -> original row
     col_order: np.ndarray            # display position -> original column
-    row_map: np.ndarray              # original row -> display position
-    column_map: np.ndarray           # original column -> display position
     owner: np.ndarray                # original column -> owning original row
     splits: tuple                    # (row, (col, col, ...)) with >= 2 columns
     merges: tuple                    # (row, (cols holding its mass,)) unmatched rows
@@ -192,15 +187,10 @@ def rms_align(table: ContingencyTable) -> AlignmentResult:
         col_order.extend(cols)
     row_order = np.array(row_order, dtype=np.int64)
     col_order = np.array(col_order, dtype=np.int64)
-    row_map = np.empty(nr, dtype=np.int64)
-    row_map[row_order] = np.arange(nr)
-    column_map = np.empty(nc, dtype=np.int64)
-    column_map[col_order] = np.arange(nc)
     aligned = ContingencyTable(counts=counts[np.ix_(row_order, col_order)])
     return AlignmentResult(
         table=table, aligned=aligned, row_order=row_order, col_order=col_order,
-        row_map=row_map, column_map=column_map, owner=owner,
-        splits=splits, merges=merges)
+        owner=owner, splits=splits, merges=merges)
 
 
 def accuracy(alignment: AlignmentResult) -> float:
@@ -240,8 +230,7 @@ def item_energy_scores(graph: AffinityGraph, labels, gamma: float) -> NoveltySco
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != graph.n:
         raise InputError("partition length mismatch")
-    if gamma < 0.0:
-        raise ParameterError("gamma must be >= 0")
+    check_gamma(gamma)
     k = int(labels.max()) + 1
     sizes = np.bincount(labels, minlength=k)
     attr = _within_cluster_sums(graph.indptr, graph.indices, graph.weights, labels)

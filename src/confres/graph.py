@@ -190,12 +190,12 @@ def _csr_from_pairs(n, rows, cols, vals):
     return indptr, jj.astype(np.int64), vv.astype(np.float64)
 
 
-def _assemble(n, rows, cols, vals, scheme, rep_pairs=None, require_positive=True):
+def _assemble(n, rows, cols, vals, scheme, rep_pairs=None):
     strengths = np.zeros(n)
     np.add.at(strengths, rows, vals)
     np.add.at(strengths, cols, vals)
     total = float(np.sum(vals))
-    if require_positive and total <= 0.0:
+    if total <= 0.0:
         raise NumericalError("total attraction weight W must be positive")
     indptr, indices, weights = _csr_from_pairs(n, rows, cols, vals)
     kwargs = {}
@@ -339,44 +339,30 @@ def load_points_csv(path) -> np.ndarray:
     return _check_points(points)
 
 
-def load_edges_csv(path):
-    """(i, j, w) CSV rows, optional header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise InputError(f"empty edge file: {path}")
-    start = 0
-    try:
-        float(lines[0].split(",")[2])
-    except (ValueError, IndexError):
-        start = 1
-    edges = []
-    for ln in lines[start:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise InputError(f"edge row must be i,j,w: {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
-        except ValueError as exc:
-            raise InputError(f"bad edge row {ln!r}") from exc
-    return edges
+def is_integer_label(value) -> bool:
+    """True for an int or float that is integral and fits in int64."""
+    # NaN and inf fail the range test before int() could raise on them
+    return -2 ** 63 <= value < 2 ** 63 and value == int(value)
 
 
 def load_labels_csv(path) -> np.ndarray:
-    """Single integer column, header tolerated."""
+    """Single integer column, header tolerated; `1.0` is read as 1."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise InputError(f"empty labels file: {path}")
     start = 0
     try:
-        int(float(lines[0].split(",")[0]))
+        float(lines[0].split(",")[0])
     except ValueError:
         start = 1
     labels = []
     for ln in lines[start:]:
         try:
-            labels.append(int(float(ln.split(",")[0])))
-        except ValueError as exc:
-            raise InputError(f"non-integer label row {ln!r}") from exc
+            value = float(ln.split(",")[0])
+        except ValueError:
+            value = np.nan  # not a number: rejected below
+        if not is_integer_label(value):
+            raise InputError(f"non-integer label row {ln!r} in {path}")
+        labels.append(int(value))
     return np.array(labels, dtype=np.int64)

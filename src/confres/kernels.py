@@ -13,7 +13,8 @@ beside the cache entry, so later imports do not run the compiler again.
 `BACKEND` names the one in use, "c" or "python".
 `move_delta`, a single-item query that only `energy.move_delta` calls, has
 no C port.  tests/test_kernels.py checks that the two backends agree bit
-for bit; benchmarks/bench_kernels.py times them side by side.
+for bit; to time the Python reference, run perfbench/run.py with
+CONFRES_DISABLE_COMPILED=1.
 """
 
 import ctypes

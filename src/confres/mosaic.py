@@ -7,7 +7,6 @@ its band origin with width (N_ij / r_i) of the row's extent and height
 canvas units.  Cells with zero count are omitted.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,6 @@ class MosaicLayout:
     cells: tuple
     gap: float
 
-    def total_area(self) -> float:
-        return sum(c.w * c.h for c in self.cells)
-
 
 def layout(table: ContingencyTable, gap: float = 0.01) -> MosaicLayout:
     """Unit-canvas mosaic layout; gap shrinks each band symmetrically."""
@@ -62,6 +58,9 @@ def layout(table: ContingencyTable, gap: float = 0.01) -> MosaicLayout:
     return MosaicLayout(width=1.0, height=1.0, cells=tuple(cells), gap=gap)
 
 
+_PIXELS = 480  # side of the SVG canvas
+
+
 def _hue(value: int, vmax: int) -> str:
     # single-hue linear ramp: white -> dark blue
     t = 0.0 if vmax == 0 else value / vmax
@@ -71,65 +70,21 @@ def _hue(value: int, vmax: int) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_svg(lay: MosaicLayout, colormap: str = "blues",
-               show_grid: bool = False, row_labels=None, col_labels=None,
-               pixels: int = 480) -> str:
-    """Deterministic SVG 1.1 text for a mosaic layout."""
-    if colormap != "blues":
-        raise ParameterError(f"unknown colormap {colormap!r}")
+def render_svg(lay: MosaicLayout) -> str:
+    """Deterministic SVG 1.1 text for a mosaic layout; cells are shaded
+    from white to dark blue by count."""
     vmax = max((c.value for c in lay.cells), default=0)
-    px = float(pixels)
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{pixels}" height="{pixels}" viewBox="0 0 {pixels} {pixels}">')
-    out.append(f'<rect x="0" y="0" width="{pixels}" height="{pixels}" fill="#ffffff"/>')
+        f'width="{_PIXELS}" height="{_PIXELS}" viewBox="0 0 {_PIXELS} {_PIXELS}">')
+    out.append(f'<rect x="0" y="0" width="{_PIXELS}" height="{_PIXELS}" fill="#ffffff"/>')
     for cell in lay.cells:
         out.append(
-            f'<rect x="{cell.x * px:.3f}" y="{cell.y * px:.3f}" '
-            f'width="{cell.w * px:.3f}" height="{cell.h * px:.3f}" '
+            f'<rect x="{cell.x * _PIXELS:.3f}" y="{cell.y * _PIXELS:.3f}" '
+            f'width="{cell.w * _PIXELS:.3f}" height="{cell.h * _PIXELS:.3f}" '
             f'fill="{_hue(cell.value, vmax)}" stroke="#333333" stroke-width="0.5">'
             f'<title>N[{cell.row},{cell.col}]={cell.value}</title></rect>')
-    if show_grid:
-        xs = sorted({round(c.x, 9) for c in lay.cells})
-        ys = sorted({round(c.y, 9) for c in lay.cells})
-        for x in xs:
-            out.append(f'<line x1="{x * px:.3f}" y1="0" x2="{x * px:.3f}" '
-                       f'y2="{pixels}" stroke="#bbbbbb" stroke-width="0.5"/>')
-        for y in ys:
-            out.append(f'<line x1="0" y1="{y * px:.3f}" x2="{pixels}" '
-                       f'y2="{y * px:.3f}" stroke="#bbbbbb" stroke-width="0.5"/>')
-    if row_labels is not None:
-        for i, name in enumerate(row_labels):
-            cells_i = [c for c in lay.cells if c.row == i]
-            if cells_i:
-                y = min(c.y for c in cells_i) * px + 10
-                out.append(f'<text x="2" y="{y:.3f}" font-size="10">{name}</text>')
-    if col_labels is not None:
-        for j, name in enumerate(col_labels):
-            cells_j = [c for c in lay.cells if c.col == j]
-            if cells_j:
-                x = min(c.x for c in cells_j) * px
-                out.append(f'<text x="{x:.3f}" y="12" font-size="10">{name}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def geometry_csv(lay: MosaicLayout, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "x", "y", "w", "h", "value"])
-        for cell in lay.cells:
-            writer.writerow([cell.row, cell.col, cell.x, cell.y,
-                             cell.w, cell.h, cell.value])
-
-
-def diagonal_band_area(lay: MosaicLayout) -> float:
-    """Summed area of cells whose rectangle touches the main diagonal."""
-    area = 0.0
-    for cell in lay.cells:
-        # the line y = x crosses the rect iff the intervals overlap
-        if cell.x <= cell.y + cell.h and cell.y <= cell.x + cell.w:
-            area += cell.w * cell.h
-    return area

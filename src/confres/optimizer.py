@@ -11,22 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import canonicalize, cluster_count, hamiltonian
+from .energy import canonicalize, check_gamma, cluster_count, hamiltonian
 from .graph import AffinityGraph, _csr_from_pairs, _reduce_pairs
 from . import kernels
+
+MAX_LEVELS = 32
+MAX_SWEEPS_PER_LEVEL = 100  # the final polish may run ten times as many
+EPSILON = 1e-12  # a move must lower H by more than this to be taken
 
 
 @dataclass(frozen=True)
 class OptimizeOptions:
     seed: int = 0
-    max_levels: int = 32
-    max_sweeps_per_level: int = 100
-    epsilon: float = 1e-12
     restarts: int = 1  # independent seeded runs; the best energy wins
 
     def __post_init__(self):
-        if self.max_levels < 1 or self.max_sweeps_per_level < 1 or self.epsilon <= 0:
-            raise ValueError("all optimizer bounds must be positive")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -45,7 +44,7 @@ class AggregateGraph:
     const_h_r: float
 
 
-def _run_sweeps(graph, labels, gamma, constraint, rng, max_sweeps, epsilon):
+def _run_sweeps(graph, labels, gamma, constraint, rng, max_sweeps):
     """Local moving until a full pass accepts no move. Returns total moves."""
     total = 0
     for _ in range(max_sweeps):
@@ -54,24 +53,11 @@ def _run_sweeps(graph, labels, gamma, constraint, rng, max_sweeps, epsilon):
             graph.indptr, graph.indices, graph.weights,
             graph.rep_mode, graph.rep_strength, graph.rep_denom,
             graph.rep_indptr, graph.rep_indices, graph.rep_weights,
-            float(gamma), labels, constraint, order, epsilon)
+            float(gamma), labels, constraint, order, EPSILON)
         total += int(moves)
         if moves == 0:
             break
     return total
-
-
-def local_move_sweep(graph: AffinityGraph, labels, gamma: float, rng):
-    """One seeded-shuffle pass of item moves; returns (labels, improved)."""
-    labels = np.array(labels, dtype=np.int64)
-    order = rng.permutation(graph.n).astype(np.int64)
-    constraint = np.zeros(graph.n, dtype=np.int64)
-    moves = kernels.sweep(
-        graph.indptr, graph.indices, graph.weights,
-        graph.rep_mode, graph.rep_strength, graph.rep_denom,
-        graph.rep_indptr, graph.rep_indices, graph.rep_weights,
-        float(gamma), labels, constraint, order, 1e-12)
-    return canonicalize(labels), moves > 0
 
 
 def _collapse(labels, k, indptr, indices, weights):
@@ -132,17 +118,15 @@ def optimize(graph: AffinityGraph, gamma: float,
     Deterministic for a fixed seed; the returned partition is canonical
     and single-move stable on the original graph.
     """
+    check_gamma(gamma)
     if opts is None:
         opts = OptimizeOptions()
     if opts.restarts > 1:
         best = None
         for attempt in range(opts.restarts):
-            single = OptimizeOptions(
-                seed=opts.seed + attempt, max_levels=opts.max_levels,
-                max_sweeps_per_level=opts.max_sweeps_per_level,
-                epsilon=opts.epsilon)
-            labels, energy = optimize(graph, gamma, single)
-            if best is None or energy.total < best[1].total - opts.epsilon:
+            labels, energy = optimize(
+                graph, gamma, OptimizeOptions(seed=opts.seed + attempt))
+            if best is None or energy.total < best[1].total - EPSILON:
                 best = (labels, energy)
         return best
     rng = np.random.default_rng(np.random.PCG64(opts.seed))
@@ -150,17 +134,15 @@ def optimize(graph: AffinityGraph, gamma: float,
     mapping = np.arange(graph.n)
     labels = np.arange(cur.n, dtype=np.int64)
     zeros = np.zeros(cur.n, dtype=np.int64)
-    for _ in range(opts.max_levels):
-        moved = _run_sweeps(cur, labels, gamma, zeros, rng,
-                            opts.max_sweeps_per_level, opts.epsilon)
+    for _ in range(MAX_LEVELS):
+        moved = _run_sweeps(cur, labels, gamma, zeros, rng, MAX_SWEEPS_PER_LEVEL)
         labels = canonicalize(labels)
         k = cluster_count(labels)
         if moved == 0 or k == cur.n:
             break
         # refinement: singletons re-merged inside each cluster
         refined = np.arange(cur.n, dtype=np.int64)
-        _run_sweeps(cur, refined, gamma, labels, rng,
-                    opts.max_sweeps_per_level, opts.epsilon)
+        _run_sweeps(cur, refined, gamma, labels, rng, MAX_SWEEPS_PER_LEVEL)
         refined = canonicalize(refined)
         if cluster_count(refined) == cur.n:
             refined = labels  # refinement kept everything apart; aggregate coarse
@@ -175,7 +157,6 @@ def optimize(graph: AffinityGraph, gamma: float,
     final = labels[mapping]
     # polish on the original graph so single-item moves cannot improve H
     zeros = np.zeros(graph.n, dtype=np.int64)
-    _run_sweeps(graph, final, gamma, zeros, rng,
-                10 * opts.max_sweeps_per_level, opts.epsilon)
+    _run_sweeps(graph, final, gamma, zeros, rng, 10 * MAX_SWEEPS_PER_LEVEL)
     final = canonicalize(final)
     return final, hamiltonian(graph, final, gamma)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .energy import cluster_count, landscape_point
 from .errors import InputError, ParameterError
-from .evaluation import ari, contingency
 from .graph import AffinityGraph
 from .optimizer import OptimizeOptions, optimize
 
@@ -38,8 +37,6 @@ class PlateauEntry:
 class ConfigurationSet:
     gamma_max: float
     entries: tuple
-    includes_coarsest: bool    # a one-cluster entry is present
-    includes_finest: bool      # an all-singletons entry is present
     budget_exhausted: bool = False
     discovered: tuple = field(default=())  # every distinct partition seen
 
@@ -101,11 +98,8 @@ def configuration_set_from_dict(data: dict) -> ConfigurationSet:
             gamma_lo=float(p["lo"]), gamma_hi=float(p["hi"]), labels=labels,
             h_a=float(p["h_a"]), h_r=float(p["h_r"]),
             cluster_count=int(p["k"])))
-    n = len(entries[0].labels)
     return ConfigurationSet(
         gamma_max=float(data["gamma_max"]), entries=tuple(entries),
-        includes_coarsest=any(e.cluster_count == 1 for e in entries),
-        includes_finest=any(e.cluster_count == n for e in entries),
         budget_exhausted=bool(data.get("budget_exhausted", False)))
 
 
@@ -163,20 +157,20 @@ class _Sweep:
 
 def find_configurations(graph: AffinityGraph, gamma_max: float,
                         opts: OptimizeOptions = None,
-                        width_floor: float = None,
                         max_depth: int = 32) -> ConfigurationSet:
     """Discover the plateaus tiling (0, gamma_max].
 
     The left endpoint is optimized at gamma = 0 (connected-component
-    coarse limit); a plateau with gamma_lo == 0 is open at 0.
+    coarse limit); a plateau with gamma_lo == 0 is open at 0.  An
+    interval narrower than gamma_max * 1e-4, or `max_depth` bisections
+    deep, is split at its midpoint without another probe.
     """
-    if gamma_max <= 0.0:
-        raise ParameterError(f"gamma_max must be > 0, got {gamma_max}")
+    # NaN fails every comparison, so it is rejected along with inf
+    if not 0.0 < gamma_max < np.inf:
+        raise ParameterError(f"gamma_max must be finite and > 0, got {gamma_max}")
     if opts is None:
         opts = OptimizeOptions()
-    if width_floor is None:
-        width_floor = gamma_max * 1e-4
-    sweep = _Sweep(graph, opts, width_floor, max_depth)
+    sweep = _Sweep(graph, opts, gamma_max * 1e-4, max_depth)
     key0 = sweep.solve(0.0)
     key1 = sweep.solve(gamma_max)
     sweep.recurse(0.0, key0, gamma_max, key1, 0)
@@ -195,12 +189,9 @@ def find_configurations(graph: AffinityGraph, gamma_max: float,
         entries.append(PlateauEntry(
             gamma_lo=lo, gamma_hi=hi, labels=labels, h_a=h_a, h_r=h_r,
             cluster_count=cluster_count(labels)))
-    n = graph.n
     discovered = tuple(sweep.partitions[k] for k in sweep.partitions)
     return ConfigurationSet(
         gamma_max=float(gamma_max), entries=tuple(entries),
-        includes_coarsest=any(e.cluster_count == 1 for e in entries),
-        includes_finest=any(e.cluster_count == n for e in entries),
         budget_exhausted=sweep.exhausted, discovered=discovered)
 
 
@@ -238,18 +229,3 @@ def lower_envelope(points):
             continue
         result.append((line[2], max(lo, 0.0), hi))
     return result
-
-
-def evaluate_sweep(configs: ConfigurationSet, truth):
-    """ARI of each plateau's partition against reference labels.
-
-    Returns a list of (gamma_lo, gamma_hi, ari) rows for plotting.
-    """
-    truth = np.asarray(truth, dtype=np.int64)
-    rows = []
-    for entry in configs.entries:
-        if len(truth) != len(entry.labels):
-            raise InputError("label length mismatch")
-        score = ari(contingency(truth, entry.labels))
-        rows.append((entry.gamma_lo, entry.gamma_hi, score))
-    return rows

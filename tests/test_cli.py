@@ -24,6 +24,16 @@ def data_dir(tmp_path_factory):
     return root
 
 
+def _assert_input_error(argv, capsys, *fragments):
+    """`main(argv)` exits 2 with a one-line error naming each fragment."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("confres: error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
 def test_cluster_writes_partition(data_dir, tmp_path):
     out = tmp_path / "part.json"
     code = main(["cluster", "--input", str(data_dir / "points.csv"),
@@ -74,6 +84,15 @@ def test_cluster_duplicate_points_small_k(tmp_path):
     assert len(json.loads(out.read_text())["labels"]) == 10
 
 
+def test_cluster_non_finite_gamma(data_dir, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    for gamma in ("nan", "inf"):
+        _assert_input_error(["cluster", "--input", str(data_dir / "points.csv"),
+                             "--gamma", gamma, "--out", str(out)],
+                            capsys, "gamma")
+    assert not out.exists()
+
+
 def test_sweep_plateaus_tile(data_dir, tmp_path):
     out = tmp_path / "cfg.json"
     land = tmp_path / "landscape.csv"
@@ -93,10 +112,13 @@ def test_sweep_plateaus_tile(data_dir, tmp_path):
     assert land.read_text().startswith("id,h_a,h_r,lo,hi")
 
 
-def test_sweep_bad_gamma_max(data_dir, tmp_path):
-    code = main(["sweep", "--input", str(data_dir / "points.csv"),
-                 "--gamma-max", "-1", "--out", str(tmp_path / "o.json")])
-    assert code == 2
+def test_sweep_bad_gamma_max(data_dir, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    for gamma_max in ("-1", "nan", "inf"):
+        _assert_input_error(["sweep", "--input", str(data_dir / "points.csv"),
+                             "--gamma-max", gamma_max, "--out", str(out)],
+                            capsys, "gamma_max")
+    assert not out.exists()
 
 
 def test_eval_perfect_prediction(data_dir, tmp_path):
@@ -139,6 +161,43 @@ def test_eval_malformed_truth(data_dir, tmp_path):
     code = main(["eval", "--pred", str(part), "--truth", str(bad),
                  "--out", str(tmp_path / "o.json")])
     assert code == 2
+
+
+def test_eval_truth_rows_must_be_integers(data_dir, tmp_path, capsys):
+    part = tmp_path / "pred.json"
+    part.write_text(json.dumps({"labels": [0, 1, 1]}))
+    truth = tmp_path / "truth.csv"
+    for bad in ("inf", "0.7", "nan"):
+        truth.write_text(f"label\n0\n{bad}\n1\n")
+        _assert_input_error(["eval", "--pred", str(part), "--truth", str(truth),
+                             "--out", str(tmp_path / "o.json")],
+                            capsys, repr(bad))
+    # a header and integral values written as floats are still read
+    truth.write_text("label\n0.0\n1.0\n1\n")
+    out = tmp_path / "m.json"
+    assert main(["eval", "--pred", str(part), "--truth", str(truth),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["ari"] == 1.0
+
+
+def test_eval_bad_partition_json(data_dir, tmp_path, capsys):
+    part = tmp_path / "pred.json"
+    truth = str(data_dir / "truth.csv")
+    for text in ("{labels: [0, 1]", '{"labels": ["a", 1]}',
+                 '{"labels": [1.5, 2.7]}', '{"labels": [[0, 1], [1, 0]]}',
+                 '{"labels": [true, false]}', '{"labels": 3}', "[0, 1]"):
+        part.write_text(text)
+        _assert_input_error(["eval", "--pred", str(part), "--truth", truth,
+                             "--out", str(tmp_path / "o.json")],
+                            capsys, str(part))
+
+
+def test_config_file_bad_value(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = abc\n")
+    _assert_input_error(["cluster", "--input", str(data_dir / "points.csv"),
+                         "--config", str(cfg), "--out", str(tmp_path / "o.json")],
+                        capsys, str(cfg), "k = 'abc'")
 
 
 def test_config_file_defaults_and_flag_override(data_dir, tmp_path):

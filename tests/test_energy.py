@@ -50,8 +50,9 @@ class TestHamiltonian:
         g = random_affinity(rng)
         with pytest.raises(InputError):
             hamiltonian(g, np.zeros(g.n + 1, dtype=np.int64), 1.0)
-        with pytest.raises(ParameterError):
-            hamiltonian(g, np.zeros(g.n, dtype=np.int64), -0.5)
+        for gamma in (-0.5, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                hamiltonian(g, np.zeros(g.n, dtype=np.int64), gamma)
 
 
 class TestLandscapePoint:

@@ -9,8 +9,7 @@ import pytest
 from confres import graph as graph_mod
 from confres.errors import InputError, NumericalError, ParameterError
 from confres.graph import (NeighborGraph, build_knn_graph, derive_affinity,
-                           from_edge_list, load_edges_csv, load_labels_csv,
-                           load_points_csv)
+                           from_edge_list, load_labels_csv, load_points_csv)
 
 
 def _edge_set(graph):
@@ -326,12 +325,6 @@ class TestLoaders:
         path = tmp_path / "labels.csv"
         path.write_text("2\n0\n1\n")
         assert load_labels_csv(path).tolist() == [2, 0, 1]
-
-    def test_edges_csv(self, tmp_path):
-        path = tmp_path / "edges.csv"
-        path.write_text("i,j,w\n0,1,0.5\n1,2,0.25\n")
-        edges = load_edges_csv(path)
-        assert [tuple(e) for e in edges] == [(0, 1, 0.5), (1, 2, 0.25)]
 
     def test_malformed_labels(self, tmp_path):
         path = tmp_path / "labels.csv"

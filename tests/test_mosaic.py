@@ -1,6 +1,5 @@
 """Mosaic layout geometry and SVG rendering."""
 
-import csv
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 
 from confres.errors import InputError, ParameterError
 from confres.evaluation import ContingencyTable, contingency, rms_align
-from confres.mosaic import diagonal_band_area, geometry_csv, layout, render_svg
+from confres.mosaic import layout, render_svg
 
 
 def _cells_by_pos(lay):
@@ -115,15 +114,12 @@ class TestRenderSvg:
         b = rng.permutation(5)[b]  # scramble predicted ids
         table = contingency(a, b)
         aligned = rms_align(table).aligned
+
+        def diagonal_band_area(lay):
+            # summed area of the cells whose rectangle the line y = x crosses
+            return sum(c.w * c.h for c in lay.cells
+                       if c.x <= c.y + c.h and c.y <= c.x + c.w)
+
         raw_area = diagonal_band_area(layout(table, gap=0.0))
         aligned_area = diagonal_band_area(layout(aligned, gap=0.0))
         assert aligned_area > raw_area
-
-    def test_geometry_csv(self, tmp_path):
-        lay = layout(ContingencyTable(np.diag([1, 2])))
-        path = tmp_path / "cells.csv"
-        geometry_csv(lay, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["i", "j", "x", "y", "w", "h", "value"]
-        assert len(rows) == 3

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from confres import kernels
 from confres.energy import canonicalize, cluster_count, hamiltonian
 from confres.graph import from_edge_list
-from confres.optimizer import (OptimizeOptions, aggregate, local_move_sweep,
-                               optimize)
+from confres.optimizer import OptimizeOptions, aggregate, optimize
 from conftest import random_affinity
 
 
@@ -29,21 +29,32 @@ def _connected_components(graph):
     return canonicalize(seen)
 
 
+def _sweep(graph, labels, gamma, seed):
+    """One unconstrained `kernels.sweep` pass in a seeded item order;
+    returns (canonical labels, moves)."""
+    labels = np.array(labels, dtype=np.int64)
+    order = np.random.default_rng(seed).permutation(graph.n).astype(np.int64)
+    moves = kernels.sweep(
+        graph.indptr, graph.indices, graph.weights,
+        graph.rep_mode, graph.rep_strength, graph.rep_denom,
+        graph.rep_indptr, graph.rep_indices, graph.rep_weights,
+        gamma, labels, np.zeros(graph.n, dtype=np.int64), order, 1e-12)
+    return canonicalize(labels), moves
+
+
 class TestLocalMoveSweep:
     def test_two_items_merge_at_gamma_zero(self):
         g = from_edge_list(2, [(0, 1, 1.0)])
-        rng = np.random.default_rng(0)
-        labels, improved = local_move_sweep(g, np.arange(2), 0.0, rng)
-        assert improved
+        labels, moves = _sweep(g, np.arange(2), 0.0, seed=0)
+        assert moves > 0
         assert cluster_count(labels) == 1
 
     def test_stable_partition_unchanged(self, rng):
         g = random_affinity(rng)
         labels, _ = optimize(g, 1.0, OptimizeOptions(seed=1))
-        after, improved = local_move_sweep(
-            g, labels, 1.0, np.random.default_rng(7))
-        assert not improved
-        assert np.array_equal(canonicalize(after), labels)
+        after, moves = _sweep(g, labels, 1.0, seed=7)
+        assert moves == 0
+        assert np.array_equal(after, labels)
 
     def test_sweep_never_increases_energy(self, rng):
         for _ in range(10):
@@ -51,8 +62,7 @@ class TestLocalMoveSweep:
             labels = canonicalize(rng.integers(0, 3, g.n))
             gamma = float(rng.random() * 2)
             before = hamiltonian(g, labels, gamma).total
-            after, _ = local_move_sweep(
-                g, labels, gamma, np.random.default_rng(3))
+            after, _ = _sweep(g, labels, gamma, seed=3)
             assert hamiltonian(g, after, gamma).total <= before + 1e-12
 
 

@@ -9,9 +9,8 @@ from confres.energy import cluster_count, hamiltonian
 from confres.errors import InputError, ParameterError
 from confres.graph import from_edge_list
 from confres.optimizer import OptimizeOptions, optimize
-from confres.resolution import (ConfigurationSet, configuration_set_from_dict,
-                                evaluate_sweep, find_configurations,
-                                lower_envelope)
+from confres.resolution import (configuration_set_from_dict,
+                                find_configurations, lower_envelope)
 from conftest import blob_graph
 
 
@@ -70,8 +69,9 @@ class TestFindConfigurations:
 
     def test_bad_gamma_max(self, blob_sweep):
         graph, _, _ = blob_sweep
-        with pytest.raises(ParameterError):
-            find_configurations(graph, 0.0)
+        for gamma_max in (0.0, np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                find_configurations(graph, gamma_max)
 
     def test_partition_at(self, blob_sweep):
         _, _, configs = blob_sweep
@@ -138,23 +138,3 @@ class TestLowerEnvelope:
     def test_empty_error(self):
         with pytest.raises(InputError):
             lower_envelope([])
-
-
-class TestEvaluateSweep:
-    def test_truth_plateau_scores_one(self, blob_sweep):
-        _, labels, configs = blob_sweep
-        rows = evaluate_sweep(configs, labels)
-        assert len(rows) == configs.m
-        assert any(score == pytest.approx(1.0) for _, _, score in rows)
-
-    def test_random_labels_near_zero(self, blob_sweep, rng):
-        _, labels, configs = blob_sweep
-        random_truth = rng.integers(0, 2, len(labels))
-        rows = evaluate_sweep(configs, random_truth)
-        for _, _, score in rows:
-            assert abs(score) < 0.25
-
-    def test_length_mismatch(self, blob_sweep):
-        _, _, configs = blob_sweep
-        with pytest.raises(InputError):
-            evaluate_sweep(configs, [0, 1])
