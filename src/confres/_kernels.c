@@ -1,30 +1,92 @@
 /* C port of the local-move kernels in kernels.py.
  *
- * Each function follows its Python reference (_energy_components, _sweep)
- * operation for operation, in the same order, so that every float result
- * is bit-identical.  That holds only when the compiler keeps
- * IEEE double semantics: build with -ffp-contract=off (no fused
- * multiply-add) and never with -ffast-math.
+ * Each function follows its Python reference (_energy_components, and
+ * _local_move with its inner pass _sweep) operation for operation, in the
+ * same order, so that every float result is bit-identical.  That holds
+ * only when the compiler keeps IEEE double semantics: build with
+ * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
  *
- * The callers in kernels.py check dtypes, lengths and index ranges before
- * any pointer reaches this file; nothing here re-checks them.
+ * The callers in kernels.py check dtypes, contiguity and lengths.  The
+ * range of every value used as an index is checked here, in one scan
+ * before any indexed read; a failed check returns one of the ERR_ codes
+ * below and leaves every argument untouched.
  */
 
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define REP_PRODUCT 0
 #define REP_EXPLICIT 1
 
-/* (h_a, h_r) of a labelling.  `sums` is zeroed scratch of one slot per
- * label value (max label + 1); it is used only for product-form repulsion. */
-void energy_components(int64_t n, const int64_t *indptr, const int64_t *indices,
-                       const double *weights, const int64_t *labels,
-                       int64_t rep_mode, const double *rep_strength,
-                       double rep_denom, const int64_t *rep_indptr,
-                       const int64_t *rep_indices, const double *rep_weights,
-                       double *sums, double *out)
+#define ERR_NOMEM (-1)
+#define ERR_LABELS (-2)
+#define ERR_INDPTR (-3)
+#define ERR_INDICES (-4)
+#define ERR_REP_INDPTR (-5)
+#define ERR_REP_INDICES (-6)
+
+/* Attraction CSR (both edge directions) and the repulsion model. */
+typedef struct {
+    int64_t n;
+    const int64_t *indptr, *indices;
+    const double *weights;
+    int64_t rep_mode;
+    const double *rep_strength;
+    double rep_denom;
+    const int64_t *rep_indptr, *rep_indices;  /* REP_EXPLICIT only */
+    const double *rep_weights;
+} graph_t;
+
+/* 0 when every a[0..len) lies in [0, hi), else err. */
+static int64_t check_range(const int64_t *a, int64_t len, int64_t hi,
+                           int64_t err)
 {
+    for (int64_t i = 0; i < len; i++)
+        if (a[i] < 0 || a[i] >= hi)
+            return err;
+    return 0;
+}
+
+/* Range of every CSR index the kernels read: indptr in [0, m], indices in
+ * [0, n), for attraction and, when explicit, repulsion. */
+static int64_t check_graph(const graph_t *g, int64_t m, int64_t rep_m)
+{
+    int64_t err = check_range(g->indptr, g->n + 1, m + 1, ERR_INDPTR);
+    if (!err)
+        err = check_range(g->indices, m, g->n, ERR_INDICES);
+    if (!err && g->rep_mode == REP_EXPLICIT)
+        err = check_range(g->rep_indptr, g->n + 1, rep_m + 1, ERR_REP_INDPTR);
+    if (!err && g->rep_mode == REP_EXPLICIT)
+        err = check_range(g->rep_indices, rep_m, g->n, ERR_REP_INDICES);
+    return err;
+}
+
+/* (h_a, h_r) of a labelling into out[0], out[1].  Returns 0, or an ERR_
+ * code.  Product-form repulsion sums rep_strength per label value, so it
+ * needs labels >= 0. */
+int64_t energy_components(int64_t n, const int64_t *indptr,
+                          const int64_t *indices, int64_t m,
+                          const double *weights, const int64_t *labels,
+                          int64_t rep_mode, const double *rep_strength,
+                          double rep_denom, const int64_t *rep_indptr,
+                          const int64_t *rep_indices, int64_t rep_m,
+                          const double *rep_weights, double *out)
+{
+    graph_t g = {n, indptr, indices, weights, rep_mode, rep_strength,
+                 rep_denom, rep_indptr, rep_indices, rep_weights};
+    int64_t err = check_graph(&g, m, rep_m);
+    if (err)
+        return err;
+    int64_t k = 0;
+    if (rep_mode == REP_PRODUCT) {
+        for (int64_t i = 0; i < n; i++) {
+            if (labels[i] < 0)
+                return ERR_LABELS;
+            if (labels[i] > k)
+                k = labels[i];
+        }
+    }
     double h_a = 0.0;
     for (int64_t i = 0; i < n; i++) {
         int64_t ci = labels[i];
@@ -36,10 +98,9 @@ void energy_components(int64_t n, const int64_t *indptr, const int64_t *indices,
     }
     double h_r = 0.0;
     if (rep_mode == REP_PRODUCT) {
-        int64_t k = 0;
-        for (int64_t i = 0; i < n; i++)
-            if (labels[i] > k)
-                k = labels[i];
+        double *sums = calloc((size_t)k + 1, sizeof(double));
+        if (!sums)
+            return ERR_NOMEM;
         double sq = 0.0;
         for (int64_t i = 0; i < n; i++) {
             double rho = rep_strength[i];
@@ -49,6 +110,7 @@ void energy_components(int64_t n, const int64_t *indptr, const int64_t *indices,
         double tot = 0.0;
         for (int64_t c = 0; c < k + 1; c++)
             tot += sums[c] * sums[c];
+        free(sums);
         h_r = (tot - sq) / (2.0 * rep_denom);
     } else {
         for (int64_t i = 0; i < n; i++) {
@@ -62,46 +124,93 @@ void energy_components(int64_t n, const int64_t *indptr, const int64_t *indices,
     }
     out[0] = h_a;
     out[1] = h_r;
+    return 0;
 }
 
-/* One local-moving pass; mutates `labels`.  Returns the number of accepted
- * moves, or -1 when the scratch space cannot be allocated. */
-int64_t sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
-              const double *weights, int64_t rep_mode,
-              const double *rep_strength, double rep_denom,
-              const int64_t *rep_indptr, const int64_t *rep_indices,
-              const double *rep_weights, double gamma, int64_t *labels,
-              const int64_t *constraint, const int64_t *order, double eps)
-{
-    size_t m = n > 0 ? (size_t)n : 1;  /* calloc(0) may return NULL */
-    double *rs = calloc(m, sizeof(double));      /* per-cluster rep_strength */
-    double *wsum = calloc(m, sizeof(double));    /* attraction to cluster */
-    double *rsum = calloc(m, sizeof(double));    /* explicit repulsion */
-    int64_t *cnt = calloc(m, sizeof(int64_t));   /* per-cluster members */
-    int64_t *empty = malloc(m * sizeof(int64_t)); /* reusable cluster ids */
-    int64_t *touched = malloc(m * sizeof(int64_t));
-    unsigned char *seen = calloc(m, 1);
-    int64_t moves = -1;
-    if (!rs || !wsum || !rsum || !cnt || !empty || !touched || !seen)
-        goto done;
+/* numpy's bit generator, reached through Generator.bit_generator.ctypes. */
+typedef struct {
+    void *state;
+    uint32_t (*next_uint32)(void *state);
+    uint64_t (*next_uint64)(void *state);
+} rng_t;
 
+/* numpy's random_interval: uniform in [0, max] by mask rejection. */
+static uint64_t random_interval(const rng_t *rng, uint64_t max)
+{
+    if (max == 0)
+        return 0;
+    uint64_t mask = max, value;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffUL) {
+        while ((value = (rng->next_uint32(rng->state) & mask)) > max)
+            ;
+    } else {
+        while ((value = (rng->next_uint64(rng->state) & mask)) > max)
+            ;
+    }
+    return value;
+}
+
+/* Generator.permutation(n): arange(n) shuffled as numpy's _shuffle_raw
+ * does, drawing the same numbers from the same bit generator. */
+static void permutation(const rng_t *rng, int64_t n, int64_t *order)
+{
+    for (int64_t i = 0; i < n; i++)
+        order[i] = i;
+    for (int64_t i = n - 1; i > 0; i--) {
+        int64_t j = (int64_t)random_interval(rng, (uint64_t)i);
+        int64_t tmp = order[j];
+        order[j] = order[i];
+        order[i] = tmp;
+    }
+}
+
+/* Scratch space of one local-moving phase, n slots each. */
+typedef struct {
+    double *rs;        /* per-cluster sum of rep_strength */
+    double *wsum;      /* attraction from the item to each touched cluster */
+    double *rsum;      /* explicit repulsion likewise */
+    int64_t *cnt;      /* per-cluster member count */
+    int64_t *empty;    /* stack of reusable cluster ids */
+    int64_t *touched;
+    int64_t *order;
+    unsigned char *seen;
+} scratch_t;
+
+/* One local-moving pass in `order`, as kernels._sweep; returns its moves.
+ * The cluster sums and the free-id stack are rebuilt from `labels`. */
+static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
+                        const int64_t *constraint, double eps,
+                        const scratch_t *s)
+{
+    int64_t n = g->n;
+    double *rs = s->rs, *wsum = s->wsum, *rsum = s->rsum;
+    int64_t *cnt = s->cnt, *empty = s->empty, *touched = s->touched;
+    unsigned char *seen = s->seen;
+    memset(rs, 0, (size_t)n * sizeof(double));
+    memset(cnt, 0, (size_t)n * sizeof(int64_t));
     for (int64_t i = 0; i < n; i++) {
         int64_t c = labels[i];
-        rs[c] += rep_strength[i];
+        rs[c] += g->rep_strength[i];
         cnt[c] += 1;
     }
     int64_t top = 0;
     for (int64_t c = 0; c < n; c++)
         if (cnt[c] == 0)
             empty[top++] = c;
-    moves = 0;
+    int64_t moves = 0;
     for (int64_t oi = 0; oi < n; oi++) {
-        int64_t i = order[oi];
+        int64_t i = s->order[oi];
         int64_t ci = labels[i];
         int64_t ki = constraint[i];
         int64_t ntouch = 0;
-        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
-            int64_t j = indices[e];
+        for (int64_t e = g->indptr[i]; e < g->indptr[i + 1]; e++) {
+            int64_t j = g->indices[e];
             if (j == i || constraint[j] != ki)
                 continue;
             int64_t cj = labels[j];
@@ -109,11 +218,11 @@ int64_t sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
                 seen[cj] = 1;
                 touched[ntouch++] = cj;
             }
-            wsum[cj] += weights[e];
+            wsum[cj] += g->weights[e];
         }
-        if (rep_mode == REP_EXPLICIT) {
-            for (int64_t e = rep_indptr[i]; e < rep_indptr[i + 1]; e++) {
-                int64_t j = rep_indices[e];
+        if (g->rep_mode == REP_EXPLICIT) {
+            for (int64_t e = g->rep_indptr[i]; e < g->rep_indptr[i + 1]; e++) {
+                int64_t j = g->rep_indices[e];
                 if (j == i || constraint[j] != ki)
                     continue;
                 int64_t cj = labels[j];
@@ -121,30 +230,30 @@ int64_t sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
                     seen[cj] = 1;
                     touched[ntouch++] = cj;
                 }
-                rsum[cj] += rep_weights[e];
+                rsum[cj] += g->rep_weights[e];
             }
         }
-        double rho_i = rep_strength[i];
+        double rho_i = g->rep_strength[i];
         double g_cur;
-        if (rep_mode == REP_PRODUCT)
-            g_cur = -wsum[ci] + gamma * rho_i * (rs[ci] - rho_i) / rep_denom;
+        if (g->rep_mode == REP_PRODUCT)
+            g_cur = -wsum[ci] + gamma * rho_i * (rs[ci] - rho_i) / g->rep_denom;
         else
             g_cur = -wsum[ci] + gamma * rsum[ci];
         int64_t best_c = -1;  /* -1 means a fresh singleton cluster */
         double best_g = 0.0;
         for (int64_t t = 0; t < ntouch; t++) {
             int64_t c = touched[t];
-            double g;
-            if (rep_mode == REP_PRODUCT) {
+            double gc;
+            if (g->rep_mode == REP_PRODUCT) {
                 double scl = rs[c];
                 if (c == ci)
                     scl -= rho_i;
-                g = -wsum[c] + gamma * rho_i * scl / rep_denom;
+                gc = -wsum[c] + gamma * rho_i * scl / g->rep_denom;
             } else {
-                g = -wsum[c] + gamma * rsum[c];
+                gc = -wsum[c] + gamma * rsum[c];
             }
-            if (g < best_g || (g == best_g && (best_c == -1 || c < best_c))) {
-                best_g = g;
+            if (gc < best_g || (gc == best_g && (best_c == -1 || c < best_c))) {
+                best_g = gc;
                 best_c = c;
             }
         }
@@ -167,13 +276,56 @@ int64_t sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
             rsum[c] = 0.0;
         }
     }
-done:
-    free(rs);
-    free(wsum);
-    free(rsum);
-    free(cnt);
-    free(empty);
-    free(touched);
-    free(seen);
     return moves;
+}
+
+/* One local-moving phase, as kernels._local_move: passes in a fresh
+ * permutation drawn from the bit generator, until a pass moves nothing or
+ * max_sweeps passes have run.  Mutates `labels`; returns the total moves,
+ * or an ERR_ code before any label moves or any number is drawn.  The
+ * caller holds the bit generator's lock. */
+int64_t sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
+              int64_t m, const double *weights, int64_t rep_mode,
+              const double *rep_strength, double rep_denom,
+              const int64_t *rep_indptr, const int64_t *rep_indices,
+              int64_t rep_m, const double *rep_weights, double gamma,
+              int64_t *labels, const int64_t *constraint, int64_t max_sweeps,
+              double eps, void *bitgen_state,
+              uint32_t (*next_uint32)(void *), uint64_t (*next_uint64)(void *))
+{
+    graph_t g = {n, indptr, indices, weights, rep_mode, rep_strength,
+                 rep_denom, rep_indptr, rep_indices, rep_weights};
+    rng_t rng = {bitgen_state, next_uint32, next_uint64};
+    int64_t err = check_graph(&g, m, rep_m);
+    if (!err)
+        err = check_range(labels, n, n, ERR_LABELS);
+    if (err)
+        return err;
+    size_t slots = n > 0 ? (size_t)n : 1;  /* calloc(0) may return NULL */
+    scratch_t s = {
+        calloc(slots, sizeof(double)), calloc(slots, sizeof(double)),
+        calloc(slots, sizeof(double)), calloc(slots, sizeof(int64_t)),
+        malloc(slots * sizeof(int64_t)), malloc(slots * sizeof(int64_t)),
+        malloc(slots * sizeof(int64_t)), calloc(slots, 1)};
+    int64_t total = ERR_NOMEM;
+    if (s.rs && s.wsum && s.rsum && s.cnt && s.empty && s.touched && s.order
+            && s.seen) {
+        total = 0;
+        for (int64_t pass = 0; pass < max_sweeps; pass++) {
+            permutation(&rng, n, s.order);
+            int64_t moves = one_pass(&g, gamma, labels, constraint, eps, &s);
+            total += moves;
+            if (moves == 0)
+                break;
+        }
+    }
+    free(s.rs);
+    free(s.wsum);
+    free(s.rsum);
+    free(s.cnt);
+    free(s.empty);
+    free(s.touched);
+    free(s.order);
+    free(s.seen);
+    return total;
 }

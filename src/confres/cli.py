@@ -69,26 +69,32 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _apply_config_defaults(args, parser_defaults: dict) -> None:
-    """File values fill in only where the flag kept its parser default."""
+def _apply_config_defaults(args, actions: dict) -> None:
+    """File values fill in only where the flag kept its parser default.
+
+    A value must pass the same type and `choices` checks as on the
+    command line.
+    """
     if not getattr(args, "config", None):
         return
     values = _load_config_file(args.config)
     for key, raw in values.items():
-        if not hasattr(args, key):
+        action = actions.get(key)
+        if action is None or getattr(args, key) != action.default:
             continue
-        current = getattr(args, key)
-        if key in parser_defaults and current == parser_defaults[key]:
-            default = parser_defaults[key]
-            caster = type(default) if default is not None else str
-            if caster is bool:
-                setattr(args, key, raw.lower() in ("1", "true", "yes"))
-                continue
+        caster = type(action.default) if action.default is not None else str
+        if caster is bool:
+            value = raw.lower() in ("1", "true", "yes")
+        else:
             try:
-                setattr(args, key, caster(raw))
+                value = caster(raw)
             except ValueError as exc:
                 raise InputError(f"{args.config}: {key} = {raw!r} is not "
                                  f"a valid {caster.__name__}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise InputError(f"{args.config}: {key} = {raw!r} is not one of "
+                             f"{', '.join(map(str, action.choices))}")
+        setattr(args, key, value)
 
 
 def _points_to_affinity(points, k: int):
@@ -150,12 +156,13 @@ def cmd_eval(args) -> int:
     if len(pred) != len(truth):
         raise InputError("prediction and truth lengths differ")
     table = contingency(truth, pred)
-    alignment = rms_align(table)
+    # rms_align imports scipy.optimize: only --align rms pays for it
+    alignment = rms_align(table) if args.align == "rms" else None
     metrics = {
         "ari": ari(table),
         "nmi": nmi(table),
         "v": v_measure(table),
-        "accuracy": accuracy(alignment) if args.align == "rms" else None,
+        "accuracy": accuracy(alignment) if alignment is not None else None,
         "auc": None,
     }
     params = {"command": "eval", "pred": args.pred, "truth": args.truth,
@@ -208,8 +215,8 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _subparser_defaults(sub_parser) -> dict:
-    return {a.dest: a.default for a in sub_parser._actions
+def _subparser_actions(sub_parser) -> dict:
+    return {a.dest: a for a in sub_parser._actions
             if a.dest not in ("help", "func")}
 
 
@@ -220,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.set_defaults(_defaults_by_command={})
-    defaults_by_command = parser.get_default("_defaults_by_command")
+    parser.set_defaults(_actions_by_command={})
+    actions_by_command = parser.get_default("_actions_by_command")
 
     def common(p):
         p.add_argument("--config", default=None,
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_experiment)
     for name, sp in sub.choices.items():
-        defaults_by_command[name] = _subparser_defaults(sp)
+        actions_by_command[name] = _subparser_actions(sp)
     return parser
 
 
@@ -274,9 +281,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    defaults = args._defaults_by_command[args.command]
+    actions = args._actions_by_command[args.command]
     try:
-        _apply_config_defaults(args, defaults)
+        _apply_config_defaults(args, actions)
         for attr in ("input", "pred", "truth", "config"):
             path = getattr(args, attr, None)
             if path is not None and not os.path.exists(path):

@@ -26,6 +26,14 @@ class EnergySummary:
 def canonicalize(labels) -> np.ndarray:
     """Relabel clusters in first-occurrence order starting at 0."""
     labels = np.asarray(labels, dtype=np.int64)
+    n = labels.shape[0]
+    if n and labels.min() >= 0 and labels.max() < n:
+        # O(n): each label's first position, then the items that hold it
+        pos = np.arange(n)
+        first = np.full(n, n)
+        np.minimum.at(first, labels, pos)
+        head = first[labels]
+        return (np.cumsum(head == pos) - 1)[head]
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     # rank each unique value by where it first appears
     rank = np.argsort(np.argsort(first, kind="stable"), kind="stable")

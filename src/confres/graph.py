@@ -98,41 +98,58 @@ def _check_points(points: np.ndarray) -> np.ndarray:
 _TIE_MARGIN = 1.0 + 1e-9
 
 
+# At most this many candidates (rows x m) are queried and ranked at once,
+# so a large group of identical points, whose members all widen m past the
+# group size, costs memory in proportion to the chunk, not to g x n.
+_CHUNK = 1 << 16
+
+
 def _nearest(points, k, metric):
     """Each item's k nearest others by (distance, index): (n, k) indices
     and their distances.
 
     A kd-tree proposes m candidates per item, m widened (doubling, at most
     n) for items whose ties with the k-th neighbour may run past the list;
-    the candidates are then ranked by exact distance and index.
+    the candidates are then ranked by exact distance and index, in chunks
+    of at most _CHUNK candidates.
     """
-    n, dim = points.shape
+    n = points.shape[0]
     tree = cKDTree(points)
     nn = np.empty((n, k), dtype=np.int64)
     nn_dist = np.empty((n, k))
     todo = np.arange(n)
     m = min(k + 2, n)
     while todo.size:
-        # self sits at distance 0, so column k is the k-th other item
-        d, cand = tree.query(points[todo], k=m)
-        done = (d[:, -1] > d[:, k] * _TIE_MARGIN) | (m == n)
-        rows, cand = todo[done], cand[done]
-        # squared differences summed in coordinate order, so the distance
-        # of i to j is bit for bit that of j to i in any array shape
-        ends, others = points[rows, None, :], points[cand]
-        sq = np.zeros(cand.shape)
-        for c in range(dim):
-            sq += (ends[..., c] - others[..., c]) ** 2
-        # cosine runs on unit vectors: 1 - cos = |u - v|^2 / 2, without
-        # the cancellation of 1 - cos for near-parallel vectors
-        dist = 0.5 * sq if metric == "cosine" else np.sqrt(sq)
-        dist[cand == rows[:, None]] = np.inf
-        pick = (np.arange(len(rows))[:, None],
-                np.lexsort((cand, dist), axis=-1)[:, :k])
-        nn[rows], nn_dist[rows] = cand[pick], dist[pick]
-        todo = todo[~done]
+        step = max(1, _CHUNK // m)
+        todo = np.concatenate([
+            _rank_candidates(tree, points, todo[s:s + step], k, m, metric,
+                             nn, nn_dist)
+            for s in range(0, todo.size, step)])
         m = min(2 * m, n)
     return nn, nn_dist
+
+
+def _rank_candidates(tree, points, rows, k, m, metric, nn, nn_dist):
+    """Rank m kd-tree candidates for each of `rows` into `nn`/`nn_dist`;
+    returns the rows whose list may miss a tie and must widen."""
+    # self sits at distance 0, so column k is the k-th other item
+    d, cand = tree.query(points[rows], k=m)
+    done = (d[:, -1] > d[:, k] * _TIE_MARGIN) | (m == points.shape[0])
+    rest, rows, cand = rows[~done], rows[done], cand[done]
+    # squared differences summed in coordinate order, so the distance
+    # of i to j is bit for bit that of j to i in any array shape
+    ends, others = points[rows, None, :], points[cand]
+    sq = np.zeros(cand.shape)
+    for c in range(points.shape[1]):
+        sq += (ends[..., c] - others[..., c]) ** 2
+    # cosine runs on unit vectors: 1 - cos = |u - v|^2 / 2, without
+    # the cancellation of 1 - cos for near-parallel vectors
+    dist = 0.5 * sq if metric == "cosine" else np.sqrt(sq)
+    dist[cand == rows[:, None]] = np.inf
+    pick = (np.arange(len(rows))[:, None],
+            np.lexsort((cand, dist), axis=-1)[:, :k])
+    nn[rows], nn_dist[rows] = cand[pick], dist[pick]
+    return rest
 
 
 def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
@@ -170,7 +187,14 @@ def _reduce_pairs(n, i, j, w=None, mean=False):
     averaged, with `mean`); without `w` the third result counts them.
     """
     key = np.minimum(i, j) * n + np.maximum(i, j)
-    pairs, inv = np.unique(key, return_inverse=True)
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(key.shape[0], dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    pairs = key[new]
+    inv = np.empty(key.shape[0], dtype=np.int64)  # input entry -> its pair
+    inv[order] = np.cumsum(new) - 1
     vals = np.bincount(inv, weights=w, minlength=len(pairs))
     if mean:
         vals = vals / np.bincount(inv, minlength=len(pairs))
@@ -178,16 +202,20 @@ def _reduce_pairs(n, i, j, w=None, mean=False):
 
 
 def _csr_from_pairs(n, rows, cols, vals):
-    """Both-direction CSR from unordered unique pairs."""
-    ii = np.concatenate([rows, cols])
-    jj = np.concatenate([cols, rows])
+    """Both-direction CSR from sorted unique pairs (row < col).
+
+    Row r lists its pairs with col == r (columns below r, ascending), then
+    those with row == r (columns above r, ascending), so a stable sort by
+    row alone leaves each row's columns ascending.
+    """
+    ii = np.concatenate([cols, rows])
+    jj = np.concatenate([rows, cols])
     vv = np.concatenate([vals, vals])
-    order = np.lexsort((jj, ii))
-    ii, jj, vv = ii[order], jj[order], vv[order]
+    order = np.argsort(ii, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, ii + 1, 1)
-    indptr = np.cumsum(indptr)
-    return indptr, jj.astype(np.int64), vv.astype(np.float64)
+    np.cumsum(np.bincount(ii, minlength=n), out=indptr[1:])
+    return (indptr, jj[order].astype(np.int64, copy=False),
+            vv[order].astype(np.float64, copy=False))
 
 
 def _assemble(n, rows, cols, vals, scheme, rep_pairs=None):

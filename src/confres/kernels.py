@@ -1,16 +1,22 @@
 """Hot inner loops for energy evaluation and local moving.
 
 All kernels operate on flat CSR arrays.  The functions defined here in
-Python are the reference implementation.  `_kernels.c` ports the two hot
-ones, `_energy_components` and `_sweep`, operation for operation.  On first
-import it is compiled with the system C compiler (`cc`, else `gcc`) into a
-per-user cache directory, keyed by the source, the compiler flags and the
-machine type, and loaded with ctypes; `energy_components` and `sweep` then
-call it.  Without a compiler, when the build fails, or with
-CONFRES_DISABLE_COMPILED=1 they are the Python reference itself (identical
-results, much slower).  A failed build is remembered by a marker file
-beside the cache entry, so later imports do not run the compiler again.
-`BACKEND` names the one in use, "c" or "python".
+Python are the reference implementation.  `_kernels.c` ports the hot ones
+operation for operation: `_energy_components`, and `_local_move`, one
+local-moving phase, with its inner pass `_sweep`.  The C phase runs every
+pass in one call and draws each pass's item order from the caller's numpy
+Generator through its bit generator's ctypes interface, replaying
+`rng.permutation` (numpy's Fisher-Yates shuffle over `random_interval`), so
+labels, move counts and the generator's state afterwards match the Python
+loop exactly.  On first import the C file is compiled with the system C
+compiler (`cc`, else `gcc`) into a per-user cache directory, keyed by the
+source, the compiler flags and the machine type, and loaded with ctypes;
+`energy_components` and `sweep` then call it.  Without a compiler, when
+the build fails, or with CONFRES_DISABLE_COMPILED=1 they are the Python
+reference itself (identical results, much slower).  A failed build is
+remembered by a marker file beside the cache entry, so later imports do
+not run the compiler again.  `BACKEND` names the one in use, "c" or
+"python".
 `move_delta`, a single-item query that only `energy.move_delta` calls, has
 no C port.  tests/test_kernels.py checks that the two backends agree bit
 for bit; to time the Python reference, run perfbench/run.py with
@@ -31,6 +37,8 @@ import numpy as np
 # Repulsion modes understood by the kernels.
 REP_PRODUCT = 0   # w-_ij = rho_i * rho_j / rep_denom (configuration-null, uniform)
 REP_EXPLICIT = 1  # w-_ij given as a sparse CSR map
+
+EPSILON = 1e-12  # a move must lower H by more than this to be taken
 
 
 def _energy_components(indptr, indices, weights, labels,
@@ -177,6 +185,29 @@ def _sweep(indptr, indices, weights,
     return moves
 
 
+def _local_move(indptr, indices, weights,
+                rep_mode, rep_strength, rep_denom,
+                rep_indptr, rep_indices, rep_weights,
+                gamma, labels, constraint, rng, max_sweeps):
+    """One local-moving phase; mutates `labels` in place.
+
+    Runs `_sweep` passes, each in a fresh `rng.permutation` of the items,
+    until a pass accepts no move or `max_sweeps` passes have run.  Returns
+    the total number of accepted moves.
+    """
+    total = 0
+    for _ in range(max_sweeps):
+        order = rng.permutation(labels.shape[0])
+        moves = _sweep(indptr, indices, weights,
+                       rep_mode, rep_strength, rep_denom,
+                       rep_indptr, rep_indices, rep_weights,
+                       gamma, labels, constraint, order, EPSILON)
+        total += moves
+        if moves == 0:
+            break
+    return total
+
+
 def move_delta(indptr, indices, weights,
                rep_mode, rep_strength, rep_denom,
                rep_indptr, rep_indices, rep_weights,
@@ -232,7 +263,7 @@ def move_delta(indptr, indices, weights,
 # Uncompiled references: the fallback path and the oracle the C port is
 # tested against.
 energy_components_py = _energy_components
-sweep_py = _sweep
+sweep_py = _local_move
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # -ffp-contract=off keeps a*b+c from fusing into one rounding; -ffast-math
@@ -312,17 +343,24 @@ def _load_library():
                       f"reference: {exc}", RuntimeWarning)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    lib.energy_components.argtypes = [i64, ptr, ptr, ptr, ptr, i64, ptr, f64,
-                                      ptr, ptr, ptr, ptr, ptr]
-    lib.energy_components.restype = None
-    lib.sweep.argtypes = [i64, ptr, ptr, ptr, i64, ptr, f64, ptr, ptr, ptr,
-                          f64, ptr, ptr, ptr, f64]
+    # n, then CSR (indptr, indices, m, weights), the repulsion model and
+    # its CSR, as _graph_args orders them
+    graph = [i64, ptr, ptr, i64, ptr, i64, ptr, f64, ptr, ptr, i64, ptr]
+    lib.energy_components.argtypes = graph[:5] + [ptr] + graph[5:] + [ptr]
+    lib.energy_components.restype = i64
+    lib.sweep.argtypes = graph + [f64, ptr, ptr, i64, f64, ptr, ptr, ptr]
     lib.sweep.restype = i64
     return lib
 
 
 # Every pointer handed to C is checked here first: dtype, C-contiguity and
-# length of each array, and the range of every value used as an index.
+# length of each array.  The C entry points check the range of every value
+# used as an index, in one scan before any indexed read, and return a
+# negative status when one is out of range; `_raise` maps it to the
+# exception.
+
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
 
 
 def _ptr(name, arr, dtype, length=None):
@@ -334,72 +372,75 @@ def _ptr(name, arr, dtype, length=None):
     return arr.ctypes.data
 
 
-def _check_range(name, arr, hi):
-    if arr.shape[0] and (arr.min() < 0 or arr.max() >= hi):
-        raise IndexError(f"{name} out of range [0, {hi})")
+def _csr_args(prefix, n, indptr, indices, weights):
+    p_ptr = _ptr(f"{prefix}indptr", indptr, _I64, n + 1)
+    p_idx = _ptr(f"{prefix}indices", indices, _I64)
+    m = indices.shape[0]
+    return p_ptr, p_idx, m, _ptr(f"{prefix}weights", weights, _F64, m)
 
 
-def _csr_ptrs(prefix, n, indptr, indices, weights):
-    p_ptr = _ptr(f"{prefix}indptr", indptr, np.int64, n + 1)
-    p_idx = _ptr(f"{prefix}indices", indices, np.int64)
-    p_w = _ptr(f"{prefix}weights", weights, np.float64, indices.shape[0])
-    _check_range(f"{prefix}indptr", indptr, indices.shape[0] + 1)
-    _check_range(f"{prefix}indices", indices, n)
-    return p_ptr, p_idx, p_w
-
-
-def _graph_ptrs(n, indptr, indices, weights, rep_mode, rep_strength,
-                rep_indptr, rep_indices, rep_weights):
-    """Pointers for the arguments every kernel shares, in C order."""
+def _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
+                rep_denom, rep_indptr, rep_indices, rep_weights):
+    """The graph arguments every C kernel takes, in C order."""
     if rep_mode not in (REP_PRODUCT, REP_EXPLICIT):
         raise ValueError(f"unknown repulsion mode {rep_mode!r}")
-    attraction = _csr_ptrs("", n, indptr, indices, weights)
-    p_rho = _ptr("rep_strength", rep_strength, np.float64, n)
-    repulsion = (None, None, None)  # never read for product-form repulsion
+    attraction = _csr_args("", n, indptr, indices, weights)
+    p_rho = _ptr("rep_strength", rep_strength, _F64, n)
+    repulsion = (None, None, 0, None)  # never read for product-form repulsion
     if rep_mode == REP_EXPLICIT:
-        repulsion = _csr_ptrs("rep_", n, rep_indptr, rep_indices, rep_weights)
-    return attraction, p_rho, repulsion
+        repulsion = _csr_args("rep_", n, rep_indptr, rep_indices, rep_weights)
+    return (n, *attraction, rep_mode, p_rho, rep_denom, *repulsion)
+
+
+def _raise(status, graph_args, labels_error):
+    """Raise the error a negative C status stands for; `graph_args` are
+    the `_graph_args` the kernel was called with."""
+    n, m, rep_m = graph_args[0], graph_args[3], graph_args[10]
+    errors = {
+        -1: MemoryError("the C kernels could not allocate their scratch arrays"),
+        -2: IndexError(labels_error),
+        -3: IndexError(f"indptr out of range [0, {m + 1})"),
+        -4: IndexError(f"indices out of range [0, {n})"),
+        -5: IndexError(f"rep_indptr out of range [0, {rep_m + 1})"),
+        -6: IndexError(f"rep_indices out of range [0, {n})"),
+    }
+    raise errors[status]
 
 
 def _energy_components_c(indptr, indices, weights, labels,
                          rep_mode, rep_strength, rep_denom,
                          rep_indptr, rep_indices, rep_weights):
     n = labels.shape[0]
-    p_lab = _ptr("labels", labels, np.int64)
-    attraction, p_rho, repulsion = _graph_ptrs(
-        n, indptr, indices, weights, rep_mode, rep_strength,
-        rep_indptr, rep_indices, rep_weights)
-    sums = None
-    if rep_mode == REP_PRODUCT:
-        if n and labels.min() < 0:
-            raise IndexError("labels must be >= 0")
-        sums = np.zeros(int(labels.max()) + 1 if n else 1)
+    p_lab = _ptr("labels", labels, _I64)
+    args = _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
+                       rep_denom, rep_indptr, rep_indices, rep_weights)
     out = np.empty(2)
-    _LIB.energy_components(
-        n, *attraction, p_lab, rep_mode, p_rho, rep_denom, *repulsion,
-        None if sums is None else sums.ctypes.data, out.ctypes.data)
+    status = _LIB.energy_components(*args[:5], p_lab, *args[5:],
+                                    out.ctypes.data)
+    if status < 0:
+        _raise(status, args, "labels must be >= 0")
     return float(out[0]), float(out[1])
 
 
-def _sweep_c(indptr, indices, weights,
-             rep_mode, rep_strength, rep_denom,
-             rep_indptr, rep_indices, rep_weights,
-             gamma, labels, constraint, order, eps):
+def _local_move_c(indptr, indices, weights,
+                  rep_mode, rep_strength, rep_denom,
+                  rep_indptr, rep_indices, rep_weights,
+                  gamma, labels, constraint, rng, max_sweeps):
     n = labels.shape[0]
-    p_lab = _ptr("labels", labels, np.int64)
+    p_lab = _ptr("labels", labels, _I64)
     if not labels.flags.writeable:
         raise ValueError("labels must be writable: sweep moves items in place")
-    _check_range("labels", labels, n)
-    p_con = _ptr("constraint", constraint, np.int64, n)
-    p_ord = _ptr("order", order, np.int64, n)
-    _check_range("order", order, n)
-    attraction, p_rho, repulsion = _graph_ptrs(
-        n, indptr, indices, weights, rep_mode, rep_strength,
-        rep_indptr, rep_indices, rep_weights)
-    moves = _LIB.sweep(n, *attraction, rep_mode, p_rho, rep_denom, *repulsion,
-                       gamma, p_lab, p_con, p_ord, eps)
+    p_con = _ptr("constraint", constraint, _I64, n)
+    args = _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
+                       rep_denom, rep_indptr, rep_indices, rep_weights)
+    bitgen = rng.bit_generator
+    draw = bitgen.ctypes
+    with bitgen.lock:
+        moves = _LIB.sweep(*args, gamma, p_lab, p_con, max_sweeps, EPSILON,
+                           draw.state_address, draw.next_uint32,
+                           draw.next_uint64)
     if moves < 0:
-        raise MemoryError("sweep could not allocate its scratch arrays")
+        _raise(moves, args, f"labels out of range [0, {n})")
     return moves
 
 
@@ -407,11 +448,11 @@ _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
     energy_components = _energy_components
-    sweep = _sweep
+    sweep = _local_move
 else:
     BACKEND = "c"
     energy_components = _energy_components_c
-    sweep = _sweep_c
+    sweep = _local_move_c
 
 # Always False: numba is no longer a backend.  perfbench/worker.py still
 # reads this name to label its results, so it stays until the benchmark

@@ -17,7 +17,6 @@ from . import kernels
 
 MAX_LEVELS = 32
 MAX_SWEEPS_PER_LEVEL = 100  # the final polish may run ten times as many
-EPSILON = 1e-12  # a move must lower H by more than this to be taken
 
 
 @dataclass(frozen=True)
@@ -46,18 +45,11 @@ class AggregateGraph:
 
 def _run_sweeps(graph, labels, gamma, constraint, rng, max_sweeps):
     """Local moving until a full pass accepts no move. Returns total moves."""
-    total = 0
-    for _ in range(max_sweeps):
-        order = rng.permutation(graph.n).astype(np.int64)
-        moves = kernels.sweep(
-            graph.indptr, graph.indices, graph.weights,
-            graph.rep_mode, graph.rep_strength, graph.rep_denom,
-            graph.rep_indptr, graph.rep_indices, graph.rep_weights,
-            float(gamma), labels, constraint, order, EPSILON)
-        total += int(moves)
-        if moves == 0:
-            break
-    return total
+    return kernels.sweep(
+        graph.indptr, graph.indices, graph.weights,
+        graph.rep_mode, graph.rep_strength, graph.rep_denom,
+        graph.rep_indptr, graph.rep_indices, graph.rep_weights,
+        float(gamma), labels, constraint, rng, max_sweeps)
 
 
 def _collapse(labels, k, indptr, indices, weights):
@@ -82,17 +74,15 @@ def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
     internal, rows, cols, w_agg = _collapse(
         labels, k, graph.indptr, graph.indices, graph.weights)
     const_h_a = -internal
-    strengths = np.zeros(k)
-    np.add.at(strengths, labels, graph.strengths)
-    sizes = np.zeros(k)
-    np.add.at(sizes, labels, graph.node_sizes)
+    # bincount adds each cluster's members in item order, as np.add.at did
+    strengths = np.bincount(labels, weights=graph.strengths, minlength=k)
+    sizes = np.bincount(labels, weights=graph.node_sizes, minlength=k)
     indptr, indices, weights = _csr_from_pairs(k, rows, cols, w_agg)
     kwargs = {}
     if graph.rep_mode == kernels.REP_PRODUCT:
-        rho = np.zeros(k)
-        np.add.at(rho, labels, graph.rep_strength)
-        rho_sq = np.zeros(k)
-        np.add.at(rho_sq, labels, graph.rep_strength ** 2)
+        rho = np.bincount(labels, weights=graph.rep_strength, minlength=k)
+        rho_sq = np.bincount(labels, weights=graph.rep_strength ** 2,
+                             minlength=k)
         const_h_r = float(np.sum(rho ** 2 - rho_sq)) / (2.0 * graph.rep_denom)
         rep_strength = rho
     else:
@@ -126,7 +116,7 @@ def optimize(graph: AffinityGraph, gamma: float,
         for attempt in range(opts.restarts):
             labels, energy = optimize(
                 graph, gamma, OptimizeOptions(seed=opts.seed + attempt))
-            if best is None or energy.total < best[1].total - EPSILON:
+            if best is None or energy.total < best[1].total - kernels.EPSILON:
                 best = (labels, energy)
         return best
     rng = np.random.default_rng(np.random.PCG64(opts.seed))

@@ -200,6 +200,23 @@ def test_config_file_bad_value(data_dir, tmp_path, capsys):
                         capsys, str(cfg), "k = 'abc'")
 
 
+def test_config_file_value_outside_choices(data_dir, tmp_path, capsys):
+    part = tmp_path / "pred.json"
+    part.write_text(json.dumps({"labels": [0] * 40 + [1] * 40}))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("align = bogus\n")
+    _assert_input_error(["eval", "--pred", str(part),
+                         "--truth", str(data_dir / "truth.csv"),
+                         "--config", str(cfg), "--out", str(tmp_path / "o.json")],
+                        capsys, str(cfg), "align = 'bogus'", "rms, none")
+    # a value among the choices is taken as the flag would be
+    cfg.write_text("align = none\n")
+    out = tmp_path / "m.json"
+    assert main(["eval", "--pred", str(part), "--truth", str(data_dir / "truth.csv"),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["metadata"]["params"]["align"] == "none"
+
+
 def test_config_file_defaults_and_flag_override(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 8\ngamma = 0.5\n# comment\n")
@@ -254,3 +271,14 @@ def test_rms_align_imports_scipy_optimize():
             "from confres.evaluation import ContingencyTable, rms_align\n"
             "rms_align(ContingencyTable(np.array([[3, 1], [0, 4]])))")
     assert _modules_loaded_after(code, ["scipy.optimize"]) == ["scipy.optimize"]
+
+
+def test_eval_align_none_does_not_import_scipy_optimize(data_dir, tmp_path):
+    part = tmp_path / "pred.json"
+    part.write_text(json.dumps({"labels": [0] * 40 + [1] * 40}))
+    code = (
+        "from confres.cli import main\n"
+        f"assert main(['eval', '--pred', {str(part)!r},"
+        f" '--truth', {str(data_dir / 'truth.csv')!r}, '--align', 'none',"
+        f" '--out', {str(tmp_path / 'm.json')!r}]) == 0")
+    assert _modules_loaded_after(code, ["scipy.optimize"]) == []

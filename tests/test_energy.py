@@ -97,6 +97,25 @@ class TestCanonicalize:
     def test_first_occurrence_order(self):
         assert canonicalize([7, 3, 7, 1]).tolist() == [0, 1, 0, 2]
 
+    @staticmethod
+    def _first_occurrence(labels):
+        ids = {}
+        return np.array([ids.setdefault(c, len(ids)) for c in labels.tolist()],
+                        dtype=np.int64)
+
+    def test_matches_first_occurrence_loop(self, rng):
+        # labels in [0, n) take the O(n) path, others the sorting one
+        for trial in range(200):
+            n = int(rng.integers(1, 40))
+            lo, hi = ((0, n), (0, 3), (-5, n), (0, 10 * n + 1))[trial % 4]
+            labels = rng.integers(lo, hi, n)
+            got = canonicalize(labels)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, self._first_occurrence(labels))
+
+    def test_empty(self):
+        assert canonicalize(np.empty(0, dtype=np.int64)).shape == (0,)
+
     def test_idempotent(self, rng):
         labels = rng.integers(0, 5, 20)
         once = canonicalize(labels)

@@ -156,6 +156,34 @@ class TestKdTreeAgainstDenseOracle:
         assert peak < 64 * 2**20
 
 
+    def test_identical_group_memory_is_chunked(self):
+        # 2000 identical points widen their queries past the group size;
+        # ranked all at once, the candidate arrays took 330 MiB here
+        rng = np.random.default_rng(3)
+        pts = rng.integers(0, 1000, (4000, 2))
+        pts[1000:3000] = pts[1000]
+        tracemalloc.start()
+        try:
+            g = build_knn_graph(pts.astype(float), k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        # dense oracle in row blocks; integer coordinates keep every squared
+        # distance exact, so ranking by it is ranking by distance
+        n, pairs = len(pts), set()
+        for lo in range(0, n, 250):
+            rows = np.arange(lo, min(lo + 250, n))
+            sq = ((pts[rows, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+            sq[np.arange(len(rows)), rows] = np.iinfo(np.int64).max
+            ties = np.broadcast_to(np.arange(n), sq.shape)
+            for i, near in zip(rows, np.lexsort((ties, sq), axis=-1)[:, :10]):
+                pairs.update((min(i, j), max(i, j)) for j in near.tolist())
+        edges = np.array(sorted(pairs))
+        assert np.array_equal(g.edges, edges)
+        diff = pts[edges[:, 0]] - pts[edges[:, 1]]
+        assert np.array_equal(g.distances, np.sqrt((diff ** 2).sum(axis=1)))
+
 # integer coordinates, so every squared distance is exact: two duplicate
 # pairs, and four points equidistant from the origin and from each other
 TIE_POINTS = np.array([[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [0, 0],
@@ -263,6 +291,44 @@ class TestDeriveAffinity:
         r = g.repulsion_dense()
         assert r[1, 2] == pytest.approx(0.7)
         assert r[0, 1] == 0.0
+
+
+def _lexsort_csr(n, rows, cols, vals):
+    """Both-direction CSR by sorting every (row, col) entry outright."""
+    ii = np.concatenate([rows, cols])
+    jj = np.concatenate([cols, rows])
+    vv = np.concatenate([vals, vals])
+    order = np.lexsort((jj, ii))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, ii + 1, 1)
+    return np.cumsum(indptr), jj[order], vv[order]
+
+
+class TestCsrFromPairs:
+    def _check(self, n, rows, cols, vals):
+        got = graph_mod._csr_from_pairs(n, rows, cols, vals)
+        want = _lexsort_csr(n, rows, cols, vals)
+        for g, w, dtype in zip(got, want, (np.int64, np.int64, np.float64)):
+            assert g.dtype == dtype
+            assert np.array_equal(g, w)
+
+    def test_random_pairs_match_lexsort(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(2, 60))
+            rows, cols = np.triu_indices(n, 1)  # sorted unique, row < col
+            keep = rng.random(len(rows)) < rng.random()
+            rows, cols = rows[keep].astype(np.int64), cols[keep].astype(np.int64)
+            self._check(n, rows, cols, rng.random(len(rows)))
+
+    def test_isolated_rows(self):
+        # rows 0, 2 and 5 have no pair
+        rows = np.array([1, 1, 3], dtype=np.int64)
+        cols = np.array([3, 4, 4], dtype=np.int64)
+        self._check(6, rows, cols, np.array([0.5, 0.25, 2.0]))
+
+    def test_single_item(self):
+        empty = np.empty(0, dtype=np.int64)
+        self._check(1, empty, empty, np.empty(0))
 
 
 class TestFromEdgeList:

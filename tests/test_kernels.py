@@ -41,6 +41,8 @@ def test_energy_components_backends_agree(rng):
 
 @needs_cc
 def test_sweep_backends_agree(rng):
+    # the C loop draws each pass's order as rng.permutation does: same
+    # labels, same move count, same generator state afterwards
     assert kernels.BACKEND == "c"
     for trial in range(80):
         graph = random_affinity(rng, scheme=SCHEMES[trial % 2])
@@ -49,19 +51,23 @@ def test_sweep_backends_agree(rng):
         else:
             labels_a = rng.integers(0, graph.n, graph.n).astype(np.int64)
         labels_b = labels_a.copy()
-        order = np.asarray(rng.permutation(graph.n), dtype=np.int64)
         if trial % 8 < 4:
             constraint = np.zeros(graph.n, dtype=np.int64)
         else:
             constraint = rng.integers(0, 2, graph.n).astype(np.int64)
         args = _kernel_args(graph)
         gamma = float(rng.random() * 2)
-        moved_a = kernels.sweep(*args[:3], *args[3:], gamma, labels_a,
-                                constraint, order, 1e-12)
-        moved_b = kernels.sweep_py(*args[:3], *args[3:], gamma, labels_b,
-                                   constraint, order, 1e-12)
+        max_sweeps = (1, 2, 100)[trial % 3]
+        seed = int(rng.integers(2 ** 32))
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        moved_a = kernels.sweep(*args, gamma, labels_a, constraint,
+                                rng_a, max_sweeps)
+        moved_b = kernels.sweep_py(*args, gamma, labels_b, constraint,
+                                   rng_b, max_sweeps)
         assert moved_a == moved_b
+        assert type(moved_a) is int
         assert np.array_equal(labels_a, labels_b)
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 @needs_cc
@@ -69,13 +75,33 @@ def test_compiled_sweep_rejects_out_of_range_label(rng):
     assert kernels.BACKEND == "c"
     graph = random_affinity(rng)
     args = _kernel_args(graph)
-    order = np.arange(graph.n, dtype=np.int64)
     constraint = np.zeros(graph.n, dtype=np.int64)
     for sweep in (kernels.sweep, kernels.sweep_py):
         labels = np.arange(graph.n, dtype=np.int64)
         labels[0] = graph.n
         with pytest.raises(IndexError):
-            sweep(*args, 1.0, labels, constraint, order, 1e-12)
+            sweep(*args, 1.0, labels, constraint, np.random.default_rng(0), 1)
+
+
+@needs_cc
+def test_compiled_kernels_reject_out_of_range_csr(rng):
+    # the range checks run in C before any indexed read, and leave the
+    # labels and the generator untouched
+    graph = random_affinity(rng, scheme="explicit")
+    constraint = np.zeros(graph.n, dtype=np.int64)
+    for position, value in ((0, -1), (1, graph.n), (6, -1), (7, graph.n)):
+        args = list(_kernel_args(graph))
+        args[position] = args[position].copy()
+        args[position][-1] = value
+        labels = np.arange(graph.n, dtype=np.int64)
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(IndexError, match="out of range"):
+            kernels.sweep(*args, 1.0, labels, constraint, gen, 5)
+        assert np.array_equal(labels, np.arange(graph.n))
+        assert gen.bit_generator.state == before
+        with pytest.raises(IndexError, match="out of range"):
+            kernels.energy_components(*args[:3], labels, *args[3:])
 
 
 def test_backend_flag_disables_compilation():

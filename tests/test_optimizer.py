@@ -30,15 +30,15 @@ def _connected_components(graph):
 
 
 def _sweep(graph, labels, gamma, seed):
-    """One unconstrained `kernels.sweep` pass in a seeded item order;
-    returns (canonical labels, moves)."""
+    """One unconstrained `kernels.sweep` pass in a seeded item order
+    (`default_rng(seed).permutation`); returns (canonical labels, moves)."""
     labels = np.array(labels, dtype=np.int64)
-    order = np.random.default_rng(seed).permutation(graph.n).astype(np.int64)
     moves = kernels.sweep(
         graph.indptr, graph.indices, graph.weights,
         graph.rep_mode, graph.rep_strength, graph.rep_denom,
         graph.rep_indptr, graph.rep_indices, graph.rep_weights,
-        gamma, labels, np.zeros(graph.n, dtype=np.int64), order, 1e-12)
+        gamma, labels, np.zeros(graph.n, dtype=np.int64),
+        np.random.default_rng(seed), 1)
     return canonicalize(labels), moves
 
 
