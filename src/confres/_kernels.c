@@ -1,12 +1,12 @@
-/* C port of the local-move kernels in kernels.py.
+/* C port of the local-moving phase in kernels.py.
  *
- * Each function follows its Python reference (_energy_components, and
- * _local_move with its inner pass _sweep) operation for operation, in the
- * same order, so that every float result is bit-identical.  That holds
- * only when the compiler keeps IEEE double semantics: build with
- * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
+ * `sweep` follows its Python reference (_local_move, with its inner pass
+ * _sweep) operation for operation, in the same order, so that every float
+ * result is bit-identical.  That holds only when the compiler keeps IEEE
+ * double semantics: build with -ffp-contract=off (no fused multiply-add)
+ * and never with -ffast-math.
  *
- * The callers in kernels.py check dtypes, contiguity and lengths.  The
+ * The caller in kernels.py checks dtypes, contiguity and lengths.  The
  * range of every value used as an index is checked here, in one scan
  * before any indexed read; a failed check returns one of the ERR_ codes
  * below and leaves every argument untouched.
@@ -60,71 +60,6 @@ static int64_t check_graph(const graph_t *g, int64_t m, int64_t rep_m)
     if (!err && g->rep_mode == REP_EXPLICIT)
         err = check_range(g->rep_indices, rep_m, g->n, ERR_REP_INDICES);
     return err;
-}
-
-/* (h_a, h_r) of a labelling into out[0], out[1].  Returns 0, or an ERR_
- * code.  Product-form repulsion sums rep_strength per label value, so it
- * needs labels >= 0. */
-int64_t energy_components(int64_t n, const int64_t *indptr,
-                          const int64_t *indices, int64_t m,
-                          const double *weights, const int64_t *labels,
-                          int64_t rep_mode, const double *rep_strength,
-                          double rep_denom, const int64_t *rep_indptr,
-                          const int64_t *rep_indices, int64_t rep_m,
-                          const double *rep_weights, double *out)
-{
-    graph_t g = {n, indptr, indices, weights, rep_mode, rep_strength,
-                 rep_denom, rep_indptr, rep_indices, rep_weights};
-    int64_t err = check_graph(&g, m, rep_m);
-    if (err)
-        return err;
-    int64_t k = 0;
-    if (rep_mode == REP_PRODUCT) {
-        for (int64_t i = 0; i < n; i++) {
-            if (labels[i] < 0)
-                return ERR_LABELS;
-            if (labels[i] > k)
-                k = labels[i];
-        }
-    }
-    double h_a = 0.0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t ci = labels[i];
-        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
-            int64_t j = indices[e];
-            if (j > i && labels[j] == ci)
-                h_a -= weights[e];
-        }
-    }
-    double h_r = 0.0;
-    if (rep_mode == REP_PRODUCT) {
-        double *sums = calloc((size_t)k + 1, sizeof(double));
-        if (!sums)
-            return ERR_NOMEM;
-        double sq = 0.0;
-        for (int64_t i = 0; i < n; i++) {
-            double rho = rep_strength[i];
-            sums[labels[i]] += rho;
-            sq += rho * rho;
-        }
-        double tot = 0.0;
-        for (int64_t c = 0; c < k + 1; c++)
-            tot += sums[c] * sums[c];
-        free(sums);
-        h_r = (tot - sq) / (2.0 * rep_denom);
-    } else {
-        for (int64_t i = 0; i < n; i++) {
-            int64_t ci = labels[i];
-            for (int64_t e = rep_indptr[i]; e < rep_indptr[i + 1]; e++) {
-                int64_t j = rep_indices[e];
-                if (j > i && labels[j] == ci)
-                    h_r += rep_weights[e];
-            }
-        }
-    }
-    out[0] = h_a;
-    out[1] = h_r;
-    return 0;
 }
 
 /* numpy's bit generator, reached through Generator.bit_generator.ctypes. */

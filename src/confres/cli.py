@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, kernels
-from .cognition import (HierarchySpec, run_evolution_experiment,
+from .cognition import (HierarchySpec, novelty_spec, run_evolution_experiment,
                         run_hierarchy_experiment, run_novelty_experiment)
 from .errors import ConfresError, InputError
 from .evaluation import (accuracy, ari, contingency, nmi, rms_align, v_measure)
@@ -188,15 +188,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    spec = HierarchySpec(seed=args.seed) if args.kind == "hierarchy" else None
     params = {"command": "experiment", "kind": args.kind, "seed": args.seed}
+    if args.kind != "hierarchy":  # the hierarchy experiment has no fraction
+        params["fraction"] = args.fraction if args.kind == "novelty" else None
     if args.kind == "hierarchy":
-        report = run_hierarchy_experiment(spec)
+        report = run_hierarchy_experiment(HierarchySpec(seed=args.seed))
     elif args.kind == "novelty":
-        from .cognition import novelty_spec
         report = run_novelty_experiment(novelty_spec(args.seed),
                                         fraction=args.fraction)
-    elif args.kind == "evolve":
+    else:  # evolve: argparse restricts kind to these three
         trace = run_evolution_experiment(seed=args.seed)
         report = {
             "timesteps": trace.timesteps,
@@ -205,11 +205,6 @@ def cmd_experiment(args) -> int:
             "events": [[int(t), kind, list(map(int, ids))]
                        for t, kind, ids in trace.events],
         }
-        params["fraction"] = None
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown experiment {args.kind!r}")
-    if args.kind == "novelty":
-        params["fraction"] = args.fraction
     payload = {"report": report, "metadata": _metadata(params, {})}
     _write_json(args.out, payload)
     return EXIT_OK

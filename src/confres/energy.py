@@ -78,17 +78,35 @@ def hamiltonian(graph: AffinityGraph, labels, gamma: float) -> EnergySummary:
 
 def move_delta(graph: AffinityGraph, labels, item: int, target: int,
                gamma: float) -> float:
-    """H(after moving item to target) - H(before); target = K opens a new cluster."""
+    """H(after moving item to target) - H(before); target = K opens a new cluster.
+
+    Edges are read only from the item's own CSR rows; product-form
+    repulsion also sums rep_strength over its two clusters.
+    """
     labels = _check(graph, labels, gamma)
     if not 0 <= item < graph.n:
         raise InputError(f"item {item} out of range")
     k = cluster_count(labels)
     if not 0 <= target <= k:
         raise InputError(f"target {target} out of range [0, {k}]")
-    cluster_rho = np.zeros(k)
-    np.add.at(cluster_rho, labels, graph.rep_strength)
-    return float(kernels.move_delta(
-        graph.indptr, graph.indices, graph.weights,
-        graph.rep_mode, graph.rep_strength, graph.rep_denom,
-        graph.rep_indptr, graph.rep_indices, graph.rep_weights,
-        float(gamma), labels, cluster_rho, item, target))
+    current = labels[item]
+    if target == current:
+        return 0.0
+
+    def gain(indptr, indices, weights):
+        # weight from item to the target cluster minus that to its own
+        row = slice(indptr[item], indptr[item + 1])
+        others = indices[row] != item
+        to = labels[indices[row][others]]
+        w = weights[row][others]
+        return np.sum(w[to == target]) - np.sum(w[to == current])
+
+    if graph.rep_mode == kernels.REP_PRODUCT:
+        rho = graph.rep_strength
+        repulsion = rho[item] * (
+            np.sum(rho[labels == target])
+            - (np.sum(rho[labels == current]) - rho[item])) / graph.rep_denom
+    else:
+        repulsion = gain(graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+    return float(gamma * repulsion
+                 - gain(graph.indptr, graph.indices, graph.weights))

@@ -45,14 +45,11 @@ class AffinityGraph:
     repulsion_scheme: str
     rep_strength: np.ndarray     # rho_i for the product form
     rep_denom: float
-    node_sizes: np.ndarray = field(default=None)
     rep_indptr: np.ndarray = field(default=None)
     rep_indices: np.ndarray = field(default=None)
     rep_weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.node_sizes is None:
-            object.__setattr__(self, "node_sizes", np.ones(self.n))
         if self.rep_indptr is None:
             object.__setattr__(self, "rep_indptr", np.zeros(self.n + 1, dtype=np.int64))
             object.__setattr__(self, "rep_indices", _EMPTY_I)

@@ -1,26 +1,22 @@
-"""Hot inner loops for energy evaluation and local moving.
+"""Inner loops for energy evaluation and local moving, on flat CSR arrays.
 
-All kernels operate on flat CSR arrays.  The functions defined here in
-Python are the reference implementation.  `_kernels.c` ports the hot ones
-operation for operation: `_energy_components`, and `_local_move`, one
-local-moving phase, with its inner pass `_sweep`.  The C phase runs every
-pass in one call and draws each pass's item order from the caller's numpy
-Generator through its bit generator's ctypes interface, replaying
-`rng.permutation` (numpy's Fisher-Yates shuffle over `random_interval`), so
-labels, move counts and the generator's state afterwards match the Python
-loop exactly.  On first import the C file is compiled with the system C
-compiler (`cc`, else `gcc`) into a per-user cache directory, keyed by the
-source, the compiler flags and the machine type, and loaded with ctypes;
-`energy_components` and `sweep` then call it.  Without a compiler, when
-the build fails, or with CONFRES_DISABLE_COMPILED=1 they are the Python
-reference itself (identical results, much slower).  A failed build is
-remembered by a marker file beside the cache entry, so later imports do
-not run the compiler again.  `BACKEND` names the one in use, "c" or
-"python".
-`move_delta`, a single-item query that only `energy.move_delta` calls, has
-no C port.  tests/test_kernels.py checks that the two backends agree bit
-for bit; to time the Python reference, run perfbench/run.py with
-CONFRES_DISABLE_COMPILED=1.
+`energy_components` is vectorised numpy on every backend; each of its sums
+adds left to right, so it returns the floats a plain loop over the edges
+returns.  Local moving is the one loop compiled: the Python `_local_move`
+(passes of `_sweep`) is the reference, and `_kernels.c` ports it operation
+for operation as `sweep`.  The C phase runs every pass in one call and
+draws each pass's order from the caller's numpy Generator through its bit
+generator's ctypes interface, replaying `rng.permutation` (Fisher-Yates
+over `random_interval`), so labels, move counts and the generator's state
+afterwards match the Python loop exactly.  On first import the C file is
+compiled with `cc` (else `gcc`) into a per-user cache, keyed by source,
+flags and machine type, and loaded with ctypes.  Without a compiler, when
+the build fails, or with CONFRES_DISABLE_COMPILED=1, `sweep` is the Python
+reference (identical results, much slower).  A failed build leaves a
+marker file beside the cache entry, so later imports do not run the
+compiler again.  `BACKEND` names the sweep in use, "c" or "python".
+tests/test_kernels.py checks that the two agree bit for bit; to time the
+Python reference, run perfbench/run.py with CONFRES_DISABLE_COMPILED=1.
 """
 
 import ctypes
@@ -40,48 +36,100 @@ REP_EXPLICIT = 1  # w-_ij given as a sparse CSR map
 
 EPSILON = 1e-12  # a move must lower H by more than this to be taken
 
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
 
-def _energy_components(indptr, indices, weights, labels,
-                       rep_mode, rep_strength, rep_denom,
-                       rep_indptr, rep_indices, rep_weights):
+
+def _check_array(name, arr, dtype, length=None):
+    """Raise ValueError unless `arr` is a C-contiguous 1-D `dtype` array,
+    of `length` items when given."""
+    if (not isinstance(arr, np.ndarray) or arr.dtype != dtype
+            or arr.ndim != 1 or not arr.flags.c_contiguous):
+        raise ValueError(f"{name} must be a C-contiguous 1-D {dtype} array")
+    if length is not None and arr.shape[0] != length:
+        raise ValueError(f"{name} has length {arr.shape[0]}, expected {length}")
+
+
+def _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
+                 rep_denom, rep_indptr, rep_indices, rep_weights):
+    """Raise ValueError unless the graph arrays have the dtypes, layout
+    and lengths the kernels read."""
+    if rep_mode not in (REP_PRODUCT, REP_EXPLICIT):
+        raise ValueError(f"unknown repulsion mode {rep_mode!r}")
+    _check_array("rep_strength", rep_strength, _F64, n)
+    csrs = [("", indptr, indices, weights)]
+    if rep_mode == REP_EXPLICIT:
+        csrs.append(("rep_", rep_indptr, rep_indices, rep_weights))
+    for prefix, ptr, idx, w in csrs:
+        _check_array(f"{prefix}indptr", ptr, _I64, n + 1)
+        _check_array(f"{prefix}indices", idx, _I64)
+        _check_array(f"{prefix}weights", w, _F64, idx.shape[0])
+
+
+def _out_of_range(name, hi):
+    return IndexError(f"{name} out of range [0, {hi})")
+
+
+def _check_range(name, values, hi):
+    if values.shape[0] and (values.min() < 0 or values.max() >= hi):
+        raise _out_of_range(name, hi)
+
+
+def _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices):
+    """Raise IndexError unless every CSR value used as an index is in
+    range, checked in the order the C sweep checks them."""
+    _check_range("indptr", indptr, indices.shape[0] + 1)
+    _check_range("indices", indices, n)
+    if rep_mode == REP_EXPLICIT:
+        _check_range("rep_indptr", rep_indptr, rep_indices.shape[0] + 1)
+        _check_range("rep_indices", rep_indices, n)
+
+
+def _loop_sum(values):
+    """0.0 + values[0] + values[1] + ..., added left to right as a loop
+    adds (np.sum adds pairwise, which rounds differently).  cumsum starts
+    from values[0], which differs from a start at 0.0 only in the sign of
+    a zero; the final 0.0 + makes that +0.0, as the loop does."""
+    sums = np.cumsum(values)
+    return 0.0 + sums[-1] if sums.shape[0] else 0.0
+
+
+def _internal(indptr, indices, weights, labels):
+    """Weights of the CSR entries (i, j) with j > i and equal labels, in
+    CSR order."""
+    rows = np.repeat(np.arange(labels.shape[0]), np.diff(indptr))
+    cols = indices[indptr[0]:indptr[-1]]
+    same = (cols > rows) & (labels[rows] == labels[cols])
+    return weights[indptr[0]:indptr[-1]][same]
+
+
+def energy_components(indptr, indices, weights, labels,
+                      rep_mode, rep_strength, rep_denom,
+                      rep_indptr, rep_indices, rep_weights):
     """Return (h_a, h_r) for a labelling over CSR attraction edges.
 
     h_a = -sum of within-cluster attraction, h_r = sum of within-cluster
     repulsion.  Attraction CSR stores both edge directions; pairs are
-    counted once via j > i.
+    counted once via j > i.  Every sum is the float a loop from 0.0 gives,
+    adding in CSR (or item, or label) order.  Product-form repulsion sums
+    rep_strength per label value, so it needs labels >= 0.
     """
+    _check_array("labels", labels, _I64)
     n = labels.shape[0]
-    h_a = 0.0
-    for i in range(n):
-        ci = labels[i]
-        for e in range(indptr[i], indptr[i + 1]):
-            j = indices[e]
-            if j > i and labels[j] == ci:
-                h_a -= weights[e]
-    h_r = 0.0
+    _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
+                 rep_denom, rep_indptr, rep_indices, rep_weights)
+    _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
+    if rep_mode == REP_PRODUCT and n and labels.min() < 0:
+        raise IndexError("labels must be >= 0")
+    h_a = _loop_sum(-_internal(indptr, indices, weights, labels))
     if rep_mode == REP_PRODUCT:
-        k = 0
-        for i in range(n):
-            if labels[i] > k:
-                k = labels[i]
-        sums = np.zeros(k + 1)
-        sq = 0.0
-        for i in range(n):
-            rho = rep_strength[i]
-            sums[labels[i]] += rho
-            sq += rho * rho
-        tot = 0.0
-        for c in range(k + 1):
-            tot += sums[c] * sums[c]
-        h_r = (tot - sq) / (2.0 * rep_denom)
+        # bincount adds each label's strengths in item order
+        sums = np.bincount(labels, weights=rep_strength, minlength=1)
+        h_r = ((_loop_sum(sums * sums) - _loop_sum(rep_strength * rep_strength))
+               / (2.0 * rep_denom))
     else:
-        for i in range(n):
-            ci = labels[i]
-            for e in range(rep_indptr[i], rep_indptr[i + 1]):
-                j = rep_indices[e]
-                if j > i and labels[j] == ci:
-                    h_r += rep_weights[e]
-    return h_a, h_r
+        h_r = _loop_sum(_internal(rep_indptr, rep_indices, rep_weights, labels))
+    return float(h_a), float(h_r)
 
 
 def _sweep(indptr, indices, weights,
@@ -193,11 +241,15 @@ def _local_move(indptr, indices, weights,
 
     Runs `_sweep` passes, each in a fresh `rng.permutation` of the items,
     until a pass accepts no move or `max_sweeps` passes have run.  Returns
-    the total number of accepted moves.
+    the total number of accepted moves.  Raises IndexError, before any
+    label moves or any number is drawn, where the C sweep does.
     """
+    n = labels.shape[0]
+    _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
+    _check_range("labels", labels, n)
     total = 0
     for _ in range(max_sweeps):
-        order = rng.permutation(labels.shape[0])
+        order = rng.permutation(n)
         moves = _sweep(indptr, indices, weights,
                        rep_mode, rep_strength, rep_denom,
                        rep_indptr, rep_indices, rep_weights,
@@ -208,61 +260,8 @@ def _local_move(indptr, indices, weights,
     return total
 
 
-def move_delta(indptr, indices, weights,
-               rep_mode, rep_strength, rep_denom,
-               rep_indptr, rep_indices, rep_weights,
-               gamma, labels, cluster_rho, item, target):
-    """Energy change of moving one item to `target` (degree-local).
-
-    `cluster_rho[c]` holds the per-cluster sum of rep_strength (the one
-    strength lookup needed for product-form repulsion).  `target` may be
-    an existing cluster id or K (one past the maximum label) to open a
-    new cluster.
-    """
-    ci = labels[item]
-    w_cur = 0.0
-    w_tgt = 0.0
-    for e in range(indptr[item], indptr[item + 1]):
-        j = indices[e]
-        if j == item:
-            continue
-        cj = labels[j]
-        if cj == ci:
-            w_cur += weights[e]
-        if cj == target:
-            w_tgt += weights[e]
-    rho = rep_strength[item]
-    if rep_mode == REP_PRODUCT:
-        rs_cur = cluster_rho[ci] - rho
-        rs_tgt = 0.0
-        if target < cluster_rho.shape[0]:
-            rs_tgt = cluster_rho[target]
-            if target == ci:
-                rs_tgt -= rho
-        r_cur = rho * rs_cur / rep_denom
-        r_tgt = rho * rs_tgt / rep_denom
-    else:
-        r_cur = 0.0
-        r_tgt = 0.0
-        for e in range(rep_indptr[item], rep_indptr[item + 1]):
-            j = rep_indices[e]
-            if j == item:
-                continue
-            cj = labels[j]
-            if cj == ci:
-                r_cur += rep_weights[e]
-            if cj == target:
-                r_tgt += rep_weights[e]
-    g_cur = -w_cur + gamma * r_cur
-    g_tgt = -w_tgt + gamma * r_tgt
-    if target == ci:
-        return 0.0
-    return g_tgt - g_cur
-
-
-# Uncompiled references: the fallback path and the oracle the C port is
+# Uncompiled reference: the fallback path and the oracle the C port is
 # tested against.
-energy_components_py = _energy_components
 sweep_py = _local_move
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
@@ -344,114 +343,66 @@ def _load_library():
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     # n, then CSR (indptr, indices, m, weights), the repulsion model and
-    # its CSR, as _graph_args orders them
+    # its CSR, as _local_move_c orders them
     graph = [i64, ptr, ptr, i64, ptr, i64, ptr, f64, ptr, ptr, i64, ptr]
-    lib.energy_components.argtypes = graph[:5] + [ptr] + graph[5:] + [ptr]
-    lib.energy_components.restype = i64
     lib.sweep.argtypes = graph + [f64, ptr, ptr, i64, f64, ptr, ptr, ptr]
     lib.sweep.restype = i64
     return lib
 
 
-# Every pointer handed to C is checked here first: dtype, C-contiguity and
-# length of each array.  The C entry points check the range of every value
-# used as an index, in one scan before any indexed read, and return a
-# negative status when one is out of range; `_raise` maps it to the
-# exception.
+# Every pointer handed to C is checked first: dtype, C-contiguity and
+# length of each array.  The C sweep checks the range of every value used
+# as an index, in one scan before any indexed read, and returns a negative
+# status when one is out of range; `_raise` maps it to the exception.
 
-_I64 = np.dtype(np.int64)
-_F64 = np.dtype(np.float64)
-
-
-def _ptr(name, arr, dtype, length=None):
-    if (not isinstance(arr, np.ndarray) or arr.dtype != dtype
-            or arr.ndim != 1 or not arr.flags.c_contiguous):
-        raise ValueError(f"{name} must be a C-contiguous 1-D {dtype} array")
-    if length is not None and arr.shape[0] != length:
-        raise ValueError(f"{name} has length {arr.shape[0]}, expected {length}")
-    return arr.ctypes.data
-
-
-def _csr_args(prefix, n, indptr, indices, weights):
-    p_ptr = _ptr(f"{prefix}indptr", indptr, _I64, n + 1)
-    p_idx = _ptr(f"{prefix}indices", indices, _I64)
-    m = indices.shape[0]
-    return p_ptr, p_idx, m, _ptr(f"{prefix}weights", weights, _F64, m)
-
-
-def _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
-                rep_denom, rep_indptr, rep_indices, rep_weights):
-    """The graph arguments every C kernel takes, in C order."""
-    if rep_mode not in (REP_PRODUCT, REP_EXPLICIT):
-        raise ValueError(f"unknown repulsion mode {rep_mode!r}")
-    attraction = _csr_args("", n, indptr, indices, weights)
-    p_rho = _ptr("rep_strength", rep_strength, _F64, n)
-    repulsion = (None, None, 0, None)  # never read for product-form repulsion
-    if rep_mode == REP_EXPLICIT:
-        repulsion = _csr_args("rep_", n, rep_indptr, rep_indices, rep_weights)
-    return (n, *attraction, rep_mode, p_rho, rep_denom, *repulsion)
-
-
-def _raise(status, graph_args, labels_error):
+def _raise(status, graph_args):
     """Raise the error a negative C status stands for; `graph_args` are
-    the `_graph_args` the kernel was called with."""
+    the graph arguments the sweep was called with."""
+    if status == -1:
+        raise MemoryError("the C sweep could not allocate its scratch arrays")
     n, m, rep_m = graph_args[0], graph_args[3], graph_args[10]
-    errors = {
-        -1: MemoryError("the C kernels could not allocate their scratch arrays"),
-        -2: IndexError(labels_error),
-        -3: IndexError(f"indptr out of range [0, {m + 1})"),
-        -4: IndexError(f"indices out of range [0, {n})"),
-        -5: IndexError(f"rep_indptr out of range [0, {rep_m + 1})"),
-        -6: IndexError(f"rep_indices out of range [0, {n})"),
-    }
-    raise errors[status]
-
-
-def _energy_components_c(indptr, indices, weights, labels,
-                         rep_mode, rep_strength, rep_denom,
-                         rep_indptr, rep_indices, rep_weights):
-    n = labels.shape[0]
-    p_lab = _ptr("labels", labels, _I64)
-    args = _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
-                       rep_denom, rep_indptr, rep_indices, rep_weights)
-    out = np.empty(2)
-    status = _LIB.energy_components(*args[:5], p_lab, *args[5:],
-                                    out.ctypes.data)
-    if status < 0:
-        _raise(status, args, "labels must be >= 0")
-    return float(out[0]), float(out[1])
+    name, hi = {-2: ("labels", n), -3: ("indptr", m + 1),
+                -4: ("indices", n), -5: ("rep_indptr", rep_m + 1),
+                -6: ("rep_indices", n)}[status]
+    raise _out_of_range(name, hi)
 
 
 def _local_move_c(indptr, indices, weights,
                   rep_mode, rep_strength, rep_denom,
                   rep_indptr, rep_indices, rep_weights,
                   gamma, labels, constraint, rng, max_sweeps):
-    n = labels.shape[0]
-    p_lab = _ptr("labels", labels, _I64)
+    _check_array("labels", labels, _I64)
     if not labels.flags.writeable:
         raise ValueError("labels must be writable: sweep moves items in place")
-    p_con = _ptr("constraint", constraint, _I64, n)
-    args = _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
-                       rep_denom, rep_indptr, rep_indices, rep_weights)
+    n = labels.shape[0]
+    _check_array("constraint", constraint, _I64, n)
+    _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
+                 rep_denom, rep_indptr, rep_indices, rep_weights)
+    repulsion = (None, None, 0, None)  # never read for product-form repulsion
+    if rep_mode == REP_EXPLICIT:
+        repulsion = (rep_indptr.ctypes.data, rep_indices.ctypes.data,
+                     rep_indices.shape[0], rep_weights.ctypes.data)
+    args = (n, indptr.ctypes.data, indices.ctypes.data, indices.shape[0],
+            weights.ctypes.data, rep_mode, rep_strength.ctypes.data,
+            rep_denom, *repulsion)
     bitgen = rng.bit_generator
     draw = bitgen.ctypes
     with bitgen.lock:
-        moves = _LIB.sweep(*args, gamma, p_lab, p_con, max_sweeps, EPSILON,
+        moves = _LIB.sweep(*args, gamma, labels.ctypes.data,
+                           constraint.ctypes.data, max_sweeps, EPSILON,
                            draw.state_address, draw.next_uint32,
                            draw.next_uint64)
     if moves < 0:
-        _raise(moves, args, f"labels out of range [0, {n})")
+        _raise(moves, args)
     return moves
 
 
 _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
-    energy_components = _energy_components
     sweep = _local_move
 else:
     BACKEND = "c"
-    energy_components = _energy_components_c
     sweep = _local_move_c
 
 # Always False: numba is no longer a backend.  perfbench/worker.py still

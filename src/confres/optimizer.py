@@ -76,7 +76,6 @@ def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
     const_h_a = -internal
     # bincount adds each cluster's members in item order, as np.add.at did
     strengths = np.bincount(labels, weights=graph.strengths, minlength=k)
-    sizes = np.bincount(labels, weights=graph.node_sizes, minlength=k)
     indptr, indices, weights = _csr_from_pairs(k, rows, cols, w_agg)
     kwargs = {}
     if graph.rep_mode == kernels.REP_PRODUCT:
@@ -96,7 +95,7 @@ def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
         n=k, indptr=indptr, indices=indices, weights=weights,
         strengths=strengths, total_weight=float(np.sum(w_agg)),
         repulsion_scheme=graph.repulsion_scheme, rep_strength=rep_strength,
-        rep_denom=graph.rep_denom, node_sizes=sizes, **kwargs)
+        rep_denom=graph.rep_denom, **kwargs)
     return AggregateGraph(graph=coarse, mapping=labels,
                           const_h_a=const_h_a, const_h_r=const_h_r)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import cluster_count, landscape_point
+from .energy import cluster_count
 from .errors import InputError, ParameterError
 from .graph import AffinityGraph
 from .optimizer import OptimizeOptions, optimize
@@ -117,11 +117,10 @@ class _Sweep:
     def solve(self, gamma):
         if gamma in self.cache:
             return self.cache[gamma]
-        labels, _ = optimize(self.graph, gamma, self.opts)
+        labels, energy = optimize(self.graph, gamma, self.opts)
         key = labels.tobytes()
         if key not in self.partitions:
-            h_a, h_r = landscape_point(self.graph, labels)
-            self.partitions[key] = (labels, h_a, h_r)
+            self.partitions[key] = (labels, energy.h_a, energy.h_r)
         self.cache[gamma] = key
         return key
 

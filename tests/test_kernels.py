@@ -1,4 +1,5 @@
-"""The C kernels and the plain-Python reference must agree exactly."""
+"""The C sweep and the plain-Python reference must agree exactly, and the
+numpy energy must equal a plain loop over the edges bit for bit."""
 
 import os
 import shutil
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from confres import kernels
+from confres.energy import landscape_point
 from conftest import random_affinity
 
 needs_cc = pytest.mark.skipif(
@@ -26,17 +28,77 @@ def _kernel_args(graph):
             graph.rep_weights)
 
 
-@needs_cc
-def test_energy_components_backends_agree(rng):
-    assert kernels.BACKEND == "c"
-    for trial in range(40):
-        graph = random_affinity(rng, scheme=SCHEMES[trial % 2])
-        labels = rng.integers(0, 3, graph.n).astype(np.int64)
-        got = kernels.energy_components(*_kernel_args(graph)[:3], labels,
-                                        *_kernel_args(graph)[3:])
-        ref = kernels.energy_components_py(*_kernel_args(graph)[:3], labels,
-                                           *_kernel_args(graph)[3:])
-        assert got == ref
+def _energy_by_loop(graph, labels):
+    """(h_a, h_r) by one pass over the CSR entries, adding in loop order."""
+    h_a = 0.0
+    for i in range(graph.n):
+        for e in range(graph.indptr[i], graph.indptr[i + 1]):
+            j = graph.indices[e]
+            if j > i and labels[j] == labels[i]:
+                h_a -= graph.weights[e]
+    h_r = 0.0
+    if graph.rep_mode == kernels.REP_PRODUCT:
+        sums = [0.0] * (int(labels.max()) + 1)
+        sq = 0.0
+        for i in range(graph.n):
+            rho = graph.rep_strength[i]
+            sums[labels[i]] += rho
+            sq += rho * rho
+        tot = 0.0
+        for s in sums:
+            tot += s * s
+        h_r = (tot - sq) / (2.0 * graph.rep_denom)
+    else:
+        for i in range(graph.n):
+            for e in range(graph.rep_indptr[i], graph.rep_indptr[i + 1]):
+                j = graph.rep_indices[e]
+                if j > i and labels[j] == labels[i]:
+                    h_r += graph.rep_weights[e]
+    return h_a, h_r
+
+
+def test_energy_components_matches_loop_exactly(rng):
+    # bytes, not values: the sign of a zero counts too
+    def exact(pair):
+        return [np.float64(x).tobytes() for x in pair]
+
+    for trial in range(120):
+        graph = random_affinity(rng, n=int(rng.integers(2, 30)),
+                                scheme=SCHEMES[trial % 2])
+        n = graph.n
+        for labels in (rng.integers(0, 3, n), rng.integers(0, n, n),
+                       np.zeros(n), np.arange(n)):
+            labels = labels.astype(np.int64)
+            got = kernels.energy_components(*_kernel_args(graph)[:3], labels,
+                                            *_kernel_args(graph)[3:])
+            assert exact(got) == exact(_energy_by_loop(graph, labels))
+        assert exact(landscape_point(graph, np.arange(n))) == exact((0.0, 0.0))
+
+
+def test_energy_components_skips_self_loops_and_signed_zeros():
+    # a hand-built CSR over 3 items: a self-loop on item 0 (never counted),
+    # and -0.0 weights, which a loop starting at +0.0 sums to +0.0
+    indptr = np.array([0, 3, 5, 6])
+    indices = np.array([0, 1, 2, 0, 2, 1])
+    labels = np.zeros(3, dtype=np.int64)
+    for weight in (-0.0, 0.5):
+        weights = np.array([7.0, weight, -0.0, weight, -0.0, -0.0])
+        for rep_mode in (kernels.REP_PRODUCT, kernels.REP_EXPLICIT):
+            got = kernels.energy_components(
+                indptr, indices, weights, labels, rep_mode, np.ones(3), 2.0,
+                indptr, indices, weights)
+            h_r = 1.5 if rep_mode == kernels.REP_PRODUCT else 0.0 + weight
+            assert [np.float64(x).tobytes() for x in got] == [
+                np.float64(x).tobytes() for x in (0.0 - weight, h_r)]
+
+
+def test_energy_components_rejects_negative_product_label(rng):
+    graph = random_affinity(rng)
+    labels = np.zeros(graph.n, dtype=np.int64)
+    labels[1] = -1
+    with pytest.raises(IndexError, match="labels must be >= 0"):
+        kernels.energy_components(*_kernel_args(graph)[:3], labels,
+                                  *_kernel_args(graph)[3:])
 
 
 @needs_cc
@@ -77,31 +139,46 @@ def test_compiled_sweep_rejects_out_of_range_label(rng):
     args = _kernel_args(graph)
     constraint = np.zeros(graph.n, dtype=np.int64)
     for sweep in (kernels.sweep, kernels.sweep_py):
-        labels = np.arange(graph.n, dtype=np.int64)
-        labels[0] = graph.n
-        with pytest.raises(IndexError):
-            sweep(*args, 1.0, labels, constraint, np.random.default_rng(0), 1)
+        for value in (graph.n, -1):
+            labels = np.arange(graph.n, dtype=np.int64)
+            labels[0] = value
+            with pytest.raises(IndexError, match=r"labels out of range"):
+                sweep(*args, 1.0, labels, constraint,
+                      np.random.default_rng(0), 1)
 
 
 @needs_cc
 def test_compiled_kernels_reject_out_of_range_csr(rng):
-    # the range checks run in C before any indexed read, and leave the
-    # labels and the generator untouched
+    # both sweeps check ranges before any indexed read, with the same
+    # message, and leave the labels and the generator untouched
     graph = random_affinity(rng, scheme="explicit")
     constraint = np.zeros(graph.n, dtype=np.int64)
-    for position, value in ((0, -1), (1, graph.n), (6, -1), (7, graph.n)):
+    for position, value, name in ((0, -1, "indptr"), (1, graph.n, "indices"),
+                                  (6, -1, "rep_indptr"),
+                                  (7, graph.n, "rep_indices")):
         args = list(_kernel_args(graph))
         args[position] = args[position].copy()
         args[position][-1] = value
-        labels = np.arange(graph.n, dtype=np.int64)
-        gen = np.random.default_rng(0)
-        before = gen.bit_generator.state
-        with pytest.raises(IndexError, match="out of range"):
-            kernels.sweep(*args, 1.0, labels, constraint, gen, 5)
-        assert np.array_equal(labels, np.arange(graph.n))
-        assert gen.bit_generator.state == before
-        with pytest.raises(IndexError, match="out of range"):
+        for sweep in (kernels.sweep, kernels.sweep_py):
+            labels = np.arange(graph.n, dtype=np.int64)
+            gen = np.random.default_rng(0)
+            before = gen.bit_generator.state
+            with pytest.raises(IndexError, match=rf"^{name} out of range"):
+                sweep(*args, 1.0, labels, constraint, gen, 5)
+            assert np.array_equal(labels, np.arange(graph.n))
+            assert gen.bit_generator.state == before
+        with pytest.raises(IndexError, match=rf"^{name} out of range"):
             kernels.energy_components(*args[:3], labels, *args[3:])
+
+
+@needs_cc
+def test_c_source_compiles_without_warnings(tmp_path):
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    built = subprocess.run(
+        [compiler, *kernels.CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernels.so"), kernels._SOURCE],
+        capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
 
 
 def test_backend_flag_disables_compilation():
