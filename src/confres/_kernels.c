@@ -7,9 +7,10 @@
  * and never with -ffast-math.
  *
  * The caller in kernels.py checks dtypes, contiguity and lengths.  The
- * range of every value used as an index is checked here, in one scan
- * before any indexed read; a failed check returns one of the ERR_ codes
- * below and leaves every argument untouched.
+ * range of every value used as an index, and the order of each indptr,
+ * are checked here, in one scan before any indexed read; a failed check
+ * returns one of the ERR_ codes below and leaves every argument
+ * untouched.  kernels._raise maps each code to its exception.
  */
 
 #include <stdint.h>
@@ -25,6 +26,8 @@
 #define ERR_INDICES (-4)
 #define ERR_REP_INDPTR (-5)
 #define ERR_REP_INDICES (-6)
+#define ERR_INDPTR_ORDER (-7)
+#define ERR_REP_INDPTR_ORDER (-8)
 
 /* Attraction CSR (both edge directions) and the repulsion model. */
 typedef struct {
@@ -48,15 +51,32 @@ static int64_t check_range(const int64_t *a, int64_t len, int64_t hi,
     return 0;
 }
 
-/* Range of every CSR index the kernels read: indptr in [0, m], indices in
- * [0, n), for attraction and, when explicit, repulsion. */
+/* 0 when every ptr[0..len) lies in [0, hi) and none is below the one
+ * before it; else err_range if any is out of range, else err_order. */
+static int64_t check_indptr(const int64_t *ptr, int64_t len, int64_t hi,
+                            int64_t err_range, int64_t err_order)
+{
+    int64_t err = 0;
+    for (int64_t i = 0; i < len; i++) {
+        if (ptr[i] < 0 || ptr[i] >= hi)
+            return err_range;
+        if (i > 0 && ptr[i] < ptr[i - 1])
+            err = err_order;
+    }
+    return err;
+}
+
+/* Every CSR index the kernels read: indptr non-decreasing in [0, m],
+ * indices in [0, n), for attraction and, when explicit, repulsion. */
 static int64_t check_graph(const graph_t *g, int64_t m, int64_t rep_m)
 {
-    int64_t err = check_range(g->indptr, g->n + 1, m + 1, ERR_INDPTR);
+    int64_t err = check_indptr(g->indptr, g->n + 1, m + 1, ERR_INDPTR,
+                               ERR_INDPTR_ORDER);
     if (!err)
         err = check_range(g->indices, m, g->n, ERR_INDICES);
     if (!err && g->rep_mode == REP_EXPLICIT)
-        err = check_range(g->rep_indptr, g->n + 1, rep_m + 1, ERR_REP_INDPTR);
+        err = check_indptr(g->rep_indptr, g->n + 1, rep_m + 1, ERR_REP_INDPTR,
+                           ERR_REP_INDPTR_ORDER);
     if (!err && g->rep_mode == REP_EXPLICIT)
         err = check_range(g->rep_indices, rep_m, g->n, ERR_REP_INDICES);
     return err;

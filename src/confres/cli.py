@@ -109,7 +109,7 @@ def cmd_cluster(args) -> int:
     params = {"command": "cluster", "input": args.input, "k": args.k,
               "gamma": args.gamma, "seed": args.seed}
     _write_json(args.out, {
-        "labels": [int(x) for x in labels],
+        "labels": labels.tolist(),
         "energy": {"gamma": energy.gamma, "h_a": energy.h_a,
                    "h_r": energy.h_r, "total": energy.total},
         "metadata": _metadata(params, {"input": args.input}),
@@ -172,8 +172,8 @@ def cmd_eval(args) -> int:
         params, {"pred": args.pred, "truth": args.truth})
     if args.align == "rms":
         payload["alignment"] = {
-            "row_order": [int(x) for x in alignment.row_order],
-            "col_order": [int(x) for x in alignment.col_order],
+            "row_order": alignment.row_order.tolist(),
+            "col_order": alignment.col_order.tolist(),
             "splits": [[int(i), list(map(int, cols))]
                        for i, cols in alignment.splits],
             "merges": [[int(i), list(map(int, cols))]

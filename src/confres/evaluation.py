@@ -57,9 +57,9 @@ def contingency(a, b) -> ContingencyTable:
         raise InputError("labelings must be equal-length vectors")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    counts = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
-    np.add.at(counts, (ai, bi), 1)
-    return ContingencyTable(counts=counts)
+    shape = (ai.max() + 1, bi.max() + 1)
+    counts = np.bincount(ai * shape[1] + bi, minlength=shape[0] * shape[1])
+    return ContingencyTable(counts=counts.reshape(shape))
 
 
 def _comb2(x):
@@ -235,8 +235,9 @@ def item_energy_scores(graph: AffinityGraph, labels, gamma: float) -> NoveltySco
     sizes = np.bincount(labels, minlength=k)
     attr = _within_cluster_sums(graph.indptr, graph.indices, graph.weights, labels)
     if graph.rep_mode == 0:
-        cluster_rho = np.zeros(k)
-        np.add.at(cluster_rho, labels, graph.rep_strength)
+        # bincount adds each cluster's strengths in item order
+        cluster_rho = np.bincount(labels, weights=graph.rep_strength,
+                                  minlength=k)
         rep = graph.rep_strength * (cluster_rho[labels] - graph.rep_strength)
         rep = rep / graph.rep_denom
     else:

@@ -143,8 +143,14 @@ def _rank_candidates(tree, points, rows, k, m, metric, nn, nn_dist):
     # the cancellation of 1 - cos for near-parallel vectors
     dist = 0.5 * sq if metric == "cosine" else np.sqrt(sq)
     dist[cand == rows[:, None]] = np.inf
-    pick = (np.arange(len(rows))[:, None],
-            np.lexsort((cand, dist), axis=-1)[:, :k])
+    # the k nearest by (distance, index); any sort picks the same k unless
+    # the k-th and (k+1)-th distances tie, so only those rows are lexsorted
+    # (their order within the k is free: the caller reduces them to pairs)
+    order = np.argsort(dist, axis=-1)
+    ranked = np.take_along_axis(dist, order, axis=-1)
+    tie = ranked[:, k - 1] == ranked[:, k]
+    order[tie] = np.lexsort((cand[tie], dist[tie]), axis=-1)
+    pick = (np.arange(len(rows))[:, None], order[:, :k])
     nn[rows], nn_dist[rows] = cand[pick], dist[pick]
     return rest
 
@@ -199,26 +205,32 @@ def _reduce_pairs(n, i, j, w=None, mean=False):
 
 
 def _csr_from_pairs(n, rows, cols, vals):
-    """Both-direction CSR from sorted unique pairs (row < col).
+    """Both-direction CSR from unique pairs (row < col), each row's
+    columns ascending.
 
-    Row r lists its pairs with col == r (columns below r, ascending), then
-    those with row == r (columns above r, ascending), so a stable sort by
-    row alone leaves each row's columns ascending.
+    The entries (i, j) are unique, so one sort of the keys i * n + j puts
+    them in that order with any sort algorithm.
     """
     ii = np.concatenate([cols, rows])
     jj = np.concatenate([rows, cols])
     vv = np.concatenate([vals, vals])
-    order = np.argsort(ii, kind="stable")
+    order = np.argsort(ii * n + jj)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ii, minlength=n), out=indptr[1:])
     return (indptr, jj[order].astype(np.int64, copy=False),
             vv[order].astype(np.float64, copy=False))
 
 
+def _end_sums(n, rows, cols, vals):
+    """Per item, the sum of `vals` over the pairs it ends: from 0.0, in
+    pair order over `rows`, then over `cols` (np.bincount adds in input
+    order)."""
+    return np.bincount(np.concatenate([rows, cols]),
+                       weights=np.concatenate([vals, vals]), minlength=n)
+
+
 def _assemble(n, rows, cols, vals, scheme, rep_pairs=None):
-    strengths = np.zeros(n)
-    np.add.at(strengths, rows, vals)
-    np.add.at(strengths, cols, vals)
+    strengths = _end_sums(n, rows, cols, vals)
     total = float(np.sum(vals))
     if total <= 0.0:
         raise NumericalError("total attraction weight W must be positive")
@@ -306,10 +318,15 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
         # edge ends by item, then distance, and pick that rank in each run.
         # Where duplicates make it 0, take i's nearest non-zero distance;
         # only items whose edges are all at distance 0 keep sigma = 0.
+        # Only the picked values are read, so tied distances may sort in
+        # any order: rank them once, then sort the unique keys item * m +
+        # rank.
         rank = max((graph.k + 1) // 2, 1)
         ends = np.concatenate([rows, cols])
         d_ends = np.concatenate([dist, dist])
-        sorted_d = d_ends[np.lexsort((d_ends, ends))]
+        m = ends.shape[0]
+        by_d = np.argsort(d_ends)
+        sorted_d = d_ends[by_d[np.sort(ends[by_d] * m + np.arange(m)) % m]]
         start = np.cumsum(degree) - degree
         zeros = np.bincount(ends[d_ends == 0.0], minlength=n)
         pick = np.minimum(np.maximum(rank - 1, zeros), degree - 1)
@@ -326,9 +343,7 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
     if not np.all(np.isfinite(sim)) or np.sum(sim) <= 0.0:
         raise NumericalError("all-zero or non-finite similarities")
     # stochastic reweighting: rows of the similarity matrix sum to one
-    rowsum = np.zeros(n)
-    np.add.at(rowsum, rows, sim)
-    np.add.at(rowsum, cols, sim)
+    rowsum = _end_sums(n, rows, cols, sim)
     if np.any(rowsum <= 0.0):
         raise NumericalError("item with all-zero similarities")
     p_fwd = sim / rowsum[rows]
@@ -340,19 +355,11 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
     return _assemble(n, rows, cols, w, repulsion_scheme, rep_pairs)
 
 
-def load_points_csv(path) -> np.ndarray:
-    """n x d numeric CSV, optional header row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise InputError(f"empty points file: {path}")
-    start = 0
-    try:
-        [float(x) for x in lines[0].split(",")]
-    except ValueError:
-        start = 1
+def _parse_rows(path, body) -> np.ndarray:
+    """The rows of `body` parsed one by one; raises the InputError of the
+    first row that is not numeric or has another width than the first."""
     rows = []
-    for ln in lines[start:]:
+    for ln in body:
         try:
             rows.append([float(x) for x in ln.split(",")])
         except ValueError as exc:
@@ -360,7 +367,33 @@ def load_points_csv(path) -> np.ndarray:
         if len(rows[-1]) != len(rows[0]):
             raise InputError(f"row {ln!r} in {path} has {len(rows[-1])} "
                              f"columns, expected {len(rows[0])}")
-    points = np.array(rows)
+    return np.array(rows)
+
+
+def load_points_csv(path) -> np.ndarray:
+    """n x d numeric CSV, optional header row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in map(str.strip, fh) if ln]
+    if not lines:
+        raise InputError(f"empty points file: {path}")
+    start = 0
+    try:
+        [float(x) for x in lines[0].split(",")]
+    except ValueError:
+        start = 1
+    body = lines[start:]
+    points = None
+    commas = body[0].count(",") if body else 0
+    if body and all(ln.count(",") == commas for ln in body):
+        try:
+            # every field in one call; numpy converts each with Python's float
+            points = np.array(",".join(body).split(","), dtype=np.float64)
+        except ValueError:
+            pass  # a non-numeric field: the row by row parse names its row
+        else:
+            points = points.reshape(len(body), commas + 1)
+    if points is None:
+        points = _parse_rows(path, body)
     return _check_points(points)
 
 

@@ -75,13 +75,24 @@ def _check_range(name, values, hi):
         raise _out_of_range(name, hi)
 
 
+def _decreasing(name):
+    return ValueError(f"{name} must be non-decreasing")
+
+
+def _check_indptr(name, indptr, hi):
+    _check_range(name, indptr, hi)
+    if np.any(indptr[1:] < indptr[:-1]):
+        raise _decreasing(name)
+
+
 def _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices):
     """Raise IndexError unless every CSR value used as an index is in
-    range, checked in the order the C sweep checks them."""
-    _check_range("indptr", indptr, indices.shape[0] + 1)
+    range, or ValueError if an indptr decreases, checked in the order the
+    C sweep checks them."""
+    _check_indptr("indptr", indptr, indices.shape[0] + 1)
     _check_range("indices", indices, n)
     if rep_mode == REP_EXPLICIT:
-        _check_range("rep_indptr", rep_indptr, rep_indices.shape[0] + 1)
+        _check_indptr("rep_indptr", rep_indptr, rep_indices.shape[0] + 1)
         _check_range("rep_indices", rep_indices, n)
 
 
@@ -241,8 +252,9 @@ def _local_move(indptr, indices, weights,
 
     Runs `_sweep` passes, each in a fresh `rng.permutation` of the items,
     until a pass accepts no move or `max_sweeps` passes have run.  Returns
-    the total number of accepted moves.  Raises IndexError, before any
-    label moves or any number is drawn, where the C sweep does.
+    the total number of accepted moves.  Raises IndexError or ValueError,
+    before any label moves or any number is drawn, where the C sweep
+    does.
     """
     n = labels.shape[0]
     _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
@@ -352,19 +364,24 @@ def _load_library():
 
 # Every pointer handed to C is checked first: dtype, C-contiguity and
 # length of each array.  The C sweep checks the range of every value used
-# as an index, in one scan before any indexed read, and returns a negative
-# status when one is out of range; `_raise` maps it to the exception.
+# as an index and the order of each indptr, in one scan before any indexed
+# read, and returns a negative status (an ERR_ code of _kernels.c) when
+# one fails; `_raise` maps it to the exception.
 
 def _raise(status, graph_args):
     """Raise the error a negative C status stands for; `graph_args` are
     the graph arguments the sweep was called with."""
-    if status == -1:
-        raise MemoryError("the C sweep could not allocate its scratch arrays")
     n, m, rep_m = graph_args[0], graph_args[3], graph_args[10]
-    name, hi = {-2: ("labels", n), -3: ("indptr", m + 1),
-                -4: ("indices", n), -5: ("rep_indptr", rep_m + 1),
-                -6: ("rep_indices", n)}[status]
-    raise _out_of_range(name, hi)
+    raise {
+        -1: MemoryError("the C sweep could not allocate its scratch arrays"),
+        -2: _out_of_range("labels", n),
+        -3: _out_of_range("indptr", m + 1),
+        -4: _out_of_range("indices", n),
+        -5: _out_of_range("rep_indptr", rep_m + 1),
+        -6: _out_of_range("rep_indices", n),
+        -7: _decreasing("indptr"),
+        -8: _decreasing("rep_indptr"),
+    }[status]
 
 
 def _local_move_c(indptr, indices, weights,

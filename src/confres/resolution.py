@@ -74,7 +74,7 @@ class ConfigurationSet:
             "budget_exhausted": self.budget_exhausted,
             "plateaus": [
                 {"lo": e.gamma_lo, "hi": e.gamma_hi,
-                 "labels": [int(x) for x in e.labels],
+                 "labels": e.labels.tolist(),
                  "h_a": e.h_a, "h_r": e.h_r, "k": e.cluster_count}
                 for e in self.entries],
         }

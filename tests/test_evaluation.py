@@ -123,6 +123,20 @@ class TestMetrics:
         assert nmi(contingency([0] * 4, [0] * 4)) == 1.0
         assert ari(table) == 0.0
 
+    def test_contingency_matches_add_at(self, rng):
+        # counts by np.add.at over the inverse labels, the table's old build
+        for _ in range(40):
+            n = int(rng.integers(1, 60))
+            a = rng.integers(-3, int(rng.integers(1, 9)), n)
+            b = rng.choice([-7, 0, 2, 10 ** 12], n)
+            _, ai = np.unique(a, return_inverse=True)
+            _, bi = np.unique(b, return_inverse=True)
+            want = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
+            np.add.at(want, (ai, bi), 1)
+            got = contingency(a, b).counts
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_inverse_ari(self, rng):
         p = rng.integers(0, 3, 30)
         assert inverse_ari(p, p) == 1.0
@@ -269,6 +283,17 @@ class TestNoveltyScores:
             expected = _per_edge_scores(g, labels, gamma)
             got = item_energy_scores(g, labels, gamma).scores
             assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("scheme", ["configuration_null", "uniform"])
+    def test_bytes_match_per_edge_loop(self, rng, scheme):
+        # _per_edge_scores sums cluster rho with np.add.at; bytes, so the
+        # sign of a zero counts too
+        for _ in range(20):
+            g = random_affinity(rng, n=int(rng.integers(2, 40)), scheme=scheme)
+            labels = rng.integers(0, int(rng.integers(1, g.n + 1)), g.n)
+            gamma = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+            got = item_energy_scores(g, labels, gamma).scores
+            assert got.tobytes() == _per_edge_scores(g, labels, gamma).tobytes()
 
     def test_errors(self):
         g = self._line_graph()

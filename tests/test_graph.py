@@ -331,6 +331,130 @@ class TestCsrFromPairs:
         self._check(1, empty, empty, np.empty(0))
 
 
+def _stable_csr(n, rows, cols, vals):
+    """Both-direction CSR as it was built with a stable sort by row."""
+    ii = np.concatenate([cols, rows])
+    jj = np.concatenate([rows, cols])
+    vv = np.concatenate([vals, vals])
+    order = np.argsort(ii, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ii, minlength=n), out=indptr[1:])
+    return indptr, jj[order], vv[order]
+
+
+def _add_at_assemble(n, rows, cols, vals, scheme, rep_pairs):
+    """The graph arrays as `_assemble` built them with np.add.at."""
+    strengths = np.zeros(n)
+    np.add.at(strengths, rows, vals)
+    np.add.at(strengths, cols, vals)
+    total = float(np.sum(vals))
+    rep = (np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
+           np.empty(0))
+    if scheme == "configuration_null":
+        rep_strength, rep_denom = strengths.copy(), 2.0 * total
+    elif scheme == "uniform":
+        rep_strength, rep_denom = np.ones(n), float(n)
+    else:
+        rep_strength, rep_denom = np.zeros(n), 1.0
+        rep = _stable_csr(n, *rep_pairs)
+    return (*_stable_csr(n, rows, cols, vals), strengths, total, rep_strength,
+            rep_denom, *rep)
+
+
+def _lexsort_affinity(graph, kernel, scheme, repulsion_edges):
+    """derive_affinity as it was written with np.lexsort and np.add.at."""
+    n, k = graph.n, graph.k
+    rows, cols, dist = graph.edges[:, 0], graph.edges[:, 1], graph.distances
+    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    if kernel == "self_tuning_gaussian":
+        ends = np.concatenate([rows, cols])
+        d_ends = np.concatenate([dist, dist])
+        sorted_d = d_ends[np.lexsort((d_ends, ends))]
+        start = np.cumsum(degree) - degree
+        zeros = np.bincount(ends[d_ends == 0.0], minlength=n)
+        pick = np.minimum(np.maximum(max((k + 1) // 2, 1) - 1, zeros),
+                          degree - 1)
+        sigma = sorted_d[start + pick]
+        if np.any(sigma <= 0.0):
+            sigma = np.maximum(sigma, np.max(sigma) * 1e-12)
+        sim = np.exp(-dist ** 2 / (sigma[rows] * sigma[cols]))
+    else:
+        sim = 1.0 / dist
+    rowsum = np.zeros(n)
+    np.add.at(rowsum, rows, sim)
+    np.add.at(rowsum, cols, sim)
+    w = 0.5 * (sim / rowsum[rows] + sim / rowsum[cols])
+    rep_pairs = None
+    if repulsion_edges is not None:
+        rep_pairs = graph_mod._merge_pairs(n, repulsion_edges)
+    return _add_at_assemble(n, rows, cols, w, scheme, rep_pairs)
+
+
+def _graph_bytes(g):
+    return [np.asarray(x).tobytes() for x in (
+        g.indptr, g.indices, g.weights, g.strengths, g.total_weight,
+        g.rep_strength, g.rep_denom, g.rep_indptr, g.rep_indices,
+        g.rep_weights)]
+
+
+class TestAffinityAgainstLexsortOracle:
+    """derive_affinity and from_edge_list give, byte for byte, the arrays
+    the lexsort / stable-sort / np.add.at build gave."""
+
+    @staticmethod
+    def _point_sets(rng):
+        yield rng.standard_normal((60, 2))
+        yield rng.standard_normal((50, 8))
+        grid = np.stack(np.meshgrid(np.arange(7), np.arange(6)), -1)
+        yield grid.reshape(-1, 2).astype(float)          # distance ties
+        # groups of 1-4 identical points (zero distances)
+        yield np.repeat(rng.integers(0, 5, (12, 3)), rng.integers(1, 5, 12),
+                        axis=0).astype(float)
+        yield np.concatenate([np.zeros((6, 2)), rng.random((30, 2))])
+
+    @staticmethod
+    def _repulsion(rng, n, scheme):
+        if scheme != "explicit":
+            return None
+        i, j = rng.integers(0, n, (2, 4 * n))
+        keep = i != j
+        return np.stack([i[keep], j[keep], rng.random(keep.sum())], axis=1)
+
+    @pytest.mark.parametrize("kernel", graph_mod.AFFINITY_KERNELS)
+    def test_derive_affinity(self, rng, kernel):
+        for points in self._point_sets(rng):
+            for k in (1, 2, 3, 4, 7):
+                ng = build_knn_graph(points, k=k)
+                for scheme in graph_mod.REPULSION_SCHEMES:
+                    rep = self._repulsion(rng, ng.n, scheme)
+                    try:
+                        g = derive_affinity(ng, kernel, scheme, rep)
+                    except NumericalError:
+                        # zero distances under inverse_distance
+                        assert kernel == "inverse_distance"
+                        assert np.any(ng.distances == 0.0)
+                        continue
+                    want = _lexsort_affinity(ng, kernel, scheme, rep)
+                    assert _graph_bytes(g) == [np.asarray(x).tobytes()
+                                               for x in want]
+
+    def test_from_edge_list(self, rng):
+        for trial in range(30):
+            n = int(rng.integers(2, 40))
+            i, j = rng.integers(0, n, (2, 3 * n))
+            keep = i != j
+            edges = np.stack([i[keep], j[keep], rng.random(keep.sum())], 1)
+            if not len(edges):
+                continue
+            scheme = graph_mod.REPULSION_SCHEMES[trial % 3]
+            rep = self._repulsion(rng, n, scheme)
+            g = from_edge_list(n, edges, scheme, rep)
+            rep_pairs = None if rep is None else graph_mod._merge_pairs(n, rep)
+            want = _add_at_assemble(n, *graph_mod._merge_pairs(n, edges),
+                                    scheme, rep_pairs)
+            assert _graph_bytes(g) == [np.asarray(x).tobytes() for x in want]
+
+
 class TestFromEdgeList:
     def test_basic(self):
         g = from_edge_list(2, [(0, 1, 1.0)])
@@ -372,6 +496,92 @@ class TestFromEdgeList:
     def test_first_offending_edge_reported(self):
         with pytest.raises(InputError, match="self-loop"):
             from_edge_list(3, [(0, 1, 1.0), (2, 2, 1.0), (0, 5, -1.0)])
+
+
+def _row_parsed_points(path):
+    """load_points_csv as it parsed every field with float, row by row."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise InputError(f"empty points file: {path}")
+    start = 0
+    try:
+        [float(x) for x in lines[0].split(",")]
+    except ValueError:
+        start = 1
+    rows = []
+    for ln in lines[start:]:
+        try:
+            rows.append([float(x) for x in ln.split(",")])
+        except ValueError as exc:
+            raise InputError(f"non-numeric row in {path}: {ln!r}") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise InputError(f"row {ln!r} in {path} has {len(rows[-1])} "
+                             f"columns, expected {len(rows[0])}")
+    return graph_mod._check_points(np.array(rows))
+
+
+def _outcome(load, path):
+    try:
+        points = load(path)
+    except InputError as exc:
+        return type(exc), str(exc)
+    return points.dtype, points.shape, points.tobytes()
+
+
+class TestPointsLoaderAgainstRowParser:
+    CASES = {
+        "plain": "1,2\n3,4\n5,6\n",
+        "header": "x,y\n1,2\n3,4\n",
+        "crlf": "x,y\r\n1,2\r\n3,4\r\n",
+        "cr": "1,2\r3,4\r5,6\r",
+        "no final newline": "1,2\n3,4",
+        "blank lines": "\n1,2\n   \n\t\n3,4\n\n",
+        "padded fields": " 1 ,\t2\n3\t, 4 \n\u20075,6\u2007\n",
+        "exponents": "1e3,2E-2\n-3.5e+1,.4\n5.,-0\n",
+        "underscores": "1_000,2\n3,4_0.5\n",
+        "wide digits": "\uff11\uff12,3\n4,5\n",
+        "one column": "1\n2\n3\n",
+        "many columns": "1,2,3,4,5,6,7,8\n8,7,6,5,4,3,2,1\n",
+        "nan": "nan,1\n2,3\n",
+        "inf": "1,2\n3,-inf\n",
+        "overflow to inf": "1,2\n3,1e999\n",
+        "trailing comma on a row": "1,2\n3,4,\n",
+        "trailing commas everywhere": "1,2,\n3,4,\n5,6,\n",
+        "long row then short": "1,2\n3,4,5\n6\n7,8\n",
+        "short row then long": "1,2\n3\n4,5,6\n",
+        "non-numeric after valid": "1,2\n3,4\na,b\n",
+        "non-numeric and ragged": "1,2\n3,4,x\n",
+        "hex": "1,2\n0x10,3\n",
+        "header only": "x,y\n",
+        "one row": "1,2\n",
+        "empty": "",
+        "only blank lines": "\n \n\t\n",
+        "form feed inside": "x,y\n1,2\x0c3\n4,5\n",
+        "form feed at an end": "\x0c1,2\n3,4\x0c\n",
+        "group separator inside": "x,y\n1,2\x1d3,4\n5,6\n",
+        "next line inside": "1,2\n3,4\x855,6\n7,8\n",
+        "byte order mark": "\ufeff1,2\n3,4\n5,6\n",
+        "empty field": "1,2,3\n4,,5\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_case(self, tmp_path, name):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(self.CASES[name].encode("utf-8"))
+        assert (_outcome(load_points_csv, path)
+                == _outcome(_row_parsed_points, path))
+
+    def test_random_values(self, tmp_path, rng):
+        for trial in range(10):
+            n, d = int(rng.integers(2, 200)), int(rng.integers(1, 6))
+            pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, d)
+            text = "\n".join(",".join(map(repr, row.tolist())) for row in pts)
+            path = tmp_path / f"pts{trial}.csv"
+            path.write_text(("a" + ",b" * (d - 1) + "\n") * (trial % 2) + text)
+            assert (_outcome(load_points_csv, path)
+                    == _outcome(_row_parsed_points, path))
+            assert load_points_csv(path).tobytes() == pts.tobytes()
 
 
 class TestLoaders:

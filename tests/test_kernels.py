@@ -2,6 +2,7 @@
 numpy energy must equal a plain loop over the edges bit for bit."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -169,6 +170,67 @@ def test_compiled_kernels_reject_out_of_range_csr(rng):
             assert gen.bit_generator.state == before
         with pytest.raises(IndexError, match=rf"^{name} out of range"):
             kernels.energy_components(*args[:3], labels, *args[3:])
+
+
+def _triangle_csr():
+    return (np.array([0, 2, 4, 6]), np.array([1, 2, 0, 2, 0, 1]),
+            np.ones(6))
+
+
+def _decreasing_csr():
+    # in range, but row 1 would read [3, 1) and rows 0 and 2 overlap
+    return np.array([0, 3, 1, 4]), np.array([1, 2, 0, 1]), np.ones(4)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_kernels_reject_decreasing_indptr(explicit):
+    # the C sweep, sweep_py and the energy reject the same hand-built CSR
+    # with one message, before any label moves or any number is drawn.
+    # The range check runs over the whole indptr before its order is
+    # judged, so an entry out of range is reported first.
+    n = 3
+    name = "rep_indptr" if explicit else "indptr"
+    model = ((kernels.REP_EXPLICIT, np.zeros(n), 1.0) if explicit
+             else (kernels.REP_PRODUCT, np.ones(n), 3.0))
+    decreasing = _decreasing_csr()
+    ptr = decreasing[0].copy()
+    ptr[1] = decreasing[1].shape[0] + 1
+    cases = ((decreasing, ValueError, rf"^{name} must be non-decreasing$"),
+             ((ptr, *decreasing[1:]), IndexError, rf"^{name} out of range"))
+    constraint = np.zeros(n, dtype=np.int64)
+    for bad, exc, message in cases:
+        att, rep = (_triangle_csr(), bad) if explicit else (bad, _triangle_csr())
+        args = (*att, *model, *rep)
+        for sweep in (kernels.sweep, kernels.sweep_py):
+            labels = np.arange(n, dtype=np.int64)
+            gen = np.random.default_rng(0)
+            before = gen.bit_generator.state
+            with pytest.raises(exc, match=message):
+                sweep(*args, 1.0, labels, constraint, gen, 5)
+            assert np.array_equal(labels, np.arange(n))
+            assert gen.bit_generator.state == before
+        with pytest.raises(exc, match=message):
+            kernels.energy_components(*args[:3], np.zeros(n, dtype=np.int64),
+                                      *args[3:])
+
+
+def test_every_c_status_code_is_mapped():
+    # each ERR_ code of _kernels.c must reach its exception through
+    # _raise; an unmapped code raises KeyError, which fails the loop
+    with open(kernels._SOURCE, encoding="utf-8") as fh:
+        codes = {name: int(value) for name, value in re.findall(
+            r"^#define (ERR_\w+) \((-\d+)\)$", fh.read(), flags=re.MULTILINE)}
+    values = list(codes.values())
+    assert len(values) >= 8 and len(set(values)) == len(values)
+    assert all(v < 0 for v in values)
+    graph_args = (3, None, None, 4, None, kernels.REP_EXPLICIT, None, 1.0,
+                  None, None, 5, None)
+    for name, value in codes.items():
+        with pytest.raises((MemoryError, IndexError, ValueError)) as info:
+            kernels._raise(value, graph_args)
+        assert str(info.value), name
+    with pytest.raises(KeyError):
+        kernels._raise(min(values) - 1, graph_args)
 
 
 @needs_cc
