@@ -48,10 +48,56 @@ def _metadata(params: dict, inputs: dict) -> dict:
     }
 
 
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it: strings quoted, numbers,
+    booleans and None as their JSON text in quotes."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def _encode(value, pad, parts) -> None:
+    """Append to `parts` the text json.dumps(value, indent=2,
+    sort_keys=True) gives `value` nested where `pad` (a newline and the
+    indentation) starts its lines.
+
+    With `indent`, json.dumps runs its pure-Python encoder on every item;
+    here a list of exact ints is one str.join and each other scalar one
+    call of the C encoder.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(sep + _json_key(key) + ": ")
+            _encode(item, inner, parts)
+            sep = "," + inner
+        parts.append(pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        if {int}.issuperset(map(type, value)):  # not bool, not subclasses
+            parts.append("[" + inner + ("," + inner).join(map(str, value))
+                         + pad + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _encode(item, inner, parts)
+            sep = "," + inner
+        parts.append(pad + "]")
+    else:  # a scalar, {} or []
+        parts.append(json.dumps(value))
+
+
 def _write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Write json.dumps(payload, indent=2, sort_keys=True) + "\n"."""
+    parts = []
+    _encode(payload, "\n", parts)
+    parts.append("\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.write("".join(parts))
 
 
 def _load_config_file(path) -> dict:

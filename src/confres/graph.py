@@ -3,13 +3,12 @@
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
+from . import kernels
 from .errors import InputError, NumericalError, ParameterError
 from .kernels import REP_EXPLICIT, REP_PRODUCT
 
 REPULSION_SCHEMES = ("configuration_null", "uniform", "explicit")
-KNN_METRICS = ("euclidean", "cosine")
 AFFINITY_KERNELS = ("self_tuning_gaussian", "inverse_distance")
 
 _EMPTY_I = np.empty(0, dtype=np.int64)
@@ -89,80 +88,17 @@ def _check_points(points: np.ndarray) -> np.ndarray:
     return points
 
 
-# A candidate list is complete once its last kd-tree distance exceeds the
-# k-th by more than this relative margin: the tree's rounding can then hide
-# no tie or near-tie with the k-th neighbour outside the list.
-_TIE_MARGIN = 1.0 + 1e-9
-
-
-# At most this many candidates (rows x m) are queried and ranked at once,
-# so a large group of identical points, whose members all widen m past the
-# group size, costs memory in proportion to the chunk, not to g x n.
-_CHUNK = 1 << 16
-
-
-def _nearest(points, k, metric):
-    """Each item's k nearest others by (distance, index): (n, k) indices
-    and their distances.
-
-    A kd-tree proposes m candidates per item, m widened (doubling, at most
-    n) for items whose ties with the k-th neighbour may run past the list;
-    the candidates are then ranked by exact distance and index, in chunks
-    of at most _CHUNK candidates.
-    """
-    n = points.shape[0]
-    tree = cKDTree(points)
-    nn = np.empty((n, k), dtype=np.int64)
-    nn_dist = np.empty((n, k))
-    todo = np.arange(n)
-    m = min(k + 2, n)
-    while todo.size:
-        step = max(1, _CHUNK // m)
-        todo = np.concatenate([
-            _rank_candidates(tree, points, todo[s:s + step], k, m, metric,
-                             nn, nn_dist)
-            for s in range(0, todo.size, step)])
-        m = min(2 * m, n)
-    return nn, nn_dist
-
-
-def _rank_candidates(tree, points, rows, k, m, metric, nn, nn_dist):
-    """Rank m kd-tree candidates for each of `rows` into `nn`/`nn_dist`;
-    returns the rows whose list may miss a tie and must widen."""
-    # self sits at distance 0, so column k is the k-th other item
-    d, cand = tree.query(points[rows], k=m)
-    done = (d[:, -1] > d[:, k] * _TIE_MARGIN) | (m == points.shape[0])
-    rest, rows, cand = rows[~done], rows[done], cand[done]
-    # squared differences summed in coordinate order, so the distance
-    # of i to j is bit for bit that of j to i in any array shape
-    ends, others = points[rows, None, :], points[cand]
-    sq = np.zeros(cand.shape)
-    for c in range(points.shape[1]):
-        sq += (ends[..., c] - others[..., c]) ** 2
-    # cosine runs on unit vectors: 1 - cos = |u - v|^2 / 2, without
-    # the cancellation of 1 - cos for near-parallel vectors
-    dist = 0.5 * sq if metric == "cosine" else np.sqrt(sq)
-    dist[cand == rows[:, None]] = np.inf
-    # the k nearest by (distance, index); any sort picks the same k unless
-    # the k-th and (k+1)-th distances tie, so only those rows are lexsorted
-    # (their order within the k is free: the caller reduces them to pairs)
-    order = np.argsort(dist, axis=-1)
-    ranked = np.take_along_axis(dist, order, axis=-1)
-    tie = ranked[:, k - 1] == ranked[:, k]
-    order[tie] = np.lexsort((cand[tie], dist[tie]), axis=-1)
-    pick = (np.arange(len(rows))[:, None], order[:, :k])
-    nn[rows], nn_dist[rows] = cand[pick], dist[pick]
-    return rest
-
-
 def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
     """Link each item to its k nearest others; edge set is the union.
 
     Ties in distance are broken by smaller item index, so the graph is
-    deterministic for a given point matrix.  A kd-tree search takes
-    O(n k log n) time and O(n k) memory, more only where many points tie
-    at an item's k-th distance; cosine distance is searched as Euclidean
-    distance between unit vectors.
+    deterministic for a given point matrix.  The search is
+    `kernels.knn`: an exact kd-tree in C, typically O(n k log n) time,
+    also for large groups of identical points, with O(n k) arrays plus
+    O(n d) C scratch (the points, tree nodes and their boxes) that
+    tracemalloc does not see; or, without the C kernels, a chunked brute
+    force in numpy.  Cosine distance is searched as |u - v|^2 / 2 between
+    unit vectors, which equals 1 - cos.
     """
     points = _check_points(points)
     n = points.shape[0]
@@ -175,7 +111,7 @@ def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
         points = points / norms[:, None]
     elif metric != "euclidean":
         raise ParameterError(f"unknown metric {metric!r}")
-    nn, nn_dist = _nearest(points, k, metric)
+    nn, nn_dist = kernels.knn(points, k, metric)
     # both directions of a pair carry the same distance, so their mean is it
     rows, cols, dist = _reduce_pairs(n, np.repeat(np.arange(n), k), nn.ravel(),
                                      nn_dist.ravel(), mean=True)

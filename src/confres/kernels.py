@@ -1,22 +1,30 @@
-"""Inner loops for energy evaluation and local moving, on flat CSR arrays.
+"""Inner loops for energy evaluation, local moving and the kNN search.
 
 `energy_components` is vectorised numpy on every backend; each of its sums
 adds left to right, so it returns the floats a plain loop over the edges
-returns.  Local moving is the one loop compiled: the Python `_local_move`
-(passes of `_sweep`) is the reference, and `_kernels.c` ports it operation
-for operation as `sweep`.  The C phase runs every pass in one call and
-draws each pass's order from the caller's numpy Generator through its bit
-generator's ctypes interface, replaying `rng.permutation` (Fisher-Yates
-over `random_interval`), so labels, move counts and the generator's state
-afterwards match the Python loop exactly.  On first import the C file is
-compiled with `cc` (else `gcc`) into a per-user cache, keyed by source,
-flags and machine type, and loaded with ctypes.  Without a compiler, when
-the build fails, or with CONFRES_DISABLE_COMPILED=1, `sweep` is the Python
-reference (identical results, much slower).  A failed build leaves a
-marker file beside the cache entry, so later imports do not run the
-compiler again.  `BACKEND` names the sweep in use, "c" or "python".
-tests/test_kernels.py checks that the two agree bit for bit; to time the
-Python reference, run perfbench/run.py with CONFRES_DISABLE_COMPILED=1.
+returns.  Two loops are compiled from `_kernels.c`, each beside a Python
+reference that is the fallback and the test oracle:
+
+- `sweep` ports the Python `_local_move` (passes of `_sweep`) operation
+  for operation.  The C phase runs every pass in one call and draws each
+  pass's order from the caller's numpy Generator through its bit
+  generator's ctypes interface, replaying `rng.permutation` (Fisher-Yates
+  over `random_interval`), so labels, move counts and the generator's
+  state afterwards match the Python loop exactly.
+- `knn` finds each item's k nearest others by (distance, index) with an
+  exact kd-tree search; `knn_py` does it by chunked brute force.  Both
+  sum a distance from 0.0 in coordinate order, so they return the same
+  bits.
+
+On first import the C file is compiled with `cc` (else `gcc`) into a
+per-user cache, keyed by source, flags and machine type, and loaded with
+ctypes.  Without a compiler, when the build fails, or with
+CONFRES_DISABLE_COMPILED=1, `sweep` and `knn` are the Python references
+(identical results, much slower).  A failed build leaves a marker file
+beside the cache entry, so later imports do not run the compiler again.
+`BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py
+checks that the two agree bit for bit; to time the Python references, run
+perfbench/run.py with CONFRES_DISABLE_COMPILED=1.
 """
 
 import ctypes
@@ -276,11 +284,72 @@ def _local_move(indptr, indices, weights,
 # tested against.
 sweep_py = _local_move
 
+KNN_METRICS = ("euclidean", "cosine")
+
+# knn_py holds at most this many distances (rows x n) at a time.
+_CHUNK = 1 << 18
+
+
+def _check_knn(points, k, metric):
+    """The points as a C-contiguous float64 n x d matrix; raises
+    ValueError on another shape, metric or k outside [1, n - 1]."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise ValueError("points must be an n x d matrix with d >= 1")
+    if not 1 <= k <= points.shape[0] - 1:
+        raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, "
+                         f"n={points.shape[0]}")
+    if metric not in KNN_METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    return points
+
+
+def knn_py(points, k, metric="euclidean"):
+    """Each item's k nearest other items by (distance, index): (n, k)
+    indices and distances, each row in that order.
+
+    The distance sums the squared differences from 0.0 in coordinate
+    order, so that of i to j is bit for bit that of j to i; it is the
+    square root of the sum, or, for "cosine", whose points must be unit
+    vectors, half of it: |u - v|^2 / 2 = 1 - cos, without the
+    cancellation of 1 - cos for near-parallel vectors.  Brute force over
+    row chunks of at most _CHUNK distances.
+    """
+    points = _check_knn(points, k, metric)
+    n = points.shape[0]
+    nn = np.empty((n, k), dtype=np.int64)
+    nn_dist = np.empty((n, k))
+    step = max(1, _CHUNK // n)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        sq = np.zeros((rows.shape[0], n))
+        for c in range(points.shape[1]):
+            sq += (points[rows, c, None] - points[:, c]) ** 2
+        dist = 0.5 * sq if metric == "cosine" else np.sqrt(sq)
+        # NaN never compares below or equal, so an item is not its own
+        # neighbour even where overflowing distances are all inf
+        dist[np.arange(rows.shape[0]), rows] = np.nan
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1:k]
+        below = dist < kth
+        # the ties at the k-th distance go to the smallest indices
+        tie = dist == kth
+        take = below | (tie & (np.cumsum(tie, axis=1)
+                               <= k - below.sum(axis=1, keepdims=True)))
+        cols = np.nonzero(take)[1].reshape(-1, k)  # ascending in each row
+        near = np.take_along_axis(dist, cols, axis=1)
+        order = np.argsort(near, axis=1, kind="stable")
+        nn[rows] = np.take_along_axis(cols, order, axis=1)
+        nn_dist[rows] = np.take_along_axis(near, order, axis=1)
+    return nn, nn_dist
+
+
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # -ffp-contract=off keeps a*b+c from fusing into one rounding; -ffast-math
 # and -march=native are left out for the same reason: every float result
-# must round exactly as the Python reference rounds it.
-CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# must round exactly as the Python reference rounds it.  -fno-math-errno
+# lets sqrt compile to the (correctly rounded) instruction, with no libm
+# call to resolve.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 
 
 def _compiled_enabled() -> bool:
@@ -359,6 +428,8 @@ def _load_library():
     graph = [i64, ptr, ptr, i64, ptr, i64, ptr, f64, ptr, ptr, i64, ptr]
     lib.sweep.argtypes = graph + [f64, ptr, ptr, i64, f64, ptr, ptr, ptr]
     lib.sweep.restype = i64
+    lib.knn.argtypes = [i64, i64, ptr, i64, i64, ptr, ptr]
+    lib.knn.restype = i64
     return lib
 
 
@@ -368,10 +439,11 @@ def _load_library():
 # read, and returns a negative status (an ERR_ code of _kernels.c) when
 # one fails; `_raise` maps it to the exception.
 
-def _raise(status, graph_args):
+def _raise(status, graph_args=None):
     """Raise the error a negative C status stands for; `graph_args` are
-    the graph arguments the sweep was called with."""
-    n, m, rep_m = graph_args[0], graph_args[3], graph_args[10]
+    the graph arguments the sweep was called with (none for `knn`)."""
+    n, m, rep_m = (graph_args[0], graph_args[3], graph_args[10]
+                   ) if graph_args else (0, 0, 0)
     raise {
         -1: MemoryError("the C sweep could not allocate its scratch arrays"),
         -2: _out_of_range("labels", n),
@@ -381,6 +453,7 @@ def _raise(status, graph_args):
         -6: _out_of_range("rep_indices", n),
         -7: _decreasing("indptr"),
         -8: _decreasing("rep_indptr"),
+        -9: MemoryError("the C kNN search could not allocate its tree"),
     }[status]
 
 
@@ -414,13 +487,29 @@ def _local_move_c(indptr, indices, weights,
     return moves
 
 
+def _knn_c(points, k, metric="euclidean"):
+    """`knn_py` by an exact kd-tree search in C (`knn` in _kernels.c):
+    the same neighbours and distances, bit for bit.  Its O(n d) scratch
+    (the points in tree order, at most n / 4 + 1 nodes with their boxes)
+    comes from C's malloc, which tracemalloc does not see."""
+    points = _check_knn(points, k, metric)
+    n, d = points.shape
+    nn = np.empty((n, k), dtype=np.int64)
+    nn_dist = np.empty((n, k))
+    status = _LIB.knn(n, d, points.ctypes.data, k, metric == "cosine",
+                      nn.ctypes.data, nn_dist.ctypes.data)
+    if status < 0:
+        _raise(status)
+    return nn, nn_dist
+
+
 _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
-    sweep = _local_move
+    sweep, knn = _local_move, knn_py
 else:
     BACKEND = "c"
-    sweep = _local_move_c
+    sweep, knn = _local_move_c, _knn_c
 
 # Always False: numba is no longer a backend.  perfbench/worker.py still
 # reads this name to label its results, so it stays until the benchmark

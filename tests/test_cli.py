@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import confres
-from confres import __version__, kernels
+from confres import __version__, cli, kernels
 from confres.cli import main
 
 
@@ -282,3 +282,76 @@ def test_eval_align_none_does_not_import_scipy_optimize(data_dir, tmp_path):
         f" '--truth', {str(data_dir / 'truth.csv')!r}, '--align', 'none',"
         f" '--out', {str(tmp_path / 'm.json')!r}]) == 0")
     assert _modules_loaded_after(code, ["scipy.optimize"]) == []
+
+
+def test_cluster_sweep_and_experiments_import_no_scipy(data_dir, tmp_path):
+    # scipy.spatial's kd-tree alone was two thirds of `import confres.cli`;
+    # only `eval --align rms` needs scipy now
+    points = str(data_dir / "points.csv")
+    runs = (["cluster", "--input", points, "--k", "8"],
+            ["sweep", "--input", points, "--k", "8", "--gamma-max", "1.5"],
+            ["experiment", "novelty"])
+    for argv in runs:
+        argv = argv + ["--out", str(tmp_path / "out.json")]
+        probe = (f"from confres.cli import main\n"
+                 f"assert main({argv!r}) == 0\n"
+                 f"import sys\n"
+                 f"print(' '.join(m for m in sys.modules\n"
+                 f"               if m == 'scipy' or m.startswith('scipy.')))")
+        assert _modules_loaded_after(probe, []) == [], argv
+
+
+def test_every_written_json_matches_json_dumps(data_dir, tmp_path,
+                                               monkeypatch):
+    write, payloads = cli._write_json, []
+
+    def checked(path, payload):
+        write(path, payload)
+        with open(path, encoding="utf-8") as fh:
+            same = fh.read() == json.dumps(payload, indent=2,
+                                           sort_keys=True) + "\n"
+        assert same, f"{path} differs"  # no slow diff of long texts
+        payloads.append(payload)
+
+    monkeypatch.setattr(cli, "_write_json", checked)
+    here = tmp_path / "pöints ☃"  # non-ASCII paths are echoed in params
+    here.mkdir()
+    points = here / "pts.csv"
+    points.write_bytes((data_dir / "points.csv").read_bytes())
+    part = str(here / "part.json")
+    runs = [["cluster", "--input", str(points), "--k", "8", "--out", part],
+            ["sweep", "--input", str(points), "--k", "8", "--gamma-max", "2",
+             "--out", str(here / "sweep.json")],
+            ["eval", "--pred", part, "--truth", str(data_dir / "truth.csv"),
+             "--out", str(here / "rms.json")],
+            ["eval", "--pred", part, "--truth", str(data_dir / "truth.csv"),
+             "--align", "none", "--out", str(here / "none.json")]]
+    runs += [["experiment", kind, "--out", str(here / f"{kind}.json")]
+             for kind in ("hierarchy", "novelty", "evolve")]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    assert len(payloads) == len(runs)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, {"empty": [], "nested": [[], [[]], {}], "dict": {"": {}}},
+    {"ints": [3, -1, 0, 2 ** 70], "with_bool": [1, True, 0, False]},
+    {"floats": [0.1, -0.0, 1e300, float("nan"), float("inf"), -float("inf")],
+     "mixed": [1, 2.5, "x", None, [1, 2], {"b": 1, "a": [True]}]},
+    {"pöth": "naïve ☃ \"quoted\"\n", "tuple": (1, 2)},
+    {"ints": {10: "a", 2: [1]}, "floats": {2.5: 0, -1.0: 1},
+     "bools": {True: 0, False: 1}, "none": {None: []}},
+])
+def test_write_json_matches_json_dumps(tmp_path, payload):
+    path = tmp_path / "out.json"
+    cli._write_json(path, payload)
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_write_json_rejects_what_json_dumps_rejects(tmp_path):
+    for payload in ({(1, 2): 0}, {"a": {1, 2}}, {"a": np.int64(1)}):
+        with pytest.raises(TypeError):
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._write_json(tmp_path / "out.json", payload)

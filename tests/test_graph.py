@@ -101,20 +101,11 @@ class TestKdTreeAgainstDenseOracle:
         assert g.edges.tolist() == [list(e) for e in edges]
         assert g.distances.tolist() == dist
 
-    def test_identical_points_widen_to_all(self, monkeypatch):
-        asked = []
-
-        class Tree(graph_mod.cKDTree):
-            def query(self, x, k=1, **kwargs):
-                asked.append(k)
-                return super().query(x, k=k, **kwargs)
-
-        monkeypatch.setattr(graph_mod, "cKDTree", Tree)
+    def test_identical_points_tie_to_smallest_indices(self):
         g = build_knn_graph(np.ones((12, 3)), k=5)
         edges, dist = _dense_knn([[1, 1, 1]] * 12, 5)
         assert g.edges.tolist() == [list(e) for e in edges]
         assert g.distances.tolist() == dist
-        assert asked[-1] == 12
 
     def test_large_offset(self, rng):
         # |x|^2 + |y|^2 - 2 x.y loses every digit of these distances

@@ -1,5 +1,6 @@
-"""The C sweep and the plain-Python reference must agree exactly, and the
-numpy energy must equal a plain loop over the edges bit for bit."""
+"""The C sweep and kNN search and their plain-Python references must
+agree exactly, and the numpy energy must equal a plain loop over the edges
+bit for bit."""
 
 import os
 import re
@@ -9,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from confres import kernels
 from confres.energy import landscape_point
@@ -212,6 +214,92 @@ def test_kernels_reject_decreasing_indptr(explicit):
         with pytest.raises(exc, match=message):
             kernels.energy_components(*args[:3], np.zeros(n, dtype=np.int64),
                                       *args[3:])
+
+
+# The kd-tree search the C kNN replaced: cKDTree proposes m candidates per
+# item, m doubled for items whose ties with the k-th neighbour may run past
+# the list, and the candidates are ranked by exact distance and index.
+_TIE_MARGIN = 1.0 + 1e-9
+
+
+def _kdtree_nearest(points, k, metric):
+    """Each item's k nearest others by (distance, index), rows in free
+    order: a second oracle, independent of knn_py's brute force."""
+    n = points.shape[0]
+    tree = cKDTree(points)
+    nn = np.empty((n, k), dtype=np.int64)
+    nn_dist = np.empty((n, k))
+    rows = np.arange(n)
+    m = min(k + 2, n)
+    while rows.size:
+        d, cand = tree.query(points[rows], k=m)
+        # self sits at distance 0, so column k is the k-th other item
+        done = (d[:, -1] > d[:, k] * _TIE_MARGIN) | (m == n)
+        rest, rows, cand = rows[~done], rows[done], cand[done]
+        ends, others = points[rows, None, :], points[cand]
+        sq = np.zeros(cand.shape)
+        for c in range(points.shape[1]):
+            sq += (ends[..., c] - others[..., c]) ** 2
+        dist = 0.5 * sq if metric == "cosine" else np.sqrt(sq)
+        dist[cand == rows[:, None]] = np.inf
+        order = np.lexsort((cand, dist), axis=-1)[:, :k]
+        nn[rows] = np.take_along_axis(cand, order, axis=-1)
+        nn_dist[rows] = np.take_along_axis(dist, order, axis=-1)
+        rows, m = rest, min(2 * m, n)
+    return nn, nn_dist
+
+
+def _knn_inputs():
+    """(label, points) cases with exact ties, duplicates, cancellation
+    and wide scales, n up to 500."""
+    rng = np.random.default_rng(7)
+    for n, d in ((2, 1), (13, 1), (60, 2), (200, 3), (500, 2), (120, 8)):
+        yield f"random-{n}x{d}", rng.standard_normal((n, d))
+        yield f"grid-{n}x{d}", rng.integers(0, 4, (n, d)).astype(float)
+        base = rng.standard_normal((max(1, n // 6), d))
+        dup = base[rng.integers(0, base.shape[0], n)]
+        dup[: n // 2] = dup[0]  # one large group of identical points
+        yield f"duplicates-{n}x{d}", dup
+        yield f"offset-{n}x{d}", 1e6 + rng.standard_normal((n, d))
+        scale = 10.0 ** rng.choice([-8.0, 0.0, 8.0], d)
+        yield f"scaled-{n}x{d}", rng.standard_normal((n, d)) * scale
+
+
+@needs_cc
+@pytest.mark.parametrize("metric", ["euclidean", "cosine"])
+def test_knn_backends_agree(metric):
+    # C and numpy bit for bit, rows in (distance, index) order; the old
+    # cKDTree search picks the same neighbours at the same distances
+    assert kernels.BACKEND == "c"
+    for label, points in _knn_inputs():
+        if metric == "cosine":  # unit vectors, as build_knn_graph passes
+            norms = np.linalg.norm(points, axis=1)
+            points = points[norms > 0] / norms[norms > 0, None]
+        n = points.shape[0]
+        for k in sorted({1, 2, 5, 10, n - 1} & set(range(1, n))):
+            got = kernels.knn(points, k, metric)
+            want = kernels.knn_py(points, k, metric)
+            case = (label, k)
+            assert got[0].tobytes() == want[0].tobytes(), case
+            assert got[1].tobytes() == want[1].tobytes(), case
+            nn, dist = _kdtree_nearest(points, k, metric)
+            order = np.lexsort((nn, dist), axis=-1)
+            assert np.take_along_axis(nn, order, -1).tobytes() == \
+                got[0].tobytes(), case
+            assert np.take_along_axis(dist, order, -1).tobytes() == \
+                got[1].tobytes(), case
+
+
+@pytest.mark.parametrize("knn", [kernels.knn, kernels.knn_py])
+def test_knn_rejects_bad_arguments(knn):
+    points = np.zeros((4, 2))
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="k must satisfy"):
+            knn(points, k)
+    with pytest.raises(ValueError, match="unknown metric"):
+        knn(points, 1, "manhattan")
+    with pytest.raises(ValueError, match="n x d matrix"):
+        knn(np.zeros(4), 1)
 
 
 def test_every_c_status_code_is_mapped():
