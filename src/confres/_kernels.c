@@ -1,12 +1,16 @@
-/* C ports of the local-moving phase and the k-nearest-neighbour search
- * in kernels.py.
+/* C ports of the local-moving phase, the level loop of the optimizer and
+ * the k-nearest-neighbour search.
  *
- * `sweep` follows its Python reference (_local_move, with its inner pass
- * _sweep) operation for operation, in the same order, so that every float
- * result is bit-identical.  `knn` returns the neighbours and distances of
- * its reference, knn_py, bit for bit.  That holds only when the compiler
- * keeps IEEE double semantics: build with -ffp-contract=off (no fused
- * multiply-add) and never with -ffast-math.
+ * `sweep` follows its Python reference (kernels._local_move, with its
+ * inner pass _sweep) operation for operation, in the same order, so that
+ * every float result is bit-identical; it only skips evaluating an item
+ * that provably stays put (see scratch_t).  `level_loop` runs the loop of
+ * optimizer.optimize for one seed (its Python reference is
+ * optimizer._level_loop_py) with the same phases, the same draws and the
+ * same coarse graphs, so it returns the same labels.  `knn` returns the
+ * neighbours and distances of its reference, knn_py, bit for bit.  That
+ * holds only when the compiler keeps IEEE double semantics: build with
+ * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
  *
  * The caller in kernels.py checks dtypes, contiguity and lengths.  The
  * range of every value used as an index, and the order of each indptr,
@@ -33,7 +37,10 @@
 #define ERR_REP_INDPTR_ORDER (-8)
 #define ERR_KNN_NOMEM (-9)
 
-/* Attraction CSR (both edge directions) and the repulsion model. */
+/* Attraction CSR (both edge directions) and the repulsion model, with
+ * the transpose pattern of each CSR: for each item j, the items whose
+ * rows hold j, which a move of j can affect.  A symmetric CSR is its own
+ * transpose. */
 typedef struct {
     int64_t n;
     const int64_t *indptr, *indices;
@@ -43,6 +50,8 @@ typedef struct {
     double rep_denom;
     const int64_t *rep_indptr, *rep_indices;  /* REP_EXPLICIT only */
     const double *rep_weights;
+    const int64_t *readers_ptr, *readers;
+    const int64_t *rep_readers_ptr, *rep_readers;  /* REP_EXPLICIT only */
 } graph_t;
 
 /* 0 when every a[0..len) lies in [0, hi), else err. */
@@ -129,9 +138,19 @@ static void permutation(const rng_t *rng, int64_t n, int64_t *order)
     }
 }
 
-/* Scratch space of one local-moving phase, n slots each. */
+/* Scratch space of the local-moving phases, n slots each unless noted.
+ *
+ * An item's decision is a function of its neighbours' labels, its own
+ * label, the rep_strength sums of the clusters it touches and of its own
+ * (product form only), and, for a move to a fresh cluster, whether a free
+ * id exists.  So an item that stayed put when last evaluated, and whose
+ * inputs are unchanged since, would stay put again: the pass skips it,
+ * which gives the same labels, bit for bit, as evaluating it.  `clean`
+ * marks such items; a move clears it for the mover's readers.  The clock
+ * orders evaluations and changes of cluster sums. */
 typedef struct {
     double *rs;        /* per-cluster sum of rep_strength */
+    double *fresh;     /* rs as rebuilt at the start of a pass */
     double *wsum;      /* attraction from the item to each touched cluster */
     double *rsum;      /* explicit repulsion likewise */
     int64_t *cnt;      /* per-cluster member count */
@@ -139,24 +158,54 @@ typedef struct {
     int64_t *touched;
     int64_t *order;
     unsigned char *seen;
+    unsigned char *clean;  /* stayed when last evaluated, no reader moved */
+    int64_t *seen_at;      /* clock at the item's last evaluation */
+    int64_t *changed_at;   /* clock at the last change of a cluster's rs */
+    int64_t *near;         /* clusters each item touched when last
+                              evaluated, from its indptr offset (product
+                              form; as many slots as CSR entries) */
+    int64_t *nnear;
+    int64_t clock;
 } scratch_t;
+
+/* Whether item i, clean, saw the current rs of every cluster it reads. */
+static int sums_unchanged(const graph_t *g, const scratch_t *s, int64_t i,
+                          int64_t ci)
+{
+    if (g->rep_mode != REP_PRODUCT)
+        return 1;
+    if (s->changed_at[ci] > s->seen_at[i])
+        return 0;
+    const int64_t *near = s->near + g->indptr[i];
+    for (int64_t t = 0; t < s->nnear[i]; t++)
+        if (s->changed_at[near[t]] > s->seen_at[i])
+            return 0;
+    return 1;
+}
 
 /* One local-moving pass in `order`, as kernels._sweep; returns its moves.
  * The cluster sums and the free-id stack are rebuilt from `labels`. */
 static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
-                        const int64_t *constraint, double eps,
-                        const scratch_t *s)
+                        const int64_t *constraint, double eps, scratch_t *s)
 {
     int64_t n = g->n;
-    double *rs = s->rs, *wsum = s->wsum, *rsum = s->rsum;
+    double *rs = s->rs, *fresh = s->fresh, *wsum = s->wsum, *rsum = s->rsum;
     int64_t *cnt = s->cnt, *empty = s->empty, *touched = s->touched;
     unsigned char *seen = s->seen;
-    memset(rs, 0, (size_t)n * sizeof(double));
+    memset(fresh, 0, (size_t)n * sizeof(double));
     memset(cnt, 0, (size_t)n * sizeof(int64_t));
     for (int64_t i = 0; i < n; i++) {
         int64_t c = labels[i];
-        rs[c] += g->rep_strength[i];
+        fresh[c] += g->rep_strength[i];
         cnt[c] += 1;
+    }
+    /* a sum rebuilt to other bits than the last pass left counts as a
+     * change (memcmp: -0.0 differs from 0.0) */
+    s->clock++;
+    for (int64_t c = 0; c < n; c++) {
+        if (memcmp(&fresh[c], &rs[c], sizeof(double)))
+            s->changed_at[c] = s->clock;
+        rs[c] = fresh[c];
     }
     int64_t top = 0;
     for (int64_t c = 0; c < n; c++)
@@ -166,6 +215,8 @@ static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
     for (int64_t oi = 0; oi < n; oi++) {
         int64_t i = s->order[oi];
         int64_t ci = labels[i];
+        if (s->clean[i] && sums_unchanged(g, s, i, ci))
+            continue;
         int64_t ki = constraint[i];
         int64_t ntouch = 0;
         for (int64_t e = g->indptr[i]; e < g->indptr[i + 1]; e++) {
@@ -216,7 +267,15 @@ static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
                 best_c = c;
             }
         }
-        if (best_c != ci && best_g - g_cur < -eps && (best_c != -1 || top > 0)) {
+        int better = best_c != ci && best_g - g_cur < -eps;
+        s->seen_at[i] = s->clock;
+        s->clean[i] = !better;  /* a move wanting a free id stays dirty */
+        if (g->rep_mode == REP_PRODUCT) {
+            memcpy(s->near + g->indptr[i], touched,
+                   (size_t)ntouch * sizeof(int64_t));
+            s->nnear[i] = ntouch;
+        }
+        if (better && (best_c != -1 || top > 0)) {
             if (best_c == -1)
                 best_c = empty[--top];
             labels[i] = best_c;
@@ -227,6 +286,14 @@ static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
             rs[best_c] += rho_i;
             cnt[best_c] += 1;
             moves++;
+            s->clock++;
+            s->changed_at[ci] = s->changed_at[best_c] = s->clock;
+            for (int64_t e = g->readers_ptr[i]; e < g->readers_ptr[i + 1]; e++)
+                s->clean[g->readers[e]] = 0;
+            if (g->rep_mode == REP_EXPLICIT)
+                for (int64_t e = g->rep_readers_ptr[i];
+                     e < g->rep_readers_ptr[i + 1]; e++)
+                    s->clean[g->rep_readers[e]] = 0;
         }
         for (int64_t t = 0; t < ntouch; t++) {
             int64_t c = touched[t];
@@ -236,6 +303,107 @@ static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
         }
     }
     return moves;
+}
+
+/* Scratch for phases on graphs of at most n items and `entries`
+ * attraction entries; 0 when every allocation succeeded.  seen, wsum and
+ * rsum start zeroed, and one_pass leaves them so. */
+static int scratch_alloc(scratch_t *s, int64_t n, int64_t entries)
+{
+    size_t slots = n > 0 ? (size_t)n : 1;  /* calloc(0) may return NULL */
+    size_t i64 = sizeof(int64_t), f64 = sizeof(double);
+    *s = (scratch_t){
+        calloc(slots, f64), malloc(slots * f64), calloc(slots, f64),
+        calloc(slots, f64), calloc(slots, i64), malloc(slots * i64),
+        malloc(slots * i64), malloc(slots * i64), calloc(slots, 1),
+        calloc(slots, 1), calloc(slots, i64), calloc(slots, i64),
+        malloc((entries > 0 ? (size_t)entries : 1) * i64),
+        calloc(slots, i64), 0};
+    return !(s->rs && s->fresh && s->wsum && s->rsum && s->cnt && s->empty
+             && s->touched && s->order && s->seen && s->clean && s->seen_at
+             && s->changed_at && s->near && s->nnear);
+}
+
+static void scratch_free(scratch_t *s)
+{
+    free(s->rs);
+    free(s->fresh);
+    free(s->wsum);
+    free(s->rsum);
+    free(s->cnt);
+    free(s->empty);
+    free(s->touched);
+    free(s->order);
+    free(s->seen);
+    free(s->clean);
+    free(s->seen_at);
+    free(s->changed_at);
+    free(s->near);
+    free(s->nnear);
+}
+
+/* The transpose pattern of the CSR rows (ptr, idx) over n items, in
+ * fresh arrays: for each item j, the items whose rows hold j.  0 when
+ * the allocations succeeded. */
+static int transposed(int64_t n, const int64_t *ptr, const int64_t *idx,
+                      const int64_t **tptr_out, const int64_t **tidx_out)
+{
+    int64_t *tptr = malloc(((size_t)n + 1) * sizeof(int64_t));
+    int64_t *tidx = malloc(((size_t)(ptr[n] - ptr[0]) + 1) * sizeof(int64_t));
+    *tptr_out = tptr;
+    *tidx_out = tidx;
+    if (!tptr || !tidx)
+        return 1;
+    memset(tptr, 0, ((size_t)n + 1) * sizeof(int64_t));
+    for (int64_t e = ptr[0]; e < ptr[n]; e++)
+        tptr[idx[e] + 1]++;
+    for (int64_t j = 0; j < n; j++)
+        tptr[j + 1] += tptr[j];
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t e = ptr[i]; e < ptr[i + 1]; e++)
+            tidx[tptr[idx[e]]++] = i;
+    for (int64_t j = n; j > 0; j--)
+        tptr[j] = tptr[j - 1];
+    tptr[0] = 0;
+    return 0;
+}
+
+/* g's readers, as transposes (an input CSR need not be symmetric), freed
+ * by readers_free.  0 on success. */
+static int readers_alloc(graph_t *g)
+{
+    int failed = transposed(g->n, g->indptr, g->indices, &g->readers_ptr,
+                            &g->readers);
+    if (g->rep_mode == REP_EXPLICIT)
+        failed |= transposed(g->n, g->rep_indptr, g->rep_indices,
+                             &g->rep_readers_ptr, &g->rep_readers);
+    return failed;
+}
+
+static void readers_free(graph_t *g)
+{
+    free((void *)g->readers_ptr);
+    free((void *)g->readers);
+    free((void *)g->rep_readers_ptr);
+    free((void *)g->rep_readers);
+}
+
+/* Passes in a fresh permutation until one moves nothing or max_sweeps
+ * have run; returns the total moves. */
+static int64_t phase(const graph_t *g, double gamma, int64_t *labels,
+                     const int64_t *constraint, int64_t max_sweeps, double eps,
+                     const rng_t *rng, scratch_t *s)
+{
+    memset(s->clean, 0, (size_t)g->n);  /* new labels or constraint */
+    int64_t total = 0;
+    for (int64_t pass = 0; pass < max_sweeps; pass++) {
+        permutation(rng, g->n, s->order);
+        int64_t moves = one_pass(g, gamma, labels, constraint, eps, s);
+        total += moves;
+        if (moves == 0)
+            break;
+    }
+    return total;
 }
 
 /* One local-moving phase, as kernels._local_move: passes in a fresh
@@ -253,40 +421,275 @@ int64_t sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
               uint32_t (*next_uint32)(void *), uint64_t (*next_uint64)(void *))
 {
     graph_t g = {n, indptr, indices, weights, rep_mode, rep_strength,
-                 rep_denom, rep_indptr, rep_indices, rep_weights};
+                 rep_denom, rep_indptr, rep_indices, rep_weights,
+                 NULL, NULL, NULL, NULL};
     rng_t rng = {bitgen_state, next_uint32, next_uint64};
     int64_t err = check_graph(&g, m, rep_m);
     if (!err)
         err = check_range(labels, n, n, ERR_LABELS);
     if (err)
         return err;
-    size_t slots = n > 0 ? (size_t)n : 1;  /* calloc(0) may return NULL */
-    scratch_t s = {
-        calloc(slots, sizeof(double)), calloc(slots, sizeof(double)),
-        calloc(slots, sizeof(double)), calloc(slots, sizeof(int64_t)),
-        malloc(slots * sizeof(int64_t)), malloc(slots * sizeof(int64_t)),
-        malloc(slots * sizeof(int64_t)), calloc(slots, 1)};
-    int64_t total = ERR_NOMEM;
-    if (s.rs && s.wsum && s.rsum && s.cnt && s.empty && s.touched && s.order
-            && s.seen) {
-        total = 0;
-        for (int64_t pass = 0; pass < max_sweeps; pass++) {
-            permutation(&rng, n, s.order);
-            int64_t moves = one_pass(&g, gamma, labels, constraint, eps, &s);
-            total += moves;
-            if (moves == 0)
-                break;
+    scratch_t s;
+    int failed = scratch_alloc(&s, n, m);
+    failed |= readers_alloc(&g);
+    int64_t total = failed ? ERR_NOMEM
+        : phase(&g, gamma, labels, constraint, max_sweeps, eps, &rng, &s);
+    scratch_free(&s);
+    readers_free(&g);
+    return total;
+}
+
+/* ---- the level loop of optimizer.optimize ----
+ *
+ * Aggregation follows optimizer.aggregate.  A coarse edge weight is the
+ * sum, from 0.0 and in CSR order, of the entries (i, j) with j > i whose
+ * ends lie in different clusters: the order np.bincount adds them in.  Two
+ * stable counting sorts, by the larger cluster and then by the smaller,
+ * group those entries by cluster pair in O(m + k) and keep CSR order
+ * within each pair.  Coarse rows list both directions, columns ascending,
+ * as _csr_from_pairs does.  A coarse graph never has more entries than
+ * the one above it, so the buffers sized for the first one serve every
+ * level. */
+
+/* Relabels `labels` (values in [0, n)) in first-occurrence order from 0,
+ * as energy.canonicalize; `map` is n slots of scratch.  Returns the
+ * cluster count. */
+static int64_t canonicalize(int64_t *labels, int64_t n, int64_t *map)
+{
+    for (int64_t c = 0; c < n; c++)
+        map[c] = -1;
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t c = labels[i];
+        if (map[c] < 0)
+            map[c] = k++;
+        labels[i] = map[c];
+    }
+    return k;
+}
+
+/* Entries (i, j), j > i, of a CSR over n items. */
+static int64_t upper_entries(int64_t n, const int64_t *ptr, const int64_t *idx)
+{
+    int64_t count = 0;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t e = ptr[i]; e < ptr[i + 1]; e++)
+            count += idx[e] > i;
+    return count;
+}
+
+/* Scratch of `collapse`: `cap` cross entries and k + 1 counters. */
+typedef struct {
+    int64_t *lo, *hi;      /* an entry's smaller and larger cluster */
+    double *w;
+    int64_t *by_hi;        /* entries in stable order of hi */
+    int64_t *by_pair;      /* then of lo: pairs contiguous, lexicographic */
+    double *sum;           /* per pair, its entries' weights added in order */
+    int64_t *count;
+} collapse_t;
+
+/* The CSR (ptr, idx, wt) over n items collapsed onto the k clusters of
+ * `labels`, written as a k-row CSR to (out_ptr, out_idx, out_w), which
+ * may be the input's own buffers: everything is read before anything is
+ * written. */
+static void collapse(int64_t n, const int64_t *ptr, const int64_t *idx,
+                     const double *wt, const int64_t *labels, int64_t k,
+                     const collapse_t *c, int64_t *out_ptr, int64_t *out_idx,
+                     double *out_w)
+{
+    int64_t m = 0;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t e = ptr[i]; e < ptr[i + 1]; e++) {
+            int64_t j = idx[e], a = labels[i], b = labels[j];
+            if (j <= i || a == b)
+                continue;
+            c->lo[m] = a < b ? a : b;
+            c->hi[m] = a < b ? b : a;
+            c->w[m++] = wt[e];
         }
     }
-    free(s.rs);
-    free(s.wsum);
-    free(s.rsum);
-    free(s.cnt);
-    free(s.empty);
-    free(s.touched);
-    free(s.order);
-    free(s.seen);
-    return total;
+    int64_t *count = c->count;
+    memset(count, 0, (size_t)(k + 1) * sizeof(int64_t));
+    for (int64_t t = 0; t < m; t++)
+        count[c->hi[t] + 1]++;
+    for (int64_t a = 0; a < k; a++)
+        count[a + 1] += count[a];
+    for (int64_t t = 0; t < m; t++)
+        c->by_hi[count[c->hi[t]]++] = t;
+    memset(count, 0, (size_t)(k + 1) * sizeof(int64_t));
+    for (int64_t t = 0; t < m; t++)
+        count[c->lo[t] + 1]++;
+    for (int64_t a = 0; a < k; a++)
+        count[a + 1] += count[a];
+    for (int64_t u = 0; u < m; u++) {
+        int64_t t = c->by_hi[u];
+        c->by_pair[count[c->lo[t]]++] = t;
+    }
+    /* one pair per run of equal (lo, hi); by_hi now holds each run's
+     * first entry */
+    int64_t pairs = 0;
+    for (int64_t u = 0; u < m; u++) {
+        int64_t t = c->by_pair[u];
+        if (u == 0 || c->lo[t] != c->lo[c->by_hi[pairs - 1]]
+                || c->hi[t] != c->hi[c->by_hi[pairs - 1]]) {
+            c->by_hi[pairs] = t;
+            c->sum[pairs++] = 0.0;
+        }
+        c->sum[pairs - 1] += c->w[t];
+    }
+    memset(out_ptr, 0, (size_t)(k + 1) * sizeof(int64_t));
+    for (int64_t p = 0; p < pairs; p++) {
+        out_ptr[c->lo[c->by_hi[p]] + 1]++;
+        out_ptr[c->hi[c->by_hi[p]] + 1]++;
+    }
+    for (int64_t a = 0; a < k; a++)
+        out_ptr[a + 1] += out_ptr[a];
+    memcpy(count, out_ptr, (size_t)k * sizeof(int64_t));
+    /* smaller columns first: each row hi gets its lo ends in ascending
+     * order, then each row lo its hi ends */
+    for (int64_t p = 0; p < pairs; p++) {
+        int64_t r = c->hi[c->by_hi[p]], e = count[r]++;
+        out_idx[e] = c->lo[c->by_hi[p]];
+        out_w[e] = c->sum[p];
+    }
+    for (int64_t p = 0; p < pairs; p++) {
+        int64_t r = c->lo[c->by_hi[p]], e = count[r]++;
+        out_idx[e] = c->hi[c->by_hi[p]];
+        out_w[e] = c->sum[p];
+    }
+}
+
+/* The level loop of optimizer.optimize for one seed, as its Python loop
+ * runs it, phase for phase and draw for draw: local moving; refinement
+ * from singletons within each cluster (or the clusters themselves when
+ * refinement keeps every item apart); aggregation of the refinement, the
+ * clusters becoming the next level's start; at most max_levels levels,
+ * then a polish of up to max_polish passes on the original graph.
+ * Writes the canonical labels to `out` (n slots) and returns 0, or an
+ * ERR_ code before any number is drawn.  The caller holds the bit
+ * generator's lock. */
+int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
+                   int64_t m, const double *weights, int64_t rep_mode,
+                   const double *rep_strength, double rep_denom,
+                   const int64_t *rep_indptr, const int64_t *rep_indices,
+                   int64_t rep_m, const double *rep_weights, double gamma,
+                   int64_t max_levels, int64_t max_sweeps, int64_t max_polish,
+                   double eps, int64_t *out, void *bitgen_state,
+                   uint32_t (*next_uint32)(void *),
+                   uint64_t (*next_uint64)(void *))
+{
+    graph_t orig = {n, indptr, indices, weights, rep_mode, rep_strength,
+                    rep_denom, rep_indptr, rep_indices, rep_weights,
+                    NULL, NULL, NULL, NULL};
+    rng_t rng = {bitgen_state, next_uint32, next_uint64};
+    int64_t err = check_graph(&orig, m, rep_m);
+    if (err)
+        return err;
+    int explicit_rep = rep_mode == REP_EXPLICIT;
+    int64_t att_cap = upper_entries(n, indptr, indices);
+    int64_t rep_cap = explicit_rep ? upper_entries(n, rep_indptr, rep_indices)
+                                   : 0;
+    size_t slots = n > 0 ? (size_t)n + 1 : 2;
+    size_t cap = (size_t)(att_cap > rep_cap ? att_cap : rep_cap) + 1;
+    size_t i64 = sizeof(int64_t), f64 = sizeof(double);
+    scratch_t s;
+    /* the attraction entries of the input graph or of any coarse one */
+    int64_t entries = m > 2 * (int64_t)cap ? m : 2 * (int64_t)cap;
+    int failed = scratch_alloc(&s, n, entries);
+    failed |= readers_alloc(&orig);
+    int64_t *labels = malloc(slots * i64), *refined = malloc(slots * i64);
+    int64_t *next = malloc(slots * i64), *mapping = malloc(slots * i64);
+    int64_t *zeros = calloc(slots, i64), *map = malloc(slots * i64);
+    double *rho = malloc(slots * f64), *rho_next = malloc(slots * f64);
+    collapse_t c = {malloc(cap * i64), malloc(cap * i64), malloc(cap * f64),
+                    malloc(cap * i64), malloc(cap * i64), malloc(cap * f64),
+                    malloc(slots * i64)};
+    int64_t *ptr = malloc(slots * i64), *idx = malloc((2 * cap) * i64);
+    double *wt = malloc((2 * cap) * f64);
+    int64_t *rep_ptr = NULL, *rep_idx = NULL;
+    double *rep_wt = NULL;
+    if (explicit_rep) {
+        rep_ptr = malloc(slots * i64);
+        rep_idx = malloc((2 * cap) * i64);
+        rep_wt = malloc((2 * cap) * f64);
+        failed |= !(rep_ptr && rep_idx && rep_wt);
+    }
+    failed |= !(labels && refined && next && mapping && zeros && map && rho
+                && rho_next && c.lo && c.hi && c.w && c.by_hi && c.by_pair
+                && c.sum && c.count && ptr && idx && wt);
+    if (failed) {
+        err = ERR_NOMEM;
+        goto done;
+    }
+    graph_t cur = orig;
+    for (int64_t i = 0; i < n; i++)
+        labels[i] = mapping[i] = i;
+    for (int64_t level = 0; level < max_levels; level++) {
+        int64_t moved = phase(&cur, gamma, labels, zeros, max_sweeps, eps,
+                              &rng, &s);
+        int64_t k = canonicalize(labels, cur.n, map);
+        if (moved == 0 || k == cur.n)
+            break;
+        for (int64_t i = 0; i < cur.n; i++)
+            refined[i] = i;
+        phase(&cur, gamma, refined, labels, max_sweeps, eps, &rng, &s);
+        int64_t kr = canonicalize(refined, cur.n, map);
+        if (kr == cur.n) {
+            memcpy(refined, labels, (size_t)cur.n * i64);
+            kr = k;
+        }
+        collapse(cur.n, cur.indptr, cur.indices, cur.weights, refined, kr, &c,
+                 ptr, idx, wt);
+        memset(rho_next, 0, (size_t)kr * f64);
+        if (explicit_rep)
+            collapse(cur.n, cur.rep_indptr, cur.rep_indices, cur.rep_weights,
+                     refined, kr, &c, rep_ptr, rep_idx, rep_wt);
+        else  /* item order, as np.bincount adds */
+            for (int64_t i = 0; i < cur.n; i++)
+                rho_next[refined[i]] += cur.rep_strength[i];
+        for (int64_t i = 0; i < cur.n; i++)
+            next[refined[i]] = labels[i];
+        for (int64_t i = 0; i < n; i++)
+            mapping[i] = refined[mapping[i]];
+        double *swap = rho;
+        rho = rho_next;
+        rho_next = swap;
+        int64_t *held = labels;
+        labels = next;
+        next = held;
+        /* coarse CSRs are symmetric: their own readers */
+        cur = (graph_t){kr, ptr, idx, wt, rep_mode, rho, rep_denom,
+                        rep_ptr, rep_idx, rep_wt, ptr, idx, rep_ptr, rep_idx};
+    }
+    for (int64_t i = 0; i < n; i++)
+        out[i] = labels[mapping[i]];
+    phase(&orig, gamma, out, zeros, max_polish, eps, &rng, &s);
+    canonicalize(out, n, map);
+done:
+    scratch_free(&s);
+    readers_free(&orig);
+    free(labels);
+    free(refined);
+    free(next);
+    free(mapping);
+    free(zeros);
+    free(map);
+    free(rho);
+    free(rho_next);
+    free(c.lo);
+    free(c.hi);
+    free(c.w);
+    free(c.by_hi);
+    free(c.by_pair);
+    free(c.sum);
+    free(c.count);
+    free(ptr);
+    free(idx);
+    free(wt);
+    free(rep_ptr);
+    free(rep_idx);
+    free(rep_wt);
+    return err;
 }
 
 /* ---- exact k-nearest-neighbour search on a kd-tree ----

@@ -1,8 +1,9 @@
-"""Inner loops for energy evaluation, local moving and the kNN search.
+"""Inner loops for energy evaluation, local moving, the optimizer's level
+loop and the kNN search.
 
 `energy_components` is vectorised numpy on every backend; each of its sums
 adds left to right, so it returns the floats a plain loop over the edges
-returns.  Two loops are compiled from `_kernels.c`, each beside a Python
+returns.  Three loops are compiled from `_kernels.c`, each beside a Python
 reference that is the fallback and the test oracle:
 
 - `sweep` ports the Python `_local_move` (passes of `_sweep`) operation
@@ -10,7 +11,17 @@ reference that is the fallback and the test oracle:
   pass's order from the caller's numpy Generator through its bit
   generator's ctypes interface, replaying `rng.permutation` (Fisher-Yates
   over `random_interval`), so labels, move counts and the generator's
-  state afterwards match the Python loop exactly.
+  state afterwards match the Python loop exactly.  A C pass skips an item
+  that stayed put when last evaluated and whose inputs (its neighbours'
+  labels, and for product-form repulsion the cluster sums it reads) have
+  not changed since: it would stay put again.
+- `level_loop` runs the whole loop of `optimizer.optimize` for one seed
+  (move, refine, aggregate, level after level, then the polish) in one
+  call, with the phases of `sweep` and aggregation that adds in the order
+  `optimizer.aggregate` adds.  Its reference is
+  `optimizer._level_loop_py`, which calls `sweep` once per phase; it
+  returns the same labels and leaves the generator in the same state.
+  Without the C kernels it is None.
 - `knn` finds each item's k nearest others by (distance, index) with an
   exact kd-tree search; `knn_py` does it by chunked brute force.  Both
   sum a distance from 0.0 in coordinate order, so they return the same
@@ -20,10 +31,11 @@ On first import the C file is compiled with `cc` (else `gcc`) into a
 per-user cache, keyed by source, flags and machine type, and loaded with
 ctypes.  Without a compiler, when the build fails, or with
 CONFRES_DISABLE_COMPILED=1, `sweep` and `knn` are the Python references
-(identical results, much slower).  A failed build leaves a marker file
-beside the cache entry, so later imports do not run the compiler again.
-`BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py
-checks that the two agree bit for bit; to time the Python references, run
+and the optimizer runs its Python loop (identical results, much slower).
+A failed build leaves a marker file beside the cache entry, so later
+imports do not run the compiler again.  `BACKEND` names the loops in use,
+"c" or "python".  tests/test_kernels.py and tests/test_optimizer.py check
+that the two agree bit for bit; to time the Python references, run
 perfbench/run.py with CONFRES_DISABLE_COMPILED=1.
 """
 
@@ -428,24 +440,29 @@ def _load_library():
     graph = [i64, ptr, ptr, i64, ptr, i64, ptr, f64, ptr, ptr, i64, ptr]
     lib.sweep.argtypes = graph + [f64, ptr, ptr, i64, f64, ptr, ptr, ptr]
     lib.sweep.restype = i64
+    lib.level_loop.argtypes = graph + [f64, i64, i64, i64, f64, ptr, ptr, ptr,
+                                       ptr]
+    lib.level_loop.restype = i64
     lib.knn.argtypes = [i64, i64, ptr, i64, i64, ptr, ptr]
     lib.knn.restype = i64
     return lib
 
 
 # Every pointer handed to C is checked first: dtype, C-contiguity and
-# length of each array.  The C sweep checks the range of every value used
-# as an index and the order of each indptr, in one scan before any indexed
-# read, and returns a negative status (an ERR_ code of _kernels.c) when
-# one fails; `_raise` maps it to the exception.
+# length of each array.  The C sweep and level loop check the range of
+# every value used as an index and the order of each indptr, in one scan
+# before any indexed read, and return a negative status (an ERR_ code of
+# _kernels.c) when one fails; `_raise` maps it to the exception.
 
 def _raise(status, graph_args=None):
     """Raise the error a negative C status stands for; `graph_args` are
-    the graph arguments the sweep was called with (none for `knn`)."""
+    the graph arguments the sweep or level loop was called with (none for
+    `knn`)."""
     n, m, rep_m = (graph_args[0], graph_args[3], graph_args[10]
                    ) if graph_args else (0, 0, 0)
     raise {
-        -1: MemoryError("the C sweep could not allocate its scratch arrays"),
+        -1: MemoryError("the C sweep or level loop could not allocate its "
+                        "scratch arrays"),
         -2: _out_of_range("labels", n),
         -3: _out_of_range("indptr", m + 1),
         -4: _out_of_range("indices", n),
@@ -457,6 +474,33 @@ def _raise(status, graph_args=None):
     }[status]
 
 
+def _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
+                rep_denom, rep_indptr, rep_indices, rep_weights):
+    """The graph arguments of the C calls, after `_check_graph`."""
+    _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
+                 rep_denom, rep_indptr, rep_indices, rep_weights)
+    repulsion = (None, None, 0, None)  # never read for product-form repulsion
+    if rep_mode == REP_EXPLICIT:
+        repulsion = (rep_indptr.ctypes.data, rep_indices.ctypes.data,
+                     rep_indices.shape[0], rep_weights.ctypes.data)
+    return (n, indptr.ctypes.data, indices.ctypes.data, indices.shape[0],
+            weights.ctypes.data, rep_mode, rep_strength.ctypes.data,
+            rep_denom, *repulsion)
+
+
+def _call_drawing(fn, args, rng, *tail):
+    """fn(*args, *tail, <rng's bit generator>) under the generator's lock;
+    raises for a negative status, else returns it."""
+    bitgen = rng.bit_generator
+    draw = bitgen.ctypes
+    with bitgen.lock:
+        status = fn(*args, *tail, draw.state_address, draw.next_uint32,
+                    draw.next_uint64)
+    if status < 0:
+        _raise(status, args)
+    return status
+
+
 def _local_move_c(indptr, indices, weights,
                   rep_mode, rep_strength, rep_denom,
                   rep_indptr, rep_indices, rep_weights,
@@ -466,25 +510,27 @@ def _local_move_c(indptr, indices, weights,
         raise ValueError("labels must be writable: sweep moves items in place")
     n = labels.shape[0]
     _check_array("constraint", constraint, _I64, n)
-    _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
-                 rep_denom, rep_indptr, rep_indices, rep_weights)
-    repulsion = (None, None, 0, None)  # never read for product-form repulsion
-    if rep_mode == REP_EXPLICIT:
-        repulsion = (rep_indptr.ctypes.data, rep_indices.ctypes.data,
-                     rep_indices.shape[0], rep_weights.ctypes.data)
-    args = (n, indptr.ctypes.data, indices.ctypes.data, indices.shape[0],
-            weights.ctypes.data, rep_mode, rep_strength.ctypes.data,
-            rep_denom, *repulsion)
-    bitgen = rng.bit_generator
-    draw = bitgen.ctypes
-    with bitgen.lock:
-        moves = _LIB.sweep(*args, gamma, labels.ctypes.data,
-                           constraint.ctypes.data, max_sweeps, EPSILON,
-                           draw.state_address, draw.next_uint32,
-                           draw.next_uint64)
-    if moves < 0:
-        _raise(moves, args)
-    return moves
+    args = _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
+                       rep_denom, rep_indptr, rep_indices, rep_weights)
+    return _call_drawing(_LIB.sweep, args, rng, gamma, labels.ctypes.data,
+                         constraint.ctypes.data, max_sweeps, EPSILON)
+
+
+def _level_loop_c(n, indptr, indices, weights,
+                  rep_mode, rep_strength, rep_denom,
+                  rep_indptr, rep_indices, rep_weights,
+                  gamma, rng, max_levels, max_sweeps, max_polish):
+    """The level loop of `optimizer.optimize` for one seed in one C call
+    (`level_loop` in _kernels.c): the canonical labels that its Python
+    loop returns, with the same numbers drawn from `rng`.  Raises, before
+    any draw, the IndexError or ValueError that the first `sweep` of that
+    loop raises for a bad graph."""
+    args = _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
+                       rep_denom, rep_indptr, rep_indices, rep_weights)
+    labels = np.empty(n, dtype=np.int64)
+    _call_drawing(_LIB.level_loop, args, rng, gamma, max_levels, max_sweeps,
+                  max_polish, EPSILON, labels.ctypes.data)
+    return labels
 
 
 def _knn_c(points, k, metric="euclidean"):
@@ -507,9 +553,11 @@ _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
     sweep, knn = _local_move, knn_py
+    level_loop = None  # optimizer runs its Python loop
 else:
     BACKEND = "c"
     sweep, knn = _local_move_c, _knn_c
+    level_loop = _level_loop_c
 
 # Always False: numba is no longer a backend.  perfbench/worker.py still
 # reads this name to label its results, so it stays until the benchmark

@@ -5,6 +5,14 @@ singletons constrained to the current clusters), then aggregation on the
 refined partition with the coarse partition as the starting point on the
 aggregate graph.  A final item-level polish pass on the original graph
 guarantees single-move stability of the returned partition.
+
+With the C kernels loaded, each seed's whole loop (every level, then the
+polish) is one call, `kernels.level_loop`.  `_level_loop_py` runs the same
+loop phase by phase through `kernels.sweep` and `aggregate`: it is the
+fallback without the C kernels and the oracle the C loop is tested
+against, and it also runs when `kernels.sweep` or `aggregate` has been
+replaced (a tracer wrapping them), so that the replacement sees every
+call.  Both return the same labels.
 """
 
 from dataclasses import dataclass
@@ -100,25 +108,11 @@ def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
                           const_h_a=const_h_a, const_h_r=const_h_r)
 
 
-def optimize(graph: AffinityGraph, gamma: float,
-             opts: OptimizeOptions = None):
-    """Minimize H at fixed gamma; returns (labels, EnergySummary).
+_AGGREGATE = aggregate  # to tell whether `aggregate` has been replaced
 
-    Deterministic for a fixed seed; the returned partition is canonical
-    and single-move stable on the original graph.
-    """
-    check_gamma(gamma)
-    if opts is None:
-        opts = OptimizeOptions()
-    if opts.restarts > 1:
-        best = None
-        for attempt in range(opts.restarts):
-            labels, energy = optimize(
-                graph, gamma, OptimizeOptions(seed=opts.seed + attempt))
-            if best is None or energy.total < best[1].total - kernels.EPSILON:
-                best = (labels, energy)
-        return best
-    rng = np.random.default_rng(np.random.PCG64(opts.seed))
+
+def _level_loop_py(graph, gamma, rng):
+    """The canonical labels of one seed's level loop, phase by phase."""
     cur = graph
     mapping = np.arange(graph.n)
     labels = np.arange(cur.n, dtype=np.int64)
@@ -147,5 +141,45 @@ def optimize(graph: AffinityGraph, gamma: float,
     # polish on the original graph so single-item moves cannot improve H
     zeros = np.zeros(graph.n, dtype=np.int64)
     _run_sweeps(graph, final, gamma, zeros, rng, 10 * MAX_SWEEPS_PER_LEVEL)
-    final = canonicalize(final)
-    return final, hamiltonian(graph, final, gamma)
+    return canonicalize(final)
+
+
+def _level_loop_c(graph, gamma, rng):
+    return kernels.level_loop(
+        graph.n, graph.indptr, graph.indices, graph.weights,
+        graph.rep_mode, graph.rep_strength, graph.rep_denom,
+        graph.rep_indptr, graph.rep_indices, graph.rep_weights,
+        float(gamma), rng, MAX_LEVELS, MAX_SWEEPS_PER_LEVEL,
+        10 * MAX_SWEEPS_PER_LEVEL)
+
+
+def _compiled_loop():
+    """Whether the C level loop stands in for `_level_loop_py`: the C
+    kernels are loaded and neither of the functions that loop calls per
+    phase and per level has been replaced."""
+    return (kernels.level_loop is not None
+            and kernels.sweep is kernels._local_move_c
+            and aggregate is _AGGREGATE)
+
+
+def optimize(graph: AffinityGraph, gamma: float,
+             opts: OptimizeOptions = None):
+    """Minimize H at fixed gamma; returns (labels, EnergySummary).
+
+    Deterministic for a fixed seed; the returned partition is canonical
+    and single-move stable on the original graph.  With restarts, seeds
+    seed, seed + 1, ... run in turn; a later one wins only with an energy
+    lower by more than kernels.EPSILON.
+    """
+    check_gamma(gamma)
+    if opts is None:
+        opts = OptimizeOptions()
+    level_loop = _level_loop_c if _compiled_loop() else _level_loop_py
+    best = None
+    for seed in range(opts.seed, opts.seed + opts.restarts):
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        labels = level_loop(graph, gamma, rng)
+        energy = hamiltonian(graph, labels, gamma)
+        if best is None or energy.total < best[1].total - kernels.EPSILON:
+            best = (labels, energy)
+    return best

@@ -1,9 +1,22 @@
+import dataclasses
 import itertools
+import shutil
 
 import numpy as np
 import pytest
 
+from confres import kernels
 from confres.graph import build_knn_graph, derive_affinity, from_edge_list
+
+# a C compiler on PATH, for tests that run it themselves
+has_compiler = pytest.mark.skipif(
+    shutil.which("cc") is None and shutil.which("gcc") is None,
+    reason="no C compiler")
+
+# the C kernels are loaded, for tests that compare them with the Python
+# references: not without a compiler, nor with CONFRES_DISABLE_COMPILED=1
+needs_cc = pytest.mark.skipif(kernels.BACKEND != "c",
+                              reason="the C kernels are not loaded")
 
 
 def random_affinity(rng, n=None, scheme=None):
@@ -30,6 +43,24 @@ def random_affinity(rng, n=None, scheme=None):
                      if rng.random() < 0.5]
     return from_edge_list(n, edges, repulsion_scheme=scheme,
                           repulsion_edges=repulsion)
+
+
+def drop_entries(graph, rng, p=0.3):
+    """The graph with each CSR entry dropped with probability p, so that
+    its CSRs are no longer symmetric (as no public builder leaves them)."""
+
+    def thin(indptr, indices, weights):
+        keep = rng.random(indices.shape[0]) >= p
+        rows = np.repeat(np.arange(graph.n), np.diff(indptr))
+        ptr = np.zeros(graph.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[keep], minlength=graph.n), out=ptr[1:])
+        return ptr, indices[keep].copy(), weights[keep].copy()
+
+    ptr, idx, w = thin(graph.indptr, graph.indices, graph.weights)
+    rep = thin(graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+    return dataclasses.replace(graph, indptr=ptr, indices=idx, weights=w,
+                               rep_indptr=rep[0], rep_indices=rep[1],
+                               rep_weights=rep[2])
 
 
 def blob_points(rng, centers, per=30, sigma=1.0, dim=2):

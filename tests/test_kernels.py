@@ -14,11 +14,7 @@ from scipy.spatial import cKDTree
 
 from confres import kernels
 from confres.energy import landscape_point
-from conftest import random_affinity
-
-needs_cc = pytest.mark.skipif(
-    shutil.which("cc") is None and shutil.which("gcc") is None,
-    reason="no C compiler to build the C kernels")
+from conftest import drop_entries, has_compiler, needs_cc, random_affinity
 
 # product-form repulsion (a scheme drawn at random) and explicit repulsion
 SCHEMES = (None, "explicit")
@@ -107,10 +103,13 @@ def test_energy_components_rejects_negative_product_label(rng):
 @needs_cc
 def test_sweep_backends_agree(rng):
     # the C loop draws each pass's order as rng.permutation does: same
-    # labels, same move count, same generator state afterwards
+    # labels, same move count, same generator state afterwards; one graph
+    # in five has asymmetric CSRs
     assert kernels.BACKEND == "c"
     for trial in range(80):
         graph = random_affinity(rng, scheme=SCHEMES[trial % 2])
+        if trial % 5 == 4:
+            graph = drop_entries(graph, rng)
         if trial % 4 < 2:
             labels_a = np.arange(graph.n, dtype=np.int64)
         else:
@@ -321,7 +320,7 @@ def test_every_c_status_code_is_mapped():
         kernels._raise(min(values) - 1, graph_args)
 
 
-@needs_cc
+@has_compiler
 def test_c_source_compiles_without_warnings(tmp_path):
     compiler = shutil.which("cc") or shutil.which("gcc")
     built = subprocess.run(
@@ -341,7 +340,7 @@ def test_backend_flag_disables_compilation():
     assert out.stdout.split() == ["python", "True"]
 
 
-@needs_cc
+@has_compiler
 def test_failed_build_is_remembered(tmp_path, monkeypatch):
     broken = tmp_path / "_kernels.c"
     broken.write_text("this is not C;\n")
@@ -363,3 +362,101 @@ def test_failed_build_is_remembered(tmp_path, monkeypatch):
     marker.unlink()  # deleting the marker retries the build
     with pytest.raises(AssertionError, match="compiler ran again"):
         kernels._load_library()
+
+
+# Runs the C level loop, with a toy bit generator, on three small graphs
+# and on one whose indices run out of range; exits 0 only if each call
+# returns the expected status and canonical labels.
+_SANITIZER_MAIN = r"""
+#include <stdint.h>
+#include <stdio.h>
+
+int64_t level_loop(int64_t, const int64_t *, const int64_t *, int64_t,
+                   const double *, int64_t, const double *, double,
+                   const int64_t *, const int64_t *, int64_t, const double *,
+                   double, int64_t, int64_t, int64_t, double, int64_t *,
+                   void *, uint32_t (*)(void *), uint64_t (*)(void *));
+
+static uint64_t next64(void *state)
+{
+    uint64_t *x = state;  /* xorshift64 */
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    return *x;
+}
+
+static uint32_t next32(void *state) { return (uint32_t)(next64(state) >> 32); }
+
+static int run(const char *name, int64_t n, const int64_t *ptr,
+               const int64_t *idx, const double *w, int64_t rep_mode,
+               const double *rho, double denom, const int64_t *rptr,
+               const int64_t *ridx, const double *rw, double gamma,
+               int64_t want)
+{
+    int64_t out[8];
+    uint64_t state = 88172645463325252ULL;
+    int64_t status = level_loop(n, ptr, idx, ptr[n], w, rep_mode, rho, denom,
+                                rptr, ridx, rptr ? rptr[n] : 0, rw, gamma,
+                                32, 100, 1000, 1e-12, out, &state, next32,
+                                next64);
+    int ok = status == want;
+    for (int64_t i = 0, top = -1; ok && status == 0 && i < n; i++) {
+        ok = out[i] >= 0 && out[i] <= top + 1;
+        top = out[i] > top ? out[i] : top;
+    }
+    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
+    return !ok;
+}
+
+int main(void)
+{
+    const int64_t tri_ptr[] = {0, 2, 4, 6}, tri_idx[] = {1, 2, 0, 2, 0, 1};
+    const double tri_w[] = {1, 1, 1, 1, 1, 1}, ones[] = {1, 1, 1, 1, 1, 1};
+    const int64_t pairs_ptr[] = {0, 1, 2, 3, 4}, pairs_idx[] = {1, 0, 3, 2};
+    const double pairs_w[] = {2, 2, 1, 1}, pairs_rho[] = {2, 2, 1, 1};
+    /* a path 0-1-2-3-4-5 plus 0-2, repelled by 0-5, 1-4 and 2-3 */
+    const int64_t path_ptr[] = {0, 2, 4, 7, 9, 11, 12};
+    const int64_t path_idx[] = {1, 2, 0, 2, 0, 1, 3, 2, 4, 3, 5, 4};
+    const double path_w[] = {3, 1, 3, 2, 1, 2, 1, 1, 3, 3, 2, 2};
+    const int64_t rep_ptr[] = {0, 1, 2, 3, 4, 5, 6};
+    const int64_t rep_idx[] = {5, 4, 3, 2, 1, 0};
+    const double rep_w[] = {1, 2, 4, 4, 2, 1}, zeros[6] = {0};
+    const int64_t bad_idx[] = {1, 2, 0, 2, 0, 3};
+    return run("triangle", 3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0, NULL,
+               NULL, NULL, 1.0, 0)
+        | run("two pairs", 4, pairs_ptr, pairs_idx, pairs_w, 0, pairs_rho,
+              12.0, NULL, NULL, NULL, 1.0, 0)
+        | run("explicit", 6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
+              rep_ptr, rep_idx, rep_w, 0.5, 0)
+        | run("bad indices", 3, tri_ptr, bad_idx, tri_w, 0, ones, 3.0, NULL,
+              NULL, NULL, 1.0, -4);
+}
+"""
+
+SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+            "-fno-omit-frame-pointer")
+
+
+@has_compiler
+def test_level_loop_is_clean_under_sanitizers(tmp_path):
+    # AddressSanitizer (leaks included) and UBSan over the level loop's
+    # allocation, aggregation indexing and error path
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    probe = tmp_path / "probe.c"
+    probe.write_text("int main(void) { return 0; }\n")
+    linked = subprocess.run([compiler, *SANITIZE, "-o", str(tmp_path / "probe"),
+                             str(probe)], capture_output=True, text=True)
+    if linked.returncode != 0:
+        pytest.skip(f"the sanitizer runtime does not link: {linked.stderr}")
+    main = tmp_path / "main.c"
+    main.write_text(_SANITIZER_MAIN)
+    exe = tmp_path / "check_level_loop"
+    built = subprocess.run(
+        [compiler, "-O1", "-g", "-ffp-contract=off", *SANITIZE, "-o", str(exe),
+         str(main), kernels._SOURCE, "-lm"], capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    ran = subprocess.run([str(exe)], capture_output=True, text=True,
+                         timeout=60)
+    assert ran.returncode == 0, ran.stdout + ran.stderr
+    assert ran.stdout.count(": status") == 4 and "BAD" not in ran.stdout

@@ -1,13 +1,15 @@
 """Local moving, aggregation exactness, and full optimization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from confres import kernels
+from confres import kernels, optimizer
 from confres.energy import canonicalize, cluster_count, hamiltonian
-from confres.graph import from_edge_list
+from confres.graph import AffinityGraph, from_edge_list
 from confres.optimizer import OptimizeOptions, aggregate, optimize
-from conftest import random_affinity
+from conftest import drop_entries, needs_cc, random_affinity
 
 
 def _connected_components(graph):
@@ -136,3 +138,138 @@ class TestOptimize:
             for item in range(g.n):
                 for target in range(k + 1):
                     assert move_delta(g, labels, item, target, gamma) >= -1e-9
+
+
+# Explicit repulsion, 11 items: at gamma = 2 with seed 0 the second
+# level's refinement keeps every super-node apart, so that level
+# aggregates its clusters instead.
+_FALLBACK_EDGES = (
+    [(0, 2, 3.0), (0, 3, 3.0), (0, 6, 2.0), (0, 7, 2.0), (0, 8, 1.0),
+     (0, 9, 3.0), (1, 2, 1.0), (1, 4, 2.0), (1, 5, 1.0), (1, 6, 2.0),
+     (2, 3, 3.0), (2, 4, 1.0), (2, 6, 2.0), (2, 9, 3.0), (3, 4, 2.0),
+     (3, 5, 3.0), (3, 6, 3.0), (3, 7, 2.0), (3, 8, 1.0), (3, 9, 2.0),
+     (4, 5, 1.0), (4, 6, 1.0), (4, 7, 1.0), (4, 8, 1.0), (4, 10, 3.0),
+     (5, 7, 3.0), (5, 8, 2.0), (5, 9, 1.0), (5, 10, 2.0), (6, 10, 1.0),
+     (7, 8, 1.0), (7, 9, 2.0), (7, 10, 2.0), (8, 10, 1.0)],
+    [(0, 4, 1.0), (0, 9, 3.0), (1, 3, 3.0), (1, 4, 2.0), (1, 5, 2.0),
+     (1, 6, 2.0), (1, 10, 2.0), (2, 3, 1.0), (2, 4, 1.0), (2, 6, 1.0),
+     (2, 7, 3.0), (2, 8, 1.0), (3, 4, 3.0), (3, 5, 3.0), (3, 6, 3.0),
+     (3, 7, 1.0), (3, 9, 1.0), (4, 6, 2.0), (4, 8, 2.0), (4, 10, 2.0),
+     (5, 8, 1.0), (5, 10, 2.0), (6, 7, 2.0), (6, 8, 2.0), (7, 8, 2.0),
+     (7, 10, 2.0), (9, 10, 1.0)])
+
+
+def _fallback_graph():
+    edges, repulsion = _FALLBACK_EDGES
+    return from_edge_list(11, edges, repulsion_scheme="explicit",
+                          repulsion_edges=repulsion)
+
+
+def _both_loops(monkeypatch, graph, gamma, opts):
+    """optimize's result through the C level loop, then through the
+    Python one."""
+    assert optimizer._compiled_loop()
+    compiled = optimize(graph, gamma, opts)
+    with monkeypatch.context() as patch:
+        patch.setattr(optimizer, "_compiled_loop", lambda: False)
+        python = optimize(graph, gamma, opts)
+    return compiled, python
+
+
+def _exact(energy):
+    return [np.float64(x).tobytes()
+            for x in (energy.gamma, energy.h_a, energy.h_r, energy.total)]
+
+
+def test_fallback_graph_aggregates_unrefined_clusters(monkeypatch):
+    # the refinement phase run just before an aggregation moved nothing:
+    # that level aggregated its clusters, not the refinement
+    events = []
+    sweep, aggregate_ = kernels.sweep, optimizer.aggregate
+
+    def spy_sweep(*args):
+        moves = sweep(*args)
+        events.append(moves)
+        return moves
+
+    def spy_aggregate(graph, labels):
+        events.append("aggregate")
+        return aggregate_(graph, labels)
+
+    monkeypatch.setattr(kernels, "sweep", spy_sweep)
+    monkeypatch.setattr(optimizer, "aggregate", spy_aggregate)
+    optimize(_fallback_graph(), 2.0, OptimizeOptions(seed=0))
+    before = [events[i - 1] for i, e in enumerate(events) if e == "aggregate"]
+    assert len(before) >= 2 and before[0] > 0 and 0 in before
+
+
+@needs_cc
+def test_level_loop_backends_agree(rng, monkeypatch):
+    # C and Python loops: the same labels and the same energy floats, over
+    # both repulsion modes, gamma 0, random and large, 1 and 3 restarts
+    graphs = [random_affinity(rng, n=int(rng.integers(2, 40)),
+                              scheme=(None, "explicit")[trial % 2])
+              for trial in range(96)]
+    # asymmetric CSRs, which no public builder makes
+    graphs[4::8] = [drop_entries(graph, rng) for graph in graphs[4::8]]
+    graphs += [
+        from_edge_list(9, [(0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0), (5, 6, 1.0),
+                           (6, 7, 1.0), (5, 7, 0.2)]),  # item 8 stands alone
+        from_edge_list(2, [(0, 1, 0.5)], repulsion_scheme="uniform"),
+        from_edge_list(2, [(0, 1, 0.5)], repulsion_scheme="explicit",
+                       repulsion_edges=[(0, 1, 0.25)]),
+        _fallback_graph(),
+    ]
+    for trial, graph in enumerate(graphs):
+        gammas = (0.0, float(rng.random() * 2), 1e6)
+        if graph is graphs[-1]:
+            gammas, seed = (0.0, 2.0, 1e6), 0
+        else:
+            seed = int(rng.integers(2 ** 32))
+        for gamma in gammas:
+            opts = OptimizeOptions(seed=seed, restarts=(1, 3)[trial % 2])
+            (a, ea), (b, eb) = _both_loops(monkeypatch, graph, gamma, opts)
+            assert np.array_equal(a, b), (trial, gamma)
+            assert _exact(ea) == _exact(eb), (trial, gamma)
+            # draw for draw: the generators end in the same state
+            rng_c, rng_py = (np.random.default_rng(seed) for _ in range(2))
+            optimizer._level_loop_c(graph, gamma, rng_c)
+            optimizer._level_loop_py(graph, gamma, rng_py)
+            assert rng_c.bit_generator.state == rng_py.bit_generator.state
+
+
+def _bad_graphs():
+    """(name, graph, exception, message) for graphs that no sweep can read."""
+    graph = random_affinity(np.random.default_rng(3), scheme="explicit")
+    for field, value, name in (("indptr", -1, "indptr"),
+                               ("indices", graph.n, "indices"),
+                               ("rep_indptr", -1, "rep_indptr"),
+                               ("rep_indices", graph.n, "rep_indices")):
+        bad = getattr(graph, field).copy()
+        bad[-1] = value
+        yield (name, dataclasses.replace(graph, **{field: bad}), IndexError,
+               rf"^{name} out of range")
+    # in range, but row 1 would read [3, 1)
+    for scheme in ("uniform", "explicit"):
+        rep = {}
+        if scheme == "explicit":
+            rep = {"rep_indptr": np.array([0, 1, 2, 2]),
+                   "rep_indices": np.array([1, 0]), "rep_weights": np.ones(2)}
+        decreasing = AffinityGraph(
+            n=3, indptr=np.array([0, 3, 1, 4]), indices=np.array([1, 2, 0, 1]),
+            weights=np.ones(4), strengths=np.ones(3), total_weight=2.0,
+            repulsion_scheme=scheme, rep_strength=np.ones(3), rep_denom=3.0,
+            **rep)
+        yield (f"decreasing indptr, {scheme}", decreasing, ValueError,
+               r"^indptr must be non-decreasing$")
+
+
+@needs_cc
+def test_level_loop_backends_reject_bad_graphs(monkeypatch):
+    # both loops check the graph before any draw and raise the same error
+    for case, graph, exc, message in _bad_graphs():
+        for compiled in (True, False):
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "_compiled_loop", lambda: compiled)
+                with pytest.raises(exc, match=message):
+                    optimize(graph, 1.0, OptimizeOptions(restarts=2))
