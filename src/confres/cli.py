@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, kernels
 from .cognition import (HierarchySpec, novelty_spec, run_evolution_experiment,
                         run_hierarchy_experiment, run_novelty_experiment)
-from .errors import ConfresError, InputError
+from .errors import InputError
 from .evaluation import (accuracy, ari, contingency, nmi, rms_align, v_measure)
 from .graph import (build_knn_graph, derive_affinity, is_integer_label,
                     load_labels_csv, load_points_csv)
@@ -329,13 +329,16 @@ def main(argv=None) -> int:
             path = getattr(args, attr, None)
             if path is not None and not os.path.exists(path):
                 raise InputError(f"{attr} file not found: {path}")
+        # found before the work, not when the result is written
+        for attr in ("out", "landscape", "mosaic"):
+            path = getattr(args, attr, None)
+            folder = os.path.dirname(path) if path is not None else ""
+            if folder and not os.path.isdir(folder):
+                raise InputError(f"{attr} directory not found: {folder}")
         return args.func(args)
     except InputError as exc:
         print(f"confres: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfresError as exc:
-        print(f"confres: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"confres: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

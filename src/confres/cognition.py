@@ -36,6 +36,8 @@ class HierarchySpec:
             raise ParameterError("separations must be positive")
         if self.basic_per_super > 1 and self.super_separation <= self.basic_separation:
             raise ParameterError("super_separation must exceed basic_separation")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n(self) -> int:
@@ -90,8 +92,9 @@ def generate_hierarchy(spec: HierarchySpec):
 def inject_outliers(points, fraction: float, spread: float = 2.0, seed: int = 0):
     """Append uniform-box outliers; returns (points, novel_flags)."""
     points = np.asarray(points, dtype=np.float64)
-    if fraction < 0.0:
-        raise ParameterError("fraction must be >= 0")
+    if not 0.0 <= fraction < np.inf:  # NaN fails too
+        raise ParameterError(
+            f"fraction must be finite and >= 0, got {fraction}")
     n = points.shape[0]
     count = int(round(fraction * n))
     flags = np.zeros(n + count, dtype=bool)
@@ -161,8 +164,9 @@ def run_novelty_experiment(spec: HierarchySpec = None,
     """Cluster at the widest plateau of a sweep up to gamma = 2 (k = 30)
     and score novelty by item energy; outliers fill the data's bounding
     box."""
-    if fraction <= 0.0:
-        raise InputError("novelty experiment needs a positive outlier fraction")
+    if not 0.0 < fraction < np.inf:  # NaN fails too
+        raise InputError("novelty experiment needs a positive, finite outlier "
+                         f"fraction, got {fraction}")
     if spec is None:
         spec = novelty_spec()
     points, _, _ = generate_hierarchy(spec)
@@ -294,6 +298,8 @@ def run_evolution_experiment(timesteps: int = 12, split_at: int = 4,
                              basic_separation=5.0, noise_sigma=1.0)
     if seed is None:
         seed = spec.seed
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     for event_t, name in ((split_at, "split_at"), (merge_at, "merge_at")):
         if event_t is not None and not 0 <= event_t < timesteps:
             raise ParameterError(f"{name}={event_t} outside [0, {timesteps})")

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+The CLI exits 2 on `InputError` and its subclasses, which cover every
+fault in what a user passes in: files, parameters and data the numerics
+cannot work with.  Any other exception is an internal failure (exit 1).
+"""
 
 
 class ConfresError(Exception):
@@ -13,5 +18,6 @@ class ParameterError(InputError):
     """Out-of-range or inconsistent parameter value."""
 
 
-class NumericalError(ConfresError):
-    """Degenerate numerical situation (e.g. all-zero similarities)."""
+class NumericalError(InputError):
+    """Input data on which the numerics degenerate (e.g. all-zero
+    similarities, or all points identical)."""

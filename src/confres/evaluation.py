@@ -55,6 +55,8 @@ def contingency(a, b) -> ContingencyTable:
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape or a.ndim != 1:
         raise InputError("labelings must be equal-length vectors")
+    if a.size == 0:
+        raise InputError("labelings are empty")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     shape = (ai.max() + 1, bi.max() + 1)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import canonicalize, check_gamma, cluster_count, hamiltonian
+from .errors import ParameterError
 from .graph import AffinityGraph, _csr_from_pairs, _reduce_pairs
 from . import kernels
 
@@ -33,6 +34,8 @@ class OptimizeOptions:
     restarts: int = 1  # independent seeded runs; the best energy wins
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 

@@ -3,8 +3,8 @@
 For a fixed partition H is linear in gamma, so between two known optima the
 only place dominance can change is the crossing point of their energy
 lines.  The sweep recurses on crossing points until the partitions at both
-ends of an interval coincide, then merges adjacent equal-partition
-intervals into plateaus.
+ends of an interval coincide; the exact lower envelope of the energy lines
+of every partition found then assigns the plateaus.
 """
 
 import csv
@@ -103,57 +103,6 @@ def configuration_set_from_dict(data: dict) -> ConfigurationSet:
         budget_exhausted=bool(data.get("budget_exhausted", False)))
 
 
-class _Sweep:
-    def __init__(self, graph, opts, width_floor, max_depth):
-        self.graph = graph
-        self.opts = opts
-        self.width_floor = width_floor
-        self.max_depth = max_depth
-        self.cache = {}        # gamma -> partition key
-        self.partitions = {}   # key -> (labels, h_a, h_r)
-        self.segments = []     # (lo, hi, key)
-        self.exhausted = False
-
-    def solve(self, gamma):
-        if gamma in self.cache:
-            return self.cache[gamma]
-        labels, energy = optimize(self.graph, gamma, self.opts)
-        key = labels.tobytes()
-        if key not in self.partitions:
-            self.partitions[key] = (labels, energy.h_a, energy.h_r)
-        self.cache[gamma] = key
-        return key
-
-    def recurse(self, lo, key_lo, hi, key_hi, depth):
-        if key_lo == key_hi:
-            self.segments.append((lo, hi, key_lo))
-            return
-        if hi - lo < self.width_floor or depth >= self.max_depth:
-            if depth >= self.max_depth:
-                self.exhausted = True
-            mid = 0.5 * (lo + hi)
-            self.segments.append((lo, mid, key_lo))
-            self.segments.append((mid, hi, key_hi))
-            return
-        _, ha_lo, hr_lo = self.partitions[key_lo]
-        _, ha_hi, hr_hi = self.partitions[key_hi]
-        denom = hr_lo - hr_hi
-        if denom > 0.0:
-            cross = (ha_hi - ha_lo) / denom
-        else:
-            cross = 0.5 * (lo + hi)
-        if not lo + 1e-15 < cross < hi - 1e-15:
-            cross = 0.5 * (lo + hi)
-        key_mid = self.solve(cross)
-        if key_mid == key_lo or key_mid == key_hi:
-            # tie at the crossing: the boundary between the two lines
-            self.segments.append((lo, cross, key_lo))
-            self.segments.append((cross, hi, key_hi))
-            return
-        self.recurse(lo, key_lo, cross, key_mid, depth + 1)
-        self.recurse(cross, key_mid, hi, key_hi, depth + 1)
-
-
 def find_configurations(graph: AffinityGraph, gamma_max: float,
                         opts: OptimizeOptions = None,
                         max_depth: int = 32) -> ConfigurationSet:
@@ -161,37 +110,68 @@ def find_configurations(graph: AffinityGraph, gamma_max: float,
 
     The left endpoint is optimized at gamma = 0 (connected-component
     coarse limit); a plateau with gamma_lo == 0 is open at 0.  An
-    interval narrower than gamma_max * 1e-4, or `max_depth` bisections
-    deep, is split at its midpoint without another probe.
+    interval narrower than gamma_max * 1e-4, or `max_depth` crossings
+    deep, gets no further probe; a depth cut sets `budget_exhausted`.
+    Every probe after the two ends lies strictly inside an interval
+    between earlier probes, so no gamma is probed twice.
     """
     # NaN fails every comparison, so it is rejected along with inf
     if not 0.0 < gamma_max < np.inf:
         raise ParameterError(f"gamma_max must be finite and > 0, got {gamma_max}")
     if opts is None:
         opts = OptimizeOptions()
-    sweep = _Sweep(graph, opts, gamma_max * 1e-4, max_depth)
-    key0 = sweep.solve(0.0)
-    key1 = sweep.solve(gamma_max)
-    sweep.recurse(0.0, key0, gamma_max, key1, 0)
+    partitions = {}  # labels bytes -> (labels, h_a, h_r), in discovery order
+    exhausted = False
+
+    def solve(gamma):
+        labels, energy = optimize(graph, gamma, opts)
+        key = labels.tobytes()
+        partitions.setdefault(key, (labels, energy.h_a, energy.h_r))
+        return key
+
+    def recurse(lo, key_lo, hi, key_hi, depth):
+        nonlocal exhausted
+        if key_lo == key_hi:
+            return
+        if depth >= max_depth:
+            exhausted = True
+            return
+        if hi - lo < gamma_max * 1e-4:
+            return
+        _, ha_lo, hr_lo = partitions[key_lo]
+        _, ha_hi, hr_hi = partitions[key_hi]
+        denom = hr_lo - hr_hi
+        if denom > 0.0:
+            cross = (ha_hi - ha_lo) / denom
+        else:
+            cross = 0.5 * (lo + hi)
+        if not lo + 1e-15 < cross < hi - 1e-15:
+            cross = 0.5 * (lo + hi)
+        key_mid = solve(cross)
+        if key_mid == key_lo or key_mid == key_hi:
+            return  # tie at the crossing: the boundary between the two lines
+        recurse(lo, key_lo, cross, key_mid, depth + 1)
+        recurse(cross, key_mid, hi, key_hi, depth + 1)
+
+    recurse(0.0, solve(0.0), gamma_max, solve(gamma_max), 0)
+    del recurse  # a self-referencing closure: free the graph now, not at GC
     # the recursion discovers candidate partitions; the exact lower envelope
     # of their energy lines assigns the plateau intervals, which guarantees
     # dominance within every interval even when the heuristic optimizer
     # returned an inconsistent answer at some probe
-    points = [(key, h_a, h_r)
-              for key, (_, h_a, h_r) in sweep.partitions.items()]
+    points = [(key, h_a, h_r) for key, (_, h_a, h_r) in partitions.items()]
     entries = []
     for key, lo, hi in lower_envelope(points):
         if lo >= gamma_max:
             continue
         hi = min(hi, gamma_max)
-        labels, h_a, h_r = sweep.partitions[key]
+        labels, h_a, h_r = partitions[key]
         entries.append(PlateauEntry(
             gamma_lo=lo, gamma_hi=hi, labels=labels, h_a=h_a, h_r=h_r,
             cluster_count=cluster_count(labels)))
-    discovered = tuple(sweep.partitions[k] for k in sweep.partitions)
     return ConfigurationSet(
         gamma_max=float(gamma_max), entries=tuple(entries),
-        budget_exhausted=sweep.exhausted, discovered=discovered)
+        budget_exhausted=exhausted, discovered=tuple(partitions.values()))
 
 
 def lower_envelope(points):

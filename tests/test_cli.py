@@ -93,6 +93,43 @@ def test_cluster_non_finite_gamma(data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cluster_identical_points(tmp_path, capsys):
+    path = tmp_path / "same.csv"
+    path.write_text("1,1\n" * 20)
+    _assert_input_error(["cluster", "--input", str(path), "--k", "5",
+                         "--out", str(tmp_path / "o.json")],
+                        capsys, "all sigmas are zero")
+
+
+def test_negative_seed(data_dir, tmp_path, capsys):
+    points = str(data_dir / "points.csv")
+    out = tmp_path / "o.json"
+    for argv in (["cluster", "--input", points], ["sweep", "--input", points],
+                 ["experiment", "hierarchy"], ["experiment", "novelty"],
+                 ["experiment", "evolve"]):
+        _assert_input_error(argv + ["--seed", "-1", "--out", str(out)],
+                            capsys, "seed must be >= 0")
+    assert not out.exists()
+
+
+def test_missing_output_directory(data_dir, tmp_path, capsys):
+    # each is found before the clustering, sweep or scoring runs
+    missing = tmp_path / "missing"
+    points = str(data_dir / "points.csv")
+    part = tmp_path / "pred.json"
+    part.write_text(json.dumps({"labels": [0] * 40 + [1] * 40}))
+    out = tmp_path / "o.json"
+    for argv in (["cluster", "--input", points,
+                  "--out", str(missing / "o.json")],
+                 ["sweep", "--input", points, "--out", str(out),
+                  "--landscape", str(missing / "l.csv")],
+                 ["eval", "--pred", str(part),
+                  "--truth", str(data_dir / "truth.csv"), "--out", str(out),
+                  "--mosaic", str(missing / "m.svg")]):
+        _assert_input_error(argv, capsys, "directory not found", str(missing))
+    assert not out.exists()
+
+
 def test_sweep_plateaus_tile(data_dir, tmp_path):
     out = tmp_path / "cfg.json"
     land = tmp_path / "landscape.csv"
@@ -180,6 +217,16 @@ def test_eval_truth_rows_must_be_integers(data_dir, tmp_path, capsys):
     assert json.loads(out.read_text())["ari"] == 1.0
 
 
+def test_eval_empty_labelings(tmp_path, capsys):
+    part = tmp_path / "pred.json"
+    part.write_text(json.dumps({"labels": []}))
+    truth = tmp_path / "truth.csv"
+    truth.write_text("label\n")
+    _assert_input_error(["eval", "--pred", str(part), "--truth", str(truth),
+                         "--out", str(tmp_path / "o.json")],
+                        capsys, "labelings are empty")
+
+
 def test_eval_bad_partition_json(data_dir, tmp_path, capsys):
     part = tmp_path / "pred.json"
     truth = str(data_dir / "truth.csv")
@@ -234,6 +281,13 @@ def test_experiment_novelty_fraction_zero(tmp_path):
     code = main(["experiment", "novelty", "--fraction", "0",
                  "--out", str(tmp_path / "r.json")])
     assert code == 2
+
+
+def test_experiment_novelty_non_finite_fraction(tmp_path, capsys):
+    for fraction in ("nan", "inf"):
+        _assert_input_error(["experiment", "novelty", "--fraction", fraction,
+                             "--out", str(tmp_path / "r.json")],
+                            capsys, "fraction", fraction)
 
 
 def test_experiment_evolve_beats_kmeans(tmp_path):

@@ -47,6 +47,12 @@ class TestInjectOutliers:
         assert np.array_equal(out, pts)
         assert not flags.any()
 
+    def test_bad_fraction(self, rng):
+        pts = rng.standard_normal((20, 2))
+        for fraction in (-0.1, np.nan, np.inf):
+            with pytest.raises(ParameterError, match="fraction"):
+                inject_outliers(pts, fraction, 1.5, seed=0)
+
     def test_count(self, rng):
         pts = rng.standard_normal((1000, 3))
         out, flags = inject_outliers(pts, 0.05, 1.5, seed=0)

@@ -438,10 +438,10 @@ SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all",
             "-fno-omit-frame-pointer")
 
 
-@has_compiler
-def test_level_loop_is_clean_under_sanitizers(tmp_path):
-    # AddressSanitizer (leaks included) and UBSan over the level loop's
-    # allocation, aggregation indexing and error path
+def _sanitized_build(tmp_path, driver, name):
+    """`driver` (C source) linked with _kernels.c under AddressSanitizer
+    (leaks included) and UBSan; skips if the sanitizer runtime does not
+    link.  Returns the executable."""
     compiler = shutil.which("cc") or shutil.which("gcc")
     probe = tmp_path / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")
@@ -450,13 +450,110 @@ def test_level_loop_is_clean_under_sanitizers(tmp_path):
     if linked.returncode != 0:
         pytest.skip(f"the sanitizer runtime does not link: {linked.stderr}")
     main = tmp_path / "main.c"
-    main.write_text(_SANITIZER_MAIN)
-    exe = tmp_path / "check_level_loop"
+    main.write_text(driver)
+    exe = tmp_path / name
     built = subprocess.run(
         [compiler, "-O1", "-g", "-ffp-contract=off", *SANITIZE, "-o", str(exe),
          str(main), kernels._SOURCE, "-lm"], capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
+    return exe
+
+
+@has_compiler
+def test_level_loop_is_clean_under_sanitizers(tmp_path):
+    # the level loop's allocation, aggregation indexing and error path
+    exe = _sanitized_build(tmp_path, _SANITIZER_MAIN, "check_level_loop")
     ran = subprocess.run([str(exe)], capture_output=True, text=True,
                          timeout=60)
     assert ran.returncode == 0, ran.stdout + ran.stderr
     assert ran.stdout.count(": status") == 4 and "BAD" not in ran.stdout
+
+
+# Runs the C kd-tree kNN on four point sets; exits 0 only if each call
+# returns 0 and every row lists k other items, in range, in strictly
+# ascending (distance, index) order; where all points coincide, also the
+# smallest other indices.
+_KNN_SANITIZER_MAIN = r"""
+#include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+int64_t knn(int64_t, int64_t, const double *, int64_t, int64_t, int64_t *,
+            double *);
+
+static uint64_t state = 88172645463325252ULL;
+
+static double uniform(void)  /* xorshift64, in [0, 1) */
+{
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return (double)(state >> 11) / 9007199254740992.0;
+}
+
+static int run(const char *name, int64_t n, int64_t d, const double *points,
+               int64_t k, int64_t half_square, int tied)
+{
+    int64_t *nn = malloc((size_t)(n * k) * sizeof *nn);
+    double *dist = malloc((size_t)(n * k) * sizeof *dist);
+    int64_t status = knn(n, d, points, k, half_square, nn, dist);
+    int ok = status == 0;
+    for (int64_t i = 0; ok && i < n; i++)
+        for (int64_t r = 0; ok && r < k; r++) {
+            int64_t at = i * k + r, j = nn[at];
+            ok = j >= 0 && j < n && j != i;
+            if (ok && r > 0)
+                ok = dist[at] > dist[at - 1]
+                     || (dist[at] == dist[at - 1] && j > nn[at - 1]);
+            if (ok && tied)
+                ok = j == r + (r >= i);
+        }
+    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
+    free(nn);
+    free(dist);
+    return !ok;
+}
+
+int main(void)
+{
+    double *cloud = malloc(64 * 3 * sizeof *cloud);
+    double *same = malloc(40 * 2 * sizeof *same);
+    double *line = malloc(17 * sizeof *line);
+    double *unit = malloc(50 * 4 * sizeof *unit);
+    for (int i = 0; i < 64 * 3; i++)
+        cloud[i] = uniform();
+    for (int i = 0; i < 40 * 2; i++)
+        same[i] = 0.25;
+    for (int i = 0; i < 17; i++)
+        line[i] = (i * 7) % 17;  /* distinct, with many equal gaps */
+    for (int i = 0; i < 50; i++) {
+        double norm = 0.0;
+        for (int c = 0; c < 4; c++) {
+            unit[i * 4 + c] = 2.0 * uniform() - 1.0;
+            norm += unit[i * 4 + c] * unit[i * 4 + c];
+        }
+        for (int c = 0; c < 4; c++)
+            unit[i * 4 + c] /= sqrt(norm);
+    }
+    int bad = run("cloud", 64, 3, cloud, 7, 0, 0)
+        | run("identical", 40, 2, same, 39, 0, 1)
+        | run("line", 17, 1, line, 16, 0, 0)
+        | run("unit", 50, 4, unit, 7, 1, 0);
+    free(cloud);
+    free(same);
+    free(line);
+    free(unit);
+    return bad;
+}
+"""
+
+
+@has_compiler
+def test_knn_is_clean_under_sanitizers(tmp_path):
+    # the kd-tree's allocation, build and search, on ties and one split
+    exe = _sanitized_build(tmp_path, _KNN_SANITIZER_MAIN, "check_knn")
+    ran = subprocess.run([str(exe)], capture_output=True, text=True,
+                         timeout=60)
+    assert ran.returncode == 0, ran.stdout + ran.stderr
+    assert ran.stdout.count(": status 0, ok") == 4, ran.stdout

@@ -1,10 +1,14 @@
 """Plateau discovery, configuration-set serialization, lower envelope."""
 
+import bisect
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from confres import resolution
 from confres.energy import cluster_count, hamiltonian
 from confres.errors import InputError, ParameterError
 from confres.graph import from_edge_list
@@ -112,6 +116,79 @@ class TestFindConfigurations:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "id,h_a,h_r,lo,hi"
         assert len(rows) == configs.m + 1
+
+
+def _depth_cut(probes, gamma_max, max_depth):
+    """Whether the sweep that made `probes`, its (gamma, labels bytes) in
+    call order, left an interval with unequal end partitions at
+    `max_depth`.
+
+    The recursion is rebuilt from the probes alone.  The first interval,
+    (0, gamma_max), has depth 0; a later one has one more than the deeper
+    probe at its ends (depth -1 for the two ends of the first).  A probe
+    lies strictly inside an interval visited at that depth, and its two
+    halves are visited unless it returned the partition of either end.
+    """
+    (g0, k0), (g1, k1) = probes[:2]
+    assert (g0, g1) == (0.0, gamma_max)
+    gammas = [0.0, gamma_max]  # sorted
+    found = {0.0: (k0, -1), gamma_max: (k1, -1)}  # gamma -> (key, depth)
+    visited = [(0.0, gamma_max, 0)]
+    for gamma, key in probes[2:]:
+        at = bisect.bisect(gammas, gamma)
+        lo, hi = gammas[at - 1], gammas[at]
+        assert lo < gamma < hi
+        depth = max(found[lo][1], found[hi][1]) + 1
+        assert (lo, hi, depth) in visited and depth < max_depth
+        found[gamma] = (key, depth)
+        gammas.insert(at, gamma)
+        if key not in (found[lo][0], found[hi][0]):
+            visited += [(lo, gamma, depth + 1), (gamma, hi, depth + 1)]
+    return any(found[lo][0] != found[hi][0] and depth >= max_depth
+               for lo, hi, depth in visited)
+
+
+def test_no_gamma_probed_twice_and_budget_marks_depth_cuts(blob_sweep,
+                                                           monkeypatch):
+    probes = []
+
+    def recording(graph, gamma, opts):
+        labels, energy = optimize(graph, gamma, opts)
+        probes.append((gamma, labels.tobytes()))
+        return labels, energy
+
+    monkeypatch.setattr(resolution, "optimize", recording)
+    three, _ = blob_graph(np.random.default_rng(1),
+                          [(0, 0), (7, 0), (3.5, 6)], per=20, k=8)
+    cuts = []
+    for graph in (blob_sweep[0], three):
+        for gamma_max in (2.0, 3.0):
+            for max_depth in (3, 32):
+                probes.clear()
+                configs = find_configurations(graph, gamma_max,
+                                              OptimizeOptions(seed=0),
+                                              max_depth=max_depth)
+                gammas = [gamma for gamma, _ in probes]
+                assert len(set(gammas)) == len(gammas)
+                cut = _depth_cut(probes, gamma_max, max_depth)
+                assert configs.budget_exhausted == cut
+                cuts.append(cut)
+    assert any(cuts) and not all(cuts)  # both outcomes were checked
+
+
+def test_sweep_frees_the_graph_without_the_cycle_collector():
+    # a reference cycle would keep every swept graph and its partitions
+    # alive until a collection runs, raising peak memory
+    graph, _ = blob_graph(np.random.default_rng(2), [(0, 0), (9, 0)],
+                          per=15, k=6)
+    ref = weakref.ref(graph)
+    gc.disable()
+    try:
+        find_configurations(graph, 2.0, OptimizeOptions(seed=0))
+        del graph
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestLowerEnvelope:
