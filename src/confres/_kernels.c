@@ -1,11 +1,11 @@
 /* C ports of the local-moving phase, the level loop of the optimizer and
  * the k-nearest-neighbour search.
  *
- * `sweep` follows its Python reference (kernels._local_move, with its
- * inner pass _sweep) operation for operation, in the same order, so that
- * every float result is bit-identical; it only skips evaluating an item
- * that provably stays put (see scratch_t).  `level_loop` runs the loop of
- * optimizer.optimize for one seed (its Python reference is
+ * `sweep` does the floating-point operations of its Python reference
+ * (kernels._local_move, with its inner pass _sweep) in the same order, so
+ * that every float result is bit-identical; it only skips evaluating an
+ * item that provably stays put (see scratch_t).  `level_loop` runs the
+ * loop of optimizer.optimize for one seed (its Python reference is
  * optimizer._level_loop_py) with the same phases, the same draws and the
  * same coarse graphs, so it returns the same labels.  `knn` returns the
  * neighbours and distances of its reference, knn_py, bit for bit.  That

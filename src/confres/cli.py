@@ -129,18 +129,22 @@ def _apply_config_defaults(args, actions: dict) -> None:
         if action is None or getattr(args, key) != action.default:
             continue
         caster = type(action.default) if action.default is not None else str
-        if caster is bool:
-            value = raw.lower() in ("1", "true", "yes")
-        else:
-            try:
-                value = caster(raw)
-            except ValueError as exc:
-                raise InputError(f"{args.config}: {key} = {raw!r} is not "
-                                 f"a valid {caster.__name__}") from exc
+        try:
+            value = caster(raw)
+        except ValueError as exc:
+            raise InputError(f"{args.config}: {key} = {raw!r} is not "
+                             f"a valid {caster.__name__}") from exc
         if action.choices is not None and value not in action.choices:
             raise InputError(f"{args.config}: {key} = {raw!r} is not one of "
                              f"{', '.join(map(str, action.choices))}")
         setattr(args, key, value)
+
+
+def _check_files_exist(args, *attrs) -> None:
+    for attr in attrs:
+        path = getattr(args, attr, None)
+        if path is not None and not os.path.exists(path):
+            raise InputError(f"{attr} file not found: {path}")
 
 
 def _points_to_affinity(points, k: int):
@@ -306,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a built-in experiment")
     p.add_argument("kind", choices=("hierarchy", "novelty", "evolve"))
     p.add_argument("--fraction", type=float, default=0.05,
-                   help="outlier fraction for the novelty experiment")
+                   help="outlier fraction for the novelty experiment, "
+                        "in (0, 1]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="report JSON")
     common(p)
@@ -324,11 +329,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     actions = args._actions_by_command[args.command]
     try:
+        _check_files_exist(args, "config")
         _apply_config_defaults(args, actions)
-        for attr in ("input", "pred", "truth", "config"):
-            path = getattr(args, attr, None)
-            if path is not None and not os.path.exists(path):
-                raise InputError(f"{attr} file not found: {path}")
+        # checked after the config file, which may supply them
+        _check_files_exist(args, "input", "pred", "truth")
         # found before the work, not when the result is written
         for attr in ("out", "landscape", "mosaic"):
             path = getattr(args, attr, None)

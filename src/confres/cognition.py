@@ -92,9 +92,8 @@ def generate_hierarchy(spec: HierarchySpec):
 def inject_outliers(points, fraction: float, spread: float = 2.0, seed: int = 0):
     """Append uniform-box outliers; returns (points, novel_flags)."""
     points = np.asarray(points, dtype=np.float64)
-    if not 0.0 <= fraction < np.inf:  # NaN fails too
-        raise ParameterError(
-            f"fraction must be finite and >= 0, got {fraction}")
+    if not 0.0 <= fraction <= 1.0:  # NaN fails too
+        raise ParameterError(f"fraction must be in [0, 1], got {fraction}")
     n = points.shape[0]
     count = int(round(fraction * n))
     flags = np.zeros(n + count, dtype=bool)
@@ -164,9 +163,9 @@ def run_novelty_experiment(spec: HierarchySpec = None,
     """Cluster at the widest plateau of a sweep up to gamma = 2 (k = 30)
     and score novelty by item energy; outliers fill the data's bounding
     box."""
-    if not 0.0 < fraction < np.inf:  # NaN fails too
-        raise InputError("novelty experiment needs a positive, finite outlier "
-                         f"fraction, got {fraction}")
+    if not 0.0 < fraction <= 1.0:  # NaN fails too
+        raise InputError("novelty experiment needs an outlier fraction in "
+                         f"(0, 1], got {fraction}")
     if spec is None:
         spec = novelty_spec()
     points, _, _ = generate_hierarchy(spec)

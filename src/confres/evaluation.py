@@ -113,8 +113,6 @@ def nmi(table: ContingencyTable) -> float:
     if h_r == 0.0 and h_c == 0.0:
         return 1.0
     mean = 0.5 * (h_r + h_c)
-    if mean == 0.0:
-        return 0.0
     return float(np.clip(_mutual_information(table) / mean, 0.0, 1.0))
 
 
@@ -178,15 +176,8 @@ def rms_align(table: ContingencyTable) -> AlignmentResult:
                        key=lambda i: (min(owned[i]) if owned[i] else nc, i))
     col_order = []
     for i in row_order:
-        cols = sorted(owned[i])
-        if primary[cols[0] if cols else 0] != i and cols:
-            # put the stage-1 matched column first when it exists
-            for j in cols:
-                if primary[j] == i:
-                    cols.remove(j)
-                    cols.insert(0, j)
-                    break
-        col_order.extend(cols)
+        # ascending, but the row's stage-1 column (at most one) first
+        col_order.extend(sorted(owned[i], key=lambda j: (primary[j] != i, j)))
     row_order = np.array(row_order, dtype=np.int64)
     col_order = np.array(col_order, dtype=np.int64)
     aligned = ContingencyTable(counts=counts[np.ix_(row_order, col_order)])

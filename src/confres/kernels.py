@@ -6,15 +6,16 @@ adds left to right, so it returns the floats a plain loop over the edges
 returns.  Three loops are compiled from `_kernels.c`, each beside a Python
 reference that is the fallback and the test oracle:
 
-- `sweep` ports the Python `_local_move` (passes of `_sweep`) operation
-  for operation.  The C phase runs every pass in one call and draws each
-  pass's order from the caller's numpy Generator through its bit
-  generator's ctypes interface, replaying `rng.permutation` (Fisher-Yates
-  over `random_interval`), so labels, move counts and the generator's
-  state afterwards match the Python loop exactly.  A C pass skips an item
-  that stayed put when last evaluated and whose inputs (its neighbours'
-  labels, and for product-form repulsion the cluster sums it reads) have
-  not changed since: it would stay put again.
+- `sweep` does the floating-point operations of the Python `_local_move`
+  (passes of `_sweep`, over lists) in the same order.  The C phase runs
+  every pass in one call and draws each pass's order from the caller's
+  numpy Generator through its bit generator's ctypes interface, replaying
+  `rng.permutation` (Fisher-Yates over `random_interval`), so labels,
+  move counts and the generator's state afterwards match the Python loop
+  exactly.  A C pass skips an item that stayed put when last evaluated
+  and whose inputs (its neighbours' labels, and for product-form
+  repulsion the cluster sums it reads) have not changed since: it would
+  stay put again.
 - `level_loop` runs the whole loop of `optimizer.optimize` for one seed
   (move, refine, aggregate, level after level, then the polish) in one
   call, with the phases of `sweep` and aggregation that adds in the order
@@ -167,7 +168,7 @@ def _sweep(indptr, indices, weights,
            rep_mode, rep_strength, rep_denom,
            rep_indptr, rep_indices, rep_weights,
            gamma, labels, constraint, order, eps):
-    """One local-moving pass; mutates `labels` in place.
+    """One local-moving pass over lists; mutates the list `labels`.
 
     Visits items in `order`; each item is moved to the cluster (among
     clusters of its attraction/repulsion neighbours with matching
@@ -176,91 +177,59 @@ def _sweep(indptr, indices, weights,
     lowest existing cluster id, then to the new cluster.  Returns the
     number of accepted moves.
     """
-    n = labels.shape[0]
-    rs = np.zeros(n)               # per-cluster sum of rep_strength
-    cnt = np.zeros(n, np.int64)    # per-cluster member count
-    for i in range(n):
-        c = labels[i]
-        rs[c] += rep_strength[i]
+    n = len(labels)
+    rs = [0.0] * n    # per-cluster sum of rep_strength
+    cnt = [0] * n     # per-cluster member count
+    for c, rho in zip(labels, rep_strength):
+        rs[c] += rho
         cnt[c] += 1
-    empty = np.empty(n, np.int64)  # stack of reusable cluster ids
-    top = 0
-    for c in range(n):
-        if cnt[c] == 0:
-            empty[top] = c
-            top += 1
-    wsum = np.zeros(n)             # attraction from item to each touched cluster
-    rsum = np.zeros(n)             # explicit repulsion likewise
-    seen = np.zeros(n, np.bool_)
-    touched = np.empty(n, np.int64)
+    free = [c for c in range(n) if cnt[c] == 0]  # ascending, used as a stack
+    product = rep_mode == REP_PRODUCT
+    csrs = [(0, indptr, indices, weights)]  # (slot in a `near` value, CSR)
+    if not product:
+        csrs.append((1, rep_indptr, rep_indices, rep_weights))
     moves = 0
-    for oi in range(n):
-        i = order[oi]
+    for i in order:
         ci = labels[i]
         ki = constraint[i]
-        ntouch = 0
-        for e in range(indptr[i], indptr[i + 1]):
-            j = indices[e]
-            if j == i or constraint[j] != ki:
-                continue
-            cj = labels[j]
-            if not seen[cj]:
-                seen[cj] = True
-                touched[ntouch] = cj
-                ntouch += 1
-            wsum[cj] += weights[e]
-        if rep_mode == REP_EXPLICIT:
-            for e in range(rep_indptr[i], rep_indptr[i + 1]):
-                j = rep_indices[e]
-                if j == i or constraint[j] != ki:
-                    continue
-                cj = labels[j]
-                if not seen[cj]:
-                    seen[cj] = True
-                    touched[ntouch] = cj
-                    ntouch += 1
-                rsum[cj] += rep_weights[e]
+        # cluster -> [attraction, explicit repulsion] from i, in the order
+        # the clusters are first touched
+        near = {}
+        for slot, ptr, idx, wts in csrs:
+            lo, hi = ptr[i], ptr[i + 1]
+            for j, w in zip(idx[lo:hi], wts[lo:hi]):
+                if j != i and constraint[j] == ki:
+                    near.setdefault(labels[j], [0.0, 0.0])[slot] += w
         rho_i = rep_strength[i]
-        # g(c): energy contributed by i's membership in cluster c (i excluded)
-        if rep_mode == REP_PRODUCT:
-            g_cur = -wsum[ci] + gamma * rho_i * (rs[ci] - rho_i) / rep_denom
-        else:
-            g_cur = -wsum[ci] + gamma * rsum[ci]
+
+        def g(c, attraction, repulsion):
+            """Energy contributed by i's membership in c, i excluded."""
+            if product:
+                scl = rs[c] - rho_i if c == ci else rs[c]
+                return -attraction + gamma * rho_i * scl / rep_denom
+            return -attraction + gamma * repulsion
+
+        g_cur = g(ci, *near.get(ci, (0.0, 0.0)))
         best_c = -1      # -1 means a fresh singleton cluster
         best_g = 0.0     # g of the fresh cluster
-        for t in range(ntouch):
-            c = touched[t]
-            if rep_mode == REP_PRODUCT:
-                scl = rs[c]
-                if c == ci:
-                    scl -= rho_i
-                g = -wsum[c] + gamma * rho_i * scl / rep_denom
-            else:
-                g = -wsum[c] + gamma * rsum[c]
-            if g < best_g or (g == best_g and (best_c == -1 or c < best_c)):
-                best_g = g
+        for c, sums in near.items():
+            gc = g(c, *sums)
+            if gc < best_g or (gc == best_g and (best_c == -1 or c < best_c)):
+                best_g = gc
                 best_c = c
         # with no free cluster id every cluster is a singleton, so a move to
         # a fresh cluster would only relabel i
-        if (best_c != ci and best_g - g_cur < -eps
-                and (best_c != -1 or top > 0)):
+        if best_c != ci and best_g - g_cur < -eps and (best_c != -1 or free):
             if best_c == -1:
-                top -= 1
-                best_c = empty[top]
+                best_c = free.pop()
             labels[i] = best_c
             rs[ci] -= rho_i
             cnt[ci] -= 1
             if cnt[ci] == 0:
-                empty[top] = ci
-                top += 1
+                free.append(ci)
             rs[best_c] += rho_i
             cnt[best_c] += 1
             moves += 1
-        for t in range(ntouch):
-            c = touched[t]
-            seen[c] = False
-            wsum[c] = 0.0
-            rsum[c] = 0.0
     return moves
 
 
@@ -279,16 +248,21 @@ def _local_move(indptr, indices, weights,
     n = labels.shape[0]
     _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
     _check_range("labels", labels, n)
+    rep = (rep_indptr, rep_indices, rep_weights)
+    if rep_mode == REP_EXPLICIT:  # never read for product-form repulsion
+        rep = [a.tolist() for a in rep]
+    moved = labels.tolist()
+    args = (indptr.tolist(), indices.tolist(), weights.tolist(), rep_mode,
+            rep_strength.tolist(), float(rep_denom), *rep, float(gamma),
+            moved, constraint.tolist())
     total = 0
     for _ in range(max_sweeps):
-        order = rng.permutation(n)
-        moves = _sweep(indptr, indices, weights,
-                       rep_mode, rep_strength, rep_denom,
-                       rep_indptr, rep_indices, rep_weights,
-                       gamma, labels, constraint, order, EPSILON)
+        moves = _sweep(*args, rng.permutation(n).tolist(), EPSILON)
         total += moves
         if moves == 0:
             break
+    if total:  # else nothing moved, and labels need not be writable
+        labels[:] = moved
     return total
 
 

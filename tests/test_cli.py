@@ -264,6 +264,15 @@ def test_config_file_value_outside_choices(data_dir, tmp_path, capsys):
     assert json.loads(out.read_text())["metadata"]["params"]["align"] == "none"
 
 
+def test_config_file_missing(data_dir, tmp_path, capsys):
+    # checked before the file is read
+    missing = tmp_path / "nofile.cfg"
+    _assert_input_error(["cluster", "--input", str(data_dir / "points.csv"),
+                         "--config", str(missing),
+                         "--out", str(tmp_path / "o.json")],
+                        capsys, "config file not found", str(missing))
+
+
 def test_config_file_defaults_and_flag_override(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("k = 8\ngamma = 0.5\n# comment\n")
@@ -288,6 +297,14 @@ def test_experiment_novelty_non_finite_fraction(tmp_path, capsys):
         _assert_input_error(["experiment", "novelty", "--fraction", fraction,
                              "--out", str(tmp_path / "r.json")],
                             capsys, "fraction", fraction)
+
+
+def test_experiment_novelty_fraction_above_one(tmp_path, capsys):
+    # 1e300 would otherwise ask for about 1e302 outlier rows
+    for fraction in ("1.5", "1e300"):
+        _assert_input_error(["experiment", "novelty", "--fraction", fraction,
+                             "--out", str(tmp_path / "r.json")],
+                            capsys, "fraction", "(0, 1]")
 
 
 def test_experiment_evolve_beats_kmeans(tmp_path):

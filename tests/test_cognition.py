@@ -52,6 +52,17 @@ class TestInjectOutliers:
         for fraction in (-0.1, np.nan, np.inf):
             with pytest.raises(ParameterError, match="fraction"):
                 inject_outliers(pts, fraction, 1.5, seed=0)
+        # raised before an array of about fraction * n rows is allocated
+        for fraction in (1.5, 1e300):
+            with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+                inject_outliers(pts, fraction, 1.5, seed=0)
+
+    def test_fraction_one_doubles_the_points(self, rng):
+        pts = rng.standard_normal((20, 2))
+        out, flags = inject_outliers(pts, 1.0, 1.5, seed=0)
+        assert out.shape == (40, 2)
+        assert flags.sum() == 20 and flags[20:].all()
+        assert np.array_equal(out[:20], pts)
 
     def test_count(self, rng):
         pts = rng.standard_normal((1000, 3))

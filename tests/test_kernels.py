@@ -2,6 +2,7 @@
 agree exactly, and the numpy energy must equal a plain loop over the edges
 bit for bit."""
 
+import dataclasses
 import os
 import re
 import shutil
@@ -14,7 +15,9 @@ from scipy.spatial import cKDTree
 
 from confres import kernels
 from confres.energy import landscape_point
-from conftest import drop_entries, has_compiler, needs_cc, random_affinity
+from confres.graph import from_edge_list
+from conftest import (blob_graph, drop_entries, has_compiler, needs_cc,
+                      random_affinity)
 
 # product-form repulsion (a scheme drawn at random) and explicit repulsion
 SCHEMES = (None, "explicit")
@@ -100,28 +103,73 @@ def test_energy_components_rejects_negative_product_label(rng):
                                   *_kernel_args(graph)[3:])
 
 
-@needs_cc
-def test_sweep_backends_agree(rng):
-    # the C loop draws each pass's order as rng.permutation does: same
-    # labels, same move count, same generator state afterwards; one graph
-    # in five has asymmetric CSRs
-    assert kernels.BACKEND == "c"
+def _signed_zeros(graph, rng):
+    """The graph with about two in three weights of each CSR replaced by
+    -0.0 or 0.0."""
+    def zeroed(weights):
+        pick = rng.integers(0, 3, weights.shape[0])
+        return np.where(pick == 0, -0.0, np.where(pick == 1, 0.0, weights))
+
+    return dataclasses.replace(graph, weights=zeroed(graph.weights),
+                               rep_weights=zeroed(graph.rep_weights))
+
+
+def _sweep_inputs(rng):
+    """(graph, labels, constraint, gamma, max_sweeps) for the sweep
+    backends to agree on."""
     for trial in range(80):
         graph = random_affinity(rng, scheme=SCHEMES[trial % 2])
         if trial % 5 == 4:
             graph = drop_entries(graph, rng)
         if trial % 4 < 2:
-            labels_a = np.arange(graph.n, dtype=np.int64)
+            labels = np.arange(graph.n, dtype=np.int64)
         else:
-            labels_a = rng.integers(0, graph.n, graph.n).astype(np.int64)
-        labels_b = labels_a.copy()
+            labels = rng.integers(0, graph.n, graph.n).astype(np.int64)
         if trial % 8 < 4:
             constraint = np.zeros(graph.n, dtype=np.int64)
         else:
             constraint = rng.integers(0, 2, graph.n).astype(np.int64)
+        yield (graph, labels, constraint, float(rng.random() * 2),
+               (1, 2, 100)[trial % 3])
+    # integer weights with uniform repulsion (rep_denom = n): at gamma a
+    # multiple of n / 2, gains are exact halves and tie exactly
+    for trial in range(24):
+        n = int(rng.integers(4, 12))
+        edges = [(i, j, float(rng.integers(1, 4)))
+                 for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.6] or [(0, 1, 1.0)]
+        graph = from_edge_list(n, edges, repulsion_scheme="uniform")
+        labels = (np.arange(n) if trial % 2 else rng.integers(0, n, n))
+        constraint = (rng.integers(0, 2, n) if trial % 4 == 3
+                      else np.zeros(n))
+        yield (graph, labels.astype(np.int64), constraint.astype(np.int64),
+               (0.0, 0.5, 1.0, 2.0)[trial % 4] * n, (1, 100)[trial % 2])
+    # weights of -0.0 and 0.0 beside nonzero ones, both repulsion modes
+    for trial in range(24):
+        graph = _signed_zeros(
+            random_affinity(rng, scheme=SCHEMES[trial % 2]), rng)
+        labels = (np.arange(graph.n) if trial % 4 < 2
+                  else rng.integers(0, graph.n, graph.n))
+        gamma = 0.0 if trial % 3 == 0 else float(rng.random() * 2)
+        yield (graph, labels.astype(np.int64),
+               np.zeros(graph.n, dtype=np.int64), gamma, (1, 100)[trial % 2])
+    # 300 items in three blobs, a random two-valued constraint
+    graph, _ = blob_graph(rng, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)], per=100)
+    for labels in (np.arange(graph.n),
+                   rng.integers(0, graph.n, graph.n)):
+        yield (graph, labels.astype(np.int64),
+               rng.integers(0, 2, graph.n).astype(np.int64), 1.0, 100)
+
+
+@needs_cc
+def test_sweep_backends_agree(rng):
+    # the C loop draws each pass's order as rng.permutation does: same
+    # labels, same move count, same generator state afterwards; one random
+    # graph in five has asymmetric CSRs
+    assert kernels.BACKEND == "c"
+    for graph, labels_a, constraint, gamma, max_sweeps in _sweep_inputs(rng):
+        labels_b = labels_a.copy()
         args = _kernel_args(graph)
-        gamma = float(rng.random() * 2)
-        max_sweeps = (1, 2, 100)[trial % 3]
         seed = int(rng.integers(2 ** 32))
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         moved_a = kernels.sweep(*args, gamma, labels_a, constraint,
@@ -557,3 +605,98 @@ def test_knn_is_clean_under_sanitizers(tmp_path):
                          timeout=60)
     assert ran.returncode == 0, ran.stdout + ran.stderr
     assert ran.stdout.count(": status 0, ok") == 4, ran.stdout
+
+
+# Runs the exported C sweep, with a toy bit generator, on a product-form
+# triangle and on an explicit path graph whose repulsion CSR is
+# asymmetric, each for 1 and 100 passes, then with a label out of range;
+# exits 0 only if each call returns the expected status and leaves every
+# label in range (the rejected labels untouched).
+_SWEEP_SANITIZER_MAIN = r"""
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
+
+int64_t sweep(int64_t, const int64_t *, const int64_t *, int64_t,
+              const double *, int64_t, const double *, double,
+              const int64_t *, const int64_t *, int64_t, const double *,
+              double, int64_t *, const int64_t *, int64_t, double,
+              void *, uint32_t (*)(void *), uint64_t (*)(void *));
+
+static uint64_t next64(void *state)
+{
+    uint64_t *x = state;  /* xorshift64 */
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    return *x;
+}
+
+static uint32_t next32(void *state) { return (uint32_t)(next64(state) >> 32); }
+
+/* want >= 0: any status in [1, max_sweeps * n]; with `merged`, also one
+ * cluster.  want < 0: that status and the labels as given. */
+static int run(const char *name, int64_t n, const int64_t *ptr,
+               const int64_t *idx, const double *w, int64_t rep_mode,
+               const double *rho, double denom, const int64_t *rptr,
+               const int64_t *ridx, const double *rw, double gamma,
+               int64_t bad_label, int64_t max_sweeps, int64_t want,
+               int merged)
+{
+    int64_t labels[8], given[8], constraint[8] = {0};
+    uint64_t state = 88172645463325252ULL;
+    for (int64_t i = 0; i < n; i++)
+        labels[i] = i;
+    if (want < 0)
+        labels[n - 1] = bad_label;
+    memcpy(given, labels, sizeof labels);
+    int64_t status = sweep(n, ptr, idx, ptr[n], w, rep_mode, rho, denom,
+                           rptr, ridx, rptr ? rptr[n] : 0, rw, gamma, labels,
+                           constraint, max_sweeps, 1e-12, &state, next32,
+                           next64);
+    int ok = want < 0 ? status == want && !memcmp(labels, given, sizeof labels)
+                      : status >= 1 && status <= max_sweeps * n;
+    for (int64_t i = 0; ok && want >= 0 && i < n; i++)
+        ok = labels[i] >= 0 && labels[i] < n
+             && (!merged || labels[i] == labels[0]);
+    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
+    return !ok;
+}
+
+int main(void)
+{
+    const int64_t tri_ptr[] = {0, 2, 4, 6}, tri_idx[] = {1, 2, 0, 2, 0, 1};
+    const double tri_w[] = {1, 1, 1, 1, 1, 1}, ones[] = {1, 1, 1};
+    /* a path 0-1-2-3-4-5 plus 0-2; repulsion 0-5, 1-4 and 2-3, with the
+     * entry (3, 2) left out */
+    const int64_t path_ptr[] = {0, 2, 4, 7, 9, 11, 12};
+    const int64_t path_idx[] = {1, 2, 0, 2, 0, 1, 3, 2, 4, 3, 5, 4};
+    const double path_w[] = {3, 1, 3, 2, 1, 2, 1, 1, 3, 3, 2, 2};
+    const int64_t rep_ptr[] = {0, 1, 2, 3, 3, 4, 5};
+    const int64_t rep_idx[] = {5, 4, 3, 1, 0};
+    const double rep_w[] = {1, 2, 4, 2, 1}, zeros[6] = {0};
+    int bad = 0;
+    for (int64_t passes = 1; passes <= 100; passes += 99) {
+        bad |= run("triangle", 3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0,
+                   NULL, NULL, NULL, 1.0, 0, passes, 0, passes > 1);
+        bad |= run("explicit", 6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
+                   rep_ptr, rep_idx, rep_w, 0.5, 0, passes, 0, 0);
+    }
+    return bad
+        | run("label n", 3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0, NULL, NULL,
+              NULL, 1.0, 3, 100, -2, 0)
+        | run("label -1", 6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
+              rep_ptr, rep_idx, rep_w, 0.5, -1, 100, -2, 0);
+}
+"""
+
+
+@has_compiler
+def test_sweep_is_clean_under_sanitizers(tmp_path):
+    # the exported sweep's allocation, reader transposes and label check
+    exe = _sanitized_build(tmp_path, _SWEEP_SANITIZER_MAIN, "check_sweep")
+    ran = subprocess.run([str(exe)], capture_output=True, text=True,
+                         timeout=60)
+    assert ran.returncode == 0, ran.stdout + ran.stderr
+    assert ran.stdout.count(", ok") == 6, ran.stdout
+    assert ran.stdout.count("status -2, ok") == 2, ran.stdout

@@ -203,10 +203,9 @@ def test_fallback_graph_aggregates_unrefined_clusters(monkeypatch):
     assert len(before) >= 2 and before[0] > 0 and 0 in before
 
 
-@needs_cc
-def test_level_loop_backends_agree(rng, monkeypatch):
-    # C and Python loops: the same labels and the same energy floats, over
-    # both repulsion modes, gamma 0, random and large, 1 and 3 restarts
+def _level_loop_cases(rng):
+    """(trial, graph, gamma, seed) over both repulsion modes, gamma 0,
+    random and large."""
     graphs = [random_affinity(rng, n=int(rng.integers(2, 40)),
                               scheme=(None, "explicit")[trial % 2])
               for trial in range(96)]
@@ -227,15 +226,43 @@ def test_level_loop_backends_agree(rng, monkeypatch):
         else:
             seed = int(rng.integers(2 ** 32))
         for gamma in gammas:
-            opts = OptimizeOptions(seed=seed, restarts=(1, 3)[trial % 2])
-            (a, ea), (b, eb) = _both_loops(monkeypatch, graph, gamma, opts)
-            assert np.array_equal(a, b), (trial, gamma)
-            assert _exact(ea) == _exact(eb), (trial, gamma)
-            # draw for draw: the generators end in the same state
-            rng_c, rng_py = (np.random.default_rng(seed) for _ in range(2))
-            optimizer._level_loop_c(graph, gamma, rng_c)
+            yield trial, graph, gamma, seed
+
+
+@needs_cc
+def test_level_loop_backends_agree(rng, monkeypatch):
+    # C and Python loops: the same labels and the same energy floats, over
+    # both repulsion modes, gamma 0, random and large, 1 and 3 restarts
+    for trial, graph, gamma, seed in _level_loop_cases(rng):
+        opts = OptimizeOptions(seed=seed, restarts=(1, 3)[trial % 2])
+        (a, ea), (b, eb) = _both_loops(monkeypatch, graph, gamma, opts)
+        assert np.array_equal(a, b), (trial, gamma)
+        assert _exact(ea) == _exact(eb), (trial, gamma)
+        # draw for draw: the generators end in the same state
+        rng_c, rng_py = (np.random.default_rng(seed) for _ in range(2))
+        optimizer._level_loop_c(graph, gamma, rng_c)
+        optimizer._level_loop_py(graph, gamma, rng_py)
+        assert rng_c.bit_generator.state == rng_py.bit_generator.state
+
+
+@needs_cc
+def test_python_phases_match_the_c_level_loop(rng, monkeypatch):
+    # with kernels.sweep replaced by its Python reference, optimize runs
+    # _level_loop_py with every phase in pure Python: the C level loop's
+    # labels, energy floats and final generator state
+    for trial, graph, gamma, seed in _level_loop_cases(rng):
+        opts = OptimizeOptions(seed=seed, restarts=(1, 3)[trial % 2])
+        labels_c, energy_c = optimize(graph, gamma, opts)
+        rng_c, rng_py = (np.random.default_rng(seed) for _ in range(2))
+        optimizer._level_loop_c(graph, gamma, rng_c)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "sweep", kernels.sweep_py)
+            assert not optimizer._compiled_loop()
+            labels_py, energy_py = optimize(graph, gamma, opts)
             optimizer._level_loop_py(graph, gamma, rng_py)
-            assert rng_c.bit_generator.state == rng_py.bit_generator.state
+        assert np.array_equal(labels_c, labels_py), (trial, gamma)
+        assert _exact(energy_c) == _exact(energy_py), (trial, gamma)
+        assert rng_c.bit_generator.state == rng_py.bit_generator.state
 
 
 def _bad_graphs():
