@@ -7,7 +7,9 @@
  * item that provably stays put (see scratch_t).  `level_loop` runs the
  * loop of optimizer.optimize for one seed (its Python reference is
  * optimizer._level_loop_py) with the same phases, the same draws and the
- * same coarse graphs, so it returns the same labels.  `knn` returns the
+ * same coarse graphs, so it returns the same labels; it also returns
+ * their (h_a, h_r), each sum added in the order of its reference,
+ * kernels.energy_components, so the bits are the same.  `knn` returns the
  * neighbours and distances of its reference, knn_py, bit for bit.  That
  * holds only when the compiler keeps IEEE double semantics: build with
  * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
@@ -559,14 +561,55 @@ static void collapse(int64_t n, const int64_t *ptr, const int64_t *idx,
     }
 }
 
+/* The sum from 0.0, in CSR order, of the weights of the entries (i, j),
+ * j > i, whose ends share a label; each weight negated when `negate`.
+ * Adding -w from 0.0 is not negating the sum of w: that would turn a
+ * +0.0 total into -0.0. */
+static double within(int64_t n, const int64_t *ptr, const int64_t *idx,
+                     const double *wt, const int64_t *labels, int negate)
+{
+    double sum = 0.0;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t e = ptr[i]; e < ptr[i + 1]; e++)
+            if (idx[e] > i && labels[idx[e]] == labels[i])
+                sum += negate ? -wt[e] : wt[e];
+    return sum;
+}
+
+/* (h_a, h_r) of `labels` (values in [0, k)) on g, written to `energy`,
+ * with every sum added in the order kernels.energy_components adds it,
+ * so the bits are the same; `sums` is k slots of scratch. */
+static void energy_of(const graph_t *g, const int64_t *labels, int64_t k,
+                      double *sums, double *energy)
+{
+    energy[0] = within(g->n, g->indptr, g->indices, g->weights, labels, 1);
+    if (g->rep_mode == REP_EXPLICIT) {
+        energy[1] = within(g->n, g->rep_indptr, g->rep_indices,
+                           g->rep_weights, labels, 0);
+        return;
+    }
+    /* per label in item order, as np.bincount adds */
+    for (int64_t c = 0; c < k; c++)
+        sums[c] = 0.0;
+    double squares = 0.0, own = 0.0;
+    for (int64_t i = 0; i < g->n; i++)
+        sums[labels[i]] += g->rep_strength[i];
+    for (int64_t c = 0; c < k; c++)
+        squares += sums[c] * sums[c];
+    for (int64_t i = 0; i < g->n; i++)
+        own += g->rep_strength[i] * g->rep_strength[i];
+    energy[1] = (squares - own) / (2.0 * g->rep_denom);
+}
+
 /* The level loop of optimizer.optimize for one seed, as its Python loop
  * runs it, phase for phase and draw for draw: local moving; refinement
  * from singletons within each cluster (or the clusters themselves when
  * refinement keeps every item apart); aggregation of the refinement, the
  * clusters becoming the next level's start; at most max_levels levels,
  * then a polish of up to max_polish passes on the original graph.
- * Writes the canonical labels to `out` (n slots) and returns 0, or an
- * ERR_ code before any number is drawn.  The caller holds the bit
+ * Writes the canonical labels to `out` (n slots), their (h_a, h_r) on
+ * the original graph to `energy` (2 slots, see energy_of) and returns 0,
+ * or an ERR_ code before any number is drawn.  The caller holds the bit
  * generator's lock. */
 int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
                    int64_t m, const double *weights, int64_t rep_mode,
@@ -574,7 +617,8 @@ int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
                    const int64_t *rep_indptr, const int64_t *rep_indices,
                    int64_t rep_m, const double *rep_weights, double gamma,
                    int64_t max_levels, int64_t max_sweeps, int64_t max_polish,
-                   double eps, int64_t *out, void *bitgen_state,
+                   double eps, int64_t *out, double *energy,
+                   void *bitgen_state,
                    uint32_t (*next_uint32)(void *),
                    uint64_t (*next_uint64)(void *))
 {
@@ -664,7 +708,8 @@ int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
     for (int64_t i = 0; i < n; i++)
         out[i] = labels[mapping[i]];
     phase(&orig, gamma, out, zeros, max_polish, eps, &rng, &s);
-    canonicalize(out, n, map);
+    /* rho_next is spare: n + 1 slots for at most n clusters */
+    energy_of(&orig, out, canonicalize(out, n, map), rho_next, energy);
 done:
     scratch_free(&s);
     readers_free(&orig);

@@ -20,7 +20,7 @@ from .cognition import (HierarchySpec, novelty_spec, run_evolution_experiment,
 from .errors import InputError
 from .evaluation import (accuracy, ari, contingency, nmi, rms_align, v_measure)
 from .graph import (build_knn_graph, derive_affinity, is_integer_label,
-                    load_labels_csv, load_points_csv)
+                    load_labels_csv, load_points_csv, read_text)
 from .mosaic import layout, render_svg
 from .optimizer import OptimizeOptions, optimize
 from .resolution import find_configurations
@@ -103,15 +103,14 @@ def _write_json(path, payload: dict) -> None:
 def _load_config_file(path) -> dict:
     """Flat key = value lines; blank lines and # comments ignored."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        values[key.strip().replace("-", "_")] = val.strip()
     return values
 
 
@@ -143,8 +142,12 @@ def _apply_config_defaults(args, actions: dict) -> None:
 def _check_files_exist(args, *attrs) -> None:
     for attr in attrs:
         path = getattr(args, attr, None)
-        if path is not None and not os.path.exists(path):
+        if path is None:
+            continue
+        if not os.path.exists(path):
             raise InputError(f"{attr} file not found: {path}")
+        if os.path.isdir(path):
+            raise InputError(f"{attr} is a directory: {path}")
 
 
 def _points_to_affinity(points, k: int):
@@ -339,6 +342,8 @@ def main(argv=None) -> int:
             folder = os.path.dirname(path) if path is not None else ""
             if folder and not os.path.isdir(folder):
                 raise InputError(f"{attr} directory not found: {folder}")
+            if path is not None and os.path.isdir(path):
+                raise InputError(f"{attr} is a directory: {path}")
         return args.func(args)
     except InputError as exc:
         print(f"confres: error: {exc}", file=sys.stderr)

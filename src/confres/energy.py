@@ -22,6 +22,12 @@ class EnergySummary:
     h_r: float
     total: float
 
+    @classmethod
+    def at(cls, gamma, h_a, h_r) -> "EnergySummary":
+        """H = h_a + gamma * h_r for a partition with components (h_a, h_r)."""
+        return cls(gamma=float(gamma), h_a=h_a, h_r=h_r,
+                   total=h_a + gamma * h_r)
+
 
 def canonicalize(labels) -> np.ndarray:
     """Relabel clusters in first-occurrence order starting at 0."""
@@ -59,21 +65,22 @@ def _check(graph: AffinityGraph, labels, gamma: float) -> np.ndarray:
     return labels
 
 
-def landscape_point(graph: AffinityGraph, labels) -> tuple:
-    """(h_a, h_r) coordinates of a partition in the energy landscape."""
-    labels = _check(graph, labels, 0.0)
-    h_a, h_r = kernels.energy_components(
+def _components(graph: AffinityGraph, labels: np.ndarray) -> tuple:
+    """(h_a, h_r) of labels that `_check` has passed."""
+    return kernels.energy_components(
         graph.indptr, graph.indices, graph.weights, labels,
         graph.rep_mode, graph.rep_strength, graph.rep_denom,
         graph.rep_indptr, graph.rep_indices, graph.rep_weights)
-    return float(h_a), float(h_r)
+
+
+def landscape_point(graph: AffinityGraph, labels) -> tuple:
+    """(h_a, h_r) coordinates of a partition in the energy landscape."""
+    return _components(graph, _check(graph, labels, 0.0))
 
 
 def hamiltonian(graph: AffinityGraph, labels, gamma: float) -> EnergySummary:
-    labels = _check(graph, labels, gamma)
-    h_a, h_r = landscape_point(graph, labels)
-    return EnergySummary(gamma=float(gamma), h_a=h_a, h_r=h_r,
-                         total=h_a + gamma * h_r)
+    return EnergySummary.at(gamma,
+                            *_components(graph, _check(graph, labels, gamma)))
 
 
 def move_delta(graph: AffinityGraph, labels, item: int, target: int,

@@ -306,10 +306,19 @@ def _parse_rows(path, body) -> np.ndarray:
     return np.array(rows)
 
 
+def read_text(path) -> str:
+    """The file's text, every newline read as a line feed; InputError
+    unless it is UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def load_points_csv(path) -> np.ndarray:
     """n x d numeric CSV, optional header row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
+    lines = [ln for ln in map(str.strip, read_text(path).split("\n")) if ln]
     if not lines:
         raise InputError(f"empty points file: {path}")
     start = 0
@@ -341,8 +350,7 @@ def is_integer_label(value) -> bool:
 
 def load_labels_csv(path) -> np.ndarray:
     """Single integer column, header tolerated; `1.0` is read as 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    lines = [ln for ln in map(str.strip, read_text(path).split("\n")) if ln]
     if not lines:
         raise InputError(f"empty labels file: {path}")
     start = 0

@@ -22,6 +22,8 @@ reference that is the fallback and the test oracle:
   `optimizer.aggregate` adds.  Its reference is
   `optimizer._level_loop_py`, which calls `sweep` once per phase; it
   returns the same labels and leaves the generator in the same state.
+  It also returns the labels' (h_a, h_r), summed in C in the order
+  `energy_components` sums them, so a solve needs no numpy energy pass.
   Without the C kernels it is None.
 - `knn` finds each item's k nearest others by (distance, index) with an
   exact kd-tree search; `knn_py` does it by chunked brute force.  Both
@@ -415,7 +417,7 @@ def _load_library():
     lib.sweep.argtypes = graph + [f64, ptr, ptr, i64, f64, ptr, ptr, ptr]
     lib.sweep.restype = i64
     lib.level_loop.argtypes = graph + [f64, i64, i64, i64, f64, ptr, ptr, ptr,
-                                       ptr]
+                                       ptr, ptr]
     lib.level_loop.restype = i64
     lib.knn.argtypes = [i64, i64, ptr, i64, i64, ptr, ptr]
     lib.knn.restype = i64
@@ -490,21 +492,26 @@ def _local_move_c(indptr, indices, weights,
                          constraint.ctypes.data, max_sweeps, EPSILON)
 
 
+_PAIR = ctypes.c_double * 2
+
+
 def _level_loop_c(n, indptr, indices, weights,
                   rep_mode, rep_strength, rep_denom,
                   rep_indptr, rep_indices, rep_weights,
                   gamma, rng, max_levels, max_sweeps, max_polish):
     """The level loop of `optimizer.optimize` for one seed in one C call
-    (`level_loop` in _kernels.c): the canonical labels that its Python
-    loop returns, with the same numbers drawn from `rng`.  Raises, before
-    any draw, the IndexError or ValueError that the first `sweep` of that
-    loop raises for a bad graph."""
+    (`level_loop` in _kernels.c): (labels, h_a, h_r), the canonical labels
+    that its Python loop returns, with the same numbers drawn from `rng`,
+    and their energy components, the floats `energy_components` returns
+    for them.  Raises, before any draw, the IndexError or ValueError that
+    the first `sweep` of that loop raises for a bad graph."""
     args = _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
                        rep_denom, rep_indptr, rep_indices, rep_weights)
     labels = np.empty(n, dtype=np.int64)
+    energy = _PAIR()  # cheaper to make and read than a numpy array
     _call_drawing(_LIB.level_loop, args, rng, gamma, max_levels, max_sweeps,
-                  max_polish, EPSILON, labels.ctypes.data)
-    return labels
+                  max_polish, EPSILON, labels.ctypes.data, energy)
+    return labels, energy[0], energy[1]
 
 
 def _knn_c(points, k, metric="euclidean"):

@@ -7,19 +7,22 @@ aggregate graph.  A final item-level polish pass on the original graph
 guarantees single-move stability of the returned partition.
 
 With the C kernels loaded, each seed's whole loop (every level, then the
-polish) is one call, `kernels.level_loop`.  `_level_loop_py` runs the same
-loop phase by phase through `kernels.sweep` and `aggregate`: it is the
-fallback without the C kernels and the oracle the C loop is tested
-against, and it also runs when `kernels.sweep` or `aggregate` has been
-replaced (a tracer wrapping them), so that the replacement sees every
-call.  Both return the same labels.
+polish) is one call, `kernels.level_loop`, which also returns the energy
+components (h_a, h_r) of the partition it found.  `_level_loop_py` runs
+the same loop phase by phase through `kernels.sweep` and `aggregate`, then
+takes the components from `kernels.energy_components`: it is the fallback
+without the C kernels and the oracle the C loop is tested against, and it
+also runs when `kernels.sweep` or `aggregate` has been replaced (a tracer
+wrapping them), so that the replacement sees every call.  Both return the
+same labels and the same energy floats.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import canonicalize, check_gamma, cluster_count, hamiltonian
+from .energy import (EnergySummary, _components, canonicalize, check_gamma,
+                     cluster_count)
 from .errors import ParameterError
 from .graph import AffinityGraph, _csr_from_pairs, _reduce_pairs
 from . import kernels
@@ -115,7 +118,8 @@ _AGGREGATE = aggregate  # to tell whether `aggregate` has been replaced
 
 
 def _level_loop_py(graph, gamma, rng):
-    """The canonical labels of one seed's level loop, phase by phase."""
+    """(labels, h_a, h_r): the canonical labels of one seed's level loop,
+    phase by phase, and their energy components."""
     cur = graph
     mapping = np.arange(graph.n)
     labels = np.arange(cur.n, dtype=np.int64)
@@ -144,7 +148,8 @@ def _level_loop_py(graph, gamma, rng):
     # polish on the original graph so single-item moves cannot improve H
     zeros = np.zeros(graph.n, dtype=np.int64)
     _run_sweeps(graph, final, gamma, zeros, rng, 10 * MAX_SWEEPS_PER_LEVEL)
-    return canonicalize(final)
+    final = canonicalize(final)
+    return (final, *_components(graph, final))
 
 
 def _level_loop_c(graph, gamma, rng):
@@ -181,8 +186,8 @@ def optimize(graph: AffinityGraph, gamma: float,
     best = None
     for seed in range(opts.seed, opts.seed + opts.restarts):
         rng = np.random.default_rng(np.random.PCG64(seed))
-        labels = level_loop(graph, gamma, rng)
-        energy = hamiltonian(graph, labels, gamma)
+        labels, h_a, h_r = level_loop(graph, gamma, rng)
+        energy = EnergySummary.at(gamma, h_a, h_r)
         if best is None or energy.total < best[1].total - kernels.EPSILON:
             best = (labels, energy)
     return best

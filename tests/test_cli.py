@@ -130,6 +130,52 @@ def test_missing_output_directory(data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def _not_text_argv(case, data_dir, tmp_path):
+    """(argv, fragment of the error) for a path that is not a text file:
+    one with a byte that is not UTF-8, or a directory."""
+    points, truth = str(data_dir / "points.csv"), str(data_dir / "truth.csv")
+    out = str(tmp_path / "o.json")
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0,0\n1,\xff1\n")  # 0xff never occurs in UTF-8
+    folder = str(tmp_path)
+    part = tmp_path / "pred.json"
+    part.write_text(json.dumps({"labels": [0] * 40 + [1] * 40}))
+    return {
+        "cluster input": (["cluster", "--input", str(bad), "--out", out],
+                          "not UTF-8"),
+        "sweep input": (["sweep", "--input", str(bad), "--out", out],
+                        "not UTF-8"),
+        "truth": (["eval", "--pred", str(part), "--truth", str(bad),
+                   "--out", out], "not UTF-8"),
+        "config": (["cluster", "--input", points, "--config", str(bad),
+                    "--out", out], "not UTF-8"),
+        "input directory": (["cluster", "--input", folder, "--out", out],
+                            "input is a directory"),
+        "config directory": (["eval", "--pred", str(part), "--truth", truth,
+                              "--config", folder, "--out", out],
+                             "config is a directory"),
+        "out directory": (["cluster", "--input", points, "--out", folder],
+                          "out is a directory"),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "cluster input", "sweep input", "truth", "config", "input directory",
+    "config directory", "out directory"])
+def test_path_that_is_not_a_text_file(case, data_dir, tmp_path, capsys,
+                                      monkeypatch):
+    # exit 2, and the output directory is found before any work runs
+    argv, fragment = _not_text_argv(case, data_dir, tmp_path)
+
+    def no_work(*args):
+        raise AssertionError("the input was read")
+
+    if case == "out directory":
+        monkeypatch.setattr(cli, "load_points_csv", no_work)
+    _assert_input_error(argv, capsys, fragment)
+    assert not (tmp_path / "o.json").exists()
+
+
 def test_sweep_plateaus_tile(data_dir, tmp_path):
     out = tmp_path / "cfg.json"
     land = tmp_path / "landscape.csv"

@@ -60,10 +60,6 @@ def _energy_by_loop(graph, labels):
 
 
 def test_energy_components_matches_loop_exactly(rng):
-    # bytes, not values: the sign of a zero counts too
-    def exact(pair):
-        return [np.float64(x).tobytes() for x in pair]
-
     for trial in range(120):
         graph = random_affinity(rng, n=int(rng.integers(2, 30)),
                                 scheme=SCHEMES[trial % 2])
@@ -73,18 +69,29 @@ def test_energy_components_matches_loop_exactly(rng):
             labels = labels.astype(np.int64)
             got = kernels.energy_components(*_kernel_args(graph)[:3], labels,
                                             *_kernel_args(graph)[3:])
-            assert exact(got) == exact(_energy_by_loop(graph, labels))
-        assert exact(landscape_point(graph, np.arange(n))) == exact((0.0, 0.0))
+            assert _exact(got) == _exact(_energy_by_loop(graph, labels))
+        assert _exact(landscape_point(graph, np.arange(n))) == _exact(
+            (0.0, 0.0))
+
+
+def _self_loop_csr(weight):
+    """A hand-built CSR over 3 items: a self-loop on item 0 (never
+    counted), `weight` on the pair (0, 1) and -0.0 on the others, which a
+    loop starting at +0.0 sums to +0.0."""
+    indptr = np.array([0, 3, 5, 6])
+    indices = np.array([0, 1, 2, 0, 2, 1])
+    return indptr, indices, np.array([7.0, weight, -0.0, weight, -0.0, -0.0])
+
+
+def _exact(pair):
+    """Bytes, not values: the sign of a zero counts too."""
+    return [np.float64(x).tobytes() for x in pair]
 
 
 def test_energy_components_skips_self_loops_and_signed_zeros():
-    # a hand-built CSR over 3 items: a self-loop on item 0 (never counted),
-    # and -0.0 weights, which a loop starting at +0.0 sums to +0.0
-    indptr = np.array([0, 3, 5, 6])
-    indices = np.array([0, 1, 2, 0, 2, 1])
     labels = np.zeros(3, dtype=np.int64)
     for weight in (-0.0, 0.5):
-        weights = np.array([7.0, weight, -0.0, weight, -0.0, -0.0])
+        indptr, indices, weights = _self_loop_csr(weight)
         for rep_mode in (kernels.REP_PRODUCT, kernels.REP_EXPLICIT):
             got = kernels.energy_components(
                 indptr, indices, weights, labels, rep_mode, np.ones(3), 2.0,
@@ -92,6 +99,28 @@ def test_energy_components_skips_self_loops_and_signed_zeros():
             h_r = 1.5 if rep_mode == kernels.REP_PRODUCT else 0.0 + weight
             assert [np.float64(x).tobytes() for x in got] == [
                 np.float64(x).tobytes() for x in (0.0 - weight, h_r)]
+
+
+@needs_cc
+def test_level_loop_energy_on_self_loops_and_signed_zeros(rng):
+    # the C loop's (h_a, h_r) are energy_components' bytes on its labels,
+    # on the hand-built CSR and on random graphs with signed-zero weights,
+    # in both repulsion modes
+    cases = [(3, *_self_loop_csr(weight), rep_mode, np.ones(3), 2.0,
+              *_self_loop_csr(weight))
+             for weight in (-0.0, 0.5)
+             for rep_mode in (kernels.REP_PRODUCT, kernels.REP_EXPLICIT)]
+    for trial in range(24):
+        graph = _signed_zeros(
+            random_affinity(rng, scheme=SCHEMES[trial % 2]), rng)
+        cases.append((graph.n, *_kernel_args(graph)))
+    for case in cases:
+        for gamma in (0.0, 0.5, 2.0):
+            labels, *energy = kernels.level_loop(
+                *case, gamma, np.random.default_rng(7), 32, 100, 1000)
+            args = case[1:]
+            assert _exact(energy) == _exact(kernels.energy_components(
+                *args[:3], labels, *args[3:]))
 
 
 def test_energy_components_rejects_negative_product_label(rng):
@@ -414,8 +443,10 @@ def test_failed_build_is_remembered(tmp_path, monkeypatch):
 
 # Runs the C level loop, with a toy bit generator, on three small graphs
 # and on one whose indices run out of range; exits 0 only if each call
-# returns the expected status and canonical labels.
+# returns the expected status, and each that succeeds canonical labels
+# and a finite energy.
 _SANITIZER_MAIN = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdio.h>
 
@@ -423,7 +454,8 @@ int64_t level_loop(int64_t, const int64_t *, const int64_t *, int64_t,
                    const double *, int64_t, const double *, double,
                    const int64_t *, const int64_t *, int64_t, const double *,
                    double, int64_t, int64_t, int64_t, double, int64_t *,
-                   void *, uint32_t (*)(void *), uint64_t (*)(void *));
+                   double *, void *, uint32_t (*)(void *),
+                   uint64_t (*)(void *));
 
 static uint64_t next64(void *state)
 {
@@ -443,16 +475,19 @@ static int run(const char *name, int64_t n, const int64_t *ptr,
                int64_t want)
 {
     int64_t out[8];
+    double energy[2];
     uint64_t state = 88172645463325252ULL;
     int64_t status = level_loop(n, ptr, idx, ptr[n], w, rep_mode, rho, denom,
                                 rptr, ridx, rptr ? rptr[n] : 0, rw, gamma,
-                                32, 100, 1000, 1e-12, out, &state, next32,
-                                next64);
+                                32, 100, 1000, 1e-12, out, energy, &state,
+                                next32, next64);
     int ok = status == want;
     for (int64_t i = 0, top = -1; ok && status == 0 && i < n; i++) {
         ok = out[i] >= 0 && out[i] <= top + 1;
         top = out[i] > top ? out[i] : top;
     }
+    if (ok && status == 0)
+        ok = isfinite(energy[0]) && isfinite(energy[1]);
     printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
     return !ok;
 }

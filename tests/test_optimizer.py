@@ -246,6 +246,21 @@ def test_level_loop_backends_agree(rng, monkeypatch):
 
 
 @needs_cc
+def test_c_level_loop_energy_is_energy_components(rng):
+    # the (h_a, h_r) the C loop returns are, byte for byte, those of
+    # kernels.energy_components on the labels it returns
+    for trial, graph, gamma, seed in _level_loop_cases(rng):
+        labels, h_a, h_r = optimizer._level_loop_c(
+            graph, gamma, np.random.default_rng(seed))
+        want = kernels.energy_components(
+            graph.indptr, graph.indices, graph.weights, labels,
+            graph.rep_mode, graph.rep_strength, graph.rep_denom,
+            graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+        assert [np.float64(x).tobytes() for x in (h_a, h_r)] == [
+            np.float64(x).tobytes() for x in want], (trial, gamma)
+
+
+@needs_cc
 def test_python_phases_match_the_c_level_loop(rng, monkeypatch):
     # with kernels.sweep replaced by its Python reference, optimize runs
     # _level_loop_py with every phase in pure Python: the C level loop's
