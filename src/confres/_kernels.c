@@ -1,5 +1,5 @@
-/* C ports of the local-moving phase, the level loop of the optimizer and
- * the k-nearest-neighbour search.
+/* C ports of the local-moving phase, the level loop of the optimizer, the
+ * k-nearest-neighbour search and the pair grouping of graph construction.
  *
  * `sweep` does the floating-point operations of its Python reference
  * (kernels._local_move, with its inner pass _sweep) in the same order, so
@@ -10,9 +10,14 @@
  * same coarse graphs, so it returns the same labels; it also returns
  * their (h_a, h_r), each sum added in the order of its reference,
  * kernels.energy_components, so the bits are the same.  `knn` returns the
- * neighbours and distances of its reference, knn_py, bit for bit.  That
- * holds only when the compiler keeps IEEE double semantics: build with
- * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
+ * neighbours and distances of its reference, knn_py, bit for bit.
+ * `pairs` and `pairs_csr` group (i, j, w) entries into unique pairs and
+ * lay those out as a CSR in O(m + n), on the code path of the level
+ * loop's aggregation, adding weights in the order of their numpy
+ * references (kernels.pairs_py, pairs_csr_py); `row_nth` selects a value
+ * in each CSR row, as row_nth_py.  Bit-identity holds only when the
+ * compiler keeps IEEE double semantics: build with -ffp-contract=off (no
+ * fused multiply-add) and never with -ffast-math.
  *
  * The caller in kernels.py checks dtypes, contiguity and lengths.  The
  * range of every value used as an index, and the order of each indptr,
@@ -38,6 +43,9 @@
 #define ERR_INDPTR_ORDER (-7)
 #define ERR_REP_INDPTR_ORDER (-8)
 #define ERR_KNN_NOMEM (-9)
+#define ERR_ROWS (-10)
+#define ERR_COLS (-11)
+#define ERR_NTH (-12)
 
 /* Attraction CSR (both edge directions) and the repulsion model, with
  * the transpose pattern of each CSR: for each item j, the items whose
@@ -441,15 +449,221 @@ int64_t sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
     return total;
 }
 
+/* ---- pair grouping, for graph construction and aggregation ----
+ *
+ * graph._reduce_pairs (through the exported `pairs`), graph._csr_from_pairs
+ * (through `pairs_csr`) and the level loop's aggregation share one code
+ * path, O(m + n) for m entries over n items.  Two stable counting sorts,
+ * by the larger end and then by the smaller, group the entries by
+ * unordered pair, the pairs in lexicographic order and each pair's
+ * entries in input order.  A pair's weight is its entries' weights summed
+ * from 0.0 in that order, the order np.bincount adds them in, so the bits
+ * are those of the numpy references.  The CSR fill lists both directions
+ * of every pair, each row's columns ascending, as an argsort of the keys
+ * row * n + col orders them. */
+
+/* Written as functions of values, these compile to conditional moves;
+ * with random ends, a branch would mispredict half the time. */
+static inline int64_t min_end(int64_t a, int64_t b) { return a < b ? a : b; }
+static inline int64_t max_end(int64_t a, int64_t b) { return a < b ? b : a; }
+
+/* Groups the m entries (a[t], b[t], w[t]) over n items into unique
+ * unordered pairs, (min, max) of their ends, written to rows, cols and sum
+ * (m slots each); with `mean`, each sum is divided by the pair's entry
+ * count.  rows and cols hold the sort's permutations until they receive
+ * the pairs' ends; count is n + 1 slots of scratch.  Returns the number of
+ * pairs. */
+static int64_t group_pairs(int64_t m, int64_t n, const int64_t *a,
+                           const int64_t *b, const double *w, int mean,
+                           int64_t *count, int64_t *rows, int64_t *cols,
+                           double *sum)
+{
+#define LO(t) min_end(a[t], b[t])
+#define HI(t) max_end(a[t], b[t])
+    int64_t *by_hi = cols, *by_pair = rows;
+    memset(count, 0, (size_t)(n + 1) * sizeof(int64_t));
+    for (int64_t t = 0; t < m; t++)
+        count[HI(t) + 1]++;
+    for (int64_t c = 0; c < n; c++)
+        count[c + 1] += count[c];
+    for (int64_t t = 0; t < m; t++)
+        by_hi[count[HI(t)]++] = t;
+    memset(count, 0, (size_t)(n + 1) * sizeof(int64_t));
+    for (int64_t t = 0; t < m; t++)
+        count[LO(t) + 1]++;
+    for (int64_t c = 0; c < n; c++)
+        count[c + 1] += count[c];
+    for (int64_t u = 0; u < m; u++) {
+        int64_t t = by_hi[u];
+        by_pair[count[LO(t)]++] = t;
+    }
+    /* one pair per run of equal ends; pair p overwrites by_pair[p] only
+     * after it has been read (p <= u), and by_hi is no longer read */
+    int64_t found = 0, first = 0;
+    for (int64_t u = 0; u < m; u++) {
+        int64_t t = by_pair[u], lo = LO(t), hi = HI(t);
+        if (found == 0 || lo != rows[found - 1] || hi != cols[found - 1]) {
+            if (mean && found > 0)
+                sum[found - 1] /= (double)(u - first);
+            first = u;
+            rows[found] = lo;
+            cols[found] = hi;
+            sum[found++] = 0.0;
+        }
+        sum[found - 1] += w[t];
+    }
+    if (mean && found > 0)
+        sum[found - 1] /= (double)(m - first);
+    return found;
+#undef LO
+#undef HI
+}
+
+/* The both-direction CSR over n items of the `found` pairs (rows, cols,
+ * vals), unique and in lexicographic order, written to (ptr, idx, w):
+ * n + 1 and 2 * found slots.  `next` is n slots of scratch. */
+static void fill_csr(int64_t n, int64_t found, const int64_t *rows,
+                     const int64_t *cols, const double *vals, int64_t *next,
+                     int64_t *ptr, int64_t *idx, double *w)
+{
+    memset(ptr, 0, (size_t)(n + 1) * sizeof(int64_t));
+    for (int64_t p = 0; p < found; p++) {
+        ptr[rows[p] + 1]++;
+        ptr[cols[p] + 1]++;
+    }
+    for (int64_t a = 0; a < n; a++)
+        ptr[a + 1] += ptr[a];
+    memcpy(next, ptr, (size_t)n * sizeof(int64_t));
+    /* smaller columns first: each row c gets the rows of its pairs (r, c)
+     * in ascending order, then each row r the cols of its pairs (r, c) */
+    for (int64_t p = 0; p < found; p++) {
+        int64_t e = next[cols[p]]++;
+        idx[e] = rows[p];
+        w[e] = vals[p];
+    }
+    for (int64_t p = 0; p < found; p++) {
+        int64_t e = next[rows[p]]++;
+        idx[e] = cols[p];
+        w[e] = vals[p];
+    }
+}
+
+/* The unique unordered pairs of the m entries (rows[t], cols[t], vals[t])
+ * over n items, as kernels.pairs_py: pairs (r, c), r <= c, in
+ * lexicographic order, each with its entries' weights summed in input
+ * order, divided by their count with `mean`.  Writes them to out_rows,
+ * out_cols and out_vals (m slots each, also the sort's scratch) and
+ * returns their number, or an ERR_ code with nothing written.  Scratch:
+ * n + 1 slots. */
+int64_t pairs(int64_t n, int64_t m, const int64_t *rows, const int64_t *cols,
+              const double *vals, int64_t mean, int64_t *out_rows,
+              int64_t *out_cols, double *out_vals)
+{
+    int64_t err = check_range(rows, m, n, ERR_ROWS);
+    if (!err)
+        err = check_range(cols, m, n, ERR_COLS);
+    if (err)
+        return err;
+    int64_t *count = malloc(((size_t)n + 1) * sizeof(int64_t));
+    if (!count)
+        return ERR_NOMEM;
+    int64_t found = group_pairs(m, n, rows, cols, vals, mean != 0, count,
+                                out_rows, out_cols, out_vals);
+    free(count);
+    return found;
+}
+
+/* The both-direction CSR over n items of p unique pairs (rows, cols,
+ * vals) in lexicographic order, as kernels.pairs_csr_py: each row's
+ * columns ascending.  Writes out_ptr (n + 1 slots), out_idx and out_vals
+ * (2 p slots each) and returns 0, or an ERR_ code with nothing written. */
+int64_t pairs_csr(int64_t n, int64_t p, const int64_t *rows,
+                  const int64_t *cols, const double *vals, int64_t *out_ptr,
+                  int64_t *out_idx, double *out_vals)
+{
+    int64_t err = check_range(rows, p, n, ERR_ROWS);
+    if (!err)
+        err = check_range(cols, p, n, ERR_COLS);
+    if (err)
+        return err;
+    int64_t *next = malloc(((size_t)n + 1) * sizeof(int64_t));
+    if (!next)
+        return ERR_NOMEM;
+    fill_csr(n, p, rows, cols, vals, next, out_ptr, out_idx, out_vals);
+    free(next);
+    return 0;
+}
+
+/* The nth smallest of a[0..len), 0 <= nth < len, by quickselect (median of
+ * three pivot, three-way partition, so a run of equal values is one step);
+ * reorders a.  Equal values may come back as either of them: -0.0 for
+ * 0.0.  No value may be NaN. */
+static double nth_smallest(double *a, int64_t len, int64_t nth)
+{
+    int64_t lo = 0, hi = len;
+    for (;;) {
+        double x = a[lo], y = a[lo + (hi - lo) / 2], z = a[hi - 1];
+        double pivot = x < y ? (y < z ? y : (x < z ? z : x))
+                             : (x < z ? x : (y < z ? z : y));
+        /* [lo, lt) below the pivot, [lt, u) equal, [gt, hi) above */
+        int64_t lt = lo, gt = hi;
+        for (int64_t u = lo; u < gt;) {
+            double v = a[u];
+            if (v < pivot) {
+                a[u++] = a[lt];
+                a[lt++] = v;
+            } else if (v > pivot) {
+                a[u] = a[--gt];
+                a[gt] = v;
+            } else {
+                u++;
+            }
+        }
+        if (nth < lt)
+            hi = lt;
+        else if (nth >= gt)
+            lo = gt;
+        else
+            return pivot;
+    }
+}
+
+/* out[i] = the nth[i]-th smallest value (from 0) of row i of the CSR
+ * (indptr, values) over n rows and m values, as kernels.row_nth_py: a
+ * selection, so every result is one of the row's values.  Returns 0, or
+ * an ERR_ code with nothing written.  Scratch: the longest row. */
+int64_t row_nth(int64_t n, const int64_t *indptr, int64_t m,
+                const double *values, const int64_t *nth, double *out)
+{
+    int64_t err = check_indptr(indptr, n + 1, m + 1, ERR_INDPTR,
+                               ERR_INDPTR_ORDER);
+    if (err)
+        return err;
+    int64_t longest = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t len = indptr[i + 1] - indptr[i];
+        if (nth[i] < 0 || nth[i] >= len)
+            return ERR_NTH;
+        longest = len > longest ? len : longest;
+    }
+    double *row = malloc(((size_t)longest + 1) * sizeof(double));
+    if (!row)
+        return ERR_NOMEM;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t len = indptr[i + 1] - indptr[i];
+        memcpy(row, values + indptr[i], (size_t)len * sizeof(double));
+        out[i] = nth_smallest(row, len, nth[i]);
+    }
+    free(row);
+    return 0;
+}
+
 /* ---- the level loop of optimizer.optimize ----
  *
  * Aggregation follows optimizer.aggregate.  A coarse edge weight is the
  * sum, from 0.0 and in CSR order, of the entries (i, j) with j > i whose
- * ends lie in different clusters: the order np.bincount adds them in.  Two
- * stable counting sorts, by the larger cluster and then by the smaller,
- * group those entries by cluster pair in O(m + k) and keep CSR order
- * within each pair.  Coarse rows list both directions, columns ascending,
- * as _csr_from_pairs does.  A coarse graph never has more entries than
+ * ends lie in different clusters, grouped by cluster pair by group_pairs
+ * and laid out by fill_csr.  A coarse graph never has more entries than
  * the one above it, so the buffers sized for the first one serve every
  * level. */
 
@@ -480,13 +694,14 @@ static int64_t upper_entries(int64_t n, const int64_t *ptr, const int64_t *idx)
     return count;
 }
 
-/* Scratch of `collapse`: `cap` cross entries and k + 1 counters. */
+/* Scratch of `collapse`: the cross-cluster entries (the clusters of
+ * their ends, their weights) and group_pairs' arrays, `cap` slots each,
+ * and k + 1 counters. */
 typedef struct {
-    int64_t *lo, *hi;      /* an entry's smaller and larger cluster */
+    int64_t *a, *b;
     double *w;
-    int64_t *by_hi;        /* entries in stable order of hi */
-    int64_t *by_pair;      /* then of lo: pairs contiguous, lexicographic */
-    double *sum;           /* per pair, its entries' weights added in order */
+    int64_t *rows, *cols;
+    double *sum;
     int64_t *count;
 } collapse_t;
 
@@ -505,60 +720,15 @@ static void collapse(int64_t n, const int64_t *ptr, const int64_t *idx,
             int64_t j = idx[e], a = labels[i], b = labels[j];
             if (j <= i || a == b)
                 continue;
-            c->lo[m] = a < b ? a : b;
-            c->hi[m] = a < b ? b : a;
+            c->a[m] = a;
+            c->b[m] = b;
             c->w[m++] = wt[e];
         }
     }
-    int64_t *count = c->count;
-    memset(count, 0, (size_t)(k + 1) * sizeof(int64_t));
-    for (int64_t t = 0; t < m; t++)
-        count[c->hi[t] + 1]++;
-    for (int64_t a = 0; a < k; a++)
-        count[a + 1] += count[a];
-    for (int64_t t = 0; t < m; t++)
-        c->by_hi[count[c->hi[t]]++] = t;
-    memset(count, 0, (size_t)(k + 1) * sizeof(int64_t));
-    for (int64_t t = 0; t < m; t++)
-        count[c->lo[t] + 1]++;
-    for (int64_t a = 0; a < k; a++)
-        count[a + 1] += count[a];
-    for (int64_t u = 0; u < m; u++) {
-        int64_t t = c->by_hi[u];
-        c->by_pair[count[c->lo[t]]++] = t;
-    }
-    /* one pair per run of equal (lo, hi); by_hi now holds each run's
-     * first entry */
-    int64_t pairs = 0;
-    for (int64_t u = 0; u < m; u++) {
-        int64_t t = c->by_pair[u];
-        if (u == 0 || c->lo[t] != c->lo[c->by_hi[pairs - 1]]
-                || c->hi[t] != c->hi[c->by_hi[pairs - 1]]) {
-            c->by_hi[pairs] = t;
-            c->sum[pairs++] = 0.0;
-        }
-        c->sum[pairs - 1] += c->w[t];
-    }
-    memset(out_ptr, 0, (size_t)(k + 1) * sizeof(int64_t));
-    for (int64_t p = 0; p < pairs; p++) {
-        out_ptr[c->lo[c->by_hi[p]] + 1]++;
-        out_ptr[c->hi[c->by_hi[p]] + 1]++;
-    }
-    for (int64_t a = 0; a < k; a++)
-        out_ptr[a + 1] += out_ptr[a];
-    memcpy(count, out_ptr, (size_t)k * sizeof(int64_t));
-    /* smaller columns first: each row hi gets its lo ends in ascending
-     * order, then each row lo its hi ends */
-    for (int64_t p = 0; p < pairs; p++) {
-        int64_t r = c->hi[c->by_hi[p]], e = count[r]++;
-        out_idx[e] = c->lo[c->by_hi[p]];
-        out_w[e] = c->sum[p];
-    }
-    for (int64_t p = 0; p < pairs; p++) {
-        int64_t r = c->lo[c->by_hi[p]], e = count[r]++;
-        out_idx[e] = c->hi[c->by_hi[p]];
-        out_w[e] = c->sum[p];
-    }
+    int64_t found = group_pairs(m, k, c->a, c->b, c->w, 0, c->count,
+                                c->rows, c->cols, c->sum);
+    fill_csr(k, found, c->rows, c->cols, c->sum, c->count, out_ptr, out_idx,
+             out_w);
 }
 
 /* The sum from 0.0, in CSR order, of the weights of the entries (i, j),
@@ -659,7 +829,7 @@ int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
         failed |= !(rep_ptr && rep_idx && rep_wt);
     }
     failed |= !(labels && refined && next && mapping && zeros && map && rho
-                && rho_next && c.lo && c.hi && c.w && c.by_hi && c.by_pair
+                && rho_next && c.a && c.b && c.w && c.rows && c.cols
                 && c.sum && c.count && ptr && idx && wt);
     if (failed) {
         err = ERR_NOMEM;
@@ -721,11 +891,11 @@ done:
     free(map);
     free(rho);
     free(rho_next);
-    free(c.lo);
-    free(c.hi);
+    free(c.a);
+    free(c.b);
     free(c.w);
-    free(c.by_hi);
-    free(c.by_pair);
+    free(c.rows);
+    free(c.cols);
     free(c.sum);
     free(c.count);
     free(ptr);

@@ -1,5 +1,6 @@
 """kNN graph construction and attraction/repulsion affinity graphs."""
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,42 +120,27 @@ def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
                          distances=dist, k=k)
 
 
-def _reduce_pairs(n, i, j, w=None, mean=False):
+def _triples(rows, cols, vals):
+    """The arrays as the kernels read them: C-contiguous int64, int64 and
+    float64."""
+    return (np.ascontiguousarray(rows, dtype=np.int64),
+            np.ascontiguousarray(cols, dtype=np.int64),
+            np.ascontiguousarray(vals, dtype=np.float64))
+
+
+def _reduce_pairs(n, i, j, w, mean=False):
     """Sorted unique unordered pairs (row < col) of items in [0, n).
 
     The weights of each pair's repeats are summed in input order (or
-    averaged, with `mean`); without `w` the third result counts them.
+    averaged, with `mean`), by `kernels.pairs` in O(m + n).
     """
-    key = np.minimum(i, j) * n + np.maximum(i, j)
-    order = np.argsort(key)
-    key = key[order]
-    new = np.empty(key.shape[0], dtype=bool)
-    new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    pairs = key[new]
-    inv = np.empty(key.shape[0], dtype=np.int64)  # input entry -> its pair
-    inv[order] = np.cumsum(new) - 1
-    vals = np.bincount(inv, weights=w, minlength=len(pairs))
-    if mean:
-        vals = vals / np.bincount(inv, minlength=len(pairs))
-    return pairs // n, pairs % n, vals
+    return kernels.pairs(n, *_triples(i, j, w), mean)
 
 
 def _csr_from_pairs(n, rows, cols, vals):
-    """Both-direction CSR from unique pairs (row < col), each row's
-    columns ascending.
-
-    The entries (i, j) are unique, so one sort of the keys i * n + j puts
-    them in that order with any sort algorithm.
-    """
-    ii = np.concatenate([cols, rows])
-    jj = np.concatenate([rows, cols])
-    vv = np.concatenate([vals, vals])
-    order = np.argsort(ii * n + jj)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ii, minlength=n), out=indptr[1:])
-    return (indptr, jj[order].astype(np.int64, copy=False),
-            vv[order].astype(np.float64, copy=False))
+    """Both-direction CSR from unique pairs (row < col) in sorted order,
+    each row's columns ascending, by `kernels.pairs_csr` in O(m + n)."""
+    return kernels.pairs_csr(n, rows, cols, vals)
 
 
 def _end_sums(n, rows, cols, vals):
@@ -204,9 +190,14 @@ def _merge_pairs(n, edges, label="edge"):
         raise InputError(f"{label} rows must be (i, j, w) triples")
     ends = np.trunc(arr[:, :2])  # int() of each index, NaN kept
     w = arr[:, 2]
-    in_range = np.all((ends >= 0) & (ends < n), axis=1)
-    bad = ~in_range | (ends[:, 0] == ends[:, 1]) | ~(np.isfinite(w) & (w >= 0.0))
-    if bad.any():
+    # whole-array bounds decide (a NaN fails them, since min and max
+    # propagate it); the per-edge masks only name the first bad edge
+    if arr.shape[0] and not (
+            ends.min() >= 0 and ends.max() < n and w.min() >= 0.0
+            and w.max() < np.inf and not np.any(ends[:, 0] == ends[:, 1])):
+        in_range = np.all((ends >= 0) & (ends < n), axis=1)
+        bad = (~in_range | (ends[:, 0] == ends[:, 1])
+               | ~(np.isfinite(w) & (w >= 0.0)))
         e = int(np.argmax(bad))
         i, j = (int(x) if np.isfinite(x) else x for x in arr[e, :2])
         if not in_range[e]:
@@ -215,8 +206,13 @@ def _merge_pairs(n, edges, label="edge"):
             raise InputError(f"self-loop ({i}, {i}) not allowed")
         raise InputError(f"{label} weight {w[e]} on ({i}, {j}) must be "
                          f"finite and non-negative")
-    ends = ends.astype(np.int64)
     return _reduce_pairs(n, ends[:, 0], ends[:, 1], w, mean=True)
+
+
+def _check_repulsion(scheme, repulsion_edges):
+    if repulsion_edges is not None and scheme != "explicit":
+        raise ParameterError(f"repulsion edges need the explicit repulsion "
+                             f"scheme, got {scheme!r}")
 
 
 def from_edge_list(n: int, edges, repulsion_scheme: str = "configuration_null",
@@ -225,8 +221,10 @@ def from_edge_list(n: int, edges, repulsion_scheme: str = "configuration_null",
 
     Duplicate directions of the same unordered pair are averaged.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    n = int(n)
+    _check_repulsion(repulsion_scheme, repulsion_edges)
     if len(edges) == 0:
         raise InputError("edge list is empty")
     rows, cols, vals = _merge_pairs(n, edges)
@@ -242,31 +240,26 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
     """Kernelize distances, row-normalize, symmetrize w+ = (P + P^T) / 2."""
     if kernel not in AFFINITY_KERNELS:
         raise ParameterError(f"unknown kernel {kernel!r}")
+    _check_repulsion(repulsion_scheme, repulsion_edges)
     n = graph.n
-    rows = graph.edges[:, 0]
-    cols = graph.edges[:, 1]
-    dist = graph.distances
-    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    rows, cols, dist = _triples(graph.edges[:, 0], graph.edges[:, 1],
+                                graph.distances)
+    # each item's edge distances, one CSR row per item
+    indptr, _, dist_rows = _csr_from_pairs(n, rows, cols, dist)
+    degree = np.diff(indptr)
     if np.any(degree == 0):
         raise InputError(f"item {int(np.argmin(degree))} has no neighbour edge")
     if kernel == "self_tuning_gaussian":
-        # sigma_i = distance to the ceil(k/2)-th neighbour of i: sort the
-        # edge ends by item, then distance, and pick that rank in each run.
-        # Where duplicates make it 0, take i's nearest non-zero distance;
-        # only items whose edges are all at distance 0 keep sigma = 0.
-        # Only the picked values are read, so tied distances may sort in
-        # any order: rank them once, then sort the unique keys item * m +
-        # rank.
+        # sigma_i = distance to the ceil(k/2)-th neighbour of i, a selection
+        # in row i.  Where duplicates make it 0, take i's nearest non-zero
+        # distance; only items whose edges are all at distance 0 keep
+        # sigma = 0.
         rank = max((graph.k + 1) // 2, 1)
         ends = np.concatenate([rows, cols])
         d_ends = np.concatenate([dist, dist])
-        m = ends.shape[0]
-        by_d = np.argsort(d_ends)
-        sorted_d = d_ends[by_d[np.sort(ends[by_d] * m + np.arange(m)) % m]]
-        start = np.cumsum(degree) - degree
         zeros = np.bincount(ends[d_ends == 0.0], minlength=n)
         pick = np.minimum(np.maximum(rank - 1, zeros), degree - 1)
-        sigma = sorted_d[start + pick]
+        sigma = kernels.row_nth(indptr, dist_rows, pick)
         if np.any(sigma <= 0.0):
             sigma = np.maximum(sigma, np.max(sigma) * 1e-12)
         if np.all(sigma <= 0.0):

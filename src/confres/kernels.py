@@ -1,10 +1,10 @@
 """Inner loops for energy evaluation, local moving, the optimizer's level
-loop and the kNN search.
+loop, the kNN search and graph construction.
 
 `energy_components` is vectorised numpy on every backend; each of its sums
 adds left to right, so it returns the floats a plain loop over the edges
-returns.  Three loops are compiled from `_kernels.c`, each beside a Python
-reference that is the fallback and the test oracle:
+returns.  These loops are compiled from `_kernels.c`, each beside a Python
+or numpy reference that is the fallback and the test oracle:
 
 - `sweep` does the floating-point operations of the Python `_local_move`
   (passes of `_sweep`, over lists) in the same order.  The C phase runs
@@ -29,17 +29,28 @@ reference that is the fallback and the test oracle:
   exact kd-tree search; `knn_py` does it by chunked brute force.  Both
   sum a distance from 0.0 in coordinate order, so they return the same
   bits.
+- `pairs` reduces (i, j, w) entries to their sorted unique unordered
+  pairs, each weight summed in input order (or averaged), and `pairs_csr`
+  lays such pairs out as a both-direction CSR with ascending columns:
+  graph construction (kNN edges, edge lists) and `optimizer.aggregate`
+  run on them.  In C both are O(m + n), two stable counting sorts and one
+  fill, the code path of `level_loop`'s aggregation; `pairs_py` and
+  `pairs_csr_py` sort integer keys in numpy.  Both add in input order, as
+  np.bincount does, so the bits are the same.
+- `row_nth` selects the nth smallest value of each CSR row, the sigma of
+  `graph.derive_affinity`: quickselect in C, a sort in `row_nth_py`.
 
 On first import the C file is compiled with `cc` (else `gcc`) into a
 per-user cache, keyed by source, flags and machine type, and loaded with
 ctypes.  Without a compiler, when the build fails, or with
-CONFRES_DISABLE_COMPILED=1, `sweep` and `knn` are the Python references
-and the optimizer runs its Python loop (identical results, much slower).
-A failed build leaves a marker file beside the cache entry, so later
-imports do not run the compiler again.  `BACKEND` names the loops in use,
-"c" or "python".  tests/test_kernels.py and tests/test_optimizer.py check
-that the two agree bit for bit; to time the Python references, run
-perfbench/run.py with CONFRES_DISABLE_COMPILED=1.
+CONFRES_DISABLE_COMPILED=1, `sweep`, `knn`, `pairs`, `pairs_csr` and
+`row_nth` are the references and the optimizer runs its Python loop
+(identical results, much slower).  A failed build leaves a marker file
+beside the cache entry, so later imports do not run the compiler again.
+`BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py,
+tests/test_optimizer.py and tests/test_graph.py check that the two agree
+bit for bit; to time the Python references, run perfbench/run.py with
+CONFRES_DISABLE_COMPILED=1.
 """
 
 import ctypes
@@ -331,6 +342,94 @@ def knn_py(points, k, metric="euclidean"):
     return nn, nn_dist
 
 
+def _check_triples(rows, cols, vals):
+    """Raise ValueError unless rows, cols and vals are C-contiguous 1-D
+    int64, int64 and float64 arrays of one length."""
+    _check_array("rows", rows, _I64)
+    _check_array("cols", cols, _I64, rows.shape[0])
+    _check_array("vals", vals, _F64, rows.shape[0])
+
+
+def _check_pairs(n, rows, cols, vals):
+    """`_check_triples`, then IndexError unless every index lies in
+    [0, n), rows checked first, as the C kernels check."""
+    _check_triples(rows, cols, vals)
+    _check_range("rows", rows, n)
+    _check_range("cols", cols, n)
+
+
+def pairs_py(n, rows, cols, vals, mean=False):
+    """The sorted unique unordered pairs (row <= col) of the entries
+    (rows[t], cols[t], vals[t]) over n items, as (rows, cols, vals).
+
+    Each pair's weight is its entries' weights summed from 0.0 in input
+    order (np.bincount adds in that order), divided by their count with
+    `mean`.
+    """
+    _check_pairs(n, rows, cols, vals)
+    key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(key.shape[0], dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    unique = key[new]
+    inv = np.empty(key.shape[0], dtype=np.int64)  # input entry -> its pair
+    inv[order] = np.cumsum(new) - 1
+    # float64 also when empty, where np.bincount returns int64
+    sums = np.bincount(inv, weights=vals, minlength=len(unique)).astype(
+        np.float64, copy=False)
+    if mean:
+        sums = sums / np.bincount(inv, minlength=len(unique))
+    return unique // n, unique % n, sums
+
+
+def pairs_csr_py(n, rows, cols, vals):
+    """(indptr, indices, values): the both-direction CSR over n items of
+    sorted unique pairs (row <= col), each row's columns ascending.
+
+    The entries (i, j) are unique, so one sort of the keys i * n + j puts
+    them in that order with any sort algorithm.
+    """
+    _check_pairs(n, rows, cols, vals)
+    ii = np.concatenate([cols, rows])
+    jj = np.concatenate([rows, cols])
+    vv = np.concatenate([vals, vals])
+    order = np.argsort(ii * n + jj)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ii, minlength=n), out=indptr[1:])
+    return indptr, jj[order], vv[order]
+
+
+def _check_rows(indptr, values, nth):
+    """Raise ValueError unless the arrays have the dtypes and layout that
+    row_nth reads, one more indptr entry than nth."""
+    _check_array("values", values, _F64)
+    _check_array("nth", nth, _I64)
+    _check_array("indptr", indptr, _I64, nth.shape[0] + 1)
+
+
+def row_nth_py(indptr, values, nth):
+    """The nth[i]-th smallest value (from 0) of each row i of the CSR
+    (indptr, values); no value may be NaN.
+
+    One sort by value, in any order among equal values, then a sort of the
+    unique keys row * m + rank, orders each row's values.  Raises, in the
+    order the C kernel checks, IndexError or ValueError unless indptr is in
+    [0, len(values)] and non-decreasing and each nth[i] indexes row i.
+    """
+    _check_rows(indptr, values, nth)
+    _check_indptr("indptr", indptr, values.shape[0] + 1)
+    if np.any((nth < 0) | (nth >= np.diff(indptr))):
+        raise _out_of_range("nth", "row length")
+    vals = values[indptr[0]:indptr[-1]]
+    m = vals.shape[0]
+    rows = np.repeat(np.arange(nth.shape[0]), np.diff(indptr))
+    by_value = np.argsort(vals)
+    ordered = vals[by_value[np.sort(rows[by_value] * m + np.arange(m)) % m]]
+    return ordered[indptr[:-1] - indptr[0] + nth]
+
+
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
 # -ffp-contract=off keeps a*b+c from fusing into one rounding; -ffast-math
 # and -march=native are left out for the same reason: every float result
@@ -421,24 +520,28 @@ def _load_library():
     lib.level_loop.restype = i64
     lib.knn.argtypes = [i64, i64, ptr, i64, i64, ptr, ptr]
     lib.knn.restype = i64
+    lib.pairs.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr]
+    lib.pairs.restype = i64
+    lib.pairs_csr.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.pairs_csr.restype = i64
+    lib.row_nth.argtypes = [i64, ptr, i64, ptr, ptr, ptr]
+    lib.row_nth.restype = i64
     return lib
 
 
 # Every pointer handed to C is checked first: dtype, C-contiguity and
-# length of each array.  The C sweep and level loop check the range of
-# every value used as an index and the order of each indptr, in one scan
-# before any indexed read, and return a negative status (an ERR_ code of
-# _kernels.c) when one fails; `_raise` maps it to the exception.
+# length of each array.  The C kernels check the range of every value used
+# as an index and the order of each indptr, in one scan before any indexed
+# read, and return a negative status (an ERR_ code of _kernels.c) when one
+# fails; `_raise` maps it to the exception.
 
-def _raise(status, graph_args=None):
-    """Raise the error a negative C status stands for; `graph_args` are
-    the graph arguments the sweep or level loop was called with (none for
-    `knn`)."""
-    n, m, rep_m = (graph_args[0], graph_args[3], graph_args[10]
-                   ) if graph_args else (0, 0, 0)
+def _raise(status, n=0, m=0, rep_m=0):
+    """Raise the error a negative C status stands for; n items, m CSR
+    entries (or values, for `row_nth`) and rep_m repulsion entries are
+    the sizes the kernel was called with."""
     raise {
-        -1: MemoryError("the C sweep or level loop could not allocate its "
-                        "scratch arrays"),
+        -1: MemoryError("the C kernels could not allocate their scratch "
+                        "arrays"),
         -2: _out_of_range("labels", n),
         -3: _out_of_range("indptr", m + 1),
         -4: _out_of_range("indices", n),
@@ -447,6 +550,9 @@ def _raise(status, graph_args=None):
         -7: _decreasing("indptr"),
         -8: _decreasing("rep_indptr"),
         -9: MemoryError("the C kNN search could not allocate its tree"),
+        -10: _out_of_range("rows", n),
+        -11: _out_of_range("cols", n),
+        -12: _out_of_range("nth", "row length"),
     }[status]
 
 
@@ -473,7 +579,7 @@ def _call_drawing(fn, args, rng, *tail):
         status = fn(*args, *tail, draw.state_address, draw.next_uint32,
                     draw.next_uint64)
     if status < 0:
-        _raise(status, args)
+        _raise(status, args[0], args[3], args[10])
     return status
 
 
@@ -530,14 +636,62 @@ def _knn_c(points, k, metric="euclidean"):
     return nn, nn_dist
 
 
+def _pairs_c(n, rows, cols, vals, mean=False):
+    """`pairs_py` in O(m + n) (`pairs` in _kernels.c): the same arrays, bit
+    for bit, each of its exact size."""
+    _check_triples(rows, cols, vals)
+    m = rows.shape[0]
+    out = (np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64),
+           np.empty(m))
+    found = _LIB.pairs(n, m, rows.ctypes.data, cols.ctypes.data,
+                       vals.ctypes.data, bool(mean),
+                       *(a.ctypes.data for a in out))
+    if found < 0:
+        _raise(found, n)
+    for a in out:  # shrunk in place: no copy, and no m-slot buffer kept
+        a.resize(found, refcheck=False)  # nothing else refers to it
+    return out
+
+
+def _pairs_csr_c(n, rows, cols, vals):
+    """`pairs_csr_py` in O(p + n) (`pairs_csr` in _kernels.c): the same
+    arrays, bit for bit."""
+    _check_triples(rows, cols, vals)
+    p = rows.shape[0]
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indices = np.empty(2 * p, dtype=np.int64)
+    values = np.empty(2 * p)
+    status = _LIB.pairs_csr(n, p, rows.ctypes.data, cols.ctypes.data,
+                            vals.ctypes.data, indptr.ctypes.data,
+                            indices.ctypes.data, values.ctypes.data)
+    if status < 0:
+        _raise(status, n)
+    return indptr, indices, values
+
+
+def _row_nth_c(indptr, values, nth):
+    """`row_nth_py` by quickselect in each row (`row_nth` in _kernels.c):
+    a selection, so the same values."""
+    _check_rows(indptr, values, nth)
+    out = np.empty(nth.shape[0])
+    status = _LIB.row_nth(nth.shape[0], indptr.ctypes.data, values.shape[0],
+                          values.ctypes.data, nth.ctypes.data,
+                          out.ctypes.data)
+    if status < 0:
+        _raise(status, m=values.shape[0])
+    return out
+
+
 _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
     sweep, knn = _local_move, knn_py
+    pairs, pairs_csr, row_nth = pairs_py, pairs_csr_py, row_nth_py
     level_loop = None  # optimizer runs its Python loop
 else:
     BACKEND = "c"
     sweep, knn = _local_move_c, _knn_c
+    pairs, pairs_csr, row_nth = _pairs_c, _pairs_csr_c, _row_nth_c
     level_loop = _level_loop_c
 
 # Always False: numba is no longer a backend.  perfbench/worker.py still

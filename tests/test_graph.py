@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from confres import graph as graph_mod
+from confres import kernels
 from confres.errors import InputError, NumericalError, ParameterError
 from confres.graph import (NeighborGraph, build_knn_graph, derive_affinity,
                            from_edge_list, load_labels_csv, load_points_csv)
@@ -276,6 +277,13 @@ class TestDeriveAffinity:
             with pytest.raises(InputError, match="item 2"):
                 derive_affinity(graph, kernel=kernel)
 
+    @pytest.mark.parametrize("scheme", ["configuration_null", "uniform"])
+    def test_repulsion_edges_need_explicit_scheme(self, scheme):
+        neighbors = build_knn_graph(np.array([[0.0], [1.0], [3.0]]), k=1)
+        with pytest.raises(ParameterError, match="explicit repulsion scheme"):
+            derive_affinity(neighbors, repulsion_scheme=scheme,
+                            repulsion_edges=[(0, 2, 5.0)])
+
     def test_explicit_scheme(self):
         g = from_edge_list(3, [(0, 1, 1.0)], repulsion_scheme="explicit",
                            repulsion_edges=[(1, 2, 0.7)])
@@ -320,6 +328,20 @@ class TestCsrFromPairs:
     def test_single_item(self):
         empty = np.empty(0, dtype=np.int64)
         self._check(1, empty, empty, np.empty(0))
+
+
+def use_references(monkeypatch):
+    """Route graph construction through the numpy references of the
+    C pair, CSR and selection kernels."""
+    monkeypatch.setattr(kernels, "pairs", kernels.pairs_py)
+    monkeypatch.setattr(kernels, "pairs_csr", kernels.pairs_csr_py)
+    monkeypatch.setattr(kernels, "row_nth", kernels.row_nth_py)
+
+
+class TestCsrFromPairsOnReferences(TestCsrFromPairs):
+    @pytest.fixture(autouse=True)
+    def _references(self, monkeypatch):
+        use_references(monkeypatch)
 
 
 def _stable_csr(n, rows, cols, vals):
@@ -446,6 +468,13 @@ class TestAffinityAgainstLexsortOracle:
             assert _graph_bytes(g) == [np.asarray(x).tobytes() for x in want]
 
 
+class TestAffinityAgainstLexsortOracleOnReferences(
+        TestAffinityAgainstLexsortOracle):
+    @pytest.fixture(autouse=True)
+    def _references(self, monkeypatch):
+        use_references(monkeypatch)
+
+
 class TestFromEdgeList:
     def test_basic(self):
         g = from_edge_list(2, [(0, 1, 1.0)])
@@ -487,6 +516,25 @@ class TestFromEdgeList:
     def test_first_offending_edge_reported(self):
         with pytest.raises(InputError, match="self-loop"):
             from_edge_list(3, [(0, 1, 1.0), (2, 2, 1.0), (0, 5, -1.0)])
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), True, "3",
+                                   None, 0, -1, np.int64(0)])
+    def test_n_must_be_a_positive_integer(self, n):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            from_edge_list(n, [(0, 1, 1.0)])
+
+    def test_numpy_integer_n(self):
+        g = from_edge_list(np.int64(3), [(0, 1, 1.0), (1, 2, 1.0)])
+        want = from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        assert _graph_bytes(g) == _graph_bytes(want)
+
+    @pytest.mark.parametrize("scheme", ["configuration_null", "uniform"])
+    def test_repulsion_edges_need_explicit_scheme(self, scheme):
+        # product-form repulsion never reads them: an error, not a drop
+        with pytest.raises(ParameterError, match="explicit repulsion scheme"):
+            from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)],
+                           repulsion_scheme=scheme,
+                           repulsion_edges=[(0, 2, 5.0)])
 
 
 def _row_parsed_points(path):

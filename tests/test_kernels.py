@@ -1,6 +1,7 @@
-"""The C sweep and kNN search and their plain-Python references must
-agree exactly, and the numpy energy must equal a plain loop over the edges
-bit for bit."""
+"""The C kernels (sweep, level loop, kNN search, pair grouping, CSR fill
+and row selection) and their numpy or plain-Python references must agree
+exactly, and the numpy energy must equal a plain loop over the edges bit
+for bit."""
 
 import dataclasses
 import os
@@ -378,6 +379,135 @@ def test_knn_rejects_bad_arguments(knn):
         knn(np.zeros(4), 1)
 
 
+def _triples(rows, cols, vals):
+    return (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64),
+            np.asarray(vals, dtype=np.float64))
+
+
+def _pairs_inputs(rng):
+    """(n, rows, cols, vals) entry lists for the pair kernels."""
+    big = 2.0 ** 53  # big + 1 rounds back to big: input order shows
+    yield 2, *_triples([0, 1, 0], [1, 0, 1], [1.0, 1.0, big])
+    yield 2, *_triples([0, 1, 0], [1, 0, 1], [big, 1.0, 1.0])
+    yield 1, *_triples([], [], [])           # one item, no entry
+    yield 1, *_triples([0, 0], [0, 0], [0.5, -0.0])
+    yield 6, *_triples([], [], [])           # no entry at all
+    yield 9, *_triples([7, 1, 7, 3], [3, 7, 1, 7], [1.0, 2.0, 3.0, 4.0])
+    for trial in range(60):
+        n = int(rng.integers(1, 50))
+        m = int(rng.integers(0, 5 * n))
+        if trial % 3 == 0:  # few pairs, each repeated in both directions
+            base = rng.integers(0, n, (max(1, n // 4), 2))
+            ends = base[rng.integers(0, len(base), m)]
+            flip = rng.random(m) < 0.5
+            rows = np.where(flip, ends[:, 1], ends[:, 0])
+            cols = np.where(flip, ends[:, 0], ends[:, 1])
+        else:
+            rows, cols = rng.integers(0, n, (2, m))
+        if trial % 2:  # signed zeros beside other values
+            vals = rng.choice([-0.0, 0.0, 1.0, -2.5, 0.1, big], m)
+        else:
+            vals = rng.random(m)
+        yield n, *_triples(rows, cols, vals)
+
+
+def _same_arrays(got, want):
+    assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape)
+                                                 for a in want]
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@needs_cc
+def test_pair_kernels_agree_with_references(rng):
+    # C and numpy bit for bit: pairs (summed and averaged) and their CSR
+    for n, rows, cols, vals in _pairs_inputs(rng):
+        for mean in (False, True):
+            got = kernels._pairs_c(n, rows, cols, vals, mean)
+            want = kernels.pairs_py(n, rows, cols, vals, mean)
+            _same_arrays(got, want)
+            for a in got:  # exact size: owns its data, no larger buffer
+                assert a.base is None and a.flags.owndata
+            _same_arrays(kernels._pairs_csr_c(n, *want),
+                         kernels.pairs_csr_py(n, *want))
+    # the weights of a pair's repeats are added in input order
+    big = 2.0 ** 53
+    _, _, summed = kernels._pairs_c(2, *_triples([0, 1, 0], [1, 0, 1],
+                                                 [1.0, 1.0, big]))
+    assert summed.tolist() == [(1.0 + 1.0) + big] != [(big + 1.0) + 1.0]
+
+
+def _row_nth_inputs(rng):
+    """(indptr, values, nth) CSRs with ties, zeros, single-value rows and
+    rows of hundreds of values; the last has an indptr that starts past
+    0."""
+    for trial in range(60):
+        n = int(rng.integers(0, 30))
+        lengths = rng.integers(1, 12, n)
+        if n and trial % 4 == 0:
+            lengths[rng.integers(0, n)] = 400
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        if trial % 2:  # few distinct values: long runs of ties
+            values = rng.choice([0.0, 0.5, 1.0, 2.0], indptr[-1])
+        else:
+            values = rng.random(indptr[-1])
+        nth = (rng.random(n) * lengths).astype(np.int64)
+        yield indptr, values, nth
+    yield (np.array([2, 3, 6]), np.array([9.0, 9.0, 1.0, 3.0, 2.0, 1.0]),
+           np.array([0, 2]))
+
+
+@needs_cc
+def test_row_nth_agrees_with_reference(rng):
+    for indptr, values, nth in _row_nth_inputs(rng):
+        got = kernels._row_nth_c(indptr, values, nth)
+        want = kernels.row_nth_py(indptr, values, nth)
+        assert got.tobytes() == want.tobytes()
+        for i, k in enumerate(nth):
+            row = np.sort(values[indptr[i]:indptr[i + 1]])
+            assert got[i] == row[k]
+
+
+def _graph_kernels():
+    """(pairs, pairs_csr, row_nth) of each backend present."""
+    yield kernels.pairs_py, kernels.pairs_csr_py, kernels.row_nth_py
+    if kernels.BACKEND == "c":
+        yield kernels._pairs_c, kernels._pairs_csr_c, kernels._row_nth_c
+
+
+def test_graph_kernels_reject_bad_indices():
+    # both backends raise the same exception, from their checks before
+    # any output is made, and leave the inputs as they were
+    vals = np.array([1.0, 2.0, 3.0])
+    bad_ends = (("rows", [0, -1, 1], [1, 0, 2]), ("rows", [0, 3, 1], [1, 0, 2]),
+                ("cols", [0, 2, 1], [1, 0, 3]), ("cols", [0, 2, 1], [-1, 0, 3]))
+    indptr, values = np.array([0, 2, 3]), np.array([3.0, 1.0, 2.0])
+    bad_rows = ((np.array([0, 2, 4]), np.array([1, 0]), IndexError,
+                 r"^indptr out of range \[0, 4\)$"),
+                (np.array([0, 2, 1]), np.array([1, 0]), ValueError,
+                 r"^indptr must be non-decreasing$"),
+                (indptr, np.array([2, 0]), IndexError,
+                 r"^nth out of range \[0, row length\)$"),
+                (indptr, np.array([1, -1]), IndexError,
+                 r"^nth out of range \[0, row length\)$"))
+    for pairs, pairs_csr, row_nth in _graph_kernels():
+        for name, r, c in bad_ends:
+            rows, cols, _ = _triples(r, c, vals)
+            for fn in (pairs, pairs_csr):
+                with pytest.raises(IndexError,
+                                   match=rf"^{name} out of range \[0, 3\)$"):
+                    fn(3, rows, cols, vals)
+                assert rows.tolist() == r and cols.tolist() == c
+        for ptr, nth, exc, message in bad_rows:
+            with pytest.raises(exc, match=message):
+                row_nth(ptr, values, nth)
+        rows, cols, _ = _triples([0, 2, 1], [1, 0, 2], vals)
+        with pytest.raises(ValueError, match="cols has length 2"):
+            pairs(3, rows, cols[:2], vals)
+        with pytest.raises(ValueError, match="C-contiguous 1-D int64"):
+            pairs_csr(3, rows.astype(np.int32), cols, vals)
+
+
 def test_every_c_status_code_is_mapped():
     # each ERR_ code of _kernels.c must reach its exception through
     # _raise; an unmapped code raises KeyError, which fails the loop
@@ -387,14 +517,12 @@ def test_every_c_status_code_is_mapped():
     values = list(codes.values())
     assert len(values) >= 8 and len(set(values)) == len(values)
     assert all(v < 0 for v in values)
-    graph_args = (3, None, None, 4, None, kernels.REP_EXPLICIT, None, 1.0,
-                  None, None, 5, None)
     for name, value in codes.items():
         with pytest.raises((MemoryError, IndexError, ValueError)) as info:
-            kernels._raise(value, graph_args)
+            kernels._raise(value, 3, 4, 5)
         assert str(info.value), name
     with pytest.raises(KeyError):
-        kernels._raise(min(values) - 1, graph_args)
+        kernels._raise(min(values) - 1, 3, 4, 5)
 
 
 @has_compiler
@@ -735,3 +863,123 @@ def test_sweep_is_clean_under_sanitizers(tmp_path):
     assert ran.returncode == 0, ran.stdout + ran.stderr
     assert ran.stdout.count(", ok") == 6, ran.stdout
     assert ran.stdout.count("status -2, ok") == 2, ran.stdout
+
+
+# Runs the exported pair grouping, CSR fill and row selection on entry
+# lists with repeats in both directions, an empty list and one item, each
+# output in a buffer of exactly the size the kernel may write, then with
+# an index out of range; exits 0 only if each call returns the expected
+# status, pairs come out unique, in order and in range, the CSR rows list
+# ascending columns, and each selected value has nth smaller row values.
+_GRAPH_SANITIZER_MAIN = r"""
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+
+int64_t pairs(int64_t, int64_t, const int64_t *, const int64_t *,
+              const double *, int64_t, int64_t *, int64_t *, double *);
+int64_t pairs_csr(int64_t, int64_t, const int64_t *, const int64_t *,
+                  const double *, int64_t *, int64_t *, double *);
+int64_t row_nth(int64_t, const int64_t *, int64_t, const double *,
+                const int64_t *, double *);
+
+static void *slots(int64_t count, size_t size)  /* exact, never 0 bytes */
+{
+    return malloc((size_t)(count > 0 ? count : 1) * size);
+}
+
+static int report(const char *name, int64_t status, int ok)
+{
+    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
+    return !ok;
+}
+
+/* pairs of the entries, with and without mean, then their CSR and, when
+ * no row is empty, the (i / 2 mod length)-th smallest value of each row */
+static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
+               const int64_t *cols, const double *vals, int64_t want)
+{
+    int bad = 0;
+    for (int64_t mean = 0; mean <= 1; mean++) {
+        int64_t *pr = slots(m, 8), *pc = slots(m, 8);
+        double *pv = slots(m, 8);
+        int64_t found = pairs(n, m, rows, cols, vals, mean, pr, pc, pv);
+        int ok = found == want;
+        for (int64_t p = 0; ok && p < found; p++)
+            ok = pr[p] >= 0 && pr[p] <= pc[p] && pc[p] < n
+                 && (p == 0 || pr[p - 1] < pr[p]
+                     || (pr[p - 1] == pr[p] && pc[p - 1] < pc[p]));
+        int64_t *ptr = slots(n + 1, 8), *idx = slots(2 * found, 8);
+        int64_t *nth = slots(n, 8);
+        double *w = slots(2 * found, 8), *picked = slots(n, 8);
+        ok = ok && pairs_csr(n, found, pr, pc, pv, ptr, idx, w) == 0
+             && ptr[0] == 0 && ptr[n] == 2 * found;
+        int full = 1;
+        for (int64_t i = 0; ok && i < n; i++) {
+            int64_t len = ptr[i + 1] - ptr[i];
+            full &= len > 0;
+            nth[i] = len > 0 ? (i / 2) % len : 0;
+            for (int64_t e = ptr[i] + 1; ok && e < ptr[i + 1]; e++)
+                ok = idx[e - 1] < idx[e] || (idx[e - 1] == i && idx[e] == i);
+        }
+        if (ok && full)
+            ok = row_nth(n, ptr, 2 * found, w, nth, picked) == 0;
+        for (int64_t i = 0; ok && full && i < n; i++) {
+            int64_t below = 0, equal = 0;
+            for (int64_t e = ptr[i]; e < ptr[i + 1]; e++) {
+                below += w[e] < picked[i];
+                equal += w[e] == picked[i];
+            }
+            ok = below <= nth[i] && nth[i] < below + equal;
+        }
+        bad |= report(name, found, ok);
+        free(pr);
+        free(pc);
+        free(pv);
+        free(ptr);
+        free(idx);
+        free(nth);
+        free(w);
+        free(picked);
+    }
+    return bad;
+}
+
+static int expect(const char *name, int64_t status, int64_t want)
+{
+    return report(name, status, status == want);
+}
+
+int main(void)
+{
+    const int64_t rows[] = {3, 1, 4, 1, 5, 0, 2, 6, 5, 3, 5, 4};
+    const int64_t cols[] = {1, 3, 4, 5, 1, 2, 0, 6, 3, 5, 4, 5};
+    const double vals[] = {1, 2, -0.0, 0.0, 3, 0.5, 0.25, 9, 1, 2, 4, 8};
+    const int64_t none[] = {0}, far[] = {1, 3, 0}, near[] = {0, 1, 2};
+    const int64_t wide[] = {0, 2, 4}, back[] = {0, 2, 1}, good[] = {0, 2, 3};
+    const int64_t nth[] = {1, 0}, past[] = {2, 0};
+    int64_t a[3], b[3], ptr[4];
+    double w[3], picked[2];
+    return run("entries", 7, 12, rows, cols, vals, 7)
+        | run("empty", 5, 0, none, none, vals, 0)
+        | run("one item", 1, 1, none, none, vals, 1)
+        | expect("pairs row 3", pairs(3, 3, far, near, vals, 0, a, b, w), -10)
+        | expect("pairs col 3", pairs(3, 3, near, far, vals, 1, a, b, w), -11)
+        | expect("csr row 3", pairs_csr(3, 3, far, near, vals, ptr, a, w), -10)
+        | expect("nth indptr 4", row_nth(2, wide, 3, vals, nth, picked), -3)
+        | expect("nth decreasing", row_nth(2, back, 3, vals, nth, picked), -7)
+        | expect("nth past row", row_nth(2, good, 3, vals, past, picked), -12);
+}
+"""
+
+
+@has_compiler
+def test_graph_kernels_are_clean_under_sanitizers(tmp_path):
+    # pairs, pairs_csr and row_nth: exact-size outputs, scratch freed,
+    # the range checks
+    exe = _sanitized_build(tmp_path, _GRAPH_SANITIZER_MAIN, "check_graph")
+    ran = subprocess.run([str(exe)], capture_output=True, text=True,
+                         timeout=60)
+    assert ran.returncode == 0, ran.stdout + ran.stderr
+    assert ran.stdout.count(", ok") == 12 and "BAD" not in ran.stdout, \
+        ran.stdout
