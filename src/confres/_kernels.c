@@ -9,8 +9,12 @@
  * optimizer._level_loop_py) with the same phases, the same draws and the
  * same coarse graphs, so it returns the same labels; it also returns
  * their (h_a, h_r), each sum added in the order of its reference,
- * kernels.energy_components, so the bits are the same.  `knn` returns the
- * neighbours and distances of its reference, knn_py, bit for bit.
+ * kernels.energy_components, so the bits are the same.  `components`
+ * solves gamma = 0 exactly, without the loop, as its reference
+ * kernels.components_py: the connected components over the edges of
+ * positive weight, with their (h_a, h_r) summed as the loop sums them.
+ * `knn` returns the neighbours and distances of its reference, knn_py,
+ * bit for bit.
  * `pairs` and `pairs_csr` group (i, j, w) entries into unique pairs and
  * lay those out as a CSR in O(m + n), on the code path of the level
  * loop's aggregation, adding weights in the order of their numpy
@@ -904,6 +908,68 @@ done:
     free(rep_ptr);
     free(rep_idx);
     free(rep_wt);
+    return err;
+}
+
+/* The root of i's set, halving the path on the way. */
+static int64_t find_root(int64_t *root, int64_t i)
+{
+    while (root[i] != i) {
+        root[i] = root[root[i]];
+        i = root[i];
+    }
+    return i;
+}
+
+/* The optimum of H at gamma = 0, without the level loop: the connected
+ * components of g over its entries of positive weight, as
+ * kernels.components_py finds them.  At gamma = 0, H is h_a alone, which
+ * is lowest exactly when every cluster is a union of these components;
+ * of those partitions the components themselves have the least h_r
+ * (repulsion is never negative), so they are also the optimum as
+ * gamma -> 0+.  Writes their canonical labels to `out` (n slots) and
+ * their (h_a, h_r) to `energy` (see energy_of), and returns 0, or an
+ * ERR_ code. */
+int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
+                   int64_t m, const double *weights, int64_t rep_mode,
+                   const double *rep_strength, double rep_denom,
+                   const int64_t *rep_indptr, const int64_t *rep_indices,
+                   int64_t rep_m, const double *rep_weights, int64_t *out,
+                   double *energy)
+{
+    graph_t g = {n, indptr, indices, weights, rep_mode, rep_strength,
+                 rep_denom, rep_indptr, rep_indices, rep_weights,
+                 NULL, NULL, NULL, NULL};
+    int64_t err = check_graph(&g, m, rep_m);
+    if (err)
+        return err;
+    size_t slots = n > 0 ? (size_t)n : 1;
+    int64_t *root = malloc(slots * sizeof(int64_t));
+    double *sums = malloc(slots * sizeof(double));
+    if (!root || !sums) {
+        err = ERR_NOMEM;
+        goto done;
+    }
+    for (int64_t i = 0; i < n; i++)
+        root[i] = i;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
+            if (!(weights[e] > 0.0))
+                continue;
+            int64_t a = find_root(root, i), b = find_root(root, indices[e]);
+            if (a < b)
+                root[b] = a;
+            else
+                root[a] = b;
+        }
+    }
+    for (int64_t i = 0; i < n; i++)
+        out[i] = find_root(root, i);
+    /* the roots are spent: their slots serve as canonicalize's map */
+    energy_of(&g, out, canonicalize(out, n, root), sums, energy);
+done:
+    free(root);
+    free(sums);
     return err;
 }
 

@@ -143,6 +143,17 @@ def _csr_from_pairs(n, rows, cols, vals):
     return kernels.pairs_csr(n, rows, cols, vals)
 
 
+def _layout(n, rows, cols):
+    """(indptr, indices, pair): the both-direction CSR of unique pairs
+    (row < col) in sorted order, as `_csr_from_pairs` lays it out, and
+    for each entry the index of its pair, so that `vals[pair]` are the
+    CSR values of any per-pair `vals`.  The pair indices travel through
+    the float64 values of `kernels.pairs_csr`, exact below 2**53."""
+    indptr, indices, pair = _csr_from_pairs(
+        n, rows, cols, np.arange(rows.shape[0], dtype=np.float64))
+    return indptr, indices, pair.astype(np.int64)
+
+
 def _end_sums(n, rows, cols, vals):
     """Per item, the sum of `vals` over the pairs it ends: from 0.0, in
     pair order over `rows`, then over `cols` (np.bincount adds in input
@@ -151,12 +162,18 @@ def _end_sums(n, rows, cols, vals):
                        weights=np.concatenate([vals, vals]), minlength=n)
 
 
-def _assemble(n, rows, cols, vals, scheme, rep_pairs=None):
+def _assemble(n, rows, cols, vals, scheme, rep_pairs=None, layout=None):
+    """The AffinityGraph of the attraction pairs (rows, cols, vals); a
+    `_layout` of the pairs, when given, places the weights."""
     strengths = _end_sums(n, rows, cols, vals)
     total = float(np.sum(vals))
     if total <= 0.0:
         raise NumericalError("total attraction weight W must be positive")
-    indptr, indices, weights = _csr_from_pairs(n, rows, cols, vals)
+    if layout is None:
+        indptr, indices, weights = _csr_from_pairs(n, rows, cols, vals)
+    else:
+        indptr, indices, pair = layout
+        weights = vals[pair]
     kwargs = {}
     if scheme == "configuration_null":
         rep_strength = strengths.copy()
@@ -244,8 +261,11 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
     n = graph.n
     rows, cols, dist = _triples(graph.edges[:, 0], graph.edges[:, 1],
                                 graph.distances)
-    # each item's edge distances, one CSR row per item
-    indptr, _, dist_rows = _csr_from_pairs(n, rows, cols, dist)
+    # each item's edge distances, one CSR row per item; the weights take
+    # the same layout
+    layout = _layout(n, rows, cols)
+    indptr, _, pair = layout
+    dist_rows = dist[pair]
     degree = np.diff(indptr)
     if np.any(degree == 0):
         raise InputError(f"item {int(np.argmin(degree))} has no neighbour edge")
@@ -281,7 +301,7 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
     rep_pairs = None
     if repulsion_edges is not None:
         rep_pairs = _merge_pairs(n, repulsion_edges, label="repulsion")
-    return _assemble(n, rows, cols, w, repulsion_scheme, rep_pairs)
+    return _assemble(n, rows, cols, w, repulsion_scheme, rep_pairs, layout)
 
 
 def _parse_rows(path, body) -> np.ndarray:

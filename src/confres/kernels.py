@@ -25,6 +25,13 @@ or numpy reference that is the fallback and the test oracle:
   It also returns the labels' (h_a, h_r), summed in C in the order
   `energy_components` sums them, so a solve needs no numpy energy pass.
   Without the C kernels it is None.
+- `components` solves gamma = 0 exactly, with no loop: the connected
+  components over the entries of positive weight, by union-find, with
+  canonical labels and their (h_a, h_r) summed as `level_loop` sums them.
+  `components_py` is its reference; without the C kernels it is None.
+  `level_loop` and `components` take `graph_args`, the graph's checked
+  arguments, which a caller that solves one graph many times (a
+  resolution sweep) takes once.
 - `knn` finds each item's k nearest others by (distance, index) with an
   exact kd-tree search; `knn_py` does it by chunked brute force.  Both
   sum a distance from 0.0 in coordinate order, so they return the same
@@ -44,9 +51,10 @@ On first import the C file is compiled with `cc` (else `gcc`) into a
 per-user cache, keyed by source, flags and machine type, and loaded with
 ctypes.  Without a compiler, when the build fails, or with
 CONFRES_DISABLE_COMPILED=1, `sweep`, `knn`, `pairs`, `pairs_csr` and
-`row_nth` are the references and the optimizer runs its Python loop
-(identical results, much slower).  A failed build leaves a marker file
-beside the cache entry, so later imports do not run the compiler again.
+`row_nth` are the references and the optimizer runs its Python loop and
+`components_py` (identical results, much slower).  A failed build leaves
+a marker file beside the cache entry, so later imports do not run the
+compiler again.
 `BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py,
 tests/test_optimizer.py and tests/test_graph.py check that the two agree
 bit for bit; to time the Python references, run perfbench/run.py with
@@ -283,6 +291,42 @@ def _local_move(indptr, indices, weights,
 # tested against.
 sweep_py = _local_move
 
+
+def components_py(n, indptr, indices, weights, rep_mode, rep_strength,
+                  rep_denom, rep_indptr, rep_indices, rep_weights):
+    """(labels, h_a, h_r): the connected components over the CSR entries
+    of positive weight, canonical, and their energy components.
+
+    They are the optimum of H at gamma = 0 and its limit as gamma -> 0+
+    (see `components` in _kernels.c), found by union-find: the root of a
+    set is its smallest item, so numbering the roots in item order gives
+    the canonical labels.  Raises, in the order the C kernel checks, the
+    ValueError or IndexError of a graph the kernels cannot read.
+    """
+    _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
+                 rep_denom, rep_indptr, rep_indices, rep_weights)
+    _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    ends = slice(indptr[0], indptr[-1])
+    positive = weights[ends] > 0.0
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, j in zip(rows[positive].tolist(), indices[ends][positive].tolist()):
+        a, b = find(i), find(j)
+        root[max(a, b)] = min(a, b)
+    roots = np.array([find(i) for i in range(n)], dtype=np.int64)
+    labels = (np.cumsum(roots == np.arange(n)) - 1)[roots]
+    return (labels, *energy_components(indptr, indices, weights, labels,
+                                       rep_mode, rep_strength, rep_denom,
+                                       rep_indptr, rep_indices, rep_weights))
+
+
 KNN_METRICS = ("euclidean", "cosine")
 
 # knn_py holds at most this many distances (rows x n) at a time.
@@ -518,6 +562,8 @@ def _load_library():
     lib.level_loop.argtypes = graph + [f64, i64, i64, i64, f64, ptr, ptr, ptr,
                                        ptr, ptr]
     lib.level_loop.restype = i64
+    lib.components.argtypes = graph + [ptr, ptr]
+    lib.components.restype = i64
     lib.knn.argtypes = [i64, i64, ptr, i64, i64, ptr, ptr]
     lib.knn.restype = i64
     lib.pairs.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr]
@@ -527,6 +573,20 @@ def _load_library():
     lib.row_nth.argtypes = [i64, ptr, i64, ptr, ptr, ptr]
     lib.row_nth.restype = i64
     return lib
+
+
+_BYTE = ctypes.c_char
+
+
+def _address(arr):
+    """arr.ctypes.data, the address of the array's first byte, at about a
+    fifth of the cost: `.ctypes` builds an object on every access.  A
+    read-only or empty array, which has no writable first byte to point
+    at, takes the slow way."""
+    try:
+        return ctypes.addressof(_BYTE.from_buffer(arr))
+    except (TypeError, ValueError):
+        return arr.ctypes.data
 
 
 # Every pointer handed to C is checked first: dtype, C-contiguity and
@@ -556,18 +616,27 @@ def _raise(status, n=0, m=0, rep_m=0):
     }[status]
 
 
-def _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
-                rep_denom, rep_indptr, rep_indices, rep_weights):
-    """The graph arguments of the C calls, after `_check_graph`."""
+def graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
+               rep_denom, rep_indptr, rep_indices, rep_weights):
+    """The graph arguments of the C calls, after `_check_graph`: the
+    `args` that `level_loop` and `components` take.  They hold the
+    arrays' addresses, not the arrays, so they are valid only while the
+    arrays live."""
     _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
                  rep_denom, rep_indptr, rep_indices, rep_weights)
     repulsion = (None, None, 0, None)  # never read for product-form repulsion
     if rep_mode == REP_EXPLICIT:
-        repulsion = (rep_indptr.ctypes.data, rep_indices.ctypes.data,
-                     rep_indices.shape[0], rep_weights.ctypes.data)
-    return (n, indptr.ctypes.data, indices.ctypes.data, indices.shape[0],
-            weights.ctypes.data, rep_mode, rep_strength.ctypes.data,
+        repulsion = (_address(rep_indptr), _address(rep_indices),
+                     rep_indices.shape[0], _address(rep_weights))
+    return (n, _address(indptr), _address(indices), indices.shape[0],
+            _address(weights), rep_mode, _address(rep_strength),
             rep_denom, *repulsion)
+
+
+def _check_status(status, args):
+    """Raise for a negative status of a C call on the graph `args`."""
+    if status < 0:
+        _raise(status, args[0], args[3], args[10])
 
 
 def _call_drawing(fn, args, rng, *tail):
@@ -578,8 +647,7 @@ def _call_drawing(fn, args, rng, *tail):
     with bitgen.lock:
         status = fn(*args, *tail, draw.state_address, draw.next_uint32,
                     draw.next_uint64)
-    if status < 0:
-        _raise(status, args[0], args[3], args[10])
+    _check_status(status, args)
     return status
 
 
@@ -592,31 +660,36 @@ def _local_move_c(indptr, indices, weights,
         raise ValueError("labels must be writable: sweep moves items in place")
     n = labels.shape[0]
     _check_array("constraint", constraint, _I64, n)
-    args = _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
-                       rep_denom, rep_indptr, rep_indices, rep_weights)
-    return _call_drawing(_LIB.sweep, args, rng, gamma, labels.ctypes.data,
-                         constraint.ctypes.data, max_sweeps, EPSILON)
+    args = graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
+                      rep_denom, rep_indptr, rep_indices, rep_weights)
+    return _call_drawing(_LIB.sweep, args, rng, gamma, _address(labels),
+                         _address(constraint), max_sweeps, EPSILON)
 
 
 _PAIR = ctypes.c_double * 2
 
 
-def _level_loop_c(n, indptr, indices, weights,
-                  rep_mode, rep_strength, rep_denom,
-                  rep_indptr, rep_indices, rep_weights,
-                  gamma, rng, max_levels, max_sweeps, max_polish):
+def _level_loop_c(args, gamma, rng, max_levels, max_sweeps, max_polish):
     """The level loop of `optimizer.optimize` for one seed in one C call
-    (`level_loop` in _kernels.c): (labels, h_a, h_r), the canonical labels
-    that its Python loop returns, with the same numbers drawn from `rng`,
-    and their energy components, the floats `energy_components` returns
-    for them.  Raises, before any draw, the IndexError or ValueError that
-    the first `sweep` of that loop raises for a bad graph."""
-    args = _graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
-                       rep_denom, rep_indptr, rep_indices, rep_weights)
-    labels = np.empty(n, dtype=np.int64)
+    (`level_loop` in _kernels.c), on a graph's `graph_args`: (labels, h_a,
+    h_r), the canonical labels that its Python loop returns, with the same
+    numbers drawn from `rng`, and their energy components, the floats
+    `energy_components` returns for them.  Raises, before any draw, the
+    IndexError or ValueError that the first `sweep` of that loop raises
+    for a bad graph."""
+    labels = np.empty(args[0], dtype=np.int64)
     energy = _PAIR()  # cheaper to make and read than a numpy array
     _call_drawing(_LIB.level_loop, args, rng, gamma, max_levels, max_sweeps,
-                  max_polish, EPSILON, labels.ctypes.data, energy)
+                  max_polish, EPSILON, _address(labels), energy)
+    return labels, energy[0], energy[1]
+
+
+def _components_c(args):
+    """`components_py` in one C call (`components` in _kernels.c), on a
+    graph's `graph_args`: the same labels and the same floats."""
+    labels = np.empty(args[0], dtype=np.int64)
+    energy = _PAIR()
+    _check_status(_LIB.components(*args, _address(labels), energy), args)
     return labels, energy[0], energy[1]
 
 
@@ -629,8 +702,8 @@ def _knn_c(points, k, metric="euclidean"):
     n, d = points.shape
     nn = np.empty((n, k), dtype=np.int64)
     nn_dist = np.empty((n, k))
-    status = _LIB.knn(n, d, points.ctypes.data, k, metric == "cosine",
-                      nn.ctypes.data, nn_dist.ctypes.data)
+    status = _LIB.knn(n, d, _address(points), k, metric == "cosine",
+                      _address(nn), _address(nn_dist))
     if status < 0:
         _raise(status)
     return nn, nn_dist
@@ -643,9 +716,9 @@ def _pairs_c(n, rows, cols, vals, mean=False):
     m = rows.shape[0]
     out = (np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64),
            np.empty(m))
-    found = _LIB.pairs(n, m, rows.ctypes.data, cols.ctypes.data,
-                       vals.ctypes.data, bool(mean),
-                       *(a.ctypes.data for a in out))
+    found = _LIB.pairs(n, m, _address(rows), _address(cols),
+                       _address(vals), bool(mean),
+                       *(_address(a) for a in out))
     if found < 0:
         _raise(found, n)
     for a in out:  # shrunk in place: no copy, and no m-slot buffer kept
@@ -661,9 +734,9 @@ def _pairs_csr_c(n, rows, cols, vals):
     indptr = np.empty(n + 1, dtype=np.int64)
     indices = np.empty(2 * p, dtype=np.int64)
     values = np.empty(2 * p)
-    status = _LIB.pairs_csr(n, p, rows.ctypes.data, cols.ctypes.data,
-                            vals.ctypes.data, indptr.ctypes.data,
-                            indices.ctypes.data, values.ctypes.data)
+    status = _LIB.pairs_csr(n, p, _address(rows), _address(cols),
+                            _address(vals), _address(indptr),
+                            _address(indices), _address(values))
     if status < 0:
         _raise(status, n)
     return indptr, indices, values
@@ -674,9 +747,9 @@ def _row_nth_c(indptr, values, nth):
     a selection, so the same values."""
     _check_rows(indptr, values, nth)
     out = np.empty(nth.shape[0])
-    status = _LIB.row_nth(nth.shape[0], indptr.ctypes.data, values.shape[0],
-                          values.ctypes.data, nth.ctypes.data,
-                          out.ctypes.data)
+    status = _LIB.row_nth(nth.shape[0], _address(indptr), values.shape[0],
+                          _address(values), _address(nth),
+                          _address(out))
     if status < 0:
         _raise(status, m=values.shape[0])
     return out
@@ -687,12 +760,12 @@ if _LIB is None:
     BACKEND = "python"
     sweep, knn = _local_move, knn_py
     pairs, pairs_csr, row_nth = pairs_py, pairs_csr_py, row_nth_py
-    level_loop = None  # optimizer runs its Python loop
+    level_loop = components = None  # optimizer runs the references
 else:
     BACKEND = "c"
     sweep, knn = _local_move_c, _knn_c
     pairs, pairs_csr, row_nth = _pairs_c, _pairs_csr_c, _row_nth_c
-    level_loop = _level_loop_c
+    level_loop, components = _level_loop_c, _components_c
 
 # Always False: numba is no longer a backend.  perfbench/worker.py still
 # reads this name to label its results, so it stays until the benchmark

@@ -15,9 +15,21 @@ without the C kernels and the oracle the C loop is tested against, and it
 also runs when `kernels.sweep` or `aggregate` has been replaced (a tracer
 wrapping them), so that the replacement sees every call.  Both return the
 same labels and the same energy floats.
+
+At gamma = 0 no loop runs: the optimum is the graph's connected
+components over its edges of positive weight, which `kernels.components`
+finds exactly (`kernels.components_py` without the C kernels).
+
+A solve on a small graph should pay for little besides its loop, so the
+fixed costs are paid once: the C kernels' graph arguments (`_kernel_args`)
+once per graph object, each seed's initial generator state once per seed,
+and the generator itself once per thread, reset to that state per seed.
 """
 
+import threading
+import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -152,13 +164,43 @@ def _level_loop_py(graph, gamma, rng):
     return (final, *_components(graph, final))
 
 
+# id(graph) -> (a weak reference to the graph, its kernels.graph_args);
+# an entry goes when its graph does, before its id can be reused
+_ARGS = {}
+
+
+def _kernel_args(graph):
+    """`kernels.graph_args` of the graph, checked and taken on the first
+    call for this graph object only: a frozen AffinityGraph keeps its
+    arrays, so their layout and addresses do not change while it lives.
+    The C kernels still check every index on each call."""
+    key = id(graph)
+    entry = _ARGS.get(key)
+    if entry is None or entry[0]() is not graph:
+        args = kernels.graph_args(
+            graph.n, graph.indptr, graph.indices, graph.weights,
+            graph.rep_mode, graph.rep_strength, graph.rep_denom,
+            graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+        entry = (weakref.ref(graph, lambda _: _ARGS.pop(key, None)), args)
+        _ARGS[key] = entry
+    return entry[1]
+
+
 def _level_loop_c(graph, gamma, rng):
     return kernels.level_loop(
-        graph.n, graph.indptr, graph.indices, graph.weights,
-        graph.rep_mode, graph.rep_strength, graph.rep_denom,
-        graph.rep_indptr, graph.rep_indices, graph.rep_weights,
-        float(gamma), rng, MAX_LEVELS, MAX_SWEEPS_PER_LEVEL,
-        10 * MAX_SWEEPS_PER_LEVEL)
+        _kernel_args(graph), float(gamma), rng, MAX_LEVELS,
+        MAX_SWEEPS_PER_LEVEL, 10 * MAX_SWEEPS_PER_LEVEL)
+
+
+def _connected(graph):
+    """(labels, h_a, h_r) of the optimum at gamma = 0: the connected
+    components over the edges of positive weight, canonical."""
+    if kernels.components is None:
+        return kernels.components_py(
+            graph.n, graph.indptr, graph.indices, graph.weights,
+            graph.rep_mode, graph.rep_strength, graph.rep_denom,
+            graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+    return kernels.components(_kernel_args(graph))
 
 
 def _compiled_loop():
@@ -170,6 +212,17 @@ def _compiled_loop():
             and aggregate is _AGGREGATE)
 
 
+@lru_cache(maxsize=256)
+def _initial_state(seed):
+    """The state np.random.default_rng(np.random.PCG64(seed)) starts in.
+    Seeding through SeedSequence costs about ten times as much as setting
+    a state; the dict is shared, so it must not be changed."""
+    return np.random.PCG64(seed).state
+
+
+_SPARE = threading.local()  # each thread's generator between solves
+
+
 def optimize(graph: AffinityGraph, gamma: float,
              opts: OptimizeOptions = None):
     """Minimize H at fixed gamma; returns (labels, EnergySummary).
@@ -177,17 +230,29 @@ def optimize(graph: AffinityGraph, gamma: float,
     Deterministic for a fixed seed; the returned partition is canonical
     and single-move stable on the original graph.  With restarts, seeds
     seed, seed + 1, ... run in turn; a later one wins only with an energy
-    lower by more than kernels.EPSILON.
+    lower by more than kernels.EPSILON.  At gamma = 0 the partition is
+    the exact optimum, the connected components, whatever the seed.
     """
     check_gamma(gamma)
     if opts is None:
         opts = OptimizeOptions()
+    seeds = range(opts.seed, opts.seed + opts.restarts)  # a bad seed raises
+    if gamma == 0.0:
+        labels, h_a, h_r = _connected(graph)
+        return labels, EnergySummary.at(gamma, h_a, h_r)
     level_loop = _level_loop_c if _compiled_loop() else _level_loop_py
+    # taken from the thread while in use, so a solve nested in this one
+    # (from a replaced kernels.sweep, say) draws from a generator of its own
+    rng = _SPARE.__dict__.pop("rng", None)
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64())
     best = None
-    for seed in range(opts.seed, opts.seed + opts.restarts):
-        rng = np.random.default_rng(np.random.PCG64(seed))
+    for seed in seeds:
+        # the draws of np.random.default_rng(np.random.PCG64(seed))
+        rng.bit_generator.state = _initial_state(seed)
         labels, h_a, h_r = level_loop(graph, gamma, rng)
         energy = EnergySummary.at(gamma, h_a, h_r)
         if best is None or energy.total < best[1].total - kernels.EPSILON:
             best = (labels, energy)
+    _SPARE.rng = rng
     return best

@@ -112,6 +112,20 @@ def test_negative_seed(data_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_seed_above_64_bits(data_dir, tmp_path):
+    # PCG64 seeds any int >= 0 through SeedSequence; each run writes the
+    # same bytes
+    points = str(data_dir / "points.csv")
+    for argv in (["cluster", "--input", points, "--k", "8"],
+                 ["sweep", "--input", points, "--k", "8",
+                  "--gamma-max", "1.5"]):
+        outs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outs:
+            assert main(argv + ["--seed", "99999999999999999999",
+                                "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_missing_output_directory(data_dir, tmp_path, capsys):
     # each is found before the clustering, sweep or scoring runs
     missing = tmp_path / "missing"

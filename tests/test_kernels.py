@@ -118,10 +118,98 @@ def test_level_loop_energy_on_self_loops_and_signed_zeros(rng):
     for case in cases:
         for gamma in (0.0, 0.5, 2.0):
             labels, *energy = kernels.level_loop(
-                *case, gamma, np.random.default_rng(7), 32, 100, 1000)
+                kernels.graph_args(*case), gamma, np.random.default_rng(7),
+                32, 100, 1000)
             args = case[1:]
             assert _exact(energy) == _exact(kernels.energy_components(
                 *args[:3], labels, *args[3:]))
+
+
+def _positive_components(n, indptr, indices, weights):
+    """Canonical labels of the components over the CSR entries of
+    positive weight, either direction linking, by a search from each
+    unlabelled item in item order."""
+    adjacent = [[] for _ in range(n)]
+    for i in range(n):
+        for e in range(indptr[i], indptr[i + 1]):
+            if weights[e] > 0.0:
+                adjacent[i].append(indices[e])
+                adjacent[indices[e]].append(i)
+    labels = np.full(n, -1, dtype=np.int64)
+    count = 0
+    for start in range(n):
+        if labels[start] < 0:
+            labels[start] = count
+            stack = [start]
+            while stack:
+                for j in adjacent[stack.pop()]:
+                    if labels[j] < 0:
+                        labels[j] = count
+                        stack.append(j)
+            count += 1
+    return labels
+
+
+def _components_inputs(rng):
+    """Graph arguments (n, the CSR, the repulsion model) for the gamma = 0
+    kernel: random graphs, some asymmetric and some with signed zeros;
+    disconnected graphs with an isolated item; zero weights; weights in
+    (0, EPSILON]; n = 1; and the self-loop CSRs."""
+    graphs = []
+    for trial in range(60):
+        graph = random_affinity(rng, n=int(rng.integers(2, 30)),
+                                scheme=SCHEMES[trial % 2])
+        if trial % 3 == 1:
+            graph = drop_entries(graph, rng)
+        elif trial % 3 == 2:
+            graph = _signed_zeros(graph, rng)
+        graphs.append(graph)
+    eps = kernels.EPSILON
+    graphs += [
+        from_edge_list(9, [(0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0), (5, 6, 1.0),
+                           (6, 7, 1.0), (5, 7, 0.2)]),  # item 8 stands alone
+        from_edge_list(6, [(0, 1, 0.0), (2, 3, 0.0), (1, 2, 1e-9),
+                           (4, 5, 0.0)], repulsion_scheme="uniform"),
+        from_edge_list(5, [(0, 1, eps), (1, 2, 1e-300), (2, 3, 5e-324),
+                           (3, 4, 1.0)]),
+        from_edge_list(4, [(0, 1, eps / 2), (2, 3, eps)],
+                       repulsion_scheme="explicit",
+                       repulsion_edges=[(0, 2, 1.0), (1, 3, 0.0)]),
+    ]
+    for graph in graphs:
+        yield (graph.n, *_kernel_args(graph))
+    alone = (np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
+             np.zeros(0))
+    looped = (np.array([0, 1]), np.array([0]), np.array([2.0]))
+    for csr in (alone, looped):
+        yield (1, *csr, kernels.REP_PRODUCT, np.ones(1), 1.0, *csr)
+        yield (1, *csr, kernels.REP_EXPLICIT, np.zeros(1), 1.0, *csr)
+    for weight in (-0.0, 0.5):
+        for rep_mode in (kernels.REP_PRODUCT, kernels.REP_EXPLICIT):
+            yield (3, *_self_loop_csr(weight), rep_mode, np.ones(3), 2.0,
+                   *_self_loop_csr(weight))
+
+
+def test_components_reference_is_the_components(rng):
+    # the gamma = 0 optimum: the components over the entries of positive
+    # weight, canonical, with energy_components' (h_a, h_r) bytes
+    for args in _components_inputs(rng):
+        labels, *energy = kernels.components_py(*args)
+        assert np.array_equal(labels, _positive_components(*args[:4]))
+        assert labels.dtype == np.int64
+        assert _exact(energy) == _exact(kernels.energy_components(
+            *args[1:4], labels, *args[4:]))
+
+
+@needs_cc
+def test_components_backends_agree(rng):
+    # the C kernel gives its reference's labels and (h_a, h_r) bytes, the
+    # sign of a zero included
+    for args in _components_inputs(rng):
+        labels, *energy = kernels.components(kernels.graph_args(*args))
+        want, *want_energy = kernels.components_py(*args)
+        assert np.array_equal(labels, want)
+        assert _exact(energy) == _exact(want_energy)
 
 
 def test_energy_components_rejects_negative_product_label(rng):
@@ -508,6 +596,16 @@ def test_graph_kernels_reject_bad_indices():
             pairs_csr(3, rows.astype(np.int32), cols, vals)
 
 
+def test_address_is_the_ctypes_address():
+    # writable, read-only, empty and offset arrays alike
+    base = np.arange(8, dtype=np.int64)
+    frozen = base.copy()
+    frozen.flags.writeable = False
+    for arr in (base, base[3:], frozen, np.empty(0),
+                np.frombuffer(bytes(16), dtype=np.float64)):
+        assert kernels._address(arr) == arr.ctypes.data
+
+
 def test_every_c_status_code_is_mapped():
     # each ERR_ code of _kernels.c must reach its exception through
     # _raise; an unmapped code raises KeyError, which fails the loop
@@ -678,6 +776,86 @@ def test_level_loop_is_clean_under_sanitizers(tmp_path):
                          timeout=60)
     assert ran.returncode == 0, ran.stdout + ran.stderr
     assert ran.stdout.count(": status") == 4 and "BAD" not in ran.stdout
+
+
+# Runs the C gamma = 0 kernel on six small graphs and on one whose
+# indices run out of range; exits 0 only if each call returns the
+# expected status, and each that succeeds the expected labels and a
+# finite energy.
+_COMPONENTS_SANITIZER_MAIN = r"""
+#include <math.h>
+#include <stdint.h>
+#include <stdio.h>
+
+int64_t components(int64_t, const int64_t *, const int64_t *, int64_t,
+                   const double *, int64_t, const double *, double,
+                   const int64_t *, const int64_t *, int64_t, const double *,
+                   int64_t *, double *);
+
+static int run(const char *name, int64_t n, const int64_t *ptr,
+               const int64_t *idx, const double *w, int64_t rep_mode,
+               const double *rho, const int64_t *rptr, const int64_t *ridx,
+               const double *rw, int64_t want, const int64_t *labels)
+{
+    int64_t out[8];
+    double energy[2];
+    int64_t status = components(n, ptr, idx, ptr[n], w, rep_mode, rho, 2.0,
+                                rptr, ridx, rptr ? rptr[n] : 0, rw, out,
+                                energy);
+    int ok = status == want;
+    for (int64_t i = 0; ok && status == 0 && i < n; i++)
+        ok = out[i] == labels[i];
+    if (ok && status == 0)
+        ok = isfinite(energy[0]) && isfinite(energy[1]);
+    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
+    return !ok;
+}
+
+int main(void)
+{
+    const int64_t tri_ptr[] = {0, 2, 4, 6}, tri_idx[] = {1, 2, 0, 2, 0, 1};
+    const double tri_w[] = {1, 1, 1, 1, 1, 1}, ones[] = {1, 1, 1, 1};
+    const int64_t one_ptr[] = {0, 0}, no_idx[] = {0}, loop_ptr[] = {0, 1};
+    const double no_w[] = {0}, loop_w[] = {3};
+    /* 0-1 linked, item 2 with no entry */
+    const int64_t lone_ptr[] = {0, 1, 2, 2}, lone_idx[] = {1, 0};
+    const double lone_w[] = {1, 1};
+    /* the path 0-1-2-3 with weights 0, 1 and -0.0 */
+    const int64_t path_ptr[] = {0, 1, 3, 5, 6};
+    const int64_t path_idx[] = {1, 0, 2, 1, 3, 2};
+    const double path_w[] = {0, 0, 1, 1, -0.0, -0.0}, zeros[4] = {0};
+    const int64_t rep_ptr[] = {0, 1, 2, 3, 4}, rep_idx[] = {3, 2, 1, 0};
+    const double rep_w[] = {1, 2, 2, 1};
+    const int64_t bad_idx[] = {1, 2, 0, 2, 0, 3};
+    const int64_t all[] = {0, 0, 0}, first[] = {0}, pair[] = {0, 0, 1};
+    const int64_t middle[] = {0, 1, 1, 2};
+    return run("triangle", 3, tri_ptr, tri_idx, tri_w, 0, ones, NULL, NULL,
+               NULL, 0, all)
+        | run("one item", 1, one_ptr, no_idx, no_w, 0, ones, NULL, NULL, NULL,
+              0, first)
+        | run("self-loop", 1, loop_ptr, no_idx, loop_w, 1, zeros, loop_ptr,
+              no_idx, loop_w, 0, first)
+        | run("item with no edge", 3, lone_ptr, lone_idx, lone_w, 0, ones,
+              NULL, NULL, NULL, 0, pair)
+        | run("zero weights", 4, path_ptr, path_idx, path_w, 0, ones, NULL,
+              NULL, NULL, 0, middle)
+        | run("explicit", 4, path_ptr, path_idx, path_w, 1, zeros, rep_ptr,
+              rep_idx, rep_w, 0, middle)
+        | run("bad indices", 3, tri_ptr, bad_idx, tri_w, 0, ones, NULL, NULL,
+              NULL, -4, all);
+}
+"""
+
+
+@has_compiler
+def test_components_is_clean_under_sanitizers(tmp_path):
+    # the gamma = 0 kernel's allocation, union-find and error path
+    exe = _sanitized_build(tmp_path, _COMPONENTS_SANITIZER_MAIN,
+                           "check_components")
+    ran = subprocess.run([str(exe)], capture_output=True, text=True,
+                         timeout=60)
+    assert ran.returncode == 0, ran.stdout + ran.stderr
+    assert ran.stdout.count(": status") == 7 and "BAD" not in ran.stdout
 
 
 # Runs the C kd-tree kNN on four point sets; exits 0 only if each call

@@ -1,15 +1,19 @@
 """Local moving, aggregation exactness, and full optimization."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from confres import kernels, optimizer
 from confres.energy import canonicalize, cluster_count, hamiltonian
+from confres.errors import ParameterError
 from confres.graph import AffinityGraph, from_edge_list
 from confres.optimizer import OptimizeOptions, aggregate, optimize
-from conftest import drop_entries, needs_cc, random_affinity
+from conftest import (blob_graph, drop_entries, fresh_optimize, needs_cc,
+                      random_affinity)
 
 
 def _connected_components(graph):
@@ -315,3 +319,170 @@ def test_level_loop_backends_reject_bad_graphs(monkeypatch):
                 patch.setattr(optimizer, "_compiled_loop", lambda: compiled)
                 with pytest.raises(exc, match=message):
                     optimize(graph, 1.0, OptimizeOptions(restarts=2))
+
+
+def _symmetric(graph):
+    return (np.array_equal(graph.attraction_dense(), graph.attraction_dense().T)
+            and np.array_equal(graph.repulsion_dense(),
+                               graph.repulsion_dense().T))
+
+
+def _same(a, b):
+    """Two (labels, EnergySummary) results, equal to the bit."""
+    return np.array_equal(a[0], b[0]) and _exact(a[1]) == _exact(b[1])
+
+
+def test_gamma_zero_is_the_level_loops_partition(rng):
+    # the exact gamma = 0 end returns, bit for bit, what the level loop
+    # returned there, on every case with symmetric CSRs (the public
+    # builders make no other)
+    checked = 0
+    for trial, graph, gamma, seed in _level_loop_cases(rng):
+        if gamma == 0.0 and _symmetric(graph):
+            opts = OptimizeOptions(seed=seed, restarts=(1, 3)[trial % 2])
+            assert _same(optimize(graph, 0.0, opts),
+                         fresh_optimize(graph, 0.0, opts)), trial
+            checked += 1
+    assert checked >= 80
+
+
+def test_gamma_zero_joins_what_the_level_loop_cannot():
+    # a move must gain more than EPSILON, so the level loop leaves an item
+    # whose only edge weighs EPSILON apart; the components join it, and
+    # their h_a is lower
+    graph = from_edge_list(3, [(0, 1, 1.0), (1, 2, kernels.EPSILON)])
+    exact, energy = optimize(graph, 0.0)
+    looped, looped_energy = fresh_optimize(graph, 0.0, OptimizeOptions())
+    assert exact.tolist() == [0, 0, 0] and looped.tolist() == [0, 0, 1]
+    assert energy.h_a < looped_energy.h_a
+    assert energy.total == energy.h_a
+
+
+@needs_cc
+def test_gamma_zero_backends_reject_bad_graphs(monkeypatch):
+    # the C kernel and its reference raise the level loop's errors
+    int32 = random_affinity(np.random.default_rng(4))
+    int32 = dataclasses.replace(int32, indptr=int32.indptr.astype(np.int32))
+    cases = [*_bad_graphs(),
+             ("int32 indptr", int32, ValueError, r"^indptr must be a C-")]
+    for case, graph, exc, message in cases:
+        for components in (kernels.components, None):
+            with monkeypatch.context() as patch:
+                patch.setattr(kernels, "components", components)
+                with pytest.raises(exc, match=message):
+                    optimize(graph, 0.0, OptimizeOptions(restarts=2))
+        with pytest.raises(exc, match=message):
+            optimize(graph, 1.0)
+
+
+def test_gamma_zero_keeps_the_errors_of_bad_options(rng):
+    graph = random_affinity(rng)
+    for gamma in (-1.0, np.nan):
+        with pytest.raises(ParameterError, match="gamma must be finite"):
+            optimize(graph, gamma)
+    with pytest.raises(TypeError):
+        optimize(graph, 0.0, OptimizeOptions(seed=1.5))
+
+
+_SEEDS = (0, 2 ** 31, 2 ** 63, 2 ** 64 + 5)
+
+
+def test_reset_generator_draws_as_a_fresh_one():
+    # a used generator set to a seed's initial state draws the numbers of
+    # default_rng(PCG64(seed)) and ends in its state
+    reused = np.random.Generator(np.random.PCG64(7))
+    for seed in _SEEDS:
+        reused.permutation(50)
+        reused.bit_generator.state = optimizer._initial_state(seed)
+        fresh = np.random.default_rng(np.random.PCG64(seed))
+        draws = [(gen.permutation(300), gen.integers(0, 2 ** 40, 9),
+                  gen.random(5), gen.bit_generator.random_raw(3))
+                 for gen in (reused, fresh)]
+        for a, b in zip(*draws):
+            assert np.array_equal(a, b), seed
+        assert reused.bit_generator.state == fresh.bit_generator.state
+
+
+def _jobs(rng):
+    """(graph, gamma, opts) over both repulsion modes, gamma 0 and not,
+    alternating seeds, 1 and 3 restarts."""
+    graphs = [random_affinity(rng, n=int(rng.integers(5, 40)),
+                              scheme=(None, "explicit")[t % 2])
+              for t in range(6)]
+    graphs.append(blob_graph(rng, [(0, 0), (6, 0)], per=30)[0])
+    jobs = []
+    for t, graph in enumerate(graphs):
+        for gamma in (0.0, 0.3, 1.0, 4.0):
+            for seed in (_SEEDS[t % 4], 5, _SEEDS[t % 4]):
+                jobs.append((graph, gamma, OptimizeOptions(
+                    seed=seed, restarts=(1, 3)[len(jobs) % 2])))
+    return jobs
+
+
+def test_optimize_gives_the_fresh_generators_results(rng):
+    for graph, gamma, opts in _jobs(rng):
+        assert _same(optimize(graph, gamma, opts),
+                     fresh_optimize(graph, gamma, opts))
+
+
+def test_threads_give_the_serial_results(rng):
+    # each thread resets a generator of its own: solves running at once
+    # (the C call releases the GIL), more threads than cores and switched
+    # often, draw what they would draw alone
+    jobs = _jobs(rng)
+    serial = [optimize(*job) for job in jobs]
+    start = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+
+    def run(slot):
+        order = range(len(jobs)) if slot % 2 else range(len(jobs))[::-1]
+        start.wait()
+        for _ in range(4):
+            results[slot] += [(i, optimize(*jobs[i])) for i in order]
+
+    threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for done in results:
+        assert len(done) == 4 * len(jobs)
+        assert all(_same(result, serial[i]) for i, result in done)
+
+
+@needs_cc
+def test_loops_end_a_reset_generator_in_one_state(rng):
+    # the C and Python loops draw the same numbers from a generator reset
+    # as optimize resets it
+    for trial, graph, gamma, seed in _level_loop_cases(rng):
+        if trial % 4:
+            continue
+        ends = []
+        for loop in (optimizer._level_loop_c, optimizer._level_loop_py):
+            gen = np.random.Generator(np.random.PCG64())
+            gen.bit_generator.state = optimizer._initial_state(seed)
+            loop(graph, gamma, gen)
+            ends.append(gen.bit_generator.state)
+        assert ends[0] == ends[1], (trial, gamma)
+
+
+def test_graph_arguments_are_taken_once_per_graph(rng, monkeypatch):
+    if kernels.level_loop is None:
+        pytest.skip("the C kernels are not loaded")
+    graph = random_affinity(rng)
+    taken = []
+    graph_args = kernels.graph_args
+    monkeypatch.setattr(kernels, "graph_args",
+                        lambda *a: taken.append(1) or graph_args(*a))
+    for gamma in (0.0, 0.5, 1.0, 0.0):
+        optimize(graph, gamma)
+    assert len(taken) == 1
+    copy = dataclasses.replace(graph)
+    optimize(copy, 0.5)
+    assert len(taken) == 2

@@ -8,14 +8,14 @@ import weakref
 import numpy as np
 import pytest
 
-from confres import resolution
+from confres import cognition, resolution
 from confres.energy import cluster_count, hamiltonian
 from confres.errors import InputError, ParameterError
 from confres.graph import from_edge_list
 from confres.optimizer import OptimizeOptions, optimize
 from confres.resolution import (configuration_set_from_dict,
                                 find_configurations, lower_envelope)
-from conftest import blob_graph
+from conftest import blob_graph, blob_points, fresh_optimize
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +174,41 @@ def test_no_gamma_probed_twice_and_budget_marks_depth_cuts(blob_sweep,
                 assert configs.budget_exhausted == cut
                 cuts.append(cut)
     assert any(cuts) and not all(cuts)  # both outcomes were checked
+
+
+def _novelty_graphs(count):
+    """Graphs like the novelty experiment's at a small size: four 8-D
+    blobs 12 apart plus 5 % uniform-box outliers, k = 10."""
+    centers = 12.0 * np.eye(8)[:4]
+    for seed in range(count):
+        points, _ = blob_points(np.random.default_rng(seed), centers, per=20,
+                                dim=8)
+        points, _ = cognition.inject_outliers(points, 0.05, spread=1.0,
+                                              seed=seed)
+        yield cognition.points_to_graph(points, k=10)
+
+
+def test_exact_gamma_zero_end_changes_no_sweep(blob_sweep, monkeypatch):
+    # with the gamma = 0 end forced through the level loop, as before it
+    # was solved exactly, every sweep writes the same JSON and discovers
+    # the same partitions in the same order, to the bit
+    three, _ = blob_graph(np.random.default_rng(1),
+                          [(0, 0), (7, 0), (3.5, 6)], per=20, k=8)
+    cases = [(blob_sweep[0], 4.0, 0), (three, 3.0, 0)]
+    cases += [(g, 2.0, seed) for seed, g in enumerate(_novelty_graphs(50))]
+    for graph, gamma_max, seed in cases:
+        opts = OptimizeOptions(seed=seed)
+        exact = find_configurations(graph, gamma_max, opts)
+        with monkeypatch.context() as patch:
+            patch.setattr(resolution, "optimize", fresh_optimize)
+            looped = find_configurations(graph, gamma_max, opts)
+        assert exact.to_json() == looped.to_json()
+        assert len(exact.discovered) == len(looped.discovered)
+        for (a, ha, ra), (b, hb, rb) in zip(exact.discovered,
+                                            looped.discovered):
+            assert a.tobytes() == b.tobytes()
+            assert np.float64([ha, ra]).tobytes() == np.float64(
+                [hb, rb]).tobytes()
 
 
 def test_sweep_frees_the_graph_without_the_cycle_collector():
