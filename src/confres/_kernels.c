@@ -1,5 +1,7 @@
-/* C ports of the local-moving phase, the level loop of the optimizer, the
- * k-nearest-neighbour search and the pair grouping of graph construction.
+/* C ports of the local-moving phase, the level loop of the optimizer, its
+ * exact gamma = 0 solve (`components`), the k-nearest-neighbour search, and
+ * the pair grouping and per-row selection (`row_nth`) of graph
+ * construction.
  *
  * `sweep` does the floating-point operations of its Python reference
  * (kernels._local_move, with its inner pass _sweep) in the same order, so
@@ -28,9 +30,17 @@
  * are checked here, in one scan before any indexed read; a failed check
  * returns one of the ERR_ codes below and leaves every argument
  * untouched.  kernels._raise maps each code to its exception.
+ *
+ * Each exported kernel owns its heap buffers through one list per call
+ * (buffers_t): each buffer is its own heap block, so a sanitizer bounds
+ * each one; the kernel takes them all, tests the list's one failure flag
+ * before any work, returning ERR_NOMEM (ERR_KNN_NOMEM for knn) with every
+ * argument untouched and no number drawn, and releases the list on every
+ * exit.
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -50,6 +60,47 @@
 #define ERR_ROWS (-10)
 #define ERR_COLS (-11)
 #define ERR_NTH (-12)
+
+/* A buffer's block: this header, then its slots, aligned for any type. */
+typedef union block {
+    union block *next;
+    max_align_t align;
+} block_t;
+
+/* The buffers one call has taken, newest first, and whether a take
+ * failed.  Start it as {NULL, 0}. */
+typedef struct {
+    block_t *head;
+    int failed;
+} buffers_t;
+
+/* `count` slots of `size` bytes in a block of their own, zeroed or not;
+ * NULL, with the failure flag set, when the allocation fails or an
+ * earlier take of the list failed (a failed list allocates no more). */
+static void *take(buffers_t *b, size_t count, size_t size, int zeroed)
+{
+    if (b->failed)
+        return NULL;
+    size_t bytes = sizeof(block_t) + count * size;
+    block_t *block = zeroed ? calloc(1, bytes) : malloc(bytes);
+    if (!block) {
+        b->failed = 1;
+        return NULL;
+    }
+    block->next = b->head;
+    b->head = block;
+    return block + 1;
+}
+
+/* Frees every buffer of the list. */
+static void release(buffers_t *b)
+{
+    while (b->head) {
+        block_t *next = b->head->next;
+        free(b->head);
+        b->head = next;
+    }
+}
 
 /* Attraction CSR (both edge directions) and the repulsion model, with
  * the transpose pattern of each CSR: for each item j, the items whose
@@ -319,55 +370,34 @@ static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
     return moves;
 }
 
-/* Scratch for phases on graphs of at most n items and `entries`
- * attraction entries; 0 when every allocation succeeded.  seen, wsum and
- * rsum start zeroed, and one_pass leaves them so. */
-static int scratch_alloc(scratch_t *s, int64_t n, int64_t entries)
+/* Scratch, taken from b, for phases on graphs of at most n items and
+ * `entries` attraction entries.  seen, wsum and rsum start zeroed, and
+ * one_pass leaves them so. */
+static void scratch_alloc(buffers_t *b, scratch_t *s, int64_t n,
+                          int64_t entries)
 {
-    size_t slots = n > 0 ? (size_t)n : 1;  /* calloc(0) may return NULL */
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
     *s = (scratch_t){
-        calloc(slots, f64), malloc(slots * f64), calloc(slots, f64),
-        calloc(slots, f64), calloc(slots, i64), malloc(slots * i64),
-        malloc(slots * i64), malloc(slots * i64), calloc(slots, 1),
-        calloc(slots, 1), calloc(slots, i64), calloc(slots, i64),
-        malloc((entries > 0 ? (size_t)entries : 1) * i64),
-        calloc(slots, i64), 0};
-    return !(s->rs && s->fresh && s->wsum && s->rsum && s->cnt && s->empty
-             && s->touched && s->order && s->seen && s->clean && s->seen_at
-             && s->changed_at && s->near && s->nnear);
-}
-
-static void scratch_free(scratch_t *s)
-{
-    free(s->rs);
-    free(s->fresh);
-    free(s->wsum);
-    free(s->rsum);
-    free(s->cnt);
-    free(s->empty);
-    free(s->touched);
-    free(s->order);
-    free(s->seen);
-    free(s->clean);
-    free(s->seen_at);
-    free(s->changed_at);
-    free(s->near);
-    free(s->nnear);
+        take(b, n, f64, 1), take(b, n, f64, 0), take(b, n, f64, 1),
+        take(b, n, f64, 1), take(b, n, i64, 1), take(b, n, i64, 0),
+        take(b, n, i64, 0), take(b, n, i64, 0), take(b, n, 1, 1),
+        take(b, n, 1, 1), take(b, n, i64, 1), take(b, n, i64, 1),
+        take(b, entries, i64, 0), take(b, n, i64, 1), 0};
 }
 
 /* The transpose pattern of the CSR rows (ptr, idx) over n items, in
- * fresh arrays: for each item j, the items whose rows hold j.  0 when
- * the allocations succeeded. */
-static int transposed(int64_t n, const int64_t *ptr, const int64_t *idx,
-                      const int64_t **tptr_out, const int64_t **tidx_out)
+ * arrays taken from b: for each item j, the items whose rows hold j.
+ * Left unfilled when a take of b has failed. */
+static void transposed(buffers_t *b, int64_t n, const int64_t *ptr,
+                       const int64_t *idx, const int64_t **tptr_out,
+                       const int64_t **tidx_out)
 {
-    int64_t *tptr = malloc(((size_t)n + 1) * sizeof(int64_t));
-    int64_t *tidx = malloc(((size_t)(ptr[n] - ptr[0]) + 1) * sizeof(int64_t));
+    int64_t *tptr = take(b, n + 1, sizeof(int64_t), 0);
+    int64_t *tidx = take(b, ptr[n] - ptr[0], sizeof(int64_t), 0);
     *tptr_out = tptr;
     *tidx_out = tidx;
-    if (!tptr || !tidx)
-        return 1;
+    if (b->failed)
+        return;
     memset(tptr, 0, ((size_t)n + 1) * sizeof(int64_t));
     for (int64_t e = ptr[0]; e < ptr[n]; e++)
         tptr[idx[e] + 1]++;
@@ -379,27 +409,16 @@ static int transposed(int64_t n, const int64_t *ptr, const int64_t *idx,
     for (int64_t j = n; j > 0; j--)
         tptr[j] = tptr[j - 1];
     tptr[0] = 0;
-    return 0;
 }
 
-/* g's readers, as transposes (an input CSR need not be symmetric), freed
- * by readers_free.  0 on success. */
-static int readers_alloc(graph_t *g)
+/* g's readers, as transposes (an input CSR need not be symmetric) taken
+ * from b. */
+static void readers_alloc(buffers_t *b, graph_t *g)
 {
-    int failed = transposed(g->n, g->indptr, g->indices, &g->readers_ptr,
-                            &g->readers);
+    transposed(b, g->n, g->indptr, g->indices, &g->readers_ptr, &g->readers);
     if (g->rep_mode == REP_EXPLICIT)
-        failed |= transposed(g->n, g->rep_indptr, g->rep_indices,
-                             &g->rep_readers_ptr, &g->rep_readers);
-    return failed;
-}
-
-static void readers_free(graph_t *g)
-{
-    free((void *)g->readers_ptr);
-    free((void *)g->readers);
-    free((void *)g->rep_readers_ptr);
-    free((void *)g->rep_readers);
+        transposed(b, g->n, g->rep_indptr, g->rep_indices,
+                   &g->rep_readers_ptr, &g->rep_readers);
 }
 
 /* Passes in a fresh permutation until one moves nothing or max_sweeps
@@ -443,13 +462,13 @@ int64_t sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
         err = check_range(labels, n, n, ERR_LABELS);
     if (err)
         return err;
+    buffers_t b = {NULL, 0};
     scratch_t s;
-    int failed = scratch_alloc(&s, n, m);
-    failed |= readers_alloc(&g);
-    int64_t total = failed ? ERR_NOMEM
+    scratch_alloc(&b, &s, n, m);
+    readers_alloc(&b, &g);
+    int64_t total = b.failed ? ERR_NOMEM
         : phase(&g, gamma, labels, constraint, max_sweeps, eps, &rng, &s);
-    scratch_free(&s);
-    readers_free(&g);
+    release(&b);
     return total;
 }
 
@@ -568,12 +587,12 @@ int64_t pairs(int64_t n, int64_t m, const int64_t *rows, const int64_t *cols,
         err = check_range(cols, m, n, ERR_COLS);
     if (err)
         return err;
-    int64_t *count = malloc(((size_t)n + 1) * sizeof(int64_t));
-    if (!count)
-        return ERR_NOMEM;
-    int64_t found = group_pairs(m, n, rows, cols, vals, mean != 0, count,
-                                out_rows, out_cols, out_vals);
-    free(count);
+    buffers_t b = {NULL, 0};
+    int64_t *count = take(&b, n + 1, sizeof(int64_t), 0);
+    int64_t found = b.failed ? ERR_NOMEM
+        : group_pairs(m, n, rows, cols, vals, mean != 0, count, out_rows,
+                      out_cols, out_vals);
+    release(&b);
     return found;
 }
 
@@ -590,12 +609,12 @@ int64_t pairs_csr(int64_t n, int64_t p, const int64_t *rows,
         err = check_range(cols, p, n, ERR_COLS);
     if (err)
         return err;
-    int64_t *next = malloc(((size_t)n + 1) * sizeof(int64_t));
-    if (!next)
-        return ERR_NOMEM;
-    fill_csr(n, p, rows, cols, vals, next, out_ptr, out_idx, out_vals);
-    free(next);
-    return 0;
+    buffers_t b = {NULL, 0};
+    int64_t *next = take(&b, n, sizeof(int64_t), 0);
+    if (!b.failed)
+        fill_csr(n, p, rows, cols, vals, next, out_ptr, out_idx, out_vals);
+    release(&b);
+    return b.failed ? ERR_NOMEM : 0;
 }
 
 /* The nth smallest of a[0..len), 0 <= nth < len, by quickselect (median of
@@ -650,15 +669,18 @@ int64_t row_nth(int64_t n, const int64_t *indptr, int64_t m,
             return ERR_NTH;
         longest = len > longest ? len : longest;
     }
-    double *row = malloc(((size_t)longest + 1) * sizeof(double));
-    if (!row)
+    buffers_t b = {NULL, 0};
+    double *row = take(&b, longest, sizeof(double), 0);
+    if (b.failed) {
+        release(&b);
         return ERR_NOMEM;
+    }
     for (int64_t i = 0; i < n; i++) {
         int64_t len = indptr[i + 1] - indptr[i];
         memcpy(row, values + indptr[i], (size_t)len * sizeof(double));
         out[i] = nth_smallest(row, len, nth[i]);
     }
-    free(row);
+    release(&b);
     return 0;
 }
 
@@ -810,34 +832,30 @@ int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
     size_t slots = n > 0 ? (size_t)n + 1 : 2;
     size_t cap = (size_t)(att_cap > rep_cap ? att_cap : rep_cap) + 1;
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
+    buffers_t b = {NULL, 0};
     scratch_t s;
     /* the attraction entries of the input graph or of any coarse one */
     int64_t entries = m > 2 * (int64_t)cap ? m : 2 * (int64_t)cap;
-    int failed = scratch_alloc(&s, n, entries);
-    failed |= readers_alloc(&orig);
-    int64_t *labels = malloc(slots * i64), *refined = malloc(slots * i64);
-    int64_t *next = malloc(slots * i64), *mapping = malloc(slots * i64);
-    int64_t *zeros = calloc(slots, i64), *map = malloc(slots * i64);
-    double *rho = malloc(slots * f64), *rho_next = malloc(slots * f64);
-    collapse_t c = {malloc(cap * i64), malloc(cap * i64), malloc(cap * f64),
-                    malloc(cap * i64), malloc(cap * i64), malloc(cap * f64),
-                    malloc(slots * i64)};
-    int64_t *ptr = malloc(slots * i64), *idx = malloc((2 * cap) * i64);
-    double *wt = malloc((2 * cap) * f64);
-    int64_t *rep_ptr = NULL, *rep_idx = NULL;
-    double *rep_wt = NULL;
-    if (explicit_rep) {
-        rep_ptr = malloc(slots * i64);
-        rep_idx = malloc((2 * cap) * i64);
-        rep_wt = malloc((2 * cap) * f64);
-        failed |= !(rep_ptr && rep_idx && rep_wt);
-    }
-    failed |= !(labels && refined && next && mapping && zeros && map && rho
-                && rho_next && c.a && c.b && c.w && c.rows && c.cols
-                && c.sum && c.count && ptr && idx && wt);
-    if (failed) {
-        err = ERR_NOMEM;
-        goto done;
+    scratch_alloc(&b, &s, n, entries);
+    readers_alloc(&b, &orig);
+    int64_t *labels = take(&b, slots, i64, 0);
+    int64_t *refined = take(&b, slots, i64, 0);
+    int64_t *next = take(&b, slots, i64, 0);
+    int64_t *mapping = take(&b, slots, i64, 0);
+    int64_t *zeros = take(&b, slots, i64, 1), *map = take(&b, slots, i64, 0);
+    double *rho = take(&b, slots, f64, 0), *rho_next = take(&b, slots, f64, 0);
+    collapse_t c = {take(&b, cap, i64, 0), take(&b, cap, i64, 0),
+                    take(&b, cap, f64, 0), take(&b, cap, i64, 0),
+                    take(&b, cap, i64, 0), take(&b, cap, f64, 0),
+                    take(&b, slots, i64, 0)};
+    int64_t *ptr = take(&b, slots, i64, 0), *idx = take(&b, 2 * cap, i64, 0);
+    double *wt = take(&b, 2 * cap, f64, 0);
+    int64_t *rep_ptr = explicit_rep ? take(&b, slots, i64, 0) : NULL;
+    int64_t *rep_idx = explicit_rep ? take(&b, 2 * cap, i64, 0) : NULL;
+    double *rep_wt = explicit_rep ? take(&b, 2 * cap, f64, 0) : NULL;
+    if (b.failed) {
+        release(&b);
+        return ERR_NOMEM;
     }
     graph_t cur = orig;
     for (int64_t i = 0; i < n; i++)
@@ -884,31 +902,8 @@ int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
     phase(&orig, gamma, out, zeros, max_polish, eps, &rng, &s);
     /* rho_next is spare: n + 1 slots for at most n clusters */
     energy_of(&orig, out, canonicalize(out, n, map), rho_next, energy);
-done:
-    scratch_free(&s);
-    readers_free(&orig);
-    free(labels);
-    free(refined);
-    free(next);
-    free(mapping);
-    free(zeros);
-    free(map);
-    free(rho);
-    free(rho_next);
-    free(c.a);
-    free(c.b);
-    free(c.w);
-    free(c.rows);
-    free(c.cols);
-    free(c.sum);
-    free(c.count);
-    free(ptr);
-    free(idx);
-    free(wt);
-    free(rep_ptr);
-    free(rep_idx);
-    free(rep_wt);
-    return err;
+    release(&b);
+    return 0;
 }
 
 /* The root of i's set, halving the path on the way. */
@@ -943,12 +938,12 @@ int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
     int64_t err = check_graph(&g, m, rep_m);
     if (err)
         return err;
-    size_t slots = n > 0 ? (size_t)n : 1;
-    int64_t *root = malloc(slots * sizeof(int64_t));
-    double *sums = malloc(slots * sizeof(double));
-    if (!root || !sums) {
-        err = ERR_NOMEM;
-        goto done;
+    buffers_t b = {NULL, 0};
+    int64_t *root = take(&b, n, sizeof(int64_t), 0);
+    double *sums = take(&b, n, sizeof(double), 0);
+    if (b.failed) {
+        release(&b);
+        return ERR_NOMEM;
     }
     for (int64_t i = 0; i < n; i++)
         root[i] = i;
@@ -967,10 +962,8 @@ int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
         out[i] = find_root(root, i);
     /* the roots are spent: their slots serve as canonicalize's map */
     energy_of(&g, out, canonicalize(out, n, root), sums, energy);
-done:
-    free(root);
-    free(sums);
-    return err;
+    release(&b);
+    return 0;
 }
 
 /* ---- exact k-nearest-neighbour search on a kd-tree ----
@@ -1222,38 +1215,34 @@ int64_t knn(int64_t n, int64_t d, const double *points, int64_t k,
             int64_t half_square, int64_t *nn, double *nn_dist)
 {
     int64_t nodes = node_count(n);
-    kdtree_t t = {d, k, half_square,
-                  malloc((size_t)(n * d) * sizeof(double)),
-                  malloc((size_t)n * sizeof(int64_t)),
-                  malloc((size_t)nodes * sizeof(kdnode_t)),
-                  malloc((size_t)(2 * d * nodes) * sizeof(double)), 0};
-    heap_t h = {malloc((size_t)k * sizeof(neighbour_t)), 0, k};
-    int64_t status = ERR_KNN_NOMEM;
-    if (t.pts && t.perm && t.nodes && t.boxes && h.item) {
-        status = 0;
-        for (int64_t i = 0; i < n; i++)
-            t.perm[i] = i;
-        build(&t, points, 0, n);
-        for (int64_t p = 0; p < n; p++)
-            memcpy(t.pts + p * d, points + t.perm[p] * d,
-                   (size_t)d * sizeof(double));
-        for (int64_t p = 0; p < n; p++) {
-            int64_t i = t.perm[p];
-            h.size = 0;
-            search(&t, 0, t.pts + p * d, i, &h);
-            /* pop the worst into the last free slot: ascending order */
-            for (int64_t r = k - 1; r >= 0; r--) {
-                nn[i * k + r] = h.item[0].index;
-                nn_dist[i * k + r] = h.item[0].dist;
-                h.item[0] = h.item[--h.size];
-                sift_down(&h, 0);
-            }
+    buffers_t b = {NULL, 0};
+    kdtree_t t = {d, k, half_square, take(&b, n * d, sizeof(double), 0),
+                  take(&b, n, sizeof(int64_t), 0),
+                  take(&b, nodes, sizeof(kdnode_t), 0),
+                  take(&b, 2 * d * nodes, sizeof(double), 0), 0};
+    heap_t h = {take(&b, k, sizeof(neighbour_t), 0), 0, k};
+    if (b.failed) {
+        release(&b);
+        return ERR_KNN_NOMEM;
+    }
+    for (int64_t i = 0; i < n; i++)
+        t.perm[i] = i;
+    build(&t, points, 0, n);
+    for (int64_t p = 0; p < n; p++)
+        memcpy(t.pts + p * d, points + t.perm[p] * d,
+               (size_t)d * sizeof(double));
+    for (int64_t p = 0; p < n; p++) {
+        int64_t i = t.perm[p];
+        h.size = 0;
+        search(&t, 0, t.pts + p * d, i, &h);
+        /* pop the worst into the last free slot: ascending order */
+        for (int64_t r = k - 1; r >= 0; r--) {
+            nn[i * k + r] = h.item[0].index;
+            nn_dist[i * k + r] = h.item[0].dist;
+            h.item[0] = h.item[--h.size];
+            sift_down(&h, 0);
         }
     }
-    free(t.pts);
-    free(t.perm);
-    free(t.nodes);
-    free(t.boxes);
-    free(h.item);
-    return status;
+    release(&b);
+    return 0;
 }

@@ -14,6 +14,7 @@ import numpy as np
 from .energy import check_gamma
 from .errors import InputError
 from .graph import AffinityGraph
+from .kernels import REP_PRODUCT
 
 INVERSE_ARI_FLOOR = 1e-3  # 1/ARI is clamped at ARI = floor (cap 1000)
 
@@ -227,7 +228,7 @@ def item_energy_scores(graph: AffinityGraph, labels, gamma: float) -> NoveltySco
     k = int(labels.max()) + 1
     sizes = np.bincount(labels, minlength=k)
     attr = _within_cluster_sums(graph.indptr, graph.indices, graph.weights, labels)
-    if graph.rep_mode == 0:
+    if graph.rep_mode == REP_PRODUCT:
         # bincount adds each cluster's strengths in item order
         cluster_rho = np.bincount(labels, weights=graph.rep_strength,
                                   minlength=k)

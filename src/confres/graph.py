@@ -112,7 +112,13 @@ def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
         points = points / norms[:, None]
     elif metric != "euclidean":
         raise ParameterError(f"unknown metric {metric!r}")
-    nn, nn_dist = kernels.knn(points, k, metric)
+    # finite coordinates near the float64 limit can give an infinite
+    # distance: an error, raised before any later arithmetic makes it NaN
+    with np.errstate(over="ignore"):
+        nn, nn_dist = kernels.knn(points, k, metric)
+    if not np.all(np.isfinite(nn_dist)):
+        raise NumericalError("a kNN distance overflows float64: the "
+                             "coordinates are too large")
     # both directions of a pair carry the same distance, so their mean is it
     rows, cols, dist = _reduce_pairs(n, np.repeat(np.arange(n), k), nn.ravel(),
                                      nn_dist.ravel(), mean=True)

@@ -374,18 +374,35 @@ def test_experiment_evolve_beats_kmeans(tmp_path):
     assert (np.mean(series["configurations"]) < np.mean(series["kmeans"]))
 
 
-def _modules_loaded_after(code, modules):
-    """Run `code` in a fresh interpreter; return which of `modules` it loaded."""
+def _python(*args, **kwargs):
+    """Run a fresh interpreter with `args`, this confres on its path."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(confres.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, **kwargs)
+
+
+def _modules_loaded_after(code, modules):
+    """Run `code` in a fresh interpreter; return which of `modules` it loaded."""
     probe = code + (
         "\nimport sys\n"
         f"print(' '.join(m for m in {list(modules)!r} if m in sys.modules))\n")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    return out.stdout.split()
+    return _python("-c", probe, check=True).stdout.split()
+
+
+def test_overflowing_distances_exit_2_with_one_error_line(tmp_path):
+    # finite coordinates whose kNN distances overflow to inf: the error
+    # line alone, with no numpy warning printed before it
+    points = tmp_path / "big.csv"
+    points.write_text("0,0\n1e160,1e160\n-1e160,5\n3,3\n4,4\n")
+    ran = _python("-m", "confres.cli", "cluster", "--input", str(points),
+                  "--k", "2", "--out", str(tmp_path / "o.json"))
+    assert ran.returncode == 2, ran.stderr
+    assert ran.stderr.startswith("confres: error: ")
+    assert ran.stderr.count("\n") == 1 and "overflows" in ran.stderr, \
+        ran.stderr
 
 
 def test_cluster_does_not_import_scipy_stats_or_optimize(data_dir, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,19 @@ class TestDeriveAffinity:
         r = g.repulsion_dense()
         assert r[1, 2] == pytest.approx(0.7)
         assert r[0, 1] == 0.0
+
+    @pytest.mark.parametrize("search", ["knn", "knn_py"])
+    def test_overflowing_distance_raises_before_numpy_warns(self, search,
+                                                           monkeypatch):
+        # finite coordinates whose distances overflow to inf, which the
+        # Gaussian kernel would turn into NaN as inf / inf
+        monkeypatch.setattr(kernels, "knn", getattr(kernels, search))
+        pts = np.array([[0.0, 0.0], [1e160, 1e160], [-1e160, 5.0],
+                        [3.0, 3.0], [4.0, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows"):
+                derive_affinity(build_knn_graph(pts, k=2))
 
 
 def _lexsort_csr(n, rows, cols, vals):

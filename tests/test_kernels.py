@@ -747,35 +747,52 @@ SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all",
             "-fno-omit-frame-pointer")
 
 
-def _sanitized_build(tmp_path, driver, name):
-    """`driver` (C source) linked with _kernels.c under AddressSanitizer
-    (leaks included) and UBSan; skips if the sanitizer runtime does not
-    link.  Returns the executable."""
+@pytest.fixture(scope="session")
+def sanitized_kernels(tmp_path_factory):
+    """(compiler, object): _kernels.c compiled once, under AddressSanitizer
+    (leaks included) and UBSan, for every harness to link; skips if the
+    sanitizer runtime does not link."""
     compiler = shutil.which("cc") or shutil.which("gcc")
-    probe = tmp_path / "probe.c"
+    tmp = tmp_path_factory.mktemp("sanitized")
+    probe = tmp / "probe.c"
     probe.write_text("int main(void) { return 0; }\n")
-    linked = subprocess.run([compiler, *SANITIZE, "-o", str(tmp_path / "probe"),
+    linked = subprocess.run([compiler, *SANITIZE, "-o", str(tmp / "probe"),
                              str(probe)], capture_output=True, text=True)
     if linked.returncode != 0:
         pytest.skip(f"the sanitizer runtime does not link: {linked.stderr}")
+    obj = tmp / "kernels.o"
+    built = subprocess.run(
+        [compiler, "-c", "-O1", "-g", "-ffp-contract=off", *SANITIZE, "-o",
+         str(obj), kernels._SOURCE], capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    return compiler, obj
+
+
+def _run_sanitized(tmp_path, sanitized_kernels, driver, *link_flags):
+    """`driver` (C source) linked with the sanitized kernels object and
+    run with LeakSanitizer on; asserts that it exits 0 and returns its
+    output."""
+    compiler, obj = sanitized_kernels
     main = tmp_path / "main.c"
     main.write_text(driver)
-    exe = tmp_path / name
+    exe = tmp_path / "check"
     built = subprocess.run(
-        [compiler, "-O1", "-g", "-ffp-contract=off", *SANITIZE, "-o", str(exe),
-         str(main), kernels._SOURCE, "-lm"], capture_output=True, text=True)
+        [compiler, "-O1", "-g", "-ffp-contract=off", *SANITIZE, *link_flags,
+         "-o", str(exe), str(main), str(obj), "-lm"],
+        capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
-    return exe
+    ran = subprocess.run([str(exe)], capture_output=True, text=True,
+                         timeout=60,
+                         env=dict(os.environ, ASAN_OPTIONS="detect_leaks=1"))
+    assert ran.returncode == 0, ran.stdout + ran.stderr
+    return ran.stdout
 
 
 @has_compiler
-def test_level_loop_is_clean_under_sanitizers(tmp_path):
+def test_level_loop_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     # the level loop's allocation, aggregation indexing and error path
-    exe = _sanitized_build(tmp_path, _SANITIZER_MAIN, "check_level_loop")
-    ran = subprocess.run([str(exe)], capture_output=True, text=True,
-                         timeout=60)
-    assert ran.returncode == 0, ran.stdout + ran.stderr
-    assert ran.stdout.count(": status") == 4 and "BAD" not in ran.stdout
+    out = _run_sanitized(tmp_path, sanitized_kernels, _SANITIZER_MAIN)
+    assert out.count(": status") == 4 and "BAD" not in out
 
 
 # Runs the C gamma = 0 kernel on six small graphs and on one whose
@@ -848,14 +865,11 @@ int main(void)
 
 
 @has_compiler
-def test_components_is_clean_under_sanitizers(tmp_path):
+def test_components_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     # the gamma = 0 kernel's allocation, union-find and error path
-    exe = _sanitized_build(tmp_path, _COMPONENTS_SANITIZER_MAIN,
-                           "check_components")
-    ran = subprocess.run([str(exe)], capture_output=True, text=True,
-                         timeout=60)
-    assert ran.returncode == 0, ran.stdout + ran.stderr
-    assert ran.stdout.count(": status") == 7 and "BAD" not in ran.stdout
+    out = _run_sanitized(tmp_path, sanitized_kernels,
+                         _COMPONENTS_SANITIZER_MAIN)
+    assert out.count(": status") == 7 and "BAD" not in out
 
 
 # Runs the C kd-tree kNN on four point sets; exits 0 only if each call
@@ -939,13 +953,10 @@ int main(void)
 
 
 @has_compiler
-def test_knn_is_clean_under_sanitizers(tmp_path):
+def test_knn_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     # the kd-tree's allocation, build and search, on ties and one split
-    exe = _sanitized_build(tmp_path, _KNN_SANITIZER_MAIN, "check_knn")
-    ran = subprocess.run([str(exe)], capture_output=True, text=True,
-                         timeout=60)
-    assert ran.returncode == 0, ran.stdout + ran.stderr
-    assert ran.stdout.count(": status 0, ok") == 4, ran.stdout
+    out = _run_sanitized(tmp_path, sanitized_kernels, _KNN_SANITIZER_MAIN)
+    assert out.count(": status 0, ok") == 4, out
 
 
 # Runs the exported C sweep, with a toy bit generator, on a product-form
@@ -1033,14 +1044,11 @@ int main(void)
 
 
 @has_compiler
-def test_sweep_is_clean_under_sanitizers(tmp_path):
+def test_sweep_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     # the exported sweep's allocation, reader transposes and label check
-    exe = _sanitized_build(tmp_path, _SWEEP_SANITIZER_MAIN, "check_sweep")
-    ran = subprocess.run([str(exe)], capture_output=True, text=True,
-                         timeout=60)
-    assert ran.returncode == 0, ran.stdout + ran.stderr
-    assert ran.stdout.count(", ok") == 6, ran.stdout
-    assert ran.stdout.count("status -2, ok") == 2, ran.stdout
+    out = _run_sanitized(tmp_path, sanitized_kernels, _SWEEP_SANITIZER_MAIN)
+    assert out.count(", ok") == 6, out
+    assert out.count("status -2, ok") == 2, out
 
 
 # Runs the exported pair grouping, CSR fill and row selection on entry
@@ -1152,12 +1160,238 @@ int main(void)
 
 
 @has_compiler
-def test_graph_kernels_are_clean_under_sanitizers(tmp_path):
+def test_graph_kernels_are_clean_under_sanitizers(tmp_path,
+                                                  sanitized_kernels):
     # pairs, pairs_csr and row_nth: exact-size outputs, scratch freed,
     # the range checks
-    exe = _sanitized_build(tmp_path, _GRAPH_SANITIZER_MAIN, "check_graph")
-    ran = subprocess.run([str(exe)], capture_output=True, text=True,
-                         timeout=60)
-    assert ran.returncode == 0, ran.stdout + ran.stderr
-    assert ran.stdout.count(", ok") == 12 and "BAD" not in ran.stdout, \
-        ran.stdout
+    out = _run_sanitized(tmp_path, sanitized_kernels, _GRAPH_SANITIZER_MAIN)
+    assert out.count(", ok") == 12 and "BAD" not in out, out
+
+
+# Runs each exported kernel on a small valid input, first with every
+# allocation granted, then with the k-th allocation failing for k = 0, 1,
+# ... until a call succeeds (malloc and calloc wrapped at link time);
+# exits 0 only if every failing call returns the kernel's out-of-memory
+# code, leaves its outputs (and sweep's labels) as they were and draws
+# nothing, and the call that succeeds gives the normal result.
+_NOMEM_SANITIZER_MAIN = r"""
+#include <stdint.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+
+int64_t sweep(int64_t, const int64_t *, const int64_t *, int64_t,
+              const double *, int64_t, const double *, double,
+              const int64_t *, const int64_t *, int64_t, const double *,
+              double, int64_t *, const int64_t *, int64_t, double,
+              void *, uint32_t (*)(void *), uint64_t (*)(void *));
+int64_t level_loop(int64_t, const int64_t *, const int64_t *, int64_t,
+                   const double *, int64_t, const double *, double,
+                   const int64_t *, const int64_t *, int64_t, const double *,
+                   double, int64_t, int64_t, int64_t, double, int64_t *,
+                   double *, void *, uint32_t (*)(void *),
+                   uint64_t (*)(void *));
+int64_t components(int64_t, const int64_t *, const int64_t *, int64_t,
+                   const double *, int64_t, const double *, double,
+                   const int64_t *, const int64_t *, int64_t, const double *,
+                   int64_t *, double *);
+int64_t knn(int64_t, int64_t, const double *, int64_t, int64_t, int64_t *,
+            double *);
+int64_t pairs(int64_t, int64_t, const int64_t *, const int64_t *,
+              const double *, int64_t, int64_t *, int64_t *, double *);
+int64_t pairs_csr(int64_t, int64_t, const int64_t *, const int64_t *,
+                  const double *, int64_t *, int64_t *, double *);
+int64_t row_nth(int64_t, const int64_t *, int64_t, const double *,
+                const int64_t *, double *);
+
+/* Linked with -Wl,--wrap=malloc,--wrap=calloc, every malloc and calloc of
+ * the kernels comes here: with budget >= 0, that many succeed, then every
+ * one fails. */
+void *__real_malloc(size_t);
+void *__real_calloc(size_t, size_t);
+static long budget = -1;
+
+static int granted(void)
+{
+    if (budget == 0)
+        return 0;
+    if (budget > 0)
+        budget--;
+    return 1;
+}
+
+void *__wrap_malloc(size_t size)
+{
+    return granted() ? __real_malloc(size) : NULL;
+}
+
+void *__wrap_calloc(size_t count, size_t size)
+{
+    return granted() ? __real_calloc(count, size) : NULL;
+}
+
+static long draws;  /* numbers drawn from the generator */
+
+static uint64_t next64(void *state)
+{
+    uint64_t *x = state;  /* xorshift64 */
+    draws++;
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    return *x;
+}
+
+static uint32_t next32(void *state) { return (uint32_t)(next64(state) >> 32); }
+
+/* a triangle with product-form repulsion; a path 0-1-2-3-4-5 plus 0-2,
+ * repelled by 0-5, 1-4 and 2-3 */
+static const int64_t tri_ptr[] = {0, 2, 4, 6}, tri_idx[] = {1, 2, 0, 2, 0, 1};
+static const double tri_w[] = {1, 1, 1, 1, 1, 1}, ones[] = {1, 1, 1};
+static const int64_t path_ptr[] = {0, 2, 4, 7, 9, 11, 12};
+static const int64_t path_idx[] = {1, 2, 0, 2, 0, 1, 3, 2, 4, 3, 5, 4};
+static const double path_w[] = {3, 1, 3, 2, 1, 2, 1, 1, 3, 3, 2, 2};
+static const int64_t rep_ptr[] = {0, 1, 2, 3, 4, 5, 6};
+static const int64_t rep_idx[] = {5, 4, 3, 2, 1, 0};
+static const double rep_w[] = {1, 2, 4, 4, 2, 1}, zeros[6] = {0};
+static const int64_t singletons[] = {0, 1, 2, 3, 4, 5}, apart[6] = {0};
+
+/* Each runs one kernel on a small valid input with its outputs in `out`
+ * (for sweep, the labels it moves) and returns its status. */
+static int64_t sweep_triangle(void *out)
+{
+    uint64_t state = 88172645463325252ULL;
+    return sweep(3, tri_ptr, tri_idx, 6, tri_w, 0, ones, 3.0, NULL, NULL, 0,
+                 NULL, 1.0, out, apart, 100, 1e-12, &state, next32, next64);
+}
+
+static int64_t sweep_explicit(void *out)
+{
+    uint64_t state = 88172645463325252ULL;
+    return sweep(6, path_ptr, path_idx, 12, path_w, 1, zeros, 1.0, rep_ptr,
+                 rep_idx, 6, rep_w, 0.5, out, apart, 100, 1e-12, &state,
+                 next32, next64);
+}
+
+static int64_t level_loop_triangle(void *out)
+{
+    uint64_t state = 88172645463325252ULL;
+    return level_loop(3, tri_ptr, tri_idx, 6, tri_w, 0, ones, 3.0, NULL, NULL,
+                      0, NULL, 1.0, 32, 100, 1000, 1e-12, out,
+                      (double *)((int64_t *)out + 3), &state, next32, next64);
+}
+
+static int64_t level_loop_explicit(void *out)
+{
+    uint64_t state = 88172645463325252ULL;
+    return level_loop(6, path_ptr, path_idx, 12, path_w, 1, zeros, 1.0,
+                      rep_ptr, rep_idx, 6, rep_w, 0.5, 32, 100, 1000, 1e-12,
+                      out, (double *)((int64_t *)out + 6), &state, next32,
+                      next64);
+}
+
+static int64_t components_explicit(void *out)
+{
+    return components(6, path_ptr, path_idx, 12, path_w, 1, zeros, 1.0,
+                      rep_ptr, rep_idx, 6, rep_w, out,
+                      (double *)((int64_t *)out + 6));
+}
+
+static int64_t knn_line(void *out)  /* 20 points: the tree splits */
+{
+    double line[20];
+    for (int i = 0; i < 20; i++)
+        line[i] = (i * 7) % 20;
+    return knn(20, 1, line, 3, 0, out, (double *)((int64_t *)out + 60));
+}
+
+static const int64_t rows[] = {3, 1, 0, 2, 1}, cols[] = {1, 3, 2, 0, 2};
+static const double vals[] = {1, 2, 0.5, 0.25, 4};
+
+static int64_t pairs_mean(void *out)
+{
+    int64_t *at = out;
+    return pairs(4, 5, rows, cols, vals, 1, at, at + 5, (double *)(at + 10));
+}
+
+static int64_t pairs_csr_three(void *out)
+{
+    const int64_t lo[] = {0, 1, 1}, hi[] = {2, 2, 3};
+    int64_t *at = out;
+    return pairs_csr(4, 3, lo, hi, vals, at, at + 5, (double *)(at + 11));
+}
+
+static int64_t row_nth_three(void *out)
+{
+    const int64_t ptr[] = {0, 2, 5, 6}, nth[] = {1, 2, 0};
+    const double values[] = {3, 1, 4, 1, 5, 9};
+    return row_nth(3, ptr, 6, values, nth, out);
+}
+
+/* Runs `run` with every allocation granted, then with the first k granted
+ * for k = 0, 1, ... until a call succeeds.  Before each call `out`
+ * (`bytes` long) holds `given`, or else a sentinel fill.  Every failing
+ * call must return `nomem`, leave `out` as it was and draw nothing; the
+ * call that succeeds must give the first one's status, bytes and draws. */
+static int check(const char *name, int64_t (*run)(void *), size_t bytes,
+                 const int64_t *given, int64_t nomem)
+{
+    unsigned char *before = malloc(bytes), *want = malloc(bytes);
+    unsigned char *got = malloc(bytes);
+    if (given)
+        memcpy(before, given, bytes);
+    else
+        memset(before, 0x5a, bytes);
+    memcpy(want, before, bytes);
+    draws = 0;
+    int64_t normal = run(want);
+    long normal_draws = draws, failed = 0;
+    int ok = normal >= 0;
+    while (ok) {
+        memcpy(got, before, bytes);
+        draws = 0;
+        budget = failed;
+        int64_t status = run(got);
+        budget = -1;
+        if (status != nomem) {
+            ok = status == normal && draws == normal_draws
+                 && !memcmp(got, want, bytes);
+            break;
+        }
+        ok = draws == 0 && !memcmp(got, before, bytes);
+        failed++;
+    }
+    ok = ok && failed > 0;
+    printf("%s: %ld failing calls, %s\n", name, failed, ok ? "ok" : "BAD");
+    free(before);
+    free(want);
+    free(got);
+    return !ok;
+}
+
+int main(void)
+{
+    size_t i64 = sizeof(int64_t), f64 = sizeof(double);
+    return check("sweep", sweep_triangle, 3 * i64, singletons, -1)
+        | check("sweep explicit", sweep_explicit, 6 * i64, singletons, -1)
+        | check("level_loop", level_loop_triangle, 3 * i64 + 2 * f64, NULL, -1)
+        | check("level_loop explicit", level_loop_explicit, 6 * i64 + 2 * f64,
+                NULL, -1)
+        | check("components", components_explicit, 6 * i64 + 2 * f64, NULL,
+                -1)
+        | check("knn", knn_line, 60 * i64 + 60 * f64, NULL, -9)
+        | check("pairs", pairs_mean, 10 * i64 + 5 * f64, NULL, -1)
+        | check("pairs_csr", pairs_csr_three, 11 * i64 + 6 * f64, NULL, -1)
+        | check("row_nth", row_nth_three, 3 * f64, NULL, -1);
+}
+"""
+
+
+@has_compiler
+def test_kernels_fail_cleanly_when_memory_runs_out(tmp_path,
+                                                    sanitized_kernels):
+    # every out-of-memory exit: status, untouched outputs, no draw and,
+    # through LeakSanitizer, no leak
+    out = _run_sanitized(tmp_path, sanitized_kernels, _NOMEM_SANITIZER_MAIN,
+                         "-Wl,--wrap=malloc,--wrap=calloc")
+    assert out.count(", ok") == 9 and "BAD" not in out, out
