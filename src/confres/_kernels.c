@@ -17,13 +17,19 @@
  * positive weight, with their (h_a, h_r) summed as the loop sums them.
  * `knn` returns the neighbours and distances of its reference, knn_py,
  * bit for bit.
- * `pairs` and `pairs_csr` group (i, j, w) entries into unique pairs and
- * lay those out as a CSR in O(m + n), on the code path of the level
- * loop's aggregation, adding weights in the order of their numpy
- * references (kernels.pairs_py, pairs_csr_py); `row_nth` selects a value
- * in each CSR row, as row_nth_py.  Bit-identity holds only when the
- * compiler keeps IEEE double semantics: build with -ffp-contract=off (no
- * fused multiply-add) and never with -ffast-math.
+ * `pairs` groups (i, j, w) entries into unique pairs, and `pairs_csr`
+ * lays pairs out as a CSR, each entry naming its pair, in O(m + n), on
+ * the code path of the level loop's aggregation, adding weights in the
+ * order of their numpy references (kernels.pairs_py, pairs_csr_py);
+ * `row_nth` selects a value in each CSR row, as row_nth_py.  Bit-identity
+ * holds only when the compiler keeps IEEE double semantics: build with
+ * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
+ *
+ * The interface: `sweep`, `level_loop` and `components` take the graph as
+ * one graph_t (kernels.Graph mirrors it), each deriving its readers in a
+ * copy of its own, and `sweep` and `level_loop` draw from numpy's own
+ * bitgen_t.  A kernel returns a count or 0, or else a negative ERR_ code;
+ * ERR_NOMEM is the one out-of-memory code.
  *
  * The caller in kernels.py checks dtypes, contiguity and lengths.  The
  * range of every value used as an index, and the order of each indptr,
@@ -34,9 +40,8 @@
  * Each exported kernel owns its heap buffers through one list per call
  * (buffers_t): each buffer is its own heap block, so a sanitizer bounds
  * each one; the kernel takes them all, tests the list's one failure flag
- * before any work, returning ERR_NOMEM (ERR_KNN_NOMEM for knn) with every
- * argument untouched and no number drawn, and releases the list on every
- * exit.
+ * before any work, returning ERR_NOMEM with every argument untouched and
+ * no number drawn, and releases the list on every exit.
  */
 
 #include <math.h>
@@ -56,7 +61,6 @@
 #define ERR_REP_INDICES (-6)
 #define ERR_INDPTR_ORDER (-7)
 #define ERR_REP_INDPTR_ORDER (-8)
-#define ERR_KNN_NOMEM (-9)
 #define ERR_ROWS (-10)
 #define ERR_COLS (-11)
 #define ERR_NTH (-12)
@@ -102,20 +106,21 @@ static void release(buffers_t *b)
     }
 }
 
-/* Attraction CSR (both edge directions) and the repulsion model, with
- * the transpose pattern of each CSR: for each item j, the items whose
- * rows hold j, which a move of j can affect.  A symmetric CSR is its own
- * transpose. */
+/* Attraction CSR (both edge directions, m entries) and the repulsion
+ * model, with the transpose pattern of each CSR: for each item j, the
+ * items whose rows hold j, which a move of j can affect.  A symmetric CSR
+ * is its own transpose.  kernels.Graph mirrors the layout, 8 bytes a field. */
 typedef struct {
-    int64_t n;
+    int64_t n, m;
     const int64_t *indptr, *indices;
     const double *weights;
     int64_t rep_mode;
     const double *rep_strength;
     double rep_denom;
-    const int64_t *rep_indptr, *rep_indices;  /* REP_EXPLICIT only */
+    int64_t rep_m;  /* with the repulsion CSR: REP_EXPLICIT only */
+    const int64_t *rep_indptr, *rep_indices;
     const double *rep_weights;
-    const int64_t *readers_ptr, *readers;
+    const int64_t *readers_ptr, *readers;  /* each kernel's own */
     const int64_t *rep_readers_ptr, *rep_readers;  /* REP_EXPLICIT only */
 } graph_t;
 
@@ -146,29 +151,32 @@ static int64_t check_indptr(const int64_t *ptr, int64_t len, int64_t hi,
 
 /* Every CSR index the kernels read: indptr non-decreasing in [0, m],
  * indices in [0, n), for attraction and, when explicit, repulsion. */
-static int64_t check_graph(const graph_t *g, int64_t m, int64_t rep_m)
+static int64_t check_graph(const graph_t *g)
 {
-    int64_t err = check_indptr(g->indptr, g->n + 1, m + 1, ERR_INDPTR,
+    int64_t err = check_indptr(g->indptr, g->n + 1, g->m + 1, ERR_INDPTR,
                                ERR_INDPTR_ORDER);
     if (!err)
-        err = check_range(g->indices, m, g->n, ERR_INDICES);
+        err = check_range(g->indices, g->m, g->n, ERR_INDICES);
     if (!err && g->rep_mode == REP_EXPLICIT)
-        err = check_indptr(g->rep_indptr, g->n + 1, rep_m + 1, ERR_REP_INDPTR,
-                           ERR_REP_INDPTR_ORDER);
+        err = check_indptr(g->rep_indptr, g->n + 1, g->rep_m + 1,
+                           ERR_REP_INDPTR, ERR_REP_INDPTR_ORDER);
     if (!err && g->rep_mode == REP_EXPLICIT)
-        err = check_range(g->rep_indices, rep_m, g->n, ERR_REP_INDICES);
+        err = check_range(g->rep_indices, g->rep_m, g->n, ERR_REP_INDICES);
     return err;
 }
 
-/* numpy's bit generator, reached through Generator.bit_generator.ctypes. */
+/* numpy's bit generator, the layout of bitgen_t in numpy/random/bitgen.h
+ * (reached through Generator.bit_generator.ctypes.bit_generator). */
 typedef struct {
     void *state;
-    uint32_t (*next_uint32)(void *state);
     uint64_t (*next_uint64)(void *state);
-} rng_t;
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
 
 /* numpy's random_interval: uniform in [0, max] by mask rejection. */
-static uint64_t random_interval(const rng_t *rng, uint64_t max)
+static uint64_t random_interval(const bitgen_t *rng, uint64_t max)
 {
     if (max == 0)
         return 0;
@@ -191,7 +199,7 @@ static uint64_t random_interval(const rng_t *rng, uint64_t max)
 
 /* Generator.permutation(n): arange(n) shuffled as numpy's _shuffle_raw
  * does, drawing the same numbers from the same bit generator. */
-static void permutation(const rng_t *rng, int64_t n, int64_t *order)
+static void permutation(const bitgen_t *rng, int64_t n, int64_t *order)
 {
     for (int64_t i = 0; i < n; i++)
         order[i] = i;
@@ -425,7 +433,7 @@ static void readers_alloc(buffers_t *b, graph_t *g)
  * have run; returns the total moves. */
 static int64_t phase(const graph_t *g, double gamma, int64_t *labels,
                      const int64_t *constraint, int64_t max_sweeps, double eps,
-                     const rng_t *rng, scratch_t *s)
+                     const bitgen_t *rng, scratch_t *s)
 {
     memset(s->clean, 0, (size_t)g->n);  /* new labels or constraint */
     int64_t total = 0;
@@ -444,30 +452,22 @@ static int64_t phase(const graph_t *g, double gamma, int64_t *labels,
  * max_sweeps passes have run.  Mutates `labels`; returns the total moves,
  * or an ERR_ code before any label moves or any number is drawn.  The
  * caller holds the bit generator's lock. */
-int64_t sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
-              int64_t m, const double *weights, int64_t rep_mode,
-              const double *rep_strength, double rep_denom,
-              const int64_t *rep_indptr, const int64_t *rep_indices,
-              int64_t rep_m, const double *rep_weights, double gamma,
-              int64_t *labels, const int64_t *constraint, int64_t max_sweeps,
-              double eps, void *bitgen_state,
-              uint32_t (*next_uint32)(void *), uint64_t (*next_uint64)(void *))
+int64_t sweep(const graph_t *graph, double gamma, int64_t *labels,
+              const int64_t *constraint, int64_t max_sweeps, double eps,
+              const bitgen_t *rng)
 {
-    graph_t g = {n, indptr, indices, weights, rep_mode, rep_strength,
-                 rep_denom, rep_indptr, rep_indices, rep_weights,
-                 NULL, NULL, NULL, NULL};
-    rng_t rng = {bitgen_state, next_uint32, next_uint64};
-    int64_t err = check_graph(&g, m, rep_m);
+    graph_t g = *graph;
+    int64_t err = check_graph(&g);
     if (!err)
-        err = check_range(labels, n, n, ERR_LABELS);
+        err = check_range(labels, g.n, g.n, ERR_LABELS);
     if (err)
         return err;
     buffers_t b = {NULL, 0};
     scratch_t s;
-    scratch_alloc(&b, &s, n, m);
+    scratch_alloc(&b, &s, g.n, g.m);
     readers_alloc(&b, &g);
     int64_t total = b.failed ? ERR_NOMEM
-        : phase(&g, gamma, labels, constraint, max_sweeps, eps, &rng, &s);
+        : phase(&g, gamma, labels, constraint, max_sweeps, eps, rng, &s);
     release(&b);
     return total;
 }
@@ -483,7 +483,8 @@ int64_t sweep(int64_t n, const int64_t *indptr, const int64_t *indices,
  * from 0.0 in that order, the order np.bincount adds them in, so the bits
  * are those of the numpy references.  The CSR fill lists both directions
  * of every pair, each row's columns ascending, as an argsort of the keys
- * row * n + col orders them. */
+ * row * n + col orders them, and names each entry's pair: a caller
+ * gathers any per-pair values through those names. */
 
 /* Written as functions of values, these compile to conditional moves;
  * with random ends, a branch would mispredict half the time. */
@@ -542,12 +543,13 @@ static int64_t group_pairs(int64_t m, int64_t n, const int64_t *a,
 #undef HI
 }
 
-/* The both-direction CSR over n items of the `found` pairs (rows, cols,
- * vals), unique and in lexicographic order, written to (ptr, idx, w):
- * n + 1 and 2 * found slots.  `next` is n slots of scratch. */
+/* The both-direction CSR over n items of the `found` pairs (rows, cols),
+ * unique and in lexicographic order, written to (ptr, idx), with each
+ * entry's pair index in `pair`: n + 1, 2 * found and 2 * found slots.
+ * `next` is n slots of scratch. */
 static void fill_csr(int64_t n, int64_t found, const int64_t *rows,
-                     const int64_t *cols, const double *vals, int64_t *next,
-                     int64_t *ptr, int64_t *idx, double *w)
+                     const int64_t *cols, int64_t *next, int64_t *ptr,
+                     int64_t *idx, int64_t *pair)
 {
     memset(ptr, 0, (size_t)(n + 1) * sizeof(int64_t));
     for (int64_t p = 0; p < found; p++) {
@@ -562,12 +564,12 @@ static void fill_csr(int64_t n, int64_t found, const int64_t *rows,
     for (int64_t p = 0; p < found; p++) {
         int64_t e = next[cols[p]]++;
         idx[e] = rows[p];
-        w[e] = vals[p];
+        pair[e] = p;
     }
     for (int64_t p = 0; p < found; p++) {
         int64_t e = next[rows[p]]++;
         idx[e] = cols[p];
-        w[e] = vals[p];
+        pair[e] = p;
     }
 }
 
@@ -596,13 +598,14 @@ int64_t pairs(int64_t n, int64_t m, const int64_t *rows, const int64_t *cols,
     return found;
 }
 
-/* The both-direction CSR over n items of p unique pairs (rows, cols,
- * vals) in lexicographic order, as kernels.pairs_csr_py: each row's
- * columns ascending.  Writes out_ptr (n + 1 slots), out_idx and out_vals
- * (2 p slots each) and returns 0, or an ERR_ code with nothing written. */
+/* The both-direction CSR over n items of p unique pairs (rows, cols) in
+ * lexicographic order, as kernels.pairs_csr_py: each row's columns
+ * ascending, each entry's pair index beside it.  Writes out_ptr (n + 1
+ * slots), out_idx and out_pair (2 p slots each) and returns 0, or an ERR_
+ * code with nothing written. */
 int64_t pairs_csr(int64_t n, int64_t p, const int64_t *rows,
-                  const int64_t *cols, const double *vals, int64_t *out_ptr,
-                  int64_t *out_idx, double *out_vals)
+                  const int64_t *cols, int64_t *out_ptr, int64_t *out_idx,
+                  int64_t *out_pair)
 {
     int64_t err = check_range(rows, p, n, ERR_ROWS);
     if (!err)
@@ -612,7 +615,7 @@ int64_t pairs_csr(int64_t n, int64_t p, const int64_t *rows,
     buffers_t b = {NULL, 0};
     int64_t *next = take(&b, n, sizeof(int64_t), 0);
     if (!b.failed)
-        fill_csr(n, p, rows, cols, vals, next, out_ptr, out_idx, out_vals);
+        fill_csr(n, p, rows, cols, next, out_ptr, out_idx, out_pair);
     release(&b);
     return b.failed ? ERR_NOMEM : 0;
 }
@@ -722,13 +725,13 @@ static int64_t upper_entries(int64_t n, const int64_t *ptr, const int64_t *idx)
 
 /* Scratch of `collapse`: the cross-cluster entries (the clusters of
  * their ends, their weights) and group_pairs' arrays, `cap` slots each,
- * and k + 1 counters. */
+ * k + 1 counters, and the pair of each coarse CSR entry, 2 cap slots. */
 typedef struct {
     int64_t *a, *b;
     double *w;
     int64_t *rows, *cols;
     double *sum;
-    int64_t *count;
+    int64_t *count, *pair;
 } collapse_t;
 
 /* The CSR (ptr, idx, wt) over n items collapsed onto the k clusters of
@@ -753,8 +756,9 @@ static void collapse(int64_t n, const int64_t *ptr, const int64_t *idx,
     }
     int64_t found = group_pairs(m, k, c->a, c->b, c->w, 0, c->count,
                                 c->rows, c->cols, c->sum);
-    fill_csr(k, found, c->rows, c->cols, c->sum, c->count, out_ptr, out_idx,
-             out_w);
+    fill_csr(k, found, c->rows, c->cols, c->count, out_ptr, out_idx, c->pair);
+    for (int64_t e = 0; e < 2 * found; e++)
+        out_w[e] = c->sum[c->pair[e]];
 }
 
 /* The sum from 0.0, in CSR order, of the weights of the entries (i, j),
@@ -807,35 +811,26 @@ static void energy_of(const graph_t *g, const int64_t *labels, int64_t k,
  * the original graph to `energy` (2 slots, see energy_of) and returns 0,
  * or an ERR_ code before any number is drawn.  The caller holds the bit
  * generator's lock. */
-int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
-                   int64_t m, const double *weights, int64_t rep_mode,
-                   const double *rep_strength, double rep_denom,
-                   const int64_t *rep_indptr, const int64_t *rep_indices,
-                   int64_t rep_m, const double *rep_weights, double gamma,
-                   int64_t max_levels, int64_t max_sweeps, int64_t max_polish,
-                   double eps, int64_t *out, double *energy,
-                   void *bitgen_state,
-                   uint32_t (*next_uint32)(void *),
-                   uint64_t (*next_uint64)(void *))
+int64_t level_loop(const graph_t *graph, double gamma, int64_t max_levels,
+                   int64_t max_sweeps, int64_t max_polish, double eps,
+                   int64_t *out, double *energy, const bitgen_t *rng)
 {
-    graph_t orig = {n, indptr, indices, weights, rep_mode, rep_strength,
-                    rep_denom, rep_indptr, rep_indices, rep_weights,
-                    NULL, NULL, NULL, NULL};
-    rng_t rng = {bitgen_state, next_uint32, next_uint64};
-    int64_t err = check_graph(&orig, m, rep_m);
+    graph_t orig = *graph;
+    int64_t err = check_graph(&orig);
     if (err)
         return err;
-    int explicit_rep = rep_mode == REP_EXPLICIT;
-    int64_t att_cap = upper_entries(n, indptr, indices);
-    int64_t rep_cap = explicit_rep ? upper_entries(n, rep_indptr, rep_indices)
-                                   : 0;
+    int64_t n = orig.n;
+    int explicit_rep = orig.rep_mode == REP_EXPLICIT;
+    int64_t att_cap = upper_entries(n, orig.indptr, orig.indices);
+    int64_t rep_cap = explicit_rep
+        ? upper_entries(n, orig.rep_indptr, orig.rep_indices) : 0;
     size_t slots = n > 0 ? (size_t)n + 1 : 2;
     size_t cap = (size_t)(att_cap > rep_cap ? att_cap : rep_cap) + 1;
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
     buffers_t b = {NULL, 0};
     scratch_t s;
     /* the attraction entries of the input graph or of any coarse one */
-    int64_t entries = m > 2 * (int64_t)cap ? m : 2 * (int64_t)cap;
+    int64_t entries = orig.m > 2 * (int64_t)cap ? orig.m : 2 * (int64_t)cap;
     scratch_alloc(&b, &s, n, entries);
     readers_alloc(&b, &orig);
     int64_t *labels = take(&b, slots, i64, 0);
@@ -847,7 +842,7 @@ int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
     collapse_t c = {take(&b, cap, i64, 0), take(&b, cap, i64, 0),
                     take(&b, cap, f64, 0), take(&b, cap, i64, 0),
                     take(&b, cap, i64, 0), take(&b, cap, f64, 0),
-                    take(&b, slots, i64, 0)};
+                    take(&b, slots, i64, 0), take(&b, 2 * cap, i64, 0)};
     int64_t *ptr = take(&b, slots, i64, 0), *idx = take(&b, 2 * cap, i64, 0);
     double *wt = take(&b, 2 * cap, f64, 0);
     int64_t *rep_ptr = explicit_rep ? take(&b, slots, i64, 0) : NULL;
@@ -862,13 +857,13 @@ int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
         labels[i] = mapping[i] = i;
     for (int64_t level = 0; level < max_levels; level++) {
         int64_t moved = phase(&cur, gamma, labels, zeros, max_sweeps, eps,
-                              &rng, &s);
+                              rng, &s);
         int64_t k = canonicalize(labels, cur.n, map);
         if (moved == 0 || k == cur.n)
             break;
         for (int64_t i = 0; i < cur.n; i++)
             refined[i] = i;
-        phase(&cur, gamma, refined, labels, max_sweeps, eps, &rng, &s);
+        phase(&cur, gamma, refined, labels, max_sweeps, eps, rng, &s);
         int64_t kr = canonicalize(refined, cur.n, map);
         if (kr == cur.n) {
             memcpy(refined, labels, (size_t)cur.n * i64);
@@ -894,12 +889,18 @@ int64_t level_loop(int64_t n, const int64_t *indptr, const int64_t *indices,
         labels = next;
         next = held;
         /* coarse CSRs are symmetric: their own readers */
-        cur = (graph_t){kr, ptr, idx, wt, rep_mode, rho, rep_denom,
-                        rep_ptr, rep_idx, rep_wt, ptr, idx, rep_ptr, rep_idx};
+        cur = (graph_t){.n = kr, .m = ptr[kr], .indptr = ptr, .indices = idx,
+                        .weights = wt, .rep_mode = orig.rep_mode,
+                        .rep_strength = rho, .rep_denom = orig.rep_denom,
+                        .rep_m = explicit_rep ? rep_ptr[kr] : 0,
+                        .rep_indptr = rep_ptr, .rep_indices = rep_idx,
+                        .rep_weights = rep_wt, .readers_ptr = ptr,
+                        .readers = idx, .rep_readers_ptr = rep_ptr,
+                        .rep_readers = rep_idx};
     }
     for (int64_t i = 0; i < n; i++)
         out[i] = labels[mapping[i]];
-    phase(&orig, gamma, out, zeros, max_polish, eps, &rng, &s);
+    phase(&orig, gamma, out, zeros, max_polish, eps, rng, &s);
     /* rho_next is spare: n + 1 slots for at most n clusters */
     energy_of(&orig, out, canonicalize(out, n, map), rho_next, energy);
     release(&b);
@@ -925,19 +926,12 @@ static int64_t find_root(int64_t *root, int64_t i)
  * gamma -> 0+.  Writes their canonical labels to `out` (n slots) and
  * their (h_a, h_r) to `energy` (see energy_of), and returns 0, or an
  * ERR_ code. */
-int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
-                   int64_t m, const double *weights, int64_t rep_mode,
-                   const double *rep_strength, double rep_denom,
-                   const int64_t *rep_indptr, const int64_t *rep_indices,
-                   int64_t rep_m, const double *rep_weights, int64_t *out,
-                   double *energy)
+int64_t components(const graph_t *g, int64_t *out, double *energy)
 {
-    graph_t g = {n, indptr, indices, weights, rep_mode, rep_strength,
-                 rep_denom, rep_indptr, rep_indices, rep_weights,
-                 NULL, NULL, NULL, NULL};
-    int64_t err = check_graph(&g, m, rep_m);
+    int64_t err = check_graph(g);
     if (err)
         return err;
+    int64_t n = g->n;
     buffers_t b = {NULL, 0};
     int64_t *root = take(&b, n, sizeof(int64_t), 0);
     double *sums = take(&b, n, sizeof(double), 0);
@@ -948,10 +942,10 @@ int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
     for (int64_t i = 0; i < n; i++)
         root[i] = i;
     for (int64_t i = 0; i < n; i++) {
-        for (int64_t e = indptr[i]; e < indptr[i + 1]; e++) {
-            if (!(weights[e] > 0.0))
+        for (int64_t e = g->indptr[i]; e < g->indptr[i + 1]; e++) {
+            if (!(g->weights[e] > 0.0))
                 continue;
-            int64_t a = find_root(root, i), b = find_root(root, indices[e]);
+            int64_t a = find_root(root, i), b = find_root(root, g->indices[e]);
             if (a < b)
                 root[b] = a;
             else
@@ -961,7 +955,7 @@ int64_t components(int64_t n, const int64_t *indptr, const int64_t *indices,
     for (int64_t i = 0; i < n; i++)
         out[i] = find_root(root, i);
     /* the roots are spent: their slots serve as canonicalize's map */
-    energy_of(&g, out, canonicalize(out, n, root), sums, energy);
+    energy_of(g, out, canonicalize(out, n, root), sums, energy);
     release(&b);
     return 0;
 }
@@ -1210,7 +1204,7 @@ static void search(const kdtree_t *t, int64_t id, const double *q,
  * coordinate order, or half that sum with half_square.  The caller
  * passes n x d finite points and 1 <= k <= n - 1.  Scratch: the points in
  * tree order, n indices and at most n / 4 + 1 nodes of 2 d bounds each,
- * so O(n d).  Returns 0, or ERR_KNN_NOMEM with nn and nn_dist unwritten. */
+ * so O(n d).  Returns 0, or ERR_NOMEM with nn and nn_dist unwritten. */
 int64_t knn(int64_t n, int64_t d, const double *points, int64_t k,
             int64_t half_square, int64_t *nn, double *nn_dist)
 {
@@ -1223,7 +1217,7 @@ int64_t knn(int64_t n, int64_t d, const double *points, int64_t k,
     heap_t h = {take(&b, k, sizeof(neighbour_t), 0), 0, k};
     if (b.failed) {
         release(&b);
-        return ERR_KNN_NOMEM;
+        return ERR_NOMEM;
     }
     for (int64_t i = 0; i < n; i++)
         t.perm[i] = i;

@@ -145,19 +145,10 @@ def _reduce_pairs(n, i, j, w, mean=False):
 
 def _csr_from_pairs(n, rows, cols, vals):
     """Both-direction CSR from unique pairs (row < col) in sorted order,
-    each row's columns ascending, by `kernels.pairs_csr` in O(m + n)."""
-    return kernels.pairs_csr(n, rows, cols, vals)
-
-
-def _layout(n, rows, cols):
-    """(indptr, indices, pair): the both-direction CSR of unique pairs
-    (row < col) in sorted order, as `_csr_from_pairs` lays it out, and
-    for each entry the index of its pair, so that `vals[pair]` are the
-    CSR values of any per-pair `vals`.  The pair indices travel through
-    the float64 values of `kernels.pairs_csr`, exact below 2**53."""
-    indptr, indices, pair = _csr_from_pairs(
-        n, rows, cols, np.arange(rows.shape[0], dtype=np.float64))
-    return indptr, indices, pair.astype(np.int64)
+    each row's columns ascending, laid out by `kernels.pairs_csr` in
+    O(m + n), the values gathered through its pair indices."""
+    indptr, indices, pair = kernels.pairs_csr(n, rows, cols)
+    return indptr, indices, vals[pair]
 
 
 def _end_sums(n, rows, cols, vals):
@@ -169,17 +160,15 @@ def _end_sums(n, rows, cols, vals):
 
 
 def _assemble(n, rows, cols, vals, scheme, rep_pairs=None, layout=None):
-    """The AffinityGraph of the attraction pairs (rows, cols, vals); a
-    `_layout` of the pairs, when given, places the weights."""
+    """The AffinityGraph of the attraction pairs (rows, cols, vals); the
+    weights take the pairs' `kernels.pairs_csr` layout, made here unless
+    given."""
     strengths = _end_sums(n, rows, cols, vals)
     total = float(np.sum(vals))
     if total <= 0.0:
         raise NumericalError("total attraction weight W must be positive")
-    if layout is None:
-        indptr, indices, weights = _csr_from_pairs(n, rows, cols, vals)
-    else:
-        indptr, indices, pair = layout
-        weights = vals[pair]
+    indptr, indices, pair = layout or kernels.pairs_csr(n, rows, cols)
+    weights = vals[pair]
     kwargs = {}
     if scheme == "configuration_null":
         rep_strength = strengths.copy()
@@ -267,9 +256,14 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
     n = graph.n
     rows, cols, dist = _triples(graph.edges[:, 0], graph.edges[:, 1],
                                 graph.distances)
+    # whole-array bounds decide, a NaN failing them; the mask names the edge
+    if dist.shape[0] and not (dist.min() >= 0.0 and dist.max() < np.inf):
+        e = int(np.argmax(~(np.isfinite(dist) & (dist >= 0.0))))
+        raise InputError(f"distance {dist[e]} on edge ({rows[e]}, {cols[e]}) "
+                         f"must be finite and non-negative")
     # each item's edge distances, one CSR row per item; the weights take
     # the same layout
-    layout = _layout(n, rows, cols)
+    layout = kernels.pairs_csr(n, rows, cols)
     indptr, _, pair = layout
     dist_rows = dist[pair]
     degree = np.diff(indptr)

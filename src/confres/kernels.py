@@ -29,16 +29,17 @@ or numpy reference that is the fallback and the test oracle:
   components over the entries of positive weight, by union-find, with
   canonical labels and their (h_a, h_r) summed as `level_loop` sums them.
   `components_py` is its reference; without the C kernels it is None.
-  `level_loop` and `components` take `graph_args`, the graph's checked
-  arguments, which a caller that solves one graph many times (a
-  resolution sweep) takes once.
+  `level_loop` and `components` take `graph_args`, the graph checked and
+  laid out as the `Graph` struct the C kernels read, which a caller that
+  solves one graph many times (a resolution sweep) takes once.
 - `knn` finds each item's k nearest others by (distance, index) with an
   exact kd-tree search; `knn_py` does it by chunked brute force.  Both
   sum a distance from 0.0 in coordinate order, so they return the same
   bits.
 - `pairs` reduces (i, j, w) entries to their sorted unique unordered
   pairs, each weight summed in input order (or averaged), and `pairs_csr`
-  lays such pairs out as a both-direction CSR with ascending columns:
+  returns their layout as a both-direction CSR with ascending columns,
+  each entry's pair index beside it to gather per-pair values through:
   graph construction (kNN edges, edge lists) and `optimizer.aggregate`
   run on them.  In C both are O(m + n), two stable counting sorts and one
   fill, the code path of `level_loop`'s aggregation; `pairs_py` and
@@ -386,18 +387,19 @@ def knn_py(points, k, metric="euclidean"):
     return nn, nn_dist
 
 
-def _check_triples(rows, cols, vals):
-    """Raise ValueError unless rows, cols and vals are C-contiguous 1-D
-    int64, int64 and float64 arrays of one length."""
+def _check_ends(rows, cols, vals=None):
+    """Raise ValueError unless rows, cols and vals, when given, are
+    C-contiguous 1-D int64, int64 and float64 arrays of one length."""
     _check_array("rows", rows, _I64)
     _check_array("cols", cols, _I64, rows.shape[0])
-    _check_array("vals", vals, _F64, rows.shape[0])
+    if vals is not None:
+        _check_array("vals", vals, _F64, rows.shape[0])
 
 
-def _check_pairs(n, rows, cols, vals):
-    """`_check_triples`, then IndexError unless every index lies in
-    [0, n), rows checked first, as the C kernels check."""
-    _check_triples(rows, cols, vals)
+def _check_pairs(n, rows, cols, vals=None):
+    """`_check_ends`, then IndexError unless every index lies in [0, n),
+    rows checked first, as the C kernels check."""
+    _check_ends(rows, cols, vals)
     _check_range("rows", rows, n)
     _check_range("cols", cols, n)
 
@@ -428,21 +430,21 @@ def pairs_py(n, rows, cols, vals, mean=False):
     return unique // n, unique % n, sums
 
 
-def pairs_csr_py(n, rows, cols, vals):
-    """(indptr, indices, values): the both-direction CSR over n items of
-    sorted unique pairs (row <= col), each row's columns ascending.
+def pairs_csr_py(n, rows, cols):
+    """(indptr, indices, pair): the both-direction CSR over n items of
+    sorted unique pairs (row <= col), each row's columns ascending, and
+    each entry's pair index: `vals[pair]` lays out any per-pair `vals`.
 
     The entries (i, j) are unique, so one sort of the keys i * n + j puts
     them in that order with any sort algorithm.
     """
-    _check_pairs(n, rows, cols, vals)
+    _check_pairs(n, rows, cols)
     ii = np.concatenate([cols, rows])
     jj = np.concatenate([rows, cols])
-    vv = np.concatenate([vals, vals])
     order = np.argsort(ii * n + jj)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ii, minlength=n), out=indptr[1:])
-    return indptr, jj[order], vv[order]
+    return indptr, jj[order], order % rows.shape[0]
 
 
 def _check_rows(indptr, values, nth):
@@ -554,25 +556,36 @@ def _load_library():
                       f"reference: {exc}", RuntimeWarning)
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-    # n, then CSR (indptr, indices, m, weights), the repulsion model and
-    # its CSR, as _local_move_c orders them
-    graph = [i64, ptr, ptr, i64, ptr, i64, ptr, f64, ptr, ptr, i64, ptr]
-    lib.sweep.argtypes = graph + [f64, ptr, ptr, i64, f64, ptr, ptr, ptr]
+    graph = ctypes.POINTER(Graph)  # a Graph passes by reference
+    lib.sweep.argtypes = [graph, f64, ptr, ptr, i64, f64, ptr]
     lib.sweep.restype = i64
-    lib.level_loop.argtypes = graph + [f64, i64, i64, i64, f64, ptr, ptr, ptr,
-                                       ptr, ptr]
+    lib.level_loop.argtypes = [graph, f64, i64, i64, i64, f64, ptr, ptr, ptr]
     lib.level_loop.restype = i64
-    lib.components.argtypes = graph + [ptr, ptr]
+    lib.components.argtypes = [graph, ptr, ptr]
     lib.components.restype = i64
     lib.knn.argtypes = [i64, i64, ptr, i64, i64, ptr, ptr]
     lib.knn.restype = i64
     lib.pairs.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr]
     lib.pairs.restype = i64
-    lib.pairs_csr.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.pairs_csr.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr]
     lib.pairs_csr.restype = i64
     lib.row_nth.argtypes = [i64, ptr, i64, ptr, ptr, ptr]
     lib.row_nth.restype = i64
     return lib
+
+
+_I, _D, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+
+class Graph(ctypes.Structure):
+    """graph_t of _kernels.c, field for field: a graph as `sweep`,
+    `level_loop` and `components` read it.  The readers (each CSR's
+    transpose) are the kernels' own; from Python they stay NULL."""
+    _fields_ = [("n", _I), ("m", _I), ("indptr", _P), ("indices", _P),
+                ("weights", _P), ("rep_mode", _I), ("rep_strength", _P),
+                ("rep_denom", _D), ("rep_m", _I), ("rep_indptr", _P),
+                ("rep_indices", _P), ("rep_weights", _P), ("readers_ptr", _P),
+                ("readers", _P), ("rep_readers_ptr", _P), ("rep_readers", _P)]
 
 
 _BYTE = ctypes.c_char
@@ -600,8 +613,7 @@ def _raise(status, n=0, m=0, rep_m=0):
     entries (or values, for `row_nth`) and rep_m repulsion entries are
     the sizes the kernel was called with."""
     raise {
-        -1: MemoryError("the C kernels could not allocate their scratch "
-                        "arrays"),
+        -1: MemoryError("the C kernels could not allocate their buffers"),
         -2: _out_of_range("labels", n),
         -3: _out_of_range("indptr", m + 1),
         -4: _out_of_range("indices", n),
@@ -609,7 +621,6 @@ def _raise(status, n=0, m=0, rep_m=0):
         -6: _out_of_range("rep_indices", n),
         -7: _decreasing("indptr"),
         -8: _decreasing("rep_indptr"),
-        -9: MemoryError("the C kNN search could not allocate its tree"),
         -10: _out_of_range("rows", n),
         -11: _out_of_range("cols", n),
         -12: _out_of_range("nth", "row length"),
@@ -618,36 +629,34 @@ def _raise(status, n=0, m=0, rep_m=0):
 
 def graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
                rep_denom, rep_indptr, rep_indices, rep_weights):
-    """The graph arguments of the C calls, after `_check_graph`: the
-    `args` that `level_loop` and `components` take.  They hold the
-    arrays' addresses, not the arrays, so they are valid only while the
+    """The graph as the C kernels read it, after `_check_graph`: the
+    `Graph` that `level_loop` and `components` take.  It holds the
+    arrays' addresses, not the arrays, so it is valid only while the
     arrays live."""
     _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
                  rep_denom, rep_indptr, rep_indices, rep_weights)
-    repulsion = (None, None, 0, None)  # never read for product-form repulsion
+    repulsion = (0, None, None, None)  # never read for product-form repulsion
     if rep_mode == REP_EXPLICIT:
-        repulsion = (_address(rep_indptr), _address(rep_indices),
-                     rep_indices.shape[0], _address(rep_weights))
-    return (n, _address(indptr), _address(indices), indices.shape[0],
-            _address(weights), rep_mode, _address(rep_strength),
-            rep_denom, *repulsion)
+        repulsion = (rep_indices.shape[0], _address(rep_indptr),
+                     _address(rep_indices), _address(rep_weights))
+    return Graph(n, indices.shape[0], _address(indptr), _address(indices),
+                 _address(weights), rep_mode, _address(rep_strength),
+                 rep_denom, *repulsion)
 
 
-def _check_status(status, args):
-    """Raise for a negative status of a C call on the graph `args`."""
+def _check_status(status, graph):
+    """Raise for a negative status of a C call on `graph`."""
     if status < 0:
-        _raise(status, args[0], args[3], args[10])
+        _raise(status, graph.n, graph.m, graph.rep_m)
 
 
-def _call_drawing(fn, args, rng, *tail):
-    """fn(*args, *tail, <rng's bit generator>) under the generator's lock;
+def _call_drawing(fn, graph, rng, *tail):
+    """fn(graph, *tail, <rng's bitgen_t>) under the generator's lock;
     raises for a negative status, else returns it."""
     bitgen = rng.bit_generator
-    draw = bitgen.ctypes
     with bitgen.lock:
-        status = fn(*args, *tail, draw.state_address, draw.next_uint32,
-                    draw.next_uint64)
-    _check_status(status, args)
+        status = fn(graph, *tail, bitgen.ctypes.bit_generator)
+    _check_status(status, graph)
     return status
 
 
@@ -660,16 +669,16 @@ def _local_move_c(indptr, indices, weights,
         raise ValueError("labels must be writable: sweep moves items in place")
     n = labels.shape[0]
     _check_array("constraint", constraint, _I64, n)
-    args = graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
-                      rep_denom, rep_indptr, rep_indices, rep_weights)
-    return _call_drawing(_LIB.sweep, args, rng, gamma, _address(labels),
+    graph = graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
+                       rep_denom, rep_indptr, rep_indices, rep_weights)
+    return _call_drawing(_LIB.sweep, graph, rng, gamma, _address(labels),
                          _address(constraint), max_sweeps, EPSILON)
 
 
 _PAIR = ctypes.c_double * 2
 
 
-def _level_loop_c(args, gamma, rng, max_levels, max_sweeps, max_polish):
+def _level_loop_c(graph, gamma, rng, max_levels, max_sweeps, max_polish):
     """The level loop of `optimizer.optimize` for one seed in one C call
     (`level_loop` in _kernels.c), on a graph's `graph_args`: (labels, h_a,
     h_r), the canonical labels that its Python loop returns, with the same
@@ -677,19 +686,19 @@ def _level_loop_c(args, gamma, rng, max_levels, max_sweeps, max_polish):
     `energy_components` returns for them.  Raises, before any draw, the
     IndexError or ValueError that the first `sweep` of that loop raises
     for a bad graph."""
-    labels = np.empty(args[0], dtype=np.int64)
+    labels = np.empty(graph.n, dtype=np.int64)
     energy = _PAIR()  # cheaper to make and read than a numpy array
-    _call_drawing(_LIB.level_loop, args, rng, gamma, max_levels, max_sweeps,
+    _call_drawing(_LIB.level_loop, graph, rng, gamma, max_levels, max_sweeps,
                   max_polish, EPSILON, _address(labels), energy)
     return labels, energy[0], energy[1]
 
 
-def _components_c(args):
+def _components_c(graph):
     """`components_py` in one C call (`components` in _kernels.c), on a
     graph's `graph_args`: the same labels and the same floats."""
-    labels = np.empty(args[0], dtype=np.int64)
+    labels = np.empty(graph.n, dtype=np.int64)
     energy = _PAIR()
-    _check_status(_LIB.components(*args, _address(labels), energy), args)
+    _check_status(_LIB.components(graph, _address(labels), energy), graph)
     return labels, energy[0], energy[1]
 
 
@@ -712,7 +721,7 @@ def _knn_c(points, k, metric="euclidean"):
 def _pairs_c(n, rows, cols, vals, mean=False):
     """`pairs_py` in O(m + n) (`pairs` in _kernels.c): the same arrays, bit
     for bit, each of its exact size."""
-    _check_triples(rows, cols, vals)
+    _check_ends(rows, cols, vals)
     m = rows.shape[0]
     out = (np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64),
            np.empty(m))
@@ -726,20 +735,20 @@ def _pairs_c(n, rows, cols, vals, mean=False):
     return out
 
 
-def _pairs_csr_c(n, rows, cols, vals):
+def _pairs_csr_c(n, rows, cols):
     """`pairs_csr_py` in O(p + n) (`pairs_csr` in _kernels.c): the same
     arrays, bit for bit."""
-    _check_triples(rows, cols, vals)
+    _check_ends(rows, cols)
     p = rows.shape[0]
     indptr = np.empty(n + 1, dtype=np.int64)
     indices = np.empty(2 * p, dtype=np.int64)
-    values = np.empty(2 * p)
+    pair = np.empty(2 * p, dtype=np.int64)
     status = _LIB.pairs_csr(n, p, _address(rows), _address(cols),
-                            _address(vals), _address(indptr),
-                            _address(indices), _address(values))
+                            _address(indptr), _address(indices),
+                            _address(pair))
     if status < 0:
         _raise(status, n)
-    return indptr, indices, values
+    return indptr, indices, pair
 
 
 def _row_nth_c(indptr, values, nth):

@@ -278,6 +278,20 @@ class TestDeriveAffinity:
             with pytest.raises(InputError, match="item 2"):
                 derive_affinity(graph, kernel=kernel)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    @pytest.mark.parametrize("kernel", ["self_tuning_gaussian",
+                                        "inverse_distance"])
+    def test_bad_distance_raises_before_numpy_warns(self, bad, kernel):
+        # a hand-built graph: its distances never went through the kNN
+        # search, so derive_affinity checks them itself
+        graph = NeighborGraph(n=3, edges=np.array([[0, 1], [1, 2]]),
+                              distances=np.array([bad, 1.0]), k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError,
+                               match=r"on edge \(0, 1\) must be finite"):
+                derive_affinity(graph, kernel=kernel)
+
     @pytest.mark.parametrize("scheme", ["configuration_null", "uniform"])
     def test_repulsion_edges_need_explicit_scheme(self, scheme):
         neighbors = build_knn_graph(np.array([[0.0], [1.0], [3.0]]), k=1)

@@ -3,6 +3,7 @@ and row selection) and their numpy or plain-Python references must agree
 exactly, and the numpy energy must equal a plain loop over the edges bit
 for bit."""
 
+import ctypes
 import dataclasses
 import os
 import re
@@ -515,8 +516,8 @@ def test_pair_kernels_agree_with_references(rng):
             _same_arrays(got, want)
             for a in got:  # exact size: owns its data, no larger buffer
                 assert a.base is None and a.flags.owndata
-            _same_arrays(kernels._pairs_csr_c(n, *want),
-                         kernels.pairs_csr_py(n, *want))
+            _same_arrays(kernels._pairs_csr_c(n, *want[:2]),
+                         kernels.pairs_csr_py(n, *want[:2]))
     # the weights of a pair's repeats are added in input order
     big = 2.0 ** 53
     _, _, summed = kernels._pairs_c(2, *_triples([0, 1, 0], [1, 0, 1],
@@ -581,10 +582,11 @@ def test_graph_kernels_reject_bad_indices():
     for pairs, pairs_csr, row_nth in _graph_kernels():
         for name, r, c in bad_ends:
             rows, cols, _ = _triples(r, c, vals)
-            for fn in (pairs, pairs_csr):
+            for call in (lambda: pairs(3, rows, cols, vals),
+                         lambda: pairs_csr(3, rows, cols)):
                 with pytest.raises(IndexError,
                                    match=rf"^{name} out of range \[0, 3\)$"):
-                    fn(3, rows, cols, vals)
+                    call()
                 assert rows.tolist() == r and cols.tolist() == c
         for ptr, nth, exc, message in bad_rows:
             with pytest.raises(exc, match=message):
@@ -593,7 +595,7 @@ def test_graph_kernels_reject_bad_indices():
         with pytest.raises(ValueError, match="cols has length 2"):
             pairs(3, rows, cols[:2], vals)
         with pytest.raises(ValueError, match="C-contiguous 1-D int64"):
-            pairs_csr(3, rows.astype(np.int32), cols, vals)
+            pairs_csr(3, rows.astype(np.int32), cols)
 
 
 def test_address_is_the_ctypes_address():
@@ -621,6 +623,22 @@ def test_every_c_status_code_is_mapped():
         assert str(info.value), name
     with pytest.raises(KeyError):
         kernels._raise(min(values) - 1, 3, 4, 5)
+
+
+def test_graph_struct_matches_graph_t():
+    # kernels.Graph declares graph_t's fields in its order, 8 bytes each,
+    # so neither layout has padding and every field lands where C reads it
+    with open(kernels._SOURCE, encoding="utf-8") as fh:
+        body = re.search(r"typedef struct \{([^{}]*)\} graph_t;",
+                         fh.read()).group(1)
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.DOTALL)
+    names = [name for decl in body.split(";")
+             for name in re.findall(r"(\w+)\s*(?:,|$)", decl.strip())]
+    fields = kernels.Graph._fields_
+    assert len(names) >= 16
+    assert names == [name for name, _ in fields]
+    assert all(ctypes.sizeof(kind) == 8 for _, kind in fields)
+    assert ctypes.sizeof(kernels.Graph) == 8 * len(names)
 
 
 @has_compiler
@@ -667,25 +685,70 @@ def test_failed_build_is_remembered(tmp_path, monkeypatch):
         kernels._load_library()
 
 
-# Runs the C level loop, with a toy bit generator, on three small graphs
-# and on one whose indices run out of range; exits 0 only if each call
-# returns the expected status, and each that succeeds canonical labels
-# and a finite energy.
-_SANITIZER_MAIN = r"""
+# The C interface of _kernels.c, declared once for every harness: graph_t
+# and numpy's bitgen_t as the kernels read them, the seven exported
+# kernels, a xorshift64 bitgen_t that counts its draws, and the report
+# line each harness prints per case.
+_PRELUDE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
 
-int64_t level_loop(int64_t, const int64_t *, const int64_t *, int64_t,
-                   const double *, int64_t, const double *, double,
-                   const int64_t *, const int64_t *, int64_t, const double *,
-                   double, int64_t, int64_t, int64_t, double, int64_t *,
-                   double *, void *, uint32_t (*)(void *),
-                   uint64_t (*)(void *));
+typedef struct {
+    int64_t n, m;
+    const int64_t *indptr, *indices;
+    const double *weights;
+    int64_t rep_mode;
+    const double *rep_strength;
+    double rep_denom;
+    int64_t rep_m;
+    const int64_t *rep_indptr, *rep_indices;
+    const double *rep_weights;
+    const int64_t *readers_ptr, *readers, *rep_readers_ptr, *rep_readers;
+} graph_t;
+
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} bitgen_t;
+
+int64_t sweep(const graph_t *, double, int64_t *, const int64_t *, int64_t,
+              double, const bitgen_t *);
+int64_t level_loop(const graph_t *, double, int64_t, int64_t, int64_t,
+                   double, int64_t *, double *, const bitgen_t *);
+int64_t components(const graph_t *, int64_t *, double *);
+int64_t knn(int64_t, int64_t, const double *, int64_t, int64_t, int64_t *,
+            double *);
+int64_t pairs(int64_t, int64_t, const int64_t *, const int64_t *,
+              const double *, int64_t, int64_t *, int64_t *, double *);
+int64_t pairs_csr(int64_t, int64_t, const int64_t *, const int64_t *,
+                  int64_t *, int64_t *, int64_t *);
+int64_t row_nth(int64_t, const int64_t *, int64_t, const double *,
+                const int64_t *, double *);
+
+/* The CSR (ptr, idx, w) over n items with the repulsion model, its CSR
+ * (rptr, ridx, rw) NULL for product form; the readers are the kernels'. */
+static graph_t graph(int64_t n, const int64_t *ptr, const int64_t *idx,
+                     const double *w, int64_t rep_mode, const double *rho,
+                     double denom, const int64_t *rptr, const int64_t *ridx,
+                     const double *rw)
+{
+    return (graph_t){n, ptr[n], ptr, idx, w, rep_mode, rho, denom,
+                     rptr ? rptr[n] : 0, rptr, ridx, rw, NULL, NULL, NULL,
+                     NULL};
+}
+
+static long draws;  /* numbers drawn from any xorshift generator */
 
 static uint64_t next64(void *state)
 {
     uint64_t *x = state;  /* xorshift64 */
+    draws++;
     *x ^= *x << 13;
     *x ^= *x >> 7;
     *x ^= *x << 17;
@@ -694,28 +757,41 @@ static uint64_t next64(void *state)
 
 static uint32_t next32(void *state) { return (uint32_t)(next64(state) >> 32); }
 
-static int run(const char *name, int64_t n, const int64_t *ptr,
-               const int64_t *idx, const double *w, int64_t rep_mode,
-               const double *rho, double denom, const int64_t *rptr,
-               const int64_t *ridx, const double *rw, double gamma,
-               int64_t want)
+/* A bit generator over `state`, which it seeds. */
+static bitgen_t xorshift(uint64_t *state)
+{
+    *state = 88172645463325252ULL;
+    return (bitgen_t){state, next64, next32, NULL, NULL};
+}
+
+static int report(const char *name, int64_t status, int ok)
+{
+    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
+    return !ok;
+}
+"""
+
+# Runs the C level loop, with a toy bit generator, on three small graphs
+# and on one whose indices run out of range; exits 0 only if each call
+# returns the expected status, and each that succeeds canonical labels
+# and a finite energy.
+_SANITIZER_MAIN = r"""
+static int run(const char *name, graph_t g, double gamma, int64_t want)
 {
     int64_t out[8];
     double energy[2];
-    uint64_t state = 88172645463325252ULL;
-    int64_t status = level_loop(n, ptr, idx, ptr[n], w, rep_mode, rho, denom,
-                                rptr, ridx, rptr ? rptr[n] : 0, rw, gamma,
-                                32, 100, 1000, 1e-12, out, energy, &state,
-                                next32, next64);
+    uint64_t state;
+    bitgen_t rng = xorshift(&state);
+    int64_t status = level_loop(&g, gamma, 32, 100, 1000, 1e-12, out, energy,
+                                &rng);
     int ok = status == want;
-    for (int64_t i = 0, top = -1; ok && status == 0 && i < n; i++) {
+    for (int64_t i = 0, top = -1; ok && status == 0 && i < g.n; i++) {
         ok = out[i] >= 0 && out[i] <= top + 1;
         top = out[i] > top ? out[i] : top;
     }
     if (ok && status == 0)
         ok = isfinite(energy[0]) && isfinite(energy[1]);
-    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
-    return !ok;
+    return report(name, status, ok);
 }
 
 int main(void)
@@ -732,14 +808,14 @@ int main(void)
     const int64_t rep_idx[] = {5, 4, 3, 2, 1, 0};
     const double rep_w[] = {1, 2, 4, 4, 2, 1}, zeros[6] = {0};
     const int64_t bad_idx[] = {1, 2, 0, 2, 0, 3};
-    return run("triangle", 3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0, NULL,
-               NULL, NULL, 1.0, 0)
-        | run("two pairs", 4, pairs_ptr, pairs_idx, pairs_w, 0, pairs_rho,
-              12.0, NULL, NULL, NULL, 1.0, 0)
-        | run("explicit", 6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
-              rep_ptr, rep_idx, rep_w, 0.5, 0)
-        | run("bad indices", 3, tri_ptr, bad_idx, tri_w, 0, ones, 3.0, NULL,
-              NULL, NULL, 1.0, -4);
+    return run("triangle", graph(3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0,
+                                 NULL, NULL, NULL), 1.0, 0)
+        | run("two pairs", graph(4, pairs_ptr, pairs_idx, pairs_w, 0,
+                                 pairs_rho, 12.0, NULL, NULL, NULL), 1.0, 0)
+        | run("explicit", graph(6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
+                                rep_ptr, rep_idx, rep_w), 0.5, 0)
+        | run("bad indices", graph(3, tri_ptr, bad_idx, tri_w, 0, ones, 3.0,
+                                   NULL, NULL, NULL), 1.0, -4);
 }
 """
 
@@ -769,12 +845,12 @@ def sanitized_kernels(tmp_path_factory):
 
 
 def _run_sanitized(tmp_path, sanitized_kernels, driver, *link_flags):
-    """`driver` (C source) linked with the sanitized kernels object and
-    run with LeakSanitizer on; asserts that it exits 0 and returns its
-    output."""
+    """`driver` (C source, after the shared prelude) linked with the
+    sanitized kernels object and run with LeakSanitizer on; asserts that
+    it exits 0 and returns its output."""
     compiler, obj = sanitized_kernels
     main = tmp_path / "main.c"
-    main.write_text(driver)
+    main.write_text(_PRELUDE + driver)
     exe = tmp_path / "check"
     built = subprocess.run(
         [compiler, "-O1", "-g", "-ffp-contract=off", *SANITIZE, *link_flags,
@@ -800,32 +876,18 @@ def test_level_loop_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
 # expected status, and each that succeeds the expected labels and a
 # finite energy.
 _COMPONENTS_SANITIZER_MAIN = r"""
-#include <math.h>
-#include <stdint.h>
-#include <stdio.h>
-
-int64_t components(int64_t, const int64_t *, const int64_t *, int64_t,
-                   const double *, int64_t, const double *, double,
-                   const int64_t *, const int64_t *, int64_t, const double *,
-                   int64_t *, double *);
-
-static int run(const char *name, int64_t n, const int64_t *ptr,
-               const int64_t *idx, const double *w, int64_t rep_mode,
-               const double *rho, const int64_t *rptr, const int64_t *ridx,
-               const double *rw, int64_t want, const int64_t *labels)
+static int run(const char *name, graph_t g, int64_t want,
+               const int64_t *labels)
 {
     int64_t out[8];
     double energy[2];
-    int64_t status = components(n, ptr, idx, ptr[n], w, rep_mode, rho, 2.0,
-                                rptr, ridx, rptr ? rptr[n] : 0, rw, out,
-                                energy);
+    int64_t status = components(&g, out, energy);
     int ok = status == want;
-    for (int64_t i = 0; ok && status == 0 && i < n; i++)
+    for (int64_t i = 0; ok && status == 0 && i < g.n; i++)
         ok = out[i] == labels[i];
     if (ok && status == 0)
         ok = isfinite(energy[0]) && isfinite(energy[1]);
-    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
-    return !ok;
+    return report(name, status, ok);
 }
 
 int main(void)
@@ -846,20 +908,20 @@ int main(void)
     const int64_t bad_idx[] = {1, 2, 0, 2, 0, 3};
     const int64_t all[] = {0, 0, 0}, first[] = {0}, pair[] = {0, 0, 1};
     const int64_t middle[] = {0, 1, 1, 2};
-    return run("triangle", 3, tri_ptr, tri_idx, tri_w, 0, ones, NULL, NULL,
-               NULL, 0, all)
-        | run("one item", 1, one_ptr, no_idx, no_w, 0, ones, NULL, NULL, NULL,
-              0, first)
-        | run("self-loop", 1, loop_ptr, no_idx, loop_w, 1, zeros, loop_ptr,
-              no_idx, loop_w, 0, first)
-        | run("item with no edge", 3, lone_ptr, lone_idx, lone_w, 0, ones,
-              NULL, NULL, NULL, 0, pair)
-        | run("zero weights", 4, path_ptr, path_idx, path_w, 0, ones, NULL,
-              NULL, NULL, 0, middle)
-        | run("explicit", 4, path_ptr, path_idx, path_w, 1, zeros, rep_ptr,
-              rep_idx, rep_w, 0, middle)
-        | run("bad indices", 3, tri_ptr, bad_idx, tri_w, 0, ones, NULL, NULL,
-              NULL, -4, all);
+    return run("triangle", graph(3, tri_ptr, tri_idx, tri_w, 0, ones, 2.0,
+                                 NULL, NULL, NULL), 0, all)
+        | run("one item", graph(1, one_ptr, no_idx, no_w, 0, ones, 2.0, NULL,
+                                NULL, NULL), 0, first)
+        | run("self-loop", graph(1, loop_ptr, no_idx, loop_w, 1, zeros, 2.0,
+                                 loop_ptr, no_idx, loop_w), 0, first)
+        | run("item with no edge", graph(3, lone_ptr, lone_idx, lone_w, 0,
+                                         ones, 2.0, NULL, NULL, NULL), 0, pair)
+        | run("zero weights", graph(4, path_ptr, path_idx, path_w, 0, ones,
+                                    2.0, NULL, NULL, NULL), 0, middle)
+        | run("explicit", graph(4, path_ptr, path_idx, path_w, 1, zeros, 2.0,
+                                rep_ptr, rep_idx, rep_w), 0, middle)
+        | run("bad indices", graph(3, tri_ptr, bad_idx, tri_w, 0, ones, 2.0,
+                                   NULL, NULL, NULL), -4, all);
 }
 """
 
@@ -877,22 +939,11 @@ def test_components_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
 # ascending (distance, index) order; where all points coincide, also the
 # smallest other indices.
 _KNN_SANITIZER_MAIN = r"""
-#include <math.h>
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
+static uint64_t uniform_state = 88172645463325252ULL;
 
-int64_t knn(int64_t, int64_t, const double *, int64_t, int64_t, int64_t *,
-            double *);
-
-static uint64_t state = 88172645463325252ULL;
-
-static double uniform(void)  /* xorshift64, in [0, 1) */
+static double uniform(void)  /* in [0, 1) */
 {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return (double)(state >> 11) / 9007199254740992.0;
+    return (double)(next64(&uniform_state) >> 11) / 9007199254740992.0;
 }
 
 static int run(const char *name, int64_t n, int64_t d, const double *points,
@@ -912,10 +963,9 @@ static int run(const char *name, int64_t n, int64_t d, const double *points,
             if (ok && tied)
                 ok = j == r + (r >= i);
         }
-    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
     free(nn);
     free(dist);
-    return !ok;
+    return report(name, status, ok);
 }
 
 int main(void)
@@ -965,54 +1015,27 @@ def test_knn_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
 # exits 0 only if each call returns the expected status and leaves every
 # label in range (the rejected labels untouched).
 _SWEEP_SANITIZER_MAIN = r"""
-#include <stdint.h>
-#include <stdio.h>
-#include <string.h>
-
-int64_t sweep(int64_t, const int64_t *, const int64_t *, int64_t,
-              const double *, int64_t, const double *, double,
-              const int64_t *, const int64_t *, int64_t, const double *,
-              double, int64_t *, const int64_t *, int64_t, double,
-              void *, uint32_t (*)(void *), uint64_t (*)(void *));
-
-static uint64_t next64(void *state)
-{
-    uint64_t *x = state;  /* xorshift64 */
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    return *x;
-}
-
-static uint32_t next32(void *state) { return (uint32_t)(next64(state) >> 32); }
-
 /* want >= 0: any status in [1, max_sweeps * n]; with `merged`, also one
  * cluster.  want < 0: that status and the labels as given. */
-static int run(const char *name, int64_t n, const int64_t *ptr,
-               const int64_t *idx, const double *w, int64_t rep_mode,
-               const double *rho, double denom, const int64_t *rptr,
-               const int64_t *ridx, const double *rw, double gamma,
-               int64_t bad_label, int64_t max_sweeps, int64_t want,
-               int merged)
+static int run(const char *name, graph_t g, double gamma, int64_t bad_label,
+               int64_t max_sweeps, int64_t want, int merged)
 {
     int64_t labels[8], given[8], constraint[8] = {0};
-    uint64_t state = 88172645463325252ULL;
-    for (int64_t i = 0; i < n; i++)
+    uint64_t state;
+    bitgen_t rng = xorshift(&state);
+    for (int64_t i = 0; i < g.n; i++)
         labels[i] = i;
     if (want < 0)
-        labels[n - 1] = bad_label;
+        labels[g.n - 1] = bad_label;
     memcpy(given, labels, sizeof labels);
-    int64_t status = sweep(n, ptr, idx, ptr[n], w, rep_mode, rho, denom,
-                           rptr, ridx, rptr ? rptr[n] : 0, rw, gamma, labels,
-                           constraint, max_sweeps, 1e-12, &state, next32,
-                           next64);
+    int64_t status = sweep(&g, gamma, labels, constraint, max_sweeps, 1e-12,
+                           &rng);
     int ok = want < 0 ? status == want && !memcmp(labels, given, sizeof labels)
-                      : status >= 1 && status <= max_sweeps * n;
-    for (int64_t i = 0; ok && want >= 0 && i < n; i++)
-        ok = labels[i] >= 0 && labels[i] < n
+                      : status >= 1 && status <= max_sweeps * g.n;
+    for (int64_t i = 0; ok && want >= 0 && i < g.n; i++)
+        ok = labels[i] >= 0 && labels[i] < g.n
              && (!merged || labels[i] == labels[0]);
-    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
-    return !ok;
+    return report(name, status, ok);
 }
 
 int main(void)
@@ -1027,18 +1050,18 @@ int main(void)
     const int64_t rep_ptr[] = {0, 1, 2, 3, 3, 4, 5};
     const int64_t rep_idx[] = {5, 4, 3, 1, 0};
     const double rep_w[] = {1, 2, 4, 2, 1}, zeros[6] = {0};
+    graph_t tri = graph(3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0, NULL, NULL,
+                        NULL);
+    graph_t path = graph(6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
+                         rep_ptr, rep_idx, rep_w);
     int bad = 0;
     for (int64_t passes = 1; passes <= 100; passes += 99) {
-        bad |= run("triangle", 3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0,
-                   NULL, NULL, NULL, 1.0, 0, passes, 0, passes > 1);
-        bad |= run("explicit", 6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
-                   rep_ptr, rep_idx, rep_w, 0.5, 0, passes, 0, 0);
+        bad |= run("triangle", tri, 1.0, 0, passes, 0, passes > 1);
+        bad |= run("explicit", path, 0.5, 0, passes, 0, 0);
     }
     return bad
-        | run("label n", 3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0, NULL, NULL,
-              NULL, 1.0, 3, 100, -2, 0)
-        | run("label -1", 6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
-              rep_ptr, rep_idx, rep_w, 0.5, -1, 100, -2, 0);
+        | run("label n", tri, 1.0, 3, 100, -2, 0)
+        | run("label -1", path, 0.5, -1, 100, -2, 0);
 }
 """
 
@@ -1051,37 +1074,22 @@ def test_sweep_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     assert out.count("status -2, ok") == 2, out
 
 
-# Runs the exported pair grouping, CSR fill and row selection on entry
+# Runs the exported pair grouping, CSR layout and row selection on entry
 # lists with repeats in both directions, an empty list and one item, each
 # output in a buffer of exactly the size the kernel may write, then with
 # an index out of range; exits 0 only if each call returns the expected
 # status, pairs come out unique, in order and in range, the CSR rows list
-# ascending columns, and each selected value has nth smaller row values.
+# ascending columns, each entry names a pair that joins its row and
+# column, and each selected value has nth smaller row values.
 _GRAPH_SANITIZER_MAIN = r"""
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-
-int64_t pairs(int64_t, int64_t, const int64_t *, const int64_t *,
-              const double *, int64_t, int64_t *, int64_t *, double *);
-int64_t pairs_csr(int64_t, int64_t, const int64_t *, const int64_t *,
-                  const double *, int64_t *, int64_t *, double *);
-int64_t row_nth(int64_t, const int64_t *, int64_t, const double *,
-                const int64_t *, double *);
-
 static void *slots(int64_t count, size_t size)  /* exact, never 0 bytes */
 {
     return malloc((size_t)(count > 0 ? count : 1) * size);
 }
 
-static int report(const char *name, int64_t status, int ok)
-{
-    printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
-    return !ok;
-}
-
-/* pairs of the entries, with and without mean, then their CSR and, when
- * no row is empty, the (i / 2 mod length)-th smallest value of each row */
+/* pairs of the entries, with and without mean, then their CSR layout,
+ * the pair values gathered through it and, when no row is empty, the
+ * (i / 2 mod length)-th smallest value of each row */
 static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
                const int64_t *cols, const double *vals, int64_t want)
 {
@@ -1096,9 +1104,9 @@ static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
                  && (p == 0 || pr[p - 1] < pr[p]
                      || (pr[p - 1] == pr[p] && pc[p - 1] < pc[p]));
         int64_t *ptr = slots(n + 1, 8), *idx = slots(2 * found, 8);
-        int64_t *nth = slots(n, 8);
+        int64_t *pair = slots(2 * found, 8), *nth = slots(n, 8);
         double *w = slots(2 * found, 8), *picked = slots(n, 8);
-        ok = ok && pairs_csr(n, found, pr, pc, pv, ptr, idx, w) == 0
+        ok = ok && pairs_csr(n, found, pr, pc, ptr, idx, pair) == 0
              && ptr[0] == 0 && ptr[n] == 2 * found;
         int full = 1;
         for (int64_t i = 0; ok && i < n; i++) {
@@ -1107,6 +1115,13 @@ static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
             nth[i] = len > 0 ? (i / 2) % len : 0;
             for (int64_t e = ptr[i] + 1; ok && e < ptr[i + 1]; e++)
                 ok = idx[e - 1] < idx[e] || (idx[e - 1] == i && idx[e] == i);
+            for (int64_t e = ptr[i]; ok && e < ptr[i + 1]; e++) {
+                int64_t p = pair[e];
+                ok = p >= 0 && p < found
+                     && ((pr[p] == i && pc[p] == idx[e])
+                         || (pc[p] == i && pr[p] == idx[e]));
+                w[e] = ok ? pv[p] : 0.0;
+            }
         }
         if (ok && full)
             ok = row_nth(n, ptr, 2 * found, w, nth, picked) == 0;
@@ -1124,6 +1139,7 @@ static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
         free(pv);
         free(ptr);
         free(idx);
+        free(pair);
         free(nth);
         free(w);
         free(picked);
@@ -1151,7 +1167,7 @@ int main(void)
         | run("one item", 1, 1, none, none, vals, 1)
         | expect("pairs row 3", pairs(3, 3, far, near, vals, 0, a, b, w), -10)
         | expect("pairs col 3", pairs(3, 3, near, far, vals, 1, a, b, w), -11)
-        | expect("csr row 3", pairs_csr(3, 3, far, near, vals, ptr, a, w), -10)
+        | expect("csr row 3", pairs_csr(3, 3, far, near, ptr, a, b), -10)
         | expect("nth indptr 4", row_nth(2, wide, 3, vals, nth, picked), -3)
         | expect("nth decreasing", row_nth(2, back, 3, vals, nth, picked), -7)
         | expect("nth past row", row_nth(2, good, 3, vals, past, picked), -12);
@@ -1171,39 +1187,10 @@ def test_graph_kernels_are_clean_under_sanitizers(tmp_path,
 # Runs each exported kernel on a small valid input, first with every
 # allocation granted, then with the k-th allocation failing for k = 0, 1,
 # ... until a call succeeds (malloc and calloc wrapped at link time);
-# exits 0 only if every failing call returns the kernel's out-of-memory
-# code, leaves its outputs (and sweep's labels) as they were and draws
-# nothing, and the call that succeeds gives the normal result.
+# exits 0 only if every failing call returns ERR_NOMEM (-1), leaves its
+# outputs (and sweep's labels) as they were and draws nothing, and the
+# call that succeeds gives the normal result.
 _NOMEM_SANITIZER_MAIN = r"""
-#include <stdint.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-
-int64_t sweep(int64_t, const int64_t *, const int64_t *, int64_t,
-              const double *, int64_t, const double *, double,
-              const int64_t *, const int64_t *, int64_t, const double *,
-              double, int64_t *, const int64_t *, int64_t, double,
-              void *, uint32_t (*)(void *), uint64_t (*)(void *));
-int64_t level_loop(int64_t, const int64_t *, const int64_t *, int64_t,
-                   const double *, int64_t, const double *, double,
-                   const int64_t *, const int64_t *, int64_t, const double *,
-                   double, int64_t, int64_t, int64_t, double, int64_t *,
-                   double *, void *, uint32_t (*)(void *),
-                   uint64_t (*)(void *));
-int64_t components(int64_t, const int64_t *, const int64_t *, int64_t,
-                   const double *, int64_t, const double *, double,
-                   const int64_t *, const int64_t *, int64_t, const double *,
-                   int64_t *, double *);
-int64_t knn(int64_t, int64_t, const double *, int64_t, int64_t, int64_t *,
-            double *);
-int64_t pairs(int64_t, int64_t, const int64_t *, const int64_t *,
-              const double *, int64_t, int64_t *, int64_t *, double *);
-int64_t pairs_csr(int64_t, int64_t, const int64_t *, const int64_t *,
-                  const double *, int64_t *, int64_t *, double *);
-int64_t row_nth(int64_t, const int64_t *, int64_t, const double *,
-                const int64_t *, double *);
-
 /* Linked with -Wl,--wrap=malloc,--wrap=calloc, every malloc and calloc of
  * the kernels comes here: with budget >= 0, that many succeed, then every
  * one fails. */
@@ -1230,20 +1217,6 @@ void *__wrap_calloc(size_t count, size_t size)
     return granted() ? __real_calloc(count, size) : NULL;
 }
 
-static long draws;  /* numbers drawn from the generator */
-
-static uint64_t next64(void *state)
-{
-    uint64_t *x = state;  /* xorshift64 */
-    draws++;
-    *x ^= *x << 13;
-    *x ^= *x >> 7;
-    *x ^= *x << 17;
-    return *x;
-}
-
-static uint32_t next32(void *state) { return (uint32_t)(next64(state) >> 32); }
-
 /* a triangle with product-form repulsion; a path 0-1-2-3-4-5 plus 0-2,
  * repelled by 0-5, 1-4 and 2-3 */
 static const int64_t tri_ptr[] = {0, 2, 4, 6}, tri_idx[] = {1, 2, 0, 2, 0, 1};
@@ -1256,45 +1229,57 @@ static const int64_t rep_idx[] = {5, 4, 3, 2, 1, 0};
 static const double rep_w[] = {1, 2, 4, 4, 2, 1}, zeros[6] = {0};
 static const int64_t singletons[] = {0, 1, 2, 3, 4, 5}, apart[6] = {0};
 
+static graph_t triangle(void)
+{
+    return graph(3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0, NULL, NULL, NULL);
+}
+
+static graph_t path(void)
+{
+    return graph(6, path_ptr, path_idx, path_w, 1, zeros, 1.0, rep_ptr,
+                 rep_idx, rep_w);
+}
+
 /* Each runs one kernel on a small valid input with its outputs in `out`
  * (for sweep, the labels it moves) and returns its status. */
 static int64_t sweep_triangle(void *out)
 {
-    uint64_t state = 88172645463325252ULL;
-    return sweep(3, tri_ptr, tri_idx, 6, tri_w, 0, ones, 3.0, NULL, NULL, 0,
-                 NULL, 1.0, out, apart, 100, 1e-12, &state, next32, next64);
+    uint64_t state;
+    bitgen_t rng = xorshift(&state);
+    graph_t g = triangle();
+    return sweep(&g, 1.0, out, apart, 100, 1e-12, &rng);
 }
 
 static int64_t sweep_explicit(void *out)
 {
-    uint64_t state = 88172645463325252ULL;
-    return sweep(6, path_ptr, path_idx, 12, path_w, 1, zeros, 1.0, rep_ptr,
-                 rep_idx, 6, rep_w, 0.5, out, apart, 100, 1e-12, &state,
-                 next32, next64);
+    uint64_t state;
+    bitgen_t rng = xorshift(&state);
+    graph_t g = path();
+    return sweep(&g, 0.5, out, apart, 100, 1e-12, &rng);
 }
 
 static int64_t level_loop_triangle(void *out)
 {
-    uint64_t state = 88172645463325252ULL;
-    return level_loop(3, tri_ptr, tri_idx, 6, tri_w, 0, ones, 3.0, NULL, NULL,
-                      0, NULL, 1.0, 32, 100, 1000, 1e-12, out,
-                      (double *)((int64_t *)out + 3), &state, next32, next64);
+    uint64_t state;
+    bitgen_t rng = xorshift(&state);
+    graph_t g = triangle();
+    return level_loop(&g, 1.0, 32, 100, 1000, 1e-12, out,
+                      (double *)((int64_t *)out + 3), &rng);
 }
 
 static int64_t level_loop_explicit(void *out)
 {
-    uint64_t state = 88172645463325252ULL;
-    return level_loop(6, path_ptr, path_idx, 12, path_w, 1, zeros, 1.0,
-                      rep_ptr, rep_idx, 6, rep_w, 0.5, 32, 100, 1000, 1e-12,
-                      out, (double *)((int64_t *)out + 6), &state, next32,
-                      next64);
+    uint64_t state;
+    bitgen_t rng = xorshift(&state);
+    graph_t g = path();
+    return level_loop(&g, 0.5, 32, 100, 1000, 1e-12, out,
+                      (double *)((int64_t *)out + 6), &rng);
 }
 
 static int64_t components_explicit(void *out)
 {
-    return components(6, path_ptr, path_idx, 12, path_w, 1, zeros, 1.0,
-                      rep_ptr, rep_idx, 6, rep_w, out,
-                      (double *)((int64_t *)out + 6));
+    graph_t g = path();
+    return components(&g, out, (double *)((int64_t *)out + 6));
 }
 
 static int64_t knn_line(void *out)  /* 20 points: the tree splits */
@@ -1318,7 +1303,7 @@ static int64_t pairs_csr_three(void *out)
 {
     const int64_t lo[] = {0, 1, 1}, hi[] = {2, 2, 3};
     int64_t *at = out;
-    return pairs_csr(4, 3, lo, hi, vals, at, at + 5, (double *)(at + 11));
+    return pairs_csr(4, 3, lo, hi, at, at + 5, at + 11);
 }
 
 static int64_t row_nth_three(void *out)
@@ -1331,10 +1316,10 @@ static int64_t row_nth_three(void *out)
 /* Runs `run` with every allocation granted, then with the first k granted
  * for k = 0, 1, ... until a call succeeds.  Before each call `out`
  * (`bytes` long) holds `given`, or else a sentinel fill.  Every failing
- * call must return `nomem`, leave `out` as it was and draw nothing; the
+ * call must return ERR_NOMEM, leave `out` as it was and draw nothing; the
  * call that succeeds must give the first one's status, bytes and draws. */
 static int check(const char *name, int64_t (*run)(void *), size_t bytes,
-                 const int64_t *given, int64_t nomem)
+                 const int64_t *given)
 {
     unsigned char *before = malloc(bytes), *want = malloc(bytes);
     unsigned char *got = malloc(bytes);
@@ -1353,7 +1338,7 @@ static int check(const char *name, int64_t (*run)(void *), size_t bytes,
         budget = failed;
         int64_t status = run(got);
         budget = -1;
-        if (status != nomem) {
+        if (status != -1) {
             ok = status == normal && draws == normal_draws
                  && !memcmp(got, want, bytes);
             break;
@@ -1372,17 +1357,16 @@ static int check(const char *name, int64_t (*run)(void *), size_t bytes,
 int main(void)
 {
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
-    return check("sweep", sweep_triangle, 3 * i64, singletons, -1)
-        | check("sweep explicit", sweep_explicit, 6 * i64, singletons, -1)
-        | check("level_loop", level_loop_triangle, 3 * i64 + 2 * f64, NULL, -1)
+    return check("sweep", sweep_triangle, 3 * i64, singletons)
+        | check("sweep explicit", sweep_explicit, 6 * i64, singletons)
+        | check("level_loop", level_loop_triangle, 3 * i64 + 2 * f64, NULL)
         | check("level_loop explicit", level_loop_explicit, 6 * i64 + 2 * f64,
-                NULL, -1)
-        | check("components", components_explicit, 6 * i64 + 2 * f64, NULL,
-                -1)
-        | check("knn", knn_line, 60 * i64 + 60 * f64, NULL, -9)
-        | check("pairs", pairs_mean, 10 * i64 + 5 * f64, NULL, -1)
-        | check("pairs_csr", pairs_csr_three, 11 * i64 + 6 * f64, NULL, -1)
-        | check("row_nth", row_nth_three, 3 * f64, NULL, -1);
+                NULL)
+        | check("components", components_explicit, 6 * i64 + 2 * f64, NULL)
+        | check("knn", knn_line, 60 * i64 + 60 * f64, NULL)
+        | check("pairs", pairs_mean, 10 * i64 + 5 * f64, NULL)
+        | check("pairs_csr", pairs_csr_three, 17 * i64, NULL)
+        | check("row_nth", row_nth_three, 3 * f64, NULL);
 }
 """
 

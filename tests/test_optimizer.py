@@ -284,6 +284,44 @@ def test_python_phases_match_the_c_level_loop(rng, monkeypatch):
         assert rng_c.bit_generator.state == rng_py.bit_generator.state
 
 
+@needs_cc
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937,
+                                           np.random.Philox, np.random.SFC64])
+def test_c_kernels_draw_from_every_numpy_bit_generator(rng, monkeypatch,
+                                                       bit_generator):
+    # the C kernels draw through numpy's bitgen_t whichever generator
+    # fills it: MT19937 makes its 32-bit numbers natively, where PCG64,
+    # Philox and SFC64 hand out halves of a 64-bit one.  A sweep, then the
+    # level loop from where it left the generator: the references' moves,
+    # labels, energy bytes and generator state
+    for trial, graph, gamma, seed in _level_loop_cases(rng):
+        if trial % 12 > 1:  # a sixth of the cases, both repulsion modes
+            continue
+        gens = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+        labels = [np.arange(graph.n, dtype=np.int64) for _ in range(2)]
+        zeros = np.zeros(graph.n, dtype=np.int64)
+        moved = [sweep(graph.indptr, graph.indices, graph.weights,
+                       graph.rep_mode, graph.rep_strength, graph.rep_denom,
+                       graph.rep_indptr, graph.rep_indices, graph.rep_weights,
+                       gamma, start, zeros, gen, 100)
+                 for sweep, start, gen in zip(
+                     (kernels.sweep, kernels.sweep_py), labels, gens)]
+        assert moved[0] == moved[1], (trial, gamma)
+        assert np.array_equal(*labels), (trial, gamma)
+        # MT19937 and Philox keep arrays in their state
+        np.testing.assert_equal(*(gen.bit_generator.state for gen in gens))
+        labels_c, *energy_c = optimizer._level_loop_c(graph, gamma, gens[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "sweep", kernels.sweep_py)
+            labels_py, *energy_py = optimizer._level_loop_py(graph, gamma,
+                                                             gens[1])
+        assert np.array_equal(labels_c, labels_py), (trial, gamma)
+        assert [np.float64(x).tobytes() for x in energy_c] == [
+            np.float64(x).tobytes() for x in energy_py], (trial, gamma)
+        # MT19937 and Philox keep arrays in their state
+        np.testing.assert_equal(*(gen.bit_generator.state for gen in gens))
+
+
 def _bad_graphs():
     """(name, graph, exception, message) for graphs that no sweep can read."""
     graph = random_affinity(np.random.default_rng(3), scheme="explicit")
