@@ -1,7 +1,8 @@
 /* C ports of the local-moving phase, the level loop of the optimizer, its
  * exact gamma = 0 solve (`components`), the k-nearest-neighbour search, and
- * the pair grouping and per-row selection (`row_nth`) of graph
- * construction.
+ * graph construction: the kNN graph (`knn_graph`), the pair grouping, and
+ * the affinity graph of a neighbour graph (`affinity_layout`,
+ * `affinity_weights`).
  *
  * `sweep` does the floating-point operations of its Python reference
  * (kernels._local_move, with its inner pass _sweep) in the same order, so
@@ -16,14 +17,19 @@
  * kernels.components_py: the connected components over the edges of
  * positive weight, with their (h_a, h_r) summed as the loop sums them.
  * `knn` returns the neighbours and distances of its reference, knn_py,
- * bit for bit.
+ * bit for bit, by a kd-tree search that batches the queries of a leaf and
+ * skips, by a gate on squared sums, only what could not enter (see the
+ * kd-tree section); `knn_graph` runs it and groups the result into the
+ * kNN graph's pairs in the same call, as kernels.knn_graph_py.
  * `pairs` groups (i, j, w) entries into unique pairs, and `pairs_csr`
  * lays pairs out as a CSR, each entry naming its pair, in O(m + n), on
  * the code path of the level loop's aggregation, adding weights in the
- * order of their numpy references (kernels.pairs_py, pairs_csr_py);
- * `row_nth` selects a value in each CSR row, as row_nth_py.  Bit-identity
- * holds only when the compiler keeps IEEE double semantics: build with
- * -ffp-contract=off (no fused multiply-add) and never with -ffast-math.
+ * order of their numpy references (kernels.pairs_py, pairs_csr_py).
+ * `affinity_layout` and `affinity_weights` are graph.derive_affinity
+ * around numpy's exp, as kernels.affinity_layout_py and
+ * affinity_weights_py.  Bit-identity holds only when the compiler keeps
+ * IEEE double semantics: build with -ffp-contract=off (no fused
+ * multiply-add) and never with -ffast-math.
  *
  * The interface: `sweep`, `level_loop` and `components` take the graph as
  * one graph_t (kernels.Graph mirrors it), each deriving its readers in a
@@ -35,7 +41,9 @@
  * range of every value used as an index, and the order of each indptr,
  * are checked here, in one scan before any indexed read; a failed check
  * returns one of the ERR_ codes below and leaves every argument
- * untouched.  kernels._raise maps each code to its exception.
+ * untouched.  So do the faults of a neighbour graph in its data (from
+ * ERR_OVERFLOW on), the edge or item at fault in an `at` slot where one
+ * is named.  kernels._raise maps each code to its exception.
  *
  * Each exported kernel owns its heap buffers through one list per call
  * (buffers_t): each buffer is its own heap block, so a sanitizer bounds
@@ -44,6 +52,7 @@
  * no number drawn, and releases the list on every exit.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -63,7 +72,16 @@
 #define ERR_REP_INDPTR_ORDER (-8)
 #define ERR_ROWS (-10)
 #define ERR_COLS (-11)
-#define ERR_NTH (-12)
+#define ERR_OVERFLOW (-13)
+#define ERR_EDGE (-14)
+#define ERR_DISTANCE (-15)
+#define ERR_ISOLATED (-16)
+#define ERR_SIGMA (-17)
+#define ERR_NONPOSITIVE (-18)
+#define ERR_SIMILARITY (-19)
+#define ERR_ROWSUM (-20)
+#define ERR_ENDS (-21)
+#define ERR_PAIR (-22)
 
 /* A buffer's block: this header, then its slots, aligned for any type. */
 typedef union block {
@@ -622,12 +640,29 @@ int64_t pairs_csr(int64_t n, int64_t p, const int64_t *rows,
 
 /* The nth smallest of a[0..len), 0 <= nth < len, by quickselect (median of
  * three pivot, three-way partition, so a run of equal values is one step);
- * reorders a.  Equal values may come back as either of them: -0.0 for
- * 0.0.  No value may be NaN. */
+ * reorders a.  A range of at most 32 values is finished by moving the
+ * smallest of the rest to the front until position nth is reached, with
+ * conditional moves, no branch on the data to mispredict.  Equal values
+ * may come back as either of them: -0.0 for 0.0.  No value may be NaN. */
 static double nth_smallest(double *a, int64_t len, int64_t nth)
 {
     int64_t lo = 0, hi = len;
     for (;;) {
+        if (hi - lo <= 32) {
+            for (int64_t s = lo;; s++) {  /* the smallest of a[s..hi) to s */
+                int64_t at = s;
+                double least = a[s];
+                for (int64_t j = s + 1; j < hi; j++) {
+                    int less = a[j] < least;
+                    at = less ? j : at;
+                    least = less ? a[j] : least;
+                }
+                a[at] = a[s];
+                a[s] = least;
+                if (s == nth)
+                    return least;
+            }
+        }
         double x = a[lo], y = a[lo + (hi - lo) / 2], z = a[hi - 1];
         double pivot = x < y ? (y < z ? y : (x < z ? z : x))
                              : (x < z ? x : (y < z ? z : y));
@@ -654,37 +689,173 @@ static double nth_smallest(double *a, int64_t len, int64_t nth)
     }
 }
 
-/* out[i] = the nth[i]-th smallest value (from 0) of row i of the CSR
- * (indptr, values) over n rows and m values, as kernels.row_nth_py: a
- * selection, so every result is one of the row's values.  Returns 0, or
- * an ERR_ code with nothing written.  Scratch: the longest row. */
-int64_t row_nth(int64_t n, const int64_t *indptr, int64_t m,
-                const double *values, const int64_t *nth, double *out)
+/* ---- the affinity graph of a neighbour graph (graph.derive_affinity) ----
+ *
+ * Two calls around numpy's exp, whose SIMD path is host-specific, each
+ * doing the arithmetic of its numpy reference (kernels.affinity_layout_py,
+ * affinity_weights_py) in the same order: `affinity_layout` checks the
+ * edges and distances in one scan, lays the pairs out with fill_csr, picks
+ * each item's sigma by selection and writes the exponents -d^2 / (s_i s_j)
+ * (or, for the inverse-distance kernel, the similarities 1 / d);
+ * `affinity_weights` takes the similarities to the row sums, added in
+ * np.bincount's order (rows, then cols), the symmetrised weights, their
+ * end sums and their CSR layout. */
+
+/* The first edge t that is not a pair 0 <= i < j < n after the one before
+ * it (so the pairs are unique and in order), with ERR_EDGE, or else whose
+ * distance is not finite and >= 0, with ERR_DISTANCE; *at = t.  Copies
+ * the ends to rows and cols on the way.  Returns 0 when every edge is
+ * good. */
+static int64_t scan_edges(int64_t n, int64_t m, const int64_t *edges,
+                          const double *dist, int64_t *rows, int64_t *cols,
+                          int64_t *at)
 {
-    int64_t err = check_indptr(indptr, n + 1, m + 1, ERR_INDPTR,
-                               ERR_INDPTR_ORDER);
-    if (err)
-        return err;
-    int64_t longest = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t len = indptr[i + 1] - indptr[i];
-        if (nth[i] < 0 || nth[i] >= len)
-            return ERR_NTH;
-        longest = len > longest ? len : longest;
+    for (int64_t t = 0; t < m; t++) {
+        int64_t i = edges[2 * t], j = edges[2 * t + 1];
+        int64_t err = 0;
+        if (!(0 <= i && i < j && j < n)
+                || (t > 0 && !(i > rows[t - 1]
+                               || (i == rows[t - 1] && j > cols[t - 1]))))
+            err = ERR_EDGE;
+        else if (!(dist[t] >= 0.0 && dist[t] < INFINITY))  /* NaN fails */
+            err = ERR_DISTANCE;
+        if (err) {
+            *at = t;
+            return err;
+        }
+        rows[t] = i;
+        cols[t] = j;
     }
+    return 0;
+}
+
+/* Each item's sigma: the rank-th smallest (from 1) of its edge distances,
+ * pushed past its zero distances and capped at its degree, by
+ * nth_smallest on a copy of the row (`row`, n slots); then, when any is
+ * zero, every sigma floored at 1e-12 of the largest, as np.maximum does.
+ * Returns ERR_SIGMA when every sigma is still zero, else 0. */
+static int64_t pick_sigmas(int64_t n, const int64_t *ptr, const int64_t *pair,
+                           const double *dist, int64_t rank, double *row,
+                           double *sigma)
+{
+    double largest = 0.0;
+    int any_zero = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t len = ptr[i + 1] - ptr[i], zeros = 0;
+        for (int64_t e = ptr[i]; e < ptr[i + 1]; e++) {
+            row[e - ptr[i]] = dist[pair[e]];
+            zeros += dist[pair[e]] == 0.0;
+        }
+        int64_t pick = rank - 1 > zeros ? rank - 1 : zeros;
+        sigma[i] = nth_smallest(row, len, pick < len - 1 ? pick : len - 1);
+        any_zero |= sigma[i] <= 0.0;
+        largest = sigma[i] > largest ? sigma[i] : largest;
+    }
+    if (!any_zero)
+        return 0;
+    double least = largest * 1e-12;
+    for (int64_t i = 0; i < n; i++)
+        sigma[i] = sigma[i] < least ? least : sigma[i];
+    return largest > 0.0 ? 0 : ERR_SIGMA;
+}
+
+/* The both-direction CSR of the m edges (i, j) of a neighbour graph over
+ * n items, as kernels.affinity_layout_py: out_ptr (n + 1 slots), out_idx
+ * and out_pair (2 m slots each) as fill_csr writes them, and per edge
+ * (out_vals, m slots) the exponent -d^2 / (sigma_i sigma_j) of the
+ * self-tuning Gaussian with sigma of rank `rank`, or, with `inverse`, the
+ * similarity 1 / d.  Returns 0, or an ERR_ code: ERR_EDGE or ERR_DISTANCE
+ * with the edge in *at, or ERR_ISOLATED with the item, before anything is
+ * written; ERR_SIGMA or ERR_NONPOSITIVE with only the layout written.
+ * Scratch: 2 m + 4 n slots. */
+int64_t affinity_layout(int64_t n, int64_t m, const int64_t *edges,
+                        const double *dist, int64_t rank, int64_t inverse,
+                        int64_t *out_ptr, int64_t *out_idx, int64_t *out_pair,
+                        double *out_vals, int64_t *at)
+{
+    size_t i64 = sizeof(int64_t), f64 = sizeof(double);
     buffers_t b = {NULL, 0};
-    double *row = take(&b, longest, sizeof(double), 0);
-    if (b.failed) {
-        release(&b);
-        return ERR_NOMEM;
+    int64_t *rows = take(&b, m, i64, 0), *cols = take(&b, m, i64, 0);
+    int64_t *degree = take(&b, n, i64, 1), *next = take(&b, n, i64, 0);
+    double *row = take(&b, n, f64, 0), *sigma = take(&b, n, f64, 0);
+    int64_t err = b.failed ? ERR_NOMEM
+        : scan_edges(n, m, edges, dist, rows, cols, at);
+    for (int64_t t = 0; !err && t < m; t++) {
+        degree[rows[t]]++;
+        degree[cols[t]]++;
     }
-    for (int64_t i = 0; i < n; i++) {
-        int64_t len = indptr[i + 1] - indptr[i];
-        memcpy(row, values + indptr[i], (size_t)len * sizeof(double));
-        out[i] = nth_smallest(row, len, nth[i]);
+    for (int64_t i = 0; !err && i < n; i++)
+        if (degree[i] == 0) {
+            *at = i;
+            err = ERR_ISOLATED;
+        }
+    if (!err) {
+        fill_csr(n, m, rows, cols, next, out_ptr, out_idx, out_pair);
+        if (inverse) {
+            for (int64_t t = 0; !err && t < m; t++)
+                if (dist[t] <= 0.0)
+                    err = ERR_NONPOSITIVE;
+            for (int64_t t = 0; !err && t < m; t++)
+                out_vals[t] = 1.0 / dist[t];
+        } else {
+            err = pick_sigmas(n, out_ptr, out_pair, dist, rank, row, sigma);
+            for (int64_t t = 0; !err && t < m; t++)
+                out_vals[t] = -(dist[t] * dist[t])
+                              / (sigma[rows[t]] * sigma[cols[t]]);
+        }
     }
     release(&b);
-    return 0;
+    return err;
+}
+
+/* The weights of the m edges of an affinity_layout, as
+ * kernels.affinity_weights_py: with r_i the sum of item i's similarities
+ * sim, added over the edges' first ends and then their second ends, each
+ * edge's w = 0.5 (s / r_i + s / r_j) (out_w, m slots), each item's
+ * strength, w summed the same way (out_strengths, n slots), and w laid out
+ * through the CSR's pair indices (out_weights, 2 m slots).  Returns 0, or
+ * an ERR_ code with nothing written: ERR_ENDS or ERR_PAIR for an index
+ * out of range, ERR_SIMILARITY unless every similarity is finite and one
+ * is positive, ERR_ROWSUM for an item whose similarities sum to <= 0.
+ * Scratch: n slots. */
+int64_t affinity_weights(int64_t n, int64_t m, const int64_t *edges,
+                         const int64_t *pair, const double *sim,
+                         double *out_w, double *out_strengths,
+                         double *out_weights)
+{
+    int64_t err = check_range(edges, 2 * m, n, ERR_ENDS);
+    if (!err)
+        err = check_range(pair, 2 * m, m, ERR_PAIR);
+    int positive = 0;
+    for (int64_t t = 0; !err && t < m; t++) {
+        if (!isfinite(sim[t]))
+            err = ERR_SIMILARITY;
+        positive |= sim[t] > 0.0;
+    }
+    if (err || !positive)
+        return err ? err : ERR_SIMILARITY;
+    buffers_t b = {NULL, 0};
+    double *rowsum = take(&b, n, sizeof(double), 1);
+    err = b.failed ? ERR_NOMEM : 0;
+    for (int64_t end = 0; !err && end < 2; end++)
+        for (int64_t t = 0; t < m; t++)
+            rowsum[edges[2 * t + end]] += sim[t];
+    for (int64_t i = 0; !err && i < n; i++)
+        if (rowsum[i] <= 0.0)
+            err = ERR_ROWSUM;
+    if (!err) {
+        memset(out_strengths, 0, (size_t)n * sizeof(double));
+        for (int64_t t = 0; t < m; t++)
+            out_w[t] = 0.5 * (sim[t] / rowsum[edges[2 * t]]
+                              + sim[t] / rowsum[edges[2 * t + 1]]);
+        for (int64_t end = 0; end < 2; end++)
+            for (int64_t t = 0; t < m; t++)
+                out_strengths[edges[2 * t + end]] += out_w[t];
+        for (int64_t e = 0; e < 2 * m; e++)
+            out_weights[e] = out_w[pair[e]];
+    }
+    release(&b);
+    return err;
 }
 
 /* ---- the level loop of optimizer.optimize ----
@@ -962,18 +1133,36 @@ int64_t components(const graph_t *g, int64_t *out, double *energy)
 
 /* ---- exact k-nearest-neighbour search on a kd-tree ----
  *
- * Three rules make the tree's answer the brute-force one, bit for bit:
- * a distance is summed from 0.0 in coordinate order, then put on its
- * final scale (sqrt, or 0.5 * for cosine), as knn_py does; a box's lower
- * bound is summed the same way from per-coordinate gaps that are never
- * larger than the point's differences, so, rounding being monotone, it
- * never exceeds the distance of a point inside the box; and a box is
- * skipped only when its (bound, smallest index) comes after the heap's
- * worst (distance, index), so no point in it could displace that worst.
+ * The tree's answer is the brute-force one, bit for bit:
+ * - a distance is a squared sum from 0.0 in coordinate order, put on its
+ *   final scale (sqrt, or 0.5 * for cosine), as knn_py does; and the k best
+ *   by (distance, index) are the same set in whatever order candidates come;
+ * - a bound is summed the same way from per-coordinate gaps that are never
+ *   larger than the differences of the points it bounds, so, rounding being
+ *   monotone, a box's bound never exceeds the squared sum of a point in it;
+ * - a query's gate is a squared sum past which the final scale lands
+ *   strictly above its list's worst distance w: w^2 (1 + 2^-50), or
+ *   2 w (1 + 2^-50) for cosine, plus DBL_MIN.  In the normal range its two
+ *   roundings leave it above w^2 (1 + 2^-51), so a sum past it has a square
+ *   root more than half an ulp above w, which rounds above w; DBL_MIN
+ *   covers squares rounded in the subnormal range.  A candidate past its
+ *   gate could not enter the list and costs no sqrt; every other candidate
+ *   takes the exact (distance, index) comparison;
+ * - a node is skipped only when its bound is past the gates, or when its
+ *   (bound, smallest index) comes after the worst (distance, index) of
+ *   every full list, so that a large group of equal distances is searched
+ *   in index order without visiting the rest of the group.
+ * Queries go in batches, the points of one leaf, each with a list of its k
+ * best, sorted.  A batch starts from its group, the smallest node over the
+ * leaf with more than k points: the group's points fill each query's list,
+ * which sets its gate.  Then the batch walks the rest of the tree once,
+ * skipping a node whose bound from the leaf's box is past every query's
+ * gate, and, in each leaf it reaches, a query whose bound from its own
+ * point is past its own gate.  The squared sums from a query to a
+ * leaf's points advance side by side, a coordinate at a time, over a copy
+ * of the points stored coordinate by coordinate.
  * Nodes split at the median of (coordinate, index) on their widest
- * dimension: a box of identical points splits in index order, so the
- * smallest indices of a large group of equal distances are found without
- * visiting the rest of the group. */
+ * dimension: a box of identical points splits in index order. */
 
 #define LEAF_SIZE 16
 
@@ -984,12 +1173,20 @@ typedef struct {
     int64_t min_index;   /* smallest item index among its points */
 } kdnode_t;
 
+/* A coordinate and its item: the split's (coordinate, index) order. */
 typedef struct {
-    int64_t d, k, half_square;
+    double key;
+    int64_t index;
+} keyed_t;
+
+typedef struct {
+    int64_t n, d, k, half_square;
     double *pts;       /* points in tree order, d per row */
+    double *cols;      /* the same, n per coordinate */
     int64_t *perm;     /* item index at each tree position */
     kdnode_t *nodes;
     double *boxes;     /* per node, d lower then d upper bounds */
+    keyed_t *keys;     /* the split's scratch, n slots */
     int64_t count;     /* nodes built so far */
 } kdtree_t;
 
@@ -997,6 +1194,20 @@ typedef struct {
     double dist;
     int64_t index;
 } neighbour_t;
+
+/* The queries of one leaf: its points, each with the list of its k best
+ * so far, ascending by (distance, index).  Their group is the smallest
+ * node over the leaf, the leaf included, with more than k points: at most
+ * max(LEAF_SIZE, 2 k + 1) points, since its child holds at most k. */
+typedef struct {
+    int64_t leaf, first, count;      /* the leaf, its first position, size */
+    int64_t group;
+    neighbour_t *best;               /* LEAF_SIZE lists of k */
+    int64_t size[LEAF_SIZE];         /* entries in each list */
+    double gate[LEAF_SIZE];          /* INFINITY until a list has a bound */
+    double max_gate;                 /* the largest of them */
+    double *near;                    /* a query's squared sums to the group */
+} batch_t;
 
 /* Nodes of a subtree over m points. */
 static int64_t node_count(int64_t m)
@@ -1010,28 +1221,31 @@ static int after(double da, int64_t ia, double db, int64_t ib)
     return da > db || (da == db && ia > ib);
 }
 
-/* Reorder perm[lo..hi) so that position nth holds the item it would hold
- * sorted by (points[item][dim], item), smaller keys before it and larger
- * after (quickselect, Lomuto partition, median-of-three pivot). */
-static void select_nth(const double *points, int64_t d, int64_t dim,
-                       int64_t *perm, int64_t lo, int64_t hi, int64_t nth)
+static int key_after(keyed_t a, keyed_t b)
 {
-#define KEY_AFTER(a, b) after(points[(a) * d + dim], (a), \
-                              points[(b) * d + dim], (b))
-#define SWAP(x, y) do { int64_t tmp_ = perm[x]; perm[x] = perm[y]; \
-                        perm[y] = tmp_; } while (0)
+    return after(a.key, a.index, b.key, b.index);
+}
+
+/* Reorder keys[lo..hi) so that position nth holds the key it would hold
+ * sorted, smaller keys before it and larger after (quickselect, Lomuto
+ * partition, median-of-three pivot). */
+static void select_nth(keyed_t *keys, int64_t lo, int64_t hi, int64_t nth)
+{
+#define SWAP(x, y) do { keyed_t tmp_ = keys[x]; keys[x] = keys[y]; \
+                        keys[y] = tmp_; } while (0)
     while (hi - lo > 1) {
         int64_t mid = lo + (hi - lo) / 2, last = hi - 1;
-        if (KEY_AFTER(perm[lo], perm[mid]))
+        if (key_after(keys[lo], keys[mid]))
             SWAP(lo, mid);
-        if (KEY_AFTER(perm[mid], perm[last]))
+        if (key_after(keys[mid], keys[last]))
             SWAP(mid, last);
-        if (KEY_AFTER(perm[lo], perm[mid]))
+        if (key_after(keys[lo], keys[mid]))
             SWAP(lo, mid);
         SWAP(mid, last);  /* the median of the three is the pivot */
-        int64_t pivot = perm[last], store = lo;
+        keyed_t pivot = keys[last];
+        int64_t store = lo;
         for (int64_t x = lo; x < last; x++)
-            if (KEY_AFTER(pivot, perm[x])) {
+            if (key_after(pivot, keys[x])) {
                 SWAP(x, store);
                 store++;
             }
@@ -1043,7 +1257,6 @@ static void select_nth(const double *points, int64_t d, int64_t dim,
         else
             lo = store + 1;
     }
-#undef KEY_AFTER
 #undef SWAP
 }
 
@@ -1062,14 +1275,11 @@ static int64_t build(kdtree_t *t, const double *points, int64_t start,
         lo[c] = hi[c] = points[t->perm[start] * d + c];
     for (int64_t p = start + 1; p < end; p++) {
         int64_t j = t->perm[p];
-        if (j < node->min_index)
-            node->min_index = j;
-        for (int64_t c = 0; c < d; c++) {
-            double v = points[j * d + c];
-            if (v < lo[c])
-                lo[c] = v;
-            if (v > hi[c])
-                hi[c] = v;
+        const double *x = points + j * d;
+        node->min_index = j < node->min_index ? j : node->min_index;
+        for (int64_t c = 0; c < d; c++) {  /* conditional moves, no branch */
+            lo[c] = x[c] < lo[c] ? x[c] : lo[c];
+            hi[c] = x[c] > hi[c] ? x[c] : hi[c];
         }
     }
     if (end - start <= LEAF_SIZE)
@@ -1079,7 +1289,11 @@ static int64_t build(kdtree_t *t, const double *points, int64_t start,
         if (hi[c] - lo[c] > hi[dim] - lo[dim])
             dim = c;
     int64_t mid = start + (end - start) / 2;
-    select_nth(points, d, dim, t->perm, start, end, mid);
+    for (int64_t p = start; p < end; p++)
+        t->keys[p] = (keyed_t){points[t->perm[p] * d + dim], t->perm[p]};
+    select_nth(t->keys, start, end, mid);
+    for (int64_t p = start; p < end; p++)
+        t->perm[p] = t->keys[p].index;
     build(t, points, start, mid);
     t->nodes[id].right = build(t, points, mid, end);
     return id;
@@ -1090,8 +1304,34 @@ static double final_scale(const kdtree_t *t, double sq)
     return t->half_square ? 0.5 * sq : sqrt(sq);
 }
 
-/* Lower bound on the distance from q to any point in the node's box. */
-static double box_bound(const kdtree_t *t, int64_t id, const double *q)
+/* The squared sum past which the final scale lands strictly above w. */
+static double gate_of(const kdtree_t *t, double w)
+{
+    double edge = t->half_square ? 2.0 * w : w * w;
+    return edge * (1.0 + 0x1p-50) + DBL_MIN;
+}
+
+/* sq[x - start] = the squared differences of q and the point at tree
+ * position x, summed from 0.0 in coordinate order, for x in [start, end):
+ * the sums advance side by side, a coordinate at a time. */
+static void squared_sums(const kdtree_t *t, const double *q, int64_t start,
+                         int64_t end, double *sq)
+{
+    int64_t len = end - start;
+    for (int64_t x = 0; x < len; x++)
+        sq[x] = 0.0;
+    for (int64_t c = 0; c < t->d; c++) {
+        const double *col = t->cols + c * t->n + start;
+        double qc = q[c];
+        for (int64_t x = 0; x < len; x++) {
+            double diff = qc - col[x];
+            sq[x] += diff * diff;
+        }
+    }
+}
+
+/* Squared lower bound on the distance from q to the node's box. */
+static double point_bound(const kdtree_t *t, int64_t id, const double *q)
 {
     const double *lo = t->boxes + 2 * t->d * id, *hi = lo + t->d;
     double sq = 0.0;
@@ -1103,87 +1343,139 @@ static double box_bound(const kdtree_t *t, int64_t id, const double *q)
             gap = q[c] - hi[c];
         sq += gap * gap;
     }
-    return final_scale(t, sq);
+    return sq;
 }
 
-/* Max-heap of the k best (distance, index) pairs found so far. */
-typedef struct {
-    neighbour_t *item;
-    int64_t size, k;
-} heap_t;
-
-static void sift_down(heap_t *h, int64_t at)
+/* Squared lower bound on the distance between points of two nodes' boxes. */
+static double box_bound(const kdtree_t *t, int64_t a, int64_t b)
 {
-    neighbour_t moving = h->item[at];
-    for (;;) {
-        int64_t child = 2 * at + 1;
-        if (child >= h->size)
-            break;
-        if (child + 1 < h->size
-                && after(h->item[child + 1].dist, h->item[child + 1].index,
-                         h->item[child].dist, h->item[child].index))
-            child++;
-        if (!after(h->item[child].dist, h->item[child].index,
-                   moving.dist, moving.index))
-            break;
-        h->item[at] = h->item[child];
-        at = child;
+    const double *alo = t->boxes + 2 * t->d * a, *ahi = alo + t->d;
+    const double *blo = t->boxes + 2 * t->d * b, *bhi = blo + t->d;
+    double sq = 0.0;
+    for (int64_t c = 0; c < t->d; c++) {
+        double gap = 0.0;
+        if (ahi[c] < blo[c])
+            gap = blo[c] - ahi[c];
+        else if (alo[c] > bhi[c])
+            gap = alo[c] - bhi[c];
+        sq += gap * gap;
     }
-    h->item[at] = moving;
+    return sq;
 }
 
-/* Keep (dist, index) if it is among the k best so far. */
-static void offer(heap_t *h, double dist, int64_t index)
+/* The batch's max_gate, from its queries' gates. */
+static void widest_gate(batch_t *q)
 {
-    if (h->size < h->k) {
-        int64_t at = h->size++;
-        while (at > 0) {
-            int64_t up = (at - 1) / 2;
-            if (!after(dist, index, h->item[up].dist, h->item[up].index))
-                break;
-            h->item[at] = h->item[up];
-            at = up;
-        }
-        h->item[at].dist = dist;
-        h->item[at].index = index;
-    } else if (after(h->item[0].dist, h->item[0].index, dist, index)) {
-        h->item[0].dist = dist;
-        h->item[0].index = index;
-        sift_down(h, 0);
+    q->max_gate = 0.0;
+    for (int64_t u = 0; u < q->count; u++)
+        if (q->gate[u] > q->max_gate)
+            q->max_gate = q->gate[u];
+}
+
+/* Offer item j, at squared sum sq, to query u's list. */
+static void offer(const kdtree_t *t, batch_t *q, int64_t u, double sq,
+                  int64_t j)
+{
+    if (sq > q->gate[u])
+        return;
+    double dist = final_scale(t, sq);
+    neighbour_t *list = q->best + u * t->k;
+    int64_t at = q->size[u];
+    if (at == t->k) {
+        if (!after(list[at - 1].dist, list[at - 1].index, dist, j))
+            return;
+        at--;
+    } else {
+        q->size[u]++;
     }
+    for (; at > 0 && after(list[at - 1].dist, list[at - 1].index, dist, j);
+         at--)
+        list[at] = list[at - 1];
+    list[at].dist = dist;
+    list[at].index = j;
+    if (q->size[u] == t->k)
+        q->gate[u] = gate_of(t, list[t->k - 1].dist);
 }
 
-/* No point of the node can enter the full heap: its (bound, smallest
- * index) comes after the worst. */
-static int prunable(const kdtree_t *t, const heap_t *h, int64_t id,
-                    double bound)
+/* Start the batch of a leaf: every query's list from its group's points,
+ * the candidates nearest at hand, which fill it and so set its gate. */
+static void start_batch(const kdtree_t *t, int64_t leaf, batch_t *q)
 {
-    return h->size == h->k && after(bound, t->nodes[id].min_index,
-                                    h->item[0].dist, h->item[0].index);
+    const kdnode_t *nodes = t->nodes;
+    q->leaf = leaf;
+    q->first = nodes[leaf].start;
+    q->count = nodes[leaf].end - q->first;
+    q->group = 0;
+    while (nodes[q->group].right >= 0) {
+        int64_t child = q->first < nodes[q->group + 1].end
+                            ? q->group + 1 : nodes[q->group].right;
+        if (nodes[child].end - nodes[child].start <= t->k)
+            break;
+        q->group = child;
+    }
+    int64_t start = nodes[q->group].start, end = nodes[q->group].end;
+    for (int64_t u = 0; u < q->count; u++) {
+        int64_t self = q->first + u;
+        q->size[u] = 0;
+        q->gate[u] = INFINITY;
+        squared_sums(t, t->pts + self * t->d, start, end, q->near);
+        for (int64_t x = start; x < end; x++)
+            if (x != self)
+                offer(t, q, u, q->near[x - start], t->perm[x]);
+    }
+    widest_gate(q);
 }
 
-static void search(const kdtree_t *t, int64_t id, const double *q,
-                   int64_t self, heap_t *h)
+/* Whether no point of the node, at squared bound `bound` from the leaf's
+ * box, can enter any list of the batch. */
+static int skip(const kdtree_t *t, const batch_t *q, int64_t id, double bound)
+{
+    if (bound > q->max_gate)
+        return 1;
+    double dist = final_scale(t, bound);
+    int64_t min_index = t->nodes[id].min_index;
+    for (int64_t u = 0; u < q->count; u++) {
+        const neighbour_t *worst = q->best + u * t->k + t->k - 1;
+        if (bound <= q->gate[u] && (q->size[u] < t->k
+                || !after(dist, min_index, worst->dist, worst->index)))
+            return 0;
+    }
+    return 1;
+}
+
+/* Offer every point of a leaf other than the batch's own to each query
+ * whose bound from its point to the leaf's box is within its gate. */
+static void scan_leaf(const kdtree_t *t, int64_t id, batch_t *q)
+{
+    int64_t d = t->d;
+    const kdnode_t *node = &t->nodes[id];
+    double sq[LEAF_SIZE];
+    for (int64_t u = 0; u < q->count; u++) {
+        const double *p = t->pts + (q->first + u) * d;
+        if (point_bound(t, id, p) > q->gate[u])
+            continue;
+        squared_sums(t, p, node->start, node->end, sq);
+        for (int64_t x = node->start; x < node->end; x++)
+            offer(t, q, u, sq[x - node->start], t->perm[x]);
+    }
+    widest_gate(q);
+}
+
+/* Walk the subtree of node id for the batch, the nearer child first,
+ * leaving out the group, whose points the batch started from. */
+static void visit(const kdtree_t *t, int64_t id, batch_t *q)
 {
     const kdnode_t *node = &t->nodes[id];
+    if (id == q->group)
+        return;
     if (node->right < 0) {
-        for (int64_t p = node->start; p < node->end; p++) {
-            int64_t j = t->perm[p];
-            if (j == self)
-                continue;
-            const double *x = t->pts + p * t->d;
-            double sq = 0.0;
-            for (int64_t c = 0; c < t->d; c++) {
-                double diff = q[c] - x[c];
-                sq += diff * diff;
-            }
-            offer(h, final_scale(t, sq), j);
-        }
+        scan_leaf(t, id, q);
         return;
     }
     /* the nearer child first, by (bound, smallest index) */
     int64_t a = id + 1, b = node->right;
-    double bound_a = box_bound(t, a, q), bound_b = box_bound(t, b, q);
+    double bound_a = box_bound(t, q->leaf, a);
+    double bound_b = box_bound(t, q->leaf, b);
     if (after(bound_a, t->nodes[a].min_index, bound_b, t->nodes[b].min_index)) {
         int64_t child = a;
         double bound = bound_a;
@@ -1192,10 +1484,54 @@ static void search(const kdtree_t *t, int64_t id, const double *q,
         b = child;
         bound_b = bound;
     }
-    if (!prunable(t, h, a, bound_a))
-        search(t, a, q, self, h);
-    if (!prunable(t, h, b, bound_b))
-        search(t, b, q, self, h);
+    if (!skip(t, q, a, bound_a))
+        visit(t, a, q);
+    if (!skip(t, q, b, bound_b))
+        visit(t, b, q);
+}
+
+/* The tree's and the batch's buffers for n points in d dimensions, taken
+ * from b. */
+static void search_alloc(buffers_t *b, kdtree_t *t, batch_t *q, int64_t n,
+                         int64_t d, int64_t k, int64_t half_square)
+{
+    int64_t nodes = node_count(n);
+    *t = (kdtree_t){n, d, k, half_square, take(b, n * d, sizeof(double), 0),
+                    take(b, n * d, sizeof(double), 0),
+                    take(b, n, sizeof(int64_t), 0),
+                    take(b, nodes, sizeof(kdnode_t), 0),
+                    take(b, 2 * d * nodes, sizeof(double), 0),
+                    take(b, n, sizeof(keyed_t), 0), 0};
+    int64_t width = 2 * k + 1 > LEAF_SIZE ? 2 * k + 1 : LEAF_SIZE;
+    q->best = take(b, LEAF_SIZE * k, sizeof(neighbour_t), 0);
+    q->near = take(b, width < n ? width : n, sizeof(double), 0);
+}
+
+/* Each item's k nearest others, rows of nn / nn_dist (n x k) ascending by
+ * (distance, index), one batch per leaf. */
+static void search(kdtree_t *t, batch_t *q, int64_t n, const double *points,
+                   int64_t *nn, double *nn_dist)
+{
+    int64_t d = t->d, k = t->k;
+    for (int64_t i = 0; i < n; i++)
+        t->perm[i] = i;
+    build(t, points, 0, n);
+    for (int64_t p = 0; p < n; p++)
+        for (int64_t c = 0; c < d; c++)
+            t->pts[p * d + c] = t->cols[c * n + p] = points[t->perm[p] * d + c];
+    for (int64_t leaf = 0; leaf < t->count; leaf++) {
+        if (t->nodes[leaf].right >= 0)
+            continue;
+        start_batch(t, leaf, q);
+        visit(t, 0, q);
+        for (int64_t u = 0; u < q->count; u++) {
+            int64_t i = t->perm[q->first + u];
+            for (int64_t r = 0; r < k; r++) {
+                nn[i * k + r] = q->best[u * k + r].index;
+                nn_dist[i * k + r] = q->best[u * k + r].dist;
+            }
+        }
+    }
 }
 
 /* Each item's k nearest other items by (distance, index), as knn_py:
@@ -1203,40 +1539,64 @@ static void search(const kdtree_t *t, int64_t id, const double *q,
  * is the square root of the squared differences summed from 0.0 in
  * coordinate order, or half that sum with half_square.  The caller
  * passes n x d finite points and 1 <= k <= n - 1.  Scratch: the points in
- * tree order, n indices and at most n / 4 + 1 nodes of 2 d bounds each,
- * so O(n d).  Returns 0, or ERR_NOMEM with nn and nn_dist unwritten. */
+ * tree order twice (by row and by coordinate), 3 n indices, at most
+ * n / 4 + 1 nodes of 2 d bounds each and a batch's lists and group, so
+ * O(n d + k).  Returns 0, or ERR_NOMEM with nn and nn_dist unwritten. */
 int64_t knn(int64_t n, int64_t d, const double *points, int64_t k,
             int64_t half_square, int64_t *nn, double *nn_dist)
 {
-    int64_t nodes = node_count(n);
     buffers_t b = {NULL, 0};
-    kdtree_t t = {d, k, half_square, take(&b, n * d, sizeof(double), 0),
-                  take(&b, n, sizeof(int64_t), 0),
-                  take(&b, nodes, sizeof(kdnode_t), 0),
-                  take(&b, 2 * d * nodes, sizeof(double), 0), 0};
-    heap_t h = {take(&b, k, sizeof(neighbour_t), 0), 0, k};
-    if (b.failed) {
-        release(&b);
-        return ERR_NOMEM;
+    kdtree_t t;
+    batch_t q;
+    search_alloc(&b, &t, &q, n, d, k, half_square);
+    if (!b.failed)
+        search(&t, &q, n, points, nn, nn_dist);
+    release(&b);
+    return b.failed ? ERR_NOMEM : 0;
+}
+
+/* The kNN graph of graph.build_knn_graph, as kernels.knn_graph_py: the
+ * search of `knn`, then the unique pairs (i, j), i < j, of every item and
+ * its k nearest, in lexicographic order, each with the mean of its
+ * entries' distances, grouped by group_pairs.  Writes the pairs to
+ * out_edges (2 n k slots, i then j) and their distances to out_dist (n k
+ * slots) and returns their number, or an ERR_ code with nothing written:
+ * ERR_OVERFLOW when a distance is not finite.  Scratch: that of `knn` and
+ * 5 n k + n + 1 slots. */
+int64_t knn_graph(int64_t n, int64_t d, const double *points, int64_t k,
+                  int64_t half_square, int64_t *out_edges, double *out_dist)
+{
+    int64_t m = n * k;
+    size_t i64 = sizeof(int64_t);
+    buffers_t b = {NULL, 0};
+    kdtree_t t;
+    batch_t q;
+    search_alloc(&b, &t, &q, n, d, k, half_square);
+    int64_t *nn = take(&b, m, i64, 0), *from = take(&b, m, i64, 0);
+    int64_t *rows = take(&b, m, i64, 0), *cols = take(&b, m, i64, 0);
+    int64_t *count = take(&b, n + 1, i64, 0);
+    double *nn_dist = take(&b, m, sizeof(double), 0);
+    int64_t found = ERR_NOMEM;
+    if (!b.failed) {
+        search(&t, &q, n, points, nn, nn_dist);
+        found = 0;
+        for (int64_t e = 0; !found && e < m; e++)
+            if (!(nn_dist[e] < INFINITY))
+                found = ERR_OVERFLOW;
     }
-    for (int64_t i = 0; i < n; i++)
-        t.perm[i] = i;
-    build(&t, points, 0, n);
-    for (int64_t p = 0; p < n; p++)
-        memcpy(t.pts + p * d, points + t.perm[p] * d,
-               (size_t)d * sizeof(double));
-    for (int64_t p = 0; p < n; p++) {
-        int64_t i = t.perm[p];
-        h.size = 0;
-        search(&t, 0, t.pts + p * d, i, &h);
-        /* pop the worst into the last free slot: ascending order */
-        for (int64_t r = k - 1; r >= 0; r--) {
-            nn[i * k + r] = h.item[0].index;
-            nn_dist[i * k + r] = h.item[0].dist;
-            h.item[0] = h.item[--h.size];
-            sift_down(&h, 0);
+    if (!found) {
+        for (int64_t i = 0; i < n; i++)
+            for (int64_t r = 0; r < k; r++)
+                from[i * k + r] = i;
+        /* both directions of a pair carry the same distance, so their
+         * mean is it */
+        found = group_pairs(m, n, from, nn, nn_dist, 1, count, rows, cols,
+                            out_dist);
+        for (int64_t p = 0; p < found; p++) {
+            out_edges[2 * p] = rows[p];
+            out_edges[2 * p + 1] = cols[p];
         }
     }
     release(&b);
-    return 0;
+    return found;
 }

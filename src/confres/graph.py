@@ -84,7 +84,7 @@ def _check_points(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2 or points.shape[1] < 1:
         raise InputError("points must be an n x d matrix with n >= 2, d >= 1")
-    if not np.all(np.isfinite(points)):
+    if not np.isfinite(points).all():
         raise InputError("points contain non-finite coordinates")
     return points
 
@@ -93,13 +93,14 @@ def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
     """Link each item to its k nearest others; edge set is the union.
 
     Ties in distance are broken by smaller item index, so the graph is
-    deterministic for a given point matrix.  The search is
-    `kernels.knn`: an exact kd-tree in C, typically O(n k log n) time,
-    also for large groups of identical points, with O(n k) arrays plus
-    O(n d) C scratch (the points, tree nodes and their boxes) that
-    tracemalloc does not see; or, without the C kernels, a chunked brute
-    force in numpy.  Cosine distance is searched as |u - v|^2 / 2 between
-    unit vectors, which equals 1 - cos.
+    deterministic for a given point matrix.  The graph is one call of
+    `kernels.knn_graph`: an exact kd-tree search in C, batched by leaf,
+    typically O(n k log n) time, also for large groups of identical
+    points, then the O(n k + n) pair grouping of `kernels.pairs`; O(n k)
+    arrays plus O(n (d + k)) C scratch that tracemalloc does not see.
+    Without the C kernels it is a chunked brute force in numpy, then the
+    numpy pair grouping.  Cosine distance is searched as |u - v|^2 / 2
+    between unit vectors, which equals 1 - cos.
     """
     points = _check_points(points)
     n = points.shape[0]
@@ -112,18 +113,8 @@ def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
         points = points / norms[:, None]
     elif metric != "euclidean":
         raise ParameterError(f"unknown metric {metric!r}")
-    # finite coordinates near the float64 limit can give an infinite
-    # distance: an error, raised before any later arithmetic makes it NaN
-    with np.errstate(over="ignore"):
-        nn, nn_dist = kernels.knn(points, k, metric)
-    if not np.all(np.isfinite(nn_dist)):
-        raise NumericalError("a kNN distance overflows float64: the "
-                             "coordinates are too large")
-    # both directions of a pair carry the same distance, so their mean is it
-    rows, cols, dist = _reduce_pairs(n, np.repeat(np.arange(n), k), nn.ravel(),
-                                     nn_dist.ravel(), mean=True)
-    return NeighborGraph(n=n, edges=np.stack([rows, cols], axis=1),
-                         distances=dist, k=k)
+    edges, dist = kernels.knn_graph(points, k, metric)
+    return NeighborGraph(n=n, edges=edges, distances=dist, k=k)
 
 
 def _triples(rows, cols, vals):
@@ -159,16 +150,21 @@ def _end_sums(n, rows, cols, vals):
                        weights=np.concatenate([vals, vals]), minlength=n)
 
 
-def _assemble(n, rows, cols, vals, scheme, rep_pairs=None, layout=None):
-    """The AffinityGraph of the attraction pairs (rows, cols, vals); the
-    weights take the pairs' `kernels.pairs_csr` layout, made here unless
-    given."""
+def _assemble(n, rows, cols, vals, scheme, rep_pairs=None):
+    """The AffinityGraph of the attraction pairs (rows, cols, vals), the
+    weights laid out by `kernels.pairs_csr`."""
     strengths = _end_sums(n, rows, cols, vals)
-    total = float(np.sum(vals))
+    indptr, indices, pair = kernels.pairs_csr(n, rows, cols)
+    return _with_repulsion(n, indptr, indices, vals[pair], strengths,
+                           float(np.sum(vals)), scheme, rep_pairs)
+
+
+def _with_repulsion(n, indptr, indices, weights, strengths, total, scheme,
+                    rep_pairs):
+    """The AffinityGraph of the attraction CSR, its strengths and total
+    weight, with the repulsion of `scheme`."""
     if total <= 0.0:
         raise NumericalError("total attraction weight W must be positive")
-    indptr, indices, pair = layout or kernels.pairs_csr(n, rows, cols)
-    weights = vals[pair]
     kwargs = {}
     if scheme == "configuration_null":
         rep_strength = strengths.copy()
@@ -246,62 +242,59 @@ def from_edge_list(n: int, edges, repulsion_scheme: str = "configuration_null",
     return _assemble(n, rows, cols, vals, repulsion_scheme, rep_pairs)
 
 
+def _edge_arrays(graph: NeighborGraph):
+    """The graph's edges and distances as the kernels read them: a
+    C-contiguous (m, 2) int64 array and m float64 values; InputError
+    unless they have those shapes and the edges are integers."""
+    edges = np.asarray(graph.edges)
+    if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu":
+        raise InputError(f"edges must be an (m, 2) integer array, got shape "
+                         f"{edges.shape} of {edges.dtype}")
+    dist = np.asarray(graph.distances, dtype=np.float64)
+    if dist.shape != (edges.shape[0],):
+        raise InputError(f"distances of shape {dist.shape} for "
+                         f"{edges.shape[0]} edges")
+    return (np.ascontiguousarray(edges, dtype=np.int64),
+            np.ascontiguousarray(dist))
+
+
 def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
                     repulsion_scheme: str = "configuration_null",
                     repulsion_edges=None) -> AffinityGraph:
-    """Kernelize distances, row-normalize, symmetrize w+ = (P + P^T) / 2."""
+    """Kernelize distances, row-normalize, symmetrize w+ = (P + P^T) / 2.
+
+    The graph need not come from `build_knn_graph`: InputError unless its
+    edges are unique pairs (i, j), 0 <= i < j < n, in increasing order,
+    each with a finite distance >= 0, and every item has an edge;
+    ParameterError unless k is an integer >= 1.  Two kernel calls (C, or
+    without it their numpy references), `kernels.affinity_layout` and
+    `kernels.affinity_weights`, around numpy's exp do the work in
+    O(m + n) for m edges, plus a selection per item for the Gaussian's
+    sigma.
+    """
     if kernel not in AFFINITY_KERNELS:
         raise ParameterError(f"unknown kernel {kernel!r}")
     _check_repulsion(repulsion_scheme, repulsion_edges)
+    k = graph.k
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
     n = graph.n
-    rows, cols, dist = _triples(graph.edges[:, 0], graph.edges[:, 1],
-                                graph.distances)
-    # whole-array bounds decide, a NaN failing them; the mask names the edge
-    if dist.shape[0] and not (dist.min() >= 0.0 and dist.max() < np.inf):
-        e = int(np.argmax(~(np.isfinite(dist) & (dist >= 0.0))))
-        raise InputError(f"distance {dist[e]} on edge ({rows[e]}, {cols[e]}) "
-                         f"must be finite and non-negative")
-    # each item's edge distances, one CSR row per item; the weights take
-    # the same layout
-    layout = kernels.pairs_csr(n, rows, cols)
-    indptr, _, pair = layout
-    dist_rows = dist[pair]
-    degree = np.diff(indptr)
-    if np.any(degree == 0):
-        raise InputError(f"item {int(np.argmin(degree))} has no neighbour edge")
-    if kernel == "self_tuning_gaussian":
-        # sigma_i = distance to the ceil(k/2)-th neighbour of i, a selection
-        # in row i.  Where duplicates make it 0, take i's nearest non-zero
-        # distance; only items whose edges are all at distance 0 keep
-        # sigma = 0.
-        rank = max((graph.k + 1) // 2, 1)
-        ends = np.concatenate([rows, cols])
-        d_ends = np.concatenate([dist, dist])
-        zeros = np.bincount(ends[d_ends == 0.0], minlength=n)
-        pick = np.minimum(np.maximum(rank - 1, zeros), degree - 1)
-        sigma = kernels.row_nth(indptr, dist_rows, pick)
-        if np.any(sigma <= 0.0):
-            sigma = np.maximum(sigma, np.max(sigma) * 1e-12)
-        if np.all(sigma <= 0.0):
-            raise NumericalError("degenerate distances: all sigmas are zero")
-        sim = np.exp(-dist ** 2 / (sigma[rows] * sigma[cols]))
-    else:
-        if np.any(dist <= 0.0):
-            raise NumericalError("inverse_distance kernel needs strictly positive distances")
-        sim = 1.0 / dist
-    if not np.all(np.isfinite(sim)) or np.sum(sim) <= 0.0:
-        raise NumericalError("all-zero or non-finite similarities")
+    edges, dist = _edge_arrays(graph)
+    gaussian = kernel == "self_tuning_gaussian"
+    # sigma_i = distance to the ceil(k/2)-th neighbour of i, a selection in
+    # i's edge distances.  Where duplicates make it 0, take i's nearest
+    # non-zero distance; only items whose edges are all at distance 0 keep
+    # sigma = 0.  A rank past n is past every degree, as k itself is.
+    rank = min((int(k) + 1) // 2, n)
+    layout, vals = kernels.affinity_layout(n, edges, dist, rank, not gaussian)
+    sim = np.exp(vals) if gaussian else vals
     # stochastic reweighting: rows of the similarity matrix sum to one
-    rowsum = _end_sums(n, rows, cols, sim)
-    if np.any(rowsum <= 0.0):
-        raise NumericalError("item with all-zero similarities")
-    p_fwd = sim / rowsum[rows]
-    p_bwd = sim / rowsum[cols]
-    w = 0.5 * (p_fwd + p_bwd)
+    w, strengths, weights = kernels.affinity_weights(n, edges, layout[2], sim)
     rep_pairs = None
     if repulsion_edges is not None:
         rep_pairs = _merge_pairs(n, repulsion_edges, label="repulsion")
-    return _assemble(n, rows, cols, w, repulsion_scheme, rep_pairs, layout)
+    return _with_repulsion(n, *layout[:2], weights, strengths,
+                           float(w.sum()), repulsion_scheme, rep_pairs)
 
 
 def _parse_rows(path, body) -> np.ndarray:

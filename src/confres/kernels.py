@@ -33,9 +33,12 @@ or numpy reference that is the fallback and the test oracle:
   laid out as the `Graph` struct the C kernels read, which a caller that
   solves one graph many times (a resolution sweep) takes once.
 - `knn` finds each item's k nearest others by (distance, index) with an
-  exact kd-tree search; `knn_py` does it by chunked brute force.  Both
-  sum a distance from 0.0 in coordinate order, so they return the same
-  bits.
+  exact kd-tree search, the queries of a leaf batched into one walk of the
+  tree; `knn_py` does it by chunked brute force.  Both sum a distance from
+  0.0 in coordinate order, so they return the same bits.  `knn_graph`,
+  the kNN graph of `graph.build_knn_graph`, is the search, its overflow
+  check and `pairs` in one C call; `knn_graph_py` is the same steps on the
+  references.
 - `pairs` reduces (i, j, w) entries to their sorted unique unordered
   pairs, each weight summed in input order (or averaged), and `pairs_csr`
   returns their layout as a both-direction CSR with ascending columns,
@@ -45,15 +48,22 @@ or numpy reference that is the fallback and the test oracle:
   fill, the code path of `level_loop`'s aggregation; `pairs_py` and
   `pairs_csr_py` sort integer keys in numpy.  Both add in input order, as
   np.bincount does, so the bits are the same.
-- `row_nth` selects the nth smallest value of each CSR row, the sigma of
-  `graph.derive_affinity`: quickselect in C, a sort in `row_nth_py`.
+- `affinity_layout` and `affinity_weights` are `graph.derive_affinity`
+  in two C calls around numpy's exp: the first checks a neighbour graph's
+  edges and distances, lays the edges out as `pairs_csr` does, picks each
+  item's sigma by selection and writes the Gaussian's exponents (or the
+  inverse distances); the second turns similarities into the symmetrised
+  weights, their end sums and their CSR layout.  `affinity_layout_py` and
+  `affinity_weights_py` are the numpy code they replace, adding in the
+  same order.
 
 On first import the C file is compiled with `cc` (else `gcc`) into a
 per-user cache, keyed by source, flags and machine type, and loaded with
 ctypes.  Without a compiler, when the build fails, or with
-CONFRES_DISABLE_COMPILED=1, `sweep`, `knn`, `pairs`, `pairs_csr` and
-`row_nth` are the references and the optimizer runs its Python loop and
-`components_py` (identical results, much slower).  A failed build leaves
+CONFRES_DISABLE_COMPILED=1, `sweep`, `knn`, `knn_graph`, `pairs`,
+`pairs_csr`, `affinity_layout` and `affinity_weights` are the references,
+and the optimizer runs its Python loop and `components_py` (identical
+results, much slower).  A failed build leaves
 a marker file beside the cache entry, so later imports do not run the
 compiler again.
 `BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py,
@@ -72,6 +82,8 @@ import tempfile
 import warnings
 
 import numpy as np
+
+from .errors import InputError, NumericalError
 
 # Repulsion modes understood by the kernels.
 REP_PRODUCT = 0   # w-_ij = rho_i * rho_j / rep_denom (configuration-null, uniform)
@@ -447,33 +459,116 @@ def pairs_csr_py(n, rows, cols):
     return indptr, jj[order], order % rows.shape[0]
 
 
-def _check_rows(indptr, values, nth):
-    """Raise ValueError unless the arrays have the dtypes and layout that
-    row_nth reads, one more indptr entry than nth."""
-    _check_array("values", values, _F64)
-    _check_array("nth", nth, _I64)
-    _check_array("indptr", indptr, _I64, nth.shape[0] + 1)
+def knn_graph_py(points, k, metric="euclidean"):
+    """The kNN graph of graph.build_knn_graph: (edges, distances), the
+    sorted unique pairs (i, j), i < j, of every item and each of its k
+    nearest others by `knn_py`, and each pair's distance, the mean of its
+    entries' by `pairs_py`.  Raises NumericalError when a distance
+    overflows float64."""
+    # finite coordinates near the float64 limit can give an infinite
+    # distance: an error, raised before any later arithmetic makes it NaN
+    with np.errstate(over="ignore"):
+        nn, nn_dist = knn_py(points, k, metric)
+    if not np.all(np.isfinite(nn_dist)):
+        _raise(_ERR_OVERFLOW)
+    n = nn.shape[0]
+    # both directions of a pair carry the same distance, so their mean is it
+    rows, cols, dist = pairs_py(n, np.repeat(np.arange(n), k), nn.ravel(),
+                                nn_dist.ravel(), mean=True)
+    return np.stack([rows, cols], axis=1), dist
 
 
-def row_nth_py(indptr, values, nth):
-    """The nth[i]-th smallest value (from 0) of each row i of the CSR
-    (indptr, values); no value may be NaN.
+def _check_edges(edges, dist):
+    """Raise ValueError unless edges is a C-contiguous (m, 2) int64 array
+    and dist a C-contiguous 1-D float64 array of m distances."""
+    if (not isinstance(edges, np.ndarray) or edges.dtype != _I64
+            or edges.ndim != 2 or edges.shape[1] != 2
+            or not edges.flags.c_contiguous):
+        raise ValueError("edges must be a C-contiguous (m, 2) int64 array")
+    _check_array("dist", dist, _F64, edges.shape[0])
 
-    One sort by value, in any order among equal values, then a sort of the
-    unique keys row * m + rank, orders each row's values.  Raises, in the
-    order the C kernel checks, IndexError or ValueError unless indptr is in
-    [0, len(values)] and non-decreasing and each nth[i] indexes row i.
+
+def _site(status, at, edges, dist):
+    """Where the fault of `status` lies: the edge `at` for a bad edge or
+    distance, else the item `at`."""
+    if status not in (_ERR_EDGE, _ERR_DISTANCE):
+        return f"{at}"
+    edge = f"({edges[at, 0]}, {edges[at, 1]})"
+    return edge if status == _ERR_EDGE else f"{dist[at]} on edge {edge}"
+
+
+def affinity_layout_py(n, edges, dist, rank, inverse=False):
+    """(layout, vals) for the m edges of a neighbour graph over n items:
+    `layout` is `pairs_csr_py`'s (indptr, indices, pair) of the edges, and
+    per edge `vals` holds the exponent -d^2 / (sigma_i sigma_j) of the
+    self-tuning Gaussian, or, with `inverse`, the similarity 1 / d.
+
+    sigma_i is the rank-th smallest (from 1) of item i's edge distances,
+    pushed past its zero distances and capped at its degree; where that is
+    0, sigma_i is 1e-12 of the largest sigma.  Raises InputError for the
+    first edge that is not a pair 0 <= i < j < n after the one before it,
+    or whose distance is not finite and >= 0, or for an item without an
+    edge; NumericalError when every sigma is 0, or, with `inverse`, a
+    distance is 0.
     """
-    _check_rows(indptr, values, nth)
-    _check_indptr("indptr", indptr, values.shape[0] + 1)
-    if np.any((nth < 0) | (nth >= np.diff(indptr))):
-        raise _out_of_range("nth", "row length")
-    vals = values[indptr[0]:indptr[-1]]
-    m = vals.shape[0]
-    rows = np.repeat(np.arange(nth.shape[0]), np.diff(indptr))
-    by_value = np.argsort(vals)
-    ordered = vals[by_value[np.sort(rows[by_value] * m + np.arange(m)) % m]]
-    return ordered[indptr[:-1] - indptr[0] + nth]
+    _check_edges(edges, dist)
+    rows, cols = edges[:, 0], edges[:, 1]
+    bad_edge = (rows < 0) | (rows >= cols) | (cols >= n)
+    bad_edge[1:] |= (rows[1:] < rows[:-1]) | ((rows[1:] == rows[:-1])
+                                             & (cols[1:] <= cols[:-1]))
+    bad = bad_edge | ~(np.isfinite(dist) & (dist >= 0.0))
+    if np.any(bad):
+        at = int(np.argmax(bad))
+        status = _ERR_EDGE if bad_edge[at] else _ERR_DISTANCE
+        _raise(status, n, at=_site(status, at, edges, dist))
+    rows, cols = np.ascontiguousarray(rows), np.ascontiguousarray(cols)
+    degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
+    if np.any(degree == 0):
+        _raise(_ERR_ISOLATED, n, at=int(np.argmin(degree)))
+    layout = indptr, _, pair = pairs_csr_py(n, rows, cols)
+    if inverse:
+        if np.any(dist <= 0.0):
+            _raise(_ERR_NONPOSITIVE)
+        return layout, 1.0 / dist
+    ends = np.concatenate([rows, cols])
+    zeros = np.bincount(ends[np.concatenate([dist, dist]) == 0.0],
+                        minlength=n)
+    pick = np.minimum(np.maximum(rank - 1, zeros), degree - 1)
+    # each row's distances sorted: one of them is the pick's
+    row_of = np.repeat(np.arange(n), degree)
+    by_row = dist[pair][np.lexsort((dist[pair], row_of))]
+    sigma = by_row[indptr[:-1] + pick]
+    if np.any(sigma <= 0.0):
+        sigma = np.maximum(sigma, np.max(sigma) * 1e-12)
+    if np.all(sigma <= 0.0):
+        _raise(_ERR_SIGMA)
+    return layout, -dist ** 2 / (sigma[rows] * sigma[cols])
+
+
+def affinity_weights_py(n, edges, pair, sim):
+    """(w, strengths, weights) of the m edges over n items with
+    similarities `sim`: with r_i the sum of item i's similarities, each
+    edge's w = 0.5 (s / r_i + s / r_j), each item's strength the sum of
+    its edges' w, and `w[pair]`, the weights in the CSR layout of `pair`.
+    Each sum adds from 0.0 over the edges' first ends, then their second
+    ends (np.bincount adds in input order).  Raises IndexError for an end
+    or pair index out of range; NumericalError unless every similarity is
+    finite and one positive, or when an item's similarities sum to 0.
+    """
+    _check_edges(edges, sim)
+    _check_array("pair", pair, _I64, 2 * sim.shape[0])
+    _check_range("edges", edges, n)
+    _check_range("pair", pair, sim.shape[0])
+    if not np.all(np.isfinite(sim)) or not np.any(sim > 0.0):
+        _raise(_ERR_SIMILARITY)
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    rowsum = np.bincount(ends, weights=np.concatenate([sim, sim]),
+                         minlength=n)
+    if np.any(rowsum <= 0.0):
+        _raise(_ERR_ROWSUM)
+    w = 0.5 * (sim / rowsum[edges[:, 0]] + sim / rowsum[edges[:, 1]])
+    strengths = np.bincount(ends, weights=np.concatenate([w, w]), minlength=n)
+    return w, strengths, w[pair]
 
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
@@ -569,8 +664,13 @@ def _load_library():
     lib.pairs.restype = i64
     lib.pairs_csr.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr]
     lib.pairs_csr.restype = i64
-    lib.row_nth.argtypes = [i64, ptr, i64, ptr, ptr, ptr]
-    lib.row_nth.restype = i64
+    lib.knn_graph.argtypes = [i64, i64, ptr, i64, i64, ptr, ptr]
+    lib.knn_graph.restype = i64
+    lib.affinity_layout.argtypes = [i64, i64, ptr, ptr, i64, i64, ptr, ptr,
+                                    ptr, ptr, ptr]
+    lib.affinity_layout.restype = i64
+    lib.affinity_weights.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
+    lib.affinity_weights.restype = i64
     return lib
 
 
@@ -608,10 +708,18 @@ def _address(arr):
 # read, and return a negative status (an ERR_ code of _kernels.c) when one
 # fails; `_raise` maps it to the exception.
 
-def _raise(status, n=0, m=0, rep_m=0):
+# The ERR_ codes of _kernels.c for faults in a neighbour graph's data
+# (-13 to -20): the references raise through them, so both backends raise
+# the same exceptions.
+(_ERR_OVERFLOW, _ERR_EDGE, _ERR_DISTANCE, _ERR_ISOLATED, _ERR_SIGMA,
+ _ERR_NONPOSITIVE, _ERR_SIMILARITY, _ERR_ROWSUM) = range(-13, -21, -1)
+
+
+def _raise(status, n=0, m=0, rep_m=0, at="?"):
     """Raise the error a negative C status stands for; n items, m CSR
-    entries (or values, for `row_nth`) and rep_m repulsion entries are
-    the sizes the kernel was called with."""
+    entries (or edges) and rep_m repulsion entries are the sizes the
+    kernel was called with, and `at` names the edge or item of a fault in
+    a neighbour graph."""
     raise {
         -1: MemoryError("the C kernels could not allocate their buffers"),
         -2: _out_of_range("labels", n),
@@ -623,7 +731,20 @@ def _raise(status, n=0, m=0, rep_m=0):
         -8: _decreasing("rep_indptr"),
         -10: _out_of_range("rows", n),
         -11: _out_of_range("cols", n),
-        -12: _out_of_range("nth", "row length"),
+        -13: NumericalError("a kNN distance overflows float64: the "
+                            "coordinates are too large"),
+        -14: InputError(f"edge {at} must be a pair 0 <= i < j < n={n} after "
+                        f"the edge before it: edges are unique pairs in "
+                        f"increasing order"),
+        -15: InputError(f"distance {at} must be finite and non-negative"),
+        -16: InputError(f"item {at} has no neighbour edge"),
+        -17: NumericalError("degenerate distances: all sigmas are zero"),
+        -18: NumericalError("inverse_distance kernel needs strictly positive "
+                            "distances"),
+        -19: NumericalError("all-zero or non-finite similarities"),
+        -20: NumericalError("item with all-zero similarities"),
+        -21: _out_of_range("edges", n),
+        -22: _out_of_range("pair", m),
     }[status]
 
 
@@ -751,29 +872,69 @@ def _pairs_csr_c(n, rows, cols):
     return indptr, indices, pair
 
 
-def _row_nth_c(indptr, values, nth):
-    """`row_nth_py` by quickselect in each row (`row_nth` in _kernels.c):
-    a selection, so the same values."""
-    _check_rows(indptr, values, nth)
-    out = np.empty(nth.shape[0])
-    status = _LIB.row_nth(nth.shape[0], _address(indptr), values.shape[0],
-                          _address(values), _address(nth),
-                          _address(out))
+def _knn_graph_c(points, k, metric="euclidean"):
+    """`knn_graph_py` in one C call (`knn_graph` in _kernels.c): the search
+    of `knn` and the pair grouping of `pairs`, the same arrays bit for
+    bit."""
+    points = _check_knn(points, k, metric)
+    n, d = points.shape
+    edges = np.empty((n * k, 2), dtype=np.int64)
+    dist = np.empty(n * k)
+    found = _LIB.knn_graph(n, d, _address(points), k, metric == "cosine",
+                           _address(edges), _address(dist))
+    if found < 0:
+        _raise(found)
+    edges.resize((found, 2), refcheck=False)  # in place: nothing else
+    dist.resize(found, refcheck=False)        # refers to them
+    return edges, dist
+
+
+def _affinity_layout_c(n, edges, dist, rank, inverse=False):
+    """`affinity_layout_py` in one C call (`affinity_layout` in
+    _kernels.c): the same arrays and errors."""
+    _check_edges(edges, dist)
+    m = dist.shape[0]
+    indptr = np.empty(n + 1, dtype=np.int64)
+    indices = np.empty(2 * m, dtype=np.int64)
+    pair = np.empty(2 * m, dtype=np.int64)
+    vals = np.empty(m)
+    at = ctypes.c_int64(0)
+    status = _LIB.affinity_layout(n, m, _address(edges), _address(dist),
+                                  rank, bool(inverse), _address(indptr),
+                                  _address(indices), _address(pair),
+                                  _address(vals), ctypes.byref(at))
     if status < 0:
-        _raise(status, m=values.shape[0])
-    return out
+        _raise(status, n, m, at=_site(status, at.value, edges, dist))
+    return (indptr, indices, pair), vals
+
+
+def _affinity_weights_c(n, edges, pair, sim):
+    """`affinity_weights_py` in one C call (`affinity_weights` in
+    _kernels.c): the same arrays and errors."""
+    _check_edges(edges, sim)
+    m = sim.shape[0]
+    _check_array("pair", pair, _I64, 2 * m)
+    w, strengths, weights = np.empty(m), np.empty(n), np.empty(2 * m)
+    status = _LIB.affinity_weights(n, m, _address(edges), _address(pair),
+                                   _address(sim), _address(w),
+                                   _address(strengths), _address(weights))
+    if status < 0:
+        _raise(status, n, m)
+    return w, strengths, weights
 
 
 _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
-    sweep, knn = _local_move, knn_py
-    pairs, pairs_csr, row_nth = pairs_py, pairs_csr_py, row_nth_py
+    sweep, knn, knn_graph = _local_move, knn_py, knn_graph_py
+    pairs, pairs_csr = pairs_py, pairs_csr_py
+    affinity_layout, affinity_weights = affinity_layout_py, affinity_weights_py
     level_loop = components = None  # optimizer runs the references
 else:
     BACKEND = "c"
-    sweep, knn = _local_move_c, _knn_c
-    pairs, pairs_csr, row_nth = _pairs_c, _pairs_csr_c, _row_nth_c
+    sweep, knn, knn_graph = _local_move_c, _knn_c, _knn_graph_c
+    pairs, pairs_csr = _pairs_c, _pairs_csr_c
+    affinity_layout, affinity_weights = _affinity_layout_c, _affinity_weights_c
     level_loop, components = _level_loop_c, _components_c
 
 # Always False: numba is no longer a backend.  perfbench/worker.py still

@@ -1,5 +1,6 @@
 """kNN construction, affinity derivation, and ingestion."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -292,6 +293,59 @@ class TestDeriveAffinity:
                                match=r"on edge \(0, 1\) must be finite"):
                 derive_affinity(graph, kernel=kernel)
 
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 5], [1, 2]], r"^edge \(0, 5\) must be a pair 0 <= i < j < n=3"),
+        ([[0, 1], [0, 1], [1, 2]], r"^edge \(0, 1\) must be a pair .* after "
+                                   r"the edge before it"),
+        ([[1, 0], [1, 2]], r"^edge \(1, 0\) must be a pair 0 <= i < j"),
+        ([[0, 2], [0, 1]], r"^edge \(0, 1\) must be a pair .* after"),
+        ([[-1, 1], [1, 2]], r"^edge \(-1, 1\) must be a pair"),
+        ([[0.0, 1.0], [1.0, 2.0]], r"^edges must be an \(m, 2\) integer array"),
+        ([[0, 1, 2]], r"^edges must be an \(m, 2\) integer array"),
+        ([], r"^edges must be an \(m, 2\) integer array"),
+    ])
+    @pytest.mark.parametrize("kernel", ["self_tuning_gaussian",
+                                        "inverse_distance"])
+    def test_bad_edges_raise_input_error(self, edges, message, kernel):
+        # a hand-built graph: its edges never went through the kNN search,
+        # so derive_affinity checks that they are unique ordered pairs
+        m = len(edges)
+        graph = NeighborGraph(n=3, edges=np.array(edges),
+                              distances=np.ones(m), k=1)
+        with pytest.raises(InputError, match=message):
+            derive_affinity(graph, kernel=kernel)
+
+    def test_edges_as_lists_and_distance_count(self):
+        want = derive_affinity(NeighborGraph(
+            n=3, edges=np.array([[0, 1], [1, 2]]),
+            distances=np.array([1.0, 2.0]), k=1))
+        got = derive_affinity(NeighborGraph(n=3, edges=[[0, 1], [1, 2]],
+                                            distances=[1.0, 2.0], k=1))
+        assert _graph_bytes(got) == _graph_bytes(want)
+        for distances in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]):
+            graph = NeighborGraph(n=3, edges=[[0, 1], [1, 2]],
+                                  distances=np.array(distances), k=1)
+            with pytest.raises(InputError, match="distances of shape"):
+                derive_affinity(graph)
+
+    @pytest.mark.parametrize("k", [0, -1, 5.0, True, "2", None, 2.5])
+    def test_k_must_be_a_positive_integer(self, k):
+        graph = NeighborGraph(n=3, edges=np.array([[0, 1], [1, 2]]),
+                              distances=np.array([1.0, 2.0]), k=k)
+        with pytest.raises(ParameterError, match="k must be an integer >= 1"):
+            derive_affinity(graph)
+
+    def test_huge_k_is_capped_at_the_degree(self):
+        # sigma's rank, ceil(k / 2), is capped at the degree (here at most
+        # 3), so every k from 5 on gives the same graph
+        pts = np.array([[0.0], [1.0], [3.0], [7.0]])
+        neighbors = build_knn_graph(pts, k=3)
+        want = derive_affinity(dataclasses.replace(neighbors, k=5))
+        assert _graph_bytes(want) != _graph_bytes(derive_affinity(neighbors))
+        for k in (6, 10 ** 30, np.int64(2 ** 63 - 1)):
+            got = derive_affinity(dataclasses.replace(neighbors, k=k))
+            assert _graph_bytes(got) == _graph_bytes(want)
+
     @pytest.mark.parametrize("scheme", ["configuration_null", "uniform"])
     def test_repulsion_edges_need_explicit_scheme(self, scheme):
         neighbors = build_knn_graph(np.array([[0.0], [1.0], [3.0]]), k=1)
@@ -306,12 +360,12 @@ class TestDeriveAffinity:
         assert r[1, 2] == pytest.approx(0.7)
         assert r[0, 1] == 0.0
 
-    @pytest.mark.parametrize("search", ["knn", "knn_py"])
-    def test_overflowing_distance_raises_before_numpy_warns(self, search,
+    @pytest.mark.parametrize("build", ["knn_graph", "knn_graph_py"])
+    def test_overflowing_distance_raises_before_numpy_warns(self, build,
                                                            monkeypatch):
         # finite coordinates whose distances overflow to inf, which the
         # Gaussian kernel would turn into NaN as inf / inf
-        monkeypatch.setattr(kernels, "knn", getattr(kernels, search))
+        monkeypatch.setattr(kernels, "knn_graph", getattr(kernels, build))
         pts = np.array([[0.0, 0.0], [1e160, 1e160], [-1e160, 5.0],
                         [3.0, 3.0], [4.0, 4.0]])
         with warnings.catch_warnings():
@@ -360,10 +414,13 @@ class TestCsrFromPairs:
 
 def use_references(monkeypatch):
     """Route graph construction through the numpy references of the
-    C pair, CSR and selection kernels."""
+    C kNN graph, pair, CSR and affinity kernels."""
+    monkeypatch.setattr(kernels, "knn_graph", kernels.knn_graph_py)
     monkeypatch.setattr(kernels, "pairs", kernels.pairs_py)
     monkeypatch.setattr(kernels, "pairs_csr", kernels.pairs_csr_py)
-    monkeypatch.setattr(kernels, "row_nth", kernels.row_nth_py)
+    monkeypatch.setattr(kernels, "affinity_layout", kernels.affinity_layout_py)
+    monkeypatch.setattr(kernels, "affinity_weights",
+                        kernels.affinity_weights_py)
 
 
 class TestCsrFromPairsOnReferences(TestCsrFromPairs):
@@ -452,6 +509,13 @@ class TestAffinityAgainstLexsortOracle:
         yield np.repeat(rng.integers(0, 5, (12, 3)), rng.integers(1, 5, 12),
                         axis=0).astype(float)
         yield np.concatenate([np.zeros((6, 2)), rng.random((30, 2))])
+        # leaves that batch full queries and prune by box; 16-D
+        yield rng.standard_normal((2000, 2))
+        yield rng.standard_normal((400, 16))
+        # squared sums in the subnormal range, near the float64 limit, and
+        # past it, where every distance overflows
+        for scale in (1e-160, 1e150, 1e160):
+            yield rng.standard_normal((60, 3)) * scale
 
     @staticmethod
     def _repulsion(rng, n, scheme):
@@ -465,7 +529,11 @@ class TestAffinityAgainstLexsortOracle:
     def test_derive_affinity(self, rng, kernel):
         for points in self._point_sets(rng):
             for k in (1, 2, 3, 4, 7):
-                ng = build_knn_graph(points, k=k)
+                try:
+                    ng = build_knn_graph(points, k=k)
+                except NumericalError as exc:
+                    assert "overflows" in str(exc)
+                    continue
                 for scheme in graph_mod.REPULSION_SCHEMES:
                     rep = self._repulsion(rng, ng.n, scheme)
                     try:

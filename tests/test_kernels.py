@@ -1,7 +1,7 @@
-"""The C kernels (sweep, level loop, kNN search, pair grouping, CSR fill
-and row selection) and their numpy or plain-Python references must agree
-exactly, and the numpy energy must equal a plain loop over the edges bit
-for bit."""
+"""The C kernels (sweep, level loop, kNN search and graph, pair grouping,
+CSR fill and the affinity graph) and their numpy or plain-Python
+references must agree exactly, and the numpy energy must equal a plain
+loop over the edges bit for bit."""
 
 import ctypes
 import dataclasses
@@ -17,7 +17,8 @@ from scipy.spatial import cKDTree
 
 from confres import kernels
 from confres.energy import landscape_point
-from confres.graph import from_edge_list
+from confres.errors import ConfresError, InputError, NumericalError
+from confres.graph import build_knn_graph, from_edge_list
 from conftest import (blob_graph, drop_entries, has_compiler, needs_cc,
                       random_affinity)
 
@@ -417,7 +418,10 @@ def _kdtree_nearest(points, k, metric):
 
 def _knn_inputs():
     """(label, points) cases with exact ties, duplicates, cancellation
-    and wide scales, n up to 500."""
+    and wide scales, n up to 500; then squared sums in the subnormal range
+    (where the gate's absolute margin counts), near the float64 limit and
+    past it (every distance inf), and two larger sets: 2000 x 2, whose
+    leaves batch full queries and prune by box, and 400 x 16."""
     rng = np.random.default_rng(7)
     for n, d in ((2, 1), (13, 1), (60, 2), (200, 3), (500, 2), (120, 8)):
         yield f"random-{n}x{d}", rng.standard_normal((n, d))
@@ -429,6 +433,11 @@ def _knn_inputs():
         yield f"offset-{n}x{d}", 1e6 + rng.standard_normal((n, d))
         scale = 10.0 ** rng.choice([-8.0, 0.0, 8.0], d)
         yield f"scaled-{n}x{d}", rng.standard_normal((n, d)) * scale
+    for n, d in ((60, 2), (200, 3), (120, 8)):
+        for scale in (1e-160, 1e150, 1e160):
+            yield f"scale-{scale:g}-{n}x{d}", rng.standard_normal((n, d)) * scale
+    yield "random-2000x2", rng.standard_normal((2000, 2))
+    yield "random-400x16", rng.standard_normal((400, 16))
 
 
 @needs_cc
@@ -439,15 +448,26 @@ def test_knn_backends_agree(metric):
     assert kernels.BACKEND == "c"
     for label, points in _knn_inputs():
         if metric == "cosine":  # unit vectors, as build_knn_graph passes
-            norms = np.linalg.norm(points, axis=1)
+            with np.errstate(over="ignore"):  # the overflowing scale
+                norms = np.linalg.norm(points, axis=1)
             points = points[norms > 0] / norms[norms > 0, None]
         n = points.shape[0]
-        for k in sorted({1, 2, 5, 10, n - 1} & set(range(1, n))):
+        # past n = 500, k = 100 sorts the candidates of a group of > 64
+        # points, as k = n - 1 does, at a fraction of the time
+        largest = n - 1 if n <= 500 else 100
+        for k in sorted({1, 2, 5, 10, largest} & set(range(1, n))):
             got = kernels.knn(points, k, metric)
-            want = kernels.knn_py(points, k, metric)
+            with np.errstate(over="ignore"):  # the overflowing scale
+                want = kernels.knn_py(points, k, metric)
             case = (label, k)
             assert got[0].tobytes() == want[0].tobytes(), case
             assert got[1].tobytes() == want[1].tobytes(), case
+            if not np.all(np.isfinite(want[1])):
+                # overflow: no graph; and cKDTree reports no neighbour (index
+                # n) at an infinite distance, so it cannot rank them
+                with pytest.raises(NumericalError, match="overflows"):
+                    build_knn_graph(points, k, metric)
+                continue
             nn, dist = _kdtree_nearest(points, k, metric)
             order = np.lexsort((nn, dist), axis=-1)
             assert np.take_along_axis(nn, order, -1).tobytes() == \
@@ -525,43 +545,99 @@ def test_pair_kernels_agree_with_references(rng):
     assert summed.tolist() == [(1.0 + 1.0) + big] != [(big + 1.0) + 1.0]
 
 
-def _row_nth_inputs(rng):
-    """(indptr, values, nth) CSRs with ties, zeros, single-value rows and
-    rows of hundreds of values; the last has an indptr that starts past
-    0."""
+def _affinity_inputs(rng):
+    """(n, edges, dist, rank) neighbour graphs for the affinity kernels:
+    unique ordered pairs with ties, zeros (signed too) and all-zero
+    items, one item with 400 edges, and ranks from 1 to past every
+    degree."""
     for trial in range(60):
-        n = int(rng.integers(0, 30))
-        lengths = rng.integers(1, 12, n)
-        if n and trial % 4 == 0:
-            lengths[rng.integers(0, n)] = 400
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        if trial % 2:  # few distinct values: long runs of ties
-            values = rng.choice([0.0, 0.5, 1.0, 2.0], indptr[-1])
+        n = int(rng.integers(2, 30))
+        rows, cols = np.triu_indices(n, 1)
+        keep = (rng.random(rows.shape[0]) < rng.random()) | (cols == rows + 1)
+        if trial % 4 == 0:  # one item with 400 edges
+            n += 400
+            rows = np.concatenate([rows[keep], np.zeros(400, dtype=int)])
+            cols = np.concatenate([cols[keep], np.arange(n - 400, n)])
+            keep = np.ones(rows.shape[0], dtype=bool)
+        edges = np.stack([rows[keep], cols[keep]], axis=1).astype(np.int64)
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        m = edges.shape[0]
+        if trial % 2:  # few distinct values: long runs of ties, and zeros
+            dist = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0], m)
         else:
-            values = rng.random(indptr[-1])
-        nth = (rng.random(n) * lengths).astype(np.int64)
-        yield indptr, values, nth
-    yield (np.array([2, 3, 6]), np.array([9.0, 9.0, 1.0, 3.0, 2.0, 1.0]),
-           np.array([0, 2]))
+            dist = rng.random(m)
+        yield n, edges, dist, int(rng.choice([1, 2, 3, 5, 9, 40, n]))
+    # an item whose edges are all at distance 0, beside positive ones
+    yield 4, np.array([[0, 1], [1, 2], [2, 3]]), np.array([0.0, 1.0, 2.0]), 1
+    # every distance 0: every sigma is 0
+    yield 3, np.array([[0, 1], [1, 2]]), np.array([0.0, -0.0]), 1
+
+
+def _outcome(call):
+    """The arrays `call` returns, or the type and message it raises."""
+    try:
+        return [np.asarray(a).tobytes() for a in call()]
+    except Exception as exc:  # noqa: BLE001 - compared, not hidden
+        return type(exc), str(exc)
+
+
+def _sorted_row_sigma(n, edges, dist, rank):
+    """sigma_i by sorting item i's distances outright."""
+    sigma = np.empty(n)
+    for i in range(n):
+        row = np.sort(dist[(edges[:, 0] == i) | (edges[:, 1] == i)])
+        sigma[i] = row[min(max(rank - 1, int(np.sum(row == 0.0))),
+                           row.shape[0] - 1)]
+    if np.any(sigma <= 0.0):
+        sigma = np.maximum(sigma, np.max(sigma) * 1e-12)
+    return sigma
 
 
 @needs_cc
-def test_row_nth_agrees_with_reference(rng):
-    for indptr, values, nth in _row_nth_inputs(rng):
-        got = kernels._row_nth_c(indptr, values, nth)
-        want = kernels.row_nth_py(indptr, values, nth)
-        assert got.tobytes() == want.tobytes()
-        for i, k in enumerate(nth):
-            row = np.sort(values[indptr[i]:indptr[i + 1]])
-            assert got[i] == row[k]
+def test_affinity_kernels_agree_with_references(rng):
+    # C and numpy bit for bit, or the same error; sigma is a value of its
+    # row, the one sorting the row outright picks
+    for n, edges, dist, rank in _affinity_inputs(rng):
+        for inverse in (False, True):
+            got = _outcome(lambda: kernels._affinity_layout_c(
+                n, edges, dist, rank, inverse)[0])
+            assert got == _outcome(lambda: kernels.affinity_layout_py(
+                n, edges, dist, rank, inverse)[0])
+            try:
+                (_, _, pair), vals = kernels._affinity_layout_c(
+                    n, edges, dist, rank, inverse)
+            except NumericalError:
+                continue
+            want = kernels.affinity_layout_py(n, edges, dist, rank, inverse)[1]
+            assert vals.tobytes() == want.tobytes()
+            if not inverse:
+                sigma = _sorted_row_sigma(n, edges, dist, rank)
+                oracle = -dist ** 2 / (sigma[edges[:, 0]] * sigma[edges[:, 1]])
+                assert vals.tobytes() == oracle.tobytes()
+            sim = 1.0 / dist if inverse else np.exp(vals)
+            assert _outcome(lambda: kernels._affinity_weights_c(
+                n, edges, pair, sim)) == _outcome(
+                lambda: kernels.affinity_weights_py(n, edges, pair, sim))
+    # similarities the weights refuse: non-finite, none positive, an item
+    # (0) whose similarities sum to 0
+    edges = np.array([[0, 1], [1, 2], [2, 3]])
+    pair = kernels.affinity_layout_py(4, edges, np.ones(3), 1)[0][2]
+    for sim in ([1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [0.0, 0.0, -0.0],
+                [0.0, 1.0, 1.0], [-0.0, 1.0, 2.0], [0.25, 1e-300, 4.0]):
+        sim = np.array(sim)
+        got = _outcome(lambda: kernels._affinity_weights_c(4, edges, pair, sim))
+        assert got == _outcome(
+            lambda: kernels.affinity_weights_py(4, edges, pair, sim))
 
 
 def _graph_kernels():
-    """(pairs, pairs_csr, row_nth) of each backend present."""
-    yield kernels.pairs_py, kernels.pairs_csr_py, kernels.row_nth_py
+    """(pairs, pairs_csr, affinity_layout, affinity_weights) of each
+    backend present."""
+    yield (kernels.pairs_py, kernels.pairs_csr_py, kernels.affinity_layout_py,
+           kernels.affinity_weights_py)
     if kernels.BACKEND == "c":
-        yield kernels._pairs_c, kernels._pairs_csr_c, kernels._row_nth_c
+        yield (kernels._pairs_c, kernels._pairs_csr_c,
+               kernels._affinity_layout_c, kernels._affinity_weights_c)
 
 
 def test_graph_kernels_reject_bad_indices():
@@ -570,16 +646,13 @@ def test_graph_kernels_reject_bad_indices():
     vals = np.array([1.0, 2.0, 3.0])
     bad_ends = (("rows", [0, -1, 1], [1, 0, 2]), ("rows", [0, 3, 1], [1, 0, 2]),
                 ("cols", [0, 2, 1], [1, 0, 3]), ("cols", [0, 2, 1], [-1, 0, 3]))
-    indptr, values = np.array([0, 2, 3]), np.array([3.0, 1.0, 2.0])
-    bad_rows = ((np.array([0, 2, 4]), np.array([1, 0]), IndexError,
-                 r"^indptr out of range \[0, 4\)$"),
-                (np.array([0, 2, 1]), np.array([1, 0]), ValueError,
-                 r"^indptr must be non-decreasing$"),
-                (indptr, np.array([2, 0]), IndexError,
-                 r"^nth out of range \[0, row length\)$"),
-                (indptr, np.array([1, -1]), IndexError,
-                 r"^nth out of range \[0, row length\)$"))
-    for pairs, pairs_csr, row_nth in _graph_kernels():
+    edges = np.array([[0, 1], [1, 2]])
+    pair = np.array([0, 0, 1, 1])
+    bad_edges = ((np.array([[0, 1], [1, 3]]), pair, "edges", r"\[0, 3\)"),
+                 (np.array([[0, 1], [-1, 2]]), pair, "edges", r"\[0, 3\)"),
+                 (edges, np.array([0, 0, 2, 1]), "pair", r"\[0, 2\)"),
+                 (edges, np.array([0, -1, 1, 1]), "pair", r"\[0, 2\)"))
+    for pairs, pairs_csr, layout, weights in _graph_kernels():
         for name, r, c in bad_ends:
             rows, cols, _ = _triples(r, c, vals)
             for call in (lambda: pairs(3, rows, cols, vals),
@@ -588,14 +661,24 @@ def test_graph_kernels_reject_bad_indices():
                                    match=rf"^{name} out of range \[0, 3\)$"):
                     call()
                 assert rows.tolist() == r and cols.tolist() == c
-        for ptr, nth, exc, message in bad_rows:
-            with pytest.raises(exc, match=message):
-                row_nth(ptr, values, nth)
+        for ends, at, name, bounds in bad_edges:
+            with pytest.raises(IndexError,
+                               match=rf"^{name} out of range {bounds}$"):
+                weights(3, ends, at, np.ones(2))
+        # a neighbour graph's faults are the data's: InputError
+        with pytest.raises(InputError, match=r"^edge \(1, 3\) must be a pair"):
+            layout(3, np.array([[0, 1], [1, 3]]), np.ones(2), 1)
         rows, cols, _ = _triples([0, 2, 1], [1, 0, 2], vals)
         with pytest.raises(ValueError, match="cols has length 2"):
             pairs(3, rows, cols[:2], vals)
         with pytest.raises(ValueError, match="C-contiguous 1-D int64"):
             pairs_csr(3, rows.astype(np.int32), cols)
+        with pytest.raises(ValueError, match=r"C-contiguous \(m, 2\) int64"):
+            layout(3, np.array([[0, 1, 9], [1, 2, 9]])[:, :2], np.ones(2), 1)
+        with pytest.raises(ValueError, match="dist has length 1"):
+            layout(3, edges, np.ones(1), 1)
+        with pytest.raises(ValueError, match="pair has length 3"):
+            weights(3, edges, pair[:3], np.ones(2))
 
 
 def test_address_is_the_ctypes_address():
@@ -610,7 +693,9 @@ def test_address_is_the_ctypes_address():
 
 def test_every_c_status_code_is_mapped():
     # each ERR_ code of _kernels.c must reach its exception through
-    # _raise; an unmapped code raises KeyError, which fails the loop
+    # _raise, a builtin one for a bad argument or a package error for a
+    # fault in the data; an unmapped code raises KeyError, which fails the
+    # loop
     with open(kernels._SOURCE, encoding="utf-8") as fh:
         codes = {name: int(value) for name, value in re.findall(
             r"^#define (ERR_\w+) \((-\d+)\)$", fh.read(), flags=re.MULTILINE)}
@@ -618,7 +703,8 @@ def test_every_c_status_code_is_mapped():
     assert len(values) >= 8 and len(set(values)) == len(values)
     assert all(v < 0 for v in values)
     for name, value in codes.items():
-        with pytest.raises((MemoryError, IndexError, ValueError)) as info:
+        with pytest.raises((MemoryError, IndexError, ValueError,
+                            ConfresError)) as info:
             kernels._raise(value, 3, 4, 5)
         assert str(info.value), name
     with pytest.raises(KeyError):
@@ -686,7 +772,7 @@ def test_failed_build_is_remembered(tmp_path, monkeypatch):
 
 
 # The C interface of _kernels.c, declared once for every harness: graph_t
-# and numpy's bitgen_t as the kernels read them, the seven exported
+# and numpy's bitgen_t as the kernels read them, the nine exported
 # kernels, a xorshift64 bitgen_t that counts its draws, and the report
 # line each harness prints per case.
 _PRELUDE = r"""
@@ -728,8 +814,13 @@ int64_t pairs(int64_t, int64_t, const int64_t *, const int64_t *,
               const double *, int64_t, int64_t *, int64_t *, double *);
 int64_t pairs_csr(int64_t, int64_t, const int64_t *, const int64_t *,
                   int64_t *, int64_t *, int64_t *);
-int64_t row_nth(int64_t, const int64_t *, int64_t, const double *,
-                const int64_t *, double *);
+int64_t knn_graph(int64_t, int64_t, const double *, int64_t, int64_t,
+                  int64_t *, double *);
+int64_t affinity_layout(int64_t, int64_t, const int64_t *, const double *,
+                        int64_t, int64_t, int64_t *, int64_t *, int64_t *,
+                        double *, int64_t *);
+int64_t affinity_weights(int64_t, int64_t, const int64_t *, const int64_t *,
+                         const double *, double *, double *, double *);
 
 /* The CSR (ptr, idx, w) over n items with the repulsion model, its CSR
  * (rptr, ridx, rw) NULL for product form; the readers are the kernels'. */
@@ -934,10 +1025,14 @@ def test_components_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     assert out.count(": status") == 7 and "BAD" not in out
 
 
-# Runs the C kd-tree kNN on four point sets; exits 0 only if each call
-# returns 0 and every row lists k other items, in range, in strictly
-# ascending (distance, index) order; where all points coincide, also the
-# smallest other indices.
+# Runs the C kd-tree kNN and the kNN graph on five point sets, one with a
+# k large enough to sort a group; exits 0 only if each knn call returns 0
+# and every row lists k other items, in range, in strictly ascending
+# (distance, index) order (where all points coincide, also the smallest
+# other indices), and each knn_graph call returns pairs i < j in order,
+# with finite distances, among them every item's k nearest; then the kNN
+# graph of distances that overflow must return ERR_OVERFLOW (-13) with its
+# outputs untouched.
 _KNN_SANITIZER_MAIN = r"""
 static uint64_t uniform_state = 88172645463325252ULL;
 
@@ -963,9 +1058,40 @@ static int run(const char *name, int64_t n, int64_t d, const double *points,
             if (ok && tied)
                 ok = j == r + (r >= i);
         }
+    int64_t *edges = malloc((size_t)(2 * n * k) * sizeof *edges);
+    double *weights = malloc((size_t)(n * k) * sizeof *weights);
+    int64_t found = knn_graph(n, d, points, k, half_square, edges, weights);
+    int graph_ok = found >= (n * k + 1) / 2 && found <= n * k;
+    for (int64_t p = 0; graph_ok && p < found; p++) {
+        int64_t i = edges[2 * p], j = edges[2 * p + 1];
+        graph_ok = 0 <= i && i < j && j < n && isfinite(weights[p])
+                   && weights[p] >= 0.0
+                   && (p == 0 || i > edges[2 * p - 2]
+                       || (i == edges[2 * p - 2] && j > edges[2 * p - 1]));
+    }
+    for (int64_t at = 0; ok && graph_ok && at < n * k; at++) {
+        int64_t i = at / k, j = nn[at], lo = i < j ? i : j, hi = i + j - lo;
+        graph_ok = 0;
+        for (int64_t p = 0; !graph_ok && p < found; p++)
+            graph_ok = edges[2 * p] == lo && edges[2 * p + 1] == hi;
+    }
     free(nn);
     free(dist);
-    return report(name, status, ok);
+    free(edges);
+    free(weights);
+    return report(name, status, ok) | report("  its graph", found, graph_ok);
+}
+
+static int overflow(void)
+{
+    const double far[] = {0.0, 1e160, -1e160, 3.0, 4.0};
+    int64_t edges[10] = {0};
+    double weights[5] = {0};
+    int64_t status = knn_graph(5, 1, far, 1, 0, edges, weights);
+    int ok = status == -13;
+    for (int i = 0; i < 10; i++)
+        ok = ok && edges[i] == 0 && (i >= 5 || weights[i] == 0.0);
+    return report("overflow", status, ok);
 }
 
 int main(void)
@@ -974,8 +1100,11 @@ int main(void)
     double *same = malloc(40 * 2 * sizeof *same);
     double *line = malloc(17 * sizeof *line);
     double *unit = malloc(50 * 4 * sizeof *unit);
+    double *wide = malloc(100 * 2 * sizeof *wide);
     for (int i = 0; i < 64 * 3; i++)
         cloud[i] = uniform();
+    for (int i = 0; i < 100 * 2; i++)
+        wide[i] = uniform();
     for (int i = 0; i < 40 * 2; i++)
         same[i] = 0.25;
     for (int i = 0; i < 17; i++)
@@ -992,11 +1121,14 @@ int main(void)
     int bad = run("cloud", 64, 3, cloud, 7, 0, 0)
         | run("identical", 40, 2, same, 39, 0, 1)
         | run("line", 17, 1, line, 16, 0, 0)
-        | run("unit", 50, 4, unit, 7, 1, 0);
+        | run("unit", 50, 4, unit, 7, 1, 0)
+        | run("wide", 100, 2, wide, 70, 0, 0)
+        | overflow();
     free(cloud);
     free(same);
     free(line);
     free(unit);
+    free(wide);
     return bad;
 }
 """
@@ -1006,7 +1138,9 @@ int main(void)
 def test_knn_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     # the kd-tree's allocation, build and search, on ties and one split
     out = _run_sanitized(tmp_path, sanitized_kernels, _KNN_SANITIZER_MAIN)
-    assert out.count(": status 0, ok") == 4, out
+    assert out.count(": status 0, ok") == 5, out
+    assert out.count("its graph: status") == 5, out
+    assert out.count(", ok") == 11 and "BAD" not in out, out
 
 
 # Runs the exported C sweep, with a toy bit generator, on a product-form
@@ -1074,22 +1208,74 @@ def test_sweep_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     assert out.count("status -2, ok") == 2, out
 
 
-# Runs the exported pair grouping, CSR layout and row selection on entry
-# lists with repeats in both directions, an empty list and one item, each
-# output in a buffer of exactly the size the kernel may write, then with
-# an index out of range; exits 0 only if each call returns the expected
-# status, pairs come out unique, in order and in range, the CSR rows list
-# ascending columns, each entry names a pair that joins its row and
-# column, and each selected value has nth smaller row values.
+# Runs the exported pair grouping and CSR layout on entry lists with
+# repeats in both directions, an empty list and one item, and, where the
+# pairs join distinct items and leave none out, the affinity kernels on
+# them, each output in a buffer of exactly the size the kernel may write;
+# then each kernel on inputs it must refuse.  Exits 0 only if each call
+# returns the expected status, pairs come out unique, in order and in
+# range, the CSR rows list ascending columns, each entry names a pair that
+# joins its row and column, affinity_layout lays the pairs out as
+# pairs_csr does, and the weights of each row of similarities sum to one.
 _GRAPH_SANITIZER_MAIN = r"""
 static void *slots(int64_t count, size_t size)  /* exact, never 0 bytes */
 {
     return malloc((size_t)(count > 0 ? count : 1) * size);
 }
 
+/* affinity_layout and affinity_weights on the pairs (pr, pc) < as edges,
+ * their |pv| as distances, both kernels; 1 when all is well */
+static int affinity(int64_t n, int64_t found, const int64_t *pr,
+                    const int64_t *pc, const double *pv, const int64_t *ptr,
+                    const int64_t *idx, const int64_t *pair)
+{
+    int64_t *edges = slots(2 * found, 8), *lptr = slots(n + 1, 8);
+    int64_t *lidx = slots(2 * found, 8), *lpair = slots(2 * found, 8), at;
+    double *dist = slots(found, 8), *vals = slots(found, 8);
+    double *w = slots(found, 8), *strengths = slots(n, 8);
+    double *weights = slots(2 * found, 8);
+    int ok = 1;
+    for (int64_t p = 0; p < found; p++) {
+        edges[2 * p] = pr[p];
+        edges[2 * p + 1] = pc[p];
+        dist[p] = fabs(pv[p]);
+    }
+    for (int64_t inverse = 0; ok && inverse <= 1; inverse++) {
+        int64_t status = affinity_layout(n, found, edges, dist, 2, inverse,
+                                         lptr, lidx, lpair, vals, &at);
+        int positive = 1;
+        for (int64_t p = 0; p < found; p++)
+            positive &= dist[p] > 0.0;
+        ok = status == 0 || (inverse && !positive && status == -18);
+        if (!ok || status)
+            continue;
+        ok = !memcmp(lptr, ptr, (size_t)(n + 1) * 8)
+             && !memcmp(lidx, idx, (size_t)(2 * found) * 8)
+             && !memcmp(lpair, pair, (size_t)(2 * found) * 8);
+        for (int64_t p = 0; p < found; p++)
+            vals[p] = inverse ? vals[p] : exp(vals[p]);
+        ok = ok && affinity_weights(n, found, edges, lpair, vals, w, strengths,
+                                    weights) == 0;
+        double total = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            total += strengths[i];
+        ok = ok && fabs(total - (double)n) < 1e-9 * (double)n;
+    }
+    free(edges);
+    free(lptr);
+    free(lidx);
+    free(lpair);
+    free(dist);
+    free(vals);
+    free(w);
+    free(strengths);
+    free(weights);
+    return ok;
+}
+
 /* pairs of the entries, with and without mean, then their CSR layout,
- * the pair values gathered through it and, when no row is empty, the
- * (i / 2 mod length)-th smallest value of each row */
+ * the pair values gathered through it and, when every pair joins two
+ * items and every item has one, the affinity kernels */
 static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
                const int64_t *cols, const double *vals, int64_t want)
 {
@@ -1098,21 +1284,20 @@ static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
         int64_t *pr = slots(m, 8), *pc = slots(m, 8);
         double *pv = slots(m, 8);
         int64_t found = pairs(n, m, rows, cols, vals, mean, pr, pc, pv);
-        int ok = found == want;
-        for (int64_t p = 0; ok && p < found; p++)
+        int ok = found == want, distinct = 1;
+        for (int64_t p = 0; ok && p < found; p++) {
             ok = pr[p] >= 0 && pr[p] <= pc[p] && pc[p] < n
                  && (p == 0 || pr[p - 1] < pr[p]
                      || (pr[p - 1] == pr[p] && pc[p - 1] < pc[p]));
+            distinct &= pr[p] < pc[p];
+        }
         int64_t *ptr = slots(n + 1, 8), *idx = slots(2 * found, 8);
-        int64_t *pair = slots(2 * found, 8), *nth = slots(n, 8);
-        double *w = slots(2 * found, 8), *picked = slots(n, 8);
+        int64_t *pair = slots(2 * found, 8);
         ok = ok && pairs_csr(n, found, pr, pc, ptr, idx, pair) == 0
              && ptr[0] == 0 && ptr[n] == 2 * found;
         int full = 1;
         for (int64_t i = 0; ok && i < n; i++) {
-            int64_t len = ptr[i + 1] - ptr[i];
-            full &= len > 0;
-            nth[i] = len > 0 ? (i / 2) % len : 0;
+            full &= ptr[i + 1] > ptr[i];
             for (int64_t e = ptr[i] + 1; ok && e < ptr[i + 1]; e++)
                 ok = idx[e - 1] < idx[e] || (idx[e - 1] == i && idx[e] == i);
             for (int64_t e = ptr[i]; ok && e < ptr[i + 1]; e++) {
@@ -1120,19 +1305,10 @@ static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
                 ok = p >= 0 && p < found
                      && ((pr[p] == i && pc[p] == idx[e])
                          || (pc[p] == i && pr[p] == idx[e]));
-                w[e] = ok ? pv[p] : 0.0;
             }
         }
-        if (ok && full)
-            ok = row_nth(n, ptr, 2 * found, w, nth, picked) == 0;
-        for (int64_t i = 0; ok && full && i < n; i++) {
-            int64_t below = 0, equal = 0;
-            for (int64_t e = ptr[i]; e < ptr[i + 1]; e++) {
-                below += w[e] < picked[i];
-                equal += w[e] == picked[i];
-            }
-            ok = below <= nth[i] && nth[i] < below + equal;
-        }
+        if (ok && full && distinct)
+            ok = affinity(n, found, pr, pc, pv, ptr, idx, pair);
         bad |= report(name, found, ok);
         free(pr);
         free(pc);
@@ -1140,9 +1316,6 @@ static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
         free(ptr);
         free(idx);
         free(pair);
-        free(nth);
-        free(w);
-        free(picked);
     }
     return bad;
 }
@@ -1152,25 +1325,58 @@ static int expect(const char *name, int64_t status, int64_t want)
     return report(name, status, status == want);
 }
 
+/* affinity_layout on 3 items and 2 edges, expecting `want` at `want_at` */
+static int refused(const char *name, int64_t n, const int64_t *edges,
+                   const double *dist, int64_t inverse, int64_t want,
+                   int64_t want_at)
+{
+    int64_t ptr[5], idx[4], pair[4], at = -1;
+    double vals[2];
+    int64_t status = affinity_layout(n, 2, edges, dist, 1, inverse, ptr, idx,
+                                     pair, vals, &at);
+    return report(name, status, status == want && (want_at < 0 || at == want_at));
+}
+
 int main(void)
 {
     const int64_t rows[] = {3, 1, 4, 1, 5, 0, 2, 6, 5, 3, 5, 4};
     const int64_t cols[] = {1, 3, 4, 5, 1, 2, 0, 6, 3, 5, 4, 5};
     const double vals[] = {1, 2, -0.0, 0.0, 3, 0.5, 0.25, 9, 1, 2, 4, 8};
+    const int64_t ends[] = {0, 1, 2, 3, 1, 0, 4, 2}, other[] = {1, 2, 3, 4, 0, 2, 3, 4};
+    const double lengths[] = {1, 0.5, 2, 0, 1, 3, 0, 0.25};
     const int64_t none[] = {0}, far[] = {1, 3, 0}, near[] = {0, 1, 2};
-    const int64_t wide[] = {0, 2, 4}, back[] = {0, 2, 1}, good[] = {0, 2, 3};
-    const int64_t nth[] = {1, 0}, past[] = {2, 0};
+    const int64_t good[] = {0, 1, 1, 2}, flipped[] = {1, 0, 1, 2};
+    const int64_t twice[] = {0, 1, 0, 1}, beyond[] = {0, 1, 1, 3};
+    const int64_t pair[] = {0, 0, 1, 1}, stray[] = {0, 0, 1, 2};
+    const double ones[] = {1, 1}, gap[] = {1, NAN}, zeros[] = {0, -0.0};
+    const double half[] = {0, 1}, inf[] = {1, INFINITY};
     int64_t a[3], b[3], ptr[4];
-    double w[3], picked[2];
+    double w[3], out[4];
     return run("entries", 7, 12, rows, cols, vals, 7)
+        | run("graph", 5, 8, ends, other, lengths, 6)
         | run("empty", 5, 0, none, none, vals, 0)
         | run("one item", 1, 1, none, none, vals, 1)
         | expect("pairs row 3", pairs(3, 3, far, near, vals, 0, a, b, w), -10)
         | expect("pairs col 3", pairs(3, 3, near, far, vals, 1, a, b, w), -11)
         | expect("csr row 3", pairs_csr(3, 3, far, near, ptr, a, b), -10)
-        | expect("nth indptr 4", row_nth(2, wide, 3, vals, nth, picked), -3)
-        | expect("nth decreasing", row_nth(2, back, 3, vals, nth, picked), -7)
-        | expect("nth past row", row_nth(2, good, 3, vals, past, picked), -12);
+        | refused("edge i > j", 3, flipped, ones, 0, -14, 0)
+        | refused("edge twice", 3, twice, ones, 0, -14, 1)
+        | refused("distance NaN", 3, good, gap, 0, -15, 1)
+        | refused("item alone", 4, good, ones, 0, -16, 3)
+        | refused("sigmas zero", 3, good, zeros, 0, -17, -1)
+        | refused("inverse zero", 3, good, half, 1, -18, -1)
+        | expect("weights end 3", affinity_weights(3, 2, beyond, pair, ones, w,
+                                                  out, out), -21)
+        | expect("weights pair 2", affinity_weights(3, 2, good, stray, ones, w,
+                                                   out, out), -22)
+        | expect("weights NaN", affinity_weights(3, 2, good, pair, gap, w, out,
+                                                out), -19)
+        | expect("weights inf", affinity_weights(3, 2, good, pair, inf, w, out,
+                                                out), -19)
+        | expect("weights zero", affinity_weights(3, 2, good, pair, zeros, w,
+                                                 out, out), -19)
+        | expect("weights item 0", affinity_weights(3, 2, good, pair, half, w,
+                                                   out, out), -20);
 }
 """
 
@@ -1178,10 +1384,10 @@ int main(void)
 @has_compiler
 def test_graph_kernels_are_clean_under_sanitizers(tmp_path,
                                                   sanitized_kernels):
-    # pairs, pairs_csr and row_nth: exact-size outputs, scratch freed,
-    # the range checks
+    # pairs, pairs_csr, affinity_layout and affinity_weights: exact-size
+    # outputs, scratch freed, the checks
     out = _run_sanitized(tmp_path, sanitized_kernels, _GRAPH_SANITIZER_MAIN)
-    assert out.count(", ok") == 12 and "BAD" not in out, out
+    assert out.count(", ok") == 23 and "BAD" not in out, out
 
 
 # Runs each exported kernel on a small valid input, first with every
@@ -1306,11 +1512,30 @@ static int64_t pairs_csr_three(void *out)
     return pairs_csr(4, 3, lo, hi, at, at + 5, at + 11);
 }
 
-static int64_t row_nth_three(void *out)
+static int64_t knn_graph_line(void *out)  /* 20 points: the tree splits */
 {
-    const int64_t ptr[] = {0, 2, 5, 6}, nth[] = {1, 2, 0};
-    const double values[] = {3, 1, 4, 1, 5, 9};
-    return row_nth(3, ptr, 6, values, nth, out);
+    double line[20];
+    for (int i = 0; i < 20; i++)
+        line[i] = (i * 7) % 20;
+    return knn_graph(20, 1, line, 3, 0, out, (double *)((int64_t *)out + 120));
+}
+
+/* a path 0-1-2-3 plus 0-2, one distance 0 */
+static const int64_t edges[] = {0, 1, 0, 2, 1, 2, 2, 3};
+static const double lengths[] = {1, 2, 0, 0.5}, sims[] = {0.5, 1, 2, 0.25};
+
+static int64_t affinity_layout_path(void *out)
+{
+    int64_t *at = out;
+    return affinity_layout(4, 4, edges, lengths, 2, 0, at, at + 5, at + 13,
+                           (double *)(at + 21), at + 25);
+}
+
+static int64_t affinity_weights_path(void *out)
+{
+    const int64_t pair[] = {0, 1, 0, 2, 1, 2, 3, 3};
+    double *at = out;
+    return affinity_weights(4, 4, edges, pair, sims, at, at + 4, at + 8);
 }
 
 /* Runs `run` with every allocation granted, then with the first k granted
@@ -1364,9 +1589,12 @@ int main(void)
                 NULL)
         | check("components", components_explicit, 6 * i64 + 2 * f64, NULL)
         | check("knn", knn_line, 60 * i64 + 60 * f64, NULL)
+        | check("knn_graph", knn_graph_line, 120 * i64 + 60 * f64, NULL)
         | check("pairs", pairs_mean, 10 * i64 + 5 * f64, NULL)
         | check("pairs_csr", pairs_csr_three, 17 * i64, NULL)
-        | check("row_nth", row_nth_three, 3 * f64, NULL);
+        | check("affinity_layout", affinity_layout_path, 22 * i64 + 4 * f64,
+                NULL)
+        | check("affinity_weights", affinity_weights_path, 16 * f64, NULL);
 }
 """
 
@@ -1378,4 +1606,4 @@ def test_kernels_fail_cleanly_when_memory_runs_out(tmp_path,
     # through LeakSanitizer, no leak
     out = _run_sanitized(tmp_path, sanitized_kernels, _NOMEM_SANITIZER_MAIN,
                          "-Wl,--wrap=malloc,--wrap=calloc")
-    assert out.count(", ok") == 9 and "BAD" not in out, out
+    assert out.count(", ok") == 11 and "BAD" not in out, out
