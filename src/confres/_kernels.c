@@ -1,6 +1,6 @@
 /* C ports of the local-moving phase, the level loop of the optimizer, its
- * exact gamma = 0 solve (`components`), the k-nearest-neighbour search, and
- * graph construction: the kNN graph (`knn_graph`), the pair grouping, and
+ * exact gamma = 0 solve (`components`), and graph construction: the kNN
+ * graph (`knn_graph`, a k-nearest-neighbour search), the pair grouping, and
  * the affinity graph of a neighbour graph (`affinity_layout`,
  * `affinity_weights`).
  *
@@ -16,15 +16,15 @@
  * solves gamma = 0 exactly, without the loop, as its reference
  * kernels.components_py: the connected components over the edges of
  * positive weight, with their (h_a, h_r) summed as the loop sums them.
- * `knn` returns the neighbours and distances of its reference, knn_py,
- * bit for bit, by a kd-tree search that batches the queries of a leaf and
- * skips, by a gate on squared sums, only what could not enter (see the
- * kd-tree section); `knn_graph` runs it and groups the result into the
- * kNN graph's pairs in the same call, as kernels.knn_graph_py.
- * `pairs` groups (i, j, w) entries into unique pairs, and `pairs_csr`
- * lays pairs out as a CSR, each entry naming its pair, in O(m + n), on
- * the code path of the level loop's aggregation, adding weights in the
- * order of their numpy references (kernels.pairs_py, pairs_csr_py).
+ * `knn_graph` finds each item's k nearest others, the neighbours and
+ * distances of kernels.knn_py bit for bit, by a kd-tree search that
+ * batches the queries of a leaf and skips, by a gate on squared sums,
+ * only what could not enter (see the kd-tree section), and groups them
+ * into the kNN graph's pairs in the same call, as kernels.knn_graph_py.
+ * `pairs` groups (i, j, w) entries into unique pairs and lays them out as
+ * a CSR in one call, in O(m + n), on the code path of the level loop's
+ * aggregation, adding weights in the order of its numpy reference
+ * (kernels.pairs_py).
  * `affinity_layout` and `affinity_weights` are graph.derive_affinity
  * around numpy's exp, as kernels.affinity_layout_py and
  * affinity_weights_py.  Bit-identity holds only when the compiler keeps
@@ -492,17 +492,17 @@ int64_t sweep(const graph_t *graph, double gamma, int64_t *labels,
 
 /* ---- pair grouping, for graph construction and aggregation ----
  *
- * graph._reduce_pairs (through the exported `pairs`), graph._csr_from_pairs
- * (through `pairs_csr`) and the level loop's aggregation share one code
- * path, O(m + n) for m entries over n items.  Two stable counting sorts,
- * by the larger end and then by the smaller, group the entries by
- * unordered pair, the pairs in lexicographic order and each pair's
- * entries in input order.  A pair's weight is its entries' weights summed
- * from 0.0 in that order, the order np.bincount adds them in, so the bits
- * are those of the numpy references.  The CSR fill lists both directions
- * of every pair, each row's columns ascending, as an argsort of the keys
- * row * n + col orders them, and names each entry's pair: a caller
- * gathers any per-pair values through those names. */
+ * graph._pairs (through the exported `pairs`) and the level loop's
+ * aggregation share one code path, O(m + n) for m entries over n items.
+ * Two stable counting sorts, by the larger end and then by the smaller,
+ * group the entries by unordered pair, the pairs in lexicographic order
+ * and each pair's entries in input order.  A pair's weight is its
+ * entries' weights summed from 0.0 in that order, the order np.bincount
+ * adds them in, so the bits are those of the numpy references.  The CSR
+ * fill lists both directions of every pair, each row's columns
+ * ascending, as an argsort of the keys row * n + col orders them, and
+ * gives each entry its pair's weight, or its pair's index for a caller
+ * (affinity_layout) to gather per-pair values through. */
 
 /* Written as functions of values, these compile to conditional moves;
  * with random ends, a branch would mispredict half the time. */
@@ -562,12 +562,13 @@ static int64_t group_pairs(int64_t m, int64_t n, const int64_t *a,
 }
 
 /* The both-direction CSR over n items of the `found` pairs (rows, cols),
- * unique and in lexicographic order, written to (ptr, idx), with each
- * entry's pair index in `pair`: n + 1, 2 * found and 2 * found slots.
+ * unique and in lexicographic order, written to (ptr, idx): n + 1 and
+ * 2 * found slots.  Each entry's pair index goes to `pair` and each pair's
+ * value in `vals` to `w`, 2 * found slots each, where they are not NULL.
  * `next` is n slots of scratch. */
 static void fill_csr(int64_t n, int64_t found, const int64_t *rows,
-                     const int64_t *cols, int64_t *next, int64_t *ptr,
-                     int64_t *idx, int64_t *pair)
+                     const int64_t *cols, const double *vals, int64_t *next,
+                     int64_t *ptr, int64_t *idx, int64_t *pair, double *w)
 {
     memset(ptr, 0, (size_t)(n + 1) * sizeof(int64_t));
     for (int64_t p = 0; p < found; p++) {
@@ -582,25 +583,34 @@ static void fill_csr(int64_t n, int64_t found, const int64_t *rows,
     for (int64_t p = 0; p < found; p++) {
         int64_t e = next[cols[p]]++;
         idx[e] = rows[p];
-        pair[e] = p;
+        if (pair)
+            pair[e] = p;
+        if (w)
+            w[e] = vals[p];
     }
     for (int64_t p = 0; p < found; p++) {
         int64_t e = next[rows[p]]++;
         idx[e] = cols[p];
-        pair[e] = p;
+        if (pair)
+            pair[e] = p;
+        if (w)
+            w[e] = vals[p];
     }
 }
 
 /* The unique unordered pairs of the m entries (rows[t], cols[t], vals[t])
- * over n items, as kernels.pairs_py: pairs (r, c), r <= c, in
- * lexicographic order, each with its entries' weights summed in input
- * order, divided by their count with `mean`.  Writes them to out_rows,
- * out_cols and out_vals (m slots each, also the sort's scratch) and
- * returns their number, or an ERR_ code with nothing written.  Scratch:
- * n + 1 slots. */
+ * over n items and their both-direction CSR, as kernels.pairs_py: pairs
+ * (r, c), r <= c, in lexicographic order, each with its entries' weights
+ * summed in input order, divided by their count with `mean`, written to
+ * out_rows, out_cols and out_vals (m slots each, also the sort's
+ * scratch); then their layout as fill_csr writes it, to out_ptr (n + 1
+ * slots), out_idx and out_weights (2 m slots each), each entry holding
+ * its pair's weight.  Returns the number of pairs, or an ERR_ code with
+ * nothing written.  Scratch: n + 1 slots. */
 int64_t pairs(int64_t n, int64_t m, const int64_t *rows, const int64_t *cols,
               const double *vals, int64_t mean, int64_t *out_rows,
-              int64_t *out_cols, double *out_vals)
+              int64_t *out_cols, double *out_vals, int64_t *out_ptr,
+              int64_t *out_idx, double *out_weights)
 {
     int64_t err = check_range(rows, m, n, ERR_ROWS);
     if (!err)
@@ -609,33 +619,15 @@ int64_t pairs(int64_t n, int64_t m, const int64_t *rows, const int64_t *cols,
         return err;
     buffers_t b = {NULL, 0};
     int64_t *count = take(&b, n + 1, sizeof(int64_t), 0);
-    int64_t found = b.failed ? ERR_NOMEM
-        : group_pairs(m, n, rows, cols, vals, mean != 0, count, out_rows,
-                      out_cols, out_vals);
+    int64_t found = ERR_NOMEM;
+    if (!b.failed) {
+        found = group_pairs(m, n, rows, cols, vals, mean != 0, count,
+                            out_rows, out_cols, out_vals);
+        fill_csr(n, found, out_rows, out_cols, out_vals, count, out_ptr,
+                 out_idx, NULL, out_weights);
+    }
     release(&b);
     return found;
-}
-
-/* The both-direction CSR over n items of p unique pairs (rows, cols) in
- * lexicographic order, as kernels.pairs_csr_py: each row's columns
- * ascending, each entry's pair index beside it.  Writes out_ptr (n + 1
- * slots), out_idx and out_pair (2 p slots each) and returns 0, or an ERR_
- * code with nothing written. */
-int64_t pairs_csr(int64_t n, int64_t p, const int64_t *rows,
-                  const int64_t *cols, int64_t *out_ptr, int64_t *out_idx,
-                  int64_t *out_pair)
-{
-    int64_t err = check_range(rows, p, n, ERR_ROWS);
-    if (!err)
-        err = check_range(cols, p, n, ERR_COLS);
-    if (err)
-        return err;
-    buffers_t b = {NULL, 0};
-    int64_t *next = take(&b, n, sizeof(int64_t), 0);
-    if (!b.failed)
-        fill_csr(n, p, rows, cols, next, out_ptr, out_idx, out_pair);
-    release(&b);
-    return b.failed ? ERR_NOMEM : 0;
 }
 
 /* The nth smallest of a[0..len), 0 <= nth < len, by quickselect (median of
@@ -790,7 +782,8 @@ int64_t affinity_layout(int64_t n, int64_t m, const int64_t *edges,
             err = ERR_ISOLATED;
         }
     if (!err) {
-        fill_csr(n, m, rows, cols, next, out_ptr, out_idx, out_pair);
+        fill_csr(n, m, rows, cols, NULL, next, out_ptr, out_idx, out_pair,
+                 NULL);
         if (inverse) {
             for (int64_t t = 0; !err && t < m; t++)
                 if (dist[t] <= 0.0)
@@ -896,13 +889,13 @@ static int64_t upper_entries(int64_t n, const int64_t *ptr, const int64_t *idx)
 
 /* Scratch of `collapse`: the cross-cluster entries (the clusters of
  * their ends, their weights) and group_pairs' arrays, `cap` slots each,
- * k + 1 counters, and the pair of each coarse CSR entry, 2 cap slots. */
+ * and k + 1 counters. */
 typedef struct {
     int64_t *a, *b;
     double *w;
     int64_t *rows, *cols;
     double *sum;
-    int64_t *count, *pair;
+    int64_t *count;
 } collapse_t;
 
 /* The CSR (ptr, idx, wt) over n items collapsed onto the k clusters of
@@ -927,9 +920,8 @@ static void collapse(int64_t n, const int64_t *ptr, const int64_t *idx,
     }
     int64_t found = group_pairs(m, k, c->a, c->b, c->w, 0, c->count,
                                 c->rows, c->cols, c->sum);
-    fill_csr(k, found, c->rows, c->cols, c->count, out_ptr, out_idx, c->pair);
-    for (int64_t e = 0; e < 2 * found; e++)
-        out_w[e] = c->sum[c->pair[e]];
+    fill_csr(k, found, c->rows, c->cols, c->sum, c->count, out_ptr, out_idx,
+             NULL, out_w);
 }
 
 /* The sum from 0.0, in CSR order, of the weights of the entries (i, j),
@@ -1013,7 +1005,7 @@ int64_t level_loop(const graph_t *graph, double gamma, int64_t max_levels,
     collapse_t c = {take(&b, cap, i64, 0), take(&b, cap, i64, 0),
                     take(&b, cap, f64, 0), take(&b, cap, i64, 0),
                     take(&b, cap, i64, 0), take(&b, cap, f64, 0),
-                    take(&b, slots, i64, 0), take(&b, 2 * cap, i64, 0)};
+                    take(&b, slots, i64, 0)};
     int64_t *ptr = take(&b, slots, i64, 0), *idx = take(&b, 2 * cap, i64, 0);
     double *wt = take(&b, 2 * cap, f64, 0);
     int64_t *rep_ptr = explicit_rep ? take(&b, slots, i64, 0) : NULL;
@@ -1507,8 +1499,11 @@ static void search_alloc(buffers_t *b, kdtree_t *t, batch_t *q, int64_t n,
     q->near = take(b, width < n ? width : n, sizeof(double), 0);
 }
 
-/* Each item's k nearest others, rows of nn / nn_dist (n x k) ascending by
- * (distance, index), one batch per leaf. */
+/* Each item's k nearest other items by (distance, index), as knn_py:
+ * row i of nn / nn_dist (n x k) lists them in that order, one batch per
+ * leaf.  The distance is the square root of the squared differences
+ * summed from 0.0 in coordinate order, or half that sum with
+ * half_square. */
 static void search(kdtree_t *t, batch_t *q, int64_t n, const double *points,
                    int64_t *nn, double *nn_dist)
 {
@@ -1534,34 +1529,16 @@ static void search(kdtree_t *t, batch_t *q, int64_t n, const double *points,
     }
 }
 
-/* Each item's k nearest other items by (distance, index), as knn_py:
- * row i of nn / nn_dist (n x k) lists them in that order.  The distance
- * is the square root of the squared differences summed from 0.0 in
- * coordinate order, or half that sum with half_square.  The caller
- * passes n x d finite points and 1 <= k <= n - 1.  Scratch: the points in
- * tree order twice (by row and by coordinate), 3 n indices, at most
- * n / 4 + 1 nodes of 2 d bounds each and a batch's lists and group, so
- * O(n d + k).  Returns 0, or ERR_NOMEM with nn and nn_dist unwritten. */
-int64_t knn(int64_t n, int64_t d, const double *points, int64_t k,
-            int64_t half_square, int64_t *nn, double *nn_dist)
-{
-    buffers_t b = {NULL, 0};
-    kdtree_t t;
-    batch_t q;
-    search_alloc(&b, &t, &q, n, d, k, half_square);
-    if (!b.failed)
-        search(&t, &q, n, points, nn, nn_dist);
-    release(&b);
-    return b.failed ? ERR_NOMEM : 0;
-}
-
 /* The kNN graph of graph.build_knn_graph, as kernels.knn_graph_py: the
- * search of `knn`, then the unique pairs (i, j), i < j, of every item and
- * its k nearest, in lexicographic order, each with the mean of its
- * entries' distances, grouped by group_pairs.  Writes the pairs to
- * out_edges (2 n k slots, i then j) and their distances to out_dist (n k
- * slots) and returns their number, or an ERR_ code with nothing written:
- * ERR_OVERFLOW when a distance is not finite.  Scratch: that of `knn` and
+ * search, then the unique pairs (i, j), i < j, of every item and its k
+ * nearest, in lexicographic order, each with the mean of its entries'
+ * distances, grouped by group_pairs.  The caller passes n x d finite
+ * points and 1 <= k <= n - 1.  Writes the pairs to out_edges (2 n k
+ * slots, i then j) and their distances to out_dist (n k slots) and
+ * returns their number, or an ERR_ code with nothing written:
+ * ERR_OVERFLOW when a distance is not finite.  Scratch: the points in
+ * tree order twice (by row and by coordinate), 3 n indices, at most
+ * n / 4 + 1 nodes of 2 d bounds each, a batch's lists and group, and
  * 5 n k + n + 1 slots. */
 int64_t knn_graph(int64_t n, int64_t d, const double *points, int64_t k,
                   int64_t half_square, int64_t *out_edges, double *out_dist)

@@ -2,6 +2,7 @@
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,22 @@ class AffinityGraph:
     @property
     def rep_mode(self) -> int:
         return REP_EXPLICIT if self.repulsion_scheme == "explicit" else REP_PRODUCT
+
+    @cached_property
+    def _kernel_graph(self):
+        """`kernels.graph_args` of the graph, taken on first use: a frozen
+        graph keeps its arrays, so this view of them holds as long as it
+        lives.  The C kernels still check every index on each call."""
+        return kernels.graph_args(
+            self.n, self.indptr, self.indices, self.weights, self.rep_mode,
+            self.rep_strength, self.rep_denom, self.rep_indptr,
+            self.rep_indices, self.rep_weights)
+
+    def __getstate__(self):
+        # a copy or an unpickled graph takes a view of its own arrays
+        state = self.__dict__.copy()
+        state.pop("_kernel_graph", None)
+        return state
 
     def attraction_dense(self) -> np.ndarray:
         """Dense w+ matrix; intended for small-n tests and oracles."""
@@ -117,52 +134,23 @@ def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
     return NeighborGraph(n=n, edges=edges, distances=dist, k=k)
 
 
-def _triples(rows, cols, vals):
-    """The arrays as the kernels read them: C-contiguous int64, int64 and
-    float64."""
-    return (np.ascontiguousarray(rows, dtype=np.int64),
-            np.ascontiguousarray(cols, dtype=np.int64),
-            np.ascontiguousarray(vals, dtype=np.float64))
-
-
-def _reduce_pairs(n, i, j, w, mean=False):
-    """Sorted unique unordered pairs (row < col) of items in [0, n).
-
-    The weights of each pair's repeats are summed in input order (or
-    averaged, with `mean`), by `kernels.pairs` in O(m + n).
-    """
-    return kernels.pairs(n, *_triples(i, j, w), mean)
-
-
-def _csr_from_pairs(n, rows, cols, vals):
-    """Both-direction CSR from unique pairs (row < col) in sorted order,
-    each row's columns ascending, laid out by `kernels.pairs_csr` in
-    O(m + n), the values gathered through its pair indices."""
-    indptr, indices, pair = kernels.pairs_csr(n, rows, cols)
-    return indptr, indices, vals[pair]
-
-
-def _end_sums(n, rows, cols, vals):
-    """Per item, the sum of `vals` over the pairs it ends: from 0.0, in
-    pair order over `rows`, then over `cols` (np.bincount adds in input
-    order)."""
-    return np.bincount(np.concatenate([rows, cols]),
-                       weights=np.concatenate([vals, vals]), minlength=n)
-
-
-def _assemble(n, rows, cols, vals, scheme, rep_pairs=None):
-    """The AffinityGraph of the attraction pairs (rows, cols, vals), the
-    weights laid out by `kernels.pairs_csr`."""
-    strengths = _end_sums(n, rows, cols, vals)
-    indptr, indices, pair = kernels.pairs_csr(n, rows, cols)
-    return _with_repulsion(n, indptr, indices, vals[pair], strengths,
-                           float(np.sum(vals)), scheme, rep_pairs)
+def _pairs(n, rows, cols, vals, mean=False):
+    """(rows, cols, vals, indptr, indices, weights): the sorted unique
+    unordered pairs (row <= col) of the entries over n items, the weights
+    of each pair's repeats summed in input order (or averaged, with
+    `mean`), and their both-direction CSR, each row's columns ascending,
+    each entry holding its pair's weight.  One call of `kernels.pairs`,
+    O(m + n), on the arrays as C-contiguous int64, int64 and float64."""
+    return kernels.pairs(n, np.ascontiguousarray(rows, dtype=np.int64),
+                         np.ascontiguousarray(cols, dtype=np.int64),
+                         np.ascontiguousarray(vals, dtype=np.float64), mean)
 
 
 def _with_repulsion(n, indptr, indices, weights, strengths, total, scheme,
-                    rep_pairs):
+                    rep_csr):
     """The AffinityGraph of the attraction CSR, its strengths and total
-    weight, with the repulsion of `scheme`."""
+    weight, with the repulsion of `scheme`, whose CSR `rep_csr` is for
+    the explicit scheme."""
     if total <= 0.0:
         raise NumericalError("total attraction weight W must be positive")
     kwargs = {}
@@ -173,12 +161,11 @@ def _with_repulsion(n, indptr, indices, weights, strengths, total, scheme,
         rep_strength = np.ones(n)
         rep_denom = float(n)
     elif scheme == "explicit":
-        if rep_pairs is None:
+        if rep_csr is None:
             raise ParameterError("explicit repulsion scheme needs repulsion edges")
-        rr, rc, rv = rep_pairs
         rep_strength = np.zeros(n)
         rep_denom = 1.0
-        ri, rj, rw = _csr_from_pairs(n, rr, rc, rv)
+        ri, rj, rw = rep_csr
         kwargs = {"rep_indptr": ri, "rep_indices": rj, "rep_weights": rw}
     else:
         raise ParameterError(f"unknown repulsion scheme {scheme!r}")
@@ -190,7 +177,8 @@ def _with_repulsion(n, indptr, indices, weights, strengths, total, scheme,
 
 
 def _merge_pairs(n, edges, label="edge"):
-    """Average duplicate directions / repeats of unordered pairs."""
+    """Average duplicate directions / repeats of unordered pairs: `_pairs`
+    of the checked (i, j, w) rows."""
     arr = np.asarray(edges, dtype=np.float64)
     if arr.size == 0:
         arr = arr.reshape(0, 3)
@@ -214,7 +202,14 @@ def _merge_pairs(n, edges, label="edge"):
             raise InputError(f"self-loop ({i}, {i}) not allowed")
         raise InputError(f"{label} weight {w[e]} on ({i}, {j}) must be "
                          f"finite and non-negative")
-    return _reduce_pairs(n, ends[:, 0], ends[:, 1], w, mean=True)
+    return _pairs(n, ends[:, 0], ends[:, 1], w, mean=True)
+
+
+def _repulsion_csr(n, repulsion_edges):
+    """The CSR of the merged repulsion edges, or None without them."""
+    if repulsion_edges is None:
+        return None
+    return _merge_pairs(n, repulsion_edges, label="repulsion")[3:]
 
 
 def _check_repulsion(scheme, repulsion_edges):
@@ -235,11 +230,14 @@ def from_edge_list(n: int, edges, repulsion_scheme: str = "configuration_null",
     _check_repulsion(repulsion_scheme, repulsion_edges)
     if len(edges) == 0:
         raise InputError("edge list is empty")
-    rows, cols, vals = _merge_pairs(n, edges)
-    rep_pairs = None
-    if repulsion_edges is not None:
-        rep_pairs = _merge_pairs(n, repulsion_edges, label="repulsion")
-    return _assemble(n, rows, cols, vals, repulsion_scheme, rep_pairs)
+    rows, cols, vals, *csr = _merge_pairs(n, edges)
+    # each item's strength: from 0.0 over its pairs, in pair order over
+    # `rows`, then over `cols` (np.bincount adds in input order)
+    strengths = np.bincount(np.concatenate([rows, cols]),
+                            weights=np.concatenate([vals, vals]), minlength=n)
+    return _with_repulsion(n, *csr, strengths, float(np.sum(vals)),
+                           repulsion_scheme,
+                           _repulsion_csr(n, repulsion_edges))
 
 
 def _edge_arrays(graph: NeighborGraph):
@@ -290,11 +288,9 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
     sim = np.exp(vals) if gaussian else vals
     # stochastic reweighting: rows of the similarity matrix sum to one
     w, strengths, weights = kernels.affinity_weights(n, edges, layout[2], sim)
-    rep_pairs = None
-    if repulsion_edges is not None:
-        rep_pairs = _merge_pairs(n, repulsion_edges, label="repulsion")
     return _with_repulsion(n, *layout[:2], weights, strengths,
-                           float(w.sum()), repulsion_scheme, rep_pairs)
+                           float(w.sum()), repulsion_scheme,
+                           _repulsion_csr(n, repulsion_edges))
 
 
 def _parse_rows(path, body) -> np.ndarray:

@@ -30,42 +30,40 @@ or numpy reference that is the fallback and the test oracle:
   canonical labels and their (h_a, h_r) summed as `level_loop` sums them.
   `components_py` is its reference; without the C kernels it is None.
   `level_loop` and `components` take `graph_args`, the graph checked and
-  laid out as the `Graph` struct the C kernels read, which a caller that
-  solves one graph many times (a resolution sweep) takes once.
-- `knn` finds each item's k nearest others by (distance, index) with an
-  exact kd-tree search, the queries of a leaf batched into one walk of the
-  tree; `knn_py` does it by chunked brute force.  Both sum a distance from
-  0.0 in coordinate order, so they return the same bits.  `knn_graph`,
-  the kNN graph of `graph.build_knn_graph`, is the search, its overflow
-  check and `pairs` in one C call; `knn_graph_py` is the same steps on the
-  references.
+  laid out as the `Graph` struct the C kernels read, which each
+  `graph.AffinityGraph` takes once and keeps.
+- `knn_graph`, the kNN graph of `graph.build_knn_graph`, finds each
+  item's k nearest others by (distance, index) with an exact kd-tree
+  search, the queries of a leaf batched into one walk of the tree, checks
+  their distances for overflow and groups them into pairs as `pairs` does,
+  in one C call.  `knn_graph_py` is the same steps in numpy, its search
+  `knn_py` a chunked brute force.  Both sum a distance from 0.0 in
+  coordinate order, so they return the same bits.
 - `pairs` reduces (i, j, w) entries to their sorted unique unordered
-  pairs, each weight summed in input order (or averaged), and `pairs_csr`
-  returns their layout as a both-direction CSR with ascending columns,
-  each entry's pair index beside it to gather per-pair values through:
-  graph construction (kNN edges, edge lists) and `optimizer.aggregate`
-  run on them.  In C both are O(m + n), two stable counting sorts and one
-  fill, the code path of `level_loop`'s aggregation; `pairs_py` and
-  `pairs_csr_py` sort integer keys in numpy.  Both add in input order, as
-  np.bincount does, so the bits are the same.
+  pairs, each weight summed in input order (or averaged), and lays them
+  out as a both-direction CSR with ascending columns, each entry holding
+  its pair's weight: graph construction (edge lists) and
+  `optimizer.aggregate` run on it.  In C it is one O(m + n) call, two
+  stable counting sorts and one fill, the code path of `level_loop`'s
+  aggregation; `pairs_py` sorts integer keys in numpy.  Both add in input
+  order, as np.bincount does, so the bits are the same.
 - `affinity_layout` and `affinity_weights` are `graph.derive_affinity`
   in two C calls around numpy's exp: the first checks a neighbour graph's
-  edges and distances, lays the edges out as `pairs_csr` does, picks each
-  item's sigma by selection and writes the Gaussian's exponents (or the
-  inverse distances); the second turns similarities into the symmetrised
-  weights, their end sums and their CSR layout.  `affinity_layout_py` and
-  `affinity_weights_py` are the numpy code they replace, adding in the
-  same order.
+  edges and distances, lays the edges out as `pairs` does, with each
+  entry's pair index beside it, picks each item's sigma by selection and
+  writes the Gaussian's exponents (or the inverse distances); the second
+  turns similarities into the symmetrised weights, their end sums and
+  their CSR layout.  `affinity_layout_py` and `affinity_weights_py` are
+  the numpy code they replace, adding in the same order.
 
 On first import the C file is compiled with `cc` (else `gcc`) into a
 per-user cache, keyed by source, flags and machine type, and loaded with
 ctypes.  Without a compiler, when the build fails, or with
-CONFRES_DISABLE_COMPILED=1, `sweep`, `knn`, `knn_graph`, `pairs`,
-`pairs_csr`, `affinity_layout` and `affinity_weights` are the references,
-and the optimizer runs its Python loop and `components_py` (identical
-results, much slower).  A failed build leaves
-a marker file beside the cache entry, so later imports do not run the
-compiler again.
+CONFRES_DISABLE_COMPILED=1, `sweep`, `knn_graph`, `pairs`,
+`affinity_layout` and `affinity_weights` are the references, and the
+optimizer runs its Python loop and `components_py` (identical results,
+much slower).  A failed build leaves a marker file beside the cache
+entry, so later imports do not run the compiler again.
 `BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py,
 tests/test_optimizer.py and tests/test_graph.py check that the two agree
 bit for bit; to time the Python references, run perfbench/run.py with
@@ -399,32 +397,27 @@ def knn_py(points, k, metric="euclidean"):
     return nn, nn_dist
 
 
-def _check_ends(rows, cols, vals=None):
-    """Raise ValueError unless rows, cols and vals, when given, are
-    C-contiguous 1-D int64, int64 and float64 arrays of one length."""
+def _check_ends(rows, cols, vals):
+    """Raise ValueError unless rows, cols and vals are C-contiguous 1-D
+    int64, int64 and float64 arrays of one length."""
     _check_array("rows", rows, _I64)
     _check_array("cols", cols, _I64, rows.shape[0])
-    if vals is not None:
-        _check_array("vals", vals, _F64, rows.shape[0])
-
-
-def _check_pairs(n, rows, cols, vals=None):
-    """`_check_ends`, then IndexError unless every index lies in [0, n),
-    rows checked first, as the C kernels check."""
-    _check_ends(rows, cols, vals)
-    _check_range("rows", rows, n)
-    _check_range("cols", cols, n)
+    _check_array("vals", vals, _F64, rows.shape[0])
 
 
 def pairs_py(n, rows, cols, vals, mean=False):
     """The sorted unique unordered pairs (row <= col) of the entries
-    (rows[t], cols[t], vals[t]) over n items, as (rows, cols, vals).
+    (rows[t], cols[t], vals[t]) over n items, as (rows, cols, vals), then
+    their CSR by `pairs_csr_py` with each entry's pair weight, as (indptr,
+    indices, weights).
 
     Each pair's weight is its entries' weights summed from 0.0 in input
     order (np.bincount adds in that order), divided by their count with
-    `mean`.
+    `mean`.  Raises where the C kernel does: ValueError, then IndexError.
     """
-    _check_pairs(n, rows, cols, vals)
+    _check_ends(rows, cols, vals)
+    _check_range("rows", rows, n)
+    _check_range("cols", cols, n)
     key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
     order = np.argsort(key)
     key = key[order]
@@ -439,7 +432,9 @@ def pairs_py(n, rows, cols, vals, mean=False):
         np.float64, copy=False)
     if mean:
         sums = sums / np.bincount(inv, minlength=len(unique))
-    return unique // n, unique % n, sums
+    rows, cols = unique // n, unique % n
+    indptr, indices, pair = pairs_csr_py(n, rows, cols)
+    return rows, cols, sums, indptr, indices, sums[pair]
 
 
 def pairs_csr_py(n, rows, cols):
@@ -448,9 +443,9 @@ def pairs_csr_py(n, rows, cols):
     each entry's pair index: `vals[pair]` lays out any per-pair `vals`.
 
     The entries (i, j) are unique, so one sort of the keys i * n + j puts
-    them in that order with any sort algorithm.
+    them in that order with any sort algorithm.  The callers check the
+    pairs.
     """
-    _check_pairs(n, rows, cols)
     ii = np.concatenate([cols, rows])
     jj = np.concatenate([rows, cols])
     order = np.argsort(ii * n + jj)
@@ -473,8 +468,8 @@ def knn_graph_py(points, k, metric="euclidean"):
         _raise(_ERR_OVERFLOW)
     n = nn.shape[0]
     # both directions of a pair carry the same distance, so their mean is it
-    rows, cols, dist = pairs_py(n, np.repeat(np.arange(n), k), nn.ravel(),
-                                nn_dist.ravel(), mean=True)
+    rows, cols, dist, *_ = pairs_py(n, np.repeat(np.arange(n), k),
+                                    nn.ravel(), nn_dist.ravel(), mean=True)
     return np.stack([rows, cols], axis=1), dist
 
 
@@ -658,12 +653,9 @@ def _load_library():
     lib.level_loop.restype = i64
     lib.components.argtypes = [graph, ptr, ptr]
     lib.components.restype = i64
-    lib.knn.argtypes = [i64, i64, ptr, i64, i64, ptr, ptr]
-    lib.knn.restype = i64
-    lib.pairs.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr]
+    lib.pairs.argtypes = [i64, i64, ptr, ptr, ptr, i64, ptr, ptr, ptr, ptr,
+                          ptr, ptr]
     lib.pairs.restype = i64
-    lib.pairs_csr.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr]
-    lib.pairs_csr.restype = i64
     lib.knn_graph.argtypes = [i64, i64, ptr, i64, i64, ptr, ptr]
     lib.knn_graph.restype = i64
     lib.affinity_layout.argtypes = [i64, i64, ptr, ptr, i64, i64, ptr, ptr,
@@ -823,59 +815,33 @@ def _components_c(graph):
     return labels, energy[0], energy[1]
 
 
-def _knn_c(points, k, metric="euclidean"):
-    """`knn_py` by an exact kd-tree search in C (`knn` in _kernels.c):
-    the same neighbours and distances, bit for bit.  Its O(n d) scratch
-    (the points in tree order, at most n / 4 + 1 nodes with their boxes)
-    comes from C's malloc, which tracemalloc does not see."""
-    points = _check_knn(points, k, metric)
-    n, d = points.shape
-    nn = np.empty((n, k), dtype=np.int64)
-    nn_dist = np.empty((n, k))
-    status = _LIB.knn(n, d, _address(points), k, metric == "cosine",
-                      _address(nn), _address(nn_dist))
-    if status < 0:
-        _raise(status)
-    return nn, nn_dist
-
-
 def _pairs_c(n, rows, cols, vals, mean=False):
     """`pairs_py` in O(m + n) (`pairs` in _kernels.c): the same arrays, bit
     for bit, each of its exact size."""
     _check_ends(rows, cols, vals)
     m = rows.shape[0]
     out = (np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64),
-           np.empty(m))
-    found = _LIB.pairs(n, m, _address(rows), _address(cols),
-                       _address(vals), bool(mean),
-                       *(_address(a) for a in out))
+           np.empty(m), np.empty(n + 1, dtype=np.int64),
+           np.empty(2 * m, dtype=np.int64), np.empty(2 * m))
+    found = _LIB.pairs(n, m, _address(rows), _address(cols), _address(vals),
+                       bool(mean), *(_address(a) for a in out))
     if found < 0:
         _raise(found, n)
-    for a in out:  # shrunk in place: no copy, and no m-slot buffer kept
-        a.resize(found, refcheck=False)  # nothing else refers to it
+    # shrunk in place: no copy, and no larger buffer kept; nothing else
+    # refers to them
+    for a in out[:3]:
+        a.resize(found, refcheck=False)
+    for a in out[4:]:
+        a.resize(2 * found, refcheck=False)
     return out
 
 
-def _pairs_csr_c(n, rows, cols):
-    """`pairs_csr_py` in O(p + n) (`pairs_csr` in _kernels.c): the same
-    arrays, bit for bit."""
-    _check_ends(rows, cols)
-    p = rows.shape[0]
-    indptr = np.empty(n + 1, dtype=np.int64)
-    indices = np.empty(2 * p, dtype=np.int64)
-    pair = np.empty(2 * p, dtype=np.int64)
-    status = _LIB.pairs_csr(n, p, _address(rows), _address(cols),
-                            _address(indptr), _address(indices),
-                            _address(pair))
-    if status < 0:
-        _raise(status, n)
-    return indptr, indices, pair
-
-
 def _knn_graph_c(points, k, metric="euclidean"):
-    """`knn_graph_py` in one C call (`knn_graph` in _kernels.c): the search
-    of `knn` and the pair grouping of `pairs`, the same arrays bit for
-    bit."""
+    """`knn_graph_py` in one C call (`knn_graph` in _kernels.c): a kd-tree
+    search with the results of `knn_py` and the pair grouping of `pairs`,
+    the same arrays bit for bit.  Its O(n d) scratch (the points in tree
+    order, at most n / 4 + 1 nodes with their boxes) comes from C's
+    malloc, which tracemalloc does not see."""
     points = _check_knn(points, k, metric)
     n, d = points.shape
     edges = np.empty((n * k, 2), dtype=np.int64)
@@ -926,14 +892,12 @@ def _affinity_weights_c(n, edges, pair, sim):
 _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
-    sweep, knn, knn_graph = _local_move, knn_py, knn_graph_py
-    pairs, pairs_csr = pairs_py, pairs_csr_py
+    sweep, knn_graph, pairs = _local_move, knn_graph_py, pairs_py
     affinity_layout, affinity_weights = affinity_layout_py, affinity_weights_py
     level_loop = components = None  # optimizer runs the references
 else:
     BACKEND = "c"
-    sweep, knn, knn_graph = _local_move_c, _knn_c, _knn_graph_c
-    pairs, pairs_csr = _pairs_c, _pairs_csr_c
+    sweep, knn_graph, pairs = _local_move_c, _knn_graph_c, _pairs_c
     affinity_layout, affinity_weights = _affinity_layout_c, _affinity_weights_c
     level_loop, components = _level_loop_c, _components_c
 

@@ -21,13 +21,14 @@ components over its edges of positive weight, which `kernels.components`
 finds exactly (`kernels.components_py` without the C kernels).
 
 A solve on a small graph should pay for little besides its loop, so the
-fixed costs are paid once: the C kernels' graph arguments (`_kernel_args`)
-once per graph object, each seed's initial generator state once per seed,
-and the generator itself once per thread, reset to that state per seed.
+fixed costs are paid once: the C kernels' view of the graph once per
+graph object, which keeps it, each seed's initial generator state once
+per seed, and the generator itself once per thread, reset to that state
+per seed.
 """
 
+import numbers
 import threading
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +37,7 @@ import numpy as np
 from .energy import (EnergySummary, _components, canonicalize, check_gamma,
                      cluster_count)
 from .errors import ParameterError
-from .graph import AffinityGraph, _csr_from_pairs, _reduce_pairs
+from .graph import AffinityGraph, _pairs
 from . import kernels
 
 MAX_LEVELS = 32
@@ -49,10 +50,15 @@ class OptimizeOptions:
     restarts: int = 1  # independent seeded runs; the best energy wins
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
+        for name, least in (("seed", 0), ("restarts", 1)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ParameterError(f"{name} must be >= {least}, got {value}")
+            # a plain int: numpy integer arithmetic could wrap seed + restarts
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -81,28 +87,28 @@ def _run_sweeps(graph, labels, gamma, constraint, rng, max_sweeps):
 def _collapse(labels, k, indptr, indices, weights):
     """Split CSR pairs into cluster-internal and cross-cluster ones.
 
-    Returns the internal weight total and the cross-cluster weights summed
-    per super-node pair, as (total, rows, cols, vals).
+    Returns the internal weight total and `_pairs` of the cross-cluster
+    weights, summed per super-node pair, as (total, rows, cols, vals,
+    indptr, indices, weights).
     """
     src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     once = indices > src
     ci, cj, w = labels[src[once]], labels[indices[once]], weights[once]
     internal = ci == cj
     cross = ~internal
-    rows, cols, vals = _reduce_pairs(k, ci[cross], cj[cross], w[cross])
-    return float(np.sum(w[internal])), rows, cols, vals
+    return (float(np.sum(w[internal])),
+            *_pairs(k, ci[cross], cj[cross], w[cross]))
 
 
 def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
     """Collapse clusters to super-nodes; energies are preserved exactly."""
     labels = canonicalize(labels)
     k = cluster_count(labels)
-    internal, rows, cols, w_agg = _collapse(
+    internal, _, _, w_agg, indptr, indices, weights = _collapse(
         labels, k, graph.indptr, graph.indices, graph.weights)
     const_h_a = -internal
     # bincount adds each cluster's members in item order, as np.add.at did
     strengths = np.bincount(labels, weights=graph.strengths, minlength=k)
-    indptr, indices, weights = _csr_from_pairs(k, rows, cols, w_agg)
     kwargs = {}
     if graph.rep_mode == kernels.REP_PRODUCT:
         rho = np.bincount(labels, weights=graph.rep_strength, minlength=k)
@@ -111,9 +117,8 @@ def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
         const_h_r = float(np.sum(rho ** 2 - rho_sq)) / (2.0 * graph.rep_denom)
         rep_strength = rho
     else:
-        const_h_r, rr, rc, rv = _collapse(
+        const_h_r, _, _, _, rp, rix, rwt = _collapse(
             labels, k, graph.rep_indptr, graph.rep_indices, graph.rep_weights)
-        rp, rix, rwt = _csr_from_pairs(k, rr, rc, rv)
         kwargs = {"rep_indptr": rp, "rep_indices": rix, "rep_weights": rwt}
         rep_strength = np.zeros(k)
 
@@ -164,31 +169,9 @@ def _level_loop_py(graph, gamma, rng):
     return (final, *_components(graph, final))
 
 
-# id(graph) -> (a weak reference to the graph, its kernels.graph_args);
-# an entry goes when its graph does, before its id can be reused
-_ARGS = {}
-
-
-def _kernel_args(graph):
-    """`kernels.graph_args` of the graph, checked and taken on the first
-    call for this graph object only: a frozen AffinityGraph keeps its
-    arrays, so their layout and addresses do not change while it lives.
-    The C kernels still check every index on each call."""
-    key = id(graph)
-    entry = _ARGS.get(key)
-    if entry is None or entry[0]() is not graph:
-        args = kernels.graph_args(
-            graph.n, graph.indptr, graph.indices, graph.weights,
-            graph.rep_mode, graph.rep_strength, graph.rep_denom,
-            graph.rep_indptr, graph.rep_indices, graph.rep_weights)
-        entry = (weakref.ref(graph, lambda _: _ARGS.pop(key, None)), args)
-        _ARGS[key] = entry
-    return entry[1]
-
-
 def _level_loop_c(graph, gamma, rng):
     return kernels.level_loop(
-        _kernel_args(graph), float(gamma), rng, MAX_LEVELS,
+        graph._kernel_graph, float(gamma), rng, MAX_LEVELS,
         MAX_SWEEPS_PER_LEVEL, 10 * MAX_SWEEPS_PER_LEVEL)
 
 
@@ -200,7 +183,7 @@ def _connected(graph):
             graph.n, graph.indptr, graph.indices, graph.weights,
             graph.rep_mode, graph.rep_strength, graph.rep_denom,
             graph.rep_indptr, graph.rep_indices, graph.rep_weights)
-    return kernels.components(_kernel_args(graph))
+    return kernels.components(graph._kernel_graph)
 
 
 def _compiled_loop():
@@ -236,7 +219,6 @@ def optimize(graph: AffinityGraph, gamma: float,
     check_gamma(gamma)
     if opts is None:
         opts = OptimizeOptions()
-    seeds = range(opts.seed, opts.seed + opts.restarts)  # a bad seed raises
     if gamma == 0.0:
         labels, h_a, h_r = _connected(graph)
         return labels, EnergySummary.at(gamma, h_a, h_r)
@@ -247,7 +229,7 @@ def optimize(graph: AffinityGraph, gamma: float,
     if rng is None:
         rng = np.random.Generator(np.random.PCG64())
     best = None
-    for seed in seeds:
+    for seed in range(opts.seed, opts.seed + opts.restarts):
         # the draws of np.random.default_rng(np.random.PCG64(seed))
         rng.bit_generator.state = _initial_state(seed)
         labels, h_a, h_r = level_loop(graph, gamma, rng)

@@ -387,10 +387,12 @@ def _lexsort_csr(n, rows, cols, vals):
 
 class TestCsrFromPairs:
     def _check(self, n, rows, cols, vals):
-        got = graph_mod._csr_from_pairs(n, rows, cols, vals)
-        want = _lexsort_csr(n, rows, cols, vals)
-        for g, w, dtype in zip(got, want, (np.int64, np.int64, np.float64)):
-            assert g.dtype == dtype
+        # unique pairs in order come back as they are, laid out as a
+        # lexsort of every entry lays them out
+        got = graph_mod._pairs(n, rows, cols, vals)
+        want = (rows, cols, vals, *_lexsort_csr(n, rows, cols, vals))
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype
             assert np.array_equal(g, w)
 
     def test_random_pairs_match_lexsort(self, rng):
@@ -414,10 +416,9 @@ class TestCsrFromPairs:
 
 def use_references(monkeypatch):
     """Route graph construction through the numpy references of the
-    C kNN graph, pair, CSR and affinity kernels."""
+    C kNN graph, pair and affinity kernels."""
     monkeypatch.setattr(kernels, "knn_graph", kernels.knn_graph_py)
     monkeypatch.setattr(kernels, "pairs", kernels.pairs_py)
-    monkeypatch.setattr(kernels, "pairs_csr", kernels.pairs_csr_py)
     monkeypatch.setattr(kernels, "affinity_layout", kernels.affinity_layout_py)
     monkeypatch.setattr(kernels, "affinity_weights",
                         kernels.affinity_weights_py)
@@ -441,7 +442,8 @@ def _stable_csr(n, rows, cols, vals):
 
 
 def _add_at_assemble(n, rows, cols, vals, scheme, rep_pairs):
-    """The graph arrays as `_assemble` built them with np.add.at."""
+    """The graph arrays of the pairs (rows, cols, vals) as graph
+    construction built them with a stable sort and np.add.at."""
     strengths = np.zeros(n)
     np.add.at(strengths, rows, vals)
     np.add.at(strengths, cols, vals)
@@ -484,7 +486,7 @@ def _lexsort_affinity(graph, kernel, scheme, repulsion_edges):
     w = 0.5 * (sim / rowsum[rows] + sim / rowsum[cols])
     rep_pairs = None
     if repulsion_edges is not None:
-        rep_pairs = graph_mod._merge_pairs(n, repulsion_edges)
+        rep_pairs = graph_mod._merge_pairs(n, repulsion_edges)[:3]
     return _add_at_assemble(n, rows, cols, w, scheme, rep_pairs)
 
 
@@ -558,8 +560,9 @@ class TestAffinityAgainstLexsortOracle:
             scheme = graph_mod.REPULSION_SCHEMES[trial % 3]
             rep = self._repulsion(rng, n, scheme)
             g = from_edge_list(n, edges, scheme, rep)
-            rep_pairs = None if rep is None else graph_mod._merge_pairs(n, rep)
-            want = _add_at_assemble(n, *graph_mod._merge_pairs(n, edges),
+            rep_pairs = (None if rep is None
+                         else graph_mod._merge_pairs(n, rep)[:3])
+            want = _add_at_assemble(n, *graph_mod._merge_pairs(n, edges)[:3],
                                     scheme, rep_pairs)
             assert _graph_bytes(g) == [np.asarray(x).tobytes() for x in want]
 

@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 from confres import kernels
 from confres.energy import landscape_point
 from confres.errors import ConfresError, InputError, NumericalError
-from confres.graph import build_knn_graph, from_edge_list
+from confres.graph import from_edge_list
 from conftest import (blob_graph, drop_entries, has_compiler, needs_cc,
                       random_affinity)
 
@@ -440,11 +440,21 @@ def _knn_inputs():
     yield "random-400x16", rng.standard_normal((400, 16))
 
 
+def _graph_of(nn, dist):
+    """The kNN graph of each item's neighbours `nn` at distances `dist`:
+    the unique pairs (i, j), i < j, in order, each with its distance."""
+    n, k = nn.shape
+    rows = np.repeat(np.arange(n), k)
+    lo, hi = np.minimum(rows, nn.ravel()), np.maximum(rows, nn.ravel())
+    keys, first = np.unique(lo * n + hi, return_index=True)
+    return np.stack([keys // n, keys % n], axis=1), dist.ravel()[first]
+
+
 @needs_cc
 @pytest.mark.parametrize("metric", ["euclidean", "cosine"])
 def test_knn_backends_agree(metric):
-    # C and numpy bit for bit, rows in (distance, index) order; the old
-    # cKDTree search picks the same neighbours at the same distances
+    # C and numpy bit for bit; the graph of the old cKDTree search, which
+    # picks the same neighbours at the same distances, is the same too
     assert kernels.BACKEND == "c"
     for label, points in _knn_inputs():
         if metric == "cosine":  # unit vectors, as build_knn_graph passes
@@ -452,40 +462,34 @@ def test_knn_backends_agree(metric):
                 norms = np.linalg.norm(points, axis=1)
             points = points[norms > 0] / norms[norms > 0, None]
         n = points.shape[0]
-        # past n = 500, k = 100 sorts the candidates of a group of > 64
-        # points, as k = n - 1 does, at a fraction of the time
-        largest = n - 1 if n <= 500 else 100
+        largest = n - 1 if n <= 500 else 100  # k = n - 1 costs O(n^2)
         for k in sorted({1, 2, 5, 10, largest} & set(range(1, n))):
-            got = kernels.knn(points, k, metric)
-            with np.errstate(over="ignore"):  # the overflowing scale
-                want = kernels.knn_py(points, k, metric)
             case = (label, k)
-            assert got[0].tobytes() == want[0].tobytes(), case
-            assert got[1].tobytes() == want[1].tobytes(), case
-            if not np.all(np.isfinite(want[1])):
+            try:
+                want = kernels.knn_graph_py(points, k, metric)
+            except NumericalError as exc:
                 # overflow: no graph; and cKDTree reports no neighbour (index
                 # n) at an infinite distance, so it cannot rank them
+                assert "overflows" in str(exc), case
                 with pytest.raises(NumericalError, match="overflows"):
-                    build_knn_graph(points, k, metric)
+                    kernels.knn_graph(points, k, metric)
                 continue
-            nn, dist = _kdtree_nearest(points, k, metric)
-            order = np.lexsort((nn, dist), axis=-1)
-            assert np.take_along_axis(nn, order, -1).tobytes() == \
-                got[0].tobytes(), case
-            assert np.take_along_axis(dist, order, -1).tobytes() == \
-                got[1].tobytes(), case
+            got = kernels.knn_graph(points, k, metric)
+            _same_arrays(got, want)
+            _same_arrays(got, _graph_of(*_kdtree_nearest(points, k, metric)))
 
 
-@pytest.mark.parametrize("knn", [kernels.knn, kernels.knn_py])
-def test_knn_rejects_bad_arguments(knn):
+@pytest.mark.parametrize("knn_graph",
+                         [kernels.knn_graph, kernels.knn_graph_py])
+def test_knn_rejects_bad_arguments(knn_graph):
     points = np.zeros((4, 2))
     for k in (0, 4):
         with pytest.raises(ValueError, match="k must satisfy"):
-            knn(points, k)
+            knn_graph(points, k)
     with pytest.raises(ValueError, match="unknown metric"):
-        knn(points, 1, "manhattan")
+        knn_graph(points, 1, "manhattan")
     with pytest.raises(ValueError, match="n x d matrix"):
-        knn(np.zeros(4), 1)
+        knn_graph(np.zeros(4), 1)
 
 
 def _triples(rows, cols, vals):
@@ -536,13 +540,13 @@ def test_pair_kernels_agree_with_references(rng):
             _same_arrays(got, want)
             for a in got:  # exact size: owns its data, no larger buffer
                 assert a.base is None and a.flags.owndata
-            _same_arrays(kernels._pairs_csr_c(n, *want[:2]),
-                         kernels.pairs_csr_py(n, *want[:2]))
-    # the weights of a pair's repeats are added in input order
+    # the weights of a pair's repeats are added in input order, and the
+    # CSR holds the sum at both of the pair's entries
     big = 2.0 ** 53
-    _, _, summed = kernels._pairs_c(2, *_triples([0, 1, 0], [1, 0, 1],
-                                                 [1.0, 1.0, big]))
+    _, _, summed, _, _, weights = kernels._pairs_c(
+        2, *_triples([0, 1, 0], [1, 0, 1], [1.0, 1.0, big]))
     assert summed.tolist() == [(1.0 + 1.0) + big] != [(big + 1.0) + 1.0]
+    assert weights.tolist() == 2 * summed.tolist()
 
 
 def _affinity_inputs(rng):
@@ -631,13 +635,13 @@ def test_affinity_kernels_agree_with_references(rng):
 
 
 def _graph_kernels():
-    """(pairs, pairs_csr, affinity_layout, affinity_weights) of each
-    backend present."""
-    yield (kernels.pairs_py, kernels.pairs_csr_py, kernels.affinity_layout_py,
+    """(pairs, affinity_layout, affinity_weights) of each backend
+    present."""
+    yield (kernels.pairs_py, kernels.affinity_layout_py,
            kernels.affinity_weights_py)
     if kernels.BACKEND == "c":
-        yield (kernels._pairs_c, kernels._pairs_csr_c,
-               kernels._affinity_layout_c, kernels._affinity_weights_c)
+        yield (kernels._pairs_c, kernels._affinity_layout_c,
+               kernels._affinity_weights_c)
 
 
 def test_graph_kernels_reject_bad_indices():
@@ -652,15 +656,13 @@ def test_graph_kernels_reject_bad_indices():
                  (np.array([[0, 1], [-1, 2]]), pair, "edges", r"\[0, 3\)"),
                  (edges, np.array([0, 0, 2, 1]), "pair", r"\[0, 2\)"),
                  (edges, np.array([0, -1, 1, 1]), "pair", r"\[0, 2\)"))
-    for pairs, pairs_csr, layout, weights in _graph_kernels():
+    for pairs, layout, weights in _graph_kernels():
         for name, r, c in bad_ends:
             rows, cols, _ = _triples(r, c, vals)
-            for call in (lambda: pairs(3, rows, cols, vals),
-                         lambda: pairs_csr(3, rows, cols)):
-                with pytest.raises(IndexError,
-                                   match=rf"^{name} out of range \[0, 3\)$"):
-                    call()
-                assert rows.tolist() == r and cols.tolist() == c
+            with pytest.raises(IndexError,
+                               match=rf"^{name} out of range \[0, 3\)$"):
+                pairs(3, rows, cols, vals)
+            assert rows.tolist() == r and cols.tolist() == c
         for ends, at, name, bounds in bad_edges:
             with pytest.raises(IndexError,
                                match=rf"^{name} out of range {bounds}$"):
@@ -672,7 +674,7 @@ def test_graph_kernels_reject_bad_indices():
         with pytest.raises(ValueError, match="cols has length 2"):
             pairs(3, rows, cols[:2], vals)
         with pytest.raises(ValueError, match="C-contiguous 1-D int64"):
-            pairs_csr(3, rows.astype(np.int32), cols)
+            pairs(3, rows.astype(np.int32), cols, vals)
         with pytest.raises(ValueError, match=r"C-contiguous \(m, 2\) int64"):
             layout(3, np.array([[0, 1, 9], [1, 2, 9]])[:, :2], np.ones(2), 1)
         with pytest.raises(ValueError, match="dist has length 1"):
@@ -727,6 +729,32 @@ def test_graph_struct_matches_graph_t():
     assert ctypes.sizeof(kernels.Graph) == 8 * len(names)
 
 
+def _exports(source):
+    """{name: parameter count} of each `int64_t name(...)` that starts a
+    line of C `source`: the kernels it defines or declares."""
+    return {name: params.count(",") + 1 for name, params in re.findall(
+        r"^int64_t (\w+)\(([^)]*)\)", source, re.MULTILINE)}
+
+
+@has_compiler
+def test_ctypes_declares_every_export():
+    # without argtypes ctypes passes an int as a 32-bit int, and without
+    # restype reads a 32-bit result: every export needs both, at its
+    # arity, and nothing else may be declared; the harnesses' prototypes
+    # must match too
+    with open(kernels._SOURCE, encoding="utf-8") as fh:
+        exports = _exports(fh.read())
+    assert sorted(exports) == ["affinity_layout", "affinity_weights",
+                               "components", "knn_graph", "level_loop",
+                               "pairs", "sweep"]
+    lib = kernels._load_library()
+    declared = {name: fn for name, fn in vars(lib).items()
+                if isinstance(fn, lib._FuncPtr)}
+    assert {name: len(fn.argtypes) for name, fn in declared.items()} == exports
+    assert all(fn.restype is ctypes.c_int64 for fn in declared.values())
+    assert _exports(_PRELUDE) == exports
+
+
 @has_compiler
 def test_c_source_compiles_without_warnings(tmp_path):
     compiler = shutil.which("cc") or shutil.which("gcc")
@@ -772,7 +800,7 @@ def test_failed_build_is_remembered(tmp_path, monkeypatch):
 
 
 # The C interface of _kernels.c, declared once for every harness: graph_t
-# and numpy's bitgen_t as the kernels read them, the nine exported
+# and numpy's bitgen_t as the kernels read them, the seven exported
 # kernels, a xorshift64 bitgen_t that counts its draws, and the report
 # line each harness prints per case.
 _PRELUDE = r"""
@@ -808,12 +836,9 @@ int64_t sweep(const graph_t *, double, int64_t *, const int64_t *, int64_t,
 int64_t level_loop(const graph_t *, double, int64_t, int64_t, int64_t,
                    double, int64_t *, double *, const bitgen_t *);
 int64_t components(const graph_t *, int64_t *, double *);
-int64_t knn(int64_t, int64_t, const double *, int64_t, int64_t, int64_t *,
-            double *);
 int64_t pairs(int64_t, int64_t, const int64_t *, const int64_t *,
-              const double *, int64_t, int64_t *, int64_t *, double *);
-int64_t pairs_csr(int64_t, int64_t, const int64_t *, const int64_t *,
-                  int64_t *, int64_t *, int64_t *);
+              const double *, int64_t, int64_t *, int64_t *, double *,
+              int64_t *, int64_t *, double *);
 int64_t knn_graph(int64_t, int64_t, const double *, int64_t, int64_t,
                   int64_t *, double *);
 int64_t affinity_layout(int64_t, int64_t, const int64_t *, const double *,
@@ -1025,14 +1050,12 @@ def test_components_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     assert out.count(": status") == 7 and "BAD" not in out
 
 
-# Runs the C kd-tree kNN and the kNN graph on five point sets, one with a
-# k large enough to sort a group; exits 0 only if each knn call returns 0
-# and every row lists k other items, in range, in strictly ascending
-# (distance, index) order (where all points coincide, also the smallest
-# other indices), and each knn_graph call returns pairs i < j in order,
-# with finite distances, among them every item's k nearest; then the kNN
-# graph of distances that overflow must return ERR_OVERFLOW (-13) with its
-# outputs untouched.
+# Runs the C kNN graph on five point sets, one of identical points and
+# one with k past half of n; exits 0 only if each call returns pairs
+# i < j in order, exactly the pairs of every item and each of its k
+# nearest others by (distance, index), found by brute force, each with
+# that distance bit for bit; then the kNN graph of distances that
+# overflow must return ERR_OVERFLOW (-13) with its outputs untouched.
 _KNN_SANITIZER_MAIN = r"""
 static uint64_t uniform_state = 88172645463325252ULL;
 
@@ -1041,45 +1064,69 @@ static double uniform(void)  /* in [0, 1) */
     return (double)(next64(&uniform_state) >> 11) / 9007199254740992.0;
 }
 
-static int run(const char *name, int64_t n, int64_t d, const double *points,
-               int64_t k, int64_t half_square, int tied)
+/* Item i's k nearest others by (distance, index), by brute force: their
+ * indices to nn and distances to dist, in that order. */
+static void nearest(int64_t n, int64_t d, const double *points, int64_t k,
+                    int64_t half_square, int64_t i, int64_t *nn, double *dist)
 {
-    int64_t *nn = malloc((size_t)(n * k) * sizeof *nn);
-    double *dist = malloc((size_t)(n * k) * sizeof *dist);
-    int64_t status = knn(n, d, points, k, half_square, nn, dist);
-    int ok = status == 0;
-    for (int64_t i = 0; ok && i < n; i++)
-        for (int64_t r = 0; ok && r < k; r++) {
-            int64_t at = i * k + r, j = nn[at];
-            ok = j >= 0 && j < n && j != i;
-            if (ok && r > 0)
-                ok = dist[at] > dist[at - 1]
-                     || (dist[at] == dist[at - 1] && j > nn[at - 1]);
-            if (ok && tied)
-                ok = j == r + (r >= i);
+    int64_t size = 0;
+    for (int64_t j = 0; j < n; j++) {
+        if (j == i)
+            continue;
+        double sq = 0.0;
+        for (int64_t c = 0; c < d; c++) {
+            double gap = points[i * d + c] - points[j * d + c];
+            sq += gap * gap;
         }
+        double at = half_square ? 0.5 * sq : sqrt(sq);
+        int64_t r = size < k ? size++ : k;  /* insertion, the worst out */
+        for (; r > 0 && dist[r - 1] > at; r--)
+            if (r < k) {
+                nn[r] = nn[r - 1];
+                dist[r] = dist[r - 1];
+            }
+        if (r < k) {
+            nn[r] = j;
+            dist[r] = at;
+        }
+    }
+}
+
+static int run(const char *name, int64_t n, int64_t d, const double *points,
+               int64_t k, int64_t half_square)
+{
     int64_t *edges = malloc((size_t)(2 * n * k) * sizeof *edges);
     double *weights = malloc((size_t)(n * k) * sizeof *weights);
+    char *hit = calloc((size_t)(n * k), 1);
+    int64_t *nn = malloc((size_t)k * sizeof *nn);
+    double *dist = malloc((size_t)k * sizeof *dist);
     int64_t found = knn_graph(n, d, points, k, half_square, edges, weights);
-    int graph_ok = found >= (n * k + 1) / 2 && found <= n * k;
-    for (int64_t p = 0; graph_ok && p < found; p++) {
+    int ok = found >= (n * k + 1) / 2 && found <= n * k;
+    for (int64_t p = 0; ok && p < found; p++) {
         int64_t i = edges[2 * p], j = edges[2 * p + 1];
-        graph_ok = 0 <= i && i < j && j < n && isfinite(weights[p])
-                   && weights[p] >= 0.0
-                   && (p == 0 || i > edges[2 * p - 2]
-                       || (i == edges[2 * p - 2] && j > edges[2 * p - 1]));
+        ok = 0 <= i && i < j && j < n
+             && (p == 0 || i > edges[2 * p - 2]
+                 || (i == edges[2 * p - 2] && j > edges[2 * p - 1]));
     }
-    for (int64_t at = 0; ok && graph_ok && at < n * k; at++) {
-        int64_t i = at / k, j = nn[at], lo = i < j ? i : j, hi = i + j - lo;
-        graph_ok = 0;
-        for (int64_t p = 0; !graph_ok && p < found; p++)
-            graph_ok = edges[2 * p] == lo && edges[2 * p + 1] == hi;
+    for (int64_t i = 0; ok && i < n; i++) {
+        nearest(n, d, points, k, half_square, i, nn, dist);
+        for (int64_t r = 0; ok && r < k; r++) {
+            int64_t lo = i < nn[r] ? i : nn[r], hi = i + nn[r] - lo, p = 0;
+            while (p < found && (edges[2 * p] != lo || edges[2 * p + 1] != hi))
+                p++;
+            ok = p < found && !memcmp(&weights[p], &dist[r], sizeof *dist);
+            if (ok)
+                hit[p] = 1;
+        }
     }
-    free(nn);
-    free(dist);
+    for (int64_t p = 0; ok && p < found; p++)
+        ok = hit[p];  /* no pair beyond the nearest */
     free(edges);
     free(weights);
-    return report(name, status, ok) | report("  its graph", found, graph_ok);
+    free(hit);
+    free(nn);
+    free(dist);
+    return report(name, found, ok);
 }
 
 static int overflow(void)
@@ -1118,11 +1165,11 @@ int main(void)
         for (int c = 0; c < 4; c++)
             unit[i * 4 + c] /= sqrt(norm);
     }
-    int bad = run("cloud", 64, 3, cloud, 7, 0, 0)
-        | run("identical", 40, 2, same, 39, 0, 1)
-        | run("line", 17, 1, line, 16, 0, 0)
-        | run("unit", 50, 4, unit, 7, 1, 0)
-        | run("wide", 100, 2, wide, 70, 0, 0)
+    int bad = run("cloud", 64, 3, cloud, 7, 0)
+        | run("identical", 40, 2, same, 39, 0)
+        | run("line", 17, 1, line, 16, 0)
+        | run("unit", 50, 4, unit, 7, 1)
+        | run("wide", 100, 2, wide, 70, 0)
         | overflow();
     free(cloud);
     free(same);
@@ -1136,11 +1183,11 @@ int main(void)
 
 @has_compiler
 def test_knn_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
-    # the kd-tree's allocation, build and search, on ties and one split
+    # the kd-tree's allocation, build and search, on ties and one split,
+    # and the pair grouping of its result
     out = _run_sanitized(tmp_path, sanitized_kernels, _KNN_SANITIZER_MAIN)
-    assert out.count(": status 0, ok") == 5, out
-    assert out.count("its graph: status") == 5, out
-    assert out.count(", ok") == 11 and "BAD" not in out, out
+    assert out.count(", ok") == 6 and "BAD" not in out, out
+    assert "overflow: status -13, ok" in out, out
 
 
 # Runs the exported C sweep, with a toy bit generator, on a product-form
@@ -1208,15 +1255,16 @@ def test_sweep_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     assert out.count("status -2, ok") == 2, out
 
 
-# Runs the exported pair grouping and CSR layout on entry lists with
-# repeats in both directions, an empty list and one item, and, where the
-# pairs join distinct items and leave none out, the affinity kernels on
-# them, each output in a buffer of exactly the size the kernel may write;
-# then each kernel on inputs it must refuse.  Exits 0 only if each call
-# returns the expected status, pairs come out unique, in order and in
-# range, the CSR rows list ascending columns, each entry names a pair that
-# joins its row and column, affinity_layout lays the pairs out as
-# pairs_csr does, and the weights of each row of similarities sum to one.
+# Runs the exported pair grouping, with its CSR layout, on entry lists
+# with repeats in both directions, an empty list and one item, and, where
+# the pairs join distinct items and leave none out, the affinity kernels
+# on them, each output in a buffer of exactly the size the kernel may
+# write; then each kernel on inputs it must refuse.  Exits 0 only if each
+# call returns the expected status, pairs come out unique, in order and in
+# range, the CSR rows list ascending columns, each entry holds the weight
+# of the pair that joins its row and column, affinity_layout lays the
+# pairs out as pairs does and names those pairs, and the weights of each
+# row of similarities sum to one.
 _GRAPH_SANITIZER_MAIN = r"""
 static void *slots(int64_t count, size_t size)  /* exact, never 0 bytes */
 {
@@ -1273,17 +1321,20 @@ static int affinity(int64_t n, int64_t found, const int64_t *pr,
     return ok;
 }
 
-/* pairs of the entries, with and without mean, then their CSR layout,
- * the pair values gathered through it and, when every pair joins two
- * items and every item has one, the affinity kernels */
+/* pairs of the entries, with and without mean, and their CSR layout,
+ * each entry's pair found by search and its weight compared, and, when
+ * every pair joins two items and every item has one, the affinity
+ * kernels */
 static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
                const int64_t *cols, const double *vals, int64_t want)
 {
     int bad = 0;
     for (int64_t mean = 0; mean <= 1; mean++) {
-        int64_t *pr = slots(m, 8), *pc = slots(m, 8);
-        double *pv = slots(m, 8);
-        int64_t found = pairs(n, m, rows, cols, vals, mean, pr, pc, pv);
+        int64_t *pr = slots(m, 8), *pc = slots(m, 8), *ptr = slots(n + 1, 8);
+        int64_t *idx = slots(2 * m, 8), *pair = slots(2 * m, 8);
+        double *pv = slots(m, 8), *weights = slots(2 * m, 8);
+        int64_t found = pairs(n, m, rows, cols, vals, mean, pr, pc, pv, ptr,
+                              idx, weights);
         int ok = found == want, distinct = 1;
         for (int64_t p = 0; ok && p < found; p++) {
             ok = pr[p] >= 0 && pr[p] <= pc[p] && pc[p] < n
@@ -1291,20 +1342,19 @@ static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
                      || (pr[p - 1] == pr[p] && pc[p - 1] < pc[p]));
             distinct &= pr[p] < pc[p];
         }
-        int64_t *ptr = slots(n + 1, 8), *idx = slots(2 * found, 8);
-        int64_t *pair = slots(2 * found, 8);
-        ok = ok && pairs_csr(n, found, pr, pc, ptr, idx, pair) == 0
-             && ptr[0] == 0 && ptr[n] == 2 * found;
+        ok = ok && ptr[0] == 0 && ptr[n] == 2 * found;
         int full = 1;
         for (int64_t i = 0; ok && i < n; i++) {
             full &= ptr[i + 1] > ptr[i];
             for (int64_t e = ptr[i] + 1; ok && e < ptr[i + 1]; e++)
                 ok = idx[e - 1] < idx[e] || (idx[e - 1] == i && idx[e] == i);
             for (int64_t e = ptr[i]; ok && e < ptr[i + 1]; e++) {
-                int64_t p = pair[e];
-                ok = p >= 0 && p < found
-                     && ((pr[p] == i && pc[p] == idx[e])
-                         || (pc[p] == i && pr[p] == idx[e]));
+                int64_t lo = i < idx[e] ? i : idx[e], hi = i + idx[e] - lo;
+                int64_t p = 0;
+                while (p < found && (pr[p] != lo || pc[p] != hi))
+                    p++;
+                ok = p < found && !memcmp(&weights[e], &pv[p], 8);
+                pair[e] = p;
             }
         }
         if (ok && full && distinct)
@@ -1316,6 +1366,7 @@ static int run(const char *name, int64_t n, int64_t m, const int64_t *rows,
         free(ptr);
         free(idx);
         free(pair);
+        free(weights);
     }
     return bad;
 }
@@ -1350,15 +1401,16 @@ int main(void)
     const int64_t pair[] = {0, 0, 1, 1}, stray[] = {0, 0, 1, 2};
     const double ones[] = {1, 1}, gap[] = {1, NAN}, zeros[] = {0, -0.0};
     const double half[] = {0, 1}, inf[] = {1, INFINITY};
-    int64_t a[3], b[3], ptr[4];
-    double w[3], out[4];
+    int64_t a[3], b[3], ptr[4], idx[6];
+    double w[3], out[6];
     return run("entries", 7, 12, rows, cols, vals, 7)
         | run("graph", 5, 8, ends, other, lengths, 6)
         | run("empty", 5, 0, none, none, vals, 0)
         | run("one item", 1, 1, none, none, vals, 1)
-        | expect("pairs row 3", pairs(3, 3, far, near, vals, 0, a, b, w), -10)
-        | expect("pairs col 3", pairs(3, 3, near, far, vals, 1, a, b, w), -11)
-        | expect("csr row 3", pairs_csr(3, 3, far, near, ptr, a, b), -10)
+        | expect("pairs row 3", pairs(3, 3, far, near, vals, 0, a, b, w, ptr,
+                                      idx, out), -10)
+        | expect("pairs col 3", pairs(3, 3, near, far, vals, 1, a, b, w, ptr,
+                                      idx, out), -11)
         | refused("edge i > j", 3, flipped, ones, 0, -14, 0)
         | refused("edge twice", 3, twice, ones, 0, -14, 1)
         | refused("distance NaN", 3, good, gap, 0, -15, 1)
@@ -1384,10 +1436,10 @@ int main(void)
 @has_compiler
 def test_graph_kernels_are_clean_under_sanitizers(tmp_path,
                                                   sanitized_kernels):
-    # pairs, pairs_csr, affinity_layout and affinity_weights: exact-size
-    # outputs, scratch freed, the checks
+    # pairs, affinity_layout and affinity_weights: exact-size outputs,
+    # scratch freed, the checks
     out = _run_sanitized(tmp_path, sanitized_kernels, _GRAPH_SANITIZER_MAIN)
-    assert out.count(", ok") == 23 and "BAD" not in out, out
+    assert out.count(", ok") == 22 and "BAD" not in out, out
 
 
 # Runs each exported kernel on a small valid input, first with every
@@ -1488,28 +1540,14 @@ static int64_t components_explicit(void *out)
     return components(&g, out, (double *)((int64_t *)out + 6));
 }
 
-static int64_t knn_line(void *out)  /* 20 points: the tree splits */
-{
-    double line[20];
-    for (int i = 0; i < 20; i++)
-        line[i] = (i * 7) % 20;
-    return knn(20, 1, line, 3, 0, out, (double *)((int64_t *)out + 60));
-}
-
 static const int64_t rows[] = {3, 1, 0, 2, 1}, cols[] = {1, 3, 2, 0, 2};
 static const double vals[] = {1, 2, 0.5, 0.25, 4};
 
 static int64_t pairs_mean(void *out)
 {
     int64_t *at = out;
-    return pairs(4, 5, rows, cols, vals, 1, at, at + 5, (double *)(at + 10));
-}
-
-static int64_t pairs_csr_three(void *out)
-{
-    const int64_t lo[] = {0, 1, 1}, hi[] = {2, 2, 3};
-    int64_t *at = out;
-    return pairs_csr(4, 3, lo, hi, at, at + 5, at + 11);
+    return pairs(4, 5, rows, cols, vals, 1, at, at + 5, (double *)(at + 10),
+                 at + 15, at + 20, (double *)(at + 30));
 }
 
 static int64_t knn_graph_line(void *out)  /* 20 points: the tree splits */
@@ -1588,10 +1626,8 @@ int main(void)
         | check("level_loop explicit", level_loop_explicit, 6 * i64 + 2 * f64,
                 NULL)
         | check("components", components_explicit, 6 * i64 + 2 * f64, NULL)
-        | check("knn", knn_line, 60 * i64 + 60 * f64, NULL)
         | check("knn_graph", knn_graph_line, 120 * i64 + 60 * f64, NULL)
-        | check("pairs", pairs_mean, 10 * i64 + 5 * f64, NULL)
-        | check("pairs_csr", pairs_csr_three, 17 * i64, NULL)
+        | check("pairs", pairs_mean, 25 * i64 + 15 * f64, NULL)
         | check("affinity_layout", affinity_layout_path, 22 * i64 + 4 * f64,
                 NULL)
         | check("affinity_weights", affinity_weights_path, 16 * f64, NULL);
@@ -1606,4 +1642,4 @@ def test_kernels_fail_cleanly_when_memory_runs_out(tmp_path,
     # through LeakSanitizer, no leak
     out = _run_sanitized(tmp_path, sanitized_kernels, _NOMEM_SANITIZER_MAIN,
                          "-Wl,--wrap=malloc,--wrap=calloc")
-    assert out.count(", ok") == 11 and "BAD" not in out, out
+    assert out.count(", ok") == 9 and "BAD" not in out, out

@@ -1,6 +1,8 @@
 """Local moving, aggregation exactness, and full optimization."""
 
+import copy
 import dataclasses
+import pickle
 import sys
 import threading
 
@@ -418,8 +420,24 @@ def test_gamma_zero_keeps_the_errors_of_bad_options(rng):
     for gamma in (-1.0, np.nan):
         with pytest.raises(ParameterError, match="gamma must be finite"):
             optimize(graph, gamma)
-    with pytest.raises(TypeError):
+    with pytest.raises(ParameterError, match="seed must be an integer"):
         optimize(graph, 0.0, OptimizeOptions(seed=1.5))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "0"),
+    ("seed", None), ("restarts", 0), ("restarts", -2), ("restarts", 2.5),
+    ("restarts", 2.0), ("restarts", False), ("restarts", np.int64(0))])
+def test_options_reject_a_bad_seed_or_restart_count(field, value):
+    with pytest.raises(ParameterError,
+                       match=rf"^{field} must be (an integer|>= [01]), got "):
+        OptimizeOptions(**{field: value})
+
+
+def test_options_take_numpy_integers():
+    opts = OptimizeOptions(seed=np.uint64(2 ** 64 - 1), restarts=np.uint8(2))
+    assert (opts.seed, opts.restarts) == (2 ** 64 - 1, 2)
+    assert type(opts.seed) is type(opts.restarts) is int
 
 
 _SEEDS = (0, 2 ** 31, 2 ** 63, 2 ** 64 + 5)
@@ -524,3 +542,19 @@ def test_graph_arguments_are_taken_once_per_graph(rng, monkeypatch):
     copy = dataclasses.replace(graph)
     optimize(copy, 0.5)
     assert len(taken) == 2
+
+
+def test_a_solved_graph_copies_with_a_view_of_its_own(rng):
+    # a deep copy or an unpickled graph solves as the graph does, through
+    # a C view of its own arrays, not of the arrays it was copied from
+    if kernels.level_loop is None:
+        pytest.skip("the C kernels are not loaded")
+    graph = random_affinity(rng, scheme="explicit")
+    labels, energy = optimize(graph, 0.5)
+    for twin in (copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+        assert np.array_equal(optimize(twin, 0.5)[0], labels)
+        assert optimize(twin, 0.5)[1] == energy
+        view = twin._kernel_graph
+        assert view.indptr == twin.indptr.ctypes.data
+        assert view.indptr != graph.indptr.ctypes.data
+        assert view.rep_weights == twin.rep_weights.ctypes.data

@@ -226,6 +226,51 @@ def test_sweep_frees_the_graph_without_the_cycle_collector():
         gc.enable()
 
 
+def _plateaus(gamma_max, *spans):
+    """A ConfigurationSet over 4 items of the plateaus (lo, hi, k): the
+    first k - 1 items apart, the rest together."""
+    return resolution.ConfigurationSet(gamma_max, tuple(
+        resolution.PlateauEntry(lo, hi, np.minimum(np.arange(4), k - 1),
+                                -float(k), float(k), k)
+        for lo, hi, k in spans))
+
+
+def _span(entry):
+    return entry.gamma_lo, entry.gamma_hi, entry.cluster_count
+
+
+class TestWidest:
+    def test_skips_one_cluster_and_singletons(self):
+        configs = _plateaus(3.0, (0.0, 1.0, 1), (1.0, 1.3, 2), (1.3, 1.5, 3),
+                            (1.5, 3.0, 4))
+        assert _span(configs.widest()) == (1.0, 1.3, 2)
+        # without skipping, the widest of all: here the singletons
+        assert _span(configs.widest(skip_extremes=False)) == (1.5, 3.0, 4)
+
+    def test_skips_the_plateau_cut_off_at_gamma_max(self):
+        configs = _plateaus(2.0, (0.0, 0.5, 1), (0.5, 1.0, 2), (1.0, 2.0, 3))
+        assert _span(configs.widest()) == (0.5, 1.0, 2)
+        assert _span(configs.widest(skip_extremes=False)) == (1.0, 2.0, 3)
+
+    def test_falls_back_when_nothing_else_remains(self):
+        # only the extremes: the one-cluster plateau, not cut off
+        configs = _plateaus(2.0, (0.0, 1.0, 1), (1.0, 2.0, 4))
+        assert _span(configs.widest()) == (0.0, 1.0, 1)
+        # the one inner plateau is the cut-off one
+        configs = _plateaus(2.0, (0.0, 1.5, 1), (1.5, 2.0, 2))
+        assert _span(configs.widest()) == (1.5, 2.0, 2)
+        # a single plateau, both extreme and cut off
+        configs = _plateaus(2.0, (0.0, 2.0, 1))
+        assert _span(configs.widest()) == (0.0, 2.0, 1)
+
+    def test_a_tie_goes_to_the_lower_gamma(self):
+        configs = _plateaus(3.0, (0.0, 0.5, 1), (0.5, 1.0, 2), (1.0, 1.5, 3),
+                            (1.5, 3.0, 4))
+        assert _span(configs.widest()) == (0.5, 1.0, 2)
+        configs = _plateaus(2.0, (0.0, 1.0, 1), (1.0, 2.0, 4))
+        assert _span(configs.widest(skip_extremes=False)) == (0.0, 1.0, 1)
+
+
 class TestLowerEnvelope:
     def test_single_point(self):
         assert lower_envelope([("a", -1.0, 0.5)]) == [("a", 0.0, np.inf)]
