@@ -7,7 +7,9 @@
  * `sweep` does the floating-point operations of its Python reference
  * (kernels._local_move, with its inner pass _sweep) in the same order, so
  * that every float result is bit-identical; it only skips evaluating an
- * item that provably stays put (see scratch_t).  `level_loop` runs the
+ * item that provably stays put, and reads each item's entries from
+ * compact rows laid out once per phase, without the entries that count
+ * for no cluster (see scratch_t).  `level_loop` runs the
  * loop of optimizer.optimize for one seed (its Python reference is
  * optimizer._level_loop_py) with the same phases, the same draws and the
  * same coarse graphs, so it returns the same labels; it also returns
@@ -238,7 +240,13 @@ static void permutation(const bitgen_t *rng, int64_t n, int64_t *order)
  * inputs are unchanged since, would stay put again: the pass skips it,
  * which gives the same labels, bit for bit, as evaluating it.  `clean`
  * marks such items; a move clears it for the mover's readers.  The clock
- * orders evaluations and changes of cluster sums. */
+ * orders evaluations and changes of cluster sums.
+ *
+ * The compact rows are what a pass reads of the graph: each item's
+ * attraction entries, then its explicit-repulsion entries, each in CSR
+ * order, with its self-loops and its entries to other constraint clusters
+ * left out (they count for no cluster).  phase lays them out once for all
+ * of its passes, in the `rows` slots of scratch_alloc. */
 typedef struct {
     double *rs;        /* per-cluster sum of rep_strength */
     double *fresh;     /* rs as rebuilt at the start of a pass */
@@ -246,16 +254,20 @@ typedef struct {
     double *rsum;      /* explicit repulsion likewise */
     int64_t *cnt;      /* per-cluster member count */
     int64_t *empty;    /* stack of reusable cluster ids */
-    int64_t *touched;
+    int64_t *touched;  /* distinct clusters of the item's row, at most n - 1 */
     int64_t *order;
     unsigned char *seen;
     unsigned char *clean;  /* stayed when last evaluated, no reader moved */
     int64_t *seen_at;      /* clock at the item's last evaluation */
     int64_t *changed_at;   /* clock at the last change of a cluster's rs */
     int64_t *near;         /* clusters each item touched when last
-                              evaluated, from its indptr offset (product
-                              form; as many slots as CSR entries) */
+                              evaluated, from its row's start (product
+                              form; `rows` slots, else none) */
     int64_t *nnear;
+    int64_t *row;          /* n + 1: where each item's compact row starts */
+    int64_t *split;        /* where its repulsion entries start */
+    int64_t *col;          /* `rows`: each compact entry's item */
+    double *w;             /* `rows`: its weight */
     int64_t clock;
 } scratch_t;
 
@@ -267,21 +279,67 @@ static int sums_unchanged(const graph_t *g, const scratch_t *s, int64_t i,
         return 1;
     if (s->changed_at[ci] > s->seen_at[i])
         return 0;
-    const int64_t *near = s->near + g->indptr[i];
+    const int64_t *near = s->near + s->row[i];
     for (int64_t t = 0; t < s->nnear[i]; t++)
         if (s->changed_at[near[t]] > s->seen_at[i])
             return 0;
     return 1;
 }
 
-/* One local-moving pass in `order`, as kernels._sweep; returns its moves.
- * The cluster sums and the free-id stack are rebuilt from `labels`. */
+/* Appends to (col, w), from slot `at` on, the entries of the CSR row
+ * [lo, hi) of item i that one_pass reads, in order: those to an item
+ * j != i of i's constraint cluster.  Each entry is written, and kept by
+ * advancing `at`, or else overwritten by the next.  Returns the new end. */
+static int64_t keep_entries(int64_t i, int64_t lo, int64_t hi,
+                            const int64_t *idx, const double *wt,
+                            const int64_t *constraint, int64_t *col,
+                            double *w, int64_t at)
+{
+    int64_t ki = constraint[i];
+    for (int64_t e = lo; e < hi; e++) {
+        int64_t j = idx[e];
+        col[at] = j;
+        w[at] = wt[e];
+        at += (j != i) & (constraint[j] == ki);
+    }
+    return at;
+}
+
+/* Lays out the compact rows of g under `constraint` (see scratch_t). */
+static void compact_rows(const graph_t *g, const int64_t *constraint,
+                         scratch_t *s)
+{
+    int64_t at = 0;
+    for (int64_t i = 0; i < g->n; i++) {
+        s->row[i] = at;
+        at = keep_entries(i, g->indptr[i], g->indptr[i + 1], g->indices,
+                          g->weights, constraint, s->col, s->w, at);
+        s->split[i] = at;
+        if (g->rep_mode == REP_EXPLICIT)
+            at = keep_entries(i, g->rep_indptr[i], g->rep_indptr[i + 1],
+                              g->rep_indices, g->rep_weights, constraint,
+                              s->col, s->w, at);
+    }
+    s->row[g->n] = at;
+}
+
+/* One local-moving pass in `order` over the compact rows, as
+ * kernels._sweep; returns its moves.  The cluster sums and the free-id
+ * stack are rebuilt from `labels`.  A row's clusters are listed in the
+ * order they are first reached and its sums added in entry order, as
+ * _sweep adds them; the best is the least (gain, id), a fresh cluster
+ * ranking after every id.  Both the listing and the pick are data-driven
+ * selects, not branches, which with random labels would often
+ * mispredict. */
 static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
-                        const int64_t *constraint, double eps, scratch_t *s)
+                        double eps, scratch_t *s)
 {
     int64_t n = g->n;
+    int product = g->rep_mode == REP_PRODUCT;
     double *rs = s->rs, *fresh = s->fresh, *wsum = s->wsum, *rsum = s->rsum;
     int64_t *cnt = s->cnt, *empty = s->empty, *touched = s->touched;
+    const int64_t *row = s->row, *split = s->split, *col = s->col;
+    const double *w = s->w;
     unsigned char *seen = s->seen;
     memset(fresh, 0, (size_t)n * sizeof(double));
     memset(cnt, 0, (size_t)n * sizeof(int64_t));
@@ -308,62 +366,51 @@ static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
         int64_t ci = labels[i];
         if (s->clean[i] && sums_unchanged(g, s, i, ci))
             continue;
-        int64_t ki = constraint[i];
+        /* a row reaches at most the n - 1 other items, so ntouch stays
+         * below n, the slots of touched */
         int64_t ntouch = 0;
-        for (int64_t e = g->indptr[i]; e < g->indptr[i + 1]; e++) {
-            int64_t j = g->indices[e];
-            if (j == i || constraint[j] != ki)
-                continue;
-            int64_t cj = labels[j];
-            if (!seen[cj]) {
-                seen[cj] = 1;
-                touched[ntouch++] = cj;
-            }
-            wsum[cj] += g->weights[e];
+        for (int64_t e = row[i]; e < split[i]; e++) {
+            int64_t cj = labels[col[e]];
+            touched[ntouch] = cj;
+            ntouch += !seen[cj];
+            seen[cj] = 1;
+            wsum[cj] += w[e];
         }
-        if (g->rep_mode == REP_EXPLICIT) {
-            for (int64_t e = g->rep_indptr[i]; e < g->rep_indptr[i + 1]; e++) {
-                int64_t j = g->rep_indices[e];
-                if (j == i || constraint[j] != ki)
-                    continue;
-                int64_t cj = labels[j];
-                if (!seen[cj]) {
-                    seen[cj] = 1;
-                    touched[ntouch++] = cj;
-                }
-                rsum[cj] += g->rep_weights[e];
-            }
+        for (int64_t e = split[i]; e < row[i + 1]; e++) {
+            int64_t cj = labels[col[e]];
+            touched[ntouch] = cj;
+            ntouch += !seen[cj];
+            seen[cj] = 1;
+            rsum[cj] += w[e];
         }
         double rho_i = g->rep_strength[i];
         double g_cur;
-        if (g->rep_mode == REP_PRODUCT)
+        if (product)
             g_cur = -wsum[ci] + gamma * rho_i * (rs[ci] - rho_i) / g->rep_denom;
         else
             g_cur = -wsum[ci] + gamma * rsum[ci];
-        int64_t best_c = -1;  /* -1 means a fresh singleton cluster */
+        /* -1, a fresh singleton cluster, is the largest id as a uint64_t */
+        int64_t best_c = -1;
         double best_g = 0.0;
         for (int64_t t = 0; t < ntouch; t++) {
             int64_t c = touched[t];
             double gc;
-            if (g->rep_mode == REP_PRODUCT) {
-                double scl = rs[c];
-                if (c == ci)
-                    scl -= rho_i;
+            if (product) {
+                double scl = c == ci ? rs[c] - rho_i : rs[c];
                 gc = -wsum[c] + gamma * rho_i * scl / g->rep_denom;
             } else {
                 gc = -wsum[c] + gamma * rsum[c];
             }
-            if (gc < best_g || (gc == best_g && (best_c == -1 || c < best_c))) {
-                best_g = gc;
-                best_c = c;
-            }
+            int less = (gc < best_g)
+                | ((gc == best_g) & ((uint64_t)c < (uint64_t)best_c));
+            best_g = less ? gc : best_g;
+            best_c = less ? c : best_c;
         }
         int better = best_c != ci && best_g - g_cur < -eps;
         s->seen_at[i] = s->clock;
         s->clean[i] = !better;  /* a move wanting a free id stays dirty */
-        if (g->rep_mode == REP_PRODUCT) {
-            memcpy(s->near + g->indptr[i], touched,
-                   (size_t)ntouch * sizeof(int64_t));
+        if (product) {
+            memcpy(s->near + row[i], touched, (size_t)ntouch * sizeof(int64_t));
             s->nnear[i] = ntouch;
         }
         if (better && (best_c != -1 || top > 0)) {
@@ -381,7 +428,7 @@ static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
             s->changed_at[ci] = s->changed_at[best_c] = s->clock;
             for (int64_t e = g->readers_ptr[i]; e < g->readers_ptr[i + 1]; e++)
                 s->clean[g->readers[e]] = 0;
-            if (g->rep_mode == REP_EXPLICIT)
+            if (!product)
                 for (int64_t e = g->rep_readers_ptr[i];
                      e < g->rep_readers_ptr[i + 1]; e++)
                     s->clean[g->rep_readers[e]] = 0;
@@ -396,19 +443,29 @@ static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
     return moves;
 }
 
-/* Scratch, taken from b, for phases on graphs of at most n items and
- * `entries` attraction entries.  seen, wsum and rsum start zeroed, and
- * one_pass leaves them so. */
-static void scratch_alloc(buffers_t *b, scratch_t *s, int64_t n,
-                          int64_t entries)
+/* Scratch, taken from b, for phases on g and on graphs of at most g's
+ * items whose attraction and explicit-repulsion entries number at most
+ * `coarse` together.  seen, wsum and rsum start zeroed, and one_pass
+ * leaves them so. */
+static void scratch_alloc(buffers_t *b, scratch_t *s, const graph_t *g,
+                          int64_t coarse)
 {
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
+    int64_t n = g->n, product = g->rep_mode == REP_PRODUCT;
+    int64_t rows = g->m + (product ? 0 : g->rep_m);
+    rows = rows > coarse ? rows : coarse;
+    int64_t near = product ? rows : 0;
     *s = (scratch_t){
-        take(b, n, f64, 1), take(b, n, f64, 0), take(b, n, f64, 1),
-        take(b, n, f64, 1), take(b, n, i64, 1), take(b, n, i64, 0),
-        take(b, n, i64, 0), take(b, n, i64, 0), take(b, n, 1, 1),
-        take(b, n, 1, 1), take(b, n, i64, 1), take(b, n, i64, 1),
-        take(b, entries, i64, 0), take(b, n, i64, 1), 0};
+        .rs = take(b, n, f64, 1), .fresh = take(b, n, f64, 0),
+        .wsum = take(b, n, f64, 1), .rsum = take(b, n, f64, 1),
+        .cnt = take(b, n, i64, 1), .empty = take(b, n, i64, 0),
+        .touched = take(b, n, i64, 0), .order = take(b, n, i64, 0),
+        .seen = take(b, n, 1, 1), .clean = take(b, n, 1, 1),
+        .seen_at = take(b, n, i64, 1), .changed_at = take(b, n, i64, 1),
+        .near = take(b, near, i64, 0), .nnear = take(b, n, i64, 1),
+        .row = take(b, n + 1, i64, 0), .split = take(b, n, i64, 0),
+        .col = take(b, rows, i64, 0), .w = take(b, rows, f64, 0),
+        .clock = 0};
 }
 
 /* The transpose pattern of the CSR rows (ptr, idx) over n items, in
@@ -447,17 +504,19 @@ static void readers_alloc(buffers_t *b, graph_t *g)
                    &g->rep_readers_ptr, &g->rep_readers);
 }
 
-/* Passes in a fresh permutation until one moves nothing or max_sweeps
- * have run; returns the total moves. */
+/* Passes in a fresh permutation, over the compact rows of g under
+ * `constraint` laid out once, until one moves nothing or max_sweeps have
+ * run; returns the total moves. */
 static int64_t phase(const graph_t *g, double gamma, int64_t *labels,
                      const int64_t *constraint, int64_t max_sweeps, double eps,
                      const bitgen_t *rng, scratch_t *s)
 {
     memset(s->clean, 0, (size_t)g->n);  /* new labels or constraint */
+    compact_rows(g, constraint, s);
     int64_t total = 0;
     for (int64_t pass = 0; pass < max_sweeps; pass++) {
         permutation(rng, g->n, s->order);
-        int64_t moves = one_pass(g, gamma, labels, constraint, eps, s);
+        int64_t moves = one_pass(g, gamma, labels, eps, s);
         total += moves;
         if (moves == 0)
             break;
@@ -482,7 +541,7 @@ int64_t sweep(const graph_t *graph, double gamma, int64_t *labels,
         return err;
     buffers_t b = {NULL, 0};
     scratch_t s;
-    scratch_alloc(&b, &s, g.n, g.m);
+    scratch_alloc(&b, &s, &g, 0);
     readers_alloc(&b, &g);
     int64_t total = b.failed ? ERR_NOMEM
         : phase(&g, gamma, labels, constraint, max_sweeps, eps, rng, &s);
@@ -992,9 +1051,8 @@ int64_t level_loop(const graph_t *graph, double gamma, int64_t max_levels,
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
     buffers_t b = {NULL, 0};
     scratch_t s;
-    /* the attraction entries of the input graph or of any coarse one */
-    int64_t entries = orig.m > 2 * (int64_t)cap ? orig.m : 2 * (int64_t)cap;
-    scratch_alloc(&b, &s, n, entries);
+    /* a coarse CSR holds both directions of the pairs collapse finds */
+    scratch_alloc(&b, &s, &orig, 2 * (att_cap + rep_cap));
     readers_alloc(&b, &orig);
     int64_t *labels = take(&b, slots, i64, 0);
     int64_t *refined = take(&b, slots, i64, 0);

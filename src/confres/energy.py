@@ -57,10 +57,33 @@ def check_gamma(gamma: float) -> None:
         raise ParameterError(f"gamma must be finite and >= 0, got {gamma}")
 
 
+def check_labels(labels, n: int) -> np.ndarray:
+    """`labels` as a C-contiguous int64 array; raises InputError, naming
+    the first bad item, unless they are n labels, each an integer in
+    [0, n)."""
+    values = np.asarray(labels)
+    if values.ndim != 1 or values.shape[0] != n:
+        raise InputError(f"partition shape {values.shape} != ({n},): one "
+                         f"label per item")
+    if values.dtype.kind in "biu":
+        if not n or (values.min() >= 0 and values.max() < n):
+            return np.ascontiguousarray(values, dtype=np.int64)
+        bad = (values < 0) | (values >= n)
+    else:  # a float 1.0 is the integer 1; 0.5 and NaN are none
+        try:
+            real = values.astype(np.float64)
+        except (TypeError, ValueError):
+            raise InputError("partition labels must be integers") from None
+        bad = ~((real >= 0) & (real < n) & (np.floor(real) == real))
+        if not bad.any():
+            return real.astype(np.int64)
+    item = int(np.flatnonzero(bad)[0])
+    raise InputError(f"label {values[item]} of item {item} is not an "
+                     f"integer in [0, {n})")
+
+
 def _check(graph: AffinityGraph, labels, gamma: float) -> np.ndarray:
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if labels.shape[0] != graph.n:
-        raise InputError(f"partition length {labels.shape[0]} != graph.n {graph.n}")
+    labels = check_labels(labels, graph.n)
     check_gamma(gamma)
     return labels
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import check_gamma
+from .energy import check_gamma, check_labels
 from .errors import InputError
 from .graph import AffinityGraph
 from .kernels import REP_PRODUCT
@@ -221,9 +221,7 @@ def item_energy_scores(graph: AffinityGraph, labels, gamma: float) -> NoveltySco
 
     Singleton items take the maximum finite non-singleton score plus one.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape[0] != graph.n:
-        raise InputError("partition length mismatch")
+    labels = check_labels(labels, graph.n)
     check_gamma(gamma)
     k = int(labels.max()) + 1
     sizes = np.bincount(labels, minlength=k)
@@ -254,8 +252,13 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     n = ordered.shape[0]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], n]                 # one past each tie group
+    new = np.empty(n, dtype=bool)  # where a tie group starts
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    ends = np.empty_like(starts)  # one past each tie group
+    ends[:-1] = starts[1:]
+    ends[-1:] = n
     ranks = np.empty(n)
     ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks

@@ -15,7 +15,12 @@ or numpy reference that is the fallback and the test oracle:
   exactly.  A C pass skips an item that stayed put when last evaluated
   and whose inputs (its neighbours' labels, and for product-form
   repulsion the cluster sums it reads) have not changed since: it would
-  stay put again.
+  stay put again.  It reads compact rows, laid out once per phase: each
+  item's attraction, then explicit-repulsion entries, in CSR order,
+  without the self-loops and the entries to other constraint clusters
+  that `_sweep` skips one by one; it lists an item's clusters and picks
+  the best with selects, not branches, adding every sum in `_sweep`'s
+  order.
 - `level_loop` runs the whole loop of `optimizer.optimize` for one seed
   (move, refine, aggregate, level after level, then the polish) in one
   call, with the phases of `sweep` and aggregation that adds in the order
@@ -37,7 +42,8 @@ or numpy reference that is the fallback and the test oracle:
   search, the queries of a leaf batched into one walk of the tree, checks
   their distances for overflow and groups them into pairs as `pairs` does,
   in one C call.  `knn_graph_py` is the same steps in numpy, its search
-  `knn_py` a chunked brute force.  Both sum a distance from 0.0 in
+  `knn_py` a chunked brute force and its grouping that of `pairs_py`
+  without the CSR.  Both sum a distance from 0.0 in
   coordinate order, so they return the same bits.
 - `pairs` reduces (i, j, w) entries to their sorted unique unordered
   pairs, each weight summed in input order (or averaged), and lays them
@@ -407,17 +413,25 @@ def _check_ends(rows, cols, vals):
 
 def pairs_py(n, rows, cols, vals, mean=False):
     """The sorted unique unordered pairs (row <= col) of the entries
-    (rows[t], cols[t], vals[t]) over n items, as (rows, cols, vals), then
-    their CSR by `pairs_csr_py` with each entry's pair weight, as (indptr,
-    indices, weights).
-
-    Each pair's weight is its entries' weights summed from 0.0 in input
-    order (np.bincount adds in that order), divided by their count with
-    `mean`.  Raises where the C kernel does: ValueError, then IndexError.
+    (rows[t], cols[t], vals[t]) over n items, as (rows, cols, vals) by
+    `_group_pairs_py`, then their CSR by `pairs_csr_py` with each entry's
+    pair weight, as (indptr, indices, weights).  Raises where the C kernel
+    does: ValueError, then IndexError.
     """
     _check_ends(rows, cols, vals)
     _check_range("rows", rows, n)
     _check_range("cols", cols, n)
+    rows, cols, sums = _group_pairs_py(n, rows, cols, vals, mean)
+    indptr, indices, pair = pairs_csr_py(n, rows, cols)
+    return rows, cols, sums, indptr, indices, sums[pair]
+
+
+def _group_pairs_py(n, rows, cols, vals, mean):
+    """(rows, cols, vals): the sorted unique unordered pairs (row <= col)
+    of the checked entries (rows[t], cols[t], vals[t]) over n items, each
+    pair's weight its entries' weights summed from 0.0 in input order
+    (np.bincount adds in that order), divided by their count with `mean`.
+    """
     key = np.minimum(rows, cols) * n + np.maximum(rows, cols)
     order = np.argsort(key)
     key = key[order]
@@ -432,9 +446,7 @@ def pairs_py(n, rows, cols, vals, mean=False):
         np.float64, copy=False)
     if mean:
         sums = sums / np.bincount(inv, minlength=len(unique))
-    rows, cols = unique // n, unique % n
-    indptr, indices, pair = pairs_csr_py(n, rows, cols)
-    return rows, cols, sums, indptr, indices, sums[pair]
+    return unique // n, unique % n, sums
 
 
 def pairs_csr_py(n, rows, cols):
@@ -458,8 +470,9 @@ def knn_graph_py(points, k, metric="euclidean"):
     """The kNN graph of graph.build_knn_graph: (edges, distances), the
     sorted unique pairs (i, j), i < j, of every item and each of its k
     nearest others by `knn_py`, and each pair's distance, the mean of its
-    entries' by `pairs_py`.  Raises NumericalError when a distance
-    overflows float64."""
+    entries' by the grouping of `pairs_py` (`_group_pairs_py`), which
+    lays out no CSR.  Raises NumericalError when a distance overflows
+    float64."""
     # finite coordinates near the float64 limit can give an infinite
     # distance: an error, raised before any later arithmetic makes it NaN
     with np.errstate(over="ignore"):
@@ -468,8 +481,8 @@ def knn_graph_py(points, k, metric="euclidean"):
         _raise(_ERR_OVERFLOW)
     n = nn.shape[0]
     # both directions of a pair carry the same distance, so their mean is it
-    rows, cols, dist, *_ = pairs_py(n, np.repeat(np.arange(n), k),
-                                    nn.ravel(), nn_dist.ravel(), mean=True)
+    rows, cols, dist = _group_pairs_py(n, np.repeat(np.arange(n), k),
+                                       nn.ravel(), nn_dist.ravel(), True)
     return np.stack([rows, cols], axis=1), dist
 
 

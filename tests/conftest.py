@@ -64,6 +64,57 @@ def drop_entries(graph, rng, p=0.3):
                                rep_weights=rep[2])
 
 
+def with_loops_and_repeats(graph, rng):
+    """The graph with a self-loop and a repeat of one entry, of a weight
+    of its own, added to each nonempty row of each CSR, every row then
+    shuffled (as no public builder leaves them)."""
+
+    def grow(indptr, indices, weights):
+        rows = []
+        for i in range(graph.n):
+            row = list(zip(indices[indptr[i]:indptr[i + 1]],
+                           weights[indptr[i]:indptr[i + 1]]))
+            if row:
+                j = row[int(rng.integers(len(row)))][0]
+                row += [(i, float(rng.random())), (j, float(rng.random()))]
+            rows.append([row[t] for t in rng.permutation(len(row))])
+        ptr = np.cumsum([0] + [len(row) for row in rows])
+        entries = [e for row in rows for e in row]
+        return (ptr.astype(np.int64),
+                np.array([j for j, _ in entries], dtype=np.int64),
+                np.array([w for _, w in entries], dtype=np.float64))
+
+    ptr, idx, w = grow(graph.indptr, graph.indices, graph.weights)
+    rep = grow(graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+    return dataclasses.replace(graph, indptr=ptr, indices=idx, weights=w,
+                               rep_indptr=rep[0], rep_indices=rep[1],
+                               rep_weights=rep[2])
+
+
+def reaching_every_cluster(n, scheme=None):
+    """Item 0 joined to every other item, in attraction and, for the
+    "explicit" scheme, in repulsion (else uniform repulsion), with a
+    self-loop first in its rows: from singletons its rows reach all n - 1
+    other clusters."""
+    explicit = scheme == "explicit"
+    edges = [(0, j, 1.0 + j / n) for j in range(1, n)]
+    edges += [(j, j + 1, 0.5) for j in range(1, n - 1, 2)]
+    graph = from_edge_list(
+        n, edges, repulsion_scheme=scheme or "uniform",
+        repulsion_edges=[(0, j, 0.25) for j in range(1, n)] if explicit
+        else None)
+
+    def loop_first(prefix):
+        ptr, idx, w = (getattr(graph, prefix + name)
+                       for name in ("indptr", "indices", "weights"))
+        return {prefix + "indptr": np.concatenate([[0], ptr[1:] + 1]),
+                prefix + "indices": np.insert(idx, 0, 0),
+                prefix + "weights": np.insert(w, 0, 2.0)}
+
+    return dataclasses.replace(graph, **loop_first(""),
+                               **(loop_first("rep_") if explicit else {}))
+
+
 def fresh_optimize(graph, gamma, opts):
     """`optimizer.optimize` as it ran before it reused a generator and
     solved gamma = 0 exactly: a new default_rng(PCG64(seed)) per seed and

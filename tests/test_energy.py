@@ -54,6 +54,32 @@ class TestHamiltonian:
             with pytest.raises(ParameterError):
                 hamiltonian(g, np.zeros(g.n, dtype=np.int64), gamma)
 
+    @pytest.mark.parametrize("labels, item", [
+        ([0, -1, 0, 1], 1), ([0, 10 ** 12, 0, 1], 1), ([0.5, 1, 0, 1], 0),
+        ([0, 1, 0, 4], 3), ([0, 1, 0, np.nan], 3), ([0, 1, np.inf, 1], 2),
+        ([0, 10 ** 30, 0, 1], 1),
+        (np.array([0, 1, 0, 2 ** 64 - 1], dtype=np.uint64), 3)])
+    def test_bad_labels_name_the_first_bad_item(self, labels, item):
+        # before: IndexError, a MemoryError of terabytes, or 0.5 read as 0
+        g = from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.1)])
+        for call in (lambda: hamiltonian(g, labels, 1.0),
+                     lambda: landscape_point(g, labels),
+                     lambda: move_delta(g, labels, 0, 0, 1.0)):
+            with pytest.raises(InputError, match=rf"of item {item} is not an "
+                                                 r"integer in \[0, 4\)"):
+                call()
+
+    def test_integral_labels_of_any_dtype_keep_their_bytes(self):
+        g = from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.1)])
+        want = hamiltonian(g, np.array([0, 0, 1, 1]), 1.0)
+        for labels in ([0, 0, 1, 1], [0.0, 0.0, 1.0, 1.0],
+                       np.array([0, 0, 1, 1], dtype=np.uint8),
+                       np.array([False, False, True, True])):
+            assert hamiltonian(g, labels, 1.0) == want
+        for labels in ([[0, 0, 1, 1]], 0, ["a", "b", "a", "b"]):
+            with pytest.raises(InputError):
+                hamiltonian(g, labels, 1.0)
+
 
 class TestLandscapePoint:
     def test_extremes(self, rng):

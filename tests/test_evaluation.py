@@ -302,6 +302,16 @@ class TestNoveltyScores:
         with pytest.raises(ParameterError):
             item_energy_scores(g, np.zeros(4, dtype=np.int64), -1.0)
 
+    @pytest.mark.parametrize("labels, item", [
+        ([0, -1, 0, 1], 1), ([0, 10 ** 12, 0, 1], 1), ([0.5, 1, 0, 1], 0),
+        ([0, 1, 0, 4], 3), ([0, 1, 0, np.nan], 3)])
+    def test_bad_labels_name_the_first_bad_item(self, labels, item):
+        # before: ValueError for a negative label, MemoryError for a huge one
+        g = from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.1)])
+        with pytest.raises(InputError, match=rf"of item {item} is not an "
+                                             r"integer in \[0, 4\)"):
+            item_energy_scores(g, labels, 1.0)
+
 
 class TestRocAuc:
     def test_perfect_separation(self):

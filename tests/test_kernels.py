@@ -20,7 +20,8 @@ from confres.energy import landscape_point
 from confres.errors import ConfresError, InputError, NumericalError
 from confres.graph import from_edge_list
 from conftest import (blob_graph, drop_entries, has_compiler, needs_cc,
-                      random_affinity)
+                      random_affinity, reaching_every_cluster,
+                      with_loops_and_repeats)
 
 # product-form repulsion (a scheme drawn at random) and explicit repulsion
 SCHEMES = (None, "explicit")
@@ -279,6 +280,21 @@ def _sweep_inputs(rng):
                    rng.integers(0, graph.n, graph.n)):
         yield (graph, labels.astype(np.int64),
                rng.integers(0, 2, graph.n).astype(np.int64), 1.0, 100)
+    # what the C pass leaves out of its compact rows: self-loops (repeated
+    # columns kept); entries to other constraint clusters, most of them;
+    # and an item whose rows reach all n - 1 other clusters
+    for trial in range(16):
+        scheme = SCHEMES[trial % 2]
+        n = int(rng.integers(4, 14))
+        zeros = np.zeros(n, dtype=np.int64)
+        graph = with_loops_and_repeats(random_affinity(rng, n, scheme), rng)
+        yield (graph, rng.integers(0, n, n).astype(np.int64), zeros,
+               float(rng.random() * 2), 100)
+        yield (graph, np.arange(n, dtype=np.int64),
+               rng.integers(0, 4, n).astype(np.int64),
+               float(rng.random() * 2), 100)
+        yield (reaching_every_cluster(n, scheme), np.arange(n, dtype=np.int64),
+               zeros, (0.5, 3.0)[trial % 4 // 2], 100)
 
 
 @needs_cc
@@ -801,8 +817,9 @@ def test_failed_build_is_remembered(tmp_path, monkeypatch):
 
 # The C interface of _kernels.c, declared once for every harness: graph_t
 # and numpy's bitgen_t as the kernels read them, the seven exported
-# kernels, a xorshift64 bitgen_t that counts its draws, and the report
-# line each harness prints per case.
+# kernels, a xorshift64 bitgen_t that counts its draws, two graphs whose
+# rows the sweep's compact rows cut down (self-loops) or that reach every
+# cluster, and the report line each harness prints per case.
 _PRELUDE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -880,6 +897,31 @@ static bitgen_t xorshift(uint64_t *state)
     return (bitgen_t){state, next64, next32, NULL, NULL};
 }
 
+/* The path 0-1-2-3 with product-form repulsion, a self-loop in every row
+ * and, in rows 0 and 1, a column twice. */
+static graph_t self_loops(void)
+{
+    static const int64_t ptr[] = {0, 3, 7, 10, 12};
+    static const int64_t idx[] = {0, 1, 1, 1, 0, 2, 0, 2, 1, 3, 2, 3};
+    static const double w[] = {5, 2, 1, 5, 2, 1, 1, 5, 1, 2, 2, 5};
+    static const double rho[] = {1, 1, 1, 1};
+    return graph(4, ptr, idx, w, 0, rho, 4.0, NULL, NULL, NULL);
+}
+
+/* Item 0 attracted to and repelled by each of 1..5, whose rows are empty,
+ * each of its rows a self-loop first and a column twice: from singletons
+ * it reaches all n - 1 = 5 other clusters, which no move can lessen
+ * before it is evaluated. */
+static graph_t every_cluster(void)
+{
+    static const int64_t ptr[] = {0, 7, 7, 7, 7, 7, 7};
+    static const int64_t idx[] = {0, 1, 2, 3, 4, 5, 5};
+    static const double w[] = {2, 1, 1, 1, 1, 1, 1};
+    static const int64_t ridx[] = {0, 1, 2, 3, 4, 5, 1};
+    static const double rw[] = {3, 1, 1, 1, 1, 1, 1}, zeros[6] = {0};
+    return graph(6, ptr, idx, w, 1, zeros, 1.0, ptr, ridx, rw);
+}
+
 static int report(const char *name, int64_t status, int ok)
 {
     printf("%s: status %lld, %s\n", name, (long long)status, ok ? "ok" : "BAD");
@@ -887,8 +929,9 @@ static int report(const char *name, int64_t status, int ok)
 }
 """
 
-# Runs the C level loop, with a toy bit generator, on three small graphs
-# and on one whose indices run out of range; exits 0 only if each call
+# Runs the C level loop, with a toy bit generator, on five small graphs
+# (two of them the sweep harness's self-loops and every-cluster rows) and
+# on one whose indices run out of range; exits 0 only if each call
 # returns the expected status, and each that succeeds canonical labels
 # and a finite energy.
 _SANITIZER_MAIN = r"""
@@ -930,6 +973,8 @@ int main(void)
                                  pairs_rho, 12.0, NULL, NULL, NULL), 1.0, 0)
         | run("explicit", graph(6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
                                 rep_ptr, rep_idx, rep_w), 0.5, 0)
+        | run("self-loops", self_loops(), 1.0, 0)
+        | run("every cluster", every_cluster(), 0.5, 0)
         | run("bad indices", graph(3, tri_ptr, bad_idx, tri_w, 0, ones, 3.0,
                                    NULL, NULL, NULL), 1.0, -4);
 }
@@ -984,7 +1029,7 @@ def _run_sanitized(tmp_path, sanitized_kernels, driver, *link_flags):
 def test_level_loop_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     # the level loop's allocation, aggregation indexing and error path
     out = _run_sanitized(tmp_path, sanitized_kernels, _SANITIZER_MAIN)
-    assert out.count(": status") == 4 and "BAD" not in out
+    assert out.count(": status") == 6 and "BAD" not in out
 
 
 # Runs the C gamma = 0 kernel on six small graphs and on one whose
@@ -1191,8 +1236,10 @@ def test_knn_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
 
 
 # Runs the exported C sweep, with a toy bit generator, on a product-form
-# triangle and on an explicit path graph whose repulsion CSR is
-# asymmetric, each for 1 and 100 passes, then with a label out of range;
+# triangle, on an explicit path graph whose repulsion CSR is asymmetric,
+# on rows with self-loops and repeated columns and on an item whose rows
+# reach every other cluster, each for 1 and 100 passes, then with a label
+# out of range;
 # exits 0 only if each call returns the expected status and leaves every
 # label in range (the rejected labels untouched).
 _SWEEP_SANITIZER_MAIN = r"""
@@ -1239,6 +1286,8 @@ int main(void)
     for (int64_t passes = 1; passes <= 100; passes += 99) {
         bad |= run("triangle", tri, 1.0, 0, passes, 0, passes > 1);
         bad |= run("explicit", path, 0.5, 0, passes, 0, 0);
+        bad |= run("self-loops", self_loops(), 1.0, 0, passes, 0, 0);
+        bad |= run("every cluster", every_cluster(), 0.5, 0, passes, 0, 0);
     }
     return bad
         | run("label n", tri, 1.0, 3, 100, -2, 0)
@@ -1249,9 +1298,10 @@ int main(void)
 
 @has_compiler
 def test_sweep_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
-    # the exported sweep's allocation, reader transposes and label check
+    # the exported sweep's allocation, reader transposes, compact rows and
+    # label check
     out = _run_sanitized(tmp_path, sanitized_kernels, _SWEEP_SANITIZER_MAIN)
-    assert out.count(", ok") == 6, out
+    assert out.count(", ok") == 10, out
     assert out.count("status -2, ok") == 2, out
 
 
@@ -1643,3 +1693,10 @@ def test_kernels_fail_cleanly_when_memory_runs_out(tmp_path,
     out = _run_sanitized(tmp_path, sanitized_kernels, _NOMEM_SANITIZER_MAIN,
                          "-Wl,--wrap=malloc,--wrap=calloc")
     assert out.count(", ok") == 9 and "BAD" not in out, out
+    # a kernel fails once per allocation, so every buffer is reached: the
+    # phases' 18 scratch buffers (the four of the compact rows among them)
+    # and one transpose (2 buffers) per CSR, then the level loop's own 18,
+    # 21 with explicit repulsion
+    for line in ("sweep: 20 ", "sweep explicit: 22 ", "level_loop: 38 ",
+                 "level_loop explicit: 43 "):
+        assert line + "failing calls, ok" in out, out

@@ -15,7 +15,8 @@ from confres.errors import ParameterError
 from confres.graph import AffinityGraph, from_edge_list
 from confres.optimizer import OptimizeOptions, aggregate, optimize
 from conftest import (blob_graph, drop_entries, fresh_optimize, needs_cc,
-                      random_affinity)
+                      random_affinity, reaching_every_cluster,
+                      with_loops_and_repeats)
 
 
 def _connected_components(graph):
@@ -232,6 +233,21 @@ def _level_loop_cases(rng):
         else:
             seed = int(rng.integers(2 ** 32))
         for gamma in gammas:
+            yield trial, graph, gamma, seed
+    # what the C pass leaves out of its compact rows: self-loops (repeated
+    # columns kept), in both repulsion modes; entries to other constraint
+    # clusters, most of a refinement's where four tight pairs are all
+    # weakly linked; and an item whose rows reach all n - 1 other clusters
+    pairs = from_edge_list(8, [(i, j, 5.0 if i // 2 == j // 2 else 0.1)
+                               for i in range(8) for j in range(i + 1, 8)],
+                           repulsion_scheme="uniform")
+    extra = [with_loops_and_repeats(random_affinity(rng, scheme=scheme), rng)
+             for scheme in (None, "explicit") * 2]
+    extra += [pairs] + [reaching_every_cluster(n, scheme)
+                        for n in (5, 12) for scheme in (None, "explicit")]
+    for trial, graph in enumerate(extra, start=len(graphs)):
+        seed = int(rng.integers(2 ** 32))
+        for gamma in (0.0, float(rng.random() * 2), 1.0, 3.0):
             yield trial, graph, gamma, seed
 
 

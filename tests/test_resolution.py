@@ -77,6 +77,14 @@ class TestFindConfigurations:
             with pytest.raises(ParameterError):
                 find_configurations(graph, gamma_max)
 
+    def test_bad_max_depth(self, blob_sweep):
+        # as OptimizeOptions: an integer, never a bool
+        graph, _, _ = blob_sweep
+        for max_depth in (-1, 1.5, True, "3", None):
+            with pytest.raises(ParameterError, match="max_depth"):
+                find_configurations(graph, 1.0, max_depth=max_depth)
+        assert find_configurations(graph, 1.0, max_depth=np.int64(0)).m >= 1
+
     def test_partition_at(self, blob_sweep):
         _, _, configs = blob_sweep
         entry = configs.entries[0]
