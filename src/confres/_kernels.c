@@ -4,12 +4,15 @@
  * the affinity graph of a neighbour graph (`affinity_layout`,
  * `affinity_weights`).
  *
- * `sweep` does the floating-point operations of its Python reference
- * (kernels._local_move, with its inner pass _sweep) in the same order, so
- * that every float result is bit-identical; it only skips evaluating an
- * item that provably stays put, and reads each item's entries from
- * compact rows laid out once per phase, without the entries that count
- * for no cluster (see scratch_t).  `level_loop` runs the
+ * `sweep` is a local-moving phase in rounds of Leiden's fast local move
+ * (Traag, Waltman & van Eck 2019): a round queues every item in a fresh
+ * permutation and serves the queue first in, first out, and an item that
+ * moves queues the neighbours it may have unsettled.  It does the
+ * floating-point operations of its Python reference (kernels._local_move,
+ * with its inner round _round) in the same order, so that every float
+ * result is bit-identical, and reads each item's entries from compact rows
+ * laid out once per phase, without the entries that count for no cluster
+ * (see scratch_t).  `level_loop` runs the
  * loop of optimizer.optimize for one seed (its Python reference is
  * optimizer._level_loop_py) with the same phases, the same draws and the
  * same coarse graphs, so it returns the same labels; it also returns
@@ -34,10 +37,9 @@
  * multiply-add) and never with -ffast-math.
  *
  * The interface: `sweep`, `level_loop` and `components` take the graph as
- * one graph_t (kernels.Graph mirrors it), each deriving its readers in a
- * copy of its own, and `sweep` and `level_loop` draw from numpy's own
- * bitgen_t.  A kernel returns a count or 0, or else a negative ERR_ code;
- * ERR_NOMEM is the one out-of-memory code.
+ * one graph_t (kernels.Graph mirrors it), and `sweep` and `level_loop`
+ * draw from numpy's own bitgen_t.  A kernel returns a count or 0, or else
+ * a negative ERR_ code; ERR_NOMEM is the one out-of-memory code.
  *
  * The caller in kernels.py checks dtypes, contiguity and lengths.  The
  * range of every value used as an index, and the order of each indptr,
@@ -127,9 +129,7 @@ static void release(buffers_t *b)
 }
 
 /* Attraction CSR (both edge directions, m entries) and the repulsion
- * model, with the transpose pattern of each CSR: for each item j, the
- * items whose rows hold j, which a move of j can affect.  A symmetric CSR
- * is its own transpose.  kernels.Graph mirrors the layout, 8 bytes a field. */
+ * model.  kernels.Graph mirrors the layout, 8 bytes a field. */
 typedef struct {
     int64_t n, m;
     const int64_t *indptr, *indices;
@@ -140,8 +140,6 @@ typedef struct {
     int64_t rep_m;  /* with the repulsion CSR: REP_EXPLICIT only */
     const int64_t *rep_indptr, *rep_indices;
     const double *rep_weights;
-    const int64_t *readers_ptr, *readers;  /* each kernel's own */
-    const int64_t *rep_readers_ptr, *rep_readers;  /* REP_EXPLICIT only */
 } graph_t;
 
 /* 0 when every a[0..len) lies in [0, hi), else err. */
@@ -233,61 +231,31 @@ static void permutation(const bitgen_t *rng, int64_t n, int64_t *order)
 
 /* Scratch space of the local-moving phases, n slots each unless noted.
  *
- * An item's decision is a function of its neighbours' labels, its own
- * label, the rep_strength sums of the clusters it touches and of its own
- * (product form only), and, for a move to a fresh cluster, whether a free
- * id exists.  So an item that stayed put when last evaluated, and whose
- * inputs are unchanged since, would stay put again: the pass skips it,
- * which gives the same labels, bit for bit, as evaluating it.  `clean`
- * marks such items; a move clears it for the mover's readers.  The clock
- * orders evaluations and changes of cluster sums.
- *
- * The compact rows are what a pass reads of the graph: each item's
+ * The compact rows are what a round reads of the graph: each item's
  * attraction entries, then its explicit-repulsion entries, each in CSR
  * order, with its self-loops and its entries to other constraint clusters
  * left out (they count for no cluster).  phase lays them out once for all
- * of its passes, in the `rows` slots of scratch_alloc. */
+ * of its rounds, in the `rows` slots of scratch_alloc.  A round's queue
+ * is a ring over `order`, which starts as the round's permutation: at
+ * most n items are queued at once, each flagged in `queued`. */
 typedef struct {
     double *rs;        /* per-cluster sum of rep_strength */
-    double *fresh;     /* rs as rebuilt at the start of a pass */
     double *wsum;      /* attraction from the item to each touched cluster */
     double *rsum;      /* explicit repulsion likewise */
     int64_t *cnt;      /* per-cluster member count */
     int64_t *empty;    /* stack of reusable cluster ids */
     int64_t *touched;  /* distinct clusters of the item's row, at most n - 1 */
-    int64_t *order;
+    int64_t *order;    /* the queue */
     unsigned char *seen;
-    unsigned char *clean;  /* stayed when last evaluated, no reader moved */
-    int64_t *seen_at;      /* clock at the item's last evaluation */
-    int64_t *changed_at;   /* clock at the last change of a cluster's rs */
-    int64_t *near;         /* clusters each item touched when last
-                              evaluated, from its row's start (product
-                              form; `rows` slots, else none) */
-    int64_t *nnear;
-    int64_t *row;          /* n + 1: where each item's compact row starts */
-    int64_t *split;        /* where its repulsion entries start */
-    int64_t *col;          /* `rows`: each compact entry's item */
-    double *w;             /* `rows`: its weight */
-    int64_t clock;
+    unsigned char *queued;
+    int64_t *row;      /* n + 1: where each item's compact row starts */
+    int64_t *split;    /* where its repulsion entries start */
+    int64_t *col;      /* `rows`: each compact entry's item */
+    double *w;         /* `rows`: its weight */
 } scratch_t;
 
-/* Whether item i, clean, saw the current rs of every cluster it reads. */
-static int sums_unchanged(const graph_t *g, const scratch_t *s, int64_t i,
-                          int64_t ci)
-{
-    if (g->rep_mode != REP_PRODUCT)
-        return 1;
-    if (s->changed_at[ci] > s->seen_at[i])
-        return 0;
-    const int64_t *near = s->near + s->row[i];
-    for (int64_t t = 0; t < s->nnear[i]; t++)
-        if (s->changed_at[near[t]] > s->seen_at[i])
-            return 0;
-    return 1;
-}
-
 /* Appends to (col, w), from slot `at` on, the entries of the CSR row
- * [lo, hi) of item i that one_pass reads, in order: those to an item
+ * [lo, hi) of item i that a round reads, in order: those to an item
  * j != i of i's constraint cluster.  Each entry is written, and kept by
  * advancing `at`, or else overwritten by the next.  Returns the new end. */
 static int64_t keep_entries(int64_t i, int64_t lo, int64_t hi,
@@ -323,49 +291,47 @@ static void compact_rows(const graph_t *g, const int64_t *constraint,
     s->row[g->n] = at;
 }
 
-/* One local-moving pass in `order` over the compact rows, as
- * kernels._sweep; returns its moves.  The cluster sums and the free-id
- * stack are rebuilt from `labels`.  A row's clusters are listed in the
- * order they are first reached and its sums added in entry order, as
- * _sweep adds them; the best is the least (gain, id), a fresh cluster
- * ranking after every id.  Both the listing and the pick are data-driven
- * selects, not branches, which with random labels would often
- * mispredict. */
-static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
-                        double eps, scratch_t *s)
+/* One round of the fast local move over the compact rows, as
+ * kernels._round; returns its moves.  The cluster sums and the free-id
+ * stack are rebuilt from `labels`.  Every item is queued in the order of
+ * `order`, and the queue is served first in, first out until it is empty
+ * or *left, the evaluations the phase has left, runs out.  A row's
+ * clusters are listed in the order they are first reached and its sums
+ * added in entry order, as _round adds them; the best is the least
+ * (gain, id), a fresh cluster ranking after every id.  Both the listing
+ * and the pick are data-driven selects, not branches, which with random
+ * labels would often mispredict.  A mover queues each item of its compact
+ * row that is neither queued nor in its new cluster, at the back. */
+static int64_t one_round(const graph_t *g, double gamma, int64_t *labels,
+                         double eps, int64_t *left, scratch_t *s)
 {
     int64_t n = g->n;
     int product = g->rep_mode == REP_PRODUCT;
-    double *rs = s->rs, *fresh = s->fresh, *wsum = s->wsum, *rsum = s->rsum;
+    double *rs = s->rs, *wsum = s->wsum, *rsum = s->rsum;
     int64_t *cnt = s->cnt, *empty = s->empty, *touched = s->touched;
+    int64_t *queue = s->order;
     const int64_t *row = s->row, *split = s->split, *col = s->col;
     const double *w = s->w;
-    unsigned char *seen = s->seen;
-    memset(fresh, 0, (size_t)n * sizeof(double));
+    unsigned char *seen = s->seen, *queued = s->queued;
+    memset(rs, 0, (size_t)n * sizeof(double));
     memset(cnt, 0, (size_t)n * sizeof(int64_t));
+    memset(queued, 1, (size_t)n);
     for (int64_t i = 0; i < n; i++) {
         int64_t c = labels[i];
-        fresh[c] += g->rep_strength[i];
+        rs[c] += g->rep_strength[i];
         cnt[c] += 1;
-    }
-    /* a sum rebuilt to other bits than the last pass left counts as a
-     * change (memcmp: -0.0 differs from 0.0) */
-    s->clock++;
-    for (int64_t c = 0; c < n; c++) {
-        if (memcmp(&fresh[c], &rs[c], sizeof(double)))
-            s->changed_at[c] = s->clock;
-        rs[c] = fresh[c];
     }
     int64_t top = 0;
     for (int64_t c = 0; c < n; c++)
         if (cnt[c] == 0)
             empty[top++] = c;
-    int64_t moves = 0;
-    for (int64_t oi = 0; oi < n; oi++) {
-        int64_t i = s->order[oi];
+    int64_t moves = 0, head = 0, size = n;
+    for (; size > 0 && *left > 0; (*left)--) {
+        int64_t i = queue[head];
+        head = head + 1 == n ? 0 : head + 1;
+        size--;
+        queued[i] = 0;
         int64_t ci = labels[i];
-        if (s->clean[i] && sums_unchanged(g, s, i, ci))
-            continue;
         /* a row reaches at most the n - 1 other items, so ntouch stays
          * below n, the slots of touched */
         int64_t ntouch = 0;
@@ -406,38 +372,33 @@ static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
             best_g = less ? gc : best_g;
             best_c = less ? c : best_c;
         }
-        int better = best_c != ci && best_g - g_cur < -eps;
-        s->seen_at[i] = s->clock;
-        s->clean[i] = !better;  /* a move wanting a free id stays dirty */
-        if (product) {
-            memcpy(s->near + row[i], touched, (size_t)ntouch * sizeof(int64_t));
-            s->nnear[i] = ntouch;
-        }
-        if (better && (best_c != -1 || top > 0)) {
-            if (best_c == -1)
-                best_c = empty[--top];
-            labels[i] = best_c;
-            rs[ci] -= rho_i;
-            cnt[ci] -= 1;
-            if (cnt[ci] == 0)
-                empty[top++] = ci;
-            rs[best_c] += rho_i;
-            cnt[best_c] += 1;
-            moves++;
-            s->clock++;
-            s->changed_at[ci] = s->changed_at[best_c] = s->clock;
-            for (int64_t e = g->readers_ptr[i]; e < g->readers_ptr[i + 1]; e++)
-                s->clean[g->readers[e]] = 0;
-            if (!product)
-                for (int64_t e = g->rep_readers_ptr[i];
-                     e < g->rep_readers_ptr[i + 1]; e++)
-                    s->clean[g->rep_readers[e]] = 0;
-        }
         for (int64_t t = 0; t < ntouch; t++) {
             int64_t c = touched[t];
             seen[c] = 0;
             wsum[c] = 0.0;
             rsum[c] = 0.0;
+        }
+        /* with no free id every cluster is a singleton, so a move to a
+         * fresh cluster would only relabel i */
+        if (best_c == ci || !(best_g - g_cur < -eps) || (best_c == -1 && !top))
+            continue;
+        if (best_c == -1)
+            best_c = empty[--top];
+        labels[i] = best_c;
+        rs[ci] -= rho_i;
+        cnt[ci] -= 1;
+        if (cnt[ci] == 0)
+            empty[top++] = ci;
+        rs[best_c] += rho_i;
+        cnt[best_c] += 1;
+        moves++;
+        for (int64_t e = row[i]; e < row[i + 1]; e++) {
+            int64_t j = col[e];
+            if (queued[j] || labels[j] == best_c)
+                continue;
+            queued[j] = 1;
+            queue[head + size < n ? head + size : head + size - n] = j;
+            size++;
         }
     }
     return moves;
@@ -445,106 +406,68 @@ static int64_t one_pass(const graph_t *g, double gamma, int64_t *labels,
 
 /* Scratch, taken from b, for phases on g and on graphs of at most g's
  * items whose attraction and explicit-repulsion entries number at most
- * `coarse` together.  seen, wsum and rsum start zeroed, and one_pass
+ * `coarse` together.  seen, wsum and rsum start zeroed, and one_round
  * leaves them so. */
 static void scratch_alloc(buffers_t *b, scratch_t *s, const graph_t *g,
                           int64_t coarse)
 {
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
-    int64_t n = g->n, product = g->rep_mode == REP_PRODUCT;
-    int64_t rows = g->m + (product ? 0 : g->rep_m);
+    int64_t n = g->n;
+    int64_t rows = g->m + (g->rep_mode == REP_PRODUCT ? 0 : g->rep_m);
     rows = rows > coarse ? rows : coarse;
-    int64_t near = product ? rows : 0;
     *s = (scratch_t){
-        .rs = take(b, n, f64, 1), .fresh = take(b, n, f64, 0),
-        .wsum = take(b, n, f64, 1), .rsum = take(b, n, f64, 1),
-        .cnt = take(b, n, i64, 1), .empty = take(b, n, i64, 0),
-        .touched = take(b, n, i64, 0), .order = take(b, n, i64, 0),
-        .seen = take(b, n, 1, 1), .clean = take(b, n, 1, 1),
-        .seen_at = take(b, n, i64, 1), .changed_at = take(b, n, i64, 1),
-        .near = take(b, near, i64, 0), .nnear = take(b, n, i64, 1),
-        .row = take(b, n + 1, i64, 0), .split = take(b, n, i64, 0),
-        .col = take(b, rows, i64, 0), .w = take(b, rows, f64, 0),
-        .clock = 0};
+        .rs = take(b, n, f64, 0), .wsum = take(b, n, f64, 1),
+        .rsum = take(b, n, f64, 1), .cnt = take(b, n, i64, 0),
+        .empty = take(b, n, i64, 0), .touched = take(b, n, i64, 0),
+        .order = take(b, n, i64, 0), .seen = take(b, n, 1, 1),
+        .queued = take(b, n, 1, 0), .row = take(b, n + 1, i64, 0),
+        .split = take(b, n, i64, 0), .col = take(b, rows, i64, 0),
+        .w = take(b, rows, f64, 0)};
 }
 
-/* The transpose pattern of the CSR rows (ptr, idx) over n items, in
- * arrays taken from b: for each item j, the items whose rows hold j.
- * Left unfilled when a take of b has failed. */
-static void transposed(buffers_t *b, int64_t n, const int64_t *ptr,
-                       const int64_t *idx, const int64_t **tptr_out,
-                       const int64_t **tidx_out)
-{
-    int64_t *tptr = take(b, n + 1, sizeof(int64_t), 0);
-    int64_t *tidx = take(b, ptr[n] - ptr[0], sizeof(int64_t), 0);
-    *tptr_out = tptr;
-    *tidx_out = tidx;
-    if (b->failed)
-        return;
-    memset(tptr, 0, ((size_t)n + 1) * sizeof(int64_t));
-    for (int64_t e = ptr[0]; e < ptr[n]; e++)
-        tptr[idx[e] + 1]++;
-    for (int64_t j = 0; j < n; j++)
-        tptr[j + 1] += tptr[j];
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t e = ptr[i]; e < ptr[i + 1]; e++)
-            tidx[tptr[idx[e]]++] = i;
-    for (int64_t j = n; j > 0; j--)
-        tptr[j] = tptr[j - 1];
-    tptr[0] = 0;
-}
-
-/* g's readers, as transposes (an input CSR need not be symmetric) taken
- * from b. */
-static void readers_alloc(buffers_t *b, graph_t *g)
-{
-    transposed(b, g->n, g->indptr, g->indices, &g->readers_ptr, &g->readers);
-    if (g->rep_mode == REP_EXPLICIT)
-        transposed(b, g->n, g->rep_indptr, g->rep_indices,
-                   &g->rep_readers_ptr, &g->rep_readers);
-}
-
-/* Passes in a fresh permutation, over the compact rows of g under
- * `constraint` laid out once, until one moves nothing or max_sweeps have
- * run; returns the total moves. */
+/* A local-moving phase: rounds in a fresh permutation over the compact
+ * rows of g under `constraint`, laid out once; one round, or with
+ * `settle` rounds until one moves nothing, and in either case at most
+ * max_sweeps * n evaluations in all.  Returns the total moves. */
 static int64_t phase(const graph_t *g, double gamma, int64_t *labels,
-                     const int64_t *constraint, int64_t max_sweeps, double eps,
-                     const bitgen_t *rng, scratch_t *s)
+                     const int64_t *constraint, int64_t max_sweeps,
+                     int settle, double eps, const bitgen_t *rng, scratch_t *s)
 {
-    memset(s->clean, 0, (size_t)g->n);  /* new labels or constraint */
     compact_rows(g, constraint, s);
+    int64_t left = 0;
+    if (max_sweeps > 0 && g->n > 0)
+        left = max_sweeps > INT64_MAX / g->n ? INT64_MAX : max_sweeps * g->n;
     int64_t total = 0;
-    for (int64_t pass = 0; pass < max_sweeps; pass++) {
+    while (left > 0) {
         permutation(rng, g->n, s->order);
-        int64_t moves = one_pass(g, gamma, labels, eps, s);
+        int64_t moves = one_round(g, gamma, labels, eps, &left, s);
         total += moves;
-        if (moves == 0)
+        if (moves == 0 || !settle)
             break;
     }
     return total;
 }
 
-/* One local-moving phase, as kernels._local_move: passes in a fresh
- * permutation drawn from the bit generator, until a pass moves nothing or
- * max_sweeps passes have run.  Mutates `labels`; returns the total moves,
- * or an ERR_ code before any label moves or any number is drawn.  The
- * caller holds the bit generator's lock. */
-int64_t sweep(const graph_t *graph, double gamma, int64_t *labels,
-              const int64_t *constraint, int64_t max_sweeps, double eps,
-              const bitgen_t *rng)
+/* One local-moving phase, as kernels._local_move: rounds of the fast
+ * local move, each in a fresh permutation drawn from the bit generator
+ * (see phase).  Mutates `labels`; returns the total moves, or an ERR_
+ * code before any label moves or any number is drawn.  The caller holds
+ * the bit generator's lock. */
+int64_t sweep(const graph_t *g, double gamma, int64_t *labels,
+              const int64_t *constraint, int64_t max_sweeps, int64_t settle,
+              double eps, const bitgen_t *rng)
 {
-    graph_t g = *graph;
-    int64_t err = check_graph(&g);
+    int64_t err = check_graph(g);
     if (!err)
-        err = check_range(labels, g.n, g.n, ERR_LABELS);
+        err = check_range(labels, g->n, g->n, ERR_LABELS);
     if (err)
         return err;
     buffers_t b = {NULL, 0};
     scratch_t s;
-    scratch_alloc(&b, &s, &g, 0);
-    readers_alloc(&b, &g);
+    scratch_alloc(&b, &s, g, 0);
     int64_t total = b.failed ? ERR_NOMEM
-        : phase(&g, gamma, labels, constraint, max_sweeps, eps, rng, &s);
+        : phase(g, gamma, labels, constraint, max_sweeps, settle != 0, eps,
+                rng, &s);
     release(&b);
     return total;
 }
@@ -1028,7 +951,10 @@ static void energy_of(const graph_t *g, const int64_t *labels, int64_t k,
  * from singletons within each cluster (or the clusters themselves when
  * refinement keeps every item apart); aggregation of the refinement, the
  * clusters becoming the next level's start; at most max_levels levels,
- * then a polish of up to max_polish passes on the original graph.
+ * each of whose two phases is one round of at most max_sweeps * n
+ * evaluations, then a polish on the original graph, rounds until one
+ * moves nothing, of at most max_polish * n evaluations in all (see
+ * phase).
  * Writes the canonical labels to `out` (n slots), their (h_a, h_r) on
  * the original graph to `energy` (2 slots, see energy_of) and returns 0,
  * or an ERR_ code before any number is drawn.  The caller holds the bit
@@ -1053,7 +979,6 @@ int64_t level_loop(const graph_t *graph, double gamma, int64_t max_levels,
     scratch_t s;
     /* a coarse CSR holds both directions of the pairs collapse finds */
     scratch_alloc(&b, &s, &orig, 2 * (att_cap + rep_cap));
-    readers_alloc(&b, &orig);
     int64_t *labels = take(&b, slots, i64, 0);
     int64_t *refined = take(&b, slots, i64, 0);
     int64_t *next = take(&b, slots, i64, 0);
@@ -1077,14 +1002,14 @@ int64_t level_loop(const graph_t *graph, double gamma, int64_t max_levels,
     for (int64_t i = 0; i < n; i++)
         labels[i] = mapping[i] = i;
     for (int64_t level = 0; level < max_levels; level++) {
-        int64_t moved = phase(&cur, gamma, labels, zeros, max_sweeps, eps,
+        int64_t moved = phase(&cur, gamma, labels, zeros, max_sweeps, 0, eps,
                               rng, &s);
         int64_t k = canonicalize(labels, cur.n, map);
         if (moved == 0 || k == cur.n)
             break;
         for (int64_t i = 0; i < cur.n; i++)
             refined[i] = i;
-        phase(&cur, gamma, refined, labels, max_sweeps, eps, rng, &s);
+        phase(&cur, gamma, refined, labels, max_sweeps, 0, eps, rng, &s);
         int64_t kr = canonicalize(refined, cur.n, map);
         if (kr == cur.n) {
             memcpy(refined, labels, (size_t)cur.n * i64);
@@ -1109,19 +1034,16 @@ int64_t level_loop(const graph_t *graph, double gamma, int64_t max_levels,
         int64_t *held = labels;
         labels = next;
         next = held;
-        /* coarse CSRs are symmetric: their own readers */
         cur = (graph_t){.n = kr, .m = ptr[kr], .indptr = ptr, .indices = idx,
                         .weights = wt, .rep_mode = orig.rep_mode,
                         .rep_strength = rho, .rep_denom = orig.rep_denom,
                         .rep_m = explicit_rep ? rep_ptr[kr] : 0,
                         .rep_indptr = rep_ptr, .rep_indices = rep_idx,
-                        .rep_weights = rep_wt, .readers_ptr = ptr,
-                        .readers = idx, .rep_readers_ptr = rep_ptr,
-                        .rep_readers = rep_idx};
+                        .rep_weights = rep_wt};
     }
     for (int64_t i = 0; i < n; i++)
         out[i] = labels[mapping[i]];
-    phase(&orig, gamma, out, zeros, max_polish, eps, rng, &s);
+    phase(&orig, gamma, out, zeros, max_polish, 1, eps, rng, &s);
     /* rho_next is spare: n + 1 slots for at most n clusters */
     energy_of(&orig, out, canonicalize(out, n, map), rho_next, energy);
     release(&b);

@@ -6,21 +6,27 @@ adds left to right, so it returns the floats a plain loop over the edges
 returns.  These loops are compiled from `_kernels.c`, each beside a Python
 or numpy reference that is the fallback and the test oracle:
 
-- `sweep` does the floating-point operations of the Python `_local_move`
-  (passes of `_sweep`, over lists) in the same order.  The C phase runs
-  every pass in one call and draws each pass's order from the caller's
-  numpy Generator through its bit generator's ctypes interface, replaying
-  `rng.permutation` (Fisher-Yates over `random_interval`), so labels,
-  move counts and the generator's state afterwards match the Python loop
-  exactly.  A C pass skips an item that stayed put when last evaluated
-  and whose inputs (its neighbours' labels, and for product-form
-  repulsion the cluster sums it reads) have not changed since: it would
-  stay put again.  It reads compact rows, laid out once per phase: each
-  item's attraction, then explicit-repulsion entries, in CSR order,
-  without the self-loops and the entries to other constraint clusters
-  that `_sweep` skips one by one; it lists an item's clusters and picks
-  the best with selects, not branches, adding every sum in `_sweep`'s
-  order.
+- `sweep` is one local-moving phase in rounds of Leiden's fast local move
+  (Traag, Waltman & van Eck 2019, "From Louvain to Leiden"): a round
+  queues every item in a fresh permutation and serves the queue first in,
+  first out; an item that moves queues, at the back, each item of its
+  rows that is neither queued nor in its new cluster.  A move also
+  changes the cluster sums that product-form repulsion reads from items
+  it does not queue, so only a round that moves nothing proves a
+  partition single-move stable.  A phase runs one round, or with
+  `settle` rounds until one moves nothing, and never more than
+  `max_sweeps` * n evaluations in all.  It does the floating-point
+  operations of the Python `_local_move` (rounds of `_round`, over lists)
+  in the same order.  The C phase runs every round in one call and draws
+  each round's order from the caller's numpy Generator through its bit
+  generator's ctypes interface, replaying `rng.permutation` (Fisher-Yates
+  over `random_interval`), so labels, move counts and the generator's
+  state afterwards match the Python loop exactly.  It reads compact
+  rows, laid out once per phase: each item's attraction, then
+  explicit-repulsion entries, in CSR order, without the self-loops and
+  the entries to other constraint clusters that `_round` skips one by
+  one; it lists an item's clusters and picks the best with selects, not
+  branches, adding every sum in `_round`'s order.
 - `level_loop` runs the whole loop of `optimizer.optimize` for one seed
   (move, refine, aggregate, level after level, then the polish) in one
   call, with the phases of `sweep` and aggregation that adds in the order
@@ -84,6 +90,7 @@ import shutil
 import subprocess
 import tempfile
 import warnings
+from collections import deque
 
 import numpy as np
 
@@ -202,18 +209,22 @@ def energy_components(indptr, indices, weights, labels,
     return float(h_a), float(h_r)
 
 
-def _sweep(indptr, indices, weights,
+def _round(indptr, indices, weights,
            rep_mode, rep_strength, rep_denom,
            rep_indptr, rep_indices, rep_weights,
-           gamma, labels, constraint, order, eps):
-    """One local-moving pass over lists; mutates the list `labels`.
+           gamma, labels, constraint, order, eps, left):
+    """One round of the fast local move over lists; mutates the list
+    `labels`.  Returns (moves, evaluations left).
 
-    Visits items in `order`; each item is moved to the cluster (among
-    clusters of its attraction/repulsion neighbours with matching
-    `constraint`, plus a fresh singleton cluster) that minimises the energy
-    delta.  Moves are accepted only when delta < -eps.  Ties go to the
-    lowest existing cluster id, then to the new cluster.  Returns the
-    number of accepted moves.
+    Queues every item in `order` and serves the queue first in, first
+    out, until it is empty or the `left` evaluations are spent.  Each item
+    is moved to the cluster (among clusters of its attraction/repulsion
+    neighbours with matching `constraint`, plus a fresh singleton cluster)
+    that minimises the energy delta.  Moves are accepted only when delta <
+    -eps.  Ties go to the lowest existing cluster id, then to the new
+    cluster.  A mover queues, at the back, each item of its rows (in row
+    order, attraction first) with matching `constraint` that is neither
+    queued nor in its new cluster.
     """
     n = len(labels)
     rs = [0.0] * n    # per-cluster sum of rep_strength
@@ -226,8 +237,13 @@ def _sweep(indptr, indices, weights,
     csrs = [(0, indptr, indices, weights)]  # (slot in a `near` value, CSR)
     if not product:
         csrs.append((1, rep_indptr, rep_indices, rep_weights))
+    queue = deque(order)
+    queued = [True] * n
     moves = 0
-    for i in order:
+    while queue and left > 0:
+        left -= 1
+        i = queue.popleft()
+        queued[i] = False
         ci = labels[i]
         ki = constraint[i]
         # cluster -> [attraction, explicit repulsion] from i, in the order
@@ -257,31 +273,43 @@ def _sweep(indptr, indices, weights,
                 best_c = c
         # with no free cluster id every cluster is a singleton, so a move to
         # a fresh cluster would only relabel i
-        if best_c != ci and best_g - g_cur < -eps and (best_c != -1 or free):
-            if best_c == -1:
-                best_c = free.pop()
-            labels[i] = best_c
-            rs[ci] -= rho_i
-            cnt[ci] -= 1
-            if cnt[ci] == 0:
-                free.append(ci)
-            rs[best_c] += rho_i
-            cnt[best_c] += 1
-            moves += 1
-    return moves
+        if (best_c == ci or not (best_g - g_cur < -eps)
+                or (best_c == -1 and not free)):
+            continue
+        if best_c == -1:
+            best_c = free.pop()
+        labels[i] = best_c
+        rs[ci] -= rho_i
+        cnt[ci] -= 1
+        if cnt[ci] == 0:
+            free.append(ci)
+        rs[best_c] += rho_i
+        cnt[best_c] += 1
+        moves += 1
+        # i itself is in best_c now
+        for _, ptr, idx, _ in csrs:
+            for j in idx[ptr[i]:ptr[i + 1]]:
+                if (not queued[j] and labels[j] != best_c
+                        and constraint[j] == ki):
+                    queued[j] = True
+                    queue.append(j)
+    return moves, left
 
 
 def _local_move(indptr, indices, weights,
                 rep_mode, rep_strength, rep_denom,
                 rep_indptr, rep_indices, rep_weights,
-                gamma, labels, constraint, rng, max_sweeps):
+                gamma, labels, constraint, rng, max_sweeps, settle=True):
     """One local-moving phase; mutates `labels` in place.
 
-    Runs `_sweep` passes, each in a fresh `rng.permutation` of the items,
-    until a pass accepts no move or `max_sweeps` passes have run.  Returns
-    the total number of accepted moves.  Raises IndexError or ValueError,
-    before any label moves or any number is drawn, where the C sweep
-    does.
+    Runs `_round`s, each in a fresh `rng.permutation` of the items: one
+    round, or with `settle` rounds until one accepts no move, which leaves
+    no item a single move can improve.  Either way the phase evaluates at
+    most `max_sweeps` * n items, as many as `max_sweeps` full passes: only
+    a CSR on which moves never settle (an asymmetric one) reaches that.
+    Returns the total number of accepted moves.  Raises IndexError or
+    ValueError, before any label moves or any number is drawn, where the C
+    sweep does.
     """
     n = labels.shape[0]
     _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
@@ -294,10 +322,11 @@ def _local_move(indptr, indices, weights,
             rep_strength.tolist(), float(rep_denom), *rep, float(gamma),
             moved, constraint.tolist())
     total = 0
-    for _ in range(max_sweeps):
-        moves = _sweep(*args, rng.permutation(n).tolist(), EPSILON)
+    left = max(max_sweeps, 0) * n
+    while left > 0:
+        moves, left = _round(*args, rng.permutation(n).tolist(), EPSILON, left)
         total += moves
-        if moves == 0:
+        if moves == 0 or not settle:
             break
     if total:  # else nothing moved, and labels need not be writable
         labels[:] = moved
@@ -660,7 +689,7 @@ def _load_library():
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     graph = ctypes.POINTER(Graph)  # a Graph passes by reference
-    lib.sweep.argtypes = [graph, f64, ptr, ptr, i64, f64, ptr]
+    lib.sweep.argtypes = [graph, f64, ptr, ptr, i64, i64, f64, ptr]
     lib.sweep.restype = i64
     lib.level_loop.argtypes = [graph, f64, i64, i64, i64, f64, ptr, ptr, ptr]
     lib.level_loop.restype = i64
@@ -684,13 +713,11 @@ _I, _D, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 class Graph(ctypes.Structure):
     """graph_t of _kernels.c, field for field: a graph as `sweep`,
-    `level_loop` and `components` read it.  The readers (each CSR's
-    transpose) are the kernels' own; from Python they stay NULL."""
+    `level_loop` and `components` read it."""
     _fields_ = [("n", _I), ("m", _I), ("indptr", _P), ("indices", _P),
                 ("weights", _P), ("rep_mode", _I), ("rep_strength", _P),
                 ("rep_denom", _D), ("rep_m", _I), ("rep_indptr", _P),
-                ("rep_indices", _P), ("rep_weights", _P), ("readers_ptr", _P),
-                ("readers", _P), ("rep_readers_ptr", _P), ("rep_readers", _P)]
+                ("rep_indices", _P), ("rep_weights", _P)]
 
 
 _BYTE = ctypes.c_char
@@ -789,7 +816,7 @@ def _call_drawing(fn, graph, rng, *tail):
 def _local_move_c(indptr, indices, weights,
                   rep_mode, rep_strength, rep_denom,
                   rep_indptr, rep_indices, rep_weights,
-                  gamma, labels, constraint, rng, max_sweeps):
+                  gamma, labels, constraint, rng, max_sweeps, settle=True):
     _check_array("labels", labels, _I64)
     if not labels.flags.writeable:
         raise ValueError("labels must be writable: sweep moves items in place")
@@ -798,7 +825,8 @@ def _local_move_c(indptr, indices, weights,
     graph = graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
                        rep_denom, rep_indptr, rep_indices, rep_weights)
     return _call_drawing(_LIB.sweep, graph, rng, gamma, _address(labels),
-                         _address(constraint), max_sweeps, EPSILON)
+                         _address(constraint), max_sweeps, bool(settle),
+                         EPSILON)
 
 
 _PAIR = ctypes.c_double * 2

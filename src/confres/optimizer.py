@@ -1,10 +1,14 @@
 """Leiden-style minimization of the attraction-repulsion energy at fixed gamma.
 
-Phases per level: local moving until stable, refinement (local moving from
-singletons constrained to the current clusters), then aggregation on the
-refined partition with the coarse partition as the starting point on the
-aggregate graph.  A final item-level polish pass on the original graph
-guarantees single-move stability of the returned partition.
+Phases per level: local moving, refinement (local moving from singletons
+constrained to the current clusters), then aggregation on the refined
+partition with the coarse partition as the starting point on the
+aggregate graph.  Each of the two phases is one round of Leiden's fast
+local move (see `kernels.sweep`): every item once in a random order, then
+the neighbours of the items that moved, until none is left.  A final
+item-level polish on the original graph runs rounds until one moves
+nothing, which guarantees single-move stability of the returned
+partition.
 
 With the C kernels loaded, each seed's whole loop (every level, then the
 polish) is one call, `kernels.level_loop`, which also returns the energy
@@ -41,7 +45,10 @@ from .graph import AffinityGraph, _pairs
 from . import kernels
 
 MAX_LEVELS = 32
-MAX_SWEEPS_PER_LEVEL = 100  # the final polish may run ten times as many
+# A phase evaluates at most this many items per item of its graph (as
+# many as this many full passes); only a CSR whose moves never settle, an
+# asymmetric one, reaches it.  The final polish may run ten times as many.
+MAX_SWEEPS_PER_LEVEL = 100
 
 
 @dataclass(frozen=True)
@@ -75,13 +82,15 @@ class AggregateGraph:
     const_h_r: float
 
 
-def _run_sweeps(graph, labels, gamma, constraint, rng, max_sweeps):
-    """Local moving until a full pass accepts no move. Returns total moves."""
+def _run_sweeps(graph, labels, gamma, constraint, rng, max_sweeps, settle):
+    """One local-moving phase through `kernels.sweep`: one round of the
+    fast local move, or with `settle` rounds until one accepts no move.
+    Returns total moves."""
     return kernels.sweep(
         graph.indptr, graph.indices, graph.weights,
         graph.rep_mode, graph.rep_strength, graph.rep_denom,
         graph.rep_indptr, graph.rep_indices, graph.rep_weights,
-        float(gamma), labels, constraint, rng, max_sweeps)
+        float(gamma), labels, constraint, rng, max_sweeps, settle)
 
 
 def _collapse(labels, k, indptr, indices, weights):
@@ -142,14 +151,16 @@ def _level_loop_py(graph, gamma, rng):
     labels = np.arange(cur.n, dtype=np.int64)
     zeros = np.zeros(cur.n, dtype=np.int64)
     for _ in range(MAX_LEVELS):
-        moved = _run_sweeps(cur, labels, gamma, zeros, rng, MAX_SWEEPS_PER_LEVEL)
+        moved = _run_sweeps(cur, labels, gamma, zeros, rng,
+                            MAX_SWEEPS_PER_LEVEL, False)
         labels = canonicalize(labels)
         k = cluster_count(labels)
         if moved == 0 or k == cur.n:
             break
         # refinement: singletons re-merged inside each cluster
         refined = np.arange(cur.n, dtype=np.int64)
-        _run_sweeps(cur, refined, gamma, labels, rng, MAX_SWEEPS_PER_LEVEL)
+        _run_sweeps(cur, refined, gamma, labels, rng, MAX_SWEEPS_PER_LEVEL,
+                    False)
         refined = canonicalize(refined)
         if cluster_count(refined) == cur.n:
             refined = labels  # refinement kept everything apart; aggregate coarse
@@ -164,7 +175,8 @@ def _level_loop_py(graph, gamma, rng):
     final = labels[mapping]
     # polish on the original graph so single-item moves cannot improve H
     zeros = np.zeros(graph.n, dtype=np.int64)
-    _run_sweeps(graph, final, gamma, zeros, rng, 10 * MAX_SWEEPS_PER_LEVEL)
+    _run_sweeps(graph, final, gamma, zeros, rng, 10 * MAX_SWEEPS_PER_LEVEL,
+                True)
     final = canonicalize(final)
     return (final, *_components(graph, final))
 

@@ -299,23 +299,25 @@ def _sweep_inputs(rng):
 
 @needs_cc
 def test_sweep_backends_agree(rng):
-    # the C loop draws each pass's order as rng.permutation does: same
-    # labels, same move count, same generator state afterwards; one random
-    # graph in five has asymmetric CSRs
+    # the C loop draws each round's order as rng.permutation does: same
+    # labels, same move count, same generator state afterwards, for one
+    # round and for rounds until settled; one random graph in five has
+    # asymmetric CSRs
     assert kernels.BACKEND == "c"
-    for graph, labels_a, constraint, gamma, max_sweeps in _sweep_inputs(rng):
-        labels_b = labels_a.copy()
+    for graph, start, constraint, gamma, max_sweeps in _sweep_inputs(rng):
         args = _kernel_args(graph)
         seed = int(rng.integers(2 ** 32))
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        moved_a = kernels.sweep(*args, gamma, labels_a, constraint,
-                                rng_a, max_sweeps)
-        moved_b = kernels.sweep_py(*args, gamma, labels_b, constraint,
-                                   rng_b, max_sweeps)
-        assert moved_a == moved_b
-        assert type(moved_a) is int
-        assert np.array_equal(labels_a, labels_b)
-        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        for settle in (True, False):
+            labels_a, labels_b = start.copy(), start.copy()
+            rng_a, rng_b = (np.random.default_rng(seed) for _ in range(2))
+            moved_a = kernels.sweep(*args, gamma, labels_a, constraint,
+                                    rng_a, max_sweeps, settle)
+            moved_b = kernels.sweep_py(*args, gamma, labels_b, constraint,
+                                       rng_b, max_sweeps, settle)
+            assert moved_a == moved_b
+            assert type(moved_a) is int
+            assert np.array_equal(labels_a, labels_b)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
 @needs_cc
@@ -739,7 +741,7 @@ def test_graph_struct_matches_graph_t():
     names = [name for decl in body.split(";")
              for name in re.findall(r"(\w+)\s*(?:,|$)", decl.strip())]
     fields = kernels.Graph._fields_
-    assert len(names) >= 16
+    assert len(names) >= 12
     assert names == [name for name, _ in fields]
     assert all(ctypes.sizeof(kind) == 8 for _, kind in fields)
     assert ctypes.sizeof(kernels.Graph) == 8 * len(names)
@@ -837,7 +839,6 @@ typedef struct {
     int64_t rep_m;
     const int64_t *rep_indptr, *rep_indices;
     const double *rep_weights;
-    const int64_t *readers_ptr, *readers, *rep_readers_ptr, *rep_readers;
 } graph_t;
 
 typedef struct {
@@ -849,7 +850,7 @@ typedef struct {
 } bitgen_t;
 
 int64_t sweep(const graph_t *, double, int64_t *, const int64_t *, int64_t,
-              double, const bitgen_t *);
+              int64_t, double, const bitgen_t *);
 int64_t level_loop(const graph_t *, double, int64_t, int64_t, int64_t,
                    double, int64_t *, double *, const bitgen_t *);
 int64_t components(const graph_t *, int64_t *, double *);
@@ -865,15 +866,14 @@ int64_t affinity_weights(int64_t, int64_t, const int64_t *, const int64_t *,
                          const double *, double *, double *, double *);
 
 /* The CSR (ptr, idx, w) over n items with the repulsion model, its CSR
- * (rptr, ridx, rw) NULL for product form; the readers are the kernels'. */
+ * (rptr, ridx, rw) NULL for product form. */
 static graph_t graph(int64_t n, const int64_t *ptr, const int64_t *idx,
                      const double *w, int64_t rep_mode, const double *rho,
                      double denom, const int64_t *rptr, const int64_t *ridx,
                      const double *rw)
 {
     return (graph_t){n, ptr[n], ptr, idx, w, rep_mode, rho, denom,
-                     rptr ? rptr[n] : 0, rptr, ridx, rw, NULL, NULL, NULL,
-                     NULL};
+                     rptr ? rptr[n] : 0, rptr, ridx, rw};
 }
 
 static long draws;  /* numbers drawn from any xorshift generator */
@@ -1238,15 +1238,15 @@ def test_knn_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
 # Runs the exported C sweep, with a toy bit generator, on a product-form
 # triangle, on an explicit path graph whose repulsion CSR is asymmetric,
 # on rows with self-loops and repeated columns and on an item whose rows
-# reach every other cluster, each for 1 and 100 passes, then with a label
-# out of range;
+# reach every other cluster, each for one round and until settled, within
+# 1 and 100 passes' evaluations, then with a label out of range;
 # exits 0 only if each call returns the expected status and leaves every
 # label in range (the rejected labels untouched).
 _SWEEP_SANITIZER_MAIN = r"""
 /* want >= 0: any status in [1, max_sweeps * n]; with `merged`, also one
  * cluster.  want < 0: that status and the labels as given. */
 static int run(const char *name, graph_t g, double gamma, int64_t bad_label,
-               int64_t max_sweeps, int64_t want, int merged)
+               int64_t max_sweeps, int64_t settle, int64_t want, int merged)
 {
     int64_t labels[8], given[8], constraint[8] = {0};
     uint64_t state;
@@ -1256,8 +1256,8 @@ static int run(const char *name, graph_t g, double gamma, int64_t bad_label,
     if (want < 0)
         labels[g.n - 1] = bad_label;
     memcpy(given, labels, sizeof labels);
-    int64_t status = sweep(&g, gamma, labels, constraint, max_sweeps, 1e-12,
-                           &rng);
+    int64_t status = sweep(&g, gamma, labels, constraint, max_sweeps, settle,
+                           1e-12, &rng);
     int ok = want < 0 ? status == want && !memcmp(labels, given, sizeof labels)
                       : status >= 1 && status <= max_sweeps * g.n;
     for (int64_t i = 0; ok && want >= 0 && i < g.n; i++)
@@ -1283,25 +1283,28 @@ int main(void)
     graph_t path = graph(6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
                          rep_ptr, rep_idx, rep_w);
     int bad = 0;
-    for (int64_t passes = 1; passes <= 100; passes += 99) {
-        bad |= run("triangle", tri, 1.0, 0, passes, 0, passes > 1);
-        bad |= run("explicit", path, 0.5, 0, passes, 0, 0);
-        bad |= run("self-loops", self_loops(), 1.0, 0, passes, 0, 0);
-        bad |= run("every cluster", every_cluster(), 0.5, 0, passes, 0, 0);
+    for (int64_t settle = 0; settle <= 1; settle++) {
+        for (int64_t passes = 1; passes <= 100; passes += 99) {
+            bad |= run("triangle", tri, 1.0, 0, passes, settle, 0, passes > 1);
+            bad |= run("explicit", path, 0.5, 0, passes, settle, 0, 0);
+            bad |= run("self-loops", self_loops(), 1.0, 0, passes, settle, 0,
+                       0);
+            bad |= run("every cluster", every_cluster(), 0.5, 0, passes,
+                       settle, 0, 0);
+        }
     }
     return bad
-        | run("label n", tri, 1.0, 3, 100, -2, 0)
-        | run("label -1", path, 0.5, -1, 100, -2, 0);
+        | run("label n", tri, 1.0, 3, 100, 1, -2, 0)
+        | run("label -1", path, 0.5, -1, 100, 0, -2, 0);
 }
 """
 
 
 @has_compiler
 def test_sweep_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
-    # the exported sweep's allocation, reader transposes, compact rows and
-    # label check
+    # the exported sweep's allocation, compact rows, queue and label check
     out = _run_sanitized(tmp_path, sanitized_kernels, _SWEEP_SANITIZER_MAIN)
-    assert out.count(", ok") == 10, out
+    assert out.count(", ok") == 18, out
     assert out.count("status -2, ok") == 2, out
 
 
@@ -1555,7 +1558,7 @@ static int64_t sweep_triangle(void *out)
     uint64_t state;
     bitgen_t rng = xorshift(&state);
     graph_t g = triangle();
-    return sweep(&g, 1.0, out, apart, 100, 1e-12, &rng);
+    return sweep(&g, 1.0, out, apart, 100, 1, 1e-12, &rng);
 }
 
 static int64_t sweep_explicit(void *out)
@@ -1563,7 +1566,7 @@ static int64_t sweep_explicit(void *out)
     uint64_t state;
     bitgen_t rng = xorshift(&state);
     graph_t g = path();
-    return sweep(&g, 0.5, out, apart, 100, 1e-12, &rng);
+    return sweep(&g, 0.5, out, apart, 100, 0, 1e-12, &rng);
 }
 
 static int64_t level_loop_triangle(void *out)
@@ -1694,9 +1697,9 @@ def test_kernels_fail_cleanly_when_memory_runs_out(tmp_path,
                          "-Wl,--wrap=malloc,--wrap=calloc")
     assert out.count(", ok") == 9 and "BAD" not in out, out
     # a kernel fails once per allocation, so every buffer is reached: the
-    # phases' 18 scratch buffers (the four of the compact rows among them)
-    # and one transpose (2 buffers) per CSR, then the level loop's own 18,
-    # 21 with explicit repulsion
-    for line in ("sweep: 20 ", "sweep explicit: 22 ", "level_loop: 38 ",
-                 "level_loop explicit: 43 "):
+    # phases' 13 scratch buffers (the four of the compact rows and the
+    # queue's flags among them), then the level loop's own 18, 21 with
+    # explicit repulsion
+    for line in ("sweep: 13 ", "sweep explicit: 13 ", "level_loop: 31 ",
+                 "level_loop explicit: 34 "):
         assert line + "failing calls, ok" in out, out

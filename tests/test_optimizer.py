@@ -39,8 +39,9 @@ def _connected_components(graph):
 
 
 def _sweep(graph, labels, gamma, seed):
-    """One unconstrained `kernels.sweep` pass in a seeded item order
-    (`default_rng(seed).permutation`); returns (canonical labels, moves)."""
+    """One unconstrained `kernels.sweep` phase in a seeded item order
+    (`default_rng(seed).permutation`), of at most n evaluations; returns
+    (canonical labels, moves)."""
     labels = np.array(labels, dtype=np.int64)
     moves = kernels.sweep(
         graph.indptr, graph.indices, graph.weights,
@@ -338,6 +339,48 @@ def test_c_kernels_draw_from_every_numpy_bit_generator(rng, monkeypatch,
             np.float64(x).tobytes() for x in energy_py], (trial, gamma)
         # MT19937 and Philox keep arrays in their state
         np.testing.assert_equal(*(gen.bit_generator.state for gen in gens))
+
+
+@needs_cc
+def test_unsettled_csrs_stop_at_the_evaluation_budget(rng, monkeypatch):
+    # on CSRs thinned until they are far from symmetric, moves may never
+    # settle, and a round of the fast local move would cycle for ever: a
+    # phase stops after max_sweeps * n evaluations.  Both backends return
+    # there, with the same moves, labels, energy bytes and generator state
+    most = 0
+    for trial in range(20):
+        graph = drop_entries(random_affinity(
+            rng, n=10, scheme=(None, "explicit")[trial % 2]), rng, p=0.5)
+        gamma = float(rng.random() * 2)
+        seed = int(rng.integers(2 ** 32))
+        zeros = np.zeros(graph.n, dtype=np.int64)
+        for max_sweeps, settle in ((1, False), (100, False), (100, True)):
+            gens = [np.random.default_rng(seed) for _ in range(2)]
+            labels = [np.arange(graph.n, dtype=np.int64) for _ in range(2)]
+            moved = [sweep(graph.indptr, graph.indices, graph.weights,
+                           graph.rep_mode, graph.rep_strength, graph.rep_denom,
+                           graph.rep_indptr, graph.rep_indices,
+                           graph.rep_weights, gamma, start, zeros, gen,
+                           max_sweeps, settle)
+                     for sweep, start, gen in zip(
+                         (kernels.sweep, kernels.sweep_py), labels, gens)]
+            assert moved[0] == moved[1] <= max_sweeps * graph.n, trial
+            assert np.array_equal(*labels), trial
+            assert gens[0].bit_generator.state == gens[1].bit_generator.state
+            if not settle:
+                most = max(most, moved[0])
+        gens = [np.random.default_rng(seed) for _ in range(2)]
+        labels_c, *energy_c = optimizer._level_loop_c(graph, gamma, gens[0])
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "sweep", kernels.sweep_py)
+            labels_py, *energy_py = optimizer._level_loop_py(graph, gamma,
+                                                             gens[1])
+        assert np.array_equal(labels_c, labels_py), trial
+        assert [np.float64(x).tobytes() for x in energy_c] == [
+            np.float64(x).tobytes() for x in energy_py], trial
+        assert gens[0].bit_generator.state == gens[1].bit_generator.state
+    # one round moved items more than 10 times over: only the budget ended it
+    assert most > 10 * 10
 
 
 def _bad_graphs():

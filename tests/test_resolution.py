@@ -15,7 +15,8 @@ from confres.graph import from_edge_list
 from confres.optimizer import OptimizeOptions, optimize
 from confres.resolution import (configuration_set_from_dict,
                                 find_configurations, lower_envelope)
-from conftest import blob_graph, blob_points, fresh_optimize
+from conftest import (blob_graph, blob_points, fresh_optimize, random_affinity,
+                      set_partitions)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +233,57 @@ def test_sweep_frees_the_graph_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# The exact-envelope oracle: on graphs of 6 to 9 items every set partition
+# is enumerated, and the lower envelope of all their energy lines is the
+# true one.  ORACLE_FLOOR is how many of its plateaus wider than
+# ORACLE_WIDTH the sweep found when this test was written; a change to the
+# optimizer may raise it, never lower it.
+ORACLE_GAMMA_MAX = 3.0
+ORACLE_WIDTH = 1e-3
+ORACLE_FLOOR = 287
+
+
+def _partition_lines(graph, partitions):
+    """(h_a, h_r) of every partition (rows of `partitions`), from the
+    dense matrices, pairs counted once."""
+    same = partitions[:, :, None] == partitions[:, None, :]
+    upper = np.triu(np.ones((graph.n, graph.n), dtype=bool), 1)
+    same &= upper
+    h_a = -np.einsum("pij,ij->p", same, graph.attraction_dense())
+    h_r = np.einsum("pij,ij->p", same, graph.repulsion_dense())
+    return h_a, h_r
+
+
+def test_sweep_against_the_exact_envelope():
+    # the sweep's plateaus, counted against the exact ones, and its
+    # envelope never below the exact one (which only a wrong energy could
+    # give)
+    rng = np.random.default_rng(7)
+    schemes = ("configuration_null", "uniform", "explicit")
+    grid = np.linspace(0.0, ORACLE_GAMMA_MAX, 301)
+    partitions = {n: np.array(list(set_partitions(n))) for n in range(6, 10)}
+    found = total = 0
+    for trial in range(60):
+        n = 6 + trial % 4
+        graph = random_affinity(rng, n=n, scheme=schemes[trial % 3])
+        h_a, h_r = _partition_lines(graph, partitions[n])
+        exact = lower_envelope(list(zip(range(len(h_a)), h_a, h_r)))
+        configs = find_configurations(graph, ORACLE_GAMMA_MAX,
+                                      OptimizeOptions(seed=trial))
+        lines = np.array([(e.h_a, e.h_r) for e in configs.entries])
+        for pid, lo, hi in exact:
+            if min(hi, ORACLE_GAMMA_MAX) - lo <= ORACLE_WIDTH:
+                continue
+            total += 1
+            found += bool(np.any(
+                (np.abs(lines[:, 0] - h_a[pid]) <= 1e-9)
+                & (np.abs(lines[:, 1] - h_r[pid]) <= 1e-9)))
+        floor = np.min(h_a[:, None] + grid * h_r[:, None], axis=0)
+        swept = np.min(lines[:, :1] + grid * lines[:, 1:], axis=0)
+        assert np.all(swept >= floor - 1e-9), trial
+    assert found >= ORACLE_FLOOR, (found, total)
 
 
 def _plateaus(gamma_max, *spans):
