@@ -7,6 +7,7 @@ so runs are reproducible.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -324,10 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of `main` and reused: parsing leaves the
+# parser as it was, and each call gets a fresh Namespace
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     actions = args._actions_by_command[args.command]

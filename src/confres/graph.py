@@ -318,17 +318,24 @@ def read_text(path) -> str:
             raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def load_points_csv(path) -> np.ndarray:
-    """n x d numeric CSV, optional header row."""
+def _is_header(line) -> bool:
+    """The header rule of a points file, for its first non-blank line:
+    a header unless every field is a number."""
+    try:
+        [float(x) for x in line.split(",")]
+    except ValueError:
+        return True
+    return False
+
+
+def _text_points(path) -> np.ndarray:
+    """The points of the file read as text, every field with Python's
+    float: the reference of the C reader, and the only source of its
+    error messages."""
     lines = [ln for ln in map(str.strip, read_text(path).split("\n")) if ln]
     if not lines:
         raise InputError(f"empty points file: {path}")
-    start = 0
-    try:
-        [float(x) for x in lines[0].split(",")]
-    except ValueError:
-        start = 1
-    body = lines[start:]
+    body = lines[1:] if _is_header(lines[0]) else lines
     points = None
     commas = body[0].count(",") if body else 0
     if body and all(ln.count(",") == commas for ln in body):
@@ -341,6 +348,56 @@ def load_points_csv(path) -> np.ndarray:
             points = points.reshape(len(body), commas + 1)
     if points is None:
         points = _parse_rows(path, body)
+    return points
+
+
+# the bytes a points file's lines before its body may hold for the C reader
+_TEXT_BYTES = bytes(range(0x20, 0x7f)) + b"\t\r\n"
+
+
+def _compiled_points(path):
+    """The points of the file read in C (`kernels.parse_points`) after
+    the header rule, or None where the text path must read it: a byte
+    other than printable ASCII, tab, CR or LF, or a lone CR, before the
+    body, no body, or a body the C reader declines."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    start = 0
+    while True:  # to the first non-blank line
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        line = data[start:end].removesuffix(b"\r")
+        if b"\r" in line or line.translate(None, _TEXT_BYTES):
+            return None
+        line = line.strip(b" \t")
+        if line:
+            break
+        if end == len(data):
+            return None
+        start = end + 1
+    if _is_header(line.decode("ascii")):
+        start = end + 1
+    return kernels.parse_points(data, start) if start < len(data) else None
+
+
+def load_points_csv(path) -> np.ndarray:
+    """n x d numeric CSV, optional header row: a first non-blank line
+    whose fields are not all numbers.
+
+    With the C kernels the file is read once as bytes, and its body in
+    one C pass when every field fits the grammar
+    `[ \\t]*[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?[ \\t]*`, rows ended by LF
+    or CR LF, blank lines skipped.  Any other file (underscores, `inf`
+    or `nan`, hex, a lone CR, non-ASCII text, a ragged or non-numeric
+    row), or any file without the C kernels, is read as text, each field
+    with Python's float, which also words every error.  Both give the
+    same bits, since both round each number correctly.
+    """
+    points = None
+    if kernels.parse_points is not None:
+        points = _compiled_points(path)
+    if points is None:
+        points = _text_points(path)
     return _check_points(points)
 
 

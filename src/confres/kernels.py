@@ -67,15 +67,24 @@ or numpy reference that is the fallback and the test oracle:
   turns similarities into the symmetrised weights, their end sums and
   their CSR layout.  `affinity_layout_py` and `affinity_weights_py` are
   the numpy code they replace, adding in the same order.
+- `parse_points` reads text, not a graph: the body of a points file, in
+  one C pass that converts each field with strtod.  It reads only a
+  strict grammar (comma-separated decimal numbers, rows ended by a line
+  feed or CR LF) and declines everything else, so its reference is
+  `graph.load_points_csv`'s text path, which reads what it declines and
+  words every error; within the grammar, strtod and Python's float both
+  round correctly, so they return the same bits.  Without the C kernels
+  it is None.
 
 On first import the C file is compiled with `cc` (else `gcc`) into a
 per-user cache, keyed by source, flags and machine type, and loaded with
 ctypes.  Without a compiler, when the build fails, or with
 CONFRES_DISABLE_COMPILED=1, `sweep`, `knn_graph`, `pairs`,
-`affinity_layout` and `affinity_weights` are the references, and the
-optimizer runs its Python loop and `components_py` (identical results,
-much slower).  A failed build leaves a marker file beside the cache
-entry, so later imports do not run the compiler again.
+`affinity_layout` and `affinity_weights` are the references, the
+optimizer runs its Python loop and `components_py`, and points files are
+read as text only (identical results, much slower).  A failed build
+leaves a marker file beside the cache entry, so later imports do not run
+the compiler again.
 `BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py,
 tests/test_optimizer.py and tests/test_graph.py check that the two agree
 bit for bit; to time the Python references, run perfbench/run.py with
@@ -705,6 +714,8 @@ def _load_library():
     lib.affinity_layout.restype = i64
     lib.affinity_weights.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.affinity_weights.restype = i64
+    lib.parse_points.argtypes = [ptr, i64, ptr, i64, ptr]
+    lib.parse_points.restype = i64
     return lib
 
 
@@ -930,17 +941,37 @@ def _affinity_weights_c(n, edges, pair, sim):
     return w, strengths, weights
 
 
+def _parse_points_c(data, start):
+    """The rows of data[start:], the body of a points file's bytes, read
+    in one C call (`parse_points` in _kernels.c): an (n, d) float64
+    array, or None where the C reader declines.  Its output is sized
+    from the count of commas and line feeds, at least the count of
+    fields, and shrunk in place to the fields read."""
+    cap = data.count(b",", start) + data.count(b"\n", start) + 1
+    out = np.empty(cap)
+    cols = ctypes.c_int64(0)
+    rows = _LIB.parse_points(ctypes.cast(data, ctypes.c_void_p).value + start,
+                             len(data) - start, _address(out), cap,
+                             ctypes.byref(cols))
+    if not rows:
+        return None
+    out.resize(rows * cols.value, refcheck=False)
+    return out.reshape(rows, cols.value)
+
+
 _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
     sweep, knn_graph, pairs = _local_move, knn_graph_py, pairs_py
     affinity_layout, affinity_weights = affinity_layout_py, affinity_weights_py
     level_loop = components = None  # optimizer runs the references
+    parse_points = None  # graph.load_points_csv reads with Python's float
 else:
     BACKEND = "c"
     sweep, knn_graph, pairs = _local_move_c, _knn_graph_c, _pairs_c
     affinity_layout, affinity_weights = _affinity_layout_c, _affinity_weights_c
     level_loop, components = _level_loop_c, _components_c
+    parse_points = _parse_points_c
 
 # Always False: numba is no longer a backend.  perfbench/worker.py still
 # reads this name to label its results, so it stays until the benchmark

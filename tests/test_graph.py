@@ -701,6 +701,29 @@ class TestPointsLoaderAgainstRowParser:
         "next line inside": "1,2\n3,4\x855,6\n7,8\n",
         "byte order mark": "\ufeff1,2\n3,4\n5,6\n",
         "empty field": "1,2,3\n4,,5\n",
+        # the edges of the C reader's grammar and of strtod
+        "17-digit mantissas": "0.12345678901234567,1.2345678901234567e-5\n"
+                              "12345678901234567,-9.8765432109876543\n",
+        "40-digit mantissas": "1234567890123456789012345678901234567890,1\n"
+                              "0.1234567890123456789012345678901234567890,"
+                              "2.000000000000000000000000000000000000001\n",
+        "300-digit field": "1," + "7" * 300 + "\n0." + "3" * 300 + ",2\n",
+        "halfway cases": "9007199254740993,2.2250738585072011e-308\n"
+                         "9007199254740995,2.2250738585072012e-308\n",
+        "subnormal boundary": "2.4703282292062327e-324,"
+                              "2.4703282292062328e-324\n5e-324,-5e-324\n",
+        "short forms": "1.,.5\n+1,-0.0\n1E5,-.0e-0\n",
+        "exponent without digits": "1,2\n1e,3\n",
+        "lone sign": "1,2\n-,3\n",
+        "nul byte": "1,2\n3\x00,4\n5,6\n",
+        "lone cr at the end": "1,2\n3,4\r",
+        "lone cr inside": "1,2\n3,4\r5,6\n",
+        "mixed line ends": "x,y\r\n1,2\n3,4\r\n5,6\n",
+        "tabs around fields and lines": "\tx ,\ty\t\r\n\t1\t,\t2\t\n"
+                                        " \t3 , 4\t\r\n\t \n",
+        "blank lines before the header": "\n \t\r\nx,y\n1,2\n3,4\n",
+        "cr lf header only": "x,y\r\n",
+        "non-ascii header": "\u00e9,y\n1,2\n3,4\n",
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -710,16 +733,42 @@ class TestPointsLoaderAgainstRowParser:
         assert (_outcome(load_points_csv, path)
                 == _outcome(_row_parsed_points, path))
 
+    FORMATS = (repr, "%.17g".__mod__, "%.6f".__mod__,
+               lambda v: str(round(v)), "%.12e".__mod__)
+
     def test_random_values(self, tmp_path, rng):
-        for trial in range(10):
+        for trial in range(20):
             n, d = int(rng.integers(2, 200)), int(rng.integers(1, 6))
             pts = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, d)
-            text = "\n".join(",".join(map(repr, row.tolist())) for row in pts)
+            text = "\n".join(
+                ",".join(map(self.FORMATS[trial % 5], row.tolist()))
+                for row in pts)
             path = tmp_path / f"pts{trial}.csv"
             path.write_text(("a" + ",b" * (d - 1) + "\n") * (trial % 2) + text)
             assert (_outcome(load_points_csv, path)
                     == _outcome(_row_parsed_points, path))
-            assert load_points_csv(path).tobytes() == pts.tobytes()
+            if trial % 5 < 2:  # both formats round-trip every float
+                assert load_points_csv(path).tobytes() == pts.tobytes()
+
+
+class TestPointsLoaderAgainstRowParserOnText(TestPointsLoaderAgainstRowParser):
+    """The same files read as without the C kernels: text only."""
+
+    @pytest.fixture(autouse=True)
+    def _text_only(self, monkeypatch):
+        monkeypatch.setattr(kernels, "parse_points", None)
+
+
+@pytest.mark.skipif(kernels.parse_points is None,
+                    reason="the C kernels are not built")
+def test_plain_points_file_is_read_in_c(tmp_path, monkeypatch):
+    def text_path(path):
+        raise AssertionError(f"{path} was read as text")
+
+    monkeypatch.setattr(graph_mod, "_text_points", text_path)
+    path = tmp_path / "pts.csv"
+    path.write_bytes(b"x,y\r\n1,-2.5e3\n\n .5 ,\t7\r\n")
+    assert load_points_csv(path).tolist() == [[1.0, -2500.0], [0.5, 7.0]]
 
 
 class TestLoaders:

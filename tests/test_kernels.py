@@ -764,7 +764,7 @@ def test_ctypes_declares_every_export():
         exports = _exports(fh.read())
     assert sorted(exports) == ["affinity_layout", "affinity_weights",
                                "components", "knn_graph", "level_loop",
-                               "pairs", "sweep"]
+                               "pairs", "parse_points", "sweep"]
     lib = kernels._load_library()
     declared = {name: fn for name, fn in vars(lib).items()
                 if isinstance(fn, lib._FuncPtr)}
@@ -864,6 +864,7 @@ int64_t affinity_layout(int64_t, int64_t, const int64_t *, const double *,
                         double *, int64_t *);
 int64_t affinity_weights(int64_t, int64_t, const int64_t *, const int64_t *,
                          const double *, double *, double *, double *);
+int64_t parse_points(const char *, int64_t, double *, int64_t, int64_t *);
 
 /* The CSR (ptr, idx, w) over n items with the repulsion model, its CSR
  * (rptr, ridx, rw) NULL for product form. */
@@ -1495,8 +1496,88 @@ def test_graph_kernels_are_clean_under_sanitizers(tmp_path,
     assert out.count(", ok") == 22 and "BAD" not in out, out
 
 
-# Runs each exported kernel on a small valid input, first with every
-# allocation granted, then with the k-th allocation failing for k = 0, 1,
+# Runs the C points reader on bodies copied, with no terminator, to the
+# end of a page before one that may not be read, and on an output of
+# exactly the slots the caller sizes (one per comma and line feed, plus
+# one): bodies that end
+# mid-number, in a comma, without a final line feed, in a number that
+# fills 300 digits, of one field, and on a body with more fields than its
+# output holds.  Exits 0 only if each call returns the rows and width
+# wanted, or 0 with the width untouched, and the values bit for bit.  A
+# read past the body faults, in strtod too, which the sanitizers do not
+# see into; they catch a write past the output.
+_POINTS_SANITIZER_MAIN = r"""
+#include <sys/mman.h>
+#include <unistd.h>
+
+static int run(const char *name, const char *body, int64_t cap,
+               int64_t want_rows, int64_t want_cols, const double *want)
+{
+    size_t page = (size_t)sysconf(_SC_PAGESIZE);
+    char *pages = mmap(NULL, 2 * page, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (pages == MAP_FAILED || mprotect(pages + page, page, PROT_NONE))
+        return report(name, -1, 0);
+    int64_t len = (int64_t)strlen(body), cols = -1;
+    char *text = pages + page - len;
+    double *out = malloc((size_t)cap * sizeof *out);
+    memcpy(text, body, (size_t)len);
+    int64_t rows = parse_points(text, len, out, cap, &cols);
+    int ok = rows == want_rows && cols == (rows ? want_cols : -1);
+    for (int64_t v = 0; ok && v < rows * cols; v++)
+        ok = !memcmp(&out[v], &want[v], sizeof *out);
+    munmap(pages, 2 * page);
+    free(out);
+    return report(name, rows, ok);
+}
+
+/* the output slots graph.load_points_csv gives `body` */
+static int64_t slots(const char *body)
+{
+    int64_t cap = 1;
+    for (; *body; body++)
+        cap += *body == ',' || *body == '\n';
+    return cap;
+}
+
+static int check(const char *name, const char *body, int64_t want_rows,
+                 int64_t want_cols, const double *want)
+{
+    return run(name, body, slots(body), want_rows, want_cols, want);
+}
+
+int main(void)
+{
+    static const double grid[] = {1, 2, 3, 4}, five[] = {5},
+                        small[] = {0.0025}, big[] = {1e299};
+    char digits[302] = "1";
+    memset(digits + 1, '0', 299);
+    return check("exponent cut", "1,2\n3,1e", 0, 0, NULL)
+        | check("sign only", "1,2\n3,-", 0, 0, NULL)
+        | check("comma last", "1,2\n3,", 0, 0, NULL)
+        | check("blank after comma", "1,2\n3, \t", 0, 0, NULL)
+        | check("lone cr last", "1,2\n3,4\r", 0, 0, NULL)
+        | check("empty", "", 0, 0, NULL)
+        | check("blank lines", " \n\t\r\n", 0, 0, NULL)
+        | check("no final newline", "1,2\r\n3,4", 2, 2, grid)
+        | check("blanks last", "\t1 ,2\n3,\t4 ", 2, 2, grid)
+        | check("one field", "5", 1, 1, five)
+        | check("exponent last", "2.5e-3", 1, 1, small)
+        | check("300 digits last", digits, 1, 1, big)
+        | run("more fields than slots", "1,2\n3,4\n", 3, 0, 0, NULL);
+}
+"""
+
+
+@has_compiler
+def test_parse_points_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
+    # no read past the body's length, no write past the output's slots
+    out = _run_sanitized(tmp_path, sanitized_kernels, _POINTS_SANITIZER_MAIN)
+    assert out.count(", ok") == 13 and "BAD" not in out, out
+
+
+# Runs each exported kernel that takes buffers (all but parse_points) on
+# a small valid input, first with every allocation granted, then with the k-th allocation failing for k = 0, 1,
 # ... until a call succeeds (malloc and calloc wrapped at link time);
 # exits 0 only if every failing call returns ERR_NOMEM (-1), leaves its
 # outputs (and sweep's labels) as they were and draws nothing, and the
