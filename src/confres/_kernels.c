@@ -1118,6 +1118,8 @@ int64_t components(const graph_t *g, int64_t *out, double *energy)
  * - a bound is summed the same way from per-coordinate gaps that are never
  *   larger than the differences of the points it bounds, so, rounding being
  *   monotone, a box's bound never exceeds the squared sum of a point in it;
+ *   one routine bounds the gap between two boxes, a query point being the
+ *   box whose corners coincide;
  * - a query's gate is a squared sum past which the final scale lands
  *   strictly above its list's worst distance w: w^2 (1 + 2^-50), or
  *   2 w (1 + 2^-50) for cosine, plus DBL_MIN.  In the normal range its two
@@ -1136,9 +1138,10 @@ int64_t components(const graph_t *g, int64_t *out, double *energy)
  * which sets its gate.  Then the batch walks the rest of the tree once,
  * skipping a node whose bound from the leaf's box is past every query's
  * gate, and, in each leaf it reaches, a query whose bound from its own
- * point is past its own gate.  The squared sums from a query to a
- * leaf's points advance side by side, a coordinate at a time, over a copy
- * of the points stored coordinate by coordinate.
+ * point is past its own gate.  A query is read from the caller's points;
+ * its squared sums to a leaf's points advance side by side, a coordinate
+ * at a time, over a copy of the points in tree order stored coordinate by
+ * coordinate.
  * Nodes split at the median of (coordinate, index) on their widest
  * dimension: a box of identical points splits in index order. */
 
@@ -1159,8 +1162,8 @@ typedef struct {
 
 typedef struct {
     int64_t n, d, k, half_square;
-    double *pts;       /* points in tree order, d per row */
-    double *cols;      /* the same, n per coordinate */
+    const double *points;  /* the caller's points, d per item */
+    double *cols;      /* the points in tree order, n per coordinate */
     int64_t *perm;     /* item index at each tree position */
     kdnode_t *nodes;
     double *boxes;     /* per node, d lower then d upper bounds */
@@ -1308,34 +1311,19 @@ static void squared_sums(const kdtree_t *t, const double *q, int64_t start,
     }
 }
 
-/* Squared lower bound on the distance from q to the node's box. */
-static double point_bound(const kdtree_t *t, int64_t id, const double *q)
+/* Squared lower bound on the distance between points of the box [lo, hi]
+ * and points of the node's box; a point q is the box [q, q]. */
+static double gap_bound(const kdtree_t *t, const double *lo, const double *hi,
+                        int64_t id)
 {
-    const double *lo = t->boxes + 2 * t->d * id, *hi = lo + t->d;
+    const double *blo = t->boxes + 2 * t->d * id, *bhi = blo + t->d;
     double sq = 0.0;
     for (int64_t c = 0; c < t->d; c++) {
         double gap = 0.0;
-        if (q[c] < lo[c])
-            gap = lo[c] - q[c];
-        else if (q[c] > hi[c])
-            gap = q[c] - hi[c];
-        sq += gap * gap;
-    }
-    return sq;
-}
-
-/* Squared lower bound on the distance between points of two nodes' boxes. */
-static double box_bound(const kdtree_t *t, int64_t a, int64_t b)
-{
-    const double *alo = t->boxes + 2 * t->d * a, *ahi = alo + t->d;
-    const double *blo = t->boxes + 2 * t->d * b, *bhi = blo + t->d;
-    double sq = 0.0;
-    for (int64_t c = 0; c < t->d; c++) {
-        double gap = 0.0;
-        if (ahi[c] < blo[c])
-            gap = blo[c] - ahi[c];
-        else if (alo[c] > bhi[c])
-            gap = alo[c] - bhi[c];
+        if (hi[c] < blo[c])
+            gap = blo[c] - hi[c];
+        else if (lo[c] > bhi[c])
+            gap = lo[c] - bhi[c];
         sq += gap * gap;
     }
     return sq;
@@ -1396,7 +1384,8 @@ static void start_batch(const kdtree_t *t, int64_t leaf, batch_t *q)
         int64_t self = q->first + u;
         q->size[u] = 0;
         q->gate[u] = INFINITY;
-        squared_sums(t, t->pts + self * t->d, start, end, q->near);
+        squared_sums(t, t->points + t->perm[self] * t->d, start, end,
+                     q->near);
         for (int64_t x = start; x < end; x++)
             if (x != self)
                 offer(t, q, u, q->near[x - start], t->perm[x]);
@@ -1429,8 +1418,8 @@ static void scan_leaf(const kdtree_t *t, int64_t id, batch_t *q)
     const kdnode_t *node = &t->nodes[id];
     double sq[LEAF_SIZE];
     for (int64_t u = 0; u < q->count; u++) {
-        const double *p = t->pts + (q->first + u) * d;
-        if (point_bound(t, id, p) > q->gate[u])
+        const double *p = t->points + t->perm[q->first + u] * d;
+        if (gap_bound(t, p, p, id) > q->gate[u])
             continue;
         squared_sums(t, p, node->start, node->end, sq);
         for (int64_t x = node->start; x < node->end; x++)
@@ -1452,8 +1441,9 @@ static void visit(const kdtree_t *t, int64_t id, batch_t *q)
     }
     /* the nearer child first, by (bound, smallest index) */
     int64_t a = id + 1, b = node->right;
-    double bound_a = box_bound(t, q->leaf, a);
-    double bound_b = box_bound(t, q->leaf, b);
+    const double *lo = t->boxes + 2 * t->d * q->leaf, *hi = lo + t->d;
+    double bound_a = gap_bound(t, lo, hi, a);
+    double bound_b = gap_bound(t, lo, hi, b);
     if (after(bound_a, t->nodes[a].min_index, bound_b, t->nodes[b].min_index)) {
         int64_t child = a;
         double bound = bound_a;
@@ -1474,7 +1464,7 @@ static void search_alloc(buffers_t *b, kdtree_t *t, batch_t *q, int64_t n,
                          int64_t d, int64_t k, int64_t half_square)
 {
     int64_t nodes = node_count(n);
-    *t = (kdtree_t){n, d, k, half_square, take(b, n * d, sizeof(double), 0),
+    *t = (kdtree_t){n, d, k, half_square, NULL,
                     take(b, n * d, sizeof(double), 0),
                     take(b, n, sizeof(int64_t), 0),
                     take(b, nodes, sizeof(kdnode_t), 0),
@@ -1496,10 +1486,11 @@ static void search(kdtree_t *t, batch_t *q, int64_t n, const double *points,
     int64_t d = t->d, k = t->k;
     for (int64_t i = 0; i < n; i++)
         t->perm[i] = i;
+    t->points = points;
     build(t, points, 0, n);
     for (int64_t p = 0; p < n; p++)
         for (int64_t c = 0; c < d; c++)
-            t->pts[p * d + c] = t->cols[c * n + p] = points[t->perm[p] * d + c];
+            t->cols[c * n + p] = points[t->perm[p] * d + c];
     for (int64_t leaf = 0; leaf < t->count; leaf++) {
         if (t->nodes[leaf].right >= 0)
             continue;
@@ -1523,7 +1514,7 @@ static void search(kdtree_t *t, batch_t *q, int64_t n, const double *points,
  * slots, i then j) and their distances to out_dist (n k slots) and
  * returns their number, or an ERR_ code with nothing written:
  * ERR_OVERFLOW when a distance is not finite.  Scratch: the points in
- * tree order twice (by row and by coordinate), 3 n indices, at most
+ * tree order, stored coordinate by coordinate, 3 n indices, at most
  * n / 4 + 1 nodes of 2 d bounds each, a batch's lists and group, and
  * 5 n k + n + 1 slots. */
 int64_t knn_graph(int64_t n, int64_t d, const double *points, int64_t k,

@@ -6,6 +6,7 @@ Both components are gamma-independent, so H is linear in gamma for a
 fixed partition.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,38 @@ def check_gamma(gamma: float) -> None:
         raise ParameterError(f"gamma must be finite and >= 0, got {gamma}")
 
 
+def _real(value) -> float:
+    """float(value), or NaN where it is no number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return np.nan
+
+
+def integer_labels(values, n=None) -> np.ndarray:
+    """The 1-D array `values` as a C-contiguous int64 array; raises
+    InputError, naming the first bad item, unless each is an integer, in
+    [0, n) when n is given."""
+    if values.dtype.kind in "biu":
+        if n is None or not values.size or (values.min() >= 0
+                                            and values.max() < n):
+            return np.ascontiguousarray(values, dtype=np.int64)
+        bad = (values < 0) | (values >= n)
+    else:  # a float 1.0 is the integer 1; 0.5 and NaN are none
+        try:
+            real = values.astype(np.float64)
+        except (TypeError, ValueError):  # NaN for each label that is no number
+            real = np.array([_real(v) for v in values.tolist()])
+        lo, hi = (-2.0 ** 63, 2.0 ** 63) if n is None else (0, n)
+        bad = ~((real >= lo) & (real < hi) & (np.floor(real) == real))
+        if not bad.any():
+            return real.astype(np.int64)
+    item = int(np.flatnonzero(bad)[0])
+    span = "" if n is None else f" in [0, {n})"
+    raise InputError(f"label {values[item]} of item {item} is not an "
+                     f"integer{span}")
+
+
 def check_labels(labels, n: int) -> np.ndarray:
     """`labels` as a C-contiguous int64 array; raises InputError, naming
     the first bad item, unless they are n labels, each an integer in
@@ -65,21 +98,7 @@ def check_labels(labels, n: int) -> np.ndarray:
     if values.ndim != 1 or values.shape[0] != n:
         raise InputError(f"partition shape {values.shape} != ({n},): one "
                          f"label per item")
-    if values.dtype.kind in "biu":
-        if not n or (values.min() >= 0 and values.max() < n):
-            return np.ascontiguousarray(values, dtype=np.int64)
-        bad = (values < 0) | (values >= n)
-    else:  # a float 1.0 is the integer 1; 0.5 and NaN are none
-        try:
-            real = values.astype(np.float64)
-        except (TypeError, ValueError):
-            raise InputError("partition labels must be integers") from None
-        bad = ~((real >= 0) & (real < n) & (np.floor(real) == real))
-        if not bad.any():
-            return real.astype(np.int64)
-    item = int(np.flatnonzero(bad)[0])
-    raise InputError(f"label {values[item]} of item {item} is not an "
-                     f"integer in [0, {n})")
+    return integer_labels(values, n)
 
 
 def _check(graph: AffinityGraph, labels, gamma: float) -> np.ndarray:
@@ -114,6 +133,10 @@ def move_delta(graph: AffinityGraph, labels, item: int, target: int,
     repulsion also sums rep_strength over its two clusters.
     """
     labels = _check(graph, labels, gamma)
+    for name, value in (("item", item), ("target", target)):
+        # bool is a subclass of int but not an index
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InputError(f"{name} must be an integer, got {value!r}")
     if not 0 <= item < graph.n:
         raise InputError(f"item {item} out of range")
     k = cluster_count(labels)

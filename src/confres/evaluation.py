@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import check_gamma, check_labels
+from .energy import check_gamma, check_labels, integer_labels
 from .errors import InputError
 from .graph import AffinityGraph
 from .kernels import REP_PRODUCT
@@ -52,12 +52,15 @@ class AlignmentResult:
 
 
 def contingency(a, b) -> ContingencyTable:
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    """The table of two labelings of the same items; InputError, naming
+    the first bad label, unless each label is an integer (`1.0` is 1)."""
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.shape != b.shape or a.ndim != 1:
         raise InputError("labelings must be equal-length vectors")
     if a.size == 0:
         raise InputError("labelings are empty")
+    a, b = integer_labels(a), integer_labels(b)
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     shape = (ai.max() + 1, bi.max() + 1)

@@ -293,21 +293,6 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
                            _repulsion_csr(n, repulsion_edges))
 
 
-def _parse_rows(path, body) -> np.ndarray:
-    """The rows of `body` parsed one by one; raises the InputError of the
-    first row that is not numeric or has another width than the first."""
-    rows = []
-    for ln in body:
-        try:
-            rows.append([float(x) for x in ln.split(",")])
-        except ValueError as exc:
-            raise InputError(f"non-numeric row in {path}: {ln!r}") from exc
-        if len(rows[-1]) != len(rows[0]):
-            raise InputError(f"row {ln!r} in {path} has {len(rows[-1])} "
-                             f"columns, expected {len(rows[0])}")
-    return np.array(rows)
-
-
 def read_text(path) -> str:
     """The file's text, every newline read as a line feed; InputError
     unless it is UTF-8."""
@@ -329,26 +314,23 @@ def _is_header(line) -> bool:
 
 
 def _text_points(path) -> np.ndarray:
-    """The points of the file read as text, every field with Python's
-    float: the reference of the C reader, and the only source of its
-    error messages."""
+    """The points of the file read as text, row by row, every field with
+    Python's float: the reference of the C reader, and the only source
+    of its error messages.  Raises the InputError of the first row that
+    is not numeric or has another width than the first."""
     lines = [ln for ln in map(str.strip, read_text(path).split("\n")) if ln]
     if not lines:
         raise InputError(f"empty points file: {path}")
-    body = lines[1:] if _is_header(lines[0]) else lines
-    points = None
-    commas = body[0].count(",") if body else 0
-    if body and all(ln.count(",") == commas for ln in body):
+    rows = []
+    for ln in lines[1:] if _is_header(lines[0]) else lines:
         try:
-            # every field in one call; numpy converts each with Python's float
-            points = np.array(",".join(body).split(","), dtype=np.float64)
-        except ValueError:
-            pass  # a non-numeric field: the row by row parse names its row
-        else:
-            points = points.reshape(len(body), commas + 1)
-    if points is None:
-        points = _parse_rows(path, body)
-    return points
+            rows.append([float(x) for x in ln.split(",")])
+        except ValueError as exc:
+            raise InputError(f"non-numeric row in {path}: {ln!r}") from exc
+        if len(rows[-1]) != len(rows[0]):
+            raise InputError(f"row {ln!r} in {path} has {len(rows[-1])} "
+                             f"columns, expected {len(rows[0])}")
+    return np.array(rows)
 
 
 # the bytes a points file's lines before its body may hold for the C reader
@@ -389,9 +371,9 @@ def load_points_csv(path) -> np.ndarray:
     `[ \\t]*[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?[ \\t]*`, rows ended by LF
     or CR LF, blank lines skipped.  Any other file (underscores, `inf`
     or `nan`, hex, a lone CR, non-ASCII text, a ragged or non-numeric
-    row), or any file without the C kernels, is read as text, each field
-    with Python's float, which also words every error.  Both give the
-    same bits, since both round each number correctly.
+    row), or any file without the C kernels, is read as text, row by
+    row, each field with Python's float, which also words every error.
+    Both give the same bits, since both round each number correctly.
     """
     points = None
     if kernels.parse_points is not None:

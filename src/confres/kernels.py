@@ -141,6 +141,18 @@ def _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
         _check_array(f"{prefix}weights", w, _F64, idx.shape[0])
 
 
+def _check_sweep(labels, constraint):
+    """Raise ValueError unless `labels` is a writable C-contiguous int64
+    vector and `constraint` an int64 one of its length; returns that
+    length.  Both sweeps run it first."""
+    _check_array("labels", labels, _I64)
+    if not labels.flags.writeable:
+        raise ValueError("labels must be writable: sweep moves items in place")
+    n = labels.shape[0]
+    _check_array("constraint", constraint, _I64, n)
+    return n
+
+
 def _out_of_range(name, hi):
     return IndexError(f"{name} out of range [0, {hi})")
 
@@ -316,11 +328,14 @@ def _local_move(indptr, indices, weights,
     no item a single move can improve.  Either way the phase evaluates at
     most `max_sweeps` * n items, as many as `max_sweeps` full passes: only
     a CSR on which moves never settle (an asymmetric one) reaches that.
-    Returns the total number of accepted moves.  Raises IndexError or
-    ValueError, before any label moves or any number is drawn, where the C
-    sweep does.
+    Returns the total number of accepted moves.  Raises the ValueError or
+    IndexError of the C sweep, in its order, before any label moves or any
+    number is drawn: the checks of `_check_sweep` and `_check_graph`, then
+    the ranges of the CSR values and labels.
     """
-    n = labels.shape[0]
+    n = _check_sweep(labels, constraint)
+    _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
+                 rep_denom, rep_indptr, rep_indices, rep_weights)
     _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
     _check_range("labels", labels, n)
     rep = (rep_indptr, rep_indices, rep_weights)
@@ -337,8 +352,7 @@ def _local_move(indptr, indices, weights,
         total += moves
         if moves == 0 or not settle:
             break
-    if total:  # else nothing moved, and labels need not be writable
-        labels[:] = moved
+    labels[:] = moved
     return total
 
 
@@ -828,11 +842,7 @@ def _local_move_c(indptr, indices, weights,
                   rep_mode, rep_strength, rep_denom,
                   rep_indptr, rep_indices, rep_weights,
                   gamma, labels, constraint, rng, max_sweeps, settle=True):
-    _check_array("labels", labels, _I64)
-    if not labels.flags.writeable:
-        raise ValueError("labels must be writable: sweep moves items in place")
-    n = labels.shape[0]
-    _check_array("constraint", constraint, _I64, n)
+    n = _check_sweep(labels, constraint)
     graph = graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
                        rep_denom, rep_indptr, rep_indices, rep_weights)
     return _call_drawing(_LIB.sweep, graph, rng, gamma, _address(labels),

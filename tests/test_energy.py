@@ -112,6 +112,23 @@ class TestMoveDelta:
                         - hamiltonian(g, labels, gamma).total)
             assert delta == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("item, target, name", [
+        (0, 0.5, "target"), (0, True, "target"), (True, 0, "item"),
+        (1.5, 0, "item"), (0, np.True_, "target"), (0, "1", "target"),
+        (None, 0, "item")])
+    def test_item_and_target_must_be_integers(self, item, target, name):
+        # before: target 0.5 read as an empty cluster, True as 1, item True
+        # numpy's ambiguous truth value, item 1.5 an IndexError
+        g = from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.1)])
+        with pytest.raises(InputError, match=rf"^{name} must be an integer"):
+            move_delta(g, [0, 0, 1, 1], item, target, 1.0)
+
+    def test_numpy_integer_item_and_target(self):
+        g = from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.1)])
+        want = move_delta(g, [0, 0, 1, 1], 1, 2, 0.5)
+        assert move_delta(g, [0, 0, 1, 1], np.int64(1), np.int32(2),
+                          0.5) == want
+
     def test_invalid_target(self, rng):
         g = random_affinity(rng)
         labels = np.zeros(g.n, dtype=np.int64)

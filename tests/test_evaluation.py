@@ -137,6 +137,28 @@ class TestMetrics:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("labels, item", [
+        ([0.5, 1.5, 1.0], 0), ([0, np.nan, 1], 1), (["a", "b", "a"], 0),
+        ([0, 1, "x"], 2), ([0, None, 1], 1), ([0, 1, 2.0 ** 63], 2)])
+    def test_contingency_rejects_labels_that_are_not_integers(self, labels,
+                                                              item):
+        # before: 0.5 read as 0 with no error, NaN and strings a bare
+        # ValueError
+        for a, b in ((labels, [0, 1, 1]), ([0, 1, 1], labels)):
+            with pytest.raises(InputError,
+                               match=rf"of item {item} is not an integer$"):
+                contingency(a, b)
+
+    def test_contingency_of_integral_labels_keeps_its_table(self):
+        want = contingency([0, 1, 1, 2], [1, 0, 0, 1]).counts
+        for a in ([0.0, 1.0, 1.0, 2.0], np.array([0, 1, 1, 2], np.uint8),
+                  np.array([0, 1, 1, 2], np.int32), [-0.0, 1, 1.0, 2]):
+            got = contingency(a, [1, 0, 0, 1]).counts
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        want = contingency([0, 1, 1], [0, 0, 1]).counts
+        got = contingency([False, True, True], [0, 0, 1]).counts
+        assert got.tobytes() == want.tobytes()
+
     def test_inverse_ari(self, rng):
         p = rng.integers(0, 3, 30)
         assert inverse_ari(p, p) == 1.0

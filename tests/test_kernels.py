@@ -359,6 +359,46 @@ def test_compiled_kernels_reject_out_of_range_csr(rng):
             kernels.energy_components(*args[:3], labels, *args[3:])
 
 
+def _bad_sweep_args(case, args, labels, constraint):
+    """The sweep arguments with one fault: `case` names it."""
+    if case == "read-only labels":
+        labels.flags.writeable = False
+    elif case == "int32 labels":
+        labels = labels.astype(np.int32)
+    elif case == "float64 constraint":
+        constraint = constraint.astype(np.float64)
+    elif case == "short constraint":
+        constraint = constraint[1:]
+    else:  # an int32 indptr
+        args = (args[0].astype(np.int32), *args[1:])
+    return args, labels, constraint
+
+
+@pytest.mark.parametrize("case", ["read-only labels", "int32 labels",
+                                  "float64 constraint", "short constraint",
+                                  "int32 indptr"])
+def test_sweeps_reject_bad_arguments_alike(rng, case):
+    # both sweeps raise one ValueError, with one message, before any label
+    # moves or any number is drawn (before: sweep_py made moves on int32
+    # labels, a float64 constraint or an int32 indptr, raised IndexError on
+    # a short constraint, and drew before it failed on read-only labels)
+    graph = random_affinity(rng)
+    start = np.arange(graph.n, dtype=np.int64)
+    raised = []
+    for sweep in (kernels.sweep, kernels.sweep_py):
+        args, labels, constraint = _bad_sweep_args(
+            case, _kernel_args(graph), start.copy(),
+            np.zeros(graph.n, dtype=np.int64))
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(ValueError) as info:
+            sweep(*args, 1.0, labels, constraint, gen, 5)
+        raised.append((type(info.value), str(info.value)))
+        assert np.array_equal(labels, start)
+        assert gen.bit_generator.state == before
+    assert raised[0] == raised[1]
+
+
 def _triangle_csr():
     return (np.array([0, 2, 4, 6]), np.array([1, 2, 0, 2, 0, 1]),
             np.ones(6))
