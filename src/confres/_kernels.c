@@ -35,10 +35,11 @@
  * affinity_weights_py.  Bit-identity holds only when the compiler keeps
  * IEEE double semantics: build with -ffp-contract=off (no fused
  * multiply-add) and never with -ffast-math.
- * `parse_points` reads text, not a graph: the body of a points file in
- * one pass, each number by strtod, declining (returning 0) whatever lies
- * outside its strict grammar, so that graph.load_points_csv reads that
- * file with Python's float instead.  It needs no _GNU_SOURCE (strtod_l,
+ * `parse_points` reads text, not a graph: the body of a points file, as
+ * graph.read_text decodes it and ending in a line feed, in one pass, each
+ * number by strtod, declining (returning 0) whatever lies outside its
+ * strict grammar, so that graph.load_points_csv reads that body with
+ * Python's float instead.  It needs no _GNU_SOURCE (strtod_l,
  * say): glibc would then declare a `canonicalize` that clashes with the
  * one below.
  *
@@ -1558,120 +1559,99 @@ int64_t knn_graph(int64_t n, int64_t d, const double *points, int64_t k,
 /* ---- the points file of graph.load_points_csv ----
  *
  * The one export that reads text, not a graph: the body of a points file
- * (the bytes after its header line, if it has one), parsed in one pass.
- * Python's float is the reference (graph._text_points reads every file
- * this reader declines): within this grammar both round each number
- * correctly, so they return the same bits. */
+ * (its text after the header line, if it has one, as graph.read_text
+ * decodes it, so every line ends in \n, the last one too), parsed in one
+ * pass.  Python's float is the reference (graph._row_points reads every
+ * body this reader declines): within this grammar both round each number
+ * correctly, so they return the same bits.  The final \n ends every scan
+ * below, none of which passes a \n, so none needs a bound. */
 
 static int is_blank(char c) { return c == ' ' || c == '\t'; }
 
-static int64_t skip_digits(const char *text, int64_t len, int64_t at)
+static int64_t skip_digits(const char *text, int64_t at)
 {
-    while (at < len && text[at] >= '0' && text[at] <= '9')
+    while (text[at] >= '0' && text[at] <= '9')
         at++;
     return at;
 }
 
 /* The end of the number [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? that starts at
  * `at`, or -1 when none does. */
-static int64_t number_end(const char *text, int64_t len, int64_t at)
+static int64_t number_end(const char *text, int64_t at)
 {
-    if (at < len && (text[at] == '+' || text[at] == '-'))
+    if (text[at] == '+' || text[at] == '-')
         at++;
-    int64_t end = skip_digits(text, len, at), count = end - at;
-    if (end < len && text[end] == '.') {
+    int64_t end = skip_digits(text, at), count = end - at;
+    if (text[end] == '.') {
         int64_t frac = end + 1;
-        end = skip_digits(text, len, frac);
+        end = skip_digits(text, frac);
         count += end - frac;
     }
     if (!count)
         return -1;
-    if (end < len && (text[end] == 'e' || text[end] == 'E')) {
+    if (text[end] == 'e' || text[end] == 'E') {
         at = end + 1;
-        if (at < len && (text[at] == '+' || text[at] == '-'))
+        if (text[at] == '+' || text[at] == '-')
             at++;
-        end = skip_digits(text, len, at);
+        end = skip_digits(text, at);
         if (end == at)
             return -1;
     }
     return end;
 }
 
-/* The position after the line end (\n or \r\n) at `at`, len at the end
- * of the text, or -1 where there is neither. */
-static int64_t after_line_end(const char *text, int64_t len, int64_t at)
+/* strtod of the number text[0..len) into *value; 0 unless strtod reads
+ * exactly it, as under a locale whose decimal point is not '.'.  text[len]
+ * is a blank, comma or \n (the caller checks it first), so strtod stops
+ * there, and in any case before the body's final \n. */
+static int convert(const char *text, int64_t len, double *value)
 {
-    if (at == len)
-        return len;
-    if (text[at] == '\n')
-        return at + 1;
-    if (text[at] == '\r' && at + 1 < len && text[at + 1] == '\n')
-        return at + 2;
-    return -1;
-}
-
-/* strtod of the number text[at..end) into *value; 0 unless strtod reads
- * exactly it, as under a locale whose decimal point is not '.'.  Before
- * the end of the text, strtod stops at text[end], a blank, comma or line
- * end (the caller checks it first); a number that ends the text is read
- * from a terminated copy, so no read passes len. */
-static int convert(const char *text, int64_t len, int64_t at, int64_t end,
-                   double *value)
-{
-    char copy[512];
-    const char *from = text + at;
-    if (end == len) {
-        if (end - at >= (int64_t)sizeof copy)
-            return 0;
-        memcpy(copy, from, (size_t)(end - at));
-        copy[end - at] = '\0';
-        from = copy;
-    }
     char *stop;
-    *value = strtod(from, &stop);
-    return stop == from + (end - at);
+    *value = strtod(text, &stop);
+    return stop == text + len;
 }
 
-/* The rows of a points file's body text[0..len), as graph._text_points
- * reads them: lines ended by \n or \r\n (or the end of the text), blank
- * lines (spaces and tabs only) skipped, every other line the same number
- * of comma-separated fields [ \t]*<number>[ \t]* (see number_end), each
- * read by strtod.  Writes the values, row by row, to out (cap slots) and
- * the width to *cols, and returns the number of rows; returns 0 and
- * leaves *cols untouched, out in part written, to decline: on no rows,
- * any other byte or field, a lone \r, rows of unequal width, more than
- * cap fields, a number of 512 characters or more that ends the text, or
- * a number strtod reads otherwise.  Reads no byte past len and takes no
- * buffer. */
+/* The rows of a points file's body text[0..len), as graph._row_points
+ * reads them: lines ended by \n, blank lines (spaces and tabs only)
+ * skipped, every other line the same number of comma-separated fields
+ * [ \t]*<number>[ \t]* (see number_end), each read by strtod.  Writes the
+ * values, row by row, to out (cap slots) and the width to *cols, and
+ * returns the number of rows; returns 0 and leaves *cols untouched, out
+ * in part written, to decline: on a body whose last byte is not \n, no
+ * rows, any other byte or field, rows of unequal width, more than cap
+ * fields, or a number strtod reads otherwise.  Reads no byte past len and
+ * takes no buffer. */
 int64_t parse_points(const char *text, int64_t len, double *out,
                      int64_t cap, int64_t *cols)
 {
     int64_t rows = 0, width = 0, count = 0, at = 0;
+    if (!len || text[len - 1] != '\n')
+        return 0;
     while (at < len) {
-        while (at < len && is_blank(text[at]))
+        while (is_blank(text[at]))
             at++;
-        int64_t next = after_line_end(text, len, at);
-        if (next >= 0) {  /* a blank line */
-            at = next;
+        if (text[at] == '\n') {  /* a blank line */
+            at++;
             continue;
         }
         int64_t fields = 0;
+        char after;
         do {
-            while (at < len && is_blank(text[at]))
+            while (is_blank(text[at]))
                 at++;
-            int64_t end = number_end(text, len, at), stop = end;
+            int64_t end = number_end(text, at), stop = end;
             if (end < 0)
                 return 0;
-            while (stop < len && is_blank(text[stop]))
+            while (is_blank(text[stop]))
                 stop++;
-            next = after_line_end(text, len, stop);
-            if ((next < 0 && text[stop] != ',') || count == cap
-                || !convert(text, len, at, end, &out[count]))
+            after = text[stop];
+            if ((after != ',' && after != '\n') || count == cap
+                || !convert(text + at, end - at, &out[count]))
                 return 0;
             count++;
             fields++;
-            at = next < 0 ? stop + 1 : next;
-        } while (next < 0);
+            at = stop + 1;
+        } while (after == ',');
         if (rows && fields != width)
             return 0;
         width = fields;

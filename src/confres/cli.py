@@ -187,7 +187,7 @@ def cmd_sweep(args) -> int:
 
 
 def _load_partition_json(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # JSON and UTF-8 decoding errors

@@ -294,9 +294,9 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
 
 
 def read_text(path) -> str:
-    """The file's text, every newline read as a line feed; InputError
-    unless it is UTF-8."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The file's text without a leading byte-order mark, every newline
+    read as a line feed; InputError unless it is UTF-8."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
@@ -313,16 +313,16 @@ def _is_header(line) -> bool:
     return False
 
 
-def _text_points(path) -> np.ndarray:
-    """The points of the file read as text, row by row, every field with
-    Python's float: the reference of the C reader, and the only source
-    of its error messages.  Raises the InputError of the first row that
-    is not numeric or has another width than the first."""
-    lines = [ln for ln in map(str.strip, read_text(path).split("\n")) if ln]
-    if not lines:
-        raise InputError(f"empty points file: {path}")
+def _row_points(path, body) -> np.ndarray:
+    """The points of `body`, the text of a points file after its header,
+    row by row, every field with Python's float: the reference of the C
+    reader, and the only source of its error messages.  Raises the
+    InputError of the first row that is not numeric or has another width
+    than the first."""
     rows = []
-    for ln in lines[1:] if _is_header(lines[0]) else lines:
+    for ln in map(str.strip, body.split("\n")):
+        if not ln:
+            continue
         try:
             rows.append([float(x) for x in ln.split(",")])
         except ValueError as exc:
@@ -333,53 +333,39 @@ def _text_points(path) -> np.ndarray:
     return np.array(rows)
 
 
-# the bytes a points file's lines before its body may hold for the C reader
-_TEXT_BYTES = bytes(range(0x20, 0x7f)) + b"\t\r\n"
-
-
-def _compiled_points(path):
-    """The points of the file read in C (`kernels.parse_points`) after
-    the header rule, or None where the text path must read it: a byte
-    other than printable ASCII, tab, CR or LF, or a lone CR, before the
-    body, no body, or a body the C reader declines."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    start = 0
-    while True:  # to the first non-blank line
-        end = data.find(b"\n", start)
-        end = len(data) if end < 0 else end
-        line = data[start:end].removesuffix(b"\r")
-        if b"\r" in line or line.translate(None, _TEXT_BYTES):
-            return None
-        line = line.strip(b" \t")
-        if line:
-            break
-        if end == len(data):
-            return None
-        start = end + 1
-    if _is_header(line.decode("ascii")):
-        start = end + 1
-    return kernels.parse_points(data, start) if start < len(data) else None
-
-
 def load_points_csv(path) -> np.ndarray:
     """n x d numeric CSV, optional header row: a first non-blank line
     whose fields are not all numbers.
 
-    With the C kernels the file is read once as bytes, and its body in
-    one C pass when every field fits the grammar
-    `[ \\t]*[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?[ \\t]*`, rows ended by LF
-    or CR LF, blank lines skipped.  Any other file (underscores, `inf`
-    or `nan`, hex, a lone CR, non-ASCII text, a ragged or non-numeric
-    row), or any file without the C kernels, is read as text, row by
-    row, each field with Python's float, which also words every error.
-    Both give the same bits, since both round each number correctly.
+    The file is read once, by `read_text`, which decides its lines.  With
+    the C kernels the body after the header goes, as bytes that end in a
+    line feed, to one C pass (`kernels.parse_points`), which reads it when
+    every field fits the grammar
+    `[ \\t]*[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?[ \\t]*`, blank lines skipped.
+    A body it declines (underscores, `inf` or `nan`, hex, non-ASCII text,
+    a ragged or non-numeric row), or any body without the C kernels, is
+    read row by row, each field with Python's float, which also words
+    every error.  Both give the same bits, since both round each number
+    correctly.
     """
+    text = read_text(path)
+    if not text.endswith("\n"):
+        text += "\n"
+    start = 0
+    while True:  # to the first non-blank line
+        end = text.find("\n", start)
+        if end < 0:
+            raise InputError(f"empty points file: {path}")
+        line = text[start:end].strip()
+        if line:
+            break
+        start = end + 1
+    body = text[end + 1:] if _is_header(line) else text[start:]
     points = None
     if kernels.parse_points is not None:
-        points = _compiled_points(path)
+        points = kernels.parse_points(body.encode())
     if points is None:
-        points = _text_points(path)
+        points = _row_points(path, body)
     return _check_points(points)
 
 

@@ -67,14 +67,15 @@ or numpy reference that is the fallback and the test oracle:
   turns similarities into the symmetrised weights, their end sums and
   their CSR layout.  `affinity_layout_py` and `affinity_weights_py` are
   the numpy code they replace, adding in the same order.
-- `parse_points` reads text, not a graph: the body of a points file, in
-  one C pass that converts each field with strtod.  It reads only a
-  strict grammar (comma-separated decimal numbers, rows ended by a line
-  feed or CR LF) and declines everything else, so its reference is
-  `graph.load_points_csv`'s text path, which reads what it declines and
-  words every error; within the grammar, strtod and Python's float both
-  round correctly, so they return the same bits.  Without the C kernels
-  it is None.
+- `parse_points` reads text, not a graph: the body of a points file,
+  decoded by `graph.read_text` and encoded again as bytes that end in a
+  line feed, in one C pass that converts each field with strtod.  It
+  reads only a strict grammar (comma-separated decimal numbers, rows
+  ended by a line feed) and declines everything else, so its reference
+  is `graph.load_points_csv`'s row parser, which reads what it declines
+  on the same decoded lines and words every error; within the grammar,
+  strtod and Python's float both round correctly, so they return the
+  same bits.  Without the C kernels it is None.
 
 On first import the C file is compiled with `cc` (else `gcc`) into a
 per-user cache, keyed by source, flags and machine type, and loaded with
@@ -82,7 +83,7 @@ ctypes.  Without a compiler, when the build fails, or with
 CONFRES_DISABLE_COMPILED=1, `sweep`, `knn_graph`, `pairs`,
 `affinity_layout` and `affinity_weights` are the references, the
 optimizer runs its Python loop and `components_py`, and points files are
-read as text only (identical results, much slower).  A failed build
+read row by row in Python (identical results, much slower).  A failed build
 leaves a marker file beside the cache entry, so later imports do not run
 the compiler again.
 `BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py,
@@ -951,17 +952,16 @@ def _affinity_weights_c(n, edges, pair, sim):
     return w, strengths, weights
 
 
-def _parse_points_c(data, start):
-    """The rows of data[start:], the body of a points file's bytes, read
-    in one C call (`parse_points` in _kernels.c): an (n, d) float64
-    array, or None where the C reader declines.  Its output is sized
-    from the count of commas and line feeds, at least the count of
-    fields, and shrunk in place to the fields read."""
-    cap = data.count(b",", start) + data.count(b"\n", start) + 1
+def _parse_points_c(data):
+    """The rows of `data`, the body of a points file as bytes, read in one
+    C call (`parse_points` in _kernels.c): an (n, d) float64 array, or
+    None where the C reader declines.  Its output is sized from the count
+    of commas and line feeds, at least the count of fields, and shrunk in
+    place to the fields read."""
+    cap = data.count(b",") + data.count(b"\n") + 1
     out = np.empty(cap)
     cols = ctypes.c_int64(0)
-    rows = _LIB.parse_points(ctypes.cast(data, ctypes.c_void_p).value + start,
-                             len(data) - start, _address(out), cap,
+    rows = _LIB.parse_points(data, len(data), _address(out), cap,
                              ctypes.byref(cols))
     if not rows:
         return None

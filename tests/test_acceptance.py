@@ -281,18 +281,21 @@ def test_criterion_9_rms_and_mosaic():
 def test_criterion_10_scaling_sanity():
     """Doubling n must not much more than double the optimizer time."""
     rng = np.random.default_rng(10)
-    times = {}
+    graphs = {}
     for n_per in (250, 500):
         pts, _ = blob_points(
             rng, [(0, 0), (12, 0), (0, 12), (12, 12)], per=n_per)
-        graph = derive_affinity(build_knn_graph(pts, k=10))
+        graphs[n_per * 4] = derive_affinity(build_knn_graph(pts, k=10))
+    for graph in graphs.values():
         optimize(graph, 1.0, OptimizeOptions(seed=0))  # warm the kernels
-        samples = []
-        for run in range(5):
+    # both sizes in turn, seed by seed, so that a slow spell hits both
+    samples = {n: [] for n in graphs}
+    for run in range(5):
+        for n, graph in graphs.items():
             t0 = time.perf_counter()
             optimize(graph, 1.0, OptimizeOptions(seed=run))
-            samples.append(time.perf_counter() - t0)
-        times[n_per * 4] = float(np.median(samples))
+            samples[n].append(time.perf_counter() - t0)
+    times = {n: float(np.median(s)) for n, s in samples.items()}
     factor = times[2000] / times[1000]
     ok = factor <= 2.6
     _report(10, ok, f"median optimize time {times[1000] * 1e3:.1f}ms at "

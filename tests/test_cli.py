@@ -346,6 +346,26 @@ def test_config_file_defaults_and_flag_override(data_dir, tmp_path):
     assert params["gamma"] == 1.5  # flag wins
 
 
+def test_config_file_with_byte_order_mark(data_dir, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfk = 2\n")
+    out = tmp_path / "part.json"
+    assert main(["cluster", "--input", str(data_dir / "points.csv"),
+                 "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["metadata"]["params"]["k"] == 2
+
+
+def test_partition_json_with_byte_order_mark(data_dir, tmp_path):
+    part = tmp_path / "pred.json"
+    part.write_bytes(b"\xef\xbb\xbf"
+                     + json.dumps({"labels": [0] * 40 + [1] * 40}).encode())
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--pred", str(part),
+                 "--truth", str(data_dir / "truth.csv"),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["ari"] == 1.0
+
+
 def test_experiment_novelty_fraction_zero(tmp_path):
     code = main(["experiment", "novelty", "--fraction", "0",
                  "--out", str(tmp_path / "r.json")])

@@ -1,5 +1,6 @@
 """kNN construction, affinity derivation, and ingestion."""
 
+import builtins
 import dataclasses
 import math
 import tracemalloc
@@ -637,8 +638,9 @@ class TestFromEdgeList:
 
 
 def _row_parsed_points(path):
-    """load_points_csv as it parsed every field with float, row by row."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """load_points_csv as it parsed every field with float, row by row,
+    after a leading byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise InputError(f"empty points file: {path}")
@@ -700,6 +702,7 @@ class TestPointsLoaderAgainstRowParser:
         "group separator inside": "x,y\n1,2\x1d3,4\n5,6\n",
         "next line inside": "1,2\n3,4\x855,6\n7,8\n",
         "byte order mark": "\ufeff1,2\n3,4\n5,6\n",
+        "byte order mark and header": "\ufeffx,y\r\n1,2\r\n3,4\r\n",
         "empty field": "1,2,3\n4,,5\n",
         # the edges of the C reader's grammar and of strtod
         "17-digit mantissas": "0.12345678901234567,1.2345678901234567e-5\n"
@@ -752,7 +755,7 @@ class TestPointsLoaderAgainstRowParser:
 
 
 class TestPointsLoaderAgainstRowParserOnText(TestPointsLoaderAgainstRowParser):
-    """The same files read as without the C kernels: text only."""
+    """The same files read as without the C kernels: row by row only."""
 
     @pytest.fixture(autouse=True)
     def _text_only(self, monkeypatch):
@@ -762,13 +765,49 @@ class TestPointsLoaderAgainstRowParserOnText(TestPointsLoaderAgainstRowParser):
 @pytest.mark.skipif(kernels.parse_points is None,
                     reason="the C kernels are not built")
 def test_plain_points_file_is_read_in_c(tmp_path, monkeypatch):
-    def text_path(path):
-        raise AssertionError(f"{path} was read as text")
+    def row_parser(path, body):
+        raise AssertionError(f"{path} was read row by row")
 
-    monkeypatch.setattr(graph_mod, "_text_points", text_path)
+    monkeypatch.setattr(graph_mod, "_row_points", row_parser)
     path = tmp_path / "pts.csv"
-    path.write_bytes(b"x,y\r\n1,-2.5e3\n\n .5 ,\t7\r\n")
-    assert load_points_csv(path).tolist() == [[1.0, -2500.0], [0.5, 7.0]]
+    # LF and CR LF; CR only; CR, CR LF and LF without a final line end
+    for data in (b"x,y\r\n1,-2.5e3\n\n .5 ,\t7\r\n",
+                 b"x,y\r1,-2.5e3\r\r .5 ,\t7\r",
+                 b"x,y\r1,-2.5e3\n\r\n .5 ,\t7"):
+        path.write_bytes(data)
+        assert load_points_csv(path).tolist() == [[1.0, -2500.0],
+                                                  [0.5, 7.0]]
+
+
+@pytest.mark.parametrize("reader", ["c", "declined", "python"])
+def test_points_file_is_opened_once(tmp_path, monkeypatch, reader):
+    path = tmp_path / "pts.csv"
+    path.write_text("x,y\n1,2\n3,4_0\n" if reader == "declined"
+                    else "x,y\n1,2\n3,40\n")
+    returned = []
+    if reader == "python":
+        monkeypatch.setattr(kernels, "parse_points", None)
+    elif kernels.parse_points is None:
+        pytest.skip("the C kernels are not built")
+    else:
+        def parse_points(data, c_reader=kernels.parse_points):
+            returned.append(c_reader(data))
+            return returned[-1]
+
+        monkeypatch.setattr(kernels, "parse_points", parse_points)
+    opened = []
+
+    def counting_open(file, *args, open=builtins.open, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    points = load_points_csv(path)
+    monkeypatch.undo()
+    assert points.tolist() == [[1.0, 2.0], [3.0, 40.0]]
+    assert opened.count(path) == 1
+    assert [p is None for p in returned] == {
+        "c": [False], "declined": [True], "python": []}[reader]
 
 
 class TestLoaders:
@@ -783,6 +822,18 @@ class TestLoaders:
         path.write_text("x,y\n0.5,1.5\n2.5,3.5\n")
         assert np.allclose(load_points_csv(path),
                            [[0.5, 1.5], [2.5, 3.5]])
+
+    @pytest.mark.parametrize("header", [b"", b"x,y\n"],
+                             ids=["no header", "header"])
+    def test_points_with_byte_order_mark(self, tmp_path, header):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + header + b"1,2\n3,4\n5,6\n")
+        assert load_points_csv(path).tolist() == [[1, 2], [3, 4], [5, 6]]
+
+    def test_labels_with_byte_order_mark(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"\xef\xbb\xbf2\n0\n1\n")
+        assert load_labels_csv(path).tolist() == [2, 0, 1]
 
     def test_labels_single_column(self, tmp_path):
         path = tmp_path / "labels.csv"

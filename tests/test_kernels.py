@@ -1539,10 +1539,12 @@ def test_graph_kernels_are_clean_under_sanitizers(tmp_path,
 # Runs the C points reader on bodies copied, with no terminator, to the
 # end of a page before one that may not be read, and on an output of
 # exactly the slots the caller sizes (one per comma and line feed, plus
-# one): bodies that end
-# mid-number, in a comma, without a final line feed, in a number that
-# fills 300 digits, of one field, and on a body with more fields than its
-# output holds.  Exits 0 only if each call returns the rows and width
+# one).  Bodies that do not end in a line feed (mid-number, in a comma,
+# in blanks, in one field, in a number of 300 digits, after a CR) must be
+# declined; bodies that end in one at the page's end must be read, among
+# them a number of 300 digits, so that strtod reading past the body
+# would fault; and a body with more fields than its output holds must be
+# declined.  Exits 0 only if each call returns the rows and width
 # wanted, or 0 with the width untouched, and the values bit for bit.  A
 # read past the body faults, in strtod too, which the sanitizers do not
 # see into; they catch a write past the output.
@@ -1590,8 +1592,10 @@ int main(void)
 {
     static const double grid[] = {1, 2, 3, 4}, five[] = {5},
                         small[] = {0.0025}, big[] = {1e299};
-    char digits[302] = "1";
+    char digits[302] = "1", line[303];
     memset(digits + 1, '0', 299);
+    memcpy(line, digits, 300);
+    memcpy(line + 300, "\n", 2);
     return check("exponent cut", "1,2\n3,1e", 0, 0, NULL)
         | check("sign only", "1,2\n3,-", 0, 0, NULL)
         | check("comma last", "1,2\n3,", 0, 0, NULL)
@@ -1599,11 +1603,15 @@ int main(void)
         | check("lone cr last", "1,2\n3,4\r", 0, 0, NULL)
         | check("empty", "", 0, 0, NULL)
         | check("blank lines", " \n\t\r\n", 0, 0, NULL)
-        | check("no final newline", "1,2\r\n3,4", 2, 2, grid)
-        | check("blanks last", "\t1 ,2\n3,\t4 ", 2, 2, grid)
-        | check("one field", "5", 1, 1, five)
-        | check("exponent last", "2.5e-3", 1, 1, small)
-        | check("300 digits last", digits, 1, 1, big)
+        | check("no final newline", "1,2\r\n3,4", 0, 0, NULL)
+        | check("blanks last", "\t1 ,2\n3,\t4 ", 0, 0, NULL)
+        | check("one field", "5", 0, 0, NULL)
+        | check("exponent last", "2.5e-3", 0, 0, NULL)
+        | check("300 digits last", digits, 0, 0, NULL)
+        | check("rows", "1,2\n3,4\n", 2, 2, grid)
+        | check("one field, line feed", "5\n", 1, 1, five)
+        | check("exponent, line feed", "2.5e-3\n", 1, 1, small)
+        | check("300 digits, line feed", line, 1, 1, big)
         | run("more fields than slots", "1,2\n3,4\n", 3, 0, 0, NULL);
 }
 """
@@ -1613,7 +1621,7 @@ int main(void)
 def test_parse_points_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     # no read past the body's length, no write past the output's slots
     out = _run_sanitized(tmp_path, sanitized_kernels, _POINTS_SANITIZER_MAIN)
-    assert out.count(", ok") == 13 and "BAD" not in out, out
+    assert out.count(", ok") == 17 and "BAD" not in out, out
 
 
 # Runs each exported kernel that takes buffers (all but parse_points) on
