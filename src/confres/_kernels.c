@@ -1,23 +1,23 @@
-/* C ports of the local-moving phase, the level loop of the optimizer, its
- * exact gamma = 0 solve (`components`), and graph construction: the kNN
- * graph (`knn_graph`, a k-nearest-neighbour search), the pair grouping, and
- * the affinity graph of a neighbour graph (`affinity_layout`,
- * `affinity_weights`); and a reader of points files (`parse_points`).
+/* C ports of the level loop of the optimizer, its exact gamma = 0 solve
+ * (`components`), and graph construction: the kNN graph (`knn_graph`, a
+ * k-nearest-neighbour search), the pair grouping, and the affinity graph
+ * of a neighbour graph (`affinity_layout`, `affinity_weights`); and a
+ * reader of points files (`parse_points`).
  *
- * `sweep` is a local-moving phase in rounds of Leiden's fast local move
- * (Traag, Waltman & van Eck 2019): a round queues every item in a fresh
- * permutation and serves the queue first in, first out, and an item that
- * moves queues the neighbours it may have unsettled.  It does the
- * floating-point operations of its Python reference (kernels._local_move,
- * with its inner round _round) in the same order, so that every float
- * result is bit-identical, and reads each item's entries from compact rows
- * laid out once per phase, without the entries that count for no cluster
- * (see scratch_t).  `level_loop` runs the
- * loop of optimizer.optimize for one seed (its Python reference is
- * optimizer._level_loop_py) with the same phases, the same draws and the
- * same coarse graphs, so it returns the same labels; it also returns
- * their (h_a, h_r), each sum added in the order of its reference,
- * kernels.energy_components, so the bits are the same.  `components`
+ * `level_loop` runs the loop of optimizer.optimize for one seed (its
+ * Python reference is optimizer._level_loop_py) with the same phases, the
+ * same draws and the same coarse graphs, so it returns the same labels;
+ * it also returns their (h_a, h_r), each sum added in the order of its
+ * reference, kernels.energy_components, so the bits are the same.  Each of
+ * its local-moving phases (`phase`, which only the loop calls) runs
+ * rounds of Leiden's fast local move (Traag, Waltman & van Eck 2019): a
+ * round queues every item in a fresh permutation and serves the queue
+ * first in, first out, and an item that moves queues the neighbours it
+ * may have unsettled.  A phase does the floating-point operations of its
+ * Python reference (kernels.sweep_py, with its inner round _round) in the
+ * same order, so that every float result is bit-identical, and reads each
+ * item's entries from compact rows laid out once per phase, without the
+ * entries that count for no cluster (see scratch_t).  `components`
  * solves gamma = 0 exactly, without the loop, as its reference
  * kernels.components_py: the connected components over the edges of
  * positive weight, with their (h_a, h_r) summed as the loop sums them.
@@ -43,10 +43,10 @@
  * say): glibc would then declare a `canonicalize` that clashes with the
  * one below.
  *
- * The interface: `sweep`, `level_loop` and `components` take the graph as
- * one graph_t (kernels.Graph mirrors it), and `sweep` and `level_loop`
- * draw from numpy's own bitgen_t.  A kernel returns a count or 0, or else
- * a negative ERR_ code; ERR_NOMEM is the one out-of-memory code.
+ * The interface: `level_loop` and `components` take the graph as one
+ * graph_t (kernels.Graph mirrors it), and `level_loop` draws from numpy's
+ * own bitgen_t.  A kernel returns a count or 0, or else a negative ERR_
+ * code; ERR_NOMEM is the one out-of-memory code.
  *
  * The caller in kernels.py checks dtypes, contiguity and lengths.  The
  * range of every value used as an index, and the order of each indptr,
@@ -74,7 +74,6 @@
 #define REP_EXPLICIT 1
 
 #define ERR_NOMEM (-1)
-#define ERR_LABELS (-2)
 #define ERR_INDPTR (-3)
 #define ERR_INDICES (-4)
 #define ERR_REP_INDPTR (-5)
@@ -452,30 +451,6 @@ static int64_t phase(const graph_t *g, double gamma, int64_t *labels,
         if (moves == 0 || !settle)
             break;
     }
-    return total;
-}
-
-/* One local-moving phase, as kernels._local_move: rounds of the fast
- * local move, each in a fresh permutation drawn from the bit generator
- * (see phase).  Mutates `labels`; returns the total moves, or an ERR_
- * code before any label moves or any number is drawn.  The caller holds
- * the bit generator's lock. */
-int64_t sweep(const graph_t *g, double gamma, int64_t *labels,
-              const int64_t *constraint, int64_t max_sweeps, int64_t settle,
-              double eps, const bitgen_t *rng)
-{
-    int64_t err = check_graph(g);
-    if (!err)
-        err = check_range(labels, g->n, g->n, ERR_LABELS);
-    if (err)
-        return err;
-    buffers_t b = {NULL, 0};
-    scratch_t s;
-    scratch_alloc(&b, &s, g, 0);
-    int64_t total = b.failed ? ERR_NOMEM
-        : phase(g, gamma, labels, constraint, max_sweeps, settle != 0, eps,
-                rng, &s);
-    release(&b);
     return total;
 }
 

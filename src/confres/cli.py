@@ -115,18 +115,23 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _apply_config_defaults(args, actions: dict) -> None:
-    """File values fill in only where the flag kept its parser default.
+def _apply_config_file(args, argv):
+    """`args` with the `--config` file's values for the flags that the
+    command line does not give.
 
-    A value must pass the same type and `choices` checks as on the
-    command line.
+    Each file value must pass the same type and `choices` checks as on the
+    command line.  The command's own arguments are then parsed again by
+    its subparser into a namespace that holds the checked file values:
+    a subparser sets a default only where an attribute is missing, so
+    every flag given, in any spelling, wins over the file.
     """
-    if not getattr(args, "config", None):
-        return
-    values = _load_config_file(args.config)
-    for key, raw in values.items():
+    command = args._commands[args.command]
+    actions = {a.dest: a for a in command._actions
+               if a.dest not in ("help", "func")}
+    values = {}
+    for key, raw in _load_config_file(args.config).items():
         action = actions.get(key)
-        if action is None or getattr(args, key) != action.default:
+        if action is None:
             continue
         caster = type(action.default) if action.default is not None else str
         try:
@@ -137,7 +142,9 @@ def _apply_config_defaults(args, actions: dict) -> None:
         if action.choices is not None and value not in action.choices:
             raise InputError(f"{args.config}: {key} = {raw!r} is not one of "
                              f"{', '.join(map(str, action.choices))}")
-        setattr(args, key, value)
+        values[key] = value
+    # argv[0] is the command: the top-level parser takes nothing else
+    return command.parse_args(argv[1:], argparse.Namespace(**values))
 
 
 def _check_files_exist(args, *attrs) -> None:
@@ -264,11 +271,6 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _subparser_actions(sub_parser) -> dict:
-    return {a.dest: a for a in sub_parser._actions
-            if a.dest not in ("help", "func")}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="confres",
@@ -276,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.set_defaults(_actions_by_command={})
-    actions_by_command = parser.get_default("_actions_by_command")
+    parser.set_defaults(_commands=sub.choices)  # command -> its subparser
 
     def common(p):
         p.add_argument("--config", default=None,
@@ -320,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON")
     common(p)
     p.set_defaults(func=cmd_experiment)
-    for name, sp in sub.choices.items():
-        actions_by_command[name] = _subparser_actions(sp)
     return parser
 
 
@@ -331,14 +330,15 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    actions = args._actions_by_command[args.command]
     try:
         _check_files_exist(args, "config")
-        _apply_config_defaults(args, actions)
+        if args.config is not None:
+            args = _apply_config_file(args, argv)
         # checked after the config file, which may supply them
         _check_files_exist(args, "input", "pred", "truth")
         # found before the work, not when the result is written

@@ -5,12 +5,13 @@ deterministic under its seed.  The working resolution for a dataset is the
 midpoint of the widest non-extreme plateau of its sweep.
 """
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .energy import canonicalize
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, check_integer, check_real
 from .evaluation import ari, contingency, inverse_ari, item_energy_scores, roc_auc
 from .graph import build_knn_graph, derive_affinity
 from .optimizer import OptimizeOptions
@@ -29,15 +30,22 @@ class HierarchySpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("superordinate_count", "basic_per_super",
+                     "points_per_basic", "dimension"):
+            check_integer(name, getattr(self, name))
+        check_integer("seed", self.seed, 0)
+        for name in ("super_separation", "basic_separation", "noise_sigma"):
+            check_real(name, getattr(self, name))
         if self.superordinate_count < 1 or self.basic_per_super < 1 \
                 or self.points_per_basic < 1 or self.dimension < 2:
             raise ParameterError("degenerate hierarchy spec")
         if self.super_separation <= 0 or self.basic_separation <= 0:
             raise ParameterError("separations must be positive")
+        if not (math.isfinite(self.super_separation)
+                and math.isfinite(self.basic_separation)):
+            raise ParameterError("separations must be finite")
         if self.basic_per_super > 1 and self.super_separation <= self.basic_separation:
             raise ParameterError("super_separation must exceed basic_separation")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n(self) -> int:
@@ -92,6 +100,8 @@ def generate_hierarchy(spec: HierarchySpec):
 def inject_outliers(points, fraction: float, spread: float = 2.0, seed: int = 0):
     """Append uniform-box outliers; returns (points, novel_flags)."""
     points = np.asarray(points, dtype=np.float64)
+    check_real("fraction", fraction)
+    check_integer("seed", seed, 0)
     if not 0.0 <= fraction <= 1.0:  # NaN fails too
         raise ParameterError(f"fraction must be in [0, 1], got {fraction}")
     n = points.shape[0]
@@ -163,6 +173,7 @@ def run_novelty_experiment(spec: HierarchySpec = None,
     """Cluster at the widest plateau of a sweep up to gamma = 2 (k = 30)
     and score novelty by item energy; outliers fill the data's bounding
     box."""
+    check_real("fraction", fraction)
     if not 0.0 < fraction <= 1.0:  # NaN fails too
         raise InputError("novelty experiment needs an outlier fraction in "
                          f"(0, 1], got {fraction}")
@@ -189,8 +200,10 @@ def kmeans_baseline(points, k: int, seed: int = 0):
     deterministic per seed."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
+    check_integer("k", k)
     if not 1 <= k <= n:
         raise ParameterError(f"k must satisfy 1 <= k <= n, got {k}")
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     centers = points[rng.choice(n, size=k, replace=False)].copy()
     assign = None
@@ -297,10 +310,13 @@ def run_evolution_experiment(timesteps: int = 12, split_at: int = 4,
                              basic_separation=5.0, noise_sigma=1.0)
     if seed is None:
         seed = spec.seed
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    check_integer("seed", seed, 0)
+    check_integer("timesteps", timesteps, 1)
     for event_t, name in ((split_at, "split_at"), (merge_at, "merge_at")):
-        if event_t is not None and not 0 <= event_t < timesteps:
+        if event_t is None:
+            continue
+        check_integer(name, event_t)
+        if not 0 <= event_t < timesteps:
             raise ParameterError(f"{name}={event_t} outside [0, {timesteps})")
     rng = np.random.default_rng(seed)
     true_labels = []

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, check_real
 from .graph import AffinityGraph
 from . import kernels
 
@@ -52,7 +52,8 @@ def cluster_count(labels) -> int:
 
 
 def check_gamma(gamma: float) -> None:
-    """Raise ParameterError unless gamma is finite and >= 0."""
+    """Raise ParameterError unless gamma is a finite real number >= 0."""
+    check_real("gamma", gamma)
     # NaN fails every comparison, so it is rejected along with inf
     if not 0.0 <= gamma < np.inf:
         raise ParameterError(f"gamma must be finite and >= 0, got {gamma}")

@@ -7,7 +7,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .errors import InputError, NumericalError, ParameterError
+from .errors import InputError, NumericalError, ParameterError, check_integer
 from .kernels import REP_EXPLICIT, REP_PRODUCT
 
 REPULSION_SCHEMES = ("configuration_null", "uniform", "explicit")
@@ -121,6 +121,7 @@ def build_knn_graph(points, k: int, metric: str = "euclidean") -> NeighborGraph:
     """
     points = _check_points(points)
     n = points.shape[0]
+    check_integer("k", k)
     if not 1 <= k <= n - 1:
         raise ParameterError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     if metric == "cosine":

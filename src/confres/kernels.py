@@ -6,36 +6,34 @@ adds left to right, so it returns the floats a plain loop over the edges
 returns.  These loops are compiled from `_kernels.c`, each beside a Python
 or numpy reference that is the fallback and the test oracle:
 
-- `sweep` is one local-moving phase in rounds of Leiden's fast local move
-  (Traag, Waltman & van Eck 2019, "From Louvain to Leiden"): a round
-  queues every item in a fresh permutation and serves the queue first in,
-  first out; an item that moves queues, at the back, each item of its
-  rows that is neither queued nor in its new cluster.  A move also
-  changes the cluster sums that product-form repulsion reads from items
-  it does not queue, so only a round that moves nothing proves a
-  partition single-move stable.  A phase runs one round, or with
-  `settle` rounds until one moves nothing, and never more than
-  `max_sweeps` * n evaluations in all.  It does the floating-point
-  operations of the Python `_local_move` (rounds of `_round`, over lists)
-  in the same order.  The C phase runs every round in one call and draws
-  each round's order from the caller's numpy Generator through its bit
-  generator's ctypes interface, replaying `rng.permutation` (Fisher-Yates
-  over `random_interval`), so labels, move counts and the generator's
-  state afterwards match the Python loop exactly.  It reads compact
-  rows, laid out once per phase: each item's attraction, then
-  explicit-repulsion entries, in CSR order, without the self-loops and
-  the entries to other constraint clusters that `_round` skips one by
-  one; it lists an item's clusters and picks the best with selects, not
-  branches, adding every sum in `_round`'s order.
 - `level_loop` runs the whole loop of `optimizer.optimize` for one seed
   (move, refine, aggregate, level after level, then the polish) in one
-  call, with the phases of `sweep` and aggregation that adds in the order
-  `optimizer.aggregate` adds.  Its reference is
-  `optimizer._level_loop_py`, which calls `sweep` once per phase; it
-  returns the same labels and leaves the generator in the same state.
-  It also returns the labels' (h_a, h_r), summed in C in the order
-  `energy_components` sums them, so a solve needs no numpy energy pass.
-  Without the C kernels it is None.
+  call, with aggregation that adds in the order `optimizer.aggregate`
+  adds.  Its reference is `optimizer._level_loop_py`, which calls
+  `sweep` once per phase; it returns the same labels and leaves the
+  generator in the same state.  It also returns the labels' (h_a, h_r),
+  summed in C in the order `energy_components` sums them, so a solve
+  needs no numpy energy pass.  Without the C kernels it is None.
+  Each phase runs rounds of Leiden's fast local move (Traag, Waltman &
+  van Eck 2019, "From Louvain to Leiden"): a round queues every item in
+  a fresh permutation and serves the queue first in, first out; an item
+  that moves queues, at the back, each item of its rows that is neither
+  queued nor in its new cluster.  A move also changes the cluster sums
+  that product-form repulsion reads from items it does not queue, so
+  only a round that moves nothing proves a partition single-move stable.
+  A phase runs one round, or with `settle` rounds until one moves
+  nothing, and never more than `max_sweeps` * n evaluations in all.
+  `sweep`, one phase, is `sweep_py` (rounds of `_round`, over lists) on
+  every backend; a tracer may replace it (see `optimizer`).  The C
+  phases, which run only inside `level_loop`, do its floating-point
+  operations in the same order and draw each round's order from the
+  caller's numpy Generator through its bit generator's ctypes interface,
+  replaying `rng.permutation` (Fisher-Yates over `random_interval`).
+  They read compact rows, laid out once per phase: each item's
+  attraction, then explicit-repulsion entries, in CSR order, without the
+  self-loops and the entries to other constraint clusters that `_round`
+  skips one by one; they list an item's clusters and pick the best with
+  selects, not branches, adding every sum in `_round`'s order.
 - `components` solves gamma = 0 exactly, with no loop: the connected
   components over the entries of positive weight, by union-find, with
   canonical labels and their (h_a, h_r) summed as `level_loop` sums them.
@@ -80,12 +78,11 @@ or numpy reference that is the fallback and the test oracle:
 On first import the C file is compiled with `cc` (else `gcc`) into a
 per-user cache, keyed by source, flags and machine type, and loaded with
 ctypes.  Without a compiler, when the build fails, or with
-CONFRES_DISABLE_COMPILED=1, `sweep`, `knn_graph`, `pairs`,
-`affinity_layout` and `affinity_weights` are the references, the
-optimizer runs its Python loop and `components_py`, and points files are
-read row by row in Python (identical results, much slower).  A failed build
-leaves a marker file beside the cache entry, so later imports do not run
-the compiler again.
+CONFRES_DISABLE_COMPILED=1, `knn_graph`, `pairs`, `affinity_layout`
+and `affinity_weights` are the references, the optimizer runs its Python
+loop and `components_py`, and points files are read row by row in Python
+(identical results, much slower).  A failed build leaves a marker file
+beside the cache entry, so later imports do not run the compiler again.
 `BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py,
 tests/test_optimizer.py and tests/test_graph.py check that the two agree
 bit for bit; to time the Python references, run perfbench/run.py with
@@ -142,18 +139,6 @@ def _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
         _check_array(f"{prefix}weights", w, _F64, idx.shape[0])
 
 
-def _check_sweep(labels, constraint):
-    """Raise ValueError unless `labels` is a writable C-contiguous int64
-    vector and `constraint` an int64 one of its length; returns that
-    length.  Both sweeps run it first."""
-    _check_array("labels", labels, _I64)
-    if not labels.flags.writeable:
-        raise ValueError("labels must be writable: sweep moves items in place")
-    n = labels.shape[0]
-    _check_array("constraint", constraint, _I64, n)
-    return n
-
-
 def _out_of_range(name, hi):
     return IndexError(f"{name} out of range [0, {hi})")
 
@@ -176,7 +161,7 @@ def _check_indptr(name, indptr, hi):
 def _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices):
     """Raise IndexError unless every CSR value used as an index is in
     range, or ValueError if an indptr decreases, checked in the order the
-    C sweep checks them."""
+    C kernels check them."""
     _check_indptr("indptr", indptr, indices.shape[0] + 1)
     _check_range("indices", indices, n)
     if rep_mode == REP_EXPLICIT:
@@ -318,10 +303,10 @@ def _round(indptr, indices, weights,
     return moves, left
 
 
-def _local_move(indptr, indices, weights,
-                rep_mode, rep_strength, rep_denom,
-                rep_indptr, rep_indices, rep_weights,
-                gamma, labels, constraint, rng, max_sweeps, settle=True):
+def sweep_py(indptr, indices, weights,
+             rep_mode, rep_strength, rep_denom,
+             rep_indptr, rep_indices, rep_weights,
+             gamma, labels, constraint, rng, max_sweeps, settle=True):
     """One local-moving phase; mutates `labels` in place.
 
     Runs `_round`s, each in a fresh `rng.permutation` of the items: one
@@ -329,12 +314,18 @@ def _local_move(indptr, indices, weights,
     no item a single move can improve.  Either way the phase evaluates at
     most `max_sweeps` * n items, as many as `max_sweeps` full passes: only
     a CSR on which moves never settle (an asymmetric one) reaches that.
-    Returns the total number of accepted moves.  Raises the ValueError or
-    IndexError of the C sweep, in its order, before any label moves or any
-    number is drawn: the checks of `_check_sweep` and `_check_graph`, then
-    the ranges of the CSR values and labels.
+    Returns the total number of accepted moves.  Raises ValueError or
+    IndexError before any label moves or any number is drawn: `labels`
+    must be a writable C-contiguous int64 vector, `constraint` an int64
+    one of its length and the graph arrays as `_check_graph` requires, and
+    the CSR values (checked in the order the C kernels check them) and the
+    labels must lie in range.
     """
-    n = _check_sweep(labels, constraint)
+    _check_array("labels", labels, _I64)
+    if not labels.flags.writeable:
+        raise ValueError("labels must be writable: sweep moves items in place")
+    n = labels.shape[0]
+    _check_array("constraint", constraint, _I64, n)
     _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
                  rep_denom, rep_indptr, rep_indices, rep_weights)
     _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
@@ -357,9 +348,8 @@ def _local_move(indptr, indices, weights,
     return total
 
 
-# Uncompiled reference: the fallback path and the oracle the C port is
-# tested against.
-sweep_py = _local_move
+# One phase, on every backend: the C phases run only inside `level_loop`.
+sweep = sweep_py
 
 
 def components_py(n, indptr, indices, weights, rep_mode, rep_strength,
@@ -713,8 +703,6 @@ def _load_library():
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     graph = ctypes.POINTER(Graph)  # a Graph passes by reference
-    lib.sweep.argtypes = [graph, f64, ptr, ptr, i64, i64, f64, ptr]
-    lib.sweep.restype = i64
     lib.level_loop.argtypes = [graph, f64, i64, i64, i64, f64, ptr, ptr, ptr]
     lib.level_loop.restype = i64
     lib.components.argtypes = [graph, ptr, ptr]
@@ -738,8 +726,8 @@ _I, _D, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 
 class Graph(ctypes.Structure):
-    """graph_t of _kernels.c, field for field: a graph as `sweep`,
-    `level_loop` and `components` read it."""
+    """graph_t of _kernels.c, field for field: a graph as `level_loop`
+    and `components` read it."""
     _fields_ = [("n", _I), ("m", _I), ("indptr", _P), ("indices", _P),
                 ("weights", _P), ("rep_mode", _I), ("rep_strength", _P),
                 ("rep_denom", _D), ("rep_m", _I), ("rep_indptr", _P),
@@ -780,7 +768,6 @@ def _raise(status, n=0, m=0, rep_m=0, at="?"):
     a neighbour graph."""
     raise {
         -1: MemoryError("the C kernels could not allocate their buffers"),
-        -2: _out_of_range("labels", n),
         -3: _out_of_range("indptr", m + 1),
         -4: _out_of_range("indices", n),
         -5: _out_of_range("rep_indptr", rep_m + 1),
@@ -829,28 +816,6 @@ def _check_status(status, graph):
         _raise(status, graph.n, graph.m, graph.rep_m)
 
 
-def _call_drawing(fn, graph, rng, *tail):
-    """fn(graph, *tail, <rng's bitgen_t>) under the generator's lock;
-    raises for a negative status, else returns it."""
-    bitgen = rng.bit_generator
-    with bitgen.lock:
-        status = fn(graph, *tail, bitgen.ctypes.bit_generator)
-    _check_status(status, graph)
-    return status
-
-
-def _local_move_c(indptr, indices, weights,
-                  rep_mode, rep_strength, rep_denom,
-                  rep_indptr, rep_indices, rep_weights,
-                  gamma, labels, constraint, rng, max_sweeps, settle=True):
-    n = _check_sweep(labels, constraint)
-    graph = graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
-                       rep_denom, rep_indptr, rep_indices, rep_weights)
-    return _call_drawing(_LIB.sweep, graph, rng, gamma, _address(labels),
-                         _address(constraint), max_sweeps, bool(settle),
-                         EPSILON)
-
-
 _PAIR = ctypes.c_double * 2
 
 
@@ -860,12 +825,16 @@ def _level_loop_c(graph, gamma, rng, max_levels, max_sweeps, max_polish):
     h_r), the canonical labels that its Python loop returns, with the same
     numbers drawn from `rng`, and their energy components, the floats
     `energy_components` returns for them.  Raises, before any draw, the
-    IndexError or ValueError that the first `sweep` of that loop raises
-    for a bad graph."""
+    IndexError or ValueError that the first `sweep_py` of its Python loop
+    raises for a bad graph."""
     labels = np.empty(graph.n, dtype=np.int64)
     energy = _PAIR()  # cheaper to make and read than a numpy array
-    _call_drawing(_LIB.level_loop, graph, rng, gamma, max_levels, max_sweeps,
-                  max_polish, EPSILON, _address(labels), energy)
+    bitgen = rng.bit_generator
+    with bitgen.lock:  # the C loop draws through the generator's bitgen_t
+        status = _LIB.level_loop(graph, gamma, max_levels, max_sweeps,
+                                 max_polish, EPSILON, _address(labels),
+                                 energy, bitgen.ctypes.bit_generator)
+    _check_status(status, graph)
     return labels, energy[0], energy[1]
 
 
@@ -972,13 +941,13 @@ def _parse_points_c(data):
 _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
-    sweep, knn_graph, pairs = _local_move, knn_graph_py, pairs_py
+    knn_graph, pairs = knn_graph_py, pairs_py
     affinity_layout, affinity_weights = affinity_layout_py, affinity_weights_py
     level_loop = components = None  # optimizer runs the references
     parse_points = None  # graph.load_points_csv reads with Python's float
 else:
     BACKEND = "c"
-    sweep, knn_graph, pairs = _local_move_c, _knn_graph_c, _pairs_c
+    knn_graph, pairs = _knn_graph_c, _pairs_c
     affinity_layout, affinity_weights = _affinity_layout_c, _affinity_weights_c
     level_loop, components = _level_loop_c, _components_c
     parse_points = _parse_points_c

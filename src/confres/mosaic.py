@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, check_real
 from .evaluation import ContingencyTable
 
 
@@ -39,6 +39,7 @@ def layout(table: ContingencyTable, gap: float = 0.01) -> MosaicLayout:
     counts = np.asarray(table.counts)
     if counts.size == 0 or counts.sum() == 0:
         raise InputError("empty contingency table")
+    check_real("gap", gap)
     if not 0.0 <= gap <= 0.1:
         raise ParameterError("gap must lie in [0, 0.1]")
     n = float(counts.sum())

@@ -4,21 +4,23 @@ Phases per level: local moving, refinement (local moving from singletons
 constrained to the current clusters), then aggregation on the refined
 partition with the coarse partition as the starting point on the
 aggregate graph.  Each of the two phases is one round of Leiden's fast
-local move (see `kernels.sweep`): every item once in a random order, then
+local move (see `kernels`): every item once in a random order, then
 the neighbours of the items that moved, until none is left.  A final
 item-level polish on the original graph runs rounds until one moves
 nothing, which guarantees single-move stability of the returned
 partition.
 
-With the C kernels loaded, each seed's whole loop (every level, then the
-polish) is one call, `kernels.level_loop`, which also returns the energy
-components (h_a, h_r) of the partition it found.  `_level_loop_py` runs
-the same loop phase by phase through `kernels.sweep` and `aggregate`, then
-takes the components from `kernels.energy_components`: it is the fallback
-without the C kernels and the oracle the C loop is tested against, and it
-also runs when `kernels.sweep` or `aggregate` has been replaced (a tracer
-wrapping them), so that the replacement sees every call.  Both return the
-same labels and the same energy floats.
+The optimizer runs one of two loops, which return the same labels and the
+same energy floats.  With the C kernels loaded, each seed's whole loop
+(every level, then the polish) is one call, `kernels.level_loop`, which
+also returns the energy components (h_a, h_r) of the partition it found.
+`_level_loop_py` runs the same loop in Python, phase by phase through
+`kernels.sweep` (the Python phase, `kernels.sweep_py`, on every backend)
+and `aggregate`, then takes the components from
+`kernels.energy_components`.  It is the fallback without the C kernels
+and the oracle the C loop is tested against.  It also runs when
+`kernels.sweep` or `aggregate` has been replaced (a tracer wrapping them),
+so that the replacement sees every call.
 
 At gamma = 0 no loop runs: the optimum is the graph's connected
 components over its edges of positive weight, which `kernels.components`
@@ -31,7 +33,6 @@ per seed, and the generator itself once per thread, reset to that state
 per seed.
 """
 
-import numbers
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,7 +41,7 @@ import numpy as np
 
 from .energy import (EnergySummary, _components, canonicalize, check_gamma,
                      cluster_count)
-from .errors import ParameterError
+from .errors import check_integer
 from .graph import AffinityGraph, _pairs
 from . import kernels
 
@@ -59,11 +60,7 @@ class OptimizeOptions:
     def __post_init__(self):
         for name, least in (("seed", 0), ("restarts", 1)):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            if value < least:
-                raise ParameterError(f"{name} must be >= {least}, got {value}")
+            check_integer(name, value, least)
             # a plain int: numpy integer arithmetic could wrap seed + restarts
             object.__setattr__(self, name, int(value))
 
@@ -203,7 +200,7 @@ def _compiled_loop():
     kernels are loaded and neither of the functions that loop calls per
     phase and per level has been replaced."""
     return (kernels.level_loop is not None
-            and kernels.sweep is kernels._local_move_c
+            and kernels.sweep is kernels.sweep_py
             and aggregate is _AGGREGATE)
 
 

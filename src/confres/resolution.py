@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import cluster_count
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, check_real
 from .graph import AffinityGraph
 from .optimizer import OptimizeOptions, optimize
 
@@ -116,6 +116,7 @@ def find_configurations(graph: AffinityGraph, gamma_max: float,
     Every probe after the two ends lies strictly inside an interval
     between earlier probes, so no gamma is probed twice.
     """
+    check_real("gamma_max", gamma_max)
     # NaN fails every comparison, so it is rejected along with inf
     if not 0.0 < gamma_max < np.inf:
         raise ParameterError(f"gamma_max must be finite and > 0, got {gamma_max}")

@@ -64,6 +64,17 @@ def drop_entries(graph, rng, p=0.3):
                                rep_weights=rep[2])
 
 
+def signed_zeros(graph, rng):
+    """The graph with about two in three weights of each CSR replaced by
+    -0.0 or 0.0."""
+    def zeroed(weights):
+        pick = rng.integers(0, 3, weights.shape[0])
+        return np.where(pick == 0, -0.0, np.where(pick == 1, 0.0, weights))
+
+    return dataclasses.replace(graph, weights=zeroed(graph.weights),
+                               rep_weights=zeroed(graph.rep_weights))
+
+
 def with_loops_and_repeats(graph, rng):
     """The graph with a self-loop and a repeat of one entry, of a weight
     of its own, added to each nonempty row of each CSR, every row then

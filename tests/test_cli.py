@@ -346,6 +346,22 @@ def test_config_file_defaults_and_flag_override(data_dir, tmp_path):
     assert params["gamma"] == 1.5  # flag wins
 
 
+@pytest.mark.parametrize("flags", [["--k", "10", "--gamma", "1.0"],
+                                   ["--k=10", "--gamma=1.0"],
+                                   ["--k", "10", "--gam", "1.0"]])
+def test_config_file_loses_to_a_flag_equal_to_its_default(data_dir, tmp_path,
+                                                          flags):
+    # a flag given on the command line wins even where its value is the
+    # parser default, in every spelling; the file fills the flag not given
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 12\ngamma = 0.5\nseed = 3\n")
+    out = tmp_path / "part.json"
+    assert main(["cluster", "--input", str(data_dir / "points.csv"),
+                 "--config", str(cfg), *flags, "--out", str(out)]) == 0
+    params = json.loads(out.read_text())["metadata"]["params"]
+    assert (params["k"], params["gamma"], params["seed"]) == (10, 1.0, 3)
+
+
 def test_config_file_with_byte_order_mark(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xef\xbb\xbfk = 2\n")

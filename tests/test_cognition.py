@@ -39,6 +39,19 @@ class TestGenerateHierarchy:
         with pytest.raises(ParameterError):
             HierarchySpec(super_separation=1.0, basic_separation=2.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dimension", 2.5, "dimension must be an integer"),
+        ("points_per_basic", 2.5, "points_per_basic must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", "1", "seed must be an integer"),
+        ("superordinate_count", True, "superordinate_count must be an integer"),
+        ("super_separation", np.nan, "separations must be finite"),
+        ("basic_separation", np.inf, "separations must be finite"),
+        ("noise_sigma", "1", "noise_sigma must be a real number")])
+    def test_spec_fields_of_the_wrong_kind(self, field, value, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            HierarchySpec(**{field: value})
+
 
 class TestInjectOutliers:
     def test_fraction_zero_unchanged(self, rng):
@@ -56,6 +69,16 @@ class TestInjectOutliers:
         for fraction in (1.5, 1e300):
             with pytest.raises(ParameterError, match=r"\[0, 1\]"):
                 inject_outliers(pts, fraction, 1.5, seed=0)
+        with pytest.raises(ParameterError,
+                           match=r"^fraction must be a real number"):
+            inject_outliers(pts, "0.1", 1.5, seed=0)
+
+    def test_bad_seed(self, rng):
+        pts = rng.standard_normal((20, 2))
+        for seed, message in ((-1, "seed must be >= 0"),
+                              (1.5, "seed must be an integer")):
+            with pytest.raises(ParameterError, match=f"^{message}"):
+                inject_outliers(pts, 0.5, 1.5, seed=seed)
 
     def test_fraction_one_doubles_the_points(self, rng):
         pts = rng.standard_normal((20, 2))
@@ -89,6 +112,15 @@ class TestKmeansBaseline:
     def test_k_out_of_range(self, rng):
         with pytest.raises(ParameterError):
             kmeans_baseline(rng.standard_normal((4, 2)), 5)
+
+    def test_k_and_seed_must_be_integers(self, rng):
+        for k in (2.5, True):
+            with pytest.raises(ParameterError, match=r"^k must be an integer"):
+                kmeans_baseline(rng.standard_normal((4, 2)), k)
+        for seed, message in ((-1, "seed must be >= 0"),
+                              ("a", "seed must be an integer")):
+            with pytest.raises(ParameterError, match=f"^{message}"):
+                kmeans_baseline(rng.standard_normal((4, 2)), 2, seed=seed)
 
     def test_partition_is_canonical(self, rng):
         labels = kmeans_baseline(rng.standard_normal((30, 2)), 3, seed=2)
@@ -129,6 +161,10 @@ class TestNoveltyExperiment:
         with pytest.raises(InputError):
             run_novelty_experiment(novelty_spec(0), fraction=0.0)
 
+    def test_fraction_must_be_a_real_number(self):
+        with pytest.raises(InputError, match="fraction must be a real number"):
+            run_novelty_experiment(novelty_spec(0), fraction="0.1")
+
     def test_single_seed_auc(self):
         report = run_novelty_experiment(novelty_spec(0))
         assert report["auc"] >= 0.8
@@ -155,3 +191,14 @@ class TestEvolutionExperiment:
     def test_event_time_out_of_range(self):
         with pytest.raises(ParameterError):
             run_evolution_experiment(timesteps=5, split_at=9, merge_at=None)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"timesteps": 0, "split_at": None, "merge_at": None},
+         "timesteps must be >= 1"),
+        ({"timesteps": 2.0}, "timesteps must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"split_at": 4.5}, "split_at must be an integer"),
+        ({"merge_at": True}, "merge_at must be an integer")])
+    def test_bad_parameters(self, kwargs, message):
+        with pytest.raises(ParameterError, match=f"^{message}"):
+            run_evolution_experiment(**kwargs)

@@ -6,7 +6,9 @@ import pytest
 from confres.energy import (canonicalize, cluster_count, hamiltonian,
                             landscape_point, move_delta)
 from confres.errors import InputError, ParameterError
+from confres.evaluation import item_energy_scores
 from confres.graph import from_edge_list
+from confres.optimizer import optimize
 from conftest import dense_energy, random_affinity
 
 
@@ -53,6 +55,17 @@ class TestHamiltonian:
         for gamma in (-0.5, np.nan, np.inf):
             with pytest.raises(ParameterError):
                 hamiltonian(g, np.zeros(g.n, dtype=np.int64), gamma)
+
+    @pytest.mark.parametrize("gamma", ["1", None, True])
+    def test_gamma_must_be_a_real_number(self, rng, gamma):
+        # every caller of check_gamma raises the package error
+        g = random_affinity(rng)
+        labels = np.zeros(g.n, dtype=np.int64)
+        for solve in (hamiltonian, item_energy_scores,
+                      lambda g, labels, gamma: optimize(g, gamma)):
+            with pytest.raises(ParameterError,
+                               match=r"^gamma must be a real number, got"):
+                solve(g, labels, gamma)
 
     @pytest.mark.parametrize("labels, item", [
         ([0, -1, 0, 1], 1), ([0, 10 ** 12, 0, 1], 1), ([0.5, 1, 0, 1], 0),

@@ -59,6 +59,14 @@ class TestBuildKnn:
         with pytest.raises(ParameterError):
             build_knn_graph(pts, k=3)
 
+    @pytest.mark.parametrize("k", [3.0, "3", True])
+    def test_k_must_be_an_integer(self, k):
+        # True is not read as k = 1; np.int64 is an integer
+        pts = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(ParameterError, match=r"^k must be an integer, got"):
+            build_knn_graph(pts, k=k)
+        assert build_knn_graph(pts, k=np.int64(1)).k == 1
+
     def test_non_finite_points(self):
         pts = np.array([[0.0], [np.nan]])
         with pytest.raises(InputError):

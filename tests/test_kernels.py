@@ -1,10 +1,12 @@
-"""The C kernels (sweep, level loop, kNN search and graph, pair grouping,
-CSR fill and the affinity graph) and their numpy or plain-Python
-references must agree exactly, and the numpy energy must equal a plain
-loop over the edges bit for bit."""
+"""The C kernels (level loop, gamma = 0 components, kNN search and graph,
+pair grouping, CSR fill, the affinity graph and the points reader) and
+their numpy or plain-Python references must agree exactly, and the numpy
+energy must equal a plain loop over the edges bit for bit.  The Python
+sweep, the one local-moving phase on every backend, keeps its own checks
+here; it meets the C phases in tests/test_optimizer.py, through the
+level loop."""
 
 import ctypes
-import dataclasses
 import os
 import re
 import shutil
@@ -19,9 +21,8 @@ from confres import kernels
 from confres.energy import landscape_point
 from confres.errors import ConfresError, InputError, NumericalError
 from confres.graph import from_edge_list
-from conftest import (blob_graph, drop_entries, has_compiler, needs_cc,
-                      random_affinity, reaching_every_cluster,
-                      with_loops_and_repeats)
+from conftest import (drop_entries, has_compiler, needs_cc, random_affinity,
+                      signed_zeros)
 
 # product-form repulsion (a scheme drawn at random) and explicit repulsion
 SCHEMES = (None, "explicit")
@@ -115,7 +116,7 @@ def test_level_loop_energy_on_self_loops_and_signed_zeros(rng):
              for weight in (-0.0, 0.5)
              for rep_mode in (kernels.REP_PRODUCT, kernels.REP_EXPLICIT)]
     for trial in range(24):
-        graph = _signed_zeros(
+        graph = signed_zeros(
             random_affinity(rng, scheme=SCHEMES[trial % 2]), rng)
         cases.append((graph.n, *_kernel_args(graph)))
     for case in cases:
@@ -165,7 +166,7 @@ def _components_inputs(rng):
         if trial % 3 == 1:
             graph = drop_entries(graph, rng)
         elif trial % 3 == 2:
-            graph = _signed_zeros(graph, rng)
+            graph = signed_zeros(graph, rng)
         graphs.append(graph)
     eps = kernels.EPSILON
     graphs += [
@@ -224,121 +225,44 @@ def test_energy_components_rejects_negative_product_label(rng):
                                   *_kernel_args(graph)[3:])
 
 
-def _signed_zeros(graph, rng):
-    """The graph with about two in three weights of each CSR replaced by
-    -0.0 or 0.0."""
-    def zeroed(weights):
-        pick = rng.integers(0, 3, weights.shape[0])
-        return np.where(pick == 0, -0.0, np.where(pick == 1, 0.0, weights))
-
-    return dataclasses.replace(graph, weights=zeroed(graph.weights),
-                               rep_weights=zeroed(graph.rep_weights))
+def test_sweep_is_the_python_phase_on_every_backend():
+    # the C phases run only inside level_loop
+    assert kernels.sweep is kernels.sweep_py
 
 
-def _sweep_inputs(rng):
-    """(graph, labels, constraint, gamma, max_sweeps) for the sweep
-    backends to agree on."""
-    for trial in range(80):
-        graph = random_affinity(rng, scheme=SCHEMES[trial % 2])
-        if trial % 5 == 4:
-            graph = drop_entries(graph, rng)
-        if trial % 4 < 2:
-            labels = np.arange(graph.n, dtype=np.int64)
-        else:
-            labels = rng.integers(0, graph.n, graph.n).astype(np.int64)
-        if trial % 8 < 4:
-            constraint = np.zeros(graph.n, dtype=np.int64)
-        else:
-            constraint = rng.integers(0, 2, graph.n).astype(np.int64)
-        yield (graph, labels, constraint, float(rng.random() * 2),
-               (1, 2, 100)[trial % 3])
-    # integer weights with uniform repulsion (rep_denom = n): at gamma a
-    # multiple of n / 2, gains are exact halves and tie exactly
-    for trial in range(24):
-        n = int(rng.integers(4, 12))
-        edges = [(i, j, float(rng.integers(1, 4)))
-                 for i in range(n) for j in range(i + 1, n)
-                 if rng.random() < 0.6] or [(0, 1, 1.0)]
-        graph = from_edge_list(n, edges, repulsion_scheme="uniform")
-        labels = (np.arange(n) if trial % 2 else rng.integers(0, n, n))
-        constraint = (rng.integers(0, 2, n) if trial % 4 == 3
-                      else np.zeros(n))
-        yield (graph, labels.astype(np.int64), constraint.astype(np.int64),
-               (0.0, 0.5, 1.0, 2.0)[trial % 4] * n, (1, 100)[trial % 2])
-    # weights of -0.0 and 0.0 beside nonzero ones, both repulsion modes
-    for trial in range(24):
-        graph = _signed_zeros(
-            random_affinity(rng, scheme=SCHEMES[trial % 2]), rng)
-        labels = (np.arange(graph.n) if trial % 4 < 2
-                  else rng.integers(0, graph.n, graph.n))
-        gamma = 0.0 if trial % 3 == 0 else float(rng.random() * 2)
-        yield (graph, labels.astype(np.int64),
-               np.zeros(graph.n, dtype=np.int64), gamma, (1, 100)[trial % 2])
-    # 300 items in three blobs, a random two-valued constraint
-    graph, _ = blob_graph(rng, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)], per=100)
-    for labels in (np.arange(graph.n),
-                   rng.integers(0, graph.n, graph.n)):
-        yield (graph, labels.astype(np.int64),
-               rng.integers(0, 2, graph.n).astype(np.int64), 1.0, 100)
-    # what the C pass leaves out of its compact rows: self-loops (repeated
-    # columns kept); entries to other constraint clusters, most of them;
-    # and an item whose rows reach all n - 1 other clusters
-    for trial in range(16):
-        scheme = SCHEMES[trial % 2]
-        n = int(rng.integers(4, 14))
-        zeros = np.zeros(n, dtype=np.int64)
-        graph = with_loops_and_repeats(random_affinity(rng, n, scheme), rng)
-        yield (graph, rng.integers(0, n, n).astype(np.int64), zeros,
-               float(rng.random() * 2), 100)
-        yield (graph, np.arange(n, dtype=np.int64),
-               rng.integers(0, 4, n).astype(np.int64),
-               float(rng.random() * 2), 100)
-        yield (reaching_every_cluster(n, scheme), np.arange(n, dtype=np.int64),
-               zeros, (0.5, 3.0)[trial % 4 // 2], 100)
-
-
-@needs_cc
-def test_sweep_backends_agree(rng):
-    # the C loop draws each round's order as rng.permutation does: same
-    # labels, same move count, same generator state afterwards, for one
-    # round and for rounds until settled; one random graph in five has
-    # asymmetric CSRs
-    assert kernels.BACKEND == "c"
-    for graph, start, constraint, gamma, max_sweeps in _sweep_inputs(rng):
-        args = _kernel_args(graph)
-        seed = int(rng.integers(2 ** 32))
-        for settle in (True, False):
-            labels_a, labels_b = start.copy(), start.copy()
-            rng_a, rng_b = (np.random.default_rng(seed) for _ in range(2))
-            moved_a = kernels.sweep(*args, gamma, labels_a, constraint,
-                                    rng_a, max_sweeps, settle)
-            moved_b = kernels.sweep_py(*args, gamma, labels_b, constraint,
-                                       rng_b, max_sweeps, settle)
-            assert moved_a == moved_b
-            assert type(moved_a) is int
-            assert np.array_equal(labels_a, labels_b)
-            assert rng_a.bit_generator.state == rng_b.bit_generator.state
-
-
-@needs_cc
-def test_compiled_sweep_rejects_out_of_range_label(rng):
-    assert kernels.BACKEND == "c"
+def test_sweep_rejects_out_of_range_label(rng):
     graph = random_affinity(rng)
     args = _kernel_args(graph)
     constraint = np.zeros(graph.n, dtype=np.int64)
-    for sweep in (kernels.sweep, kernels.sweep_py):
-        for value in (graph.n, -1):
-            labels = np.arange(graph.n, dtype=np.int64)
-            labels[0] = value
-            with pytest.raises(IndexError, match=r"labels out of range"):
-                sweep(*args, 1.0, labels, constraint,
-                      np.random.default_rng(0), 1)
+    for value in (graph.n, -1):
+        labels = np.arange(graph.n, dtype=np.int64)
+        labels[0] = value
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(IndexError, match=r"labels out of range"):
+            kernels.sweep_py(*args, 1.0, labels, constraint, gen, 1)
+        assert labels[0] == value
+        assert gen.bit_generator.state == before
+
+
+def _rejected_by_the_level_loop(n, args, exc, message):
+    """Assert that the C level loop, when loaded, raises `exc` matching
+    `message` on the graph (n, *args) before any draw."""
+    if kernels.level_loop is None:
+        return
+    gen = np.random.default_rng(0)
+    before = gen.bit_generator.state
+    with pytest.raises(exc, match=message):
+        kernels.level_loop(kernels.graph_args(n, *args), 1.0, gen, 32, 100,
+                           1000)
+    assert gen.bit_generator.state == before
 
 
 @needs_cc
 def test_compiled_kernels_reject_out_of_range_csr(rng):
-    # both sweeps check ranges before any indexed read, with the same
-    # message, and leave the labels and the generator untouched
+    # the C level loop, sweep_py and the energy check ranges before any
+    # indexed read, with the same message; the loop and the sweep leave
+    # the labels and the generator untouched
     graph = random_affinity(rng, scheme="explicit")
     constraint = np.zeros(graph.n, dtype=np.int64)
     for position, value, name in ((0, -1, "indptr"), (1, graph.n, "indices"),
@@ -347,56 +271,57 @@ def test_compiled_kernels_reject_out_of_range_csr(rng):
         args = list(_kernel_args(graph))
         args[position] = args[position].copy()
         args[position][-1] = value
-        for sweep in (kernels.sweep, kernels.sweep_py):
-            labels = np.arange(graph.n, dtype=np.int64)
-            gen = np.random.default_rng(0)
-            before = gen.bit_generator.state
-            with pytest.raises(IndexError, match=rf"^{name} out of range"):
-                sweep(*args, 1.0, labels, constraint, gen, 5)
-            assert np.array_equal(labels, np.arange(graph.n))
-            assert gen.bit_generator.state == before
-        with pytest.raises(IndexError, match=rf"^{name} out of range"):
+        message = rf"^{name} out of range"
+        _rejected_by_the_level_loop(graph.n, args, IndexError, message)
+        labels = np.arange(graph.n, dtype=np.int64)
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(IndexError, match=message):
+            kernels.sweep_py(*args, 1.0, labels, constraint, gen, 5)
+        assert np.array_equal(labels, np.arange(graph.n))
+        assert gen.bit_generator.state == before
+        with pytest.raises(IndexError, match=message):
             kernels.energy_components(*args[:3], labels, *args[3:])
 
 
 def _bad_sweep_args(case, args, labels, constraint):
-    """The sweep arguments with one fault: `case` names it."""
+    """The sweep arguments with one fault, `case`, and the start of the
+    message it raises."""
     if case == "read-only labels":
         labels.flags.writeable = False
+        message = "labels must be writable"
     elif case == "int32 labels":
         labels = labels.astype(np.int32)
+        message = "labels must be a C-contiguous 1-D int64"
     elif case == "float64 constraint":
         constraint = constraint.astype(np.float64)
+        message = "constraint must be a C-contiguous 1-D int64"
     elif case == "short constraint":
         constraint = constraint[1:]
+        message = "constraint has length"
     else:  # an int32 indptr
         args = (args[0].astype(np.int32), *args[1:])
-    return args, labels, constraint
+        message = "indptr must be a C-contiguous 1-D int64"
+    return args, labels, constraint, message
 
 
 @pytest.mark.parametrize("case", ["read-only labels", "int32 labels",
                                   "float64 constraint", "short constraint",
                                   "int32 indptr"])
 def test_sweeps_reject_bad_arguments_alike(rng, case):
-    # both sweeps raise one ValueError, with one message, before any label
-    # moves or any number is drawn (before: sweep_py made moves on int32
-    # labels, a float64 constraint or an int32 indptr, raised IndexError on
-    # a short constraint, and drew before it failed on read-only labels)
+    # every bad argument raises a ValueError before any label moves or any
+    # number is drawn
     graph = random_affinity(rng)
     start = np.arange(graph.n, dtype=np.int64)
-    raised = []
-    for sweep in (kernels.sweep, kernels.sweep_py):
-        args, labels, constraint = _bad_sweep_args(
-            case, _kernel_args(graph), start.copy(),
-            np.zeros(graph.n, dtype=np.int64))
-        gen = np.random.default_rng(0)
-        before = gen.bit_generator.state
-        with pytest.raises(ValueError) as info:
-            sweep(*args, 1.0, labels, constraint, gen, 5)
-        raised.append((type(info.value), str(info.value)))
-        assert np.array_equal(labels, start)
-        assert gen.bit_generator.state == before
-    assert raised[0] == raised[1]
+    args, labels, constraint, message = _bad_sweep_args(
+        case, _kernel_args(graph), start.copy(),
+        np.zeros(graph.n, dtype=np.int64))
+    gen = np.random.default_rng(0)
+    before = gen.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{message}"):
+        kernels.sweep_py(*args, 1.0, labels, constraint, gen, 5)
+    assert np.array_equal(labels, start)
+    assert gen.bit_generator.state == before
 
 
 def _triangle_csr():
@@ -411,8 +336,8 @@ def _decreasing_csr():
 
 @pytest.mark.parametrize("explicit", [False, True])
 def test_kernels_reject_decreasing_indptr(explicit):
-    # the C sweep, sweep_py and the energy reject the same hand-built CSR
-    # with one message, before any label moves or any number is drawn.
+    # the C level loop, sweep_py and the energy reject the same hand-built
+    # CSR with one message, before any label moves or any number is drawn.
     # The range check runs over the whole indptr before its order is
     # judged, so an entry out of range is reported first.
     n = 3
@@ -428,14 +353,14 @@ def test_kernels_reject_decreasing_indptr(explicit):
     for bad, exc, message in cases:
         att, rep = (_triangle_csr(), bad) if explicit else (bad, _triangle_csr())
         args = (*att, *model, *rep)
-        for sweep in (kernels.sweep, kernels.sweep_py):
-            labels = np.arange(n, dtype=np.int64)
-            gen = np.random.default_rng(0)
-            before = gen.bit_generator.state
-            with pytest.raises(exc, match=message):
-                sweep(*args, 1.0, labels, constraint, gen, 5)
-            assert np.array_equal(labels, np.arange(n))
-            assert gen.bit_generator.state == before
+        _rejected_by_the_level_loop(n, args, exc, message)
+        labels = np.arange(n, dtype=np.int64)
+        gen = np.random.default_rng(0)
+        before = gen.bit_generator.state
+        with pytest.raises(exc, match=message):
+            kernels.sweep_py(*args, 1.0, labels, constraint, gen, 5)
+        assert np.array_equal(labels, np.arange(n))
+        assert gen.bit_generator.state == before
         with pytest.raises(exc, match=message):
             kernels.energy_components(*args[:3], np.zeros(n, dtype=np.int64),
                                       *args[3:])
@@ -804,7 +729,7 @@ def test_ctypes_declares_every_export():
         exports = _exports(fh.read())
     assert sorted(exports) == ["affinity_layout", "affinity_weights",
                                "components", "knn_graph", "level_loop",
-                               "pairs", "parse_points", "sweep"]
+                               "pairs", "parse_points"]
     lib = kernels._load_library()
     declared = {name: fn for name, fn in vars(lib).items()
                 if isinstance(fn, lib._FuncPtr)}
@@ -860,7 +785,7 @@ def test_failed_build_is_remembered(tmp_path, monkeypatch):
 # The C interface of _kernels.c, declared once for every harness: graph_t
 # and numpy's bitgen_t as the kernels read them, the seven exported
 # kernels, a xorshift64 bitgen_t that counts its draws, two graphs whose
-# rows the sweep's compact rows cut down (self-loops) or that reach every
+# rows the phases' compact rows cut down (self-loops) or that reach every
 # cluster, and the report line each harness prints per case.
 _PRELUDE = r"""
 #include <math.h>
@@ -889,8 +814,6 @@ typedef struct {
     uint64_t (*next_raw)(void *);
 } bitgen_t;
 
-int64_t sweep(const graph_t *, double, int64_t *, const int64_t *, int64_t,
-              int64_t, double, const bitgen_t *);
 int64_t level_loop(const graph_t *, double, int64_t, int64_t, int64_t,
                    double, int64_t *, double *, const bitgen_t *);
 int64_t components(const graph_t *, int64_t *, double *);
@@ -970,21 +893,24 @@ static int report(const char *name, int64_t status, int ok)
 }
 """
 
-# Runs the C level loop, with a toy bit generator, on five small graphs
-# (two of them the sweep harness's self-loops and every-cluster rows) and
-# on one whose indices run out of range; exits 0 only if each call
-# returns the expected status, and each that succeeds canonical labels
-# and a finite energy.
+# Runs the C level loop, with a toy bit generator, on six small graphs
+# (two of them the prelude's self-loops and every-cluster rows, and one
+# whose polish never settles) and on one whose indices run out of range;
+# exits 0 only if each call returns the expected status and draws at
+# least as often as expected, and each that succeeds canonical labels and
+# a finite energy.
 _SANITIZER_MAIN = r"""
-static int run(const char *name, graph_t g, double gamma, int64_t want)
+static int run(const char *name, graph_t g, double gamma, int64_t want,
+               long least_draws)
 {
     int64_t out[8];
     double energy[2];
     uint64_t state;
     bitgen_t rng = xorshift(&state);
+    draws = 0;
     int64_t status = level_loop(&g, gamma, 32, 100, 1000, 1e-12, out, energy,
                                 &rng);
-    int ok = status == want;
+    int ok = status == want && draws >= least_draws;
     for (int64_t i = 0, top = -1; ok && status == 0 && i < g.n; i++) {
         ok = out[i] >= 0 && out[i] <= top + 1;
         top = out[i] > top ? out[i] : top;
@@ -1008,16 +934,23 @@ int main(void)
     const int64_t rep_idx[] = {5, 4, 3, 2, 1, 0};
     const double rep_w[] = {1, 2, 4, 4, 2, 1}, zeros[6] = {0};
     const int64_t bad_idx[] = {1, 2, 0, 2, 0, 3};
+    /* 0 is drawn to 1, whose row is empty, so 1 leaves any cluster 0
+     * joins: every round of the polish moves an item, and only its budget
+     * of 1000 * n evaluations, two per round and one draw each, ends it */
+    const int64_t one_way_ptr[] = {0, 1, 1}, one_way_idx[] = {1};
     return run("triangle", graph(3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0,
-                                 NULL, NULL, NULL), 1.0, 0)
+                                 NULL, NULL, NULL), 1.0, 0, 0)
         | run("two pairs", graph(4, pairs_ptr, pairs_idx, pairs_w, 0,
-                                 pairs_rho, 12.0, NULL, NULL, NULL), 1.0, 0)
+                                 pairs_rho, 12.0, NULL, NULL, NULL), 1.0, 0, 0)
         | run("explicit", graph(6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
-                                rep_ptr, rep_idx, rep_w), 0.5, 0)
-        | run("self-loops", self_loops(), 1.0, 0)
-        | run("every cluster", every_cluster(), 0.5, 0)
+                                rep_ptr, rep_idx, rep_w), 0.5, 0, 0)
+        | run("self-loops", self_loops(), 1.0, 0, 0)
+        | run("every cluster", every_cluster(), 0.5, 0, 0)
+        | run("never settles", graph(2, one_way_ptr, one_way_idx, tri_w, 0,
+                                     ones, 2.0, NULL, NULL, NULL), 1.0, 0,
+              1000)
         | run("bad indices", graph(3, tri_ptr, bad_idx, tri_w, 0, ones, 3.0,
-                                   NULL, NULL, NULL), 1.0, -4);
+                                   NULL, NULL, NULL), 1.0, -4, 0);
 }
 """
 
@@ -1068,9 +1001,10 @@ def _run_sanitized(tmp_path, sanitized_kernels, driver, *link_flags):
 
 @has_compiler
 def test_level_loop_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
-    # the level loop's allocation, aggregation indexing and error path
+    # the level loop's allocation, aggregation indexing, evaluation
+    # budget and error path
     out = _run_sanitized(tmp_path, sanitized_kernels, _SANITIZER_MAIN)
-    assert out.count(": status") == 6 and "BAD" not in out
+    assert out.count(": status") == 7 and "BAD" not in out, out
 
 
 # Runs the C gamma = 0 kernel on six small graphs and on one whose
@@ -1274,79 +1208,6 @@ def test_knn_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     out = _run_sanitized(tmp_path, sanitized_kernels, _KNN_SANITIZER_MAIN)
     assert out.count(", ok") == 6 and "BAD" not in out, out
     assert "overflow: status -13, ok" in out, out
-
-
-# Runs the exported C sweep, with a toy bit generator, on a product-form
-# triangle, on an explicit path graph whose repulsion CSR is asymmetric,
-# on rows with self-loops and repeated columns and on an item whose rows
-# reach every other cluster, each for one round and until settled, within
-# 1 and 100 passes' evaluations, then with a label out of range;
-# exits 0 only if each call returns the expected status and leaves every
-# label in range (the rejected labels untouched).
-_SWEEP_SANITIZER_MAIN = r"""
-/* want >= 0: any status in [1, max_sweeps * n]; with `merged`, also one
- * cluster.  want < 0: that status and the labels as given. */
-static int run(const char *name, graph_t g, double gamma, int64_t bad_label,
-               int64_t max_sweeps, int64_t settle, int64_t want, int merged)
-{
-    int64_t labels[8], given[8], constraint[8] = {0};
-    uint64_t state;
-    bitgen_t rng = xorshift(&state);
-    for (int64_t i = 0; i < g.n; i++)
-        labels[i] = i;
-    if (want < 0)
-        labels[g.n - 1] = bad_label;
-    memcpy(given, labels, sizeof labels);
-    int64_t status = sweep(&g, gamma, labels, constraint, max_sweeps, settle,
-                           1e-12, &rng);
-    int ok = want < 0 ? status == want && !memcmp(labels, given, sizeof labels)
-                      : status >= 1 && status <= max_sweeps * g.n;
-    for (int64_t i = 0; ok && want >= 0 && i < g.n; i++)
-        ok = labels[i] >= 0 && labels[i] < g.n
-             && (!merged || labels[i] == labels[0]);
-    return report(name, status, ok);
-}
-
-int main(void)
-{
-    const int64_t tri_ptr[] = {0, 2, 4, 6}, tri_idx[] = {1, 2, 0, 2, 0, 1};
-    const double tri_w[] = {1, 1, 1, 1, 1, 1}, ones[] = {1, 1, 1};
-    /* a path 0-1-2-3-4-5 plus 0-2; repulsion 0-5, 1-4 and 2-3, with the
-     * entry (3, 2) left out */
-    const int64_t path_ptr[] = {0, 2, 4, 7, 9, 11, 12};
-    const int64_t path_idx[] = {1, 2, 0, 2, 0, 1, 3, 2, 4, 3, 5, 4};
-    const double path_w[] = {3, 1, 3, 2, 1, 2, 1, 1, 3, 3, 2, 2};
-    const int64_t rep_ptr[] = {0, 1, 2, 3, 3, 4, 5};
-    const int64_t rep_idx[] = {5, 4, 3, 1, 0};
-    const double rep_w[] = {1, 2, 4, 2, 1}, zeros[6] = {0};
-    graph_t tri = graph(3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0, NULL, NULL,
-                        NULL);
-    graph_t path = graph(6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
-                         rep_ptr, rep_idx, rep_w);
-    int bad = 0;
-    for (int64_t settle = 0; settle <= 1; settle++) {
-        for (int64_t passes = 1; passes <= 100; passes += 99) {
-            bad |= run("triangle", tri, 1.0, 0, passes, settle, 0, passes > 1);
-            bad |= run("explicit", path, 0.5, 0, passes, settle, 0, 0);
-            bad |= run("self-loops", self_loops(), 1.0, 0, passes, settle, 0,
-                       0);
-            bad |= run("every cluster", every_cluster(), 0.5, 0, passes,
-                       settle, 0, 0);
-        }
-    }
-    return bad
-        | run("label n", tri, 1.0, 3, 100, 1, -2, 0)
-        | run("label -1", path, 0.5, -1, 100, 0, -2, 0);
-}
-"""
-
-
-@has_compiler
-def test_sweep_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
-    # the exported sweep's allocation, compact rows, queue and label check
-    out = _run_sanitized(tmp_path, sanitized_kernels, _SWEEP_SANITIZER_MAIN)
-    assert out.count(", ok") == 18, out
-    assert out.count("status -2, ok") == 2, out
 
 
 # Runs the exported pair grouping, with its CSR layout, on entry lists
@@ -1625,11 +1486,11 @@ def test_parse_points_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
 
 
 # Runs each exported kernel that takes buffers (all but parse_points) on
-# a small valid input, first with every allocation granted, then with the k-th allocation failing for k = 0, 1,
-# ... until a call succeeds (malloc and calloc wrapped at link time);
-# exits 0 only if every failing call returns ERR_NOMEM (-1), leaves its
-# outputs (and sweep's labels) as they were and draws nothing, and the
-# call that succeeds gives the normal result.
+# a small valid input, first with every allocation granted, then with the
+# k-th allocation failing for k = 0, 1, ... until a call succeeds (malloc
+# and calloc wrapped at link time); exits 0 only if every failing call
+# returns ERR_NOMEM (-1), leaves its outputs as they were and draws
+# nothing, and the call that succeeds gives the normal result.
 _NOMEM_SANITIZER_MAIN = r"""
 /* Linked with -Wl,--wrap=malloc,--wrap=calloc, every malloc and calloc of
  * the kernels comes here: with budget >= 0, that many succeed, then every
@@ -1667,7 +1528,6 @@ static const double path_w[] = {3, 1, 3, 2, 1, 2, 1, 1, 3, 3, 2, 2};
 static const int64_t rep_ptr[] = {0, 1, 2, 3, 4, 5, 6};
 static const int64_t rep_idx[] = {5, 4, 3, 2, 1, 0};
 static const double rep_w[] = {1, 2, 4, 4, 2, 1}, zeros[6] = {0};
-static const int64_t singletons[] = {0, 1, 2, 3, 4, 5}, apart[6] = {0};
 
 static graph_t triangle(void)
 {
@@ -1681,23 +1541,7 @@ static graph_t path(void)
 }
 
 /* Each runs one kernel on a small valid input with its outputs in `out`
- * (for sweep, the labels it moves) and returns its status. */
-static int64_t sweep_triangle(void *out)
-{
-    uint64_t state;
-    bitgen_t rng = xorshift(&state);
-    graph_t g = triangle();
-    return sweep(&g, 1.0, out, apart, 100, 1, 1e-12, &rng);
-}
-
-static int64_t sweep_explicit(void *out)
-{
-    uint64_t state;
-    bitgen_t rng = xorshift(&state);
-    graph_t g = path();
-    return sweep(&g, 0.5, out, apart, 100, 0, 1e-12, &rng);
-}
-
+ * and returns its status. */
 static int64_t level_loop_triangle(void *out)
 {
     uint64_t state;
@@ -1760,18 +1604,14 @@ static int64_t affinity_weights_path(void *out)
 
 /* Runs `run` with every allocation granted, then with the first k granted
  * for k = 0, 1, ... until a call succeeds.  Before each call `out`
- * (`bytes` long) holds `given`, or else a sentinel fill.  Every failing
- * call must return ERR_NOMEM, leave `out` as it was and draw nothing; the
- * call that succeeds must give the first one's status, bytes and draws. */
-static int check(const char *name, int64_t (*run)(void *), size_t bytes,
-                 const int64_t *given)
+ * (`bytes` long) holds a sentinel fill.  Every failing call must return
+ * ERR_NOMEM, leave `out` as it was and draw nothing; the call that
+ * succeeds must give the first one's status, bytes and draws. */
+static int check(const char *name, int64_t (*run)(void *), size_t bytes)
 {
     unsigned char *before = malloc(bytes), *want = malloc(bytes);
     unsigned char *got = malloc(bytes);
-    if (given)
-        memcpy(before, given, bytes);
-    else
-        memset(before, 0x5a, bytes);
+    memset(before, 0x5a, bytes);
     memcpy(want, before, bytes);
     draws = 0;
     int64_t normal = run(want);
@@ -1802,17 +1642,13 @@ static int check(const char *name, int64_t (*run)(void *), size_t bytes,
 int main(void)
 {
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
-    return check("sweep", sweep_triangle, 3 * i64, singletons)
-        | check("sweep explicit", sweep_explicit, 6 * i64, singletons)
-        | check("level_loop", level_loop_triangle, 3 * i64 + 2 * f64, NULL)
-        | check("level_loop explicit", level_loop_explicit, 6 * i64 + 2 * f64,
-                NULL)
-        | check("components", components_explicit, 6 * i64 + 2 * f64, NULL)
-        | check("knn_graph", knn_graph_line, 120 * i64 + 60 * f64, NULL)
-        | check("pairs", pairs_mean, 25 * i64 + 15 * f64, NULL)
-        | check("affinity_layout", affinity_layout_path, 22 * i64 + 4 * f64,
-                NULL)
-        | check("affinity_weights", affinity_weights_path, 16 * f64, NULL);
+    return check("level_loop", level_loop_triangle, 3 * i64 + 2 * f64)
+        | check("level_loop explicit", level_loop_explicit, 6 * i64 + 2 * f64)
+        | check("components", components_explicit, 6 * i64 + 2 * f64)
+        | check("knn_graph", knn_graph_line, 120 * i64 + 60 * f64)
+        | check("pairs", pairs_mean, 25 * i64 + 15 * f64)
+        | check("affinity_layout", affinity_layout_path, 22 * i64 + 4 * f64)
+        | check("affinity_weights", affinity_weights_path, 16 * f64);
 }
 """
 
@@ -1824,11 +1660,10 @@ def test_kernels_fail_cleanly_when_memory_runs_out(tmp_path,
     # through LeakSanitizer, no leak
     out = _run_sanitized(tmp_path, sanitized_kernels, _NOMEM_SANITIZER_MAIN,
                          "-Wl,--wrap=malloc,--wrap=calloc")
-    assert out.count(", ok") == 9 and "BAD" not in out, out
+    assert out.count(", ok") == 7 and "BAD" not in out, out
     # a kernel fails once per allocation, so every buffer is reached: the
     # phases' 13 scratch buffers (the four of the compact rows and the
     # queue's flags among them), then the level loop's own 18, 21 with
     # explicit repulsion
-    for line in ("sweep: 13 ", "sweep explicit: 13 ", "level_loop: 31 ",
-                 "level_loop explicit: 34 "):
+    for line in ("level_loop: 31 ", "level_loop explicit: 34 "):
         assert line + "failing calls, ok" in out, out

@@ -84,6 +84,8 @@ class TestLayout:
             layout(ContingencyTable(np.zeros((2, 2), dtype=np.int64)))
         with pytest.raises(ParameterError):
             layout(ContingencyTable(np.eye(2, dtype=np.int64)), gap=0.5)
+        with pytest.raises(ParameterError, match=r"^gap must be a real number"):
+            layout(ContingencyTable(np.eye(2, dtype=np.int64)), "x")
 
 
 class TestRenderSvg:

@@ -15,7 +15,7 @@ from confres.errors import ParameterError
 from confres.graph import AffinityGraph, from_edge_list
 from confres.optimizer import OptimizeOptions, aggregate, optimize
 from conftest import (blob_graph, drop_entries, fresh_optimize, needs_cc,
-                      random_affinity, reaching_every_cluster,
+                      random_affinity, reaching_every_cluster, signed_zeros,
                       with_loops_and_repeats)
 
 
@@ -184,9 +184,12 @@ def _both_loops(monkeypatch, graph, gamma, opts):
     return compiled, python
 
 
+def _bytes(values):
+    return [np.float64(x).tobytes() for x in values]
+
+
 def _exact(energy):
-    return [np.float64(x).tobytes()
-            for x in (energy.gamma, energy.h_a, energy.h_r, energy.total)]
+    return _bytes((energy.gamma, energy.h_a, energy.h_r, energy.total))
 
 
 def test_fallback_graph_aggregates_unrefined_clusters(monkeypatch):
@@ -213,7 +216,7 @@ def test_fallback_graph_aggregates_unrefined_clusters(monkeypatch):
 
 def _level_loop_cases(rng):
     """(trial, graph, gamma, seed) over both repulsion modes, gamma 0,
-    random and large."""
+    random and large; exact ties, signed zeros and 300 items in blobs."""
     graphs = [random_affinity(rng, n=int(rng.integers(2, 40)),
                               scheme=(None, "explicit")[trial % 2])
               for trial in range(96)]
@@ -250,6 +253,30 @@ def _level_loop_cases(rng):
         seed = int(rng.integers(2 ** 32))
         for gamma in (0.0, float(rng.random() * 2), 1.0, 3.0):
             yield trial, graph, gamma, seed
+    trial = len(graphs) + len(extra)
+    # integer weights with uniform repulsion (rep_denom = n): at gamma a
+    # multiple of n / 2, gains are exact halves and tie exactly
+    for _ in range(24):
+        n = int(rng.integers(4, 12))
+        edges = [(i, j, float(rng.integers(1, 4)))
+                 for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.6] or [(0, 1, 1.0)]
+        graph = from_edge_list(n, edges, repulsion_scheme="uniform")
+        seed = int(rng.integers(2 ** 32))
+        for gamma in (0.0, 0.5, 1.0, 2.0):
+            yield trial, graph, gamma * n, seed
+        trial += 1
+    # weights of -0.0 and 0.0 beside nonzero ones, both repulsion modes
+    for _ in range(24):
+        graph = signed_zeros(random_affinity(
+            rng, scheme=(None, "explicit")[trial % 2]), rng)
+        seed = int(rng.integers(2 ** 32))
+        for gamma in (0.0, float(rng.random() * 2)):
+            yield trial, graph, gamma, seed
+        trial += 1
+    # 300 items in three blobs
+    graph, _ = blob_graph(rng, [(0.0, 0.0), (6.0, 0.0), (0.0, 6.0)], per=100)
+    yield trial, graph, 1.0, int(rng.integers(2 ** 32))
 
 
 @needs_cc
@@ -261,10 +288,13 @@ def test_level_loop_backends_agree(rng, monkeypatch):
         (a, ea), (b, eb) = _both_loops(monkeypatch, graph, gamma, opts)
         assert np.array_equal(a, b), (trial, gamma)
         assert _exact(ea) == _exact(eb), (trial, gamma)
-        # draw for draw: the generators end in the same state
+        # the loops themselves, gamma 0 included, draw for draw: the same
+        # labels, energy bytes and final generator state
         rng_c, rng_py = (np.random.default_rng(seed) for _ in range(2))
-        optimizer._level_loop_c(graph, gamma, rng_c)
-        optimizer._level_loop_py(graph, gamma, rng_py)
+        labels_c, *energy_c = optimizer._level_loop_c(graph, gamma, rng_c)
+        labels_py, *energy_py = optimizer._level_loop_py(graph, gamma, rng_py)
+        assert np.array_equal(labels_c, labels_py), (trial, gamma)
+        assert _bytes(energy_c) == _bytes(energy_py), (trial, gamma)
         assert rng_c.bit_generator.state == rng_py.bit_generator.state
 
 
@@ -279,13 +309,12 @@ def test_c_level_loop_energy_is_energy_components(rng):
             graph.indptr, graph.indices, graph.weights, labels,
             graph.rep_mode, graph.rep_strength, graph.rep_denom,
             graph.rep_indptr, graph.rep_indices, graph.rep_weights)
-        assert [np.float64(x).tobytes() for x in (h_a, h_r)] == [
-            np.float64(x).tobytes() for x in want], (trial, gamma)
+        assert _bytes((h_a, h_r)) == _bytes(want), (trial, gamma)
 
 
 @needs_cc
 def test_python_phases_match_the_c_level_loop(rng, monkeypatch):
-    # with kernels.sweep replaced by its Python reference, optimize runs
+    # with kernels.sweep wrapped, as a tracer wraps it, optimize runs
     # _level_loop_py with every phase in pure Python: the C level loop's
     # labels, energy floats and final generator state
     for trial, graph, gamma, seed in _level_loop_cases(rng):
@@ -294,7 +323,8 @@ def test_python_phases_match_the_c_level_loop(rng, monkeypatch):
         rng_c, rng_py = (np.random.default_rng(seed) for _ in range(2))
         optimizer._level_loop_c(graph, gamma, rng_c)
         with monkeypatch.context() as patch:
-            patch.setattr(kernels, "sweep", kernels.sweep_py)
+            patch.setattr(kernels, "sweep",
+                          lambda *a: kernels.sweep_py(*a))
             assert not optimizer._compiled_loop()
             labels_py, energy_py = optimize(graph, gamma, opts)
             optimizer._level_loop_py(graph, gamma, rng_py)
@@ -306,47 +336,32 @@ def test_python_phases_match_the_c_level_loop(rng, monkeypatch):
 @needs_cc
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937,
                                            np.random.Philox, np.random.SFC64])
-def test_c_kernels_draw_from_every_numpy_bit_generator(rng, monkeypatch,
-                                                       bit_generator):
+def test_c_kernels_draw_from_every_numpy_bit_generator(rng, bit_generator):
     # the C kernels draw through numpy's bitgen_t whichever generator
     # fills it: MT19937 makes its 32-bit numbers natively, where PCG64,
-    # Philox and SFC64 hand out halves of a 64-bit one.  A sweep, then the
-    # level loop from where it left the generator: the references' moves,
-    # labels, energy bytes and generator state
+    # Philox and SFC64 hand out halves of a 64-bit one.  The level loop
+    # from a generator that has drawn already: the Python loop's labels,
+    # energy bytes and generator state
     for trial, graph, gamma, seed in _level_loop_cases(rng):
         if trial % 12 > 1:  # a sixth of the cases, both repulsion modes
             continue
         gens = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
-        labels = [np.arange(graph.n, dtype=np.int64) for _ in range(2)]
-        zeros = np.zeros(graph.n, dtype=np.int64)
-        moved = [sweep(graph.indptr, graph.indices, graph.weights,
-                       graph.rep_mode, graph.rep_strength, graph.rep_denom,
-                       graph.rep_indptr, graph.rep_indices, graph.rep_weights,
-                       gamma, start, zeros, gen, 100)
-                 for sweep, start, gen in zip(
-                     (kernels.sweep, kernels.sweep_py), labels, gens)]
-        assert moved[0] == moved[1], (trial, gamma)
-        assert np.array_equal(*labels), (trial, gamma)
-        # MT19937 and Philox keep arrays in their state
-        np.testing.assert_equal(*(gen.bit_generator.state for gen in gens))
+        for gen in gens:
+            gen.permutation(graph.n)
         labels_c, *energy_c = optimizer._level_loop_c(graph, gamma, gens[0])
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, "sweep", kernels.sweep_py)
-            labels_py, *energy_py = optimizer._level_loop_py(graph, gamma,
-                                                             gens[1])
+        labels_py, *energy_py = optimizer._level_loop_py(graph, gamma, gens[1])
         assert np.array_equal(labels_c, labels_py), (trial, gamma)
-        assert [np.float64(x).tobytes() for x in energy_c] == [
-            np.float64(x).tobytes() for x in energy_py], (trial, gamma)
+        assert _bytes(energy_c) == _bytes(energy_py), (trial, gamma)
         # MT19937 and Philox keep arrays in their state
         np.testing.assert_equal(*(gen.bit_generator.state for gen in gens))
 
 
-@needs_cc
-def test_unsettled_csrs_stop_at_the_evaluation_budget(rng, monkeypatch):
+def test_unsettled_csrs_stop_at_the_evaluation_budget(rng):
     # on CSRs thinned until they are far from symmetric, moves may never
     # settle, and a round of the fast local move would cycle for ever: a
-    # phase stops after max_sweeps * n evaluations.  Both backends return
-    # there, with the same moves, labels, energy bytes and generator state
+    # phase stops after max_sweeps * n evaluations.  The C level loop,
+    # whose phases stop there too, gives the Python loop's labels, energy
+    # bytes and generator state
     most = 0
     for trial in range(20):
         graph = drop_entries(random_affinity(
@@ -355,29 +370,22 @@ def test_unsettled_csrs_stop_at_the_evaluation_budget(rng, monkeypatch):
         seed = int(rng.integers(2 ** 32))
         zeros = np.zeros(graph.n, dtype=np.int64)
         for max_sweeps, settle in ((1, False), (100, False), (100, True)):
-            gens = [np.random.default_rng(seed) for _ in range(2)]
-            labels = [np.arange(graph.n, dtype=np.int64) for _ in range(2)]
-            moved = [sweep(graph.indptr, graph.indices, graph.weights,
-                           graph.rep_mode, graph.rep_strength, graph.rep_denom,
-                           graph.rep_indptr, graph.rep_indices,
-                           graph.rep_weights, gamma, start, zeros, gen,
-                           max_sweeps, settle)
-                     for sweep, start, gen in zip(
-                         (kernels.sweep, kernels.sweep_py), labels, gens)]
-            assert moved[0] == moved[1] <= max_sweeps * graph.n, trial
-            assert np.array_equal(*labels), trial
-            assert gens[0].bit_generator.state == gens[1].bit_generator.state
+            moved = kernels.sweep_py(
+                graph.indptr, graph.indices, graph.weights, graph.rep_mode,
+                graph.rep_strength, graph.rep_denom, graph.rep_indptr,
+                graph.rep_indices, graph.rep_weights, gamma,
+                np.arange(graph.n, dtype=np.int64), zeros,
+                np.random.default_rng(seed), max_sweeps, settle)
+            assert moved <= max_sweeps * graph.n, trial
             if not settle:
-                most = max(most, moved[0])
+                most = max(most, moved)
+        if kernels.level_loop is None:
+            continue
         gens = [np.random.default_rng(seed) for _ in range(2)]
         labels_c, *energy_c = optimizer._level_loop_c(graph, gamma, gens[0])
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, "sweep", kernels.sweep_py)
-            labels_py, *energy_py = optimizer._level_loop_py(graph, gamma,
-                                                             gens[1])
+        labels_py, *energy_py = optimizer._level_loop_py(graph, gamma, gens[1])
         assert np.array_equal(labels_c, labels_py), trial
-        assert [np.float64(x).tobytes() for x in energy_c] == [
-            np.float64(x).tobytes() for x in energy_py], trial
+        assert _bytes(energy_c) == _bytes(energy_py), trial
         assert gens[0].bit_generator.state == gens[1].bit_generator.state
     # one round moved items more than 10 times over: only the budget ended it
     assert most > 10 * 10

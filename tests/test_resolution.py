@@ -77,6 +77,10 @@ class TestFindConfigurations:
         for gamma_max in (0.0, np.nan, np.inf):
             with pytest.raises(ParameterError):
                 find_configurations(graph, gamma_max)
+        for gamma_max in ("2", True):
+            with pytest.raises(ParameterError,
+                               match=r"^gamma_max must be a real number"):
+                find_configurations(graph, gamma_max)
 
     def test_bad_max_depth(self, blob_sweep):
         # as OptimizeOptions: an integer, never a bool
