@@ -1,8 +1,8 @@
-/* C ports of the level loop of the optimizer, its exact gamma = 0 solve
- * (`components`), and graph construction: the kNN graph (`knn_graph`, a
- * k-nearest-neighbour search), the pair grouping, and the affinity graph
- * of a neighbour graph (`affinity_layout`, `affinity_weights`); and a
- * reader of points files (`parse_points`).
+/* C ports of the optimizer's level loop, its exact gamma = 0 solve
+ * (`components`) and the check of their graph (`check_graph`); of graph
+ * construction: the kNN graph (`knn_graph`), the pair grouping, and the
+ * affinity graph of a neighbour graph (`affinity_layout`,
+ * `affinity_weights`); and a reader of points files (`parse_points`).
  *
  * `level_loop` runs the loop of optimizer.optimize for one seed (its
  * Python reference is optimizer._level_loop_py) with the same phases, the
@@ -39,22 +39,22 @@
  * graph.read_text decodes it and ending in a line feed, in one pass, each
  * number by strtod, declining (returning 0) whatever lies outside its
  * strict grammar, so that graph.load_points_csv reads that body with
- * Python's float instead.  It needs no _GNU_SOURCE (strtod_l,
- * say): glibc would then declare a `canonicalize` that clashes with the
- * one below.
+ * Python's float instead.  It needs no _GNU_SOURCE (strtod_l, say):
+ * glibc would then declare a `canonicalize` that clashes with the one below.
  *
- * The interface: `level_loop` and `components` take the graph as one
- * graph_t (kernels.Graph mirrors it), and `level_loop` draws from numpy's
- * own bitgen_t.  A kernel returns a count or 0, or else a negative ERR_
- * code; ERR_NOMEM is the one out-of-memory code.
+ * The interface: `check_graph`, `level_loop` and `components` take the
+ * graph as one graph_t (kernels.Graph mirrors it), and `level_loop` draws
+ * from numpy's own bitgen_t.  A kernel returns a count or 0, or else a
+ * negative ERR_ code; ERR_NOMEM is the one out-of-memory code.
  *
- * The caller in kernels.py checks dtypes, contiguity and lengths.  The
- * range of every value used as an index, and the order of each indptr,
- * are checked here, in one scan before any indexed read; a failed check
- * returns one of the ERR_ codes below and leaves every argument
- * untouched.  So do the faults of a neighbour graph in its data (from
- * ERR_OVERFLOW on), the edge or item at fault in an `at` slot where one
- * is named.  kernels._raise maps each code to its exception.
+ * The caller in kernels.py checks dtypes, contiguity and lengths.  A
+ * graph_t passes `check_graph` once, when graph.AffinityGraph makes it;
+ * `level_loop` and `components` trust it.  The other kernels check the
+ * range of every value used as an index, in one scan before any indexed
+ * read; a failed check returns one of the ERR_ codes below and leaves
+ * every argument untouched.  So do the faults of a neighbour graph in its
+ * data (from ERR_OVERFLOW on), the edge or item at fault in an `at` slot
+ * where one is named.  kernels._raise maps each code to its exception.
  *
  * Each exported kernel owns its heap buffers through one list per call
  * (buffers_t): each buffer is its own heap block, so a sanitizer bounds
@@ -74,12 +74,6 @@
 #define REP_EXPLICIT 1
 
 #define ERR_NOMEM (-1)
-#define ERR_INDPTR (-3)
-#define ERR_INDICES (-4)
-#define ERR_REP_INDPTR (-5)
-#define ERR_REP_INDICES (-6)
-#define ERR_INDPTR_ORDER (-7)
-#define ERR_REP_INDPTR_ORDER (-8)
 #define ERR_ROWS (-10)
 #define ERR_COLS (-11)
 #define ERR_OVERFLOW (-13)
@@ -158,35 +152,51 @@ static int64_t check_range(const int64_t *a, int64_t len, int64_t hi,
     return 0;
 }
 
-/* 0 when every ptr[0..len) lies in [0, hi) and none is below the one
- * before it; else err_range if any is out of range, else err_order. */
-static int64_t check_indptr(const int64_t *ptr, int64_t len, int64_t hi,
-                            int64_t err_range, int64_t err_order)
+/* 0 when the CSR (ptr, idx, w) of m entries over n items keeps the graph
+ * contract of kernels._check_csr, else 1.  Rows run in order, so row j's
+ * entries (j, i), i < j, are met in the order of i: cursor[j] (n slots)
+ * steps over each as its twin (i, j) is met, and must have passed each
+ * when row j is reached. */
+static int64_t check_csr(int64_t n, int64_t m, const int64_t *ptr,
+                         const int64_t *idx, const double *w, int64_t *cursor)
 {
-    int64_t err = 0;
-    for (int64_t i = 0; i < len; i++) {
-        if (ptr[i] < 0 || ptr[i] >= hi)
-            return err_range;
-        if (i > 0 && ptr[i] < ptr[i - 1])
-            err = err_order;
+    if (ptr[0] != 0 || ptr[n] != m)
+        return 1;
+    for (int64_t i = 0; i < n; i++) {
+        if (ptr[i + 1] < ptr[i])
+            return 1;
+        cursor[i] = ptr[i];
     }
-    return err;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t e = ptr[i], last = -1; e < ptr[i + 1]; e++) {
+            int64_t j = idx[e];
+            if (j <= last || j >= n || j == i
+                    || !(w[e] >= 0.0 && w[e] < INFINITY))  /* NaN fails */
+                return 1;
+            last = j;
+            int64_t t = j < i ? -1 : cursor[j]++;  /* j's entry for i */
+            if (t < 0 ? e >= cursor[i]
+                      : t == ptr[j + 1] || idx[t] != i || w[t] != w[e])
+                return 1;
+        }
+    }
+    return 0;
 }
 
-/* Every CSR index the kernels read: indptr non-decreasing in [0, m],
- * indices in [0, n), for attraction and, when explicit, repulsion. */
-static int64_t check_graph(const graph_t *g)
+/* 0 when g keeps the graph contract, else 1, with n slots of scratch in
+ * cursor: rep_denom finite and > 0, each rep_strength finite and >= 0,
+ * and each CSR as check_csr wants it.  Its reference, which words the
+ * fault, is kernels.check_graph_py. */
+int64_t check_graph(const graph_t *g, int64_t *cursor)
 {
-    int64_t err = check_indptr(g->indptr, g->n + 1, g->m + 1, ERR_INDPTR,
-                               ERR_INDPTR_ORDER);
-    if (!err)
-        err = check_range(g->indices, g->m, g->n, ERR_INDICES);
-    if (!err && g->rep_mode == REP_EXPLICIT)
-        err = check_indptr(g->rep_indptr, g->n + 1, g->rep_m + 1,
-                           ERR_REP_INDPTR, ERR_REP_INDPTR_ORDER);
-    if (!err && g->rep_mode == REP_EXPLICIT)
-        err = check_range(g->rep_indices, g->rep_m, g->n, ERR_REP_INDICES);
-    return err;
+    int bad = !(g->rep_denom > 0.0 && g->rep_denom < INFINITY);
+    for (int64_t i = 0; i < g->n; i++)
+        bad |= !(g->rep_strength[i] >= 0.0 && g->rep_strength[i] < INFINITY);
+    return bad
+        || check_csr(g->n, g->m, g->indptr, g->indices, g->weights, cursor)
+        || (g->rep_mode == REP_EXPLICIT
+            && check_csr(g->n, g->rep_m, g->rep_indptr, g->rep_indices,
+                         g->rep_weights, cursor));
 }
 
 /* numpy's bit generator, the layout of bitgen_t in numpy/random/bitgen.h
@@ -239,11 +249,11 @@ static void permutation(const bitgen_t *rng, int64_t n, int64_t *order)
  *
  * The compact rows are what a round reads of the graph: each item's
  * attraction entries, then its explicit-repulsion entries, each in CSR
- * order, with its self-loops and its entries to other constraint clusters
- * left out (they count for no cluster).  phase lays them out once for all
- * of its rounds, in the `rows` slots of scratch_alloc.  A round's queue
- * is a ring over `order`, which starts as the round's permutation: at
- * most n items are queued at once, each flagged in `queued`. */
+ * order, with its entries to other constraint clusters left out (they
+ * count for no cluster).  phase lays them out once for all of its rounds,
+ * in the `rows` slots of scratch_alloc.  A round's queue is a ring over
+ * `order`, which starts as the round's permutation: at most n items are
+ * queued at once, each flagged in `queued`. */
 typedef struct {
     double *rs;        /* per-cluster sum of rep_strength */
     double *wsum;      /* attraction from the item to each touched cluster */
@@ -261,9 +271,9 @@ typedef struct {
 } scratch_t;
 
 /* Appends to (col, w), from slot `at` on, the entries of the CSR row
- * [lo, hi) of item i that a round reads, in order: those to an item
- * j != i of i's constraint cluster.  Each entry is written, and kept by
- * advancing `at`, or else overwritten by the next.  Returns the new end. */
+ * [lo, hi) of item i that a round reads, in order: those to an item of
+ * i's constraint cluster.  Each entry is written, and kept by advancing
+ * `at`, or else overwritten by the next.  Returns the new end. */
 static int64_t keep_entries(int64_t i, int64_t lo, int64_t hi,
                             const int64_t *idx, const double *wt,
                             const int64_t *constraint, int64_t *col,
@@ -274,7 +284,7 @@ static int64_t keep_entries(int64_t i, int64_t lo, int64_t hi,
         int64_t j = idx[e];
         col[at] = j;
         w[at] = wt[e];
-        at += (j != i) & (constraint[j] == ki);
+        at += constraint[j] == ki;
     }
     return at;
 }
@@ -410,17 +420,14 @@ static int64_t one_round(const graph_t *g, double gamma, int64_t *labels,
     return moves;
 }
 
-/* Scratch, taken from b, for phases on g and on graphs of at most g's
- * items whose attraction and explicit-repulsion entries number at most
- * `coarse` together.  seen, wsum and rsum start zeroed, and one_round
- * leaves them so. */
-static void scratch_alloc(buffers_t *b, scratch_t *s, const graph_t *g,
-                          int64_t coarse)
+/* Scratch, taken from b, for phases on g and on its coarse graphs, which
+ * have no more items or entries.  seen, wsum and rsum start zeroed, and
+ * one_round leaves them so. */
+static void scratch_alloc(buffers_t *b, scratch_t *s, const graph_t *g)
 {
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
     int64_t n = g->n;
     int64_t rows = g->m + (g->rep_mode == REP_PRODUCT ? 0 : g->rep_m);
-    rows = rows > coarse ? rows : coarse;
     *s = (scratch_t){
         .rs = take(b, n, f64, 0), .wsum = take(b, n, f64, 1),
         .rsum = take(b, n, f64, 1), .cnt = take(b, n, i64, 0),
@@ -841,16 +848,6 @@ static int64_t canonicalize(int64_t *labels, int64_t n, int64_t *map)
     return k;
 }
 
-/* Entries (i, j), j > i, of a CSR over n items. */
-static int64_t upper_entries(int64_t n, const int64_t *ptr, const int64_t *idx)
-{
-    int64_t count = 0;
-    for (int64_t i = 0; i < n; i++)
-        for (int64_t e = ptr[i]; e < ptr[i + 1]; e++)
-            count += idx[e] > i;
-    return count;
-}
-
 /* Scratch of `collapse`: the cross-cluster entries (the clusters of
  * their ends, their weights) and group_pairs' arrays, `cap` slots each,
  * and k + 1 counters. */
@@ -939,28 +936,23 @@ static void energy_of(const graph_t *g, const int64_t *labels, int64_t k,
  * phase).
  * Writes the canonical labels to `out` (n slots), their (h_a, h_r) on
  * the original graph to `energy` (2 slots, see energy_of) and returns 0,
- * or an ERR_ code before any number is drawn.  The caller holds the bit
- * generator's lock. */
+ * or ERR_NOMEM before any number is drawn.  The graph must have passed
+ * check_graph.  The caller holds the bit generator's lock. */
 int64_t level_loop(const graph_t *graph, double gamma, int64_t max_levels,
                    int64_t max_sweeps, int64_t max_polish, double eps,
                    int64_t *out, double *energy, const bitgen_t *rng)
 {
     graph_t orig = *graph;
-    int64_t err = check_graph(&orig);
-    if (err)
-        return err;
     int64_t n = orig.n;
     int explicit_rep = orig.rep_mode == REP_EXPLICIT;
-    int64_t att_cap = upper_entries(n, orig.indptr, orig.indices);
-    int64_t rep_cap = explicit_rep
-        ? upper_entries(n, orig.rep_indptr, orig.rep_indices) : 0;
+    /* collapse reads the entries (i, j), j > i: half of a symmetric CSR */
+    int64_t most = explicit_rep && orig.rep_m > orig.m ? orig.rep_m : orig.m;
     size_t slots = n > 0 ? (size_t)n + 1 : 2;
-    size_t cap = (size_t)(att_cap > rep_cap ? att_cap : rep_cap) + 1;
+    size_t cap = (size_t)(most / 2) + 1;
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
     buffers_t b = {NULL, 0};
     scratch_t s;
-    /* a coarse CSR holds both directions of the pairs collapse finds */
-    scratch_alloc(&b, &s, &orig, 2 * (att_cap + rep_cap));
+    scratch_alloc(&b, &s, &orig);
     int64_t *labels = take(&b, slots, i64, 0);
     int64_t *refined = take(&b, slots, i64, 0);
     int64_t *next = take(&b, slots, i64, 0);
@@ -1049,13 +1041,10 @@ static int64_t find_root(int64_t *root, int64_t i)
  * of those partitions the components themselves have the least h_r
  * (repulsion is never negative), so they are also the optimum as
  * gamma -> 0+.  Writes their canonical labels to `out` (n slots) and
- * their (h_a, h_r) to `energy` (see energy_of), and returns 0, or an
- * ERR_ code. */
+ * their (h_a, h_r) to `energy` (see energy_of), and returns 0, or
+ * ERR_NOMEM.  g must have passed check_graph. */
 int64_t components(const graph_t *g, int64_t *out, double *energy)
 {
-    int64_t err = check_graph(g);
-    if (err)
-        return err;
     int64_t n = g->n;
     buffers_t b = {NULL, 0};
     int64_t *root = take(&b, n, sizeof(int64_t), 0);

@@ -339,7 +339,7 @@ def main(argv=None) -> int:
         _check_files_exist(args, "config")
         if args.config is not None:
             args = _apply_config_file(args, argv)
-        # checked after the config file, which may supply them
+        # required on the command line: a config file cannot supply them
         _check_files_exist(args, "input", "pred", "truth")
         # found before the work, not when the result is written
         for attr in ("out", "landscape", "mosaic"):

@@ -110,10 +110,8 @@ def _check(graph: AffinityGraph, labels, gamma: float) -> np.ndarray:
 
 def _components(graph: AffinityGraph, labels: np.ndarray) -> tuple:
     """(h_a, h_r) of labels that `_check` has passed."""
-    return kernels.energy_components(
-        graph.indptr, graph.indices, graph.weights, labels,
-        graph.rep_mode, graph.rep_strength, graph.rep_denom,
-        graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+    args = graph._kernel_args
+    return kernels.energy_components(*args[:3], labels, *args[3:])
 
 
 def landscape_point(graph: AffinityGraph, labels) -> tuple:
@@ -150,9 +148,7 @@ def move_delta(graph: AffinityGraph, labels, item: int, target: int,
     def gain(indptr, indices, weights):
         # weight from item to the target cluster minus that to its own
         row = slice(indptr[item], indptr[item + 1])
-        others = indices[row] != item
-        to = labels[indices[row][others]]
-        w = weights[row][others]
+        to, w = labels[indices[row]], weights[row]
         return np.sum(w[to == target]) - np.sum(w[to == current])
 
     if graph.rep_mode == kernels.REP_PRODUCT:

@@ -215,7 +215,7 @@ def _within_cluster_sums(indptr, indices, weights, labels) -> np.ndarray:
     own cluster.  bincount adds in CSR order, as a per-edge loop would."""
     n = labels.shape[0]
     src = np.repeat(np.arange(n), np.diff(indptr))
-    keep = (indices != src) & (labels[indices] == labels[src])
+    keep = labels[indices] == labels[src]
     return np.bincount(src[keep], weights=weights[keep], minlength=n)
 
 

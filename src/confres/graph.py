@@ -1,8 +1,7 @@
 """kNN graph construction and attraction/repulsion affinity graphs."""
 
 import numbers
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -12,9 +11,6 @@ from .kernels import REP_EXPLICIT, REP_PRODUCT
 
 REPULSION_SCHEMES = ("configuration_null", "uniform", "explicit")
 AFFINITY_KERNELS = ("self_tuning_gaussian", "inverse_distance")
-
-_EMPTY_I = np.empty(0, dtype=np.int64)
-_EMPTY_F = np.empty(0, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -35,6 +31,12 @@ class AffinityGraph:
     optimizer kernels can walk neighbourhoods directly.  Repulsion is
     either product-form (rho_i * rho_j / rep_denom, covering the
     configuration-null and uniform schemes) or an explicit CSR map.
+
+    `kernels.check_graph` checks a graph once, when it is made: ValueError
+    unless the kernels can read its arrays, InputError unless its CSRs are
+    symmetric, with rising columns in [0, n) off the diagonal, and its
+    numbers finite.  No kernel checks it again, so it owns its arrays: each
+    read-only and a view of no other (`_owned`), else a read-only copy.
     """
 
     n: int
@@ -51,37 +53,40 @@ class AffinityGraph:
     rep_weights: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        if self.rep_indptr is None:
+        if self.rep_indptr is None:  # an empty CSR, owned as any array is
             object.__setattr__(self, "rep_indptr", np.zeros(self.n + 1, dtype=np.int64))
-            object.__setattr__(self, "rep_indices", _EMPTY_I)
-            object.__setattr__(self, "rep_weights", _EMPTY_F)
+            object.__setattr__(self, "rep_indices", np.empty(0, np.int64))
+            object.__setattr__(self, "rep_weights", np.empty(0))
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.ndarray) and (value.flags.writeable
+                                                  or value.base is not None):
+                value = value.copy()
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+        # the C kernels' view of the arrays, None without them
+        object.__setattr__(self, "_kernel_graph",
+                           kernels.check_graph(self.n, *self._kernel_args))
 
     @property
     def rep_mode(self) -> int:
         return REP_EXPLICIT if self.repulsion_scheme == "explicit" else REP_PRODUCT
 
-    @cached_property
-    def _kernel_graph(self):
-        """`kernels.graph_args` of the graph, taken on first use: a frozen
-        graph keeps its arrays, so this view of them holds as long as it
-        lives.  The C kernels still check every index on each call."""
-        return kernels.graph_args(
-            self.n, self.indptr, self.indices, self.weights, self.rep_mode,
-            self.rep_strength, self.rep_denom, self.rep_indptr,
-            self.rep_indices, self.rep_weights)
+    @property
+    def _kernel_args(self) -> tuple:
+        """The CSRs and the repulsion model in the kernels' argument order."""
+        return (self.indptr, self.indices, self.weights, self.rep_mode,
+                self.rep_strength, self.rep_denom, self.rep_indptr,
+                self.rep_indices, self.rep_weights)
 
-    def __getstate__(self):
-        # a copy or an unpickled graph takes a view of its own arrays
-        state = self.__dict__.copy()
-        state.pop("_kernel_graph", None)
-        return state
+    def __reduce__(self):
+        # a copy or an unpickled graph is made, so checked and owned, anew
+        return type(self), tuple(vars(self)[f.name] for f in fields(self))
 
     def attraction_dense(self) -> np.ndarray:
         """Dense w+ matrix; intended for small-n tests and oracles."""
         a = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for e in range(self.indptr[i], self.indptr[i + 1]):
-                a[i, self.indices[e]] = self.weights[e]
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        a[rows, self.indices] = self.weights
         return a
 
     def repulsion_dense(self) -> np.ndarray:
@@ -91,10 +96,17 @@ class AffinityGraph:
             np.fill_diagonal(r, 0.0)
             return r
         r = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            for e in range(self.rep_indptr[i], self.rep_indptr[i + 1]):
-                r[i, self.rep_indices[e]] = self.rep_weights[e]
+        rows = np.repeat(np.arange(self.n), np.diff(self.rep_indptr))
+        r[rows, self.rep_indices] = self.rep_weights
         return r
+
+
+def _owned(**fields) -> AffinityGraph:
+    """The graph of fresh arrays, marked read-only: it keeps them uncopied."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return AffinityGraph(**fields)
 
 
 def _check_points(points: np.ndarray) -> np.ndarray:
@@ -156,7 +168,7 @@ def _with_repulsion(n, indptr, indices, weights, strengths, total, scheme,
         raise NumericalError("total attraction weight W must be positive")
     kwargs = {}
     if scheme == "configuration_null":
-        rep_strength = strengths.copy()
+        rep_strength = strengths  # one array for both
         rep_denom = 2.0 * total
     elif scheme == "uniform":
         rep_strength = np.ones(n)
@@ -170,7 +182,7 @@ def _with_repulsion(n, indptr, indices, weights, strengths, total, scheme,
         kwargs = {"rep_indptr": ri, "rep_indices": rj, "rep_weights": rw}
     else:
         raise ParameterError(f"unknown repulsion scheme {scheme!r}")
-    return AffinityGraph(
+    return _owned(
         n=n, indptr=indptr, indices=indices, weights=weights,
         strengths=strengths, total_weight=total,
         repulsion_scheme=scheme, rep_strength=rep_strength,

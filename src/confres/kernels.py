@@ -31,24 +31,25 @@ or numpy reference that is the fallback and the test oracle:
   replaying `rng.permutation` (Fisher-Yates over `random_interval`).
   They read compact rows, laid out once per phase: each item's
   attraction, then explicit-repulsion entries, in CSR order, without the
-  self-loops and the entries to other constraint clusters that `_round`
-  skips one by one; they list an item's clusters and pick the best with
-  selects, not branches, adding every sum in `_round`'s order.
+  entries to other constraint clusters that `_round` skips one by one;
+  they list an item's clusters and pick the best with selects, not
+  branches, adding every sum in `_round`'s order.
 - `components` solves gamma = 0 exactly, with no loop: the connected
   components over the entries of positive weight, by union-find, with
   canonical labels and their (h_a, h_r) summed as `level_loop` sums them.
   `components_py` is its reference; without the C kernels it is None.
-  `level_loop` and `components` take `graph_args`, the graph checked and
-  laid out as the `Graph` struct the C kernels read, which each
-  `graph.AffinityGraph` takes once and keeps.
+- `check_graph` checks a graph once, when a `graph.AffinityGraph` is
+  made (symmetric CSRs, rising columns in range and off the diagonal,
+  finite numbers), so every other graph kernel trusts it: one O(m + n) C
+  pass per CSR, returning the loops' `Graph`; `check_graph_py` words faults.
 - `knn_graph`, the kNN graph of `graph.build_knn_graph`, finds each
   item's k nearest others by (distance, index) with an exact kd-tree
   search, the queries of a leaf batched into one walk of the tree, checks
   their distances for overflow and groups them into pairs as `pairs` does,
   in one C call.  `knn_graph_py` is the same steps in numpy, its search
   `knn_py` a chunked brute force and its grouping that of `pairs_py`
-  without the CSR.  Both sum a distance from 0.0 in
-  coordinate order, so they return the same bits.
+  without the CSR.  Both sum a distance from 0.0 in coordinate order, so
+  they return the same bits.
 - `pairs` reduces (i, j, w) entries to their sorted unique unordered
   pairs, each weight summed in input order (or averaged), and lays them
   out as a both-direction CSR with ascending columns, each entry holding
@@ -78,11 +79,12 @@ or numpy reference that is the fallback and the test oracle:
 On first import the C file is compiled with `cc` (else `gcc`) into a
 per-user cache, keyed by source, flags and machine type, and loaded with
 ctypes.  Without a compiler, when the build fails, or with
-CONFRES_DISABLE_COMPILED=1, `knn_graph`, `pairs`, `affinity_layout`
-and `affinity_weights` are the references, the optimizer runs its Python
-loop and `components_py`, and points files are read row by row in Python
-(identical results, much slower).  A failed build leaves a marker file
-beside the cache entry, so later imports do not run the compiler again.
+CONFRES_DISABLE_COMPILED=1, `check_graph`, `knn_graph`, `pairs`,
+`affinity_layout` and `affinity_weights` are the references, the
+optimizer runs its Python loop and `components_py`, and points files are
+read row by row in Python (identical results, much slower).  A failed
+build leaves a marker file beside the cache entry, so later imports do
+not run the compiler again.
 `BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py,
 tests/test_optimizer.py and tests/test_graph.py check that the two agree
 bit for bit; to time the Python references, run perfbench/run.py with
@@ -125,10 +127,9 @@ def _check_array(name, arr, dtype, length=None):
 
 def _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
                  rep_denom, rep_indptr, rep_indices, rep_weights):
-    """Raise ValueError unless the graph arrays have the dtypes, layout
-    and lengths the kernels read."""
-    if rep_mode not in (REP_PRODUCT, REP_EXPLICIT):
-        raise ValueError(f"unknown repulsion mode {rep_mode!r}")
+    """The graph's CSRs as (array name prefix, indptr, indices, weights),
+    repulsion's after attraction's when explicit; ValueError unless they
+    and rep_strength have the dtypes, layout and lengths the kernels read."""
     _check_array("rep_strength", rep_strength, _F64, n)
     csrs = [("", indptr, indices, weights)]
     if rep_mode == REP_EXPLICIT:
@@ -137,6 +138,53 @@ def _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
         _check_array(f"{prefix}indptr", ptr, _I64, n + 1)
         _check_array(f"{prefix}indices", idx, _I64)
         _check_array(f"{prefix}weights", w, _F64, idx.shape[0])
+    return csrs
+
+
+def _check_csr(prefix, n, indptr, indices, weights):
+    """Raise the InputError of the first fault of a CSR of m entries over n
+    items: indptr must run from 0 to m and never fall; each row's columns
+    must rise strictly, lie in [0, n) and skip the row's own item; each
+    weight must be finite, >= 0 and that of the entry's twin (j, i)."""
+    m = indices.shape[0]
+    falls = np.flatnonzero(indptr[1:] < indptr[:-1])
+    if indptr[0] != 0 or indptr[-1] != m or falls.shape[0]:
+        raise InputError(f"{prefix}indptr must run from 0 to {m} and never "
+                         f"fall, not from {indptr[0]} to {indptr[-1]} "
+                         f"falling at rows {falls}")
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    key, transposed = rows * n + indices, indices * n + rows
+    bad = ((indices < 0) | (indices >= n) | (indices == rows)
+           | (np.diff(key, prepend=-1) <= 0))
+    rule = f"a row's columns must rise strictly in [0, {n}), skipping its item"
+    if not bad.any():
+        bad = ~((weights >= 0.0) & (weights < np.inf))
+        rule = "weights must be finite and >= 0"
+    if not bad.any():
+        # the keys rise: an entry's twin is where its transposed key sorts
+        twin = np.minimum(np.searchsorted(key, transposed), m - 1)
+        bad = (key[twin] != transposed) | (weights[twin] != weights)
+        rule = "an entry (i, j) needs a twin (j, i) of the same weight"
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise InputError(f"{prefix}indices[{e}] = {indices[e]} in row "
+                         f"{rows[e]}, of weight {weights[e]}: {rule}")
+
+
+def check_graph_py(n, indptr, indices, weights, rep_mode, rep_strength,
+                   rep_denom, rep_indptr, rep_indices, rep_weights):
+    """The graph contract of `graph.AffinityGraph` in numpy, the C check's
+    reference and the only code that words its faults: the ValueError of
+    `_check_graph`, else the InputError of the first fault of rep_denom
+    (finite, > 0), rep_strength (finite, >= 0) or a CSR (`_check_csr`)."""
+    csrs = _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
+                        rep_denom, rep_indptr, rep_indices, rep_weights)
+    if not (0.0 < rep_denom < np.inf  # NaN fails too
+            and np.all((rep_strength >= 0.0) & (rep_strength < np.inf))):
+        raise InputError(f"rep_denom {rep_denom} must be finite and > 0, "
+                         f"and each rep_strength finite and >= 0")
+    for prefix, *csr in csrs:
+        _check_csr(prefix, n, *csr)
 
 
 def _out_of_range(name, hi):
@@ -146,27 +194,6 @@ def _out_of_range(name, hi):
 def _check_range(name, values, hi):
     if values.shape[0] and (values.min() < 0 or values.max() >= hi):
         raise _out_of_range(name, hi)
-
-
-def _decreasing(name):
-    return ValueError(f"{name} must be non-decreasing")
-
-
-def _check_indptr(name, indptr, hi):
-    _check_range(name, indptr, hi)
-    if np.any(indptr[1:] < indptr[:-1]):
-        raise _decreasing(name)
-
-
-def _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices):
-    """Raise IndexError unless every CSR value used as an index is in
-    range, or ValueError if an indptr decreases, checked in the order the
-    C kernels check them."""
-    _check_indptr("indptr", indptr, indices.shape[0] + 1)
-    _check_range("indices", indices, n)
-    if rep_mode == REP_EXPLICIT:
-        _check_indptr("rep_indptr", rep_indptr, rep_indices.shape[0] + 1)
-        _check_range("rep_indices", rep_indices, n)
 
 
 def _loop_sum(values):
@@ -182,9 +209,8 @@ def _internal(indptr, indices, weights, labels):
     """Weights of the CSR entries (i, j) with j > i and equal labels, in
     CSR order."""
     rows = np.repeat(np.arange(labels.shape[0]), np.diff(indptr))
-    cols = indices[indptr[0]:indptr[-1]]
-    same = (cols > rows) & (labels[rows] == labels[cols])
-    return weights[indptr[0]:indptr[-1]][same]
+    same = (indices > rows) & (labels[rows] == labels[indices])
+    return weights[same]
 
 
 def energy_components(indptr, indices, weights, labels,
@@ -198,11 +224,8 @@ def energy_components(indptr, indices, weights, labels,
     adding in CSR (or item, or label) order.  Product-form repulsion sums
     rep_strength per label value, so it needs labels >= 0.
     """
-    _check_array("labels", labels, _I64)
+    _check_array("labels", labels, _I64, indptr.shape[0] - 1)
     n = labels.shape[0]
-    _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
-                 rep_denom, rep_indptr, rep_indices, rep_weights)
-    _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
     if rep_mode == REP_PRODUCT and n and labels.min() < 0:
         raise IndexError("labels must be >= 0")
     h_a = _loop_sum(-_internal(indptr, indices, weights, labels))
@@ -259,7 +282,7 @@ def _round(indptr, indices, weights,
         for slot, ptr, idx, wts in csrs:
             lo, hi = ptr[i], ptr[i + 1]
             for j, w in zip(idx[lo:hi], wts[lo:hi]):
-                if j != i and constraint[j] == ki:
+                if constraint[j] == ki:
                     near.setdefault(labels[j], [0.0, 0.0])[slot] += w
         rho_i = rep_strength[i]
 
@@ -312,23 +335,18 @@ def sweep_py(indptr, indices, weights,
     Runs `_round`s, each in a fresh `rng.permutation` of the items: one
     round, or with `settle` rounds until one accepts no move, which leaves
     no item a single move can improve.  Either way the phase evaluates at
-    most `max_sweeps` * n items, as many as `max_sweeps` full passes: only
-    a CSR on which moves never settle (an asymmetric one) reaches that.
-    Returns the total number of accepted moves.  Raises ValueError or
-    IndexError before any label moves or any number is drawn: `labels`
-    must be a writable C-contiguous int64 vector, `constraint` an int64
-    one of its length and the graph arrays as `_check_graph` requires, and
-    the CSR values (checked in the order the C kernels check them) and the
-    labels must lie in range.
+    most `max_sweeps` * n items, as many as `max_sweeps` full passes (see
+    optimizer.MAX_SWEEPS_PER_LEVEL).  Returns the total number of accepted
+    moves.  The graph is an `AffinityGraph`'s, checked when it was made.
+    Raises ValueError or IndexError before any label moves or any number
+    is drawn: `labels` must be a writable C-contiguous int64 vector of one
+    label in [0, n) per item, and `constraint` an int64 one of its length.
     """
-    _check_array("labels", labels, _I64)
+    _check_array("labels", labels, _I64, indptr.shape[0] - 1)
     if not labels.flags.writeable:
         raise ValueError("labels must be writable: sweep moves items in place")
     n = labels.shape[0]
     _check_array("constraint", constraint, _I64, n)
-    _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
-                 rep_denom, rep_indptr, rep_indices, rep_weights)
-    _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
     _check_range("labels", labels, n)
     rep = (rep_indptr, rep_indices, rep_weights)
     if rep_mode == REP_EXPLICIT:  # never read for product-form repulsion
@@ -352,23 +370,17 @@ def sweep_py(indptr, indices, weights,
 sweep = sweep_py
 
 
-def components_py(n, indptr, indices, weights, rep_mode, rep_strength,
-                  rep_denom, rep_indptr, rep_indices, rep_weights):
+def components_py(n, indptr, indices, weights, *repulsion):
     """(labels, h_a, h_r): the connected components over the CSR entries
-    of positive weight, canonical, and their energy components.
+    of positive weight, canonical, and their `energy_components`.
 
     They are the optimum of H at gamma = 0 and its limit as gamma -> 0+
     (see `components` in _kernels.c), found by union-find: the root of a
     set is its smallest item, so numbering the roots in item order gives
-    the canonical labels.  Raises, in the order the C kernel checks, the
-    ValueError or IndexError of a graph the kernels cannot read.
+    the canonical labels.
     """
-    _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
-                 rep_denom, rep_indptr, rep_indices, rep_weights)
-    _check_indices(n, indptr, indices, rep_mode, rep_indptr, rep_indices)
     rows = np.repeat(np.arange(n), np.diff(indptr))
-    ends = slice(indptr[0], indptr[-1])
-    positive = weights[ends] > 0.0
+    positive = weights > 0.0
     root = list(range(n))
 
     def find(i):
@@ -377,14 +389,13 @@ def components_py(n, indptr, indices, weights, rep_mode, rep_strength,
             i = root[i]
         return i
 
-    for i, j in zip(rows[positive].tolist(), indices[ends][positive].tolist()):
+    for i, j in zip(rows[positive].tolist(), indices[positive].tolist()):
         a, b = find(i), find(j)
         root[max(a, b)] = min(a, b)
     roots = np.array([find(i) for i in range(n)], dtype=np.int64)
     labels = (np.cumsum(roots == np.arange(n)) - 1)[roots]
     return (labels, *energy_components(indptr, indices, weights, labels,
-                                       rep_mode, rep_strength, rep_denom,
-                                       rep_indptr, rep_indices, rep_weights))
+                                       *repulsion))
 
 
 KNN_METRICS = ("euclidean", "cosine")
@@ -703,6 +714,8 @@ def _load_library():
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     graph = ctypes.POINTER(Graph)  # a Graph passes by reference
+    lib.check_graph.argtypes = [graph, ptr]
+    lib.check_graph.restype = i64
     lib.level_loop.argtypes = [graph, f64, i64, i64, i64, f64, ptr, ptr, ptr]
     lib.level_loop.restype = i64
     lib.components.argtypes = [graph, ptr, ptr]
@@ -726,8 +739,8 @@ _I, _D, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 
 class Graph(ctypes.Structure):
-    """graph_t of _kernels.c, field for field: a graph as `level_loop`
-    and `components` read it."""
+    """graph_t of _kernels.c, field for field: a graph as `check_graph`,
+    `level_loop` and `components` read it."""
     _fields_ = [("n", _I), ("m", _I), ("indptr", _P), ("indices", _P),
                 ("weights", _P), ("rep_mode", _I), ("rep_strength", _P),
                 ("rep_denom", _D), ("rep_m", _I), ("rep_indptr", _P),
@@ -748,11 +761,10 @@ def _address(arr):
         return arr.ctypes.data
 
 
-# Every pointer handed to C is checked first: dtype, C-contiguity and
-# length of each array.  The C kernels check the range of every value used
-# as an index and the order of each indptr, in one scan before any indexed
-# read, and return a negative status (an ERR_ code of _kernels.c) when one
-# fails; `_raise` maps it to the exception.
+# Every array handed to C is checked first: dtype, C-contiguity and
+# length.  Past `check_graph`, a C kernel checks each value it uses as an
+# index, in one scan before any indexed read, and returns a negative status
+# (an ERR_ code of _kernels.c) that `_raise` maps to its exception.
 
 # The ERR_ codes of _kernels.c for faults in a neighbour graph's data
 # (-13 to -20): the references raise through them, so both backends raise
@@ -761,19 +773,12 @@ def _address(arr):
  _ERR_NONPOSITIVE, _ERR_SIMILARITY, _ERR_ROWSUM) = range(-13, -21, -1)
 
 
-def _raise(status, n=0, m=0, rep_m=0, at="?"):
-    """Raise the error a negative C status stands for; n items, m CSR
-    entries (or edges) and rep_m repulsion entries are the sizes the
-    kernel was called with, and `at` names the edge or item of a fault in
-    a neighbour graph."""
+def _raise(status, n=0, m=0, at="?"):
+    """Raise the error a negative C status stands for; n items and m
+    edges (or pairs) are the sizes the kernel was called with, and `at`
+    names the edge or item of a fault in a neighbour graph."""
     raise {
         -1: MemoryError("the C kernels could not allocate their buffers"),
-        -3: _out_of_range("indptr", m + 1),
-        -4: _out_of_range("indices", n),
-        -5: _out_of_range("rep_indptr", rep_m + 1),
-        -6: _out_of_range("rep_indices", n),
-        -7: _decreasing("indptr"),
-        -8: _decreasing("rep_indptr"),
         -10: _out_of_range("rows", n),
         -11: _out_of_range("cols", n),
         -13: NumericalError("a kNN distance overflows float64: the "
@@ -793,27 +798,26 @@ def _raise(status, n=0, m=0, rep_m=0, at="?"):
     }[status]
 
 
-def graph_args(n, indptr, indices, weights, rep_mode, rep_strength,
-               rep_denom, rep_indptr, rep_indices, rep_weights):
-    """The graph as the C kernels read it, after `_check_graph`: the
-    `Graph` that `level_loop` and `components` take.  It holds the
-    arrays' addresses, not the arrays, so it is valid only while the
-    arrays live."""
-    _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
-                 rep_denom, rep_indptr, rep_indices, rep_weights)
+def _check_graph_c(n, indptr, indices, weights, rep_mode, rep_strength,
+                   rep_denom, rep_indptr, rep_indices, rep_weights):
+    """`check_graph_py`'s verdict in one C call (`check_graph` in
+    _kernels.c), which `check_graph_py` words; returns the `Graph` that
+    `level_loop` and `components` take: the (read-only) arrays' addresses."""
+    args = (n, indptr, indices, weights, rep_mode, rep_strength, rep_denom,
+            rep_indptr, rep_indices, rep_weights)
+    _check_graph(*args)
     repulsion = (0, None, None, None)  # never read for product-form repulsion
     if rep_mode == REP_EXPLICIT:
-        repulsion = (rep_indices.shape[0], _address(rep_indptr),
-                     _address(rep_indices), _address(rep_weights))
-    return Graph(n, indices.shape[0], _address(indptr), _address(indices),
-                 _address(weights), rep_mode, _address(rep_strength),
-                 rep_denom, *repulsion)
-
-
-def _check_status(status, graph):
-    """Raise for a negative status of a C call on `graph`."""
-    if status < 0:
-        _raise(status, graph.n, graph.m, graph.rep_m)
+        repulsion = (rep_indices.shape[0], rep_indptr.ctypes.data,
+                     rep_indices.ctypes.data, rep_weights.ctypes.data)
+    graph = Graph(n, indices.shape[0], indptr.ctypes.data, indices.ctypes.data,
+                  weights.ctypes.data, rep_mode, rep_strength.ctypes.data,
+                  rep_denom, *repulsion)
+    cursor = np.empty(n, dtype=np.int64)  # alive through the call
+    if _LIB.check_graph(graph, _address(cursor)):
+        check_graph_py(*args)
+        raise AssertionError("check_graph_py passes what C check_graph fails")
+    return graph
 
 
 _PAIR = ctypes.c_double * 2
@@ -821,12 +825,10 @@ _PAIR = ctypes.c_double * 2
 
 def _level_loop_c(graph, gamma, rng, max_levels, max_sweeps, max_polish):
     """The level loop of `optimizer.optimize` for one seed in one C call
-    (`level_loop` in _kernels.c), on a graph's `graph_args`: (labels, h_a,
+    (`level_loop` in _kernels.c), on a graph's `Graph`: (labels, h_a,
     h_r), the canonical labels that its Python loop returns, with the same
     numbers drawn from `rng`, and their energy components, the floats
-    `energy_components` returns for them.  Raises, before any draw, the
-    IndexError or ValueError that the first `sweep_py` of its Python loop
-    raises for a bad graph."""
+    `energy_components` returns for them."""
     labels = np.empty(graph.n, dtype=np.int64)
     energy = _PAIR()  # cheaper to make and read than a numpy array
     bitgen = rng.bit_generator
@@ -834,16 +836,19 @@ def _level_loop_c(graph, gamma, rng, max_levels, max_sweeps, max_polish):
         status = _LIB.level_loop(graph, gamma, max_levels, max_sweeps,
                                  max_polish, EPSILON, _address(labels),
                                  energy, bitgen.ctypes.bit_generator)
-    _check_status(status, graph)
+    if status < 0:
+        _raise(status)
     return labels, energy[0], energy[1]
 
 
 def _components_c(graph):
     """`components_py` in one C call (`components` in _kernels.c), on a
-    graph's `graph_args`: the same labels and the same floats."""
+    graph's `Graph`: the same labels and the same floats."""
     labels = np.empty(graph.n, dtype=np.int64)
     energy = _PAIR()
-    _check_status(_LIB.components(graph, _address(labels), energy), graph)
+    status = _LIB.components(graph, _address(labels), energy)
+    if status < 0:
+        _raise(status)
     return labels, energy[0], energy[1]
 
 
@@ -941,12 +946,14 @@ def _parse_points_c(data):
 _LIB = _load_library() if _compiled_enabled() else None
 if _LIB is None:
     BACKEND = "python"
+    check_graph = check_graph_py
     knn_graph, pairs = knn_graph_py, pairs_py
     affinity_layout, affinity_weights = affinity_layout_py, affinity_weights_py
     level_loop = components = None  # optimizer runs the references
     parse_points = None  # graph.load_points_csv reads with Python's float
 else:
     BACKEND = "c"
+    check_graph = _check_graph_c
     knn_graph, pairs = _knn_graph_c, _pairs_c
     affinity_layout, affinity_weights = _affinity_layout_c, _affinity_weights_c
     level_loop, components = _level_loop_c, _components_c

@@ -27,10 +27,10 @@ components over its edges of positive weight, which `kernels.components`
 finds exactly (`kernels.components_py` without the C kernels).
 
 A solve on a small graph should pay for little besides its loop, so the
-fixed costs are paid once: the C kernels' view of the graph once per
-graph object, which keeps it, each seed's initial generator state once
-per seed, and the generator itself once per thread, reset to that state
-per seed.
+fixed costs are paid once: the check of the graph and the C kernels'
+view of it once per graph object, when it is made, each seed's initial
+generator state once per seed, and the generator itself once per thread,
+reset to that state per seed.
 """
 
 import threading
@@ -42,13 +42,14 @@ import numpy as np
 from .energy import (EnergySummary, _components, canonicalize, check_gamma,
                      cluster_count)
 from .errors import check_integer
-from .graph import AffinityGraph, _pairs
+from .graph import AffinityGraph, _owned, _pairs
 from . import kernels
 
 MAX_LEVELS = 32
 # A phase evaluates at most this many items per item of its graph (as
-# many as this many full passes); only a CSR whose moves never settle, an
-# asymmetric one, reaches it.  The final polish may run ten times as many.
+# many as this many full passes): a move need only gain more than the
+# absolute kernels.EPSILON, so rounding could make moves cycle even on a
+# symmetric graph.  The final polish may run ten times as many.
 MAX_SWEEPS_PER_LEVEL = 100
 
 
@@ -83,11 +84,8 @@ def _run_sweeps(graph, labels, gamma, constraint, rng, max_sweeps, settle):
     """One local-moving phase through `kernels.sweep`: one round of the
     fast local move, or with `settle` rounds until one accepts no move.
     Returns total moves."""
-    return kernels.sweep(
-        graph.indptr, graph.indices, graph.weights,
-        graph.rep_mode, graph.rep_strength, graph.rep_denom,
-        graph.rep_indptr, graph.rep_indices, graph.rep_weights,
-        float(gamma), labels, constraint, rng, max_sweeps, settle)
+    return kernels.sweep(*graph._kernel_args, float(gamma), labels,
+                         constraint, rng, max_sweeps, settle)
 
 
 def _collapse(labels, k, indptr, indices, weights):
@@ -128,7 +126,7 @@ def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
         kwargs = {"rep_indptr": rp, "rep_indices": rix, "rep_weights": rwt}
         rep_strength = np.zeros(k)
 
-    coarse = AffinityGraph(
+    coarse = _owned(
         n=k, indptr=indptr, indices=indices, weights=weights,
         strengths=strengths, total_weight=float(np.sum(w_agg)),
         repulsion_scheme=graph.repulsion_scheme, rep_strength=rep_strength,
@@ -188,10 +186,7 @@ def _connected(graph):
     """(labels, h_a, h_r) of the optimum at gamma = 0: the connected
     components over the edges of positive weight, canonical."""
     if kernels.components is None:
-        return kernels.components_py(
-            graph.n, graph.indptr, graph.indices, graph.weights,
-            graph.rep_mode, graph.rep_strength, graph.rep_denom,
-            graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+        return kernels.components_py(graph.n, *graph._kernel_args)
     return kernels.components(graph._kernel_graph)
 
 

@@ -46,39 +46,46 @@ def random_affinity(rng, n=None, scheme=None):
                           repulsion_edges=repulsion)
 
 
-def drop_entries(graph, rng, p=0.3):
-    """The graph with each CSR entry dropped with probability p, so that
-    its CSRs are no longer symmetric (as no public builder leaves them)."""
-
-    def thin(indptr, indices, weights):
+def drop_entries(graph, rng, p=0.3, prefixes=("", "rep_")):
+    """The graph with each entry of its CSRs named by `prefixes` (of their
+    array names) dropped with probability p, so that they are no longer
+    symmetric: making it raises InputError."""
+    fields = {}
+    for prefix in prefixes:
+        indptr, indices, weights = (getattr(graph, prefix + name) for name
+                                    in ("indptr", "indices", "weights"))
         keep = rng.random(indices.shape[0]) >= p
         rows = np.repeat(np.arange(graph.n), np.diff(indptr))
         ptr = np.zeros(graph.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows[keep], minlength=graph.n), out=ptr[1:])
-        return ptr, indices[keep].copy(), weights[keep].copy()
-
-    ptr, idx, w = thin(graph.indptr, graph.indices, graph.weights)
-    rep = thin(graph.rep_indptr, graph.rep_indices, graph.rep_weights)
-    return dataclasses.replace(graph, indptr=ptr, indices=idx, weights=w,
-                               rep_indptr=rep[0], rep_indices=rep[1],
-                               rep_weights=rep[2])
+        fields.update({prefix + "indptr": ptr, prefix + "indices":
+                       indices[keep], prefix + "weights": weights[keep]})
+    return dataclasses.replace(graph, **fields)
 
 
 def signed_zeros(graph, rng):
-    """The graph with about two in three weights of each CSR replaced by
-    -0.0 or 0.0."""
-    def zeroed(weights):
-        pick = rng.integers(0, 3, weights.shape[0])
-        return np.where(pick == 0, -0.0, np.where(pick == 1, 0.0, weights))
+    """The graph with about two in three pairs of each CSR weighing zero,
+    each of a pair's two entries -0.0 or 0.0 at random (equal weights, so
+    the CSRs stay symmetric)."""
+    n = graph.n
 
-    return dataclasses.replace(graph, weights=zeroed(graph.weights),
-                               rep_weights=zeroed(graph.rep_weights))
+    def zeroed(indptr, indices, weights):
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        pair = np.minimum(rows, indices) * n + np.maximum(rows, indices)
+        zero = rng.random(n * n)[pair] < 2 / 3
+        sign = rng.integers(0, 2, weights.shape[0])
+        return np.where(zero, np.where(sign == 0, -0.0, 0.0), weights)
+
+    return dataclasses.replace(
+        graph, weights=zeroed(graph.indptr, graph.indices, graph.weights),
+        rep_weights=zeroed(graph.rep_indptr, graph.rep_indices,
+                           graph.rep_weights))
 
 
 def with_loops_and_repeats(graph, rng):
     """The graph with a self-loop and a repeat of one entry, of a weight
     of its own, added to each nonempty row of each CSR, every row then
-    shuffled (as no public builder leaves them)."""
+    shuffled: making it raises InputError."""
 
     def grow(indptr, indices, weights):
         rows = []
@@ -104,16 +111,19 @@ def with_loops_and_repeats(graph, rng):
 
 def reaching_every_cluster(n, scheme=None):
     """Item 0 joined to every other item, in attraction and, for the
-    "explicit" scheme, in repulsion (else uniform repulsion), with a
-    self-loop first in its rows: from singletons its rows reach all n - 1
-    other clusters."""
-    explicit = scheme == "explicit"
-    edges = [(0, j, 1.0 + j / n) for j in range(1, n)]
-    edges += [(j, j + 1, 0.5) for j in range(1, n - 1, 2)]
-    graph = from_edge_list(
-        n, edges, repulsion_scheme=scheme or "uniform",
-        repulsion_edges=[(0, j, 0.25) for j in range(1, n)] if explicit
-        else None)
+    "explicit" scheme, in repulsion (else uniform repulsion): from
+    singletons its rows reach all n - 1 other clusters."""
+    return from_edge_list(
+        n, [(0, j, 1.0 + j / n) for j in range(1, n)]
+        + [(j, j + 1, 0.5) for j in range(1, n - 1, 2)],
+        repulsion_scheme=scheme or "uniform",
+        repulsion_edges=[(0, j, 0.25) for j in range(1, n)]
+        if scheme == "explicit" else None)
+
+
+def with_self_loop_first(graph):
+    """The graph with a self-loop of weight 2 first in item 0's rows of
+    each CSR: making it raises InputError."""
 
     def loop_first(prefix):
         ptr, idx, w = (getattr(graph, prefix + name)
@@ -122,6 +132,7 @@ def reaching_every_cluster(n, scheme=None):
                 prefix + "indices": np.insert(idx, 0, 0),
                 prefix + "weights": np.insert(w, 0, 2.0)}
 
+    explicit = graph.rep_mode == kernels.REP_EXPLICIT
     return dataclasses.replace(graph, **loop_first(""),
                                **(loop_first("rep_") if explicit else {}))
 

@@ -362,6 +362,18 @@ def test_config_file_loses_to_a_flag_equal_to_its_default(data_dir, tmp_path,
     assert (params["k"], params["gamma"], params["seed"]) == (10, 1.0, 3)
 
 
+def test_config_file_cannot_supply_the_paths(data_dir, tmp_path, capsys):
+    # --input, --pred, --truth and --out are required on the command line:
+    # argparse exits 2 before the config file is read
+    cfg = tmp_path / "in.cfg"
+    cfg.write_text(f"input = {data_dir / 'points.csv'}\n")
+    out = tmp_path / "o.json"
+    assert main(["cluster", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "the following arguments are required: --input" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_config_file_with_byte_order_mark(data_dir, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"\xef\xbb\xbfk = 2\n")

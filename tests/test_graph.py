@@ -601,6 +601,15 @@ class TestFromEdgeList:
         with pytest.raises(InputError):
             from_edge_list(2, [(0, 1, -1.0)])
 
+    @pytest.mark.parametrize("scheme", ["configuration_null", "uniform"])
+    def test_weights_that_overflow_are_rejected(self, scheme):
+        # each weight is finite, but their sum (and so a repeated pair's
+        # mean) overflows: the graph check rejects the infinite numbers,
+        # which would make the energy NaN
+        with pytest.raises(InputError, match="must be finite"):
+            from_edge_list(3, [(0, 1, 1e308), (1, 0, 1e308), (1, 2, 1.0)],
+                           repulsion_scheme=scheme)
+
     def test_repeats_averaged_in_input_order(self):
         big = 2.0 ** 53  # big + 1 rounds back to big
         g = from_edge_list(2, [(0, 1, 1.0), (1, 0, 1.0), (0, 1, big)])

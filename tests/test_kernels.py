@@ -20,19 +20,12 @@ from scipy.spatial import cKDTree
 from confres import kernels
 from confres.energy import landscape_point
 from confres.errors import ConfresError, InputError, NumericalError
-from confres.graph import from_edge_list
-from conftest import (drop_entries, has_compiler, needs_cc, random_affinity,
-                      signed_zeros)
+from confres.graph import build_knn_graph, derive_affinity, from_edge_list
+from confres.optimizer import aggregate
+from conftest import has_compiler, needs_cc, random_affinity, signed_zeros
 
 # product-form repulsion (a scheme drawn at random) and explicit repulsion
 SCHEMES = (None, "explicit")
-
-
-def _kernel_args(graph):
-    return (graph.indptr, graph.indices, graph.weights,
-            graph.rep_mode, graph.rep_strength,
-            graph.rep_denom, graph.rep_indptr, graph.rep_indices,
-            graph.rep_weights)
 
 
 def _energy_by_loop(graph, labels):
@@ -72,20 +65,19 @@ def test_energy_components_matches_loop_exactly(rng):
         for labels in (rng.integers(0, 3, n), rng.integers(0, n, n),
                        np.zeros(n), np.arange(n)):
             labels = labels.astype(np.int64)
-            got = kernels.energy_components(*_kernel_args(graph)[:3], labels,
-                                            *_kernel_args(graph)[3:])
+            got = kernels.energy_components(*graph._kernel_args[:3], labels,
+                                            *graph._kernel_args[3:])
             assert _exact(got) == _exact(_energy_by_loop(graph, labels))
         assert _exact(landscape_point(graph, np.arange(n))) == _exact(
             (0.0, 0.0))
 
 
-def _self_loop_csr(weight):
-    """A hand-built CSR over 3 items: a self-loop on item 0 (never
-    counted), `weight` on the pair (0, 1) and -0.0 on the others, which a
-    loop starting at +0.0 sums to +0.0."""
-    indptr = np.array([0, 3, 5, 6])
-    indices = np.array([0, 1, 2, 0, 2, 1])
-    return indptr, indices, np.array([7.0, weight, -0.0, weight, -0.0, -0.0])
+def _signed_zero_csr(weight):
+    """A hand-built CSR over 3 items: `weight` on the pair (0, 1) and -0.0
+    on the others, which a loop starting at +0.0 sums to +0.0."""
+    indptr = np.array([0, 2, 4, 6])
+    indices = np.array([1, 2, 0, 2, 0, 1])
+    return indptr, indices, np.array([weight, -0.0, weight, -0.0, -0.0, -0.0])
 
 
 def _exact(pair):
@@ -93,10 +85,10 @@ def _exact(pair):
     return [np.float64(x).tobytes() for x in pair]
 
 
-def test_energy_components_skips_self_loops_and_signed_zeros():
+def test_energy_components_sums_signed_zeros_from_plus_zero():
     labels = np.zeros(3, dtype=np.int64)
     for weight in (-0.0, 0.5):
-        indptr, indices, weights = _self_loop_csr(weight)
+        indptr, indices, weights = _signed_zero_csr(weight)
         for rep_mode in (kernels.REP_PRODUCT, kernels.REP_EXPLICIT):
             got = kernels.energy_components(
                 indptr, indices, weights, labels, rep_mode, np.ones(3), 2.0,
@@ -107,22 +99,22 @@ def test_energy_components_skips_self_loops_and_signed_zeros():
 
 
 @needs_cc
-def test_level_loop_energy_on_self_loops_and_signed_zeros(rng):
+def test_level_loop_energy_on_signed_zeros(rng):
     # the C loop's (h_a, h_r) are energy_components' bytes on its labels,
     # on the hand-built CSR and on random graphs with signed-zero weights,
     # in both repulsion modes
-    cases = [(3, *_self_loop_csr(weight), rep_mode, np.ones(3), 2.0,
-              *_self_loop_csr(weight))
+    cases = [(3, *_signed_zero_csr(weight), rep_mode, np.ones(3), 2.0,
+              *_signed_zero_csr(weight))
              for weight in (-0.0, 0.5)
              for rep_mode in (kernels.REP_PRODUCT, kernels.REP_EXPLICIT)]
     for trial in range(24):
         graph = signed_zeros(
             random_affinity(rng, scheme=SCHEMES[trial % 2]), rng)
-        cases.append((graph.n, *_kernel_args(graph)))
+        cases.append((graph.n, *graph._kernel_args))
     for case in cases:
         for gamma in (0.0, 0.5, 2.0):
             labels, *energy = kernels.level_loop(
-                kernels.graph_args(*case), gamma, np.random.default_rng(7),
+                kernels.check_graph(*case), gamma, np.random.default_rng(7),
                 32, 100, 1000)
             args = case[1:]
             assert _exact(energy) == _exact(kernels.energy_components(
@@ -156,16 +148,14 @@ def _positive_components(n, indptr, indices, weights):
 
 def _components_inputs(rng):
     """Graph arguments (n, the CSR, the repulsion model) for the gamma = 0
-    kernel: random graphs, some asymmetric and some with signed zeros;
-    disconnected graphs with an isolated item; zero weights; weights in
-    (0, EPSILON]; n = 1; and the self-loop CSRs."""
+    kernel: random graphs, some with signed zeros; disconnected graphs
+    with an isolated item; zero weights; weights in (0, EPSILON]; n = 1;
+    and the signed-zero CSRs."""
     graphs = []
     for trial in range(60):
         graph = random_affinity(rng, n=int(rng.integers(2, 30)),
                                 scheme=SCHEMES[trial % 2])
-        if trial % 3 == 1:
-            graph = drop_entries(graph, rng)
-        elif trial % 3 == 2:
+        if trial % 3:
             graph = signed_zeros(graph, rng)
         graphs.append(graph)
     eps = kernels.EPSILON
@@ -181,17 +171,15 @@ def _components_inputs(rng):
                        repulsion_edges=[(0, 2, 1.0), (1, 3, 0.0)]),
     ]
     for graph in graphs:
-        yield (graph.n, *_kernel_args(graph))
+        yield (graph.n, *graph._kernel_args)
     alone = (np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
              np.zeros(0))
-    looped = (np.array([0, 1]), np.array([0]), np.array([2.0]))
-    for csr in (alone, looped):
-        yield (1, *csr, kernels.REP_PRODUCT, np.ones(1), 1.0, *csr)
-        yield (1, *csr, kernels.REP_EXPLICIT, np.zeros(1), 1.0, *csr)
+    yield (1, *alone, kernels.REP_PRODUCT, np.ones(1), 1.0, *alone)
+    yield (1, *alone, kernels.REP_EXPLICIT, np.zeros(1), 1.0, *alone)
     for weight in (-0.0, 0.5):
         for rep_mode in (kernels.REP_PRODUCT, kernels.REP_EXPLICIT):
-            yield (3, *_self_loop_csr(weight), rep_mode, np.ones(3), 2.0,
-                   *_self_loop_csr(weight))
+            yield (3, *_signed_zero_csr(weight), rep_mode, np.ones(3), 2.0,
+                   *_signed_zero_csr(weight))
 
 
 def test_components_reference_is_the_components(rng):
@@ -210,7 +198,7 @@ def test_components_backends_agree(rng):
     # the C kernel gives its reference's labels and (h_a, h_r) bytes, the
     # sign of a zero included
     for args in _components_inputs(rng):
-        labels, *energy = kernels.components(kernels.graph_args(*args))
+        labels, *energy = kernels.components(kernels.check_graph(*args))
         want, *want_energy = kernels.components_py(*args)
         assert np.array_equal(labels, want)
         assert _exact(energy) == _exact(want_energy)
@@ -221,8 +209,8 @@ def test_energy_components_rejects_negative_product_label(rng):
     labels = np.zeros(graph.n, dtype=np.int64)
     labels[1] = -1
     with pytest.raises(IndexError, match="labels must be >= 0"):
-        kernels.energy_components(*_kernel_args(graph)[:3], labels,
-                                  *_kernel_args(graph)[3:])
+        kernels.energy_components(*graph._kernel_args[:3], labels,
+                                  *graph._kernel_args[3:])
 
 
 def test_sweep_is_the_python_phase_on_every_backend():
@@ -232,7 +220,7 @@ def test_sweep_is_the_python_phase_on_every_backend():
 
 def test_sweep_rejects_out_of_range_label(rng):
     graph = random_affinity(rng)
-    args = _kernel_args(graph)
+    args = graph._kernel_args
     constraint = np.zeros(graph.n, dtype=np.int64)
     for value in (graph.n, -1):
         labels = np.arange(graph.n, dtype=np.int64)
@@ -245,43 +233,86 @@ def test_sweep_rejects_out_of_range_label(rng):
         assert gen.bit_generator.state == before
 
 
-def _rejected_by_the_level_loop(n, args, exc, message):
-    """Assert that the C level loop, when loaded, raises `exc` matching
-    `message` on the graph (n, *args) before any draw."""
-    if kernels.level_loop is None:
-        return
-    gen = np.random.default_rng(0)
-    before = gen.bit_generator.state
-    with pytest.raises(exc, match=message):
-        kernels.level_loop(kernels.graph_args(n, *args), 1.0, gen, 32, 100,
-                           1000)
-    assert gen.bit_generator.state == before
+def _rejected_alike(args, message):
+    """Assert that the graph arguments (n, the CSRs, the repulsion model)
+    fail the numpy graph check and, when loaded, the C one, each with one
+    InputError matching `message`."""
+    checks = [kernels.check_graph_py]
+    if kernels.BACKEND == "c":
+        checks.append(kernels._check_graph_c)
+    messages = set()
+    for check in checks:
+        with pytest.raises(InputError, match=message) as info:
+            check(*args)
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
+
+
+def test_graph_checks_pass_every_valid_graph(rng):
+    # the C check and its numpy reference pass what the builders make:
+    # both repulsion modes, signed zeros, blobs, coarse graphs, n = 1
+    graphs = []
+    for trial in range(40):
+        graph = random_affinity(rng, n=int(rng.integers(2, 30)),
+                                scheme=SCHEMES[trial % 2])
+        graphs += [graph, signed_zeros(graph, rng),
+                   aggregate(graph, rng.integers(0, 3, graph.n)).graph]
+    graphs.append(derive_affinity(build_knn_graph(
+        rng.standard_normal((200, 2)), k=8)))
+    cases = [(g.n, *g._kernel_args) for g in graphs]
+    for args in [*cases, *_components_inputs(rng)]:
+        assert kernels.check_graph_py(*args) is None
+        if kernels.BACKEND == "c":
+            assert isinstance(kernels._check_graph_c(*args), kernels.Graph)
+
+
+@needs_cc
+def test_graph_checks_agree_on_random_faults(rng):
+    # one random change to a valid graph's arrays, which may break the
+    # contract or not: the C check fails exactly the graphs its numpy
+    # reference fails (a C failure the reference passes raises
+    # AssertionError)
+    failed = 0
+    for trial in range(600):
+        graph = random_affinity(rng, n=int(rng.integers(2, 9)),
+                                scheme=SCHEMES[trial % 2])
+        args = [graph.n, *(np.array(a) if isinstance(a, np.ndarray) else a
+                           for a in graph._kernel_args)]
+        at = int(rng.choice([1, 2, 3, 7, 8, 9] if trial % 2 else [1, 2, 3]))
+        if args[at].shape[0]:
+            values = args[at]
+            e = int(rng.integers(values.shape[0]))
+            if at in (3, 9):
+                values[e] = rng.choice([0.0, -0.0, values[e] * 2, -1.0,
+                                        np.nan, values[(e + 1) % len(values)]])
+            else:
+                values[e] += int(rng.choice([-2, -1, 1, 2]))
+        try:
+            kernels.check_graph_py(*args)
+        except InputError:
+            failed += 1
+            with pytest.raises(InputError):
+                kernels._check_graph_c(*args)
+        else:
+            assert isinstance(kernels._check_graph_c(*args), kernels.Graph)
+    assert 200 < failed < 600
 
 
 @needs_cc
 def test_compiled_kernels_reject_out_of_range_csr(rng):
-    # the C level loop, sweep_py and the energy check ranges before any
-    # indexed read, with the same message; the loop and the sweep leave
-    # the labels and the generator untouched
+    # the C graph check and its numpy reference reject a CSR value out of
+    # range with one InputError, which names the CSR and its row or entry
     graph = random_affinity(rng, scheme="explicit")
-    constraint = np.zeros(graph.n, dtype=np.int64)
-    for position, value, name in ((0, -1, "indptr"), (1, graph.n, "indices"),
-                                  (6, -1, "rep_indptr"),
-                                  (7, graph.n, "rep_indices")):
-        args = list(_kernel_args(graph))
+    n = graph.n
+    for position, value, message in (
+            (1, -1, r"^indptr must run from 0 to \d+ and never fall"),
+            (2, n, rf"^indices\[\d+\] = {n} in row {n - 1}, of weight "),
+            (7, -1, r"^rep_indptr must run from 0 to \d+ and never fall"),
+            (8, n, rf"^rep_indices\[\d+\] = {n} in row {n - 1}, of ")):
+        args = [n, *graph._kernel_args]
         args[position] = args[position].copy()
         args[position][-1] = value
-        message = rf"^{name} out of range"
-        _rejected_by_the_level_loop(graph.n, args, IndexError, message)
-        labels = np.arange(graph.n, dtype=np.int64)
-        gen = np.random.default_rng(0)
-        before = gen.bit_generator.state
-        with pytest.raises(IndexError, match=message):
-            kernels.sweep_py(*args, 1.0, labels, constraint, gen, 5)
-        assert np.array_equal(labels, np.arange(graph.n))
-        assert gen.bit_generator.state == before
-        with pytest.raises(IndexError, match=message):
-            kernels.energy_components(*args[:3], labels, *args[3:])
+        _rejected_alike(args, message)
 
 
 def _bad_sweep_args(case, args, labels, constraint):
@@ -296,25 +327,21 @@ def _bad_sweep_args(case, args, labels, constraint):
     elif case == "float64 constraint":
         constraint = constraint.astype(np.float64)
         message = "constraint must be a C-contiguous 1-D int64"
-    elif case == "short constraint":
+    else:  # a short constraint
         constraint = constraint[1:]
         message = "constraint has length"
-    else:  # an int32 indptr
-        args = (args[0].astype(np.int32), *args[1:])
-        message = "indptr must be a C-contiguous 1-D int64"
     return args, labels, constraint, message
 
 
 @pytest.mark.parametrize("case", ["read-only labels", "int32 labels",
-                                  "float64 constraint", "short constraint",
-                                  "int32 indptr"])
+                                  "float64 constraint", "short constraint"])
 def test_sweeps_reject_bad_arguments_alike(rng, case):
     # every bad argument raises a ValueError before any label moves or any
     # number is drawn
     graph = random_affinity(rng)
     start = np.arange(graph.n, dtype=np.int64)
     args, labels, constraint, message = _bad_sweep_args(
-        case, _kernel_args(graph), start.copy(),
+        case, graph._kernel_args, start.copy(),
         np.zeros(graph.n, dtype=np.int64))
     gen = np.random.default_rng(0)
     before = gen.bit_generator.state
@@ -336,10 +363,9 @@ def _decreasing_csr():
 
 @pytest.mark.parametrize("explicit", [False, True])
 def test_kernels_reject_decreasing_indptr(explicit):
-    # the C level loop, sweep_py and the energy reject the same hand-built
-    # CSR with one message, before any label moves or any number is drawn.
-    # The range check runs over the whole indptr before its order is
-    # judged, so an entry out of range is reported first.
+    # an indptr that falls, whether or not its values lie in [0, m], fails
+    # both graph checks with one InputError, which names the CSR and the
+    # row where it falls
     n = 3
     name = "rep_indptr" if explicit else "indptr"
     model = ((kernels.REP_EXPLICIT, np.zeros(n), 1.0) if explicit
@@ -347,23 +373,11 @@ def test_kernels_reject_decreasing_indptr(explicit):
     decreasing = _decreasing_csr()
     ptr = decreasing[0].copy()
     ptr[1] = decreasing[1].shape[0] + 1
-    cases = ((decreasing, ValueError, rf"^{name} must be non-decreasing$"),
-             ((ptr, *decreasing[1:]), IndexError, rf"^{name} out of range"))
-    constraint = np.zeros(n, dtype=np.int64)
-    for bad, exc, message in cases:
+    for bad in (decreasing, (ptr, *decreasing[1:])):
         att, rep = (_triangle_csr(), bad) if explicit else (bad, _triangle_csr())
-        args = (*att, *model, *rep)
-        _rejected_by_the_level_loop(n, args, exc, message)
-        labels = np.arange(n, dtype=np.int64)
-        gen = np.random.default_rng(0)
-        before = gen.bit_generator.state
-        with pytest.raises(exc, match=message):
-            kernels.sweep_py(*args, 1.0, labels, constraint, gen, 5)
-        assert np.array_equal(labels, np.arange(n))
-        assert gen.bit_generator.state == before
-        with pytest.raises(exc, match=message):
-            kernels.energy_components(*args[:3], np.zeros(n, dtype=np.int64),
-                                      *args[3:])
+        _rejected_alike((n, *att, *model, *rep),
+                        rf"^{name} must run from 0 to 4 and never fall, not "
+                        rf"from 0 to 4 falling at rows \[1\]$")
 
 
 # The kd-tree search the C kNN replaced: cKDTree proposes m candidates per
@@ -690,10 +704,10 @@ def test_every_c_status_code_is_mapped():
     for name, value in codes.items():
         with pytest.raises((MemoryError, IndexError, ValueError,
                             ConfresError)) as info:
-            kernels._raise(value, 3, 4, 5)
+            kernels._raise(value, 3, 4)
         assert str(info.value), name
     with pytest.raises(KeyError):
-        kernels._raise(min(values) - 1, 3, 4, 5)
+        kernels._raise(min(values) - 1, 3, 4)
 
 
 def test_graph_struct_matches_graph_t():
@@ -728,8 +742,8 @@ def test_ctypes_declares_every_export():
     with open(kernels._SOURCE, encoding="utf-8") as fh:
         exports = _exports(fh.read())
     assert sorted(exports) == ["affinity_layout", "affinity_weights",
-                               "components", "knn_graph", "level_loop",
-                               "pairs", "parse_points"]
+                               "check_graph", "components", "knn_graph",
+                               "level_loop", "pairs", "parse_points"]
     lib = kernels._load_library()
     declared = {name: fn for name, fn in vars(lib).items()
                 if isinstance(fn, lib._FuncPtr)}
@@ -783,10 +797,9 @@ def test_failed_build_is_remembered(tmp_path, monkeypatch):
 
 
 # The C interface of _kernels.c, declared once for every harness: graph_t
-# and numpy's bitgen_t as the kernels read them, the seven exported
-# kernels, a xorshift64 bitgen_t that counts its draws, two graphs whose
-# rows the phases' compact rows cut down (self-loops) or that reach every
-# cluster, and the report line each harness prints per case.
+# and numpy's bitgen_t as the kernels read them, the eight exported
+# kernels, a xorshift64 bitgen_t that counts its draws, a graph whose rows
+# reach every cluster, and the report line each harness prints per case.
 _PRELUDE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -814,6 +827,7 @@ typedef struct {
     uint64_t (*next_raw)(void *);
 } bitgen_t;
 
+int64_t check_graph(const graph_t *, int64_t *);
 int64_t level_loop(const graph_t *, double, int64_t, int64_t, int64_t,
                    double, int64_t *, double *, const bitgen_t *);
 int64_t components(const graph_t *, int64_t *, double *);
@@ -861,29 +875,16 @@ static bitgen_t xorshift(uint64_t *state)
     return (bitgen_t){state, next64, next32, NULL, NULL};
 }
 
-/* The path 0-1-2-3 with product-form repulsion, a self-loop in every row
- * and, in rows 0 and 1, a column twice. */
-static graph_t self_loops(void)
-{
-    static const int64_t ptr[] = {0, 3, 7, 10, 12};
-    static const int64_t idx[] = {0, 1, 1, 1, 0, 2, 0, 2, 1, 3, 2, 3};
-    static const double w[] = {5, 2, 1, 5, 2, 1, 1, 5, 1, 2, 2, 5};
-    static const double rho[] = {1, 1, 1, 1};
-    return graph(4, ptr, idx, w, 0, rho, 4.0, NULL, NULL, NULL);
-}
-
-/* Item 0 attracted to and repelled by each of 1..5, whose rows are empty,
- * each of its rows a self-loop first and a column twice: from singletons
- * it reaches all n - 1 = 5 other clusters, which no move can lessen
- * before it is evaluated. */
+/* Item 0 attracted to and, three times as strongly, repelled by each of
+ * 1..5: at gamma = 0.5 no item moves, so from singletons item 0's rows
+ * reach all n - 1 = 5 other clusters each time it is evaluated. */
 static graph_t every_cluster(void)
 {
-    static const int64_t ptr[] = {0, 7, 7, 7, 7, 7, 7};
-    static const int64_t idx[] = {0, 1, 2, 3, 4, 5, 5};
-    static const double w[] = {2, 1, 1, 1, 1, 1, 1};
-    static const int64_t ridx[] = {0, 1, 2, 3, 4, 5, 1};
-    static const double rw[] = {3, 1, 1, 1, 1, 1, 1}, zeros[6] = {0};
-    return graph(6, ptr, idx, w, 1, zeros, 1.0, ptr, ridx, rw);
+    static const int64_t ptr[] = {0, 5, 6, 7, 8, 9, 10};
+    static const int64_t idx[] = {1, 2, 3, 4, 5, 0, 0, 0, 0, 0};
+    static const double w[] = {1, 1, 1, 1, 1, 1, 1, 1, 1, 1};
+    static const double rw[] = {3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, zeros[6] = {0};
+    return graph(6, ptr, idx, w, 1, zeros, 1.0, ptr, idx, rw);
 }
 
 static int report(const char *name, int64_t status, int ok)
@@ -893,29 +894,24 @@ static int report(const char *name, int64_t status, int ok)
 }
 """
 
-# Runs the C level loop, with a toy bit generator, on six small graphs
-# (two of them the prelude's self-loops and every-cluster rows, and one
-# whose polish never settles) and on one whose indices run out of range;
-# exits 0 only if each call returns the expected status and draws at
-# least as often as expected, and each that succeeds canonical labels and
-# a finite energy.
+# Runs the C level loop, with a toy bit generator, on four small graphs,
+# one of them the prelude's every-cluster rows; exits 0 only if each call
+# returns 0, canonical labels and a finite energy.
 _SANITIZER_MAIN = r"""
-static int run(const char *name, graph_t g, double gamma, int64_t want,
-               long least_draws)
+static int run(const char *name, graph_t g, double gamma)
 {
     int64_t out[8];
     double energy[2];
     uint64_t state;
     bitgen_t rng = xorshift(&state);
-    draws = 0;
     int64_t status = level_loop(&g, gamma, 32, 100, 1000, 1e-12, out, energy,
                                 &rng);
-    int ok = status == want && draws >= least_draws;
-    for (int64_t i = 0, top = -1; ok && status == 0 && i < g.n; i++) {
+    int ok = status == 0;
+    for (int64_t i = 0, top = -1; ok && i < g.n; i++) {
         ok = out[i] >= 0 && out[i] <= top + 1;
         top = out[i] > top ? out[i] : top;
     }
-    if (ok && status == 0)
+    if (ok)
         ok = isfinite(energy[0]) && isfinite(energy[1]);
     return report(name, status, ok);
 }
@@ -933,24 +929,13 @@ int main(void)
     const int64_t rep_ptr[] = {0, 1, 2, 3, 4, 5, 6};
     const int64_t rep_idx[] = {5, 4, 3, 2, 1, 0};
     const double rep_w[] = {1, 2, 4, 4, 2, 1}, zeros[6] = {0};
-    const int64_t bad_idx[] = {1, 2, 0, 2, 0, 3};
-    /* 0 is drawn to 1, whose row is empty, so 1 leaves any cluster 0
-     * joins: every round of the polish moves an item, and only its budget
-     * of 1000 * n evaluations, two per round and one draw each, ends it */
-    const int64_t one_way_ptr[] = {0, 1, 1}, one_way_idx[] = {1};
     return run("triangle", graph(3, tri_ptr, tri_idx, tri_w, 0, ones, 3.0,
-                                 NULL, NULL, NULL), 1.0, 0, 0)
+                                 NULL, NULL, NULL), 1.0)
         | run("two pairs", graph(4, pairs_ptr, pairs_idx, pairs_w, 0,
-                                 pairs_rho, 12.0, NULL, NULL, NULL), 1.0, 0, 0)
+                                 pairs_rho, 12.0, NULL, NULL, NULL), 1.0)
         | run("explicit", graph(6, path_ptr, path_idx, path_w, 1, zeros, 1.0,
-                                rep_ptr, rep_idx, rep_w), 0.5, 0, 0)
-        | run("self-loops", self_loops(), 1.0, 0, 0)
-        | run("every cluster", every_cluster(), 0.5, 0, 0)
-        | run("never settles", graph(2, one_way_ptr, one_way_idx, tri_w, 0,
-                                     ones, 2.0, NULL, NULL, NULL), 1.0, 0,
-              1000)
-        | run("bad indices", graph(3, tri_ptr, bad_idx, tri_w, 0, ones, 3.0,
-                                   NULL, NULL, NULL), 1.0, -4, 0);
+                                rep_ptr, rep_idx, rep_w), 0.5)
+        | run("every cluster", every_cluster(), 0.5);
 }
 """
 
@@ -1001,27 +986,95 @@ def _run_sanitized(tmp_path, sanitized_kernels, driver, *link_flags):
 
 @has_compiler
 def test_level_loop_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
-    # the level loop's allocation, aggregation indexing, evaluation
-    # budget and error path
+    # the level loop's allocation and aggregation indexing
     out = _run_sanitized(tmp_path, sanitized_kernels, _SANITIZER_MAIN)
-    assert out.count(": status") == 7 and "BAD" not in out, out
+    assert out.count(": status") == 4 and "BAD" not in out, out
 
 
-# Runs the C gamma = 0 kernel on six small graphs and on one whose
-# indices run out of range; exits 0 only if each call returns the
-# expected status, and each that succeeds the expected labels and a
-# finite energy.
+# Runs the C graph check on four graphs that keep the contract and on
+# graphs with one fault each, in a cursor of exactly n heap slots; exits
+# 0 only if each call returns 0 or 1 as expected.  Without the checks in
+# their order, a faulty graph would be read past its arrays.
+_CHECK_SANITIZER_MAIN = r"""
+static int run(const char *name, graph_t g, int64_t want)
+{
+    int64_t *cursor = malloc((size_t)g.n * sizeof(int64_t));
+    int64_t status = check_graph(&g, cursor);
+    free(cursor);
+    return report(name, status, status == want);
+}
+
+int main(void)
+{
+    /* weights of 1 to fill CSRs of 1, 3, 4 and 6 entries exactly */
+    const double w1[] = {1}, w3[] = {1, 1, 1}, w4[] = {1, 1, 1, 1};
+    const double w6[] = {1, 1, 1, 1, 1, 1}, zeros[3] = {0};
+    const int64_t tri_ptr[] = {0, 2, 4, 6}, tri_idx[] = {1, 2, 0, 2, 0, 1};
+    const double tri_w[] = {1, 2, 1, 3, 2, 3};
+    const double twin_w[] = {1, 2, 1, 3, 2, 4}, nan_w[] = {1, NAN, 1, 3, NAN, 3};
+    const double bad_rho[] = {1, NAN, 1};
+    const int64_t empty_ptr[] = {0, 0}, no_idx[] = {0};
+    const int64_t far_idx[] = {1, 3, 0, 2, 0, 1};  /* 3 >= n, cursor[3] */
+    const int64_t fall_ptr[] = {0, 3, 1, 4}, fall_idx[] = {1, 2, 0, 1};
+    const int64_t loop_ptr[] = {0, 2, 3}, loop_idx[] = {0, 1, 0};
+    const int64_t twice_ptr[] = {0, 2, 4}, twice_idx[] = {1, 1, 0, 0};
+    /* 0 -> 1 with row 1 empty: its twin would be read at idx[1] */
+    const int64_t one_way_ptr[] = {0, 1, 1}, one_way_idx[] = {1};
+    const int64_t rep_ptr[] = {0, 1, 1, 1}, rep_idx[] = {2};  /* one-way */
+    graph_t tri = graph(3, tri_ptr, tri_idx, tri_w, 0, w3, 3.0, NULL, NULL,
+                        NULL);
+    graph_t denom = tri, rho = tri;
+    denom.rep_denom = 0.0;
+    rho.rep_strength = bad_rho;
+    return run("triangle", tri, 0)
+        | run("explicit triangle", graph(3, tri_ptr, tri_idx, tri_w, 1, zeros,
+                                         1.0, tri_ptr, tri_idx, tri_w), 0)
+        | run("every cluster", every_cluster(), 0)
+        | run("one item", graph(1, empty_ptr, no_idx, w1, 0, w1, 1.0, NULL,
+                                NULL, NULL), 0)
+        | run("index out of range", graph(3, tri_ptr, far_idx, w6, 0, w3, 3.0,
+                                          NULL, NULL, NULL), 1)
+        | run("decreasing indptr", graph(3, fall_ptr, fall_idx, w4, 0, w3,
+                                         3.0, NULL, NULL, NULL), 1)
+        | run("self-loop", graph(2, loop_ptr, loop_idx, w3, 0, w3, 2.0, NULL,
+                                 NULL, NULL), 1)
+        | run("repeated column", graph(2, twice_ptr, twice_idx, w4, 0, w3,
+                                       2.0, NULL, NULL, NULL), 1)
+        | run("one-way entry", graph(2, one_way_ptr, one_way_idx, w1, 0, w3,
+                                     2.0, NULL, NULL, NULL), 1)
+        | run("twin weights differ", graph(3, tri_ptr, tri_idx, twin_w, 0, w3,
+                                           3.0, NULL, NULL, NULL), 1)
+        | run("NaN weight", graph(3, tri_ptr, tri_idx, nan_w, 0, w3, 3.0,
+                                  NULL, NULL, NULL), 1)
+        | run("rep_denom 0", denom, 1)
+        | run("NaN rep_strength", rho, 1)
+        | run("one-way repulsion", graph(3, tri_ptr, tri_idx, tri_w, 1, zeros,
+                                         1.0, rep_ptr, rep_idx, w1), 1);
+}
+"""
+
+
+@has_compiler
+def test_check_graph_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
+    # each fault of the graph contract is found, and reported with status
+    # 1, before it could send a read past the graph's arrays
+    out = _run_sanitized(tmp_path, sanitized_kernels, _CHECK_SANITIZER_MAIN)
+    assert out.count(": status 0, ok") == 4, out
+    assert out.count(": status 1, ok") == 10 and "BAD" not in out, out
+
+
+# Runs the C gamma = 0 kernel on five small graphs; exits 0 only if each
+# call returns 0, the expected labels and a finite energy.
 _COMPONENTS_SANITIZER_MAIN = r"""
-static int run(const char *name, graph_t g, int64_t want,
-               const int64_t *labels)
+static int run(const char *name, graph_t g, const int64_t *labels)
 {
     int64_t out[8];
     double energy[2];
     int64_t status = components(&g, out, energy);
-    int ok = status == want;
-    for (int64_t i = 0; ok && status == 0 && i < g.n; i++)
+    int ok = status == 0;
+    for (int64_t i = 0; ok && i < g.n; i++)
         ok = out[i] == labels[i];
-    if (ok && status == 0)
+    if (ok)
         ok = isfinite(energy[0]) && isfinite(energy[1]);
     return report(name, status, ok);
 }
@@ -1030,8 +1083,8 @@ int main(void)
 {
     const int64_t tri_ptr[] = {0, 2, 4, 6}, tri_idx[] = {1, 2, 0, 2, 0, 1};
     const double tri_w[] = {1, 1, 1, 1, 1, 1}, ones[] = {1, 1, 1, 1};
-    const int64_t one_ptr[] = {0, 0}, no_idx[] = {0}, loop_ptr[] = {0, 1};
-    const double no_w[] = {0}, loop_w[] = {3};
+    const int64_t one_ptr[] = {0, 0}, no_idx[] = {0};
+    const double no_w[] = {0};
     /* 0-1 linked, item 2 with no entry */
     const int64_t lone_ptr[] = {0, 1, 2, 2}, lone_idx[] = {1, 0};
     const double lone_w[] = {1, 1};
@@ -1041,33 +1094,28 @@ int main(void)
     const double path_w[] = {0, 0, 1, 1, -0.0, -0.0}, zeros[4] = {0};
     const int64_t rep_ptr[] = {0, 1, 2, 3, 4}, rep_idx[] = {3, 2, 1, 0};
     const double rep_w[] = {1, 2, 2, 1};
-    const int64_t bad_idx[] = {1, 2, 0, 2, 0, 3};
     const int64_t all[] = {0, 0, 0}, first[] = {0}, pair[] = {0, 0, 1};
     const int64_t middle[] = {0, 1, 1, 2};
     return run("triangle", graph(3, tri_ptr, tri_idx, tri_w, 0, ones, 2.0,
-                                 NULL, NULL, NULL), 0, all)
+                                 NULL, NULL, NULL), all)
         | run("one item", graph(1, one_ptr, no_idx, no_w, 0, ones, 2.0, NULL,
-                                NULL, NULL), 0, first)
-        | run("self-loop", graph(1, loop_ptr, no_idx, loop_w, 1, zeros, 2.0,
-                                 loop_ptr, no_idx, loop_w), 0, first)
+                                NULL, NULL), first)
         | run("item with no edge", graph(3, lone_ptr, lone_idx, lone_w, 0,
-                                         ones, 2.0, NULL, NULL, NULL), 0, pair)
+                                         ones, 2.0, NULL, NULL, NULL), pair)
         | run("zero weights", graph(4, path_ptr, path_idx, path_w, 0, ones,
-                                    2.0, NULL, NULL, NULL), 0, middle)
+                                    2.0, NULL, NULL, NULL), middle)
         | run("explicit", graph(4, path_ptr, path_idx, path_w, 1, zeros, 2.0,
-                                rep_ptr, rep_idx, rep_w), 0, middle)
-        | run("bad indices", graph(3, tri_ptr, bad_idx, tri_w, 0, ones, 2.0,
-                                   NULL, NULL, NULL), -4, all);
+                                rep_ptr, rep_idx, rep_w), middle);
 }
 """
 
 
 @has_compiler
 def test_components_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
-    # the gamma = 0 kernel's allocation, union-find and error path
+    # the gamma = 0 kernel's allocation and union-find
     out = _run_sanitized(tmp_path, sanitized_kernels,
                          _COMPONENTS_SANITIZER_MAIN)
-    assert out.count(": status") == 7 and "BAD" not in out
+    assert out.count(": status") == 5 and "BAD" not in out
 
 
 # Runs the C kNN graph on five point sets, one of identical points and

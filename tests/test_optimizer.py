@@ -11,12 +11,13 @@ import pytest
 
 from confres import kernels, optimizer
 from confres.energy import canonicalize, cluster_count, hamiltonian
-from confres.errors import ParameterError
+from confres.errors import InputError, ParameterError
 from confres.graph import AffinityGraph, from_edge_list
 from confres.optimizer import OptimizeOptions, aggregate, optimize
+from confres.resolution import find_configurations
 from conftest import (blob_graph, drop_entries, fresh_optimize, needs_cc,
                       random_affinity, reaching_every_cluster, signed_zeros,
-                      with_loops_and_repeats)
+                      with_loops_and_repeats, with_self_loop_first)
 
 
 def _connected_components(graph):
@@ -220,8 +221,6 @@ def _level_loop_cases(rng):
     graphs = [random_affinity(rng, n=int(rng.integers(2, 40)),
                               scheme=(None, "explicit")[trial % 2])
               for trial in range(96)]
-    # asymmetric CSRs, which no public builder makes
-    graphs[4::8] = [drop_entries(graph, rng) for graph in graphs[4::8]]
     graphs += [
         from_edge_list(9, [(0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0), (5, 6, 1.0),
                            (6, 7, 1.0), (5, 7, 0.2)]),  # item 8 stands alone
@@ -238,17 +237,15 @@ def _level_loop_cases(rng):
             seed = int(rng.integers(2 ** 32))
         for gamma in gammas:
             yield trial, graph, gamma, seed
-    # what the C pass leaves out of its compact rows: self-loops (repeated
-    # columns kept), in both repulsion modes; entries to other constraint
-    # clusters, most of a refinement's where four tight pairs are all
-    # weakly linked; and an item whose rows reach all n - 1 other clusters
+    # what the C pass leaves out of its compact rows, the entries to other
+    # constraint clusters: most of a refinement's where four tight pairs
+    # are all weakly linked; and an item whose rows reach all n - 1 other
+    # clusters, in both repulsion modes
     pairs = from_edge_list(8, [(i, j, 5.0 if i // 2 == j // 2 else 0.1)
                                for i in range(8) for j in range(i + 1, 8)],
                            repulsion_scheme="uniform")
-    extra = [with_loops_and_repeats(random_affinity(rng, scheme=scheme), rng)
-             for scheme in (None, "explicit") * 2]
-    extra += [pairs] + [reaching_every_cluster(n, scheme)
-                        for n in (5, 12) for scheme in (None, "explicit")]
+    extra = [pairs] + [reaching_every_cluster(n, scheme)
+                       for n in (5, 12) for scheme in (None, "explicit")]
     for trial, graph in enumerate(extra, start=len(graphs)):
         seed = int(rng.integers(2 ** 32))
         for gamma in (0.0, float(rng.random() * 2), 1.0, 3.0):
@@ -315,22 +312,29 @@ def test_c_level_loop_energy_is_energy_components(rng):
 @needs_cc
 def test_python_phases_match_the_c_level_loop(rng, monkeypatch):
     # with kernels.sweep wrapped, as a tracer wraps it, optimize runs
-    # _level_loop_py with every phase in pure Python: the C level loop's
-    # labels, energy floats and final generator state
+    # _level_loop_py, every phase through the wrapper: the C level loop's
+    # labels, energy floats and final generator state.  A few cases, both
+    # repulsion modes: test_level_loop_backends_agree runs them all
+    seen = []
     for trial, graph, gamma, seed in _level_loop_cases(rng):
+        if trial % 16 > 1 or gamma == 0.0:
+            continue
         opts = OptimizeOptions(seed=seed, restarts=(1, 3)[trial % 2])
         labels_c, energy_c = optimize(graph, gamma, opts)
         rng_c, rng_py = (np.random.default_rng(seed) for _ in range(2))
         optimizer._level_loop_c(graph, gamma, rng_c)
         with monkeypatch.context() as patch:
             patch.setattr(kernels, "sweep",
-                          lambda *a: kernels.sweep_py(*a))
+                          lambda *a: seen.append(trial) or kernels.sweep_py(*a))
             assert not optimizer._compiled_loop()
+            calls = len(seen)
             labels_py, energy_py = optimize(graph, gamma, opts)
+            assert len(seen) > calls, (trial, gamma)
             optimizer._level_loop_py(graph, gamma, rng_py)
         assert np.array_equal(labels_c, labels_py), (trial, gamma)
         assert _exact(energy_c) == _exact(energy_py), (trial, gamma)
         assert rng_c.bit_generator.state == rng_py.bit_generator.state
+    assert len(set(seen)) >= 12
 
 
 @needs_cc
@@ -356,82 +360,182 @@ def test_c_kernels_draw_from_every_numpy_bit_generator(rng, bit_generator):
         np.testing.assert_equal(*(gen.bit_generator.state for gen in gens))
 
 
-def test_unsettled_csrs_stop_at_the_evaluation_budget(rng):
-    # on CSRs thinned until they are far from symmetric, moves may never
-    # settle, and a round of the fast local move would cycle for ever: a
-    # phase stops after max_sweeps * n evaluations.  The C level loop,
-    # whose phases stop there too, gives the Python loop's labels, energy
-    # bytes and generator state
-    most = 0
+def test_phases_stop_at_the_evaluation_budget(rng, monkeypatch):
+    # a round queues again the neighbours of each item that moves, so one
+    # round from singletons may need more than n evaluations, also on a
+    # symmetric graph.  With MAX_SWEEPS_PER_LEVEL = 1 each level phase
+    # stops after n of them: the labels or the draws then differ from
+    # those of the default budget, and the C loop, whose phases stop there
+    # too, gives the Python loop's labels, energy bytes and generator state
+    cut = 0
     for trial in range(20):
-        graph = drop_entries(random_affinity(
-            rng, n=10, scheme=(None, "explicit")[trial % 2]), rng, p=0.5)
+        graph = random_affinity(rng, n=12,
+                                scheme=(None, "explicit")[trial % 2])
         gamma = float(rng.random() * 2)
         seed = int(rng.integers(2 ** 32))
         zeros = np.zeros(graph.n, dtype=np.int64)
-        for max_sweeps, settle in ((1, False), (100, False), (100, True)):
+        for max_sweeps in (1, 2):
             moved = kernels.sweep_py(
-                graph.indptr, graph.indices, graph.weights, graph.rep_mode,
-                graph.rep_strength, graph.rep_denom, graph.rep_indptr,
-                graph.rep_indices, graph.rep_weights, gamma,
-                np.arange(graph.n, dtype=np.int64), zeros,
-                np.random.default_rng(seed), max_sweeps, settle)
+                *graph._kernel_args, gamma, np.arange(graph.n), zeros,
+                np.random.default_rng(seed), max_sweeps, False)
             assert moved <= max_sweeps * graph.n, trial
-            if not settle:
-                most = max(most, moved)
-        if kernels.level_loop is None:
-            continue
-        gens = [np.random.default_rng(seed) for _ in range(2)]
-        labels_c, *energy_c = optimizer._level_loop_c(graph, gamma, gens[0])
-        labels_py, *energy_py = optimizer._level_loop_py(graph, gamma, gens[1])
+        gens = [np.random.default_rng(seed) for _ in range(3)]
+        labels_free = optimizer._level_loop_py(graph, gamma, gens[2])[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "MAX_SWEEPS_PER_LEVEL", 1)
+            labels_py, *energy_py = optimizer._level_loop_py(graph, gamma,
+                                                             gens[0])
+            cut += not (np.array_equal(labels_py, labels_free)
+                        and gens[0].bit_generator.state
+                        == gens[2].bit_generator.state)
+            if kernels.level_loop is None:
+                continue
+            labels_c, *energy_c = optimizer._level_loop_c(graph, gamma,
+                                                          gens[1])
         assert np.array_equal(labels_c, labels_py), trial
         assert _bytes(energy_c) == _bytes(energy_py), trial
         assert gens[0].bit_generator.state == gens[1].bit_generator.state
-    # one round moved items more than 10 times over: only the budget ended it
-    assert most > 10 * 10
+    # the budget of n evaluations ended a phase in some of the cases
+    assert cut >= 10, cut
 
 
 def _bad_graphs():
-    """(name, graph, exception, message) for graphs that no sweep can read."""
+    """(name, function making a graph that breaks the graph contract,
+    exception, message): each makes the graph anew, from the same draws."""
     graph = random_affinity(np.random.default_rng(3), scheme="explicit")
-    for field, value, name in (("indptr", -1, "indptr"),
-                               ("indices", graph.n, "indices"),
-                               ("rep_indptr", -1, "rep_indptr"),
-                               ("rep_indices", graph.n, "rep_indices")):
-        bad = getattr(graph, field).copy()
-        bad[-1] = value
-        yield (name, dataclasses.replace(graph, **{field: bad}), IndexError,
-               rf"^{name} out of range")
+    uniform = random_affinity(np.random.default_rng(4), scheme="uniform")
+
+    def with_value(field, at, value, base=graph):
+        bad = getattr(base, field).copy()
+        bad[at] = value
+        return lambda: dataclasses.replace(base, **{field: bad})
+
+    for field, value, message in (
+            ("indptr", -1, r"^indptr must run from 0 to \d+ and never fall"),
+            ("indices", graph.n, rf"^indices\[\d+\] = {graph.n} in row "),
+            ("rep_indptr", -1, r"^rep_indptr must run from 0 to \d+ and "),
+            ("rep_indices", graph.n, rf"^rep_indices\[\d+\] = {graph.n} ")):
+        yield field, with_value(field, -1, value), InputError, message
+    # a weight that is NaN, infinite or negative, on one entry or on all
+    # (so on both of each pair), in either CSR
+    for prefix in ("", "rep_"):
+        for value in (np.nan, np.inf, -0.5):
+            for at in (0, slice(None)):
+                yield (f"{prefix}weights[{at}] = {value}",
+                       with_value(prefix + "weights", at, value), InputError,
+                       rf"^{prefix}indices\[0\] = \d+ in row \d+, of weight "
+                       rf"{value}: weights must be finite and >= 0$")
+    yield ("rep_denom 0", lambda: dataclasses.replace(graph, rep_denom=0.0),
+           InputError, r"^rep_denom 0.0 must be finite and > 0")
+    yield ("int32 indptr", lambda: dataclasses.replace(
+        uniform, indptr=uniform.indptr.astype(np.int32)), ValueError,
+           r"^indptr must be a C-contiguous 1-D int64 array$")
     # in range, but row 1 would read [3, 1)
     for scheme in ("uniform", "explicit"):
         rep = {}
         if scheme == "explicit":
             rep = {"rep_indptr": np.array([0, 1, 2, 2]),
                    "rep_indices": np.array([1, 0]), "rep_weights": np.ones(2)}
-        decreasing = AffinityGraph(
-            n=3, indptr=np.array([0, 3, 1, 4]), indices=np.array([1, 2, 0, 1]),
-            weights=np.ones(4), strengths=np.ones(3), total_weight=2.0,
-            repulsion_scheme=scheme, rep_strength=np.ones(3), rep_denom=3.0,
-            **rep)
-        yield (f"decreasing indptr, {scheme}", decreasing, ValueError,
-               r"^indptr must be non-decreasing$")
+        yield (f"decreasing indptr, {scheme}", lambda rep=rep, scheme=scheme:
+               AffinityGraph(
+                   n=3, indptr=np.array([0, 3, 1, 4]),
+                   indices=np.array([1, 2, 0, 1]), weights=np.ones(4),
+                   strengths=np.ones(3), total_weight=2.0,
+                   repulsion_scheme=scheme, rep_strength=np.ones(3),
+                   rep_denom=3.0, **rep),
+               InputError, r"^indptr must run from 0 to 4 and never fall, not "
+               r"from 0 to 4 falling at rows \[1\]$")
+    # the test inputs that broke the contract before graphs were checked
+    # when made: thinned CSRs (the attraction CSR, or only the explicit
+    # repulsion one), rows with self-loops and repeats, and a self-loop
+    # first in item 0's rows, in both repulsion modes
+    for scheme, prefix in ((None, ""), ("explicit", "rep_")):
+        for trial in range(5):
+            yield (f"drop_entries {scheme} {trial}", lambda s=scheme, t=trial:
+                   drop_entries(random_affinity(np.random.default_rng(t),
+                                                scheme=s),
+                                np.random.default_rng(t),
+                                prefixes=("rep_",) if s else ("",)),
+                   InputError, rf"^{prefix}indices\[\d+\] = \d+ in row \d+, "
+                   rf"of weight .*: an entry \(i, j\) needs a twin \(j, i\) "
+                   rf"of the same weight$")
+        yield (f"loops and repeats {scheme}", lambda s=scheme:
+               with_loops_and_repeats(random_affinity(
+                   np.random.default_rng(5), scheme=s),
+                   np.random.default_rng(5)),
+               InputError, r"rise strictly in \[0, \d+\), skipping its item$")
+        yield (f"self-loop first {scheme}", lambda s=scheme:
+               with_self_loop_first(reaching_every_cluster(5, s)),
+               InputError, r"^indices\[0\] = 0 in row 0, of weight 2.0: a "
+               r"row's columns must rise strictly in \[0, 5\), skipping its "
+               r"item$")
+    looped = (np.array([0, 1]), np.array([0]), np.array([2.0]))
+    yield ("looped single item", lambda: AffinityGraph(
+        1, *looped, np.ones(1), 1.0, "explicit", np.zeros(1), 1.0, *looped),
+           InputError, r"^indices\[0\] = 0 in row 0, of weight 2.0: ")
 
 
-@needs_cc
 def test_level_loop_backends_reject_bad_graphs(monkeypatch):
-    # both loops check the graph before any draw and raise the same error
-    for case, graph, exc, message in _bad_graphs():
-        for compiled in (True, False):
+    # a graph that breaks the contract cannot be made, so neither level
+    # loop nor the gamma = 0 kernel ever reads one: the C graph check and
+    # its numpy reference raise the same error, with the same message
+    checks = [kernels.check_graph_py]
+    if kernels.BACKEND == "c":
+        checks.append(kernels._check_graph_c)
+    for case, make, exc, message in _bad_graphs():
+        errors = set()
+        for check in checks:
             with monkeypatch.context() as patch:
-                patch.setattr(optimizer, "_compiled_loop", lambda: compiled)
-                with pytest.raises(exc, match=message):
-                    optimize(graph, 1.0, OptimizeOptions(restarts=2))
+                patch.setattr(kernels, "check_graph", check)
+                with pytest.raises(exc, match=message) as info:
+                    make()
+            errors.add(str(info.value))
+        assert len(errors) == 1, (case, errors)
 
 
-def _symmetric(graph):
-    return (np.array_equal(graph.attraction_dense(), graph.attraction_dense().T)
-            and np.array_equal(graph.repulsion_dense(),
-                               graph.repulsion_dense().T))
+def _broken_sources(graph):
+    """(name, graph, break): graphs equal to `graph`, each made from a
+    writable array of its own, or from a read-only view of one, and a
+    function that breaks that array after the graph is made: an index out
+    of range, or in range but one-way, a falling indptr, a NaN weight."""
+    for field, at, value in (("indices", -1, graph.n), ("indices", 0, 0),
+                             ("indptr", 1, graph.indptr[-1]),
+                             ("weights", 0, np.nan),
+                             ("rep_indices", -1, graph.n),
+                             ("rep_weights", 0, np.nan)):
+        for viewed in (False, True):
+            source = getattr(graph, field).copy()
+            given = source.view() if viewed else source
+            given.flags.writeable = not viewed
+
+            def spoil(source=source, at=at, value=value):
+                source[at] = value
+
+            yield (f"{field}[{at}] = {value}, view {viewed}",
+                   dataclasses.replace(graph, **{field: given}), spoil)
+
+
+def test_gamma_zero_backends_reject_bad_graphs(monkeypatch, rng):
+    # a graph owns what it checked: breaking the arrays it was made from,
+    # after it is made, changes no solve (the kernels trust the graph, so
+    # C would read past them), at gamma = 0 on the C kernel or its
+    # reference, nor in either level loop
+    graph = random_affinity(rng, scheme="explicit")
+    solves = []
+    for components in (kernels.components, None):
+        solves.append((0.0, "components", components))
+    for compiled in (optimizer._compiled_loop(), False):
+        solves.append((1.0, "_compiled_loop", lambda compiled=compiled:
+                       compiled))
+    for case, made, spoil in _broken_sources(graph):
+        spoil()
+        for gamma, name, value in solves:
+            target = kernels if name == "components" else optimizer
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, value)
+                opts = OptimizeOptions(restarts=2)
+                assert _same(optimize(made, gamma, opts),
+                             optimize(graph, gamma, opts)), (case, gamma)
 
 
 def _same(a, b):
@@ -441,11 +545,10 @@ def _same(a, b):
 
 def test_gamma_zero_is_the_level_loops_partition(rng):
     # the exact gamma = 0 end returns, bit for bit, what the level loop
-    # returned there, on every case with symmetric CSRs (the public
-    # builders make no other)
+    # returned there
     checked = 0
     for trial, graph, gamma, seed in _level_loop_cases(rng):
-        if gamma == 0.0 and _symmetric(graph):
+        if gamma == 0.0:
             opts = OptimizeOptions(seed=seed, restarts=(1, 3)[trial % 2])
             assert _same(optimize(graph, 0.0, opts),
                          fresh_optimize(graph, 0.0, opts)), trial
@@ -463,23 +566,6 @@ def test_gamma_zero_joins_what_the_level_loop_cannot():
     assert exact.tolist() == [0, 0, 0] and looped.tolist() == [0, 0, 1]
     assert energy.h_a < looped_energy.h_a
     assert energy.total == energy.h_a
-
-
-@needs_cc
-def test_gamma_zero_backends_reject_bad_graphs(monkeypatch):
-    # the C kernel and its reference raise the level loop's errors
-    int32 = random_affinity(np.random.default_rng(4))
-    int32 = dataclasses.replace(int32, indptr=int32.indptr.astype(np.int32))
-    cases = [*_bad_graphs(),
-             ("int32 indptr", int32, ValueError, r"^indptr must be a C-")]
-    for case, graph, exc, message in cases:
-        for components in (kernels.components, None):
-            with monkeypatch.context() as patch:
-                patch.setattr(kernels, "components", components)
-                with pytest.raises(exc, match=message):
-                    optimize(graph, 0.0, OptimizeOptions(restarts=2))
-        with pytest.raises(exc, match=message):
-            optimize(graph, 1.0)
 
 
 def test_gamma_zero_keeps_the_errors_of_bad_options(rng):
@@ -596,19 +682,59 @@ def test_loops_end_a_reset_generator_in_one_state(rng):
 
 
 def test_graph_arguments_are_taken_once_per_graph(rng, monkeypatch):
-    if kernels.level_loop is None:
-        pytest.skip("the C kernels are not loaded")
+    # a graph is checked, and its C view laid out, once, when it is made:
+    # not again on any solve, at gamma = 0 or not, nor in a sweep over
+    # gamma.  A copy is a graph of its own, checked when it is made
+    checked = []
+    check = kernels.check_graph
+    monkeypatch.setattr(kernels, "check_graph",
+                        lambda n, *a: checked.append(a[1]) or check(n, *a))
+
+    def checks_of(graph):
+        return sum(np.shares_memory(idx, graph.indices) for idx in checked)
+
     graph = random_affinity(rng)
-    taken = []
-    graph_args = kernels.graph_args
-    monkeypatch.setattr(kernels, "graph_args",
-                        lambda *a: taken.append(1) or graph_args(*a))
     for gamma in (0.0, 0.5, 1.0, 0.0):
         optimize(graph, gamma)
-    assert len(taken) == 1
-    copy = dataclasses.replace(graph)
-    optimize(copy, 0.5)
-    assert len(taken) == 2
+    find_configurations(graph, 2.0)
+    assert checks_of(graph) == 1
+    optimize(dataclasses.replace(graph), 0.5)
+    assert checks_of(graph) == 2
+
+
+def test_graph_arrays_are_read_only(rng):
+    # a graph stays as checked: none of its arrays can be written, in a
+    # copy, an unpickled graph or a replaced one either
+    graph = random_affinity(rng, scheme="explicit")
+    for twin in (graph, copy.copy(graph), copy.deepcopy(graph),
+                 pickle.loads(pickle.dumps(graph)),
+                 dataclasses.replace(graph)):
+        for name in ("indptr", "indices", "weights", "strengths",
+                     "rep_strength", "rep_indptr", "rep_indices",
+                     "rep_weights"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(twin, name)[0] = 1
+
+
+def test_built_graphs_keep_their_arrays_uncopied(rng):
+    # the builders hand a graph fresh arrays marked read-only, which it
+    # keeps as they are; a replaced graph shares them, and keeps a copy
+    # only of an array a caller could still write to
+    graph = random_affinity(rng, scheme="explicit")
+    coarse = aggregate(graph, np.arange(graph.n) // 2).graph
+    blobs, _ = blob_graph(rng, [(0.0, 0.0), (5.0, 5.0)], per=8, k=4)
+    names = [f.name for f in dataclasses.fields(graph)
+             if isinstance(getattr(graph, f.name), np.ndarray)]
+    for made in (graph, coarse, blobs):
+        for name in names:
+            array = getattr(made, name)
+            assert array.base is None and not array.flags.writeable, name
+    writable = graph.indices.copy()
+    twin = dataclasses.replace(graph, indices=writable)
+    for name in names:
+        shared = np.shares_memory(getattr(twin, name), getattr(graph, name))
+        assert shared == (name != "indices"), name
+    assert not np.shares_memory(twin.indices, writable)
 
 
 def test_a_solved_graph_copies_with_a_view_of_its_own(rng):
