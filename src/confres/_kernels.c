@@ -44,8 +44,11 @@
  *
  * The interface: `check_graph`, `level_loop` and `components` take the
  * graph as one graph_t (kernels.Graph mirrors it), and `level_loop` draws
- * from numpy's own bitgen_t.  A kernel returns a count or 0, or else a
- * negative ERR_ code; ERR_NOMEM is the one out-of-memory code.
+ * from numpy's own bitgen_t.  A graph_t holds addresses only: on the
+ * Python side kernels.level_loop and kernels.components take the
+ * graph.AffinityGraph, which owns its arrays and the graph_t of them.  A
+ * kernel returns a count or 0, or else a negative ERR_ code; ERR_NOMEM is
+ * the one out-of-memory code.
  *
  * The caller in kernels.py checks dtypes, contiguity and lengths.  A
  * graph_t passes `check_graph` once, when graph.AffinityGraph makes it;

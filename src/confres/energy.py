@@ -6,12 +6,11 @@ Both components are gamma-independent, so H is linear in gamma for a
 fixed partition.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError, check_real
+from .errors import InputError, ParameterError, check_integer, check_real
 from .graph import AffinityGraph
 from . import kernels
 
@@ -108,20 +107,14 @@ def _check(graph: AffinityGraph, labels, gamma: float) -> np.ndarray:
     return labels
 
 
-def _components(graph: AffinityGraph, labels: np.ndarray) -> tuple:
-    """(h_a, h_r) of labels that `_check` has passed."""
-    args = graph._kernel_args
-    return kernels.energy_components(*args[:3], labels, *args[3:])
-
-
 def landscape_point(graph: AffinityGraph, labels) -> tuple:
     """(h_a, h_r) coordinates of a partition in the energy landscape."""
-    return _components(graph, _check(graph, labels, 0.0))
+    return kernels.energy_components(graph, _check(graph, labels, 0.0))
 
 
 def hamiltonian(graph: AffinityGraph, labels, gamma: float) -> EnergySummary:
-    return EnergySummary.at(gamma,
-                            *_components(graph, _check(graph, labels, gamma)))
+    return EnergySummary.at(gamma, *kernels.energy_components(
+        graph, _check(graph, labels, gamma)))
 
 
 def move_delta(graph: AffinityGraph, labels, item: int, target: int,
@@ -132,10 +125,8 @@ def move_delta(graph: AffinityGraph, labels, item: int, target: int,
     repulsion also sums rep_strength over its two clusters.
     """
     labels = _check(graph, labels, gamma)
-    for name, value in (("item", item), ("target", target)):
-        # bool is a subclass of int but not an index
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InputError(f"{name} must be an integer, got {value!r}")
+    check_integer("item", item)
+    check_integer("target", target)
     if not 0 <= item < graph.n:
         raise InputError(f"item {item} out of range")
     k = cluster_count(labels)

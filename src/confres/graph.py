@@ -1,6 +1,5 @@
 """kNN graph construction and attraction/repulsion affinity graphs."""
 
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -64,8 +63,7 @@ class AffinityGraph:
                 value.flags.writeable = False
                 object.__setattr__(self, name, value)
         # the C kernels' view of the arrays, None without them
-        object.__setattr__(self, "_kernel_graph",
-                           kernels.check_graph(self.n, *self._kernel_args))
+        object.__setattr__(self, "_kernel_graph", kernels.check_graph(self))
 
     @property
     def rep_mode(self) -> int:
@@ -73,7 +71,8 @@ class AffinityGraph:
 
     @property
     def _kernel_args(self) -> tuple:
-        """The CSRs and the repulsion model in the kernels' argument order."""
+        """The CSRs and the repulsion model in `kernels.sweep`'s argument
+        order, which perfbench's tracer reads by position."""
         return (self.indptr, self.indices, self.weights, self.rep_mode,
                 self.rep_strength, self.rep_denom, self.rep_indptr,
                 self.rep_indices, self.rep_weights)
@@ -197,18 +196,23 @@ def _merge_pairs(n, edges, label="edge"):
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise InputError(f"{label} rows must be (i, j, w) triples")
-    ends = np.trunc(arr[:, :2])  # int() of each index, NaN kept
-    w = arr[:, 2]
+    # contiguous: numpy reduces a strided view many times slower
+    ends, w = np.ascontiguousarray(arr[:, :2]), arr[:, 2]
     # whole-array bounds decide (a NaN fails them, since min and max
     # propagate it); the per-edge masks only name the first bad edge
     if arr.shape[0] and not (
             ends.min() >= 0 and ends.max() < n and w.min() >= 0.0
-            and w.max() < np.inf and not np.any(ends[:, 0] == ends[:, 1])):
+            and w.max() < np.inf and np.all(np.trunc(ends) == ends)
+            and not np.any(ends[:, 0] == ends[:, 1])):
+        # a NaN or infinite index is out of range, not a fraction
+        fraction = np.any(np.isfinite(ends) & (np.trunc(ends) != ends), axis=1)
         in_range = np.all((ends >= 0) & (ends < n), axis=1)
-        bad = (~in_range | (ends[:, 0] == ends[:, 1])
+        bad = (fraction | ~in_range | (ends[:, 0] == ends[:, 1])
                | ~(np.isfinite(w) & (w >= 0.0)))
         e = int(np.argmax(bad))
-        i, j = (int(x) if np.isfinite(x) else x for x in arr[e, :2])
+        i, j = (int(x) if x.is_integer() else x for x in ends[e])
+        if fraction[e]:
+            raise InputError(f"{label} index ({i}, {j}) is not an integer")
         if not in_range[e]:
             raise InputError(f"{label} index ({i}, {j}) out of range for n={n}")
         if i == j:
@@ -237,8 +241,7 @@ def from_edge_list(n: int, edges, repulsion_scheme: str = "configuration_null",
 
     Duplicate directions of the same unordered pair are averaged.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-        raise ParameterError(f"n must be an integer >= 1, got {n!r}")
+    check_integer("n", n, 1)
     n = int(n)
     _check_repulsion(repulsion_scheme, repulsion_edges)
     if len(edges) == 0:
@@ -287,8 +290,7 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
         raise ParameterError(f"unknown kernel {kernel!r}")
     _check_repulsion(repulsion_scheme, repulsion_edges)
     k = graph.k
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
+    check_integer("k", k, 1)
     n = graph.n
     edges, dist = _edge_arrays(graph)
     gaussian = kernel == "self_tuning_gaussian"

@@ -4,7 +4,9 @@ loop, the kNN search and graph construction.
 `energy_components` is vectorised numpy on every backend; each of its sums
 adds left to right, so it returns the floats a plain loop over the edges
 returns.  These loops are compiled from `_kernels.c`, each beside a Python
-or numpy reference that is the fallback and the test oracle:
+or numpy reference that is the fallback and the test oracle.  A kernel
+that reads a graph takes the `graph.AffinityGraph` itself (`sweep` alone
+takes its arrays, in the order of `AffinityGraph._kernel_args`):
 
 - `level_loop` runs the whole loop of `optimizer.optimize` for one seed
   (move, refine, aggregate, level after level, then the polish) in one
@@ -37,11 +39,14 @@ or numpy reference that is the fallback and the test oracle:
 - `components` solves gamma = 0 exactly, with no loop: the connected
   components over the entries of positive weight, by union-find, with
   canonical labels and their (h_a, h_r) summed as `level_loop` sums them.
-  `components_py` is its reference; without the C kernels it is None.
+  `components_py` is its reference, and `components` without the C kernels.
 - `check_graph` checks a graph once, when a `graph.AffinityGraph` is
   made (symmetric CSRs, rising columns in range and off the diagonal,
   finite numbers), so every other graph kernel trusts it: one O(m + n) C
-  pass per CSR, returning the loops' `Graph`; `check_graph_py` words faults.
+  pass per CSR; `check_graph_py` words faults.  The C check returns the
+  graph's `Graph`, the view of its arrays that C reads, which the graph
+  keeps beside the arrays it points into: `level_loop` and `components`
+  take the graph, which owns both, and read its view.
 - `knn_graph`, the kNN graph of `graph.build_knn_graph`, finds each
   item's k nearest others by (distance, index) with an exact kd-tree
   search, the queries of a leaf batched into one walk of the tree, checks
@@ -79,10 +84,10 @@ or numpy reference that is the fallback and the test oracle:
 On first import the C file is compiled with `cc` (else `gcc`) into a
 per-user cache, keyed by source, flags and machine type, and loaded with
 ctypes.  Without a compiler, when the build fails, or with
-CONFRES_DISABLE_COMPILED=1, `check_graph`, `knn_graph`, `pairs`,
-`affinity_layout` and `affinity_weights` are the references, the
-optimizer runs its Python loop and `components_py`, and points files are
-read row by row in Python (identical results, much slower).  A failed
+CONFRES_DISABLE_COMPILED=1, `check_graph`, `components`, `knn_graph`,
+`pairs`, `affinity_layout` and `affinity_weights` are the references,
+`level_loop` is None, so the optimizer runs its Python loop, and points
+files are read row by row in Python (identical results, much slower).  A failed
 build leaves a marker file beside the cache entry, so later imports do
 not run the compiler again.
 `BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py,
@@ -125,17 +130,17 @@ def _check_array(name, arr, dtype, length=None):
         raise ValueError(f"{name} has length {arr.shape[0]}, expected {length}")
 
 
-def _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
-                 rep_denom, rep_indptr, rep_indices, rep_weights):
-    """The graph's CSRs as (array name prefix, indptr, indices, weights),
-    repulsion's after attraction's when explicit; ValueError unless they
-    and rep_strength have the dtypes, layout and lengths the kernels read."""
-    _check_array("rep_strength", rep_strength, _F64, n)
-    csrs = [("", indptr, indices, weights)]
-    if rep_mode == REP_EXPLICIT:
-        csrs.append(("rep_", rep_indptr, rep_indices, rep_weights))
+def _check_graph(g):
+    """The CSRs of graph `g` as (array name prefix, indptr, indices,
+    weights), repulsion's after attraction's when explicit; ValueError
+    unless they and rep_strength have the dtypes, layout and lengths the
+    kernels read."""
+    _check_array("rep_strength", g.rep_strength, _F64, g.n)
+    csrs = [("", g.indptr, g.indices, g.weights)]
+    if g.rep_mode == REP_EXPLICIT:
+        csrs.append(("rep_", g.rep_indptr, g.rep_indices, g.rep_weights))
     for prefix, ptr, idx, w in csrs:
-        _check_array(f"{prefix}indptr", ptr, _I64, n + 1)
+        _check_array(f"{prefix}indptr", ptr, _I64, g.n + 1)
         _check_array(f"{prefix}indices", idx, _I64)
         _check_array(f"{prefix}weights", w, _F64, idx.shape[0])
     return csrs
@@ -171,20 +176,20 @@ def _check_csr(prefix, n, indptr, indices, weights):
                          f"{rows[e]}, of weight {weights[e]}: {rule}")
 
 
-def check_graph_py(n, indptr, indices, weights, rep_mode, rep_strength,
-                   rep_denom, rep_indptr, rep_indices, rep_weights):
-    """The graph contract of `graph.AffinityGraph` in numpy, the C check's
-    reference and the only code that words its faults: the ValueError of
-    `_check_graph`, else the InputError of the first fault of rep_denom
-    (finite, > 0), rep_strength (finite, >= 0) or a CSR (`_check_csr`)."""
-    csrs = _check_graph(n, indptr, indices, weights, rep_mode, rep_strength,
-                        rep_denom, rep_indptr, rep_indices, rep_weights)
-    if not (0.0 < rep_denom < np.inf  # NaN fails too
-            and np.all((rep_strength >= 0.0) & (rep_strength < np.inf))):
-        raise InputError(f"rep_denom {rep_denom} must be finite and > 0, "
+def check_graph_py(g):
+    """The graph contract of `graph.AffinityGraph` on graph `g` in numpy,
+    the C check's reference and the only code that words its faults: the
+    ValueError of `_check_graph`, else the InputError of the first fault of
+    rep_denom (finite, > 0), rep_strength (finite, >= 0) or a CSR
+    (`_check_csr`)."""
+    csrs = _check_graph(g)
+    rho = g.rep_strength
+    if not (0.0 < g.rep_denom < np.inf  # NaN fails too
+            and np.all((rho >= 0.0) & (rho < np.inf))):
+        raise InputError(f"rep_denom {g.rep_denom} must be finite and > 0, "
                          f"and each rep_strength finite and >= 0")
     for prefix, *csr in csrs:
-        _check_csr(prefix, n, *csr)
+        _check_csr(prefix, g.n, *csr)
 
 
 def _out_of_range(name, hi):
@@ -213,10 +218,8 @@ def _internal(indptr, indices, weights, labels):
     return weights[same]
 
 
-def energy_components(indptr, indices, weights, labels,
-                      rep_mode, rep_strength, rep_denom,
-                      rep_indptr, rep_indices, rep_weights):
-    """Return (h_a, h_r) for a labelling over CSR attraction edges.
+def energy_components(g, labels):
+    """Return (h_a, h_r) for a labelling of graph `g`.
 
     h_a = -sum of within-cluster attraction, h_r = sum of within-cluster
     repulsion.  Attraction CSR stores both edge directions; pairs are
@@ -224,18 +227,20 @@ def energy_components(indptr, indices, weights, labels,
     adding in CSR (or item, or label) order.  Product-form repulsion sums
     rep_strength per label value, so it needs labels >= 0.
     """
-    _check_array("labels", labels, _I64, indptr.shape[0] - 1)
-    n = labels.shape[0]
-    if rep_mode == REP_PRODUCT and n and labels.min() < 0:
+    _check_array("labels", labels, _I64, g.n)
+    product = g.rep_mode == REP_PRODUCT
+    if product and g.n and labels.min() < 0:
         raise IndexError("labels must be >= 0")
-    h_a = _loop_sum(-_internal(indptr, indices, weights, labels))
-    if rep_mode == REP_PRODUCT:
+    h_a = _loop_sum(-_internal(g.indptr, g.indices, g.weights, labels))
+    if product:
         # bincount adds each label's strengths in item order
-        sums = np.bincount(labels, weights=rep_strength, minlength=1)
-        h_r = ((_loop_sum(sums * sums) - _loop_sum(rep_strength * rep_strength))
-               / (2.0 * rep_denom))
+        rho = g.rep_strength
+        sums = np.bincount(labels, weights=rho, minlength=1)
+        h_r = ((_loop_sum(sums * sums) - _loop_sum(rho * rho))
+               / (2.0 * g.rep_denom))
     else:
-        h_r = _loop_sum(_internal(rep_indptr, rep_indices, rep_weights, labels))
+        h_r = _loop_sum(_internal(g.rep_indptr, g.rep_indices, g.rep_weights,
+                                  labels))
     return float(h_a), float(h_r)
 
 
@@ -370,17 +375,19 @@ def sweep_py(indptr, indices, weights,
 sweep = sweep_py
 
 
-def components_py(n, indptr, indices, weights, *repulsion):
-    """(labels, h_a, h_r): the connected components over the CSR entries
-    of positive weight, canonical, and their `energy_components`.
+def components_py(g):
+    """(labels, h_a, h_r): the connected components of graph `g` over its
+    CSR entries of positive weight, canonical, and their
+    `energy_components`.
 
     They are the optimum of H at gamma = 0 and its limit as gamma -> 0+
     (see `components` in _kernels.c), found by union-find: the root of a
     set is its smallest item, so numbering the roots in item order gives
     the canonical labels.
     """
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    positive = weights > 0.0
+    n = g.n
+    rows = np.repeat(np.arange(n), np.diff(g.indptr))
+    positive = g.weights > 0.0
     root = list(range(n))
 
     def find(i):
@@ -389,13 +396,12 @@ def components_py(n, indptr, indices, weights, *repulsion):
             i = root[i]
         return i
 
-    for i, j in zip(rows[positive].tolist(), indices[positive].tolist()):
+    for i, j in zip(rows[positive].tolist(), g.indices[positive].tolist()):
         a, b = find(i), find(j)
         root[max(a, b)] = min(a, b)
     roots = np.array([find(i) for i in range(n)], dtype=np.int64)
     labels = (np.cumsum(roots == np.arange(n)) - 1)[roots]
-    return (labels, *energy_components(indptr, indices, weights, labels,
-                                       *repulsion))
+    return (labels, *energy_components(g, labels))
 
 
 KNN_METRICS = ("euclidean", "cosine")
@@ -739,8 +745,10 @@ _I, _D, _P = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 
 class Graph(ctypes.Structure):
-    """graph_t of _kernels.c, field for field: a graph as `check_graph`,
-    `level_loop` and `components` read it."""
+    """graph_t of _kernels.c, field for field: a graph as the C
+    `check_graph`, `level_loop` and `components` read it.  It holds the
+    arrays' addresses and no reference to them, so only the
+    `graph.AffinityGraph` that keeps it, and its arrays, hands it to C."""
     _fields_ = [("n", _I), ("m", _I), ("indptr", _P), ("indices", _P),
                 ("weights", _P), ("rep_mode", _I), ("rep_strength", _P),
                 ("rep_denom", _D), ("rep_m", _I), ("rep_indptr", _P),
@@ -798,24 +806,22 @@ def _raise(status, n=0, m=0, at="?"):
     }[status]
 
 
-def _check_graph_c(n, indptr, indices, weights, rep_mode, rep_strength,
-                   rep_denom, rep_indptr, rep_indices, rep_weights):
-    """`check_graph_py`'s verdict in one C call (`check_graph` in
-    _kernels.c), which `check_graph_py` words; returns the `Graph` that
-    `level_loop` and `components` take: the (read-only) arrays' addresses."""
-    args = (n, indptr, indices, weights, rep_mode, rep_strength, rep_denom,
-            rep_indptr, rep_indices, rep_weights)
-    _check_graph(*args)
+def _check_graph_c(g):
+    """`check_graph_py`'s verdict on graph `g` in one C call (`check_graph`
+    in _kernels.c), which `check_graph_py` words; returns the `Graph` of
+    g's (read-only) arrays' addresses, which the AffinityGraph keeps as
+    `_kernel_graph` for `level_loop` and `components`."""
+    _check_graph(g)
     repulsion = (0, None, None, None)  # never read for product-form repulsion
-    if rep_mode == REP_EXPLICIT:
-        repulsion = (rep_indices.shape[0], rep_indptr.ctypes.data,
-                     rep_indices.ctypes.data, rep_weights.ctypes.data)
-    graph = Graph(n, indices.shape[0], indptr.ctypes.data, indices.ctypes.data,
-                  weights.ctypes.data, rep_mode, rep_strength.ctypes.data,
-                  rep_denom, *repulsion)
-    cursor = np.empty(n, dtype=np.int64)  # alive through the call
+    if g.rep_mode == REP_EXPLICIT:
+        repulsion = (g.rep_indices.shape[0], g.rep_indptr.ctypes.data,
+                     g.rep_indices.ctypes.data, g.rep_weights.ctypes.data)
+    graph = Graph(g.n, g.indices.shape[0], g.indptr.ctypes.data,
+                  g.indices.ctypes.data, g.weights.ctypes.data, g.rep_mode,
+                  g.rep_strength.ctypes.data, g.rep_denom, *repulsion)
+    cursor = np.empty(g.n, dtype=np.int64)  # alive through the call
     if _LIB.check_graph(graph, _address(cursor)):
-        check_graph_py(*args)
+        check_graph_py(g)
         raise AssertionError("check_graph_py passes what C check_graph fails")
     return graph
 
@@ -823,13 +829,14 @@ def _check_graph_c(n, indptr, indices, weights, rep_mode, rep_strength,
 _PAIR = ctypes.c_double * 2
 
 
-def _level_loop_c(graph, gamma, rng, max_levels, max_sweeps, max_polish):
+def _level_loop_c(g, gamma, rng, max_levels, max_sweeps, max_polish):
     """The level loop of `optimizer.optimize` for one seed in one C call
-    (`level_loop` in _kernels.c), on a graph's `Graph`: (labels, h_a,
-    h_r), the canonical labels that its Python loop returns, with the same
-    numbers drawn from `rng`, and their energy components, the floats
-    `energy_components` returns for them."""
-    labels = np.empty(graph.n, dtype=np.int64)
+    (`level_loop` in _kernels.c), on the `Graph` that AffinityGraph `g`
+    keeps: (labels, h_a, h_r), the canonical labels that its Python loop
+    returns, with the same numbers drawn from `rng`, and their energy
+    components, the floats `energy_components` returns for them."""
+    graph = g._kernel_graph
+    labels = np.empty(g.n, dtype=np.int64)
     energy = _PAIR()  # cheaper to make and read than a numpy array
     bitgen = rng.bit_generator
     with bitgen.lock:  # the C loop draws through the generator's bitgen_t
@@ -841,10 +848,11 @@ def _level_loop_c(graph, gamma, rng, max_levels, max_sweeps, max_polish):
     return labels, energy[0], energy[1]
 
 
-def _components_c(graph):
-    """`components_py` in one C call (`components` in _kernels.c), on a
-    graph's `Graph`: the same labels and the same floats."""
-    labels = np.empty(graph.n, dtype=np.int64)
+def _components_c(g):
+    """`components_py` in one C call (`components` in _kernels.c), on the
+    `Graph` that AffinityGraph `g` keeps: the same labels and floats."""
+    graph = g._kernel_graph
+    labels = np.empty(g.n, dtype=np.int64)
     energy = _PAIR()
     status = _LIB.components(graph, _address(labels), energy)
     if status < 0:
@@ -949,7 +957,8 @@ if _LIB is None:
     check_graph = check_graph_py
     knn_graph, pairs = knn_graph_py, pairs_py
     affinity_layout, affinity_weights = affinity_layout_py, affinity_weights_py
-    level_loop = components = None  # optimizer runs the references
+    level_loop = None  # optimizer runs its Python loop
+    components = components_py
     parse_points = None  # graph.load_points_csv reads with Python's float
 else:
     BACKEND = "c"

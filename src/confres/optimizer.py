@@ -39,8 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import (EnergySummary, _components, canonicalize, check_gamma,
-                     cluster_count)
+from .energy import EnergySummary, canonicalize, check_gamma, cluster_count
 from .errors import check_integer
 from .graph import AffinityGraph, _owned, _pairs
 from . import kernels
@@ -173,21 +172,12 @@ def _level_loop_py(graph, gamma, rng):
     _run_sweeps(graph, final, gamma, zeros, rng, 10 * MAX_SWEEPS_PER_LEVEL,
                 True)
     final = canonicalize(final)
-    return (final, *_components(graph, final))
+    return (final, *kernels.energy_components(graph, final))
 
 
 def _level_loop_c(graph, gamma, rng):
-    return kernels.level_loop(
-        graph._kernel_graph, float(gamma), rng, MAX_LEVELS,
-        MAX_SWEEPS_PER_LEVEL, 10 * MAX_SWEEPS_PER_LEVEL)
-
-
-def _connected(graph):
-    """(labels, h_a, h_r) of the optimum at gamma = 0: the connected
-    components over the edges of positive weight, canonical."""
-    if kernels.components is None:
-        return kernels.components_py(graph.n, *graph._kernel_args)
-    return kernels.components(graph._kernel_graph)
+    return kernels.level_loop(graph, float(gamma), rng, MAX_LEVELS,
+                              MAX_SWEEPS_PER_LEVEL, 10 * MAX_SWEEPS_PER_LEVEL)
 
 
 def _compiled_loop():
@@ -224,7 +214,7 @@ def optimize(graph: AffinityGraph, gamma: float,
     if opts is None:
         opts = OptimizeOptions()
     if gamma == 0.0:
-        labels, h_a, h_r = _connected(graph)
+        labels, h_a, h_r = kernels.components(graph)
         return labels, EnergySummary.at(gamma, h_a, h_r)
     level_loop = _level_loop_c if _compiled_loop() else _level_loop_py
     # taken from the thread while in use, so a solve nested in this one

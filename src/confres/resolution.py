@@ -9,13 +9,12 @@ of every partition found then assigns the plateaus.
 
 import csv
 import json
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .energy import cluster_count
-from .errors import InputError, ParameterError, check_real
+from .errors import InputError, ParameterError, check_integer, check_real
 from .graph import AffinityGraph
 from .optimizer import OptimizeOptions, optimize
 
@@ -120,10 +119,7 @@ def find_configurations(graph: AffinityGraph, gamma_max: float,
     # NaN fails every comparison, so it is rejected along with inf
     if not 0.0 < gamma_max < np.inf:
         raise ParameterError(f"gamma_max must be finite and > 0, got {gamma_max}")
-    if (isinstance(max_depth, bool) or not isinstance(max_depth, numbers.Integral)
-            or max_depth < 0):
-        raise ParameterError(
-            f"max_depth must be an integer >= 0, got {max_depth!r}")
+    check_integer("max_depth", max_depth, 0)
     if opts is None:
         opts = OptimizeOptions()
     partitions = {}  # labels bytes -> (labels, h_a, h_r), in discovery order

@@ -1,13 +1,15 @@
 import dataclasses
 import itertools
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from confres import kernels, optimizer
 from confres.energy import EnergySummary
-from confres.graph import build_knn_graph, derive_affinity, from_edge_list
+from confres.graph import (AffinityGraph, build_knn_graph, derive_affinity,
+                           from_edge_list)
 
 # a C compiler on PATH, for tests that run it themselves
 has_compiler = pytest.mark.skipif(
@@ -18,6 +20,34 @@ has_compiler = pytest.mark.skipif(
 # references: not without a compiler, nor with CONFRES_DISABLE_COMPILED=1
 needs_cc = pytest.mark.skipif(kernels.BACKEND != "c",
                               reason="the C kernels are not loaded")
+
+
+# the fields a kernel reads of a graph, in the order of (graph.n,
+# *graph._kernel_args)
+KERNEL_FIELDS = ("n", "indptr", "indices", "weights", "rep_mode",
+                 "rep_strength", "rep_denom", "rep_indptr", "rep_indices",
+                 "rep_weights")
+
+
+def graph_fields(*args):
+    """The kernel fields `args`, in the order of KERNEL_FIELDS, as the
+    attributes of one object, unchecked: arrays for the graph checks to
+    judge, which no AffinityGraph would keep."""
+    return SimpleNamespace(**dict(zip(KERNEL_FIELDS, args, strict=True)))
+
+
+def graph_of(*args):
+    """The AffinityGraph of the kernel fields `args` (see `graph_fields`),
+    its strengths the sums of its attraction rows, under the explicit
+    scheme or a product-form one: what the kernels read, checked."""
+    g = graph_fields(*args)
+    strengths = np.bincount(np.repeat(np.arange(g.n), np.diff(g.indptr)),
+                            weights=g.weights, minlength=g.n)
+    scheme = "explicit" if g.rep_mode == kernels.REP_EXPLICIT else "uniform"
+    return AffinityGraph(g.n, g.indptr, g.indices, g.weights, strengths,
+                         float(np.sum(strengths)) / 2, scheme, g.rep_strength,
+                         g.rep_denom, g.rep_indptr, g.rep_indices,
+                         g.rep_weights)
 
 
 def random_affinity(rng, n=None, scheme=None):

@@ -341,7 +341,8 @@ class TestDeriveAffinity:
     def test_k_must_be_a_positive_integer(self, k):
         graph = NeighborGraph(n=3, edges=np.array([[0, 1], [1, 2]]),
                               distances=np.array([1.0, 2.0]), k=k)
-        with pytest.raises(ParameterError, match="k must be an integer >= 1"):
+        with pytest.raises(ParameterError,
+                           match=r"^k must be (an integer|>= 1), got "):
             derive_affinity(graph)
 
     def test_huge_k_is_capped_at_the_degree(self):
@@ -637,8 +638,36 @@ class TestFromEdgeList:
     @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0), True, "3",
                                    None, 0, -1, np.int64(0)])
     def test_n_must_be_a_positive_integer(self, n):
-        with pytest.raises(ParameterError, match="n must be an integer"):
+        with pytest.raises(ParameterError,
+                           match=r"^n must be (an integer|>= 1), got "):
             from_edge_list(n, [(0, 1, 1.0)])
+
+    @pytest.mark.parametrize("edge", [(0, 1.7, 1.0), (0, -0.5, 1.0),
+                                      (2.2, 1, 1.0), (0.5, 0.5, 1.0)])
+    @pytest.mark.parametrize("repulsion", [False, True])
+    def test_non_integer_index(self, edge, repulsion):
+        # an index is not truncated to an integer: the first edge with a
+        # fraction is named, in either edge list
+        edges = [(0, 1, 1.0), (1, 2, 1.0)]
+        bad = [(1, 2, 1.0), edge, (0, 1.5, 1.0)]
+        label = "repulsion" if repulsion else "edge"
+        with pytest.raises(InputError, match=rf"^{label} index "
+                           rf"\({edge[0]}, {edge[1]}\) is not an integer$"):
+            if repulsion:
+                from_edge_list(3, edges, repulsion_scheme="explicit",
+                               repulsion_edges=bad)
+            else:
+                from_edge_list(3, bad)
+
+    def test_integral_float_index(self):
+        # 2.0 is the index 2
+        want = from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)],
+                              repulsion_scheme="explicit",
+                              repulsion_edges=[(0, 2, 0.5)])
+        got = from_edge_list(3, [(0.0, 1.0, 1.0), (1, 2.0, 1.0)],
+                             repulsion_scheme="explicit",
+                             repulsion_edges=[(0.0, 2.0, 0.5)])
+        assert _graph_bytes(got) == _graph_bytes(want)
 
     def test_numpy_integer_n(self):
         g = from_edge_list(np.int64(3), [(0, 1, 1.0), (1, 2, 1.0)])

@@ -22,7 +22,8 @@ from confres.energy import landscape_point
 from confres.errors import ConfresError, InputError, NumericalError
 from confres.graph import build_knn_graph, derive_affinity, from_edge_list
 from confres.optimizer import aggregate
-from conftest import has_compiler, needs_cc, random_affinity, signed_zeros
+from conftest import (graph_fields, graph_of, has_compiler, needs_cc,
+                      random_affinity, signed_zeros)
 
 # product-form repulsion (a scheme drawn at random) and explicit repulsion
 SCHEMES = (None, "explicit")
@@ -65,8 +66,7 @@ def test_energy_components_matches_loop_exactly(rng):
         for labels in (rng.integers(0, 3, n), rng.integers(0, n, n),
                        np.zeros(n), np.arange(n)):
             labels = labels.astype(np.int64)
-            got = kernels.energy_components(*graph._kernel_args[:3], labels,
-                                            *graph._kernel_args[3:])
+            got = kernels.energy_components(graph, labels)
             assert _exact(got) == _exact(_energy_by_loop(graph, labels))
         assert _exact(landscape_point(graph, np.arange(n))) == _exact(
             (0.0, 0.0))
@@ -90,9 +90,9 @@ def test_energy_components_sums_signed_zeros_from_plus_zero():
     for weight in (-0.0, 0.5):
         indptr, indices, weights = _signed_zero_csr(weight)
         for rep_mode in (kernels.REP_PRODUCT, kernels.REP_EXPLICIT):
-            got = kernels.energy_components(
-                indptr, indices, weights, labels, rep_mode, np.ones(3), 2.0,
-                indptr, indices, weights)
+            got = kernels.energy_components(graph_fields(
+                3, indptr, indices, weights, rep_mode, np.ones(3), 2.0,
+                indptr, indices, weights), labels)
             h_r = 1.5 if rep_mode == kernels.REP_PRODUCT else 0.0 + weight
             assert [np.float64(x).tobytes() for x in got] == [
                 np.float64(x).tobytes() for x in (0.0 - weight, h_r)]
@@ -112,13 +112,12 @@ def test_level_loop_energy_on_signed_zeros(rng):
             random_affinity(rng, scheme=SCHEMES[trial % 2]), rng)
         cases.append((graph.n, *graph._kernel_args))
     for case in cases:
+        graph = graph_of(*case)
         for gamma in (0.0, 0.5, 2.0):
             labels, *energy = kernels.level_loop(
-                kernels.check_graph(*case), gamma, np.random.default_rng(7),
-                32, 100, 1000)
-            args = case[1:]
+                graph, gamma, np.random.default_rng(7), 32, 100, 1000)
             assert _exact(energy) == _exact(kernels.energy_components(
-                *args[:3], labels, *args[3:]))
+                graph, labels))
 
 
 def _positive_components(n, indptr, indices, weights):
@@ -147,10 +146,10 @@ def _positive_components(n, indptr, indices, weights):
 
 
 def _components_inputs(rng):
-    """Graph arguments (n, the CSR, the repulsion model) for the gamma = 0
-    kernel: random graphs, some with signed zeros; disconnected graphs
-    with an isolated item; zero weights; weights in (0, EPSILON]; n = 1;
-    and the signed-zero CSRs."""
+    """Graph fields (conftest.KERNEL_FIELDS) for the gamma = 0 kernel:
+    random graphs, some with signed zeros; disconnected graphs with an
+    isolated item; zero weights; weights in (0, EPSILON]; n = 1; and the
+    signed-zero CSRs."""
     graphs = []
     for trial in range(60):
         graph = random_affinity(rng, n=int(rng.integers(2, 30)),
@@ -186,11 +185,12 @@ def test_components_reference_is_the_components(rng):
     # the gamma = 0 optimum: the components over the entries of positive
     # weight, canonical, with energy_components' (h_a, h_r) bytes
     for args in _components_inputs(rng):
-        labels, *energy = kernels.components_py(*args)
+        graph = graph_of(*args)
+        labels, *energy = kernels.components_py(graph)
         assert np.array_equal(labels, _positive_components(*args[:4]))
         assert labels.dtype == np.int64
         assert _exact(energy) == _exact(kernels.energy_components(
-            *args[1:4], labels, *args[4:]))
+            graph, labels))
 
 
 @needs_cc
@@ -198,8 +198,9 @@ def test_components_backends_agree(rng):
     # the C kernel gives its reference's labels and (h_a, h_r) bytes, the
     # sign of a zero included
     for args in _components_inputs(rng):
-        labels, *energy = kernels.components(kernels.check_graph(*args))
-        want, *want_energy = kernels.components_py(*args)
+        graph = graph_of(*args)
+        labels, *energy = kernels.components(graph)
+        want, *want_energy = kernels.components_py(graph)
         assert np.array_equal(labels, want)
         assert _exact(energy) == _exact(want_energy)
 
@@ -209,8 +210,7 @@ def test_energy_components_rejects_negative_product_label(rng):
     labels = np.zeros(graph.n, dtype=np.int64)
     labels[1] = -1
     with pytest.raises(IndexError, match="labels must be >= 0"):
-        kernels.energy_components(*graph._kernel_args[:3], labels,
-                                  *graph._kernel_args[3:])
+        kernels.energy_components(graph, labels)
 
 
 def test_sweep_is_the_python_phase_on_every_backend():
@@ -234,8 +234,8 @@ def test_sweep_rejects_out_of_range_label(rng):
 
 
 def _rejected_alike(args, message):
-    """Assert that the graph arguments (n, the CSRs, the repulsion model)
-    fail the numpy graph check and, when loaded, the C one, each with one
+    """Assert that the graph fields `args` (conftest.KERNEL_FIELDS) fail
+    the numpy graph check and, when loaded, the C one, each with one
     InputError matching `message`."""
     checks = [kernels.check_graph_py]
     if kernels.BACKEND == "c":
@@ -243,7 +243,7 @@ def _rejected_alike(args, message):
     messages = set()
     for check in checks:
         with pytest.raises(InputError, match=message) as info:
-            check(*args)
+            check(graph_fields(*args))
         messages.add(str(info.value))
     assert len(messages) == 1, messages
 
@@ -261,9 +261,10 @@ def test_graph_checks_pass_every_valid_graph(rng):
         rng.standard_normal((200, 2)), k=8)))
     cases = [(g.n, *g._kernel_args) for g in graphs]
     for args in [*cases, *_components_inputs(rng)]:
-        assert kernels.check_graph_py(*args) is None
+        graph = graph_fields(*args)
+        assert kernels.check_graph_py(graph) is None
         if kernels.BACKEND == "c":
-            assert isinstance(kernels._check_graph_c(*args), kernels.Graph)
+            assert isinstance(kernels._check_graph_c(graph), kernels.Graph)
 
 
 @needs_cc
@@ -287,14 +288,15 @@ def test_graph_checks_agree_on_random_faults(rng):
                                         np.nan, values[(e + 1) % len(values)]])
             else:
                 values[e] += int(rng.choice([-2, -1, 1, 2]))
+        graph = graph_fields(*args)
         try:
-            kernels.check_graph_py(*args)
+            kernels.check_graph_py(graph)
         except InputError:
             failed += 1
             with pytest.raises(InputError):
-                kernels._check_graph_c(*args)
+                kernels._check_graph_c(graph)
         else:
-            assert isinstance(kernels._check_graph_c(*args), kernels.Graph)
+            assert isinstance(kernels._check_graph_c(graph), kernels.Graph)
     assert 200 < failed < 600
 
 
@@ -724,6 +726,56 @@ def test_graph_struct_matches_graph_t():
     assert names == [name for name, _ in fields]
     assert all(ctypes.sizeof(kind) == 8 for _, kind in fields)
     assert ctypes.sizeof(kernels.Graph) == 8 * len(names)
+
+
+_DETACHED_VIEW = """
+import types
+import numpy as np
+from confres import kernels
+from confres.graph import build_knn_graph, derive_affinity
+
+points = np.random.default_rng(0).standard_normal((3000, 2))
+graph = derive_affinity(build_knn_graph(points, k=10))
+# fresh copies of the arrays, freed once a view of them is made, then
+# memory filled with random integers, which no CSR can read
+copies = types.SimpleNamespace(
+    n=graph.n, rep_mode=graph.rep_mode, rep_denom=graph.rep_denom,
+    **{name: getattr(graph, name).copy() for name in (
+        "indptr", "indices", "weights", "rep_strength", "rep_indptr",
+        "rep_indices", "rep_weights")})
+view = kernels._check_graph_c(copies)
+del copies
+noise = np.random.default_rng(1)
+filler = [noise.integers(-2 ** 62, 2 ** 62, size) for _ in range(8)
+          for size in (graph.n + 1, graph.indices.shape[0])]
+for name, call in (
+        ("level_loop", lambda: kernels.level_loop(
+            view, 1.0, np.random.default_rng(0), 32, 100, 1000)),
+        ("components", lambda: kernels.components(view))):
+    try:
+        call()
+    except Exception as exc:
+        print(name, "raised", type(exc).__name__, flush=True)
+    else:
+        print(name, "returned", flush=True)
+"""
+
+
+@needs_cc
+def test_kernels_refuse_a_view_detached_from_its_arrays():
+    # a kernels.Graph holds addresses and no reference to the arrays, so
+    # level_loop and components take the AffinityGraph, which keeps both:
+    # handed a bare view of arrays since freed, each raises a Python
+    # exception and never reads them.  In a process of its own, so that a
+    # crash fails only this test
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kernels.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    ran = subprocess.run([sys.executable, "-c", _DETACHED_VIEW], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert ran.returncode == 0, (ran.returncode, ran.stderr)
+    lines = ran.stdout.split("\n")[:-1]
+    assert [line.split()[:2] for line in lines] == [
+        ["level_loop", "raised"], ["components", "raised"]], ran.stdout
 
 
 def _exports(source):

@@ -302,10 +302,7 @@ def test_c_level_loop_energy_is_energy_components(rng):
     for trial, graph, gamma, seed in _level_loop_cases(rng):
         labels, h_a, h_r = optimizer._level_loop_c(
             graph, gamma, np.random.default_rng(seed))
-        want = kernels.energy_components(
-            graph.indptr, graph.indices, graph.weights, labels,
-            graph.rep_mode, graph.rep_strength, graph.rep_denom,
-            graph.rep_indptr, graph.rep_indices, graph.rep_weights)
+        want = kernels.energy_components(graph, labels)
         assert _bytes((h_a, h_r)) == _bytes(want), (trial, gamma)
 
 
@@ -522,7 +519,7 @@ def test_gamma_zero_backends_reject_bad_graphs(monkeypatch, rng):
     # reference, nor in either level loop
     graph = random_affinity(rng, scheme="explicit")
     solves = []
-    for components in (kernels.components, None):
+    for components in (kernels.components, kernels.components_py):
         solves.append((0.0, "components", components))
     for compiled in (optimizer._compiled_loop(), False):
         solves.append((1.0, "_compiled_loop", lambda compiled=compiled:
@@ -688,7 +685,7 @@ def test_graph_arguments_are_taken_once_per_graph(rng, monkeypatch):
     checked = []
     check = kernels.check_graph
     monkeypatch.setattr(kernels, "check_graph",
-                        lambda n, *a: checked.append(a[1]) or check(n, *a))
+                        lambda g: checked.append(g.indices) or check(g))
 
     def checks_of(graph):
         return sum(np.shares_memory(idx, graph.indices) for idx in checked)
