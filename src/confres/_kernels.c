@@ -37,7 +37,8 @@
  * multiply-add) and never with -ffast-math.
  * `parse_points` reads text, not a graph: the body of a points file, as
  * graph.read_text decodes it and ending in a line feed, in one pass, each
- * number by strtod, declining (returning 0) whatever lies outside its
+ * field by strtod, declining (returning 0) a field strtod reads otherwise
+ * than as a plain decimal number, and whatever else lies outside its
  * strict grammar, so that graph.load_points_csv reads that body with
  * Python's float instead.  It needs no _GNU_SOURCE (strtod_l, say):
  * glibc would then declare a `canonicalize` that clashes with the one below.
@@ -1531,63 +1532,32 @@ int64_t knn_graph(int64_t n, int64_t d, const double *points, int64_t k,
  * pass.  Python's float is the reference (graph._row_points reads every
  * body this reader declines): within this grammar both round each number
  * correctly, so they return the same bits.  The final \n ends every scan
- * below, none of which passes a \n, so none needs a bound. */
+ * below, none of which passes a \n, so none needs a bound: a field is
+ * handed to strtod only at a digit, a sign or '.', never at the blanks
+ * strtod would skip, and no form strtod reads runs past \n or NUL. */
 
 static int is_blank(char c) { return c == ' ' || c == '\t'; }
 
-static int64_t skip_digits(const char *text, int64_t at)
+static int starts_number(char c)
 {
-    while (text[at] >= '0' && text[at] <= '9')
-        at++;
-    return at;
-}
-
-/* The end of the number [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? that starts at
- * `at`, or -1 when none does. */
-static int64_t number_end(const char *text, int64_t at)
-{
-    if (text[at] == '+' || text[at] == '-')
-        at++;
-    int64_t end = skip_digits(text, at), count = end - at;
-    if (text[end] == '.') {
-        int64_t frac = end + 1;
-        end = skip_digits(text, frac);
-        count += end - frac;
-    }
-    if (!count)
-        return -1;
-    if (text[end] == 'e' || text[end] == 'E') {
-        at = end + 1;
-        if (text[at] == '+' || text[at] == '-')
-            at++;
-        end = skip_digits(text, at);
-        if (end == at)
-            return -1;
-    }
-    return end;
-}
-
-/* strtod of the number text[0..len) into *value; 0 unless strtod reads
- * exactly it, as under a locale whose decimal point is not '.'.  text[len]
- * is a blank, comma or \n (the caller checks it first), so strtod stops
- * there, and in any case before the body's final \n. */
-static int convert(const char *text, int64_t len, double *value)
-{
-    char *stop;
-    *value = strtod(text, &stop);
-    return stop == text + len;
+    return (c >= '0' && c <= '9') || c == '+' || c == '-' || c == '.';
 }
 
 /* The rows of a points file's body text[0..len), as graph._row_points
  * reads them: lines ended by \n, blank lines (spaces and tabs only)
  * skipped, every other line the same number of comma-separated fields
- * [ \t]*<number>[ \t]* (see number_end), each read by strtod.  Writes the
- * values, row by row, to out (cap slots) and the width to *cols, and
- * returns the number of rows; returns 0 and leaves *cols untouched, out
- * in part written, to decline: on a body whose last byte is not \n, no
- * rows, any other byte or field, rows of unequal width, more than cap
- * fields, or a number strtod reads otherwise.  Reads no byte past len and
- * takes no buffer. */
+ * [ \t]*<number>[ \t]*, each read by strtod.  A number is what strtod
+ * reads from a digit, a sign or '.' in the bytes 0-9 + - . e E only:
+ * under a locale whose decimal point is '.', exactly the numbers
+ * [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? (C99 7.20.1.3).  Hex, inf and nan(...)
+ * take other bytes; under another decimal point strtod stops at the '.'
+ * or reads the other point; a field strtod reads nothing of leaves its
+ * sign or '.' next; each is declined.  Writes the values, row by row, to
+ * out (cap slots) and the width to *cols, and returns the number of rows;
+ * returns 0 and leaves *cols untouched, out in part written, to decline:
+ * on a body whose last byte is not \n, no rows, any other byte or field,
+ * rows of unequal width, or more than cap fields.  Reads no byte past len
+ * and takes no buffer. */
 int64_t parse_points(const char *text, int64_t len, double *out,
                      int64_t cap, int64_t *cols)
 {
@@ -1606,18 +1576,21 @@ int64_t parse_points(const char *text, int64_t len, double *out,
         do {
             while (is_blank(text[at]))
                 at++;
-            int64_t end = number_end(text, at), stop = end;
-            if (end < 0)
+            if (!starts_number(text[at]) || count == cap)
                 return 0;
-            while (is_blank(text[stop]))
-                stop++;
-            after = text[stop];
-            if ((after != ',' && after != '\n') || count == cap
-                || !convert(text + at, end - at, &out[count]))
+            char *end;
+            out[count] = strtod(text + at, &end);
+            for (; text + at < end; at++)
+                if (!starts_number(text[at]) && text[at] != 'e'
+                    && text[at] != 'E')
+                    return 0;
+            while (is_blank(text[at]))
+                at++;
+            after = text[at++];
+            if (after != ',' && after != '\n')
                 return 0;
             count++;
             fields++;
-            at = stop + 1;
         } while (after == ',');
         if (rows && fields != width)
             return 0;

@@ -354,9 +354,10 @@ def load_points_csv(path) -> np.ndarray:
 
     The file is read once, by `read_text`, which decides its lines.  With
     the C kernels the body after the header goes, as bytes that end in a
-    line feed, to one C pass (`kernels.parse_points`), which reads it when
-    every field fits the grammar
-    `[ \\t]*[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?[ \\t]*`, blank lines skipped.
+    line feed, to one C pass (`kernels.parse_points`, its output sized
+    from the byte length), which reads it when every field fits the
+    grammar `[ \\t]*[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?[ \\t]*`, blank lines
+    skipped, each number read by strtod.
     A body it declines (underscores, `inf` or `nan`, hex, non-ASCII text,
     a ragged or non-numeric row), or any body without the C kernels, is
     read row by row, each field with Python's float, which also words

@@ -73,11 +73,13 @@ takes its arrays, in the order of `AffinityGraph._kernel_args`):
   the numpy code they replace, adding in the same order.
 - `parse_points` reads text, not a graph: the body of a points file,
   decoded by `graph.read_text` and encoded again as bytes that end in a
-  line feed, in one C pass that converts each field with strtod.  It
-  reads only a strict grammar (comma-separated decimal numbers, rows
-  ended by a line feed) and declines everything else, so its reference
-  is `graph.load_points_csv`'s row parser, which reads what it declines
-  on the same decoded lines and words every error; within the grammar,
+  line feed, in one C pass that hands each field starting at a digit, a
+  sign or '.' to strtod and keeps it only if strtod read nothing but
+  `0-9 + - . e E` and a comma or line feed comes next.  That is a strict
+  grammar (comma-separated decimal numbers, rows ended by a line feed);
+  it declines everything else, so its reference is
+  `graph.load_points_csv`'s row parser, which reads what it declines on
+  the same decoded lines and words every error; within the grammar,
   strtod and Python's float both round correctly, so they return the
   same bits.  Without the C kernels it is None.
 
@@ -937,18 +939,20 @@ def _affinity_weights_c(n, edges, pair, sim):
 def _parse_points_c(data):
     """The rows of `data`, the body of a points file as bytes, read in one
     C call (`parse_points` in _kernels.c): an (n, d) float64 array, or
-    None where the C reader declines.  Its output is sized from the count
-    of commas and line feeds, at least the count of fields, and shrunk in
-    place to the fields read."""
-    cap = data.count(b",") + data.count(b"\n") + 1
+    None where the C reader declines.  Its buffer is sized from the byte
+    length, at least the count of fields, since each field takes a digit
+    and a comma or line feed, and the fields read are copied out of it:
+    malloc maps a buffer that large on its own, and shrunk in place it
+    would keep fresh pages where a copy reuses free heap, which raised
+    peak RSS."""
+    cap = len(data) // 2 + 1
     out = np.empty(cap)
     cols = ctypes.c_int64(0)
     rows = _LIB.parse_points(data, len(data), _address(out), cap,
                              ctypes.byref(cols))
     if not rows:
         return None
-    out.resize(rows * cols.value, refcheck=False)
-    return out.reshape(rows, cols.value)
+    return out[:rows * cols.value].reshape(rows, cols.value).copy()
 
 
 _LIB = _load_library() if _compiled_enabled() else None

@@ -131,15 +131,17 @@ def find_configurations(graph: AffinityGraph, gamma_max: float,
         partitions.setdefault(key, (labels, energy.h_a, energy.h_r))
         return key
 
-    def recurse(lo, key_lo, hi, key_hi, depth):
-        nonlocal exhausted
+    # depth first over the intervals between probes, the lower one first
+    stack = [(0.0, solve(0.0), gamma_max, solve(gamma_max), 0)]
+    while stack:
+        lo, key_lo, hi, key_hi, depth = stack.pop()
         if key_lo == key_hi:
-            return
+            continue
         if depth >= max_depth:
             exhausted = True
-            return
+            continue
         if hi - lo < gamma_max * 1e-4:
-            return
+            continue
         _, ha_lo, hr_lo = partitions[key_lo]
         _, ha_hi, hr_hi = partitions[key_hi]
         denom = hr_lo - hr_hi
@@ -151,13 +153,11 @@ def find_configurations(graph: AffinityGraph, gamma_max: float,
             cross = 0.5 * (lo + hi)
         key_mid = solve(cross)
         if key_mid == key_lo or key_mid == key_hi:
-            return  # tie at the crossing: the boundary between the two lines
-        recurse(lo, key_lo, cross, key_mid, depth + 1)
-        recurse(cross, key_mid, hi, key_hi, depth + 1)
+            continue  # tie at the crossing: the boundary between the two lines
+        stack.append((cross, key_mid, hi, key_hi, depth + 1))
+        stack.append((lo, key_lo, cross, key_mid, depth + 1))
 
-    recurse(0.0, solve(0.0), gamma_max, solve(gamma_max), 0)
-    del recurse  # a self-referencing closure: free the graph now, not at GC
-    # the recursion discovers candidate partitions; the exact lower envelope
+    # the probes discover candidate partitions; the exact lower envelope
     # of their energy lines assigns the plateau intervals, which guarantees
     # dominance within every interval even when the heuristic optimizer
     # returned an inconsistent answer at some probe

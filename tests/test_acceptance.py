@@ -290,7 +290,7 @@ def test_criterion_10_scaling_sanity():
         optimize(graph, 1.0, OptimizeOptions(seed=0))  # warm the kernels
     # both sizes in turn, seed by seed, so that a slow spell hits both
     samples = {n: [] for n in graphs}
-    for run in range(5):
+    for run in range(15):
         for n, graph in graphs.items():
             t0 = time.perf_counter()
             optimize(graph, 1.0, OptimizeOptions(seed=run))

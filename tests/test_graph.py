@@ -765,6 +765,13 @@ class TestPointsLoaderAgainstRowParser:
         "exponent without digits": "1,2\n1e,3\n",
         "lone sign": "1,2\n-,3\n",
         "nul byte": "1,2\n3\x00,4\n5,6\n",
+        # bodies strtod reads further than the grammar
+        "hex float": "1,2\n0x1p3,3\n",
+        "infinity": "1,2\ninfinity,3\n",
+        "nan with a payload": "1,2\n3,+nan(1)\n",
+        "two exponents": "1,2\n1e5e3,3\n",
+        "exponent without a mantissa": "1,2\n.e1,3\n",
+        "vertical tab before a field": "1,2\n3,\v4\n",
         "lone cr at the end": "1,2\n3,4\r",
         "lone cr inside": "1,2\n3,4\r5,6\n",
         "mixed line ends": "x,y\r\n1,2\n3,4\r\n5,6\n",

@@ -1499,16 +1499,18 @@ def test_graph_kernels_are_clean_under_sanitizers(tmp_path,
 
 # Runs the C points reader on bodies copied, with no terminator, to the
 # end of a page before one that may not be read, and on an output of
-# exactly the slots the caller sizes (one per comma and line feed, plus
-# one).  Bodies that do not end in a line feed (mid-number, in a comma,
-# in blanks, in one field, in a number of 300 digits, after a CR) must be
+# exactly the slots the caller sizes (one per two bytes, plus one).
+# Bodies that do not end in a line feed (mid-number, in a comma, in
+# blanks, in one field, in a number of 300 digits, after a CR) must be
 # declined; bodies that end in one at the page's end must be read, among
 # them a number of 300 digits, so that strtod reading past the body
-# would fault; and a body with more fields than its output holds must be
-# declined.  Exits 0 only if each call returns the rows and width
-# wanted, or 0 with the width untouched, and the values bit for bit.  A
-# read past the body faults, in strtod too, which the sanitizers do not
-# see into; they catch a write past the output.
+# would fault, or declined where strtod reads more than the grammar (hex,
+# inf, a nan cut at the line feed, a field after a vertical tab); and a
+# body with more fields than its output holds must be declined.  Exits 0
+# only if each call returns the rows and width wanted, or 0 with the
+# width untouched, and the values bit for bit.  A read past the body
+# faults, in strtod too, which the sanitizers do not see into; they
+# catch a write past the output.
 _POINTS_SANITIZER_MAIN = r"""
 #include <sys/mman.h>
 #include <unistd.h>
@@ -1537,10 +1539,7 @@ static int run(const char *name, const char *body, int64_t cap,
 /* the output slots graph.load_points_csv gives `body` */
 static int64_t slots(const char *body)
 {
-    int64_t cap = 1;
-    for (; *body; body++)
-        cap += *body == ',' || *body == '\n';
-    return cap;
+    return (int64_t)strlen(body) / 2 + 1;
 }
 
 static int check(const char *name, const char *body, int64_t want_rows,
@@ -1573,6 +1572,10 @@ int main(void)
         | check("one field, line feed", "5\n", 1, 1, five)
         | check("exponent, line feed", "2.5e-3\n", 1, 1, small)
         | check("300 digits, line feed", line, 1, 1, big)
+        | check("hex float", "1,0x1p3\n", 0, 0, NULL)
+        | check("inf", "1,+inf\n", 0, 0, NULL)
+        | check("nan cut", "1,+nan(\n", 0, 0, NULL)
+        | check("vertical tab", "1,\v2\n", 0, 0, NULL)
         | run("more fields than slots", "1,2\n3,4\n", 3, 0, 0, NULL);
 }
 """
@@ -1582,7 +1585,7 @@ int main(void)
 def test_parse_points_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     # no read past the body's length, no write past the output's slots
     out = _run_sanitized(tmp_path, sanitized_kernels, _POINTS_SANITIZER_MAIN)
-    assert out.count(", ok") == 17 and "BAD" not in out, out
+    assert out.count(", ok") == 21 and "BAD" not in out, out
 
 
 # Runs each exported kernel that takes buffers (all but parse_points) on

@@ -239,6 +239,38 @@ def test_sweep_frees_the_graph_without_the_cycle_collector():
         gc.enable()
 
 
+class _Interrupted(Exception):
+    pass
+
+
+def test_an_interrupted_sweep_frees_the_graph_without_the_cycle_collector(
+        monkeypatch):
+    # a probe that raises (a KeyboardInterrupt, say) must leave no cycle
+    # that keeps the graph alive once the exception is dropped
+    calls = []
+
+    def interrupted(graph, gamma, opts):
+        calls.append(gamma)
+        if len(calls) == 3:
+            raise _Interrupted
+        return optimize(graph, gamma, opts)
+
+    monkeypatch.setattr(resolution, "optimize", interrupted)
+    graph, _ = blob_graph(np.random.default_rng(2), [(0, 0), (9, 0)],
+                          per=15, k=6)
+    ref = weakref.ref(graph)
+    gc.disable()
+    try:
+        try:
+            find_configurations(graph, 2.0, OptimizeOptions(seed=0))
+        except _Interrupted:
+            pass
+        del graph
+        assert len(calls) == 3 and ref() is None
+    finally:
+        gc.enable()
+
+
 # The exact-envelope oracle: on graphs of 6 to 9 items every set partition
 # is enumerated, and the lower envelope of all their energy lines is the
 # true one.  ORACLE_FLOOR is how many of its plateaus wider than
