@@ -48,17 +48,20 @@
  * from numpy's own bitgen_t.  A graph_t holds addresses only: on the
  * Python side kernels.level_loop and kernels.components take the
  * graph.AffinityGraph, which owns its arrays and the graph_t of them.  A
- * kernel returns a count or 0, or else a negative ERR_ code; ERR_NOMEM is
- * the one out-of-memory code.
+ * kernel returns a count or 0, or else one of two statuses: ERR_NOMEM when
+ * a buffer could not be taken, ERR_FAULT for a fault in its arguments.  C
+ * only detects a fault: kernels._failed runs the kernel's numpy reference
+ * on the same arguments, and that reference words every error.
  *
  * The caller in kernels.py checks dtypes, contiguity and lengths.  A
  * graph_t passes `check_graph` once, when graph.AffinityGraph makes it;
- * `level_loop` and `components` trust it.  The other kernels check the
- * range of every value used as an index, in one scan before any indexed
- * read; a failed check returns one of the ERR_ codes below and leaves
- * every argument untouched.  So do the faults of a neighbour graph in its
- * data (from ERR_OVERFLOW on), the edge or item at fault in an `at` slot
- * where one is named.  kernels._raise maps each code to its exception.
+ * `level_loop` and `components` trust it.  `pairs` and `affinity_weights`
+ * check the range of every value used as an index, in one scan before any
+ * indexed read, and `affinity_layout` the edges and distances of its
+ * neighbour graph; a failed check returns ERR_FAULT and leaves every
+ * argument untouched, a fault found later (a sigma, a distance of 0)
+ * ERR_FAULT with only the layout written.  `knn_graph` has no fault: a
+ * distance that overflows comes back infinite, for the caller to check.
  *
  * Each exported kernel owns its heap buffers through one list per call
  * (buffers_t): each buffer is its own heap block, so a sanitizer bounds
@@ -78,18 +81,7 @@
 #define REP_EXPLICIT 1
 
 #define ERR_NOMEM (-1)
-#define ERR_ROWS (-10)
-#define ERR_COLS (-11)
-#define ERR_OVERFLOW (-13)
-#define ERR_EDGE (-14)
-#define ERR_DISTANCE (-15)
-#define ERR_ISOLATED (-16)
-#define ERR_SIGMA (-17)
-#define ERR_NONPOSITIVE (-18)
-#define ERR_SIMILARITY (-19)
-#define ERR_ROWSUM (-20)
-#define ERR_ENDS (-21)
-#define ERR_PAIR (-22)
+#define ERR_FAULT (-2)
 
 /* A buffer's block: this header, then its slots, aligned for any type. */
 typedef union block {
@@ -146,13 +138,12 @@ typedef struct {
     const double *rep_weights;
 } graph_t;
 
-/* 0 when every a[0..len) lies in [0, hi), else err. */
-static int64_t check_range(const int64_t *a, int64_t len, int64_t hi,
-                           int64_t err)
+/* 0 when every a[0..len) lies in [0, hi), else ERR_FAULT. */
+static int64_t check_range(const int64_t *a, int64_t len, int64_t hi)
 {
     for (int64_t i = 0; i < len; i++)
         if (a[i] < 0 || a[i] >= hi)
-            return err;
+            return ERR_FAULT;
     return 0;
 }
 
@@ -187,20 +178,20 @@ static int64_t check_csr(int64_t n, int64_t m, const int64_t *ptr,
     return 0;
 }
 
-/* 0 when g keeps the graph contract, else 1, with n slots of scratch in
- * cursor: rep_denom finite and > 0, each rep_strength finite and >= 0,
- * and each CSR as check_csr wants it.  Its reference, which words the
- * fault, is kernels.check_graph_py. */
+/* 0 when g keeps the graph contract, else ERR_FAULT, with n slots of
+ * scratch in cursor: rep_denom finite and > 0, each rep_strength finite
+ * and >= 0, and each CSR as check_csr wants it. */
 int64_t check_graph(const graph_t *g, int64_t *cursor)
 {
     int bad = !(g->rep_denom > 0.0 && g->rep_denom < INFINITY);
     for (int64_t i = 0; i < g->n; i++)
         bad |= !(g->rep_strength[i] >= 0.0 && g->rep_strength[i] < INFINITY);
-    return bad
+    bad = bad
         || check_csr(g->n, g->m, g->indptr, g->indices, g->weights, cursor)
         || (g->rep_mode == REP_EXPLICIT
             && check_csr(g->n, g->rep_m, g->rep_indptr, g->rep_indices,
                          g->rep_weights, cursor));
+    return bad ? ERR_FAULT : 0;
 }
 
 /* numpy's bit generator, the layout of bitgen_t in numpy/random/bitgen.h
@@ -580,18 +571,16 @@ static void fill_csr(int64_t n, int64_t found, const int64_t *rows,
  * out_rows, out_cols and out_vals (m slots each, also the sort's
  * scratch); then their layout as fill_csr writes it, to out_ptr (n + 1
  * slots), out_idx and out_weights (2 m slots each), each entry holding
- * its pair's weight.  Returns the number of pairs, or an ERR_ code with
- * nothing written.  Scratch: n + 1 slots. */
+ * its pair's weight.  Returns the number of pairs, or ERR_FAULT (an end
+ * out of range) or ERR_NOMEM with nothing written.  Scratch: n + 1
+ * slots. */
 int64_t pairs(int64_t n, int64_t m, const int64_t *rows, const int64_t *cols,
               const double *vals, int64_t mean, int64_t *out_rows,
               int64_t *out_cols, double *out_vals, int64_t *out_ptr,
               int64_t *out_idx, double *out_weights)
 {
-    int64_t err = check_range(rows, m, n, ERR_ROWS);
-    if (!err)
-        err = check_range(cols, m, n, ERR_COLS);
-    if (err)
-        return err;
+    if (check_range(rows, m, n) || check_range(cols, m, n))
+        return ERR_FAULT;
     buffers_t b = {NULL, 0};
     int64_t *count = take(&b, n + 1, sizeof(int64_t), 0);
     int64_t found = ERR_NOMEM;
@@ -668,28 +657,20 @@ static double nth_smallest(double *a, int64_t len, int64_t nth)
  * np.bincount's order (rows, then cols), the symmetrised weights, their
  * end sums and their CSR layout. */
 
-/* The first edge t that is not a pair 0 <= i < j < n after the one before
- * it (so the pairs are unique and in order), with ERR_EDGE, or else whose
- * distance is not finite and >= 0, with ERR_DISTANCE; *at = t.  Copies
- * the ends to rows and cols on the way.  Returns 0 when every edge is
- * good. */
+/* ERR_FAULT when an edge is not a pair 0 <= i < j < n after the one
+ * before it (so the pairs are unique and in order), or its distance is
+ * not finite and >= 0, else 0.  Copies the ends to rows and cols on the
+ * way. */
 static int64_t scan_edges(int64_t n, int64_t m, const int64_t *edges,
-                          const double *dist, int64_t *rows, int64_t *cols,
-                          int64_t *at)
+                          const double *dist, int64_t *rows, int64_t *cols)
 {
     for (int64_t t = 0; t < m; t++) {
         int64_t i = edges[2 * t], j = edges[2 * t + 1];
-        int64_t err = 0;
         if (!(0 <= i && i < j && j < n)
                 || (t > 0 && !(i > rows[t - 1]
-                               || (i == rows[t - 1] && j > cols[t - 1]))))
-            err = ERR_EDGE;
-        else if (!(dist[t] >= 0.0 && dist[t] < INFINITY))  /* NaN fails */
-            err = ERR_DISTANCE;
-        if (err) {
-            *at = t;
-            return err;
-        }
+                               || (i == rows[t - 1] && j > cols[t - 1])))
+                || !(dist[t] >= 0.0 && dist[t] < INFINITY))  /* NaN fails */
+            return ERR_FAULT;
         rows[t] = i;
         cols[t] = j;
     }
@@ -700,7 +681,7 @@ static int64_t scan_edges(int64_t n, int64_t m, const int64_t *edges,
  * pushed past its zero distances and capped at its degree, by
  * nth_smallest on a copy of the row (`row`, n slots); then, when any is
  * zero, every sigma floored at 1e-12 of the largest, as np.maximum does.
- * Returns ERR_SIGMA when every sigma is still zero, else 0. */
+ * Returns ERR_FAULT when every sigma is still zero, else 0. */
 static int64_t pick_sigmas(int64_t n, const int64_t *ptr, const int64_t *pair,
                            const double *dist, int64_t rank, double *row,
                            double *sigma)
@@ -723,7 +704,7 @@ static int64_t pick_sigmas(int64_t n, const int64_t *ptr, const int64_t *pair,
     double least = largest * 1e-12;
     for (int64_t i = 0; i < n; i++)
         sigma[i] = sigma[i] < least ? least : sigma[i];
-    return largest > 0.0 ? 0 : ERR_SIGMA;
+    return largest > 0.0 ? 0 : ERR_FAULT;
 }
 
 /* The both-direction CSR of the m edges (i, j) of a neighbour graph over
@@ -731,14 +712,14 @@ static int64_t pick_sigmas(int64_t n, const int64_t *ptr, const int64_t *pair,
  * and out_pair (2 m slots each) as fill_csr writes them, and per edge
  * (out_vals, m slots) the exponent -d^2 / (sigma_i sigma_j) of the
  * self-tuning Gaussian with sigma of rank `rank`, or, with `inverse`, the
- * similarity 1 / d.  Returns 0, or an ERR_ code: ERR_EDGE or ERR_DISTANCE
- * with the edge in *at, or ERR_ISOLATED with the item, before anything is
- * written; ERR_SIGMA or ERR_NONPOSITIVE with only the layout written.
- * Scratch: 2 m + 4 n slots. */
+ * similarity 1 / d.  Returns 0, or else ERR_NOMEM, or ERR_FAULT: before
+ * anything is written for a bad edge or distance (scan_edges) or an item
+ * without an edge, with only the layout written when every sigma is 0 or,
+ * with `inverse`, a distance is 0.  Scratch: 2 m + 4 n slots. */
 int64_t affinity_layout(int64_t n, int64_t m, const int64_t *edges,
                         const double *dist, int64_t rank, int64_t inverse,
                         int64_t *out_ptr, int64_t *out_idx, int64_t *out_pair,
-                        double *out_vals, int64_t *at)
+                        double *out_vals)
 {
     size_t i64 = sizeof(int64_t), f64 = sizeof(double);
     buffers_t b = {NULL, 0};
@@ -746,23 +727,21 @@ int64_t affinity_layout(int64_t n, int64_t m, const int64_t *edges,
     int64_t *degree = take(&b, n, i64, 1), *next = take(&b, n, i64, 0);
     double *row = take(&b, n, f64, 0), *sigma = take(&b, n, f64, 0);
     int64_t err = b.failed ? ERR_NOMEM
-        : scan_edges(n, m, edges, dist, rows, cols, at);
+        : scan_edges(n, m, edges, dist, rows, cols);
     for (int64_t t = 0; !err && t < m; t++) {
         degree[rows[t]]++;
         degree[cols[t]]++;
     }
     for (int64_t i = 0; !err && i < n; i++)
-        if (degree[i] == 0) {
-            *at = i;
-            err = ERR_ISOLATED;
-        }
+        if (degree[i] == 0)
+            err = ERR_FAULT;
     if (!err) {
         fill_csr(n, m, rows, cols, NULL, next, out_ptr, out_idx, out_pair,
                  NULL);
         if (inverse) {
             for (int64_t t = 0; !err && t < m; t++)
                 if (dist[t] <= 0.0)
-                    err = ERR_NONPOSITIVE;
+                    err = ERR_FAULT;
             for (int64_t t = 0; !err && t < m; t++)
                 out_vals[t] = 1.0 / dist[t];
         } else {
@@ -782,35 +761,32 @@ int64_t affinity_layout(int64_t n, int64_t m, const int64_t *edges,
  * edge's w = 0.5 (s / r_i + s / r_j) (out_w, m slots), each item's
  * strength, w summed the same way (out_strengths, n slots), and w laid out
  * through the CSR's pair indices (out_weights, 2 m slots).  Returns 0, or
- * an ERR_ code with nothing written: ERR_ENDS or ERR_PAIR for an index
- * out of range, ERR_SIMILARITY unless every similarity is finite and one
- * is positive, ERR_ROWSUM for an item whose similarities sum to <= 0.
- * Scratch: n slots. */
+ * else ERR_NOMEM, or ERR_FAULT, with nothing written: for an end or pair
+ * index out of range, unless every similarity is finite and one is
+ * positive, or for an item whose similarities sum to <= 0.  Scratch: n
+ * slots. */
 int64_t affinity_weights(int64_t n, int64_t m, const int64_t *edges,
                          const int64_t *pair, const double *sim,
                          double *out_w, double *out_strengths,
                          double *out_weights)
 {
-    int64_t err = check_range(edges, 2 * m, n, ERR_ENDS);
-    if (!err)
-        err = check_range(pair, 2 * m, m, ERR_PAIR);
+    int bad = check_range(edges, 2 * m, n) || check_range(pair, 2 * m, m);
     int positive = 0;
-    for (int64_t t = 0; !err && t < m; t++) {
-        if (!isfinite(sim[t]))
-            err = ERR_SIMILARITY;
+    for (int64_t t = 0; !bad && t < m; t++) {
+        bad = !isfinite(sim[t]);
         positive |= sim[t] > 0.0;
     }
-    if (err || !positive)
-        return err ? err : ERR_SIMILARITY;
+    if (bad || !positive)
+        return ERR_FAULT;
     buffers_t b = {NULL, 0};
     double *rowsum = take(&b, n, sizeof(double), 1);
-    err = b.failed ? ERR_NOMEM : 0;
+    int64_t err = b.failed ? ERR_NOMEM : 0;
     for (int64_t end = 0; !err && end < 2; end++)
         for (int64_t t = 0; t < m; t++)
             rowsum[edges[2 * t + end]] += sim[t];
     for (int64_t i = 0; !err && i < n; i++)
         if (rowsum[i] <= 0.0)
-            err = ERR_ROWSUM;
+            err = ERR_FAULT;
     if (!err) {
         memset(out_strengths, 0, (size_t)n * sizeof(double));
         for (int64_t t = 0; t < m; t++)
@@ -1481,11 +1457,12 @@ static void search(kdtree_t *t, batch_t *q, int64_t n, const double *points,
  * distances, grouped by group_pairs.  The caller passes n x d finite
  * points and 1 <= k <= n - 1.  Writes the pairs to out_edges (2 n k
  * slots, i then j) and their distances to out_dist (n k slots) and
- * returns their number, or an ERR_ code with nothing written:
- * ERR_OVERFLOW when a distance is not finite.  Scratch: the points in
- * tree order, stored coordinate by coordinate, 3 n indices, at most
- * n / 4 + 1 nodes of 2 d bounds each, a batch's lists and group, and
- * 5 n k + n + 1 slots. */
+ * returns their number, or ERR_NOMEM with nothing written.  A distance
+ * that overflows is infinite, and so is the mean of its pair, which
+ * kernels._finite_distances checks.  Scratch: the points in tree order,
+ * stored coordinate by coordinate, 3 n indices, at most n / 4 + 1 nodes
+ * of 2 d bounds each, a batch's lists and group, and 5 n k + n + 1
+ * slots. */
 int64_t knn_graph(int64_t n, int64_t d, const double *points, int64_t k,
                   int64_t half_square, int64_t *out_edges, double *out_dist)
 {
@@ -1502,12 +1479,6 @@ int64_t knn_graph(int64_t n, int64_t d, const double *points, int64_t k,
     int64_t found = ERR_NOMEM;
     if (!b.failed) {
         search(&t, &q, n, points, nn, nn_dist);
-        found = 0;
-        for (int64_t e = 0; !found && e < m; e++)
-            if (!(nn_dist[e] < INFINITY))
-                found = ERR_OVERFLOW;
-    }
-    if (!found) {
         for (int64_t i = 0; i < n; i++)
             for (int64_t r = 0; r < k; r++)
                 from[i * k + r] = i;

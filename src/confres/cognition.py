@@ -180,8 +180,12 @@ def run_novelty_experiment(spec: HierarchySpec = None,
     if spec is None:
         spec = novelty_spec()
     points, _, _ = generate_hierarchy(spec)
+    n = points.shape[0]
     points, flags = inject_outliers(points, fraction, spread=1.0,
                                     seed=spec.seed + 1)
+    if not flags.any():  # roc_auc needs an outlier: fail before the sweep
+        raise InputError(f"outlier fraction {fraction} of {n} points rounds "
+                         f"to no outlier")
     graph = points_to_graph(points, k=30)
     configs = find_configurations(graph, 2.0, OptimizeOptions(seed=spec.seed))
     labels, gamma, entry = _working_partition(configs)

@@ -30,8 +30,14 @@ class EnergySummary:
 
 
 def canonicalize(labels) -> np.ndarray:
-    """Relabel clusters in first-occurrence order starting at 0."""
-    labels = np.asarray(labels, dtype=np.int64)
+    """Relabel clusters in first-occurrence order starting at 0; raises
+    InputError unless `labels` is 1-D and each label an integer (negatives
+    too: only their order of first occurrence counts)."""
+    values = np.asarray(labels)
+    if values.ndim != 1:
+        raise InputError(f"labels of shape {values.shape} must be 1-D: one "
+                         f"label per item")
+    labels = integer_labels(values)
     n = labels.shape[0]
     if n and labels.min() >= 0 and labels.max() < n:
         # O(n): each label's first position, then the items that hold it

@@ -49,12 +49,13 @@ takes its arrays, in the order of `AffinityGraph._kernel_args`):
   take the graph, which owns both, and read its view.
 - `knn_graph`, the kNN graph of `graph.build_knn_graph`, finds each
   item's k nearest others by (distance, index) with an exact kd-tree
-  search, the queries of a leaf batched into one walk of the tree, checks
-  their distances for overflow and groups them into pairs as `pairs` does,
-  in one C call.  `knn_graph_py` is the same steps in numpy, its search
-  `knn_py` a chunked brute force and its grouping that of `pairs_py`
-  without the CSR.  Both sum a distance from 0.0 in coordinate order, so
-  they return the same bits.
+  search, the queries of a leaf batched into one walk of the tree, and
+  groups them into pairs as `pairs` does, in one C call.  `knn_graph_py`
+  is the same steps in numpy, its search `knn_py` a chunked brute force
+  and its grouping that of `pairs_py` without the CSR.  Both sum a
+  distance from 0.0 in coordinate order, so they return the same bits,
+  and both check the grouped distances for overflow with
+  `_finite_distances`.
 - `pairs` reduces (i, j, w) entries to their sorted unique unordered
   pairs, each weight summed in input order (or averaged), and lays them
   out as a both-direction CSR with ascending columns, each entry holding
@@ -194,13 +195,9 @@ def check_graph_py(g):
         _check_csr(prefix, g.n, *csr)
 
 
-def _out_of_range(name, hi):
-    return IndexError(f"{name} out of range [0, {hi})")
-
-
 def _check_range(name, values, hi):
     if values.shape[0] and (values.min() < 0 or values.max() >= hi):
-        raise _out_of_range(name, hi)
+        raise IndexError(f"{name} out of range [0, {hi})")
 
 
 def _loop_sum(values):
@@ -528,6 +525,16 @@ def pairs_csr_py(n, rows, cols):
     return indptr, jj[order], order % rows.shape[0]
 
 
+def _finite_distances(dist):
+    """Raise NumericalError unless every grouped kNN distance is finite.
+    A finite distance is at most sqrt(DBL_MAX) (DBL_MAX / 2 for cosine),
+    so the mean of two is finite: a pair's distance is infinite exactly
+    when the distance of one of its entries overflowed."""
+    if not np.isfinite(dist).all():
+        raise NumericalError("a kNN distance overflows float64: the "
+                             "coordinates are too large")
+
+
 def knn_graph_py(points, k, metric="euclidean"):
     """The kNN graph of graph.build_knn_graph: (edges, distances), the
     sorted unique pairs (i, j), i < j, of every item and each of its k
@@ -536,15 +543,15 @@ def knn_graph_py(points, k, metric="euclidean"):
     lays out no CSR.  Raises NumericalError when a distance overflows
     float64."""
     # finite coordinates near the float64 limit can give an infinite
-    # distance: an error, raised before any later arithmetic makes it NaN
+    # distance, which stays infinite through the grouping (it only adds
+    # and halves distances >= 0, so no NaN arises): one check after it
     with np.errstate(over="ignore"):
         nn, nn_dist = knn_py(points, k, metric)
-    if not np.all(np.isfinite(nn_dist)):
-        _raise(_ERR_OVERFLOW)
     n = nn.shape[0]
     # both directions of a pair carry the same distance, so their mean is it
     rows, cols, dist = _group_pairs_py(n, np.repeat(np.arange(n), k),
                                        nn.ravel(), nn_dist.ravel(), True)
+    _finite_distances(dist)
     return np.stack([rows, cols], axis=1), dist
 
 
@@ -556,15 +563,6 @@ def _check_edges(edges, dist):
             or not edges.flags.c_contiguous):
         raise ValueError("edges must be a C-contiguous (m, 2) int64 array")
     _check_array("dist", dist, _F64, edges.shape[0])
-
-
-def _site(status, at, edges, dist):
-    """Where the fault of `status` lies: the edge `at` for a bad edge or
-    distance, else the item `at`."""
-    if status not in (_ERR_EDGE, _ERR_DISTANCE):
-        return f"{at}"
-    edge = f"({edges[at, 0]}, {edges[at, 1]})"
-    return edge if status == _ERR_EDGE else f"{dist[at]} on edge {edge}"
 
 
 def affinity_layout_py(n, edges, dist, rank, inverse=False):
@@ -589,16 +587,22 @@ def affinity_layout_py(n, edges, dist, rank, inverse=False):
     bad = bad_edge | ~(np.isfinite(dist) & (dist >= 0.0))
     if np.any(bad):
         at = int(np.argmax(bad))
-        status = _ERR_EDGE if bad_edge[at] else _ERR_DISTANCE
-        _raise(status, n, at=_site(status, at, edges, dist))
+        edge = f"({edges[at, 0]}, {edges[at, 1]})"
+        if bad_edge[at]:
+            raise InputError(f"edge {edge} must be a pair 0 <= i < j < n={n} "
+                             f"after the edge before it: edges are unique "
+                             f"pairs in increasing order")
+        raise InputError(f"distance {dist[at]} on edge {edge} must be finite "
+                         f"and non-negative")
     rows, cols = np.ascontiguousarray(rows), np.ascontiguousarray(cols)
     degree = np.bincount(rows, minlength=n) + np.bincount(cols, minlength=n)
     if np.any(degree == 0):
-        _raise(_ERR_ISOLATED, n, at=int(np.argmin(degree)))
+        raise InputError(f"item {np.argmin(degree)} has no neighbour edge")
     layout = indptr, _, pair = pairs_csr_py(n, rows, cols)
     if inverse:
         if np.any(dist <= 0.0):
-            _raise(_ERR_NONPOSITIVE)
+            raise NumericalError("inverse_distance kernel needs strictly "
+                                 "positive distances")
         return layout, 1.0 / dist
     ends = np.concatenate([rows, cols])
     zeros = np.bincount(ends[np.concatenate([dist, dist]) == 0.0],
@@ -611,7 +615,7 @@ def affinity_layout_py(n, edges, dist, rank, inverse=False):
     if np.any(sigma <= 0.0):
         sigma = np.maximum(sigma, np.max(sigma) * 1e-12)
     if np.all(sigma <= 0.0):
-        _raise(_ERR_SIGMA)
+        raise NumericalError("degenerate distances: all sigmas are zero")
     return layout, -dist ** 2 / (sigma[rows] * sigma[cols])
 
 
@@ -630,12 +634,12 @@ def affinity_weights_py(n, edges, pair, sim):
     _check_range("edges", edges, n)
     _check_range("pair", pair, sim.shape[0])
     if not np.all(np.isfinite(sim)) or not np.any(sim > 0.0):
-        _raise(_ERR_SIMILARITY)
+        raise NumericalError("all-zero or non-finite similarities")
     ends = np.concatenate([edges[:, 0], edges[:, 1]])
     rowsum = np.bincount(ends, weights=np.concatenate([sim, sim]),
                          minlength=n)
     if np.any(rowsum <= 0.0):
-        _raise(_ERR_ROWSUM)
+        raise NumericalError("item with all-zero similarities")
     w = 0.5 * (sim / rowsum[edges[:, 0]] + sim / rowsum[edges[:, 1]])
     strengths = np.bincount(ends, weights=np.concatenate([w, w]), minlength=n)
     return w, strengths, w[pair]
@@ -734,7 +738,7 @@ def _load_library():
     lib.knn_graph.argtypes = [i64, i64, ptr, i64, i64, ptr, ptr]
     lib.knn_graph.restype = i64
     lib.affinity_layout.argtypes = [i64, i64, ptr, ptr, i64, i64, ptr, ptr,
-                                    ptr, ptr, ptr]
+                                    ptr, ptr]
     lib.affinity_layout.restype = i64
     lib.affinity_weights.argtypes = [i64, i64, ptr, ptr, ptr, ptr, ptr, ptr]
     lib.affinity_weights.restype = i64
@@ -772,40 +776,23 @@ def _address(arr):
 
 
 # Every array handed to C is checked first: dtype, C-contiguity and
-# length.  Past `check_graph`, a C kernel checks each value it uses as an
-# index, in one scan before any indexed read, and returns a negative status
-# (an ERR_ code of _kernels.c) that `_raise` maps to its exception.
-
-# The ERR_ codes of _kernels.c for faults in a neighbour graph's data
-# (-13 to -20): the references raise through them, so both backends raise
-# the same exceptions.
-(_ERR_OVERFLOW, _ERR_EDGE, _ERR_DISTANCE, _ERR_ISOLATED, _ERR_SIGMA,
- _ERR_NONPOSITIVE, _ERR_SIMILARITY, _ERR_ROWSUM) = range(-13, -21, -1)
+# length.  A C kernel then returns a count or 0, or one of two statuses:
+# ERR_NOMEM (-1) when a buffer could not be taken, or ERR_FAULT (-2) for a
+# fault in its arguments, found before any indexed read or write.  C only
+# detects a fault; its numpy reference, run on the same arguments, is the
+# only code that words it, so both backends raise one error.
 
 
-def _raise(status, n=0, m=0, at="?"):
-    """Raise the error a negative C status stands for; n items and m
-    edges (or pairs) are the sizes the kernel was called with, and `at`
-    names the edge or item of a fault in a neighbour graph."""
-    raise {
-        -1: MemoryError("the C kernels could not allocate their buffers"),
-        -10: _out_of_range("rows", n),
-        -11: _out_of_range("cols", n),
-        -13: NumericalError("a kNN distance overflows float64: the "
-                            "coordinates are too large"),
-        -14: InputError(f"edge {at} must be a pair 0 <= i < j < n={n} after "
-                        f"the edge before it: edges are unique pairs in "
-                        f"increasing order"),
-        -15: InputError(f"distance {at} must be finite and non-negative"),
-        -16: InputError(f"item {at} has no neighbour edge"),
-        -17: NumericalError("degenerate distances: all sigmas are zero"),
-        -18: NumericalError("inverse_distance kernel needs strictly positive "
-                            "distances"),
-        -19: NumericalError("all-zero or non-finite similarities"),
-        -20: NumericalError("item with all-zero similarities"),
-        -21: _out_of_range("edges", n),
-        -22: _out_of_range("pair", m),
-    }[status]
+def _failed(status, reference=None, *args):
+    """Raise the error of a C kernel that returned `status` < 0 on `args`:
+    MemoryError for ERR_NOMEM, else the error `reference(*args)` raises,
+    or AssertionError if the reference passes what C failed."""
+    if status == -1:
+        raise MemoryError("the C kernels could not allocate their buffers")
+    if reference is not None:
+        reference(*args)
+    raise AssertionError(f"a C kernel failed with status {status} where "
+                         f"its reference passes")
 
 
 def _check_graph_c(g):
@@ -822,9 +809,9 @@ def _check_graph_c(g):
                   g.indices.ctypes.data, g.weights.ctypes.data, g.rep_mode,
                   g.rep_strength.ctypes.data, g.rep_denom, *repulsion)
     cursor = np.empty(g.n, dtype=np.int64)  # alive through the call
-    if _LIB.check_graph(graph, _address(cursor)):
-        check_graph_py(g)
-        raise AssertionError("check_graph_py passes what C check_graph fails")
+    status = _LIB.check_graph(graph, _address(cursor))
+    if status:
+        _failed(status, check_graph_py, g)
     return graph
 
 
@@ -846,7 +833,7 @@ def _level_loop_c(g, gamma, rng, max_levels, max_sweeps, max_polish):
                                  max_polish, EPSILON, _address(labels),
                                  energy, bitgen.ctypes.bit_generator)
     if status < 0:
-        _raise(status)
+        _failed(status)
     return labels, energy[0], energy[1]
 
 
@@ -858,7 +845,7 @@ def _components_c(g):
     energy = _PAIR()
     status = _LIB.components(graph, _address(labels), energy)
     if status < 0:
-        _raise(status)
+        _failed(status)
     return labels, energy[0], energy[1]
 
 
@@ -873,7 +860,7 @@ def _pairs_c(n, rows, cols, vals, mean=False):
     found = _LIB.pairs(n, m, _address(rows), _address(cols), _address(vals),
                        bool(mean), *(_address(a) for a in out))
     if found < 0:
-        _raise(found, n)
+        _failed(found, pairs_py, n, rows, cols, vals, mean)
     # shrunk in place: no copy, and no larger buffer kept; nothing else
     # refers to them
     for a in out[:3]:
@@ -896,9 +883,10 @@ def _knn_graph_c(points, k, metric="euclidean"):
     found = _LIB.knn_graph(n, d, _address(points), k, metric == "cosine",
                            _address(edges), _address(dist))
     if found < 0:
-        _raise(found)
+        _failed(found)
     edges.resize((found, 2), refcheck=False)  # in place: nothing else
     dist.resize(found, refcheck=False)        # refers to them
+    _finite_distances(dist)
     return edges, dist
 
 
@@ -911,13 +899,12 @@ def _affinity_layout_c(n, edges, dist, rank, inverse=False):
     indices = np.empty(2 * m, dtype=np.int64)
     pair = np.empty(2 * m, dtype=np.int64)
     vals = np.empty(m)
-    at = ctypes.c_int64(0)
     status = _LIB.affinity_layout(n, m, _address(edges), _address(dist),
                                   rank, bool(inverse), _address(indptr),
                                   _address(indices), _address(pair),
-                                  _address(vals), ctypes.byref(at))
+                                  _address(vals))
     if status < 0:
-        _raise(status, n, m, at=_site(status, at.value, edges, dist))
+        _failed(status, affinity_layout_py, n, edges, dist, rank, inverse)
     return (indptr, indices, pair), vals
 
 
@@ -932,7 +919,7 @@ def _affinity_weights_c(n, edges, pair, sim):
                                    _address(sim), _address(w),
                                    _address(strengths), _address(weights))
     if status < 0:
-        _raise(status, n, m)
+        _failed(status, affinity_weights_py, n, edges, pair, sim)
     return w, strengths, weights
 
 

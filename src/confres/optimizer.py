@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .energy import EnergySummary, canonicalize, check_gamma, cluster_count
-from .errors import check_integer
+from .errors import InputError, check_integer
 from .graph import AffinityGraph, _owned, _pairs
 from . import kernels
 
@@ -104,8 +104,12 @@ def _collapse(labels, k, indptr, indices, weights):
 
 
 def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
-    """Collapse clusters to super-nodes; energies are preserved exactly."""
+    """Collapse clusters to super-nodes; energies are preserved exactly.
+    InputError unless `labels` holds one integer label per item."""
     labels = canonicalize(labels)
+    if labels.shape[0] != graph.n:
+        raise InputError(f"partition shape {labels.shape} != ({graph.n},): "
+                         f"one label per item")
     k = cluster_count(labels)
     internal, _, _, w_agg, indptr, indices, weights = _collapse(
         labels, k, graph.indptr, graph.indices, graph.weights)

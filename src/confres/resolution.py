@@ -2,9 +2,13 @@
 
 For a fixed partition H is linear in gamma, so between two known optima the
 only place dominance can change is the crossing point of their energy
-lines.  The sweep recurses on crossing points until the partitions at both
-ends of an interval coincide; the exact lower envelope of the energy lines
-of every partition found then assigns the plateaus.
+lines.  The sweep probes crossing points depth first, the lower interval
+first, over an explicit stack of intervals between probes; it leaves an
+interval unsplit when the partitions at its ends coincide, when the probe
+at its crossing returns one of them, when it is narrower than
+gamma_max * 1e-4, or when it is `max_depth` crossings deep.  The exact
+lower envelope of the energy lines of every partition found then assigns
+the plateaus.
 """
 
 import csv

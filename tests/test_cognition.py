@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from confres import cognition
 from confres.cognition import (HierarchySpec, detect_events,
                                generate_hierarchy, inject_outliers,
                                kmeans_baseline, novelty_spec,
@@ -160,6 +161,18 @@ class TestNoveltyExperiment:
     def test_fraction_zero_errors(self):
         with pytest.raises(InputError):
             run_novelty_experiment(novelty_spec(0), fraction=0.0)
+
+    def test_fraction_of_no_outlier_errors_before_any_graph(self,
+                                                            monkeypatch):
+        # 0.0004 of 1000 points rounds to 0 outliers: no AUC to score
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(cognition, "points_to_graph", no_graph)
+        with pytest.raises(InputError, match=r"^outlier fraction 0\.0004 of "
+                                             r"1000 points rounds to no "
+                                             r"outlier$"):
+            run_novelty_experiment(novelty_spec(0), fraction=0.0004)
 
     def test_fraction_must_be_a_real_number(self):
         with pytest.raises(InputError, match="fraction must be a real number"):

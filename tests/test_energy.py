@@ -152,6 +152,8 @@ class TestMoveDelta:
 class TestCanonicalize:
     def test_first_occurrence_order(self):
         assert canonicalize([7, 3, 7, 1]).tolist() == [0, 1, 0, 2]
+        # negative labels and floats that are integers are labels too
+        assert canonicalize([-4, 2.0, -4]).tolist() == [0, 1, 0]
 
     @staticmethod
     def _first_occurrence(labels):
@@ -171,6 +173,19 @@ class TestCanonicalize:
 
     def test_empty(self):
         assert canonicalize(np.empty(0, dtype=np.int64)).shape == (0,)
+
+    @pytest.mark.parametrize("labels, item", [
+        ([0.5, 1.5, 0.7], "0.5 of item 0"), ([0, np.nan, 1], "nan of item 1"),
+        (["0", "a"], "a of item 1"), ([1, np.inf], "inf of item 1")])
+    def test_rejects_labels_that_are_no_integers(self, labels, item):
+        # not truncated: contingency and the optimizer read the same labels
+        with pytest.raises(InputError, match=rf"^label {item} is not an "
+                                             rf"integer$"):
+            canonicalize(labels)
+
+    def test_rejects_labels_that_are_not_1d(self):
+        with pytest.raises(InputError, match=r"shape \(2, 2\) must be 1-D"):
+            canonicalize([[0, 1], [1, 0]])
 
     def test_idempotent(self, rng):
         labels = rng.integers(0, 5, 20)

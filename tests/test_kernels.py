@@ -19,7 +19,7 @@ from scipy.spatial import cKDTree
 
 from confres import kernels
 from confres.energy import landscape_point
-from confres.errors import ConfresError, InputError, NumericalError
+from confres.errors import InputError, NumericalError
 from confres.graph import build_knn_graph, derive_affinity, from_edge_list
 from confres.optimizer import aggregate
 from conftest import (graph_fields, graph_of, has_compiler, needs_cc,
@@ -692,24 +692,57 @@ def test_address_is_the_ctypes_address():
         assert kernels._address(arr) == arr.ctypes.data
 
 
-def test_every_c_status_code_is_mapped():
-    # each ERR_ code of _kernels.c must reach its exception through
-    # _raise, a builtin one for a bad argument or a package error for a
-    # fault in the data; an unmapped code raises KeyError, which fails the
-    # loop
+def test_c_faults_are_worded_by_the_reference(monkeypatch):
+    # _kernels.c has two statuses, out of memory and a fault; _failed
+    # raises MemoryError for the first, the reference's own error for the
+    # second, and AssertionError where the reference passes what C failed
     with open(kernels._SOURCE, encoding="utf-8") as fh:
-        codes = {name: int(value) for name, value in re.findall(
-            r"^#define (ERR_\w+) \((-\d+)\)$", fh.read(), flags=re.MULTILINE)}
-    values = list(codes.values())
-    assert len(values) >= 8 and len(set(values)) == len(values)
-    assert all(v < 0 for v in values)
-    for name, value in codes.items():
-        with pytest.raises((MemoryError, IndexError, ValueError,
-                            ConfresError)) as info:
-            kernels._raise(value, 3, 4)
-        assert str(info.value), name
-    with pytest.raises(KeyError):
-        kernels._raise(min(values) - 1, 3, 4)
+        source = fh.read()
+    assert dict(re.findall(r"^#define (ERR_\w+) \((-\d+)\)$", source,
+                           flags=re.MULTILINE)) == {"ERR_NOMEM": "-1",
+                                                    "ERR_FAULT": "-2"}
+    assert set(re.findall(r"\bERR_\w+", source)) == {"ERR_NOMEM",
+                                                      "ERR_FAULT"}
+    rows, cols, vals = _triples([0, 3], [1, 2], [1.0, 2.0])
+    with pytest.raises(MemoryError, match="could not allocate"):
+        kernels._failed(-1, kernels.pairs_py, 3, rows, cols, vals)
+    with pytest.raises(IndexError, match=r"^rows out of range \[0, 3\)$"):
+        kernels._failed(-2, kernels.pairs_py, 3, rows, cols, vals)
+    edges = np.array([[0, 1], [1, 3]])
+    with pytest.raises(InputError, match=r"^edge \(1, 3\) must be a pair"):
+        kernels._failed(-2, kernels.affinity_layout_py, 3, edges, np.ones(2), 1)
+    with pytest.raises(AssertionError):
+        kernels._failed(-2)
+    if kernels.BACKEND != "c":
+        return
+    # each wrapper that can fault runs its reference, found by name, on a
+    # fault: one that passes it leaves the AssertionError
+    graph = random_affinity(np.random.default_rng(0))
+    args = [graph.n, *graph._kernel_args]
+    args[3] = -args[3]  # negative weights
+    faulty = graph_fields(*args)
+    for reference, error, call in (
+            ("check_graph_py", InputError,
+             lambda: kernels._check_graph_c(faulty)),
+            ("pairs_py", IndexError,
+             lambda: kernels._pairs_c(3, rows, cols, vals)),
+            ("affinity_layout_py", InputError,
+             lambda: kernels._affinity_layout_c(3, edges, np.ones(2), 1)),
+            ("affinity_weights_py", NumericalError,
+             lambda: kernels._affinity_weights_c(
+                 3, np.array([[0, 1], [1, 2]]), np.array([0, 0, 1, 1]),
+                 np.zeros(2)))):
+        with pytest.raises(error):
+            call()
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, reference, lambda *args: None)
+            with pytest.raises(AssertionError, match="status -2"):
+                call()
+    # the kNN graph has no C fault: an overflow is found in the grouped
+    # distances, without the O(n^2) brute force
+    monkeypatch.setattr(kernels, "knn_py", None)
+    with pytest.raises(NumericalError, match="overflows"):
+        kernels._knn_graph_c(np.array([[0.0], [1e160], [-1e160]]), 1)
 
 
 def test_graph_struct_matches_graph_t():
@@ -806,10 +839,13 @@ def test_ctypes_declares_every_export():
 
 @has_compiler
 def test_c_source_compiles_without_warnings(tmp_path):
+    # strict C11, every warning an error: a static helper left unused by a
+    # deletion, say, fails here
     compiler = shutil.which("cc") or shutil.which("gcc")
     built = subprocess.run(
-        [compiler, *kernels.CFLAGS, "-Wall", "-Wextra", "-Werror",
-         "-o", str(tmp_path / "kernels.so"), kernels._SOURCE],
+        [compiler, "-std=c11", *kernels.CFLAGS, "-Wall", "-Wextra",
+         "-Wpedantic", "-Werror", "-o", str(tmp_path / "kernels.so"),
+         kernels._SOURCE],
         capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
 
@@ -890,7 +926,7 @@ int64_t knn_graph(int64_t, int64_t, const double *, int64_t, int64_t,
                   int64_t *, double *);
 int64_t affinity_layout(int64_t, int64_t, const int64_t *, const double *,
                         int64_t, int64_t, int64_t *, int64_t *, int64_t *,
-                        double *, int64_t *);
+                        double *);
 int64_t affinity_weights(int64_t, int64_t, const int64_t *, const int64_t *,
                          const double *, double *, double *, double *);
 int64_t parse_points(const char *, int64_t, double *, int64_t, int64_t *);
@@ -1045,8 +1081,9 @@ def test_level_loop_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
 
 # Runs the C graph check on four graphs that keep the contract and on
 # graphs with one fault each, in a cursor of exactly n heap slots; exits
-# 0 only if each call returns 0 or 1 as expected.  Without the checks in
-# their order, a faulty graph would be read past its arrays.
+# 0 only if each call returns 0, or ERR_FAULT (-2) for a fault, as
+# expected.  Without the checks in their order, a faulty graph would be
+# read past its arrays.
 _CHECK_SANITIZER_MAIN = r"""
 static int run(const char *name, graph_t g, int64_t want)
 {
@@ -1085,23 +1122,23 @@ int main(void)
         | run("one item", graph(1, empty_ptr, no_idx, w1, 0, w1, 1.0, NULL,
                                 NULL, NULL), 0)
         | run("index out of range", graph(3, tri_ptr, far_idx, w6, 0, w3, 3.0,
-                                          NULL, NULL, NULL), 1)
+                                          NULL, NULL, NULL), -2)
         | run("decreasing indptr", graph(3, fall_ptr, fall_idx, w4, 0, w3,
-                                         3.0, NULL, NULL, NULL), 1)
+                                         3.0, NULL, NULL, NULL), -2)
         | run("self-loop", graph(2, loop_ptr, loop_idx, w3, 0, w3, 2.0, NULL,
-                                 NULL, NULL), 1)
+                                 NULL, NULL), -2)
         | run("repeated column", graph(2, twice_ptr, twice_idx, w4, 0, w3,
-                                       2.0, NULL, NULL, NULL), 1)
+                                       2.0, NULL, NULL, NULL), -2)
         | run("one-way entry", graph(2, one_way_ptr, one_way_idx, w1, 0, w3,
-                                     2.0, NULL, NULL, NULL), 1)
+                                     2.0, NULL, NULL, NULL), -2)
         | run("twin weights differ", graph(3, tri_ptr, tri_idx, twin_w, 0, w3,
-                                           3.0, NULL, NULL, NULL), 1)
+                                           3.0, NULL, NULL, NULL), -2)
         | run("NaN weight", graph(3, tri_ptr, tri_idx, nan_w, 0, w3, 3.0,
-                                  NULL, NULL, NULL), 1)
-        | run("rep_denom 0", denom, 1)
-        | run("NaN rep_strength", rho, 1)
+                                  NULL, NULL, NULL), -2)
+        | run("rep_denom 0", denom, -2)
+        | run("NaN rep_strength", rho, -2)
         | run("one-way repulsion", graph(3, tri_ptr, tri_idx, tri_w, 1, zeros,
-                                         1.0, rep_ptr, rep_idx, w1), 1);
+                                         1.0, rep_ptr, rep_idx, w1), -2);
 }
 """
 
@@ -1109,10 +1146,10 @@ int main(void)
 @has_compiler
 def test_check_graph_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     # each fault of the graph contract is found, and reported with status
-    # 1, before it could send a read past the graph's arrays
+    # ERR_FAULT, before it could send a read past the graph's arrays
     out = _run_sanitized(tmp_path, sanitized_kernels, _CHECK_SANITIZER_MAIN)
     assert out.count(": status 0, ok") == 4, out
-    assert out.count(": status 1, ok") == 10 and "BAD" not in out, out
+    assert out.count(": status -2, ok") == 10 and "BAD" not in out, out
 
 
 # Runs the C gamma = 0 kernel on five small graphs; exits 0 only if each
@@ -1175,7 +1212,7 @@ def test_components_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
 # i < j in order, exactly the pairs of every item and each of its k
 # nearest others by (distance, index), found by brute force, each with
 # that distance bit for bit; then the kNN graph of distances that
-# overflow must return ERR_OVERFLOW (-13) with its outputs untouched.
+# overflow must come back grouped as any other, those distances infinite.
 _KNN_SANITIZER_MAIN = r"""
 static uint64_t uniform_state = 88172645463325252ULL;
 
@@ -1249,15 +1286,18 @@ static int run(const char *name, int64_t n, int64_t d, const double *points,
     return report(name, found, ok);
 }
 
+/* 1e160 and -1e160 lie at an infinite distance from every other point,
+ * so the nearest of each is item 0, the smallest index */
 static int overflow(void)
 {
     const double far[] = {0.0, 1e160, -1e160, 3.0, 4.0};
-    int64_t edges[10] = {0};
-    double weights[5] = {0};
+    const int64_t want_edges[] = {0, 1, 0, 2, 0, 3, 3, 4};
+    const double want[] = {INFINITY, INFINITY, 3.0, 1.0};
+    int64_t edges[10];
+    double weights[5];
     int64_t status = knn_graph(5, 1, far, 1, 0, edges, weights);
-    int ok = status == -13;
-    for (int i = 0; i < 10; i++)
-        ok = ok && edges[i] == 0 && (i >= 5 || weights[i] == 0.0);
+    int ok = status == 4 && !memcmp(edges, want_edges, sizeof want_edges)
+             && !memcmp(weights, want, sizeof want);
     return report("overflow", status, ok);
 }
 
@@ -1307,7 +1347,7 @@ def test_knn_is_clean_under_sanitizers(tmp_path, sanitized_kernels):
     # and the pair grouping of its result
     out = _run_sanitized(tmp_path, sanitized_kernels, _KNN_SANITIZER_MAIN)
     assert out.count(", ok") == 6 and "BAD" not in out, out
-    assert "overflow: status -13, ok" in out, out
+    assert "overflow: status 4, ok" in out, out
 
 
 # Runs the exported pair grouping, with its CSR layout, on entry lists
@@ -1333,7 +1373,7 @@ static int affinity(int64_t n, int64_t found, const int64_t *pr,
                     const int64_t *idx, const int64_t *pair)
 {
     int64_t *edges = slots(2 * found, 8), *lptr = slots(n + 1, 8);
-    int64_t *lidx = slots(2 * found, 8), *lpair = slots(2 * found, 8), at;
+    int64_t *lidx = slots(2 * found, 8), *lpair = slots(2 * found, 8);
     double *dist = slots(found, 8), *vals = slots(found, 8);
     double *w = slots(found, 8), *strengths = slots(n, 8);
     double *weights = slots(2 * found, 8);
@@ -1345,11 +1385,11 @@ static int affinity(int64_t n, int64_t found, const int64_t *pr,
     }
     for (int64_t inverse = 0; ok && inverse <= 1; inverse++) {
         int64_t status = affinity_layout(n, found, edges, dist, 2, inverse,
-                                         lptr, lidx, lpair, vals, &at);
+                                         lptr, lidx, lpair, vals);
         int positive = 1;
         for (int64_t p = 0; p < found; p++)
             positive &= dist[p] > 0.0;
-        ok = status == 0 || (inverse && !positive && status == -18);
+        ok = status == 0 || (inverse && !positive && status == -2);
         if (!ok || status)
             continue;
         ok = !memcmp(lptr, ptr, (size_t)(n + 1) * 8)
@@ -1431,16 +1471,15 @@ static int expect(const char *name, int64_t status, int64_t want)
     return report(name, status, status == want);
 }
 
-/* affinity_layout on 3 items and 2 edges, expecting `want` at `want_at` */
+/* affinity_layout on n items and 2 edges, expecting ERR_FAULT */
 static int refused(const char *name, int64_t n, const int64_t *edges,
-                   const double *dist, int64_t inverse, int64_t want,
-                   int64_t want_at)
+                   const double *dist, int64_t inverse)
 {
-    int64_t ptr[5], idx[4], pair[4], at = -1;
+    int64_t ptr[5], idx[4], pair[4];
     double vals[2];
     int64_t status = affinity_layout(n, 2, edges, dist, 1, inverse, ptr, idx,
-                                     pair, vals, &at);
-    return report(name, status, status == want && (want_at < 0 || at == want_at));
+                                     pair, vals);
+    return report(name, status, status == -2);
 }
 
 int main(void)
@@ -1463,27 +1502,27 @@ int main(void)
         | run("empty", 5, 0, none, none, vals, 0)
         | run("one item", 1, 1, none, none, vals, 1)
         | expect("pairs row 3", pairs(3, 3, far, near, vals, 0, a, b, w, ptr,
-                                      idx, out), -10)
+                                      idx, out), -2)
         | expect("pairs col 3", pairs(3, 3, near, far, vals, 1, a, b, w, ptr,
-                                      idx, out), -11)
-        | refused("edge i > j", 3, flipped, ones, 0, -14, 0)
-        | refused("edge twice", 3, twice, ones, 0, -14, 1)
-        | refused("distance NaN", 3, good, gap, 0, -15, 1)
-        | refused("item alone", 4, good, ones, 0, -16, 3)
-        | refused("sigmas zero", 3, good, zeros, 0, -17, -1)
-        | refused("inverse zero", 3, good, half, 1, -18, -1)
+                                      idx, out), -2)
+        | refused("edge i > j", 3, flipped, ones, 0)
+        | refused("edge twice", 3, twice, ones, 0)
+        | refused("distance NaN", 3, good, gap, 0)
+        | refused("item alone", 4, good, ones, 0)
+        | refused("sigmas zero", 3, good, zeros, 0)
+        | refused("inverse zero", 3, good, half, 1)
         | expect("weights end 3", affinity_weights(3, 2, beyond, pair, ones, w,
-                                                  out, out), -21)
+                                                  out, out), -2)
         | expect("weights pair 2", affinity_weights(3, 2, good, stray, ones, w,
-                                                   out, out), -22)
+                                                   out, out), -2)
         | expect("weights NaN", affinity_weights(3, 2, good, pair, gap, w, out,
-                                                out), -19)
+                                                out), -2)
         | expect("weights inf", affinity_weights(3, 2, good, pair, inf, w, out,
-                                                out), -19)
+                                                out), -2)
         | expect("weights zero", affinity_weights(3, 2, good, pair, zeros, w,
-                                                 out, out), -19)
+                                                 out, out), -2)
         | expect("weights item 0", affinity_weights(3, 2, good, pair, half, w,
-                                                   out, out), -20);
+                                                   out, out), -2);
 }
 """
 
@@ -1695,7 +1734,7 @@ static int64_t affinity_layout_path(void *out)
 {
     int64_t *at = out;
     return affinity_layout(4, 4, edges, lengths, 2, 0, at, at + 5, at + 13,
-                           (double *)(at + 21), at + 25);
+                           (double *)(at + 21));
 }
 
 static int64_t affinity_weights_path(void *out)
@@ -1750,7 +1789,7 @@ int main(void)
         | check("components", components_explicit, 6 * i64 + 2 * f64)
         | check("knn_graph", knn_graph_line, 120 * i64 + 60 * f64)
         | check("pairs", pairs_mean, 25 * i64 + 15 * f64)
-        | check("affinity_layout", affinity_layout_path, 22 * i64 + 4 * f64)
+        | check("affinity_layout", affinity_layout_path, 21 * i64 + 4 * f64)
         | check("affinity_weights", affinity_weights_path, 16 * f64);
 }
 """

@@ -90,6 +90,18 @@ class TestAggregate:
         agg = aggregate(g, np.zeros(g.n, dtype=np.int64))
         assert agg.graph.n == 1
 
+    def test_rejects_labels_that_are_no_integers(self):
+        g = from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.1)])
+        with pytest.raises(InputError, match=r"^label 0\.5 of item 0 is not"):
+            aggregate(g, [0.5, 0.7, 1.2, 1.9])
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_rejects_a_label_count_other_than_n(self, count):
+        g = from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.1)])
+        with pytest.raises(InputError, match=rf"^partition shape \({count},\) "
+                                             rf"!= \(4,\): one label per item"):
+            aggregate(g, np.arange(count) % 2)
+
     def test_energy_preserved_exactly(self, rng):
         # product-form repulsion (a scheme drawn at random) and explicit
         for trial in range(40):
