@@ -1,67 +1,32 @@
-/* C ports of the optimizer's level loop, its exact gamma = 0 solve
- * (`components`) and the check of their graph (`check_graph`); of graph
- * construction: the kNN graph (`knn_graph`), the pair grouping, and the
- * affinity graph of a neighbour graph (`affinity_layout`,
- * `affinity_weights`); and a reader of points files (`parse_points`).
+/* C ports of confres's inner loops; what each export computes, and its
+ * Python or numpy reference, is in the docstring of kernels.py.  The
+ * rules of the C side:
  *
- * `level_loop` runs the loop of optimizer.optimize for one seed (its
- * Python reference is optimizer._level_loop_py) with the same phases, the
- * same draws and the same coarse graphs, so it returns the same labels;
- * it also returns their (h_a, h_r), each sum added in the order of its
- * reference, kernels.energy_components, so the bits are the same.  Each of
- * its local-moving phases (`phase`, which only the loop calls) runs
- * rounds of Leiden's fast local move (Traag, Waltman & van Eck 2019): a
- * round queues every item in a fresh permutation and serves the queue
- * first in, first out, and an item that moves queues the neighbours it
- * may have unsettled.  A phase does the floating-point operations of its
- * Python reference (kernels.sweep_py, with its inner round _round) in the
- * same order, so that every float result is bit-identical, and reads each
- * item's entries from compact rows laid out once per phase, without the
- * entries that count for no cluster (see scratch_t).  `components`
- * solves gamma = 0 exactly, without the loop, as its reference
- * kernels.components_py: the connected components over the edges of
- * positive weight, with their (h_a, h_r) summed as the loop sums them.
- * `knn_graph` finds each item's k nearest others, the neighbours and
- * distances of kernels.knn_py bit for bit, by a kd-tree search that
- * batches the queries of a leaf and skips, by a gate on squared sums,
- * only what could not enter (see the kd-tree section), and groups them
- * into the kNN graph's pairs in the same call, as kernels.knn_graph_py.
- * `pairs` groups (i, j, w) entries into unique pairs and lays them out as
- * a CSR in one call, in O(m + n), on the code path of the level loop's
- * aggregation, adding weights in the order of its numpy reference
- * (kernels.pairs_py).
- * `affinity_layout` and `affinity_weights` are graph.derive_affinity
- * around numpy's exp, as kernels.affinity_layout_py and
- * affinity_weights_py.  Bit-identity holds only when the compiler keeps
+ * Bit-identity with the references holds only when the compiler keeps
  * IEEE double semantics: build with -ffp-contract=off (no fused
- * multiply-add) and never with -ffast-math.
- * `parse_points` reads text, not a graph: the body of a points file, as
- * graph.read_text decodes it and ending in a line feed, in one pass, each
- * field by strtod, declining (returning 0) a field strtod reads otherwise
- * than as a plain decimal number, and whatever else lies outside its
- * strict grammar, so that graph.load_points_csv reads that body with
- * Python's float instead.  It needs no _GNU_SOURCE (strtod_l, say):
- * glibc would then declare a `canonicalize` that clashes with the one below.
+ * multiply-add) and never with -ffast-math.  No _GNU_SOURCE (strtod_l,
+ * say): glibc would then declare a `canonicalize` that clashes with the
+ * one below.
  *
- * The interface: `check_graph`, `level_loop` and `components` take the
- * graph as one graph_t (kernels.Graph mirrors it), and `level_loop` draws
- * from numpy's own bitgen_t.  A graph_t holds addresses only: on the
- * Python side kernels.level_loop and kernels.components take the
- * graph.AffinityGraph, which owns its arrays and the graph_t of them.  A
- * kernel returns a count or 0, or else one of two statuses: ERR_NOMEM when
- * a buffer could not be taken, ERR_FAULT for a fault in its arguments.  C
- * only detects a fault: kernels._failed runs the kernel's numpy reference
- * on the same arguments, and that reference words every error.
+ * A kernel returns a count or 0, or else one of two statuses: ERR_NOMEM
+ * when a buffer could not be taken, ERR_FAULT for a fault in its
+ * arguments.  C only detects a fault: kernels._failed runs the kernel's
+ * numpy reference on the same arguments, and that reference words every
+ * error.
  *
- * The caller in kernels.py checks dtypes, contiguity and lengths.  A
- * graph_t passes `check_graph` once, when graph.AffinityGraph makes it;
- * `level_loop` and `components` trust it.  `pairs` and `affinity_weights`
- * check the range of every value used as an index, in one scan before any
- * indexed read, and `affinity_layout` the edges and distances of its
- * neighbour graph; a failed check returns ERR_FAULT and leaves every
- * argument untouched, a fault found later (a sigma, a distance of 0)
- * ERR_FAULT with only the layout written.  `knn_graph` has no fault: a
- * distance that overflows comes back infinite, for the caller to check.
+ * What C trusts: the caller in kernels.py checks dtypes, contiguity and
+ * lengths.  `check_graph`, `level_loop` and `components` take the graph
+ * as one graph_t (kernels.Graph mirrors it) of addresses only, owned with
+ * its arrays by the graph.AffinityGraph that made it, and `level_loop`
+ * draws from numpy's own bitgen_t.  A graph_t passes `check_graph` once,
+ * when the graph is made; `level_loop` and `components` trust it.
+ * `pairs` and `affinity_weights` check the range of every value used as
+ * an index, in one scan before any indexed read, and `affinity_layout`
+ * the edges and distances of its neighbour graph; a failed check returns
+ * ERR_FAULT and leaves every argument untouched, a fault found later (a
+ * sigma, a distance of 0) ERR_FAULT with only the layout written.
+ * `knn_graph` has no fault: a distance that overflows comes back
+ * infinite, for the caller to check.
  *
  * Each exported kernel owns its heap buffers through one list per call
  * (buffers_t): each buffer is its own heap block, so a sanitizer bounds

@@ -161,8 +161,8 @@ def _pairs(n, rows, cols, vals, mean=False):
 def _with_repulsion(n, indptr, indices, weights, strengths, total, scheme,
                     rep_csr):
     """The AffinityGraph of the attraction CSR, its strengths and total
-    weight, with the repulsion of `scheme`, whose CSR `rep_csr` is for
-    the explicit scheme."""
+    weight, with the repulsion of `scheme`, which `_check_repulsion` has
+    passed; `rep_csr` is the CSR of the explicit scheme."""
     if total <= 0.0:
         raise NumericalError("total attraction weight W must be positive")
     kwargs = {}
@@ -172,15 +172,11 @@ def _with_repulsion(n, indptr, indices, weights, strengths, total, scheme,
     elif scheme == "uniform":
         rep_strength = np.ones(n)
         rep_denom = float(n)
-    elif scheme == "explicit":
-        if rep_csr is None:
-            raise ParameterError("explicit repulsion scheme needs repulsion edges")
+    else:
         rep_strength = np.zeros(n)
         rep_denom = 1.0
         ri, rj, rw = rep_csr
         kwargs = {"rep_indptr": ri, "rep_indices": rj, "rep_weights": rw}
-    else:
-        raise ParameterError(f"unknown repulsion scheme {scheme!r}")
     return _owned(
         n=n, indptr=indptr, indices=indices, weights=weights,
         strengths=strengths, total_weight=total,
@@ -230,9 +226,15 @@ def _repulsion_csr(n, repulsion_edges):
 
 
 def _check_repulsion(scheme, repulsion_edges):
+    """ParameterError unless `scheme` is one of REPULSION_SCHEMES and
+    repulsion edges come with the explicit scheme and only with it."""
     if repulsion_edges is not None and scheme != "explicit":
         raise ParameterError(f"repulsion edges need the explicit repulsion "
                              f"scheme, got {scheme!r}")
+    if scheme not in REPULSION_SCHEMES:
+        raise ParameterError(f"unknown repulsion scheme {scheme!r}")
+    if repulsion_edges is None and scheme == "explicit":
+        raise ParameterError("explicit repulsion scheme needs repulsion edges")
 
 
 def from_edge_list(n: int, edges, repulsion_scheme: str = "configuration_null",
@@ -240,6 +242,11 @@ def from_edge_list(n: int, edges, repulsion_scheme: str = "configuration_null",
     """Build an AffinityGraph from (i, j, w+) triples.
 
     Duplicate directions of the same unordered pair are averaged.
+    ParameterError unless n is an integer >= 1 and the repulsion
+    arguments fit (`_check_repulsion`); InputError naming the first edge
+    or repulsion edge whose indices are no integers in [0, n) (`2.0` reads
+    as 2, a NaN index is out of range), that is a self-loop, or whose
+    weight is not finite and >= 0.
     """
     check_integer("n", n, 1)
     n = int(n)
@@ -280,7 +287,7 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
     The graph need not come from `build_knn_graph`: InputError unless its
     edges are unique pairs (i, j), 0 <= i < j < n, in increasing order,
     each with a finite distance >= 0, and every item has an edge;
-    ParameterError unless k is an integer >= 1.  Two kernel calls (C, or
+    ParameterError unless k and n are integers >= 1.  Two kernel calls (C, or
     without it their numpy references), `kernels.affinity_layout` and
     `kernels.affinity_weights`, around numpy's exp do the work in
     O(m + n) for m edges, plus a selection per item for the Gaussian's
@@ -291,7 +298,8 @@ def derive_affinity(graph: NeighborGraph, kernel: str = "self_tuning_gaussian",
     _check_repulsion(repulsion_scheme, repulsion_edges)
     k = graph.k
     check_integer("k", k, 1)
-    n = graph.n
+    check_integer("n", graph.n, 1)
+    n = int(graph.n)
     edges, dist = _edge_arrays(graph)
     gaussian = kernel == "self_tuning_gaussian"
     # sigma_i = distance to the ceil(k/2)-th neighbour of i, a selection in

@@ -19,8 +19,13 @@ also returns the energy components (h_a, h_r) of the partition it found.
 and `aggregate`, then takes the components from
 `kernels.energy_components`.  It is the fallback without the C kernels
 and the oracle the C loop is tested against.  It also runs when
-`kernels.sweep` or `aggregate` has been replaced (a tracer wrapping them),
-so that the replacement sees every call.
+`kernels.sweep` has been replaced (a tracer, which wraps `aggregate`
+too), so that the replacement sees every call.
+
+`aggregate` takes its constants from `kernels.energy_components` on the
+fine graph, so aggregation is exact by definition: the coarse graph
+holds only the cross-cluster pairs, and the partition's own energy is
+the constant.
 
 At gamma = 0 no loop runs: the optimum is the graph's connected
 components over its edges of positive weight, which `kernels.components`
@@ -69,6 +74,8 @@ class OptimizeOptions:
 class AggregateGraph:
     """Coarse graph over super-nodes plus the constants needed for exactness.
 
+    (const_h_a, const_h_r) is `kernels.energy_components` of the fine
+    partition, whose internal pairs the coarse graph leaves out, so
     H(super-partition on .graph) + const_h_a + gamma * const_h_r equals
     H(expanded partition) on the original graph.
     """
@@ -88,19 +95,13 @@ def _run_sweeps(graph, labels, gamma, constraint, rng, max_sweeps, settle):
 
 
 def _collapse(labels, k, indptr, indices, weights):
-    """Split CSR pairs into cluster-internal and cross-cluster ones.
-
-    Returns the internal weight total and `_pairs` of the cross-cluster
-    weights, summed per super-node pair, as (total, rows, cols, vals,
-    indptr, indices, weights).
-    """
+    """`_pairs` of the cross-cluster CSR pairs, their weights summed per
+    super-node pair: (rows, cols, vals, indptr, indices, weights)."""
     src = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     once = indices > src
     ci, cj, w = labels[src[once]], labels[indices[once]], weights[once]
-    internal = ci == cj
-    cross = ~internal
-    return (float(np.sum(w[internal])),
-            *_pairs(k, ci[cross], cj[cross], w[cross]))
+    cross = ci != cj
+    return _pairs(k, ci[cross], cj[cross], w[cross])
 
 
 def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
@@ -111,20 +112,16 @@ def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
         raise InputError(f"partition shape {labels.shape} != ({graph.n},): "
                          f"one label per item")
     k = cluster_count(labels)
-    internal, _, _, w_agg, indptr, indices, weights = _collapse(
+    const_h_a, const_h_r = kernels.energy_components(graph, labels)
+    _, _, w_agg, indptr, indices, weights = _collapse(
         labels, k, graph.indptr, graph.indices, graph.weights)
-    const_h_a = -internal
-    # bincount adds each cluster's members in item order, as np.add.at did
     strengths = np.bincount(labels, weights=graph.strengths, minlength=k)
     kwargs = {}
     if graph.rep_mode == kernels.REP_PRODUCT:
-        rho = np.bincount(labels, weights=graph.rep_strength, minlength=k)
-        rho_sq = np.bincount(labels, weights=graph.rep_strength ** 2,
-                             minlength=k)
-        const_h_r = float(np.sum(rho ** 2 - rho_sq)) / (2.0 * graph.rep_denom)
-        rep_strength = rho
+        rep_strength = np.bincount(labels, weights=graph.rep_strength,
+                                   minlength=k)
     else:
-        const_h_r, _, _, _, rp, rix, rwt = _collapse(
+        *_, rp, rix, rwt = _collapse(
             labels, k, graph.rep_indptr, graph.rep_indices, graph.rep_weights)
         kwargs = {"rep_indptr": rp, "rep_indices": rix, "rep_weights": rwt}
         rep_strength = np.zeros(k)
@@ -136,9 +133,6 @@ def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
         rep_denom=graph.rep_denom, **kwargs)
     return AggregateGraph(graph=coarse, mapping=labels,
                           const_h_a=const_h_a, const_h_r=const_h_r)
-
-
-_AGGREGATE = aggregate  # to tell whether `aggregate` has been replaced
 
 
 def _level_loop_py(graph, gamma, rng):
@@ -186,11 +180,9 @@ def _level_loop_c(graph, gamma, rng):
 
 def _compiled_loop():
     """Whether the C level loop stands in for `_level_loop_py`: the C
-    kernels are loaded and neither of the functions that loop calls per
-    phase and per level has been replaced."""
-    return (kernels.level_loop is not None
-            and kernels.sweep is kernels.sweep_py
-            and aggregate is _AGGREGATE)
+    kernels are loaded and `kernels.sweep`, which that loop calls per
+    phase, has not been replaced."""
+    return kernels.level_loop is not None and kernels.sweep is kernels.sweep_py
 
 
 @lru_cache(maxsize=256)

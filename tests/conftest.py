@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import shutil
 from types import SimpleNamespace
 

@@ -14,7 +14,7 @@ from confres.cognition import (HierarchySpec, novelty_spec,
                                run_evolution_experiment,
                                run_hierarchy_experiment,
                                run_novelty_experiment)
-from confres.energy import canonicalize, cluster_count, hamiltonian
+from confres.energy import canonicalize, cluster_count
 from confres.evaluation import (ContingencyTable, ari, contingency, nmi,
                                 rms_align, v_measure)
 from confres.graph import build_knn_graph, derive_affinity

@@ -287,6 +287,15 @@ def test_eval_empty_labelings(tmp_path, capsys):
                         capsys, "labelings are empty")
 
 
+def test_eval_lengths_differ(data_dir, tmp_path, capsys):
+    part = tmp_path / "pred.json"
+    part.write_text(json.dumps({"labels": [0, 1, 1]}))
+    _assert_input_error(["eval", "--pred", str(part),
+                         "--truth", str(data_dir / "truth.csv"),
+                         "--out", str(tmp_path / "o.json")],
+                        capsys, "prediction and truth lengths differ")
+
+
 def test_eval_bad_partition_json(data_dir, tmp_path, capsys):
     part = tmp_path / "pred.json"
     truth = str(data_dir / "truth.csv")
@@ -305,6 +314,14 @@ def test_config_file_bad_value(data_dir, tmp_path, capsys):
     _assert_input_error(["cluster", "--input", str(data_dir / "points.csv"),
                          "--config", str(cfg), "--out", str(tmp_path / "o.json")],
                         capsys, str(cfg), "k = 'abc'")
+
+
+def test_config_file_line_without_equals(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment\n\nk 8\n")
+    _assert_input_error(["cluster", "--input", str(data_dir / "points.csv"),
+                         "--config", str(cfg), "--out", str(tmp_path / "o.json")],
+                        capsys, f"{cfg}:3: expected key = value")
 
 
 def test_config_file_value_outside_choices(data_dir, tmp_path, capsys):
@@ -392,6 +409,19 @@ def test_partition_json_with_byte_order_mark(data_dir, tmp_path):
                  "--truth", str(data_dir / "truth.csv"),
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["ari"] == 1.0
+
+
+def test_internal_error_exits_1(data_dir, tmp_path, capsys, monkeypatch):
+    # any exception that is no InputError is a fault of confres itself
+    def broken(path):
+        raise RuntimeError("loader broke")
+
+    monkeypatch.setattr(cli, "load_points_csv", broken)
+    capsys.readouterr()
+    assert main(["cluster", "--input", str(data_dir / "points.csv"),
+                 "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == "confres: internal error: loader broke\n"
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_experiment_novelty_fraction_zero(tmp_path):

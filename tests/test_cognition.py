@@ -41,6 +41,15 @@ class TestGenerateHierarchy:
             HierarchySpec(super_separation=1.0, basic_separation=2.0)
 
     @pytest.mark.parametrize("field, value, message", [
+        ("superordinate_count", 0, "degenerate hierarchy spec"),
+        ("dimension", 1, "degenerate hierarchy spec"),
+        ("super_separation", 0.0, "separations must be positive"),
+        ("basic_separation", -1.0, "separations must be positive")])
+    def test_spec_out_of_range(self, field, value, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            HierarchySpec(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
         ("dimension", 2.5, "dimension must be an integer"),
         ("points_per_basic", 2.5, "points_per_basic must be an integer"),
         ("seed", 1.5, "seed must be an integer"),

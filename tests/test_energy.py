@@ -111,8 +111,9 @@ class TestMoveDelta:
         assert move_delta(g, labels, 0, labels[0], 1.0) == 0.0
 
     def test_matches_recompute_oracle(self, rng):
-        for _ in range(40):
-            g = random_affinity(rng)
+        # product-form repulsion (a scheme drawn at random) and explicit
+        for trial in range(80):
+            g = random_affinity(rng, scheme=(None, "explicit")[trial % 2])
             labels = canonicalize(rng.integers(0, 3, g.n))
             k = int(labels.max()) + 1
             item = int(rng.integers(g.n))
@@ -141,6 +142,12 @@ class TestMoveDelta:
         want = move_delta(g, [0, 0, 1, 1], 1, 2, 0.5)
         assert move_delta(g, [0, 0, 1, 1], np.int64(1), np.int32(2),
                           0.5) == want
+
+    @pytest.mark.parametrize("item", [-1, 4])
+    def test_item_out_of_range(self, item):
+        g = from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 0.1)])
+        with pytest.raises(InputError, match=rf"^item {item} out of range$"):
+            move_delta(g, [0, 0, 1, 1], item, 0, 1.0)
 
     def test_invalid_target(self, rng):
         g = random_affinity(rng)

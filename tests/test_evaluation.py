@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from confres.errors import InputError, ParameterError
-from confres.evaluation import (AlignmentResult, ContingencyTable, accuracy,
-                                ari, contingency, inverse_ari,
-                                item_energy_scores, nmi, rms_align, roc_auc,
-                                v_measure)
+from confres.evaluation import (ContingencyTable, accuracy, ari, contingency,
+                                inverse_ari, item_energy_scores, nmi,
+                                rms_align, roc_auc, v_measure)
 from confres.graph import from_edge_list
 
 from conftest import random_affinity
@@ -123,6 +122,27 @@ class TestMetrics:
         assert nmi(contingency([0] * 4, [0] * 4)) == 1.0
         assert ari(table) == 0.0
 
+    @pytest.mark.parametrize("a, b", [([0, 1], [0, 1, 1]),
+                                      ([[0, 1]], [[0, 1]])])
+    def test_contingency_needs_equal_length_vectors(self, a, b):
+        with pytest.raises(InputError,
+                           match="^labelings must be equal-length vectors$"):
+            contingency(a, b)
+
+    def test_too_few_items(self):
+        with pytest.raises(InputError, match="^ARI needs at least two items$"):
+            ari(contingency([0], [0]))
+        empty = ContingencyTable(np.zeros((1, 1), dtype=np.int64))
+        with pytest.raises(InputError, match="^NMI needs at least one item$"):
+            nmi(empty)
+        with pytest.raises(InputError,
+                           match="^V-measure needs at least one item$"):
+            v_measure(empty)
+
+    def test_v_measure_of_independent_labelings_is_zero(self):
+        # no mutual information: homogeneity and completeness are both 0
+        assert v_measure(contingency([0, 0, 1, 1], [0, 1, 0, 1])) == 0.0
+
     def test_contingency_matches_add_at(self, rng):
         # counts by np.add.at over the inverse labels, the table's old build
         for _ in range(40):
@@ -223,6 +243,12 @@ class TestRmsAlign:
         merged_rows = [i for i, _ in result.merges]
         assert len(merged_rows) == 1
 
+    @pytest.mark.parametrize("counts", [np.zeros((0, 0), dtype=np.int64),
+                                        np.zeros((2, 2), dtype=np.int64)])
+    def test_empty_table(self, counts):
+        with pytest.raises(InputError, match="^empty contingency table$"):
+            rms_align(ContingencyTable(counts))
+
     def test_accuracy_requires_alignment(self):
         with pytest.raises(InputError):
             accuracy(np.eye(2))
@@ -285,6 +311,10 @@ class TestNoveltyScores:
         labels = np.array([0, 0, 0, 1])
         scores = item_energy_scores(g, labels, gamma=1.0)
         assert scores.scores[3] == pytest.approx(scores.scores[:3].max() + 1.0)
+
+    def test_all_singletons_score_zero(self):
+        scores = item_energy_scores(self._line_graph(), np.arange(4), 1.0)
+        assert np.array_equal(scores.scores, np.zeros(4))
 
     def test_matches_hand_sum(self):
         g = self._line_graph()

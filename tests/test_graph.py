@@ -3,6 +3,7 @@
 import builtins
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -18,6 +19,38 @@ from confres.graph import (NeighborGraph, build_knn_graph, derive_affinity,
 
 def _edge_set(graph):
     return {tuple(e) for e in graph.edges.tolist()}
+
+
+def no_kernel_runs(monkeypatch):
+    """Make every kernel a graph builder calls fail if it is reached."""
+    def reached(*args):
+        raise AssertionError("a kernel ran")
+
+    for name in ("knn_graph", "pairs", "affinity_layout", "affinity_weights",
+                 "check_graph"):
+        monkeypatch.setattr(kernels, name, reached)
+
+
+_THREE = NeighborGraph(n=3, edges=np.array([[0, 1], [1, 2]]),
+                       distances=np.array([1.0, 2.0]), k=1)
+
+
+@pytest.mark.parametrize("scheme, repulsion, message", [
+    ("bogus", None, r"^unknown repulsion scheme 'bogus'$"),
+    ("explicit", None, r"^explicit repulsion scheme needs repulsion edges$"),
+    ("uniform", [(0, 2, 5.0)], r"^repulsion edges need the explicit "
+                               r"repulsion scheme, got 'uniform'$"),
+    ("bogus", [(0, 2, 5.0)], r"^repulsion edges need the explicit "
+                             r"repulsion scheme, got 'bogus'$")])
+@pytest.mark.parametrize("build", [
+    lambda **kw: from_edge_list(3, [(0, 1, 1.0), (1, 2, 1.0)], **kw),
+    lambda **kw: derive_affinity(_THREE, **kw)],
+    ids=["from_edge_list", "derive_affinity"])
+def test_repulsion_arguments_are_checked_before_any_kernel(
+        build, scheme, repulsion, message, monkeypatch):
+    no_kernel_runs(monkeypatch)
+    with pytest.raises(ParameterError, match=message):
+        build(repulsion_scheme=scheme, repulsion_edges=repulsion)
 
 
 class TestBuildKnn:
@@ -66,6 +99,10 @@ class TestBuildKnn:
         with pytest.raises(ParameterError, match=r"^k must be an integer, got"):
             build_knn_graph(pts, k=k)
         assert build_knn_graph(pts, k=np.int64(1)).k == 1
+
+    def test_unknown_metric(self):
+        with pytest.raises(ParameterError, match="^unknown metric 'manhattan'$"):
+            build_knn_graph(np.array([[0.0], [1.0]]), k=1, metric="manhattan")
 
     def test_non_finite_points(self):
         pts = np.array([[0.0], [np.nan]])
@@ -345,6 +382,22 @@ class TestDeriveAffinity:
                            match=r"^k must be (an integer|>= 1), got "):
             derive_affinity(graph)
 
+    @pytest.mark.parametrize("n", [3.0, np.float64(3.0), True, "3", None, 0])
+    def test_n_must_be_a_positive_integer(self, n, monkeypatch):
+        # before: n=3.0 a TypeError, n=True read as one item
+        no_kernel_runs(monkeypatch)
+        with pytest.raises(ParameterError,
+                           match=r"^n must be (an integer|>= 1), got "):
+            derive_affinity(dataclasses.replace(_THREE, n=n))
+
+    def test_numpy_integer_n(self):
+        got = derive_affinity(dataclasses.replace(_THREE, n=np.int64(3)))
+        assert _graph_bytes(got) == _graph_bytes(derive_affinity(_THREE))
+
+    def test_unknown_kernel(self):
+        with pytest.raises(ParameterError, match="^unknown kernel 'cosine'$"):
+            derive_affinity(_THREE, kernel="cosine")
+
     def test_huge_k_is_capped_at_the_degree(self):
         # sigma's rank, ceil(k / 2), is capped at the degree (here at most
         # 3), so every k from 5 on gives the same graph
@@ -589,6 +642,26 @@ class TestFromEdgeList:
         g = from_edge_list(2, [(0, 1, 1.0)])
         assert g.total_weight == pytest.approx(1.0)
         assert tuple(g.strengths) == (1.0, 1.0)
+
+    def test_empty_edge_list(self):
+        with pytest.raises(InputError, match="^edge list is empty$"):
+            from_edge_list(3, [])
+
+    def test_zero_total_weight(self):
+        with pytest.raises(NumericalError,
+                           match="^total attraction weight W must be positive$"):
+            from_edge_list(3, [(0, 1, 0.0), (1, 2, 0.0)])
+
+    @pytest.mark.parametrize("repulsion", [False, True])
+    def test_rows_must_be_triples(self, repulsion):
+        label = "repulsion" if repulsion else "edge"
+        with pytest.raises(InputError,
+                           match=rf"^{label} rows must be \(i, j, w\) triples$"):
+            if repulsion:
+                from_edge_list(3, [(0, 1, 1.0)], repulsion_scheme="explicit",
+                               repulsion_edges=[(1, 2)])
+            else:
+                from_edge_list(3, [(0, 1)])
 
     def test_duplicate_directions_averaged(self):
         g = from_edge_list(2, [(0, 1, 1.0), (1, 0, 3.0)])
@@ -892,6 +965,13 @@ class TestLoaders:
         path = tmp_path / "labels.csv"
         path.write_text("2\n0\n1\n")
         assert load_labels_csv(path).tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("text", ["", "\n \n"])
+    def test_empty_labels_file(self, tmp_path, text):
+        path = tmp_path / "labels.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"^empty labels file: {re.escape(str(path))}$"):
+            load_labels_csv(path)
 
     def test_malformed_labels(self, tmp_path):
         path = tmp_path / "labels.csv"

@@ -102,6 +102,16 @@ class TestAggregate:
                                              rf"!= \(4,\): one label per item"):
             aggregate(g, np.arange(count) % 2)
 
+    def test_constants_are_the_partitions_energy(self, rng):
+        # bit for bit, so the exactness of aggregation holds by definition
+        for trial in range(40):
+            g = random_affinity(rng, n=int(rng.integers(2, 30)),
+                                scheme=(None, "explicit")[trial % 2])
+            labels = canonicalize(rng.integers(0, int(rng.integers(1, 5)), g.n))
+            agg = aggregate(g, labels)
+            assert _bytes((agg.const_h_a, agg.const_h_r)) == \
+                _bytes(kernels.energy_components(g, labels))
+
     def test_energy_preserved_exactly(self, rng):
         # product-form repulsion (a scheme drawn at random) and explicit
         for trial in range(40):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from confres import cognition, resolution
-from confres.energy import cluster_count, hamiltonian
 from confres.errors import InputError, ParameterError
 from confres.graph import from_edge_list
 from confres.optimizer import OptimizeOptions, optimize
