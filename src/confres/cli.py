@@ -50,14 +50,10 @@ def _metadata(params: dict, inputs: dict) -> dict:
 
 
 def _json_key(key) -> str:
-    """A dict key as json.dumps writes it: strings quoted, numbers,
-    booleans and None as their JSON text in quotes."""
-    if isinstance(key, str):
-        return json.dumps(key)
-    if isinstance(key, (int, float)) or key is None:
-        return json.dumps(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
+    """A dict key as json.dumps writes it; every payload key is a string."""
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return json.dumps(key)
 
 
 def _encode(value, pad, parts) -> None:
@@ -102,7 +98,8 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _load_config_file(path) -> dict:
-    """Flat key = value lines; blank lines and # comments ignored."""
+    """Flat key = value lines; blank lines and # comments ignored.  Maps
+    each key to its value and the number of the line that last set it."""
     values = {}
     for lineno, raw in enumerate(read_text(path).split("\n"), 1):
         line = raw.strip()
@@ -111,7 +108,7 @@ def _load_config_file(path) -> dict:
         if "=" not in line:
             raise InputError(f"{path}:{lineno}: expected key = value")
         key, _, val = line.partition("=")
-        values[key.strip().replace("-", "_")] = val.strip()
+        values[key.strip().replace("-", "_")] = (val.strip(), lineno)
     return values
 
 
@@ -119,20 +116,22 @@ def _apply_config_file(args, argv):
     """`args` with the `--config` file's values for the flags that the
     command line does not give.
 
-    Each file value must pass the same type and `choices` checks as on the
-    command line.  The command's own arguments are then parsed again by
-    its subparser into a namespace that holds the checked file values:
-    a subparser sets a default only where an attribute is missing, so
-    every flag given, in any spelling, wins over the file.
+    Each file key must name an option of the command, and each value pass
+    the same type and `choices` checks as on the command line.  The
+    command's own arguments are then parsed again by its subparser into a
+    namespace that holds the checked file values: a subparser sets a
+    default only where an attribute is missing, so every flag given, in
+    any spelling, wins over the file.
     """
     command = args._commands[args.command]
     actions = {a.dest: a for a in command._actions
                if a.dest not in ("help", "func")}
     values = {}
-    for key, raw in _load_config_file(args.config).items():
+    for key, (raw, lineno) in _load_config_file(args.config).items():
         action = actions.get(key)
         if action is None:
-            continue
+            raise InputError(f"{args.config}:{lineno}: {key} names no option "
+                             f"of {args.command}")
         caster = type(action.default) if action.default is not None else str
         try:
             value = caster(raw)

@@ -97,8 +97,9 @@ def generate_hierarchy(spec: HierarchySpec):
             np.array(basic_labels, dtype=np.int64))
 
 
-def inject_outliers(points, fraction: float, spread: float = 2.0, seed: int = 0):
-    """Append uniform-box outliers; returns (points, novel_flags)."""
+def inject_outliers(points, fraction: float, seed: int = 0):
+    """Append outliers drawn uniformly from the points' bounding box;
+    returns (points, novel_flags)."""
     points = np.asarray(points, dtype=np.float64)
     check_real("fraction", fraction)
     check_integer("seed", seed, 0)
@@ -113,7 +114,7 @@ def inject_outliers(points, fraction: float, spread: float = 2.0, seed: int = 0)
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * spread
+    half = 0.5 * (hi - lo)
     outliers = center + rng.uniform(-1.0, 1.0, (count, points.shape[1])) * half
     flags[n:] = True
     return np.concatenate([points, outliers], axis=0), flags
@@ -168,7 +169,7 @@ def novelty_spec(seed: int = 0) -> HierarchySpec:
                          basic_separation=3.0, dimension=8, seed=seed)
 
 
-def run_novelty_experiment(spec: HierarchySpec = None,
+def run_novelty_experiment(spec: HierarchySpec,
                            fraction: float = 0.05) -> dict:
     """Cluster at the widest plateau of a sweep up to gamma = 2 (k = 30)
     and score novelty by item energy; outliers fill the data's bounding
@@ -177,12 +178,9 @@ def run_novelty_experiment(spec: HierarchySpec = None,
     if not 0.0 < fraction <= 1.0:  # NaN fails too
         raise InputError("novelty experiment needs an outlier fraction in "
                          f"(0, 1], got {fraction}")
-    if spec is None:
-        spec = novelty_spec()
     points, _, _ = generate_hierarchy(spec)
     n = points.shape[0]
-    points, flags = inject_outliers(points, fraction, spread=1.0,
-                                    seed=spec.seed + 1)
+    points, flags = inject_outliers(points, fraction, seed=spec.seed + 1)
     if not flags.any():  # roc_auc needs an outlier: fail before the sweep
         raise InputError(f"outlier fraction {fraction} of {n} points rounds "
                          f"to no outlier")

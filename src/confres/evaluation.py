@@ -206,8 +206,6 @@ def inverse_ari(p_t, p_next) -> float:
 @dataclass(frozen=True)
 class NoveltyScores:
     scores: np.ndarray
-    gamma: float
-    labels: np.ndarray
 
 
 def _within_cluster_sums(indptr, indices, weights, labels) -> np.ndarray:
@@ -246,7 +244,7 @@ def item_energy_scores(graph: AffinityGraph, labels, gamma: float) -> NoveltySco
             scores[:] = 0.0
         else:
             scores[singleton] = scores[~singleton].max() + 1.0
-    return NoveltyScores(scores=scores, gamma=float(gamma), labels=labels.copy())
+    return NoveltyScores(scores=scores)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:

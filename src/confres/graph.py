@@ -411,8 +411,11 @@ def load_labels_csv(path) -> np.ndarray:
         start = 1
     labels = []
     for ln in lines[start:]:
+        if "," in ln:
+            raise InputError(f"label row {ln!r} in {path} has "
+                             f"{ln.count(',') + 1} columns, expected 1")
         try:
-            value = float(ln.split(",")[0])
+            value = float(ln)
         except ValueError:
             value = np.nan  # not a number: rejected below
         if not is_integer_label(value):

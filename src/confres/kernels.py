@@ -1,99 +1,19 @@
 """Inner loops for energy evaluation, local moving, the optimizer's level
-loop, the kNN search and graph construction.
+loop, the kNN search, graph construction and the points reader.
 
-`energy_components` is vectorised numpy on every backend; each of its sums
-adds left to right, so it returns the floats a plain loop over the edges
-returns.  These loops are compiled from `_kernels.c`, each beside a Python
-or numpy reference that is the fallback and the test oracle.  A kernel
-that reads a graph takes the `graph.AffinityGraph` itself (`sweep` alone
-takes its arrays, in the order of `AffinityGraph._kernel_args`):
-
-- `level_loop` runs the whole loop of `optimizer.optimize` for one seed
-  (move, refine, aggregate, level after level, then the polish) in one
-  call, with aggregation that adds in the order `optimizer.aggregate`
-  adds.  Its reference is `optimizer._level_loop_py`, which calls
-  `sweep` once per phase; it returns the same labels and leaves the
-  generator in the same state.  It also returns the labels' (h_a, h_r),
-  summed in C in the order `energy_components` sums them, so a solve
-  needs no numpy energy pass.  Without the C kernels it is None.
-  Each phase runs rounds of Leiden's fast local move (Traag, Waltman &
-  van Eck 2019, "From Louvain to Leiden"): a round queues every item in
-  a fresh permutation and serves the queue first in, first out; an item
-  that moves queues, at the back, each item of its rows that is neither
-  queued nor in its new cluster.  A move also changes the cluster sums
-  that product-form repulsion reads from items it does not queue, so
-  only a round that moves nothing proves a partition single-move stable.
-  A phase runs one round, or with `settle` rounds until one moves
-  nothing, and never more than `max_sweeps` * n evaluations in all.
-  `sweep`, one phase, is `sweep_py` (rounds of `_round`, over lists) on
-  every backend; a tracer may replace it (see `optimizer`).  The C
-  phases, which run only inside `level_loop`, do its floating-point
-  operations in the same order and draw each round's order from the
-  caller's numpy Generator through its bit generator's ctypes interface,
-  replaying `rng.permutation` (Fisher-Yates over `random_interval`).
-  They read compact rows, laid out once per phase: each item's
-  attraction, then explicit-repulsion entries, in CSR order, without the
-  entries to other constraint clusters that `_round` skips one by one;
-  they list an item's clusters and pick the best with selects, not
-  branches, adding every sum in `_round`'s order.
-- `components` solves gamma = 0 exactly, with no loop: the connected
-  components over the entries of positive weight, by union-find, with
-  canonical labels and their (h_a, h_r) summed as `level_loop` sums them.
-  `components_py` is its reference, and `components` without the C kernels.
-- `check_graph` checks a graph once, when a `graph.AffinityGraph` is
-  made (symmetric CSRs, rising columns in range and off the diagonal,
-  finite numbers), so every other graph kernel trusts it: one O(m + n) C
-  pass per CSR; `check_graph_py` words faults.  The C check returns the
-  graph's `Graph`, the view of its arrays that C reads, which the graph
-  keeps beside the arrays it points into: `level_loop` and `components`
-  take the graph, which owns both, and read its view.
-- `knn_graph`, the kNN graph of `graph.build_knn_graph`, finds each
-  item's k nearest others by (distance, index) with an exact kd-tree
-  search, the queries of a leaf batched into one walk of the tree, and
-  groups them into pairs as `pairs` does, in one C call.  `knn_graph_py`
-  is the same steps in numpy, its search `knn_py` a chunked brute force
-  and its grouping that of `pairs_py` without the CSR.  Both sum a
-  distance from 0.0 in coordinate order, so they return the same bits,
-  and both check the grouped distances for overflow with
-  `_finite_distances`.
-- `pairs` reduces (i, j, w) entries to their sorted unique unordered
-  pairs, each weight summed in input order (or averaged), and lays them
-  out as a both-direction CSR with ascending columns, each entry holding
-  its pair's weight: graph construction (edge lists) and
-  `optimizer.aggregate` run on it.  In C it is one O(m + n) call, two
-  stable counting sorts and one fill, the code path of `level_loop`'s
-  aggregation; `pairs_py` sorts integer keys in numpy.  Both add in input
-  order, as np.bincount does, so the bits are the same.
-- `affinity_layout` and `affinity_weights` are `graph.derive_affinity`
-  in two C calls around numpy's exp: the first checks a neighbour graph's
-  edges and distances, lays the edges out as `pairs` does, with each
-  entry's pair index beside it, picks each item's sigma by selection and
-  writes the Gaussian's exponents (or the inverse distances); the second
-  turns similarities into the symmetrised weights, their end sums and
-  their CSR layout.  `affinity_layout_py` and `affinity_weights_py` are
-  the numpy code they replace, adding in the same order.
-- `parse_points` reads text, not a graph: the body of a points file,
-  decoded by `graph.read_text` and encoded again as bytes that end in a
-  line feed, in one C pass that hands each field starting at a digit, a
-  sign or '.' to strtod and keeps it only if strtod read nothing but
-  `0-9 + - . e E` and a comma or line feed comes next.  That is a strict
-  grammar (comma-separated decimal numbers, rows ended by a line feed);
-  it declines everything else, so its reference is
-  `graph.load_points_csv`'s row parser, which reads what it declines on
-  the same decoded lines and words every error; within the grammar,
-  strtod and Python's float both round correctly, so they return the
-  same bits.  Without the C kernels it is None.
-
-On first import the C file is compiled with `cc` (else `gcc`) into a
-per-user cache, keyed by source, flags and machine type, and loaded with
-ctypes.  Without a compiler, when the build fails, or with
-CONFRES_DISABLE_COMPILED=1, `check_graph`, `components`, `knn_graph`,
-`pairs`, `affinity_layout` and `affinity_weights` are the references,
-`level_loop` is None, so the optimizer runs its Python loop, and points
-files are read row by row in Python (identical results, much slower).  A failed
-build leaves a marker file beside the cache entry, so later imports do
-not run the compiler again.
-`BACKEND` names the loops in use, "c" or "python".  tests/test_kernels.py,
+Each loop but `energy_components` and `sweep`, which are numpy and Python
+on every backend, is compiled from `_kernels.c` and loaded with ctypes,
+beside a Python or numpy reference that is its fallback and its test
+oracle; the two return the same bits.  On first import the C file is
+compiled with `cc` (else `gcc`) into a per-user cache, keyed by source,
+flags and machine type.  A failed build leaves a marker file beside the
+cache entry, so later imports do not run the compiler again.  Without a
+compiler, when the build fails, or with CONFRES_DISABLE_COMPILED=1,
+`check_graph`, `components`, `knn_graph`, `pairs`, `affinity_layout` and
+`affinity_weights` are the references, `level_loop` and `parse_points`
+are None, so the optimizer runs its Python loop and points files are read
+row by row in Python (identical results, much slower).  `BACKEND` names
+the loops in use, "c" or "python".  tests/test_kernels.py,
 tests/test_optimizer.py and tests/test_graph.py check that the two agree
 bit for bit; to time the Python references, run perfbench/run.py with
 CONFRES_DISABLE_COMPILED=1.
@@ -222,9 +142,10 @@ def energy_components(g, labels):
 
     h_a = -sum of within-cluster attraction, h_r = sum of within-cluster
     repulsion.  Attraction CSR stores both edge directions; pairs are
-    counted once via j > i.  Every sum is the float a loop from 0.0 gives,
-    adding in CSR (or item, or label) order.  Product-form repulsion sums
-    rep_strength per label value, so it needs labels >= 0.
+    counted once via j > i.  Vectorised numpy on every backend, yet every
+    sum is the float a loop from 0.0 gives, adding in CSR (or item, or
+    label) order.  Product-form repulsion sums rep_strength per label
+    value, so it needs labels >= 0.
     """
     _check_array("labels", labels, _I64, g.n)
     product = g.rep_mode == REP_PRODUCT
@@ -247,7 +168,8 @@ def _round(indptr, indices, weights,
            rep_mode, rep_strength, rep_denom,
            rep_indptr, rep_indices, rep_weights,
            gamma, labels, constraint, order, eps, left):
-    """One round of the fast local move over lists; mutates the list
+    """One round of Leiden's fast local move (Traag, Waltman & van Eck
+    2019, "From Louvain to Leiden") over lists; mutates the list
     `labels`.  Returns (moves, evaluations left).
 
     Queues every item in `order` and serves the queue first in, first
@@ -258,7 +180,9 @@ def _round(indptr, indices, weights,
     -eps.  Ties go to the lowest existing cluster id, then to the new
     cluster.  A mover queues, at the back, each item of its rows (in row
     order, attraction first) with matching `constraint` that is neither
-    queued nor in its new cluster.
+    queued nor in its new cluster.  A move also changes the cluster sums
+    that product-form repulsion reads from items it does not queue, so
+    only a round that moves nothing proves a partition single-move stable.
     """
     n = len(labels)
     rs = [0.0] * n    # per-cluster sum of rep_strength
@@ -341,7 +265,8 @@ def sweep_py(indptr, indices, weights,
     no item a single move can improve.  Either way the phase evaluates at
     most `max_sweeps` * n items, as many as `max_sweeps` full passes (see
     optimizer.MAX_SWEEPS_PER_LEVEL).  Returns the total number of accepted
-    moves.  The graph is an `AffinityGraph`'s, checked when it was made.
+    moves.  The graph is an `AffinityGraph`'s, checked when it was made,
+    its arrays passed in the order of `AffinityGraph._kernel_args`.
     Raises ValueError or IndexError before any label moves or any number
     is drawn: `labels` must be a writable C-contiguous int64 vector of one
     label in [0, n) per item, and `constraint` an int64 one of its length.
@@ -797,9 +722,11 @@ def _failed(status, reference=None, *args):
 
 def _check_graph_c(g):
     """`check_graph_py`'s verdict on graph `g` in one C call (`check_graph`
-    in _kernels.c), which `check_graph_py` words; returns the `Graph` of
-    g's (read-only) arrays' addresses, which the AffinityGraph keeps as
-    `_kernel_graph` for `level_loop` and `components`."""
+    in _kernels.c), one O(m + n) pass per CSR, after which every other
+    graph kernel trusts `g`; `check_graph_py` words its faults.  Returns
+    the `Graph` of g's (read-only) arrays' addresses, which the
+    AffinityGraph keeps as `_kernel_graph` for `level_loop` and
+    `components`."""
     _check_graph(g)
     repulsion = (0, None, None, None)  # never read for product-form repulsion
     if g.rep_mode == REP_EXPLICIT:
@@ -823,7 +750,10 @@ def _level_loop_c(g, gamma, rng, max_levels, max_sweeps, max_polish):
     (`level_loop` in _kernels.c), on the `Graph` that AffinityGraph `g`
     keeps: (labels, h_a, h_r), the canonical labels that its Python loop
     returns, with the same numbers drawn from `rng`, and their energy
-    components, the floats `energy_components` returns for them."""
+    components, the floats `energy_components` returns for them, summed in
+    C, so a solve needs no numpy energy pass.  Its phases replay
+    `rng.permutation` through the generator's ctypes interface, and its
+    aggregation adds in the order `optimizer.aggregate` adds."""
     graph = g._kernel_graph
     labels = np.empty(g.n, dtype=np.int64)
     energy = _PAIR()  # cheaper to make and read than a numpy array
@@ -850,8 +780,9 @@ def _components_c(g):
 
 
 def _pairs_c(n, rows, cols, vals, mean=False):
-    """`pairs_py` in O(m + n) (`pairs` in _kernels.c): the same arrays, bit
-    for bit, each of its exact size."""
+    """`pairs_py` in O(m + n) (`pairs` in _kernels.c), two stable counting
+    sorts and one fill, the code path of `level_loop`'s aggregation: the
+    same arrays, bit for bit, each of its exact size."""
     _check_ends(rows, cols, vals)
     m = rows.shape[0]
     out = (np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64),
@@ -871,8 +802,9 @@ def _pairs_c(n, rows, cols, vals, mean=False):
 
 
 def _knn_graph_c(points, k, metric="euclidean"):
-    """`knn_graph_py` in one C call (`knn_graph` in _kernels.c): a kd-tree
-    search with the results of `knn_py` and the pair grouping of `pairs`,
+    """`knn_graph_py` in one C call (`knn_graph` in _kernels.c): an exact
+    kd-tree search, the queries of a leaf batched into one walk of the
+    tree, with the results of `knn_py` and the pair grouping of `pairs`,
     the same arrays bit for bit.  Its O(n d) scratch (the points in tree
     order, at most n / 4 + 1 nodes with their boxes) comes from C's
     malloc, which tracemalloc does not see."""
@@ -926,12 +858,12 @@ def _affinity_weights_c(n, edges, pair, sim):
 def _parse_points_c(data):
     """The rows of `data`, the body of a points file as bytes, read in one
     C call (`parse_points` in _kernels.c): an (n, d) float64 array, or
-    None where the C reader declines.  Its buffer is sized from the byte
-    length, at least the count of fields, since each field takes a digit
-    and a comma or line feed, and the fields read are copied out of it:
-    malloc maps a buffer that large on its own, and shrunk in place it
-    would keep fresh pages where a copy reuses free heap, which raised
-    peak RSS."""
+    None where the C reader declines, for `graph._row_points` to read.
+    Its buffer is sized from the byte length, at least the count of
+    fields, since each field takes a digit and a comma or line feed, and
+    the fields read are copied out of it: malloc maps a buffer that large
+    on its own, and shrunk in place it would keep fresh pages where a copy
+    reuses free heap, which raised peak RSS."""
     cap = len(data) // 2 + 1
     out = np.empty(cap)
     cols = ctypes.c_int64(0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError, check_real
+from .errors import InputError
 from .evaluation import ContingencyTable
 
 
@@ -26,37 +26,29 @@ class MosaicCell:
     value: int
 
 
-@dataclass(frozen=True)
-class MosaicLayout:
-    width: float
-    height: float
-    cells: tuple
-    gap: float
+GAP = 0.01  # each band shrinks symmetrically by this fraction of its extent
 
 
-def layout(table: ContingencyTable, gap: float = 0.01) -> MosaicLayout:
-    """Unit-canvas mosaic layout; gap shrinks each band symmetrically."""
+def layout(table: ContingencyTable) -> tuple:
+    """The `MosaicCell`s of the unit-canvas mosaic, bands shrunk by `GAP`."""
     counts = np.asarray(table.counts)
     if counts.size == 0 or counts.sum() == 0:
         raise InputError("empty contingency table")
-    check_real("gap", gap)
-    if not 0.0 <= gap <= 0.1:
-        raise ParameterError("gap must lie in [0, 0.1]")
     n = float(counts.sum())
     r = counts.sum(axis=1).astype(np.float64)
     c = counts.sum(axis=0).astype(np.float64)
     x0 = np.concatenate([[0.0], np.cumsum(c / n)])
     y0 = np.concatenate([[0.0], np.cumsum(r / n)])
-    scale = 1.0 - gap
+    scale = 1.0 - GAP
     cells = []
     for i, j in zip(*np.nonzero(counts)):
         side = counts[i, j] / n
-        x = x0[j] + 0.5 * gap * (c[j] / n)
-        y = y0[i] + 0.5 * gap * (r[i] / n)
+        x = x0[j] + 0.5 * GAP * (c[j] / n)
+        y = y0[i] + 0.5 * GAP * (r[i] / n)
         cells.append(MosaicCell(row=int(i), col=int(j), x=float(x), y=float(y),
                                 w=float(scale * side), h=float(scale * side),
                                 value=int(counts[i, j])))
-    return MosaicLayout(width=1.0, height=1.0, cells=tuple(cells), gap=gap)
+    return tuple(cells)
 
 
 _PIXELS = 480  # side of the SVG canvas
@@ -71,17 +63,17 @@ def _hue(value: int, vmax: int) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_svg(lay: MosaicLayout) -> str:
-    """Deterministic SVG 1.1 text for a mosaic layout; cells are shaded
-    from white to dark blue by count."""
-    vmax = max((c.value for c in lay.cells), default=0)
+def render_svg(cells: tuple) -> str:
+    """Deterministic SVG 1.1 text for the cells of a mosaic layout; cells
+    are shaded from white to dark blue by count."""
+    vmax = max((c.value for c in cells), default=0)
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_PIXELS}" height="{_PIXELS}" viewBox="0 0 {_PIXELS} {_PIXELS}">')
     out.append(f'<rect x="0" y="0" width="{_PIXELS}" height="{_PIXELS}" fill="#ffffff"/>')
-    for cell in lay.cells:
+    for cell in cells:
         out.append(
             f'<rect x="{cell.x * _PIXELS:.3f}" y="{cell.y * _PIXELS:.3f}" '
             f'width="{cell.w * _PIXELS:.3f}" height="{cell.h * _PIXELS:.3f}" '

@@ -44,8 +44,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .energy import EnergySummary, canonicalize, check_gamma, cluster_count
-from .errors import InputError, check_integer
+from .energy import (EnergySummary, canonicalize, check_gamma, check_labels,
+                     cluster_count)
+from .errors import check_integer
 from .graph import AffinityGraph, _owned, _pairs
 from . import kernels
 
@@ -107,10 +108,8 @@ def _collapse(labels, k, indptr, indices, weights):
 def aggregate(graph: AffinityGraph, labels) -> AggregateGraph:
     """Collapse clusters to super-nodes; energies are preserved exactly.
     InputError unless `labels` holds one integer label per item."""
-    labels = canonicalize(labels)
-    if labels.shape[0] != graph.n:
-        raise InputError(f"partition shape {labels.shape} != ({graph.n},): "
-                         f"one label per item")
+    # canonical labels lie in [0, len(labels)): only the count can fail
+    labels = check_labels(canonicalize(labels), graph.n)
     k = cluster_count(labels)
     const_h_a, const_h_r = kernels.energy_components(graph, labels)
     _, _, w_agg, indptr, indices, weights = _collapse(

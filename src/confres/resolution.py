@@ -6,7 +6,7 @@ lines.  The sweep probes crossing points depth first, the lower interval
 first, over an explicit stack of intervals between probes; it leaves an
 interval unsplit when the partitions at its ends coincide, when the probe
 at its crossing returns one of them, when it is narrower than
-gamma_max * 1e-4, or when it is `max_depth` crossings deep.  The exact
+gamma_max * 1e-4, or when it is `MAX_DEPTH` crossings deep.  The exact
 lower envelope of the energy lines of every partition found then assigns
 the plateaus.
 """
@@ -18,9 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import cluster_count
-from .errors import InputError, ParameterError, check_integer, check_real
+from .errors import InputError, ParameterError, check_real
 from .graph import AffinityGraph
 from .optimizer import OptimizeOptions, optimize
+
+MAX_DEPTH = 32  # an interval this many crossings deep gets no probe
 
 
 @dataclass(frozen=True)
@@ -83,8 +85,8 @@ class ConfigurationSet:
                 for e in self.entries],
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     def landscape_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -94,27 +96,13 @@ class ConfigurationSet:
                 writer.writerow([idx, e.h_a, e.h_r, e.gamma_lo, e.gamma_hi])
 
 
-def configuration_set_from_dict(data: dict) -> ConfigurationSet:
-    entries = []
-    for p in data["plateaus"]:
-        labels = np.array(p["labels"], dtype=np.int64)
-        entries.append(PlateauEntry(
-            gamma_lo=float(p["lo"]), gamma_hi=float(p["hi"]), labels=labels,
-            h_a=float(p["h_a"]), h_r=float(p["h_r"]),
-            cluster_count=int(p["k"])))
-    return ConfigurationSet(
-        gamma_max=float(data["gamma_max"]), entries=tuple(entries),
-        budget_exhausted=bool(data.get("budget_exhausted", False)))
-
-
 def find_configurations(graph: AffinityGraph, gamma_max: float,
-                        opts: OptimizeOptions = None,
-                        max_depth: int = 32) -> ConfigurationSet:
+                        opts: OptimizeOptions = None) -> ConfigurationSet:
     """Discover the plateaus tiling (0, gamma_max].
 
     The left endpoint is optimized at gamma = 0 (connected-component
     coarse limit); a plateau with gamma_lo == 0 is open at 0.  An
-    interval narrower than gamma_max * 1e-4, or `max_depth` crossings
+    interval narrower than gamma_max * 1e-4, or `MAX_DEPTH` crossings
     deep, gets no further probe; a depth cut sets `budget_exhausted`.
     Every probe after the two ends lies strictly inside an interval
     between earlier probes, so no gamma is probed twice.
@@ -123,7 +111,6 @@ def find_configurations(graph: AffinityGraph, gamma_max: float,
     # NaN fails every comparison, so it is rejected along with inf
     if not 0.0 < gamma_max < np.inf:
         raise ParameterError(f"gamma_max must be finite and > 0, got {gamma_max}")
-    check_integer("max_depth", max_depth, 0)
     if opts is None:
         opts = OptimizeOptions()
     partitions = {}  # labels bytes -> (labels, h_a, h_r), in discovery order
@@ -141,7 +128,7 @@ def find_configurations(graph: AffinityGraph, gamma_max: float,
         lo, key_lo, hi, key_hi, depth = stack.pop()
         if key_lo == key_hi:
             continue
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             exhausted = True
             continue
         if hi - lo < gamma_max * 1e-4:

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from confres import mosaic
 from confres.cognition import (HierarchySpec, novelty_spec,
                                run_evolution_experiment,
                                run_hierarchy_experiment,
@@ -228,8 +229,9 @@ def test_criterion_8_metric_oracles():
                    f"{max_err:.2e} (<= 1e-9); relabeling invariant")
 
 
-def test_criterion_9_rms_and_mosaic():
+def test_criterion_9_rms_and_mosaic(monkeypatch):
     """Alignment recovery/monotonicity plus mosaic band invariants."""
+    monkeypatch.setattr(mosaic, "GAP", 0.0)  # cells fill their bands
     rng = np.random.default_rng(9)
     recovered = True
     for _ in range(50):
@@ -257,16 +259,16 @@ def test_criterion_9_rms_and_mosaic():
         counts = rng.integers(0, 9, (4, 5)).astype(np.int64)
         if counts.sum() == 0:
             continue
-        lay = layout(ContingencyTable(counts), gap=0.0)
+        cells = layout(ContingencyTable(counts))
         n = counts.sum()
         for i in range(4):
-            got = sum(c.w for c in lay.cells if c.row == i)
+            got = sum(c.w for c in cells if c.row == i)
             band_err = max(band_err, abs(got - counts[i].sum() / n))
         for j in range(5):
-            got = sum(c.h for c in lay.cells if c.col == j)
+            got = sum(c.h for c in cells if c.col == j)
             band_err = max(band_err, abs(got - counts[:, j].sum() / n))
-    split = layout(ContingencyTable(np.array([[5, 5]])), gap=0.0)
-    cells = sorted(split.cells, key=lambda c: c.col)
+    split = layout(ContingencyTable(np.array([[5, 5]])))
+    cells = sorted(split, key=lambda c: c.col)
     split_ok = (len(cells) == 2
                 and all(c.w == pytest.approx(0.5) for c in cells)
                 and all(c.h == pytest.approx(0.5) for c in cells)

@@ -11,6 +11,7 @@ import pytest
 import confres
 from confres import __version__, cli, kernels
 from confres.cli import main
+from conftest import has_compiler
 
 
 @pytest.fixture(scope="module")
@@ -379,6 +380,22 @@ def test_config_file_loses_to_a_flag_equal_to_its_default(data_dir, tmp_path,
     assert (params["k"], params["gamma"], params["seed"]) == (10, 1.0, 3)
 
 
+def test_config_file_key_that_names_no_option(data_dir, tmp_path, capsys):
+    # a misspelt key is an error, not a default silently kept
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k = 8\n# gamma\ngama = 5\n")
+    out = tmp_path / "o.json"
+    _assert_input_error(["cluster", "--input", str(data_dir / "points.csv"),
+                         "--config", str(cfg), "--out", str(out)],
+                        capsys, f"{cfg}:3: gama names no option of cluster")
+    assert not out.exists()
+    # an option of another command is no option of this one
+    cfg.write_text("gamma_max = 3\n")
+    _assert_input_error(["cluster", "--input", str(data_dir / "points.csv"),
+                         "--config", str(cfg), "--out", str(out)],
+                        capsys, f"{cfg}:1: gamma_max names no option")
+
+
 def test_config_file_cannot_supply_the_paths(data_dir, tmp_path, capsys):
     # --input, --pred, --truth and --out are required on the command line:
     # argparse exits 2 before the config file is read
@@ -452,9 +469,10 @@ def test_experiment_evolve_beats_kmeans(tmp_path):
     assert (np.mean(series["configurations"]) < np.mean(series["kmeans"]))
 
 
-def _python(*args, **kwargs):
-    """Run a fresh interpreter with `args`, this confres on its path."""
-    env = dict(os.environ)
+def _python(*args, env=None, **kwargs):
+    """Run a fresh interpreter with `args`, this confres on its path and
+    `env` added to the environment."""
+    env = {**os.environ, **(env or {})}
     src = os.path.dirname(os.path.dirname(confres.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
@@ -468,6 +486,36 @@ def _modules_loaded_after(code, modules):
         "\nimport sys\n"
         f"print(' '.join(m for m in {list(modules)!r} if m in sys.modules))\n")
     return _python("-c", probe, check=True).stdout.split()
+
+
+@has_compiler
+def test_both_backends_write_the_same_bytes(data_dir, tmp_path):
+    # cluster and sweep --landscape, each in a fresh interpreter on the C
+    # kernels and on the Python references: every output is the same but
+    # for the backend the metadata names
+    points = str(data_dir / "points.csv")
+    written = {}
+    for flag, backend in (("0", "c"), ("1", "python")):
+        out = tmp_path / backend
+        out.mkdir()
+        for argv in (["cluster", "--input", points, "--k", "8", "--seed", "3",
+                      "--out", str(out / "cluster.json")],
+                     ["sweep", "--input", points, "--k", "8", "--seed", "3",
+                      "--gamma-max", "3", "--out", str(out / "sweep.json"),
+                      "--landscape", str(out / "landscape.csv")]):
+            _python("-m", "confres.cli", *argv, check=True,
+                    env={"CONFRES_DISABLE_COMPILED": flag})
+        written[backend] = {p.name: p.read_text().split("\n")
+                            for p in out.iterdir()}
+    c, py = written["c"], written["python"]
+    assert sorted(c) == sorted(py) == ["cluster.json", "landscape.csv",
+                                       "sweep.json"]
+    backend_line = ('    "backend": "c",', '    "backend": "python",')
+    for name in c:
+        assert len(c[name]) == len(py[name]), name
+        differ = [(a, b) for a, b in zip(c[name], py[name]) if a != b]
+        expected = [backend_line] if name.endswith(".json") else []
+        assert differ == expected, name
 
 
 def test_overflowing_distances_exit_2_with_one_error_line(tmp_path):
@@ -565,8 +613,6 @@ def test_every_written_json_matches_json_dumps(data_dir, tmp_path,
     {"floats": [0.1, -0.0, 1e300, float("nan"), float("inf"), -float("inf")],
      "mixed": [1, 2.5, "x", None, [1, 2], {"b": 1, "a": [True]}]},
     {"pöth": "naïve ☃ \"quoted\"\n", "tuple": (1, 2)},
-    {"ints": {10: "a", 2: [1]}, "floats": {2.5: 0, -1.0: 1},
-     "bools": {True: 0, False: 1}, "none": {None: []}},
 ])
 def test_write_json_matches_json_dumps(tmp_path, payload):
     path = tmp_path / "out.json"
@@ -580,4 +626,10 @@ def test_write_json_rejects_what_json_dumps_rejects(tmp_path):
         with pytest.raises(TypeError):
             json.dumps(payload, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
+            cli._write_json(tmp_path / "out.json", payload)
+    # json.dumps writes a number, bool or None key as a string; every
+    # payload key is a string, so any other key is a fault
+    for payload in ({"ints": {10: "a", 2: [1]}}, {2.5: 0}, {True: 0},
+                    {None: []}):
+        with pytest.raises(TypeError, match="^keys must be str, not "):
             cli._write_json(tmp_path / "out.json", payload)

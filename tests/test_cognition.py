@@ -66,7 +66,7 @@ class TestGenerateHierarchy:
 class TestInjectOutliers:
     def test_fraction_zero_unchanged(self, rng):
         pts = rng.standard_normal((20, 2))
-        out, flags = inject_outliers(pts, 0.0, 1.5, seed=0)
+        out, flags = inject_outliers(pts, 0.0, seed=0)
         assert np.array_equal(out, pts)
         assert not flags.any()
 
@@ -74,39 +74,42 @@ class TestInjectOutliers:
         pts = rng.standard_normal((20, 2))
         for fraction in (-0.1, np.nan, np.inf):
             with pytest.raises(ParameterError, match="fraction"):
-                inject_outliers(pts, fraction, 1.5, seed=0)
+                inject_outliers(pts, fraction, seed=0)
         # raised before an array of about fraction * n rows is allocated
         for fraction in (1.5, 1e300):
             with pytest.raises(ParameterError, match=r"\[0, 1\]"):
-                inject_outliers(pts, fraction, 1.5, seed=0)
+                inject_outliers(pts, fraction, seed=0)
         with pytest.raises(ParameterError,
                            match=r"^fraction must be a real number"):
-            inject_outliers(pts, "0.1", 1.5, seed=0)
+            inject_outliers(pts, "0.1", seed=0)
 
     def test_bad_seed(self, rng):
         pts = rng.standard_normal((20, 2))
         for seed, message in ((-1, "seed must be >= 0"),
                               (1.5, "seed must be an integer")):
             with pytest.raises(ParameterError, match=f"^{message}"):
-                inject_outliers(pts, 0.5, 1.5, seed=seed)
+                inject_outliers(pts, 0.5, seed=seed)
 
     def test_fraction_one_doubles_the_points(self, rng):
         pts = rng.standard_normal((20, 2))
-        out, flags = inject_outliers(pts, 1.0, 1.5, seed=0)
+        out, flags = inject_outliers(pts, 1.0, seed=0)
         assert out.shape == (40, 2)
         assert flags.sum() == 20 and flags[20:].all()
         assert np.array_equal(out[:20], pts)
 
     def test_count(self, rng):
         pts = rng.standard_normal((1000, 3))
-        out, flags = inject_outliers(pts, 0.05, 1.5, seed=0)
+        out, flags = inject_outliers(pts, 0.05, seed=0)
         assert flags.sum() == 50
         assert out.shape == (1050, 3)
         assert flags[-50:].all()
+        # drawn from the points' bounding box
+        assert (out[flags] >= pts.min(axis=0)).all()
+        assert (out[flags] <= pts.max(axis=0)).all()
 
     def test_outliers_more_isolated(self):
         points, _, _ = generate_hierarchy(SMALL)
-        out, flags = inject_outliers(points, 0.05, 1.5, seed=1)
+        out, flags = inject_outliers(points, 0.05, seed=1)
         d = np.sqrt(((out[:, None, :] - out[None, :, :]) ** 2).sum(axis=2))
         np.fill_diagonal(d, np.inf)
         nearest = d.min(axis=1)

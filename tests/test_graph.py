@@ -973,6 +973,17 @@ class TestLoaders:
         with pytest.raises(InputError, match=f"^empty labels file: {re.escape(str(path))}$"):
             load_labels_csv(path)
 
+    def test_labels_row_of_several_fields(self, tmp_path):
+        # the first field would be an index column, not the labels
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n0,3\n1,4\n2,5\n")
+        with pytest.raises(InputError, match=re.escape(
+                f"label row '0,3' in {path} has 2 columns, expected 1")):
+            load_labels_csv(path)
+        path.write_text("3\n4,\n")  # an empty field is a field
+        with pytest.raises(InputError, match="row '4,'"):
+            load_labels_csv(path)
+
     def test_malformed_labels(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("abc\ndef\n")

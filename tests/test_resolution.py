@@ -12,8 +12,7 @@ from confres import cognition, resolution
 from confres.errors import InputError, ParameterError
 from confres.graph import from_edge_list
 from confres.optimizer import OptimizeOptions, optimize
-from confres.resolution import (configuration_set_from_dict,
-                                find_configurations, lower_envelope)
+from confres.resolution import find_configurations, lower_envelope
 from conftest import (blob_graph, blob_points, fresh_optimize, random_affinity,
                       set_partitions)
 
@@ -81,14 +80,6 @@ class TestFindConfigurations:
                                match=r"^gamma_max must be a real number"):
                 find_configurations(graph, gamma_max)
 
-    def test_bad_max_depth(self, blob_sweep):
-        # as OptimizeOptions: an integer, never a bool
-        graph, _, _ = blob_sweep
-        for max_depth in (-1, 1.5, True, "3", None):
-            with pytest.raises(ParameterError, match="max_depth"):
-                find_configurations(graph, 1.0, max_depth=max_depth)
-        assert find_configurations(graph, 1.0, max_depth=np.int64(0)).m >= 1
-
     def test_partition_at(self, blob_sweep):
         _, _, configs = blob_sweep
         entry = configs.entries[0]
@@ -102,24 +93,23 @@ class TestFindConfigurations:
     def test_json_roundtrip(self, blob_sweep, tmp_path):
         _, _, configs = blob_sweep
         data = json.loads(configs.to_json())
-        restored = configuration_set_from_dict(data)
-        assert restored.gamma_max == configs.gamma_max
-        assert restored.m == configs.m
-        for a, b in zip(restored.entries, configs.entries):
-            assert np.array_equal(a.labels, b.labels)
-            assert (a.gamma_lo, a.gamma_hi) == (b.gamma_lo, b.gamma_hi)
+        assert data["gamma_max"] == configs.gamma_max
+        assert data["budget_exhausted"] is False
+        assert len(data["plateaus"]) == configs.m
+        for p, e in zip(data["plateaus"], configs.entries):
+            assert p["labels"] == e.labels.tolist()
+            assert (p["lo"], p["hi"]) == (e.gamma_lo, e.gamma_hi)
+            assert (p["h_a"], p["h_r"], p["k"]) == (e.h_a, e.h_r,
+                                                    e.cluster_count)
 
-    def test_json_roundtrip_budget_exhausted(self, blob_sweep):
+    def test_json_roundtrip_budget_exhausted(self, blob_sweep, monkeypatch):
         graph, _, _ = blob_sweep
         # depth 1 cannot resolve the two-blob plateau's edges
-        configs = find_configurations(graph, 4.0, OptimizeOptions(seed=0),
-                                      max_depth=1)
+        monkeypatch.setattr(resolution, "MAX_DEPTH", 1)
+        configs = find_configurations(graph, 4.0, OptimizeOptions(seed=0))
         assert configs.budget_exhausted
         data = json.loads(configs.to_json())
         assert data["budget_exhausted"] is True
-        assert configuration_set_from_dict(data).budget_exhausted
-        del data["budget_exhausted"]  # written before the key existed
-        assert not configuration_set_from_dict(data).budget_exhausted
 
     def test_landscape_csv(self, blob_sweep, tmp_path):
         _, _, configs = blob_sweep
@@ -133,7 +123,7 @@ class TestFindConfigurations:
 def _depth_cut(probes, gamma_max, max_depth):
     """Whether the sweep that made `probes`, its (gamma, labels bytes) in
     call order, left an interval with unequal end partitions at
-    `max_depth`.
+    `max_depth`, the sweep's `MAX_DEPTH`.
 
     The recursion is rebuilt from the probes alone.  The first interval,
     (0, gamma_max), has depth 0; a later one has one more than the deeper
@@ -177,9 +167,9 @@ def test_no_gamma_probed_twice_and_budget_marks_depth_cuts(blob_sweep,
         for gamma_max in (2.0, 3.0):
             for max_depth in (3, 32):
                 probes.clear()
+                monkeypatch.setattr(resolution, "MAX_DEPTH", max_depth)
                 configs = find_configurations(graph, gamma_max,
-                                              OptimizeOptions(seed=0),
-                                              max_depth=max_depth)
+                                              OptimizeOptions(seed=0))
                 gammas = [gamma for gamma, _ in probes]
                 assert len(set(gammas)) == len(gammas)
                 cut = _depth_cut(probes, gamma_max, max_depth)
@@ -195,8 +185,7 @@ def _novelty_graphs(count):
     for seed in range(count):
         points, _ = blob_points(np.random.default_rng(seed), centers, per=20,
                                 dim=8)
-        points, _ = cognition.inject_outliers(points, 0.05, spread=1.0,
-                                              seed=seed)
+        points, _ = cognition.inject_outliers(points, 0.05, seed=seed)
         yield cognition.points_to_graph(points, k=10)
 
 
