@@ -613,6 +613,10 @@ def test_every_written_json_matches_json_dumps(data_dir, tmp_path,
     {"floats": [0.1, -0.0, 1e300, float("nan"), float("inf"), -float("inf")],
      "mixed": [1, 2.5, "x", None, [1, 2], {"b": 1, "a": [True]}]},
     {"pöth": "naïve ☃ \"quoted\"\n", "tuple": (1, 2)},
+    # the keys json.dumps writes for numbers, bools and None, as strings:
+    # sorted as text, so "10" comes before "2"
+    {"ints": {"10": "a", "2": [1]}, "floats": {"2.5": 0, "-1.0": 1},
+     "bools": {"true": 0, "false": 1}, "none": {"null": []}},
 ])
 def test_write_json_matches_json_dumps(tmp_path, payload):
     path = tmp_path / "out.json"
